@@ -5,9 +5,19 @@ emulate Omega by gossiping detector samples (DAGs), simulating schedules of
 the algorithm, and reading the deciding process off a decision gadget in the
 simulation tree. The emulated output stabilizes on the same correct process
 at all correct processes.
+
+The second test is the extraction path's per-PR readout: wall time per
+scenario and how many analysis rounds ran a fresh extraction versus reused
+the last result on an unchanged DAG, printed (``-s``) and published to the
+CI job summary. It gates nothing — the ruler's ``report_campaign`` workload
+(``benchmarks/perf``) is the gate.
 """
 
+import time
+
+from benchmarks.step_summary import markdown_table, publish_step_summary
 from repro.analysis.experiments import exp_cht_extraction
+from repro.analysis.experiments.cht import SCENARIOS, run_cht_scenario
 
 
 def test_exp7_cht_extraction(run_once):
@@ -18,3 +28,20 @@ def test_exp7_cht_extraction(run_once):
         assert row["stabilized"], row
         assert row["correct"], row
         assert row["extractions"] > 0, row
+
+
+def test_exp7_extraction_path_per_scenario():
+    rows = []
+    for label, *scenario in SCENARIOS:
+        started = time.perf_counter()
+        pattern, procs = run_cht_scenario(*scenario, seed=1)
+        wall = time.perf_counter() - started
+        run = sum(procs[pid].extractions_run for pid in pattern.correct)
+        reused = sum(procs[pid].extractions_reused for pid in pattern.correct)
+        assert 0 <= reused < run, (label, run, reused)
+        rows.append((label, f"{wall:.2f}", run, reused))
+    table = markdown_table(
+        ["scenario", "wall s", "extractions_run", "extractions_reused"], rows
+    )
+    print("\n" + table)
+    publish_step_summary("### EXP-7 extraction path (seed 1)\n\n" + table)

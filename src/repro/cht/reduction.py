@@ -66,7 +66,12 @@ class OmegaExtractionProcess(Process):
         self.dag = SampleDag()
         self.current_leader: ProcessId | None = None
         self.last_result: ExtractionResult | None = None
+        #: analysis rounds that produced a result (fresh or reused).
         self.extractions_run = 0
+        #: of those, the rounds answered from ``last_result`` because the
+        #: (windowed) DAG had not changed since it was computed.
+        self.extractions_reused = 0
+        self._extracted_from: SampleDagSnapshot | None = None
         self._timeouts = 0
         self._local_samples = 0
 
@@ -94,11 +99,20 @@ class OmegaExtractionProcess(Process):
         dag = self.dag if self.window is None else self.dag.windowed(self.window)
         if len(dag) == 0:
             return
-        result = extract_leader(
-            dag, self.stack_factory, ctx.n, bounds=self.bounds
-        )
+        # extract_leader is a pure function of the DAG: an unchanged DAG
+        # (the common case once sampling stops or gossip has converged)
+        # needs no second simulation tree.
+        snapshot = dag.snapshot()
+        if snapshot == self._extracted_from:
+            result = self.last_result
+            self.extractions_reused += 1
+        else:
+            result = extract_leader(
+                dag, self.stack_factory, ctx.n, bounds=self.bounds
+            )
+            self._extracted_from = snapshot
+            self.last_result = result
         self.extractions_run += 1
-        self.last_result = result
         if result.leader != self.current_leader:
             self.current_leader = result.leader
             ctx.output(("omega", result.leader))

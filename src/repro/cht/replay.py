@@ -17,17 +17,26 @@ A step of the simulated algorithm is ``(pid, fd_value, deliver)``:
   fixed it, the step aborts with :class:`InputNeeded` and the tree branches
   over both binary values.
 
-States are plain value objects (automaton snapshots + per-receiver message
-FIFOs + cumulative decisions), cheap to copy and hashable enough for
-deterministic exploration.
+States are immutable value objects: frozen automata + per-receiver message
+FIFOs + cumulative decisions. An automaton is *frozen* to pickle bytes once
+per executed step and *thawed* into a fresh instance once per step, by a
+codec private to the sandbox that keeps the one object automata share with
+it — the :class:`SharedInputTable` — out of the bytes. The harness does not
+route through ``Process.snapshot``/``restore``; what it asks of a
+:data:`StackFactory` automaton is that its state is picklable plain data
+(no lambdas, open handles or other process-local objects), which
+``ReplaySandbox(...)`` checks at construction.
 """
 
 from __future__ import annotations
 
+import io
+import pickle
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.sim.context import Context, expand_sends
+from repro.sim.errors import ConfigurationError
 from repro.sim.process import Process
 from repro.sim.types import ProcessId
 
@@ -43,16 +52,14 @@ class InputNeeded(Exception):
 class SharedInputTable:
     """Proposal inputs for the *current* step, controlled by the sandbox.
 
-    The table is intentionally shared (deepcopy returns self) so snapshots of
-    automaton state never capture stale copies: inputs belong to tree nodes,
-    not to automata.
+    The table is intentionally shared: the sandbox's codec freezes every
+    reference to it as a token and thaws the token back to the same object,
+    so frozen automata never capture stale copies. Inputs belong to tree
+    nodes, not to automata.
     """
 
     def __init__(self) -> None:
         self.table: dict[tuple[ProcessId, Any], Any] = {}
-
-    def __deepcopy__(self, memo: dict) -> "SharedInputTable":
-        return self
 
     def lookup(self, pid: ProcessId, instance: Any) -> Any:
         key = (pid, instance)
@@ -74,8 +81,8 @@ class Decision:
 class ReplayState:
     """A configuration of the simulated system (immutable value object)."""
 
-    #: per-process automaton snapshots.
-    automata: tuple[dict, ...]
+    #: per-process frozen automata (see :meth:`ReplaySandbox.thaw`).
+    automata: tuple[bytes, ...]
     started: tuple[bool, ...]
     #: per-receiver FIFO of (sender, payload) pending messages.
     buffers: tuple[tuple[tuple[ProcessId, Any], ...], ...]
@@ -102,18 +109,69 @@ class ReplayState:
 StackFactory = Callable[[Callable[[ProcessId, int], Any]], Process]
 
 
+#: The persistent id standing in for the sandbox's input table in frozen bytes.
+_INPUTS_TOKEN = "inputs"
+#: What pickle raises on state it cannot serialize.
+_UNPICKLABLE = (pickle.PicklingError, TypeError, AttributeError)
+
+
 class ReplaySandbox:
     """Deterministic single-step executor over :class:`ReplayState`."""
 
     def __init__(self, n: int, stack_factory: StackFactory) -> None:
         self.n = n
-        self._inputs = SharedInputTable()
-        self._processes = [
-            stack_factory(self._inputs.lookup) for _ in range(n)
-        ]
-        for pid, process in enumerate(self._processes):
+        inputs = self._inputs = SharedInputTable()
+
+        class Freezer(pickle.Pickler):
+            def persistent_id(self, obj: Any) -> str | None:
+                return _INPUTS_TOKEN if obj is inputs else None
+
+        class Thawer(pickle.Unpickler):
+            def persistent_load(self, token: str) -> SharedInputTable:
+                return inputs
+
+        self._freezer, self._thawer = Freezer, Thawer
+        initial = []
+        for pid in range(n):
+            process = stack_factory(inputs.lookup)
             process.attach(pid, n)
-        self._initial_automata = tuple(p.snapshot() for p in self._processes)
+            try:
+                initial.append(self.freeze(process))
+            except _UNPICKLABLE as exc:
+                raise ConfigurationError(
+                    "replayed automata must hold picklable plain-data state; "
+                    f"cannot freeze {self._blame(process, type(process).__name__)}: {exc}"
+                ) from exc
+        self._initial_automata = tuple(initial)
+
+    def freeze(self, process: Process) -> bytes:
+        """The automaton as immutable bytes (input table kept by reference)."""
+        buffer = io.BytesIO()
+        self._freezer(buffer, pickle.HIGHEST_PROTOCOL).dump(process)
+        return buffer.getvalue()
+
+    def thaw(self, frozen: bytes) -> Process:
+        """A fresh automaton from :meth:`freeze` bytes, bound to this
+        sandbox's own input table."""
+        return self._thawer(io.BytesIO(frozen)).load()
+
+    def _blame(self, obj: Any, path: str) -> str:
+        """The deepest attribute path under ``obj`` that does not freeze."""
+        if isinstance(obj, dict):
+            children = [(f"{path}[{key!r}]", value) for key, value in obj.items()]
+        elif isinstance(obj, (list, tuple)):
+            children = [(f"{path}[{i}]", value) for i, value in enumerate(obj)]
+        else:
+            children = [
+                (f"{path}.{name}", value)
+                for name, value in getattr(obj, "__dict__", {}).items()
+            ]
+        for child_path, child in children:
+            try:
+                self.freeze(child)
+            except _UNPICKLABLE:
+                return self._blame(child, child_path)
+        return path
 
     def initial_state(self) -> ReplayState:
         return ReplayState(
@@ -134,11 +192,10 @@ class ReplaySandbox:
         """Run one step; returns the successor state.
 
         Raises :class:`InputNeeded` when the step requires a proposal choice
-        missing from ``inputs`` (the state is left untouched — automata are
-        restored from snapshots on every call, so aborted attempts are free).
+        missing from ``inputs`` (the state is left untouched — the step runs
+        on a freshly thawed automaton, so aborted attempts are free).
         """
-        process = self._processes[pid]
-        process.restore(state.automata[pid])
+        process = self.thaw(state.automata[pid])
         self._inputs.table = inputs
 
         ctx = Context(pid=pid, n=self.n, time=state.steps_taken, fd_value=fd_value)
@@ -148,9 +205,8 @@ class ReplaySandbox:
             if consumed is None:
                 raise ValueError(f"no message pending for p{pid}; use a lambda step")
 
-        # May raise InputNeeded; nothing observable has been mutated yet
-        # except the in-flight automaton instance, which the next call
-        # restores from a snapshot anyway.
+        # May raise InputNeeded; only the thawed instance has been mutated,
+        # and it is dropped with the exception.
         if not state.started[pid]:
             process.on_start(ctx)
         if consumed is not None:
@@ -173,7 +229,7 @@ class ReplaySandbox:
         new_started = list(state.started)
         new_started[pid] = True
         new_automata = list(state.automata)
-        new_automata[pid] = process.snapshot()
+        new_automata[pid] = self.freeze(process)
 
         return ReplayState(
             automata=tuple(new_automata),

@@ -22,6 +22,7 @@ contains two different returns for instance ``k``.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -100,6 +101,11 @@ class SimulationTree:
         self.bounds = bounds or TreeBounds()
         self.nodes: list[TreeNode] = []
         self.truncated = False
+        #: path end (None = the root) -> its first ``max_successors`` DAG
+        #: extensions. The DAG is not mutated during a build, and sorting the
+        #: successors (``repr`` of every value) once per vertex instead of
+        #: once per expansion is most of the tree's own cost.
+        self._extensions: dict[DagVertex | None, list[DagVertex]] = {}
         self._build()
 
     # -- construction -------------------------------------------------------------
@@ -113,24 +119,26 @@ class SimulationTree:
             inputs={},
         )
         self.nodes.append(root)
-        frontier = [0]
+        frontier = deque([0])
         while frontier:
-            node_id = frontier.pop(0)
+            node_id = frontier.popleft()
             node = self.nodes[node_id]
             if node.depth >= self.bounds.max_depth:
                 continue
             if len(self.nodes) >= self.bounds.max_nodes:
                 self.truncated = True
                 break
-            for child_id in self._expand(node):
-                frontier.append(child_id)
+            frontier.extend(self._expand(node))
+        self._extensions.clear()
 
     def _next_vertices(self, node: TreeNode) -> list[DagVertex]:
-        if node.step is None:
-            candidates = self.dag.roots()
-        else:
-            candidates = self.dag.successors(node.step.vertex)
-        return candidates[: self.bounds.max_successors]
+        end = None if node.step is None else node.step.vertex
+        extensions = self._extensions.get(end)
+        if extensions is None:
+            candidates = self.dag.roots() if end is None else self.dag.successors(end)
+            extensions = candidates[: self.bounds.max_successors]
+            self._extensions[end] = extensions
+        return extensions
 
     def _expand(self, node: TreeNode) -> list[int]:
         created: list[int] = []
@@ -150,14 +158,14 @@ class SimulationTree:
         self, node: TreeNode, vertex: DagVertex, deliver: bool
     ) -> list[int]:
         """Execute one step, branching over inputs demanded along the way."""
-        pending: list[dict[tuple[ProcessId, Any], Any]] = [dict(node.inputs)]
+        pending: deque[dict[tuple[ProcessId, Any], Any]] = deque([dict(node.inputs)])
         created: list[int] = []
         guard = 0
         while pending:
             guard += 1
             if guard > 64:  # a single step cannot need this many inputs
                 break
-            inputs = pending.pop(0)
+            inputs = pending.popleft()
             try:
                 state = self.sandbox.execute(
                     node.state, vertex.pid, vertex.value, deliver, inputs

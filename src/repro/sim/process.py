@@ -53,19 +53,22 @@ class Process:
     def on_timeout(self, ctx: Context) -> None:
         """Called when the local periodic timeout fires."""
 
-    # -- state snapshots (used by the CHT replay harness) --------------------
+    # -- state snapshots ------------------------------------------------------
 
     def snapshot(self) -> dict[str, Any]:
         """A deep copy of the automaton state.
 
-        The CHT construction simulates many alternative schedules of an
-        algorithm; it snapshots states at tree vertices and restores them when
-        exploring siblings. The default implementation deep-copies
-        ``__dict__``, which suits plain-data protocol state.
+        A convenience for tests and tools that checkpoint one automaton in
+        place; the default implementation deep-copies ``__dict__``, which
+        suits plain-data protocol state. The CHT replay harness does *not*
+        route through this pair: :class:`repro.cht.replay.ReplaySandbox`
+        freezes whole automata to pickle bytes, so an automaton that is
+        replayed must hold picklable plain-data state.
         """
         return copy.deepcopy(self.__dict__)
 
     def restore(self, state: dict[str, Any]) -> None:
-        """Restore a state previously taken with :meth:`snapshot`."""
+        """Restore a state previously taken with :meth:`snapshot` (the CHT
+        replay harness thaws fresh instances instead; see there)."""
         self.__dict__.clear()
         self.__dict__.update(copy.deepcopy(state))

@@ -209,6 +209,52 @@ class TestDistributedReduction:
                 sim.run.tagged_outputs(pid, "omega"),
             )
 
+    def test_unchanged_dag_reuses_the_last_extraction(self, monkeypatch):
+        import repro.cht.reduction as reduction
+        from repro.sim.context import Context
+
+        fresh = []
+
+        def counting(dag, *args, **kwargs):
+            fresh.append(len(dag))
+            return extract_leader(dag, *args, **kwargs)
+
+        monkeypatch.setattr(reduction, "extract_leader", counting)
+        proc = OmegaExtractionProcess(
+            ec_factory, bounds=SMALL_BOUNDS, analyze_every=1, max_samples=2
+        )
+        proc.attach(0, 2)
+        logged = []
+
+        def tick():
+            ctx = Context(pid=0, n=2, time=len(logged), fd_value=0)
+            proc.on_timeout(ctx)
+            logged.extend(ctx.drain_log())
+            return proc.extractions_run, proc.extractions_reused, len(fresh)
+
+        # Two sampling rounds: the DAG grows, each one extracts afresh.
+        assert tick() == (1, 0, 1)
+        assert tick() == (2, 0, 2)
+        # Sampling stopped (max_samples): same snapshot, result reused.
+        result = proc.last_result
+        assert tick() == (3, 1, 2)
+        assert proc.last_result is result
+        # Merging one new gossiped vertex forces a fresh extraction...
+        peer = SampleDag()
+        peer.add_sample(1, 0)
+        gossip = reduction.DagGossip(peer.snapshot())
+        proc.on_message(Context(pid=0, n=2, time=0, fd_value=0), 1, gossip)
+        assert tick() == (4, 1, 3)
+        # ...merging the same gossip again changes nothing...
+        proc.on_message(Context(pid=0, n=2, time=0, fd_value=0), 1, gossip)
+        assert tick() == (5, 2, 3)
+        # ...while one more local sample forces one again.
+        proc.dag.add_sample(0, 0)
+        assert tick() == (6, 2, 4)
+        assert fresh == [1, 2, 3, 4]
+        # A reused round still logs its ("extraction", ...) line.
+        assert [line[0] for line in logged] == ["extraction"] * 6
+
     def test_reduction_parameter_validation(self):
         with pytest.raises(ValueError):
             OmegaExtractionProcess(ec_factory, analyze_every=0)

@@ -4,7 +4,9 @@ import pytest
 
 from repro.cht.replay import InputNeeded, ReplaySandbox
 from repro.core import EcDriverLayer, EcUsingOmegaLayer
+from repro.core.ec import Promote
 from repro.sim import ProtocolStack
+from repro.sim.errors import ConfigurationError
 
 
 def ec_factory(proposal_fn):
@@ -47,6 +49,42 @@ class TestSandbox:
         # Both branches exist independently; the original is untouched.
         assert state.steps_taken == 0
         assert s0.steps_taken == s1.steps_taken == 1
+
+    def test_automata_are_frozen_bytes_shared_by_branches(self):
+        sandbox = ReplaySandbox(2, ec_factory)
+        state = sandbox.initial_state()
+        assert all(type(frozen) is bytes for frozen in state.automata)
+        before = state.automata
+        s0 = sandbox.execute(state, 0, 0, deliver=False, inputs={(0, 1): 0})
+        s1 = sandbox.execute(state, 0, 0, deliver=False, inputs={(0, 1): 1})
+        # One frozen state, two inputs, two different promotes...
+        assert s0.buffers[1] == ((0, (0, Promote(0, 1))),)
+        assert s1.buffers[1] == ((0, (0, Promote(1, 1))),)
+        assert type(s0.automata[0]) is bytes and s0.automata[0] != before[0]
+        # ...and neither the parent state nor the untouched sibling moved.
+        assert state.automata == before
+        assert s0.automata[1] is s1.automata[1] is before[1]
+
+    def test_thawed_automaton_reaches_its_own_sandbox_table(self):
+        sandbox, other = ReplaySandbox(2, ec_factory), ReplaySandbox(2, ec_factory)
+        frozen = sandbox.initial_state().automata[0]
+        for __ in range(2):  # every thaw is a fresh instance on the same table
+            driver = sandbox.thaw(frozen).layer(EcDriverLayer)
+            assert driver.proposal_fn.__self__ is sandbox._inputs
+        assert sandbox.thaw(frozen) is not sandbox.thaw(frozen)
+        # The bytes carry a token, not a table: another sandbox thaws them
+        # onto *its* table.
+        driver = other.thaw(frozen).layer(EcDriverLayer)
+        assert driver.proposal_fn.__self__ is other._inputs
+
+    def test_unpicklable_state_fails_at_construction(self):
+        def factory(proposal_fn):
+            layer = EcDriverLayer(proposal_fn, max_instances=2)
+            layer.on_decide = lambda value: None
+            return ProtocolStack([EcUsingOmegaLayer(), layer])
+
+        with pytest.raises(ConfigurationError, match=r"layers\[1\]\.on_decide"):
+            ReplaySandbox(2, factory)
 
     def test_full_decision_path(self):
         # p0 proposes 1; its promote reaches p1; p1 (trusting leader 0)
