@@ -23,7 +23,7 @@ from repro.sim import FailurePattern, ProtocolStack, Simulation, UniformRandomDe
     group_by=("variant",),
     metrics=("violations", "pairs"),
     flags=("etob_ok",),
-    cost=0.1,
+    cost=0.07,
 )
 def exp_causal(*, seed: int = 0) -> ExperimentResult:
     """EXP-6: TOB-Causal-Order under churn; ablation without the causal graph."""

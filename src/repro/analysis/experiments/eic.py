@@ -19,7 +19,7 @@ from repro.sim import FailurePattern, FixedDelay, ProtocolStack, Simulation
     group_by=("scenario",),
     metrics=("revisions", "integrity_index"),
     flags=("ok",),
-    cost=0.1,
+    cost=0.22,
 )
 def exp_eic(*, seed: int = 0) -> ExperimentResult:
     """EXP-9: EIC behaves per Appendix A; revisions stop after stabilization."""

@@ -96,7 +96,7 @@ def exp_ec_any_environment(
     metrics=("delivered",),
     flags=("as_expected",),
     values=("available",),
-    cost=0.1,
+    cost=0.17,
     # heavy-tail is deliberately absent: its extreme reordering can strand a
     # consensus learner forever (no learn retransmission), which is a
     # protocol limitation orthogonal to the Sigma-gap claim this experiment

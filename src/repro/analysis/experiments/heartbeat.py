@@ -17,7 +17,7 @@ from repro.sim import FailurePattern, GstDelay, Simulation
     metrics=("stabilized_at",),
     flags=("correct",),
     values=("leader",),
-    cost=0.06,
+    cost=0.12,
 )
 def exp_ablation_heartbeat_gst(
     gsts: Sequence[int] = (50, 150, 300), *, seed: int = 0

@@ -109,7 +109,7 @@ def exp_comm_steps(
     group_by=("period",),
     metrics=("mean_ticks", "sent"),
     flags=("delivered_ok",),
-    cost=0.1,
+    cost=0.14,
 )
 def exp_ablation_promote_period(
     periods: Sequence[int] = (2, 4, 8, 16), *, seed: int = 0

@@ -21,7 +21,7 @@ from repro.suite import Axis
     group_by=("tau_omega",),
     metrics=("tau", "bound"),
     flags=("within_bound", "ok"),
-    cost=0.1,
+    cost=0.25,
     # The declared two-axis sweeps: `Campaign.extend("EXP-4", "n")` (or
     # `sweep("EXP-4", n=[...])`) multiplies the tau grid by system size,
     # `Campaign.extend("EXP-4", "env")` by network environment;
@@ -91,7 +91,7 @@ def exp_etob_stabilization(
     group_by=("scenario",),
     metrics=("tau",),
     flags=("ok",),
-    cost=0.07,
+    cost=0.09,
 )
 def exp_tob_mode(*, seed: int = 0) -> ExperimentResult:
     """EXP-5: Algorithm 5 satisfies *strong* TOB when Omega never changes."""

@@ -26,7 +26,7 @@ from repro.workload import STACKS, WorkloadSpec, workload_sim
     group_by=("stack",),
     metrics=("p50", "p95", "p99", "throughput"),
     flags=("served",),
-    cost=2.0,
+    cost=0.6,
     # heavy-tail is deliberately absent for the same reason as EXP-8: its
     # extreme reordering can strand a consensus learner, which is a protocol
     # limitation orthogonal to the latency comparison measured here.

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.core.messages import AppMessage, MessageId
+from repro.core.messages import AppMessage, MessageId, in_uid_order
 from repro.sim.errors import ProtocolError
 from repro.sim.stack import Layer, LayerContext
 from repro.sim.types import ProcessId
@@ -47,6 +47,9 @@ class TobFromConsensusLayer(Layer):
         self._next_seq = 0
         #: messages received (and relayed) but possibly not yet delivered.
         self.pending: dict[MessageId, AppMessage] = {}
+        #: the part of ``pending`` not yet delivered (``pending`` is never
+        #: pruned), kept on diffusion and delivery.
+        self._undelivered: dict[MessageId, AppMessage] = {}
         #: the delivered sequence (grows by appends only).
         self.delivered: tuple[AppMessage, ...] = ()
         self._delivered_ids: set[MessageId] = set()
@@ -63,6 +66,7 @@ class TobFromConsensusLayer(Layer):
         if message.uid in self.pending or message.uid in self._delivered_ids:
             return
         self.pending[message.uid] = message
+        self._undelivered[message.uid] = message
         ctx.send_all(Diffuse(message), include_self=False)
 
     def on_call(self, ctx: LayerContext, request: Any) -> None:
@@ -87,8 +91,7 @@ class TobFromConsensusLayer(Layer):
     # -- consensus driving ----------------------------------------------------------
 
     def _undelivered_batch(self) -> tuple[AppMessage, ...]:
-        batch = [m for uid, m in self.pending.items() if uid not in self._delivered_ids]
-        return tuple(sorted(batch, key=lambda m: m.uid))
+        return in_uid_order(self._undelivered)
 
     def _maybe_propose(self, ctx: LayerContext) -> None:
         if self.next_instance in self._proposed:
@@ -114,6 +117,7 @@ class TobFromConsensusLayer(Layer):
                     continue
                 self._delivered_ids.add(message.uid)
                 self.pending.setdefault(message.uid, message)
+                self._undelivered.pop(message.uid, None)
                 self.delivered = self.delivered + (message,)
                 delivered_something = True
             self.next_instance += 1

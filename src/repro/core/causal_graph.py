@@ -17,10 +17,18 @@ dependencies are present. Broadcast protocols preserve it naturally — a
 process only depends on messages it has already seen, and graphs travel
 whole — and the property-based tests in ``tests/test_prop_causal_graph.py``
 verify that every operation maintains it.
+
+The graph only grows, so its derived views are kept per insertion instead of
+recomputed per query: the uid order behind :meth:`CausalGraph.messages`, the
+causal frontier, and the last linearization, which
+:meth:`CausalGraph.linearize_extending` extends by just the messages added
+since when it is handed back as the prefix. ``tests/helpers.py`` keeps the
+from-scratch graph as the oracle these are differential-tested against.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import Dict, Iterable, Sequence
 
 from repro.core.messages import AppMessage, MessageId
@@ -35,6 +43,15 @@ class CausalGraph:
 
     def __init__(self, messages: Iterable[AppMessage] = ()) -> None:
         self._nodes: Dict[MessageId, AppMessage] = {}
+        #: every uid, sorted; and the ``messages()`` tuple built from it
+        #: (None once an insertion made it stale).
+        self._sorted: list[MessageId] = []
+        self._snapshot: tuple[AppMessage, ...] | None = ()
+        #: uids no known message depends on.
+        self._frontier: set[MessageId] = set()
+        #: the last ``linearize_extending`` result and the uids added since.
+        self._linear: tuple[AppMessage, ...] = ()
+        self._unplaced: list[MessageId] = []
         for message in messages:
             self.add(message)
 
@@ -54,22 +71,26 @@ class CausalGraph:
                 f"{sorted(existing.deps)} vs {sorted(message.deps)}"
             )
         self._nodes[message.uid] = message
+        self._snapshot = None
+        if existing is None:
+            insort(self._sorted, message.uid)
+            # Closure: nothing can depend on a message before it is added.
+            self._frontier.difference_update(message.deps)
+            self._frontier.add(message.uid)
+            self._unplaced.append(message.uid)
 
     def union(self, other: "CausalGraph | Iterable[AppMessage]") -> None:
         """``UnionCG``: merge another (causally closed) graph into this one."""
-        incoming = (
-            list(other._nodes.values())
-            if isinstance(other, CausalGraph)
-            else list(other)
-        )
+        incoming = other._nodes.values() if isinstance(other, CausalGraph) else other
+        nodes, known = self._nodes, self._nodes.keys()
         # Insert in dependency order so closure is maintained even while the
         # incoming iterable is unordered.
-        pending = {m.uid: m for m in incoming if m.uid not in self._nodes}
+        pending = {m.uid: m for m in incoming if m.uid not in nodes}
         while pending:
             progressed = False
             for uid in list(pending):
                 message = pending[uid]
-                if all(d in self._nodes for d in message.deps):
+                if known >= message.deps:
                     self.add(message)
                     del pending[uid]
                     progressed = True
@@ -89,9 +110,26 @@ class CausalGraph:
         Ready messages are appended in ``uid`` order, which makes the result a
         pure function of (prefix, message set) — crucial for determinism of
         simulated runs.
+
+        A ``prefix`` that *is* the previous result (the same tuple object, as
+        Algorithm 5's ``promote_i`` always is) was validated when it was
+        built and stays valid — tuples are immutable and nodes never leave —
+        so only the messages added since are placed. Any other prefix is
+        validated in full.
         """
+        if prefix is self._linear:
+            if not self._unplaced:
+                return prefix
+            remaining = sorted(self._unplaced)
+        else:
+            remaining = self._left_after(prefix)
+        self._linear = tuple(prefix) + tuple(self._place(remaining))
+        self._unplaced.clear()
+        return self._linear
+
+    def _left_after(self, prefix: Sequence[AppMessage]) -> list[MessageId]:
+        """Check ``prefix`` against the graph; the sorted uids it leaves."""
         placed: set[MessageId] = set()
-        result: list[AppMessage] = []
         for message in prefix:
             if message.uid not in self._nodes:
                 raise LinearizationError(
@@ -104,26 +142,29 @@ class CausalGraph:
                     f"prefix violates causal order at {message.uid}"
                 )
             placed.add(message.uid)
-            result.append(message)
+        return [uid for uid in self._sorted if uid not in placed]
 
-        remaining = sorted(
-            (uid for uid in self._nodes if uid not in placed)
-        )
+    def _place(self, remaining: list[MessageId]) -> list[AppMessage]:
+        """The messages of ``remaining`` — sorted uids, everything not yet
+        placed — in placement order: smallest ready uid first."""
+        nodes, known = self._nodes, self._nodes.keys()
+        waiting = set(remaining)
+        placed: list[AppMessage] = []
         while remaining:
-            ready = [
-                uid
-                for uid in remaining
-                if all(d in placed for d in self._nodes[uid].deps)
-            ]
-            if not ready:
+            # ``remaining`` is sorted, so its first ready uid is the smallest.
+            for index, uid in enumerate(remaining):
+                deps = nodes[uid].deps
+                # Ready: every dependency is known and no longer waiting.
+                if waiting.isdisjoint(deps) and known >= deps:
+                    break
+            else:
                 raise LinearizationError(
                     f"dependency cycle or missing node among {remaining}"
                 )
-            nxt = min(ready)
-            placed.add(nxt)
-            result.append(self._nodes[nxt])
-            remaining.remove(nxt)
-        return tuple(result)
+            placed.append(nodes[uid])
+            waiting.discard(uid)
+            del remaining[index]
+        return placed
 
     # -- queries -----------------------------------------------------------------
 
@@ -143,8 +184,13 @@ class CausalGraph:
         return self._nodes.get(uid)
 
     def messages(self) -> tuple[AppMessage, ...]:
-        """All messages, in uid order (a frozen snapshot safe to send)."""
-        return tuple(self._nodes[uid] for uid in sorted(self._nodes))
+        """All messages, in uid order (a frozen snapshot safe to send).
+
+        The same tuple object is returned until the next insertion.
+        """
+        if self._snapshot is None:
+            self._snapshot = tuple(map(self._nodes.__getitem__, self._sorted))
+        return self._snapshot
 
     def edges(self) -> set[tuple[MessageId, MessageId]]:
         """All dependency edges ``(m', m)``."""
@@ -160,10 +206,7 @@ class CausalGraph:
         Used as the default ``C(m)`` of a new broadcast: depending on the
         frontier transitively captures the sender's entire causal past.
         """
-        depended_on: set[MessageId] = set()
-        for message in self._nodes.values():
-            depended_on |= message.deps
-        return frozenset(self._nodes) - depended_on
+        return frozenset(self._frontier)
 
     def ancestors(self, uid: MessageId) -> frozenset[MessageId]:
         """The transitive causal past of one message (excluding itself)."""
@@ -198,4 +241,9 @@ class CausalGraph:
         """An independent copy (messages are immutable and shared)."""
         clone = CausalGraph()
         clone._nodes = dict(self._nodes)
+        clone._sorted = list(self._sorted)
+        clone._snapshot = self._snapshot
+        clone._frontier = set(self._frontier)
+        clone._linear = self._linear
+        clone._unplaced = list(self._unplaced)
         return clone

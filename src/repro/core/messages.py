@@ -12,12 +12,16 @@ hashable and graph/sequence algebra stays cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class MessageId:
-    """Globally unique message identity: broadcaster id + local counter."""
+class MessageId(NamedTuple):
+    """Globally unique message identity: broadcaster id + local counter.
+
+    A named tuple, so hashing, equality and ordering — the inner loop of
+    every graph, batch and checker — run in C; ``hash(MessageId(s, k))`` is
+    ``hash((s, k))``.
+    """
 
     sender: int
     seq: int
@@ -58,3 +62,8 @@ def uids(messages: Iterable[AppMessage]) -> tuple[MessageId, ...]:
 def payloads(messages: Iterable[AppMessage]) -> tuple[Any, ...]:
     """The payloads of a message sequence, in order."""
     return tuple(m.payload for m in messages)
+
+
+def in_uid_order(index: dict[MessageId, AppMessage]) -> tuple[AppMessage, ...]:
+    """The messages of a uid-keyed index, sorted by uid."""
+    return tuple(map(index.__getitem__, sorted(index)))

@@ -49,6 +49,10 @@ def common_prefix_length(seqs: Sequence[Sequence[T]]) -> int:
 
 def has_duplicates(seq: Sequence[Any]) -> bool:
     """True iff some element appears more than once."""
+    try:
+        return len(set(seq)) != len(seq)
+    except TypeError:
+        pass  # unhashable items: fall back to pairwise equality
     seen: list[Any] = []
     for item in seq:
         if item in seen:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.core.messages import AppMessage, MessageId
+from repro.core.messages import AppMessage, MessageId, in_uid_order
 from repro.sim.errors import ProtocolError
 from repro.sim.stack import Layer, LayerContext
 from repro.sim.types import ProcessId
@@ -49,13 +49,34 @@ class EcToEtobLayer(Layer):
         #: ``count_i``: index of the last EC instance invoked.
         self.count = 0
         self._next_seq = 0
+        #: NewBatch's index: ``to_deliver`` minus ``_batched_for`` by uid,
+        #: where ``_batched_for`` is the ``delivered`` tuple (the object, so
+        #: any reassignment shows) it was last brought in step with and
+        #: ``_batched_uids`` that tuple's uids.
+        self._undelivered: dict[MessageId, AppMessage] = {}
+        self._batched_for: tuple[AppMessage, ...] = ()
+        self._batched_uids: set[MessageId] = set()
 
     # -- functions of Algorithm 1 -------------------------------------------------
 
     def _new_batch(self) -> tuple[AppMessage, ...]:
         """``NewBatch(d_i, toDeliver_i)``: undelivered messages, uid-sorted."""
-        pending = self.to_deliver - set(self.delivered)
-        return tuple(sorted(pending, key=lambda m: m.uid))
+        delivered, old = self.delivered, self._batched_for
+        if delivered is not old:
+            if delivered[: len(old)] == old:
+                # d_i grew by a suffix, as every decision does once EC agrees.
+                for message in delivered[len(old) :]:
+                    self._batched_uids.add(message.uid)
+                    self._undelivered.pop(message.uid, None)
+            else:
+                self._batched_uids = {m.uid for m in delivered}
+                self._undelivered = {
+                    m.uid: m
+                    for m in self.to_deliver
+                    if m.uid not in self._batched_uids
+                }
+            self._batched_for = delivered
+        return in_uid_order(self._undelivered)
 
     def _propose_next(self, ctx: LayerContext) -> None:
         proposal = self.delivered + self._new_batch()
@@ -80,7 +101,10 @@ class EcToEtobLayer(Layer):
     def on_message(self, ctx: LayerContext, sender: ProcessId, payload: Any) -> None:
         # On reception of push(m): toDeliver_i := toDeliver_i + {m}.
         if isinstance(payload, Push):
-            self.to_deliver.add(payload.message)
+            message = payload.message
+            self.to_deliver.add(message)
+            if message.uid not in self._batched_uids:
+                self._undelivered.setdefault(message.uid, message)
 
     def on_lower_event(self, ctx: LayerContext, event: Any) -> None:
         # On reception of d as response of proposeEC_l:

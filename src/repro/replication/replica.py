@@ -100,36 +100,48 @@ class ReplicaLayer(Layer):
             ctx.emit_upper(event)
 
     def _adopt(self, ctx: LayerContext, sequence: tuple[AppMessage, ...]) -> None:
-        # Longest common prefix with what we already executed.
-        keep = 0
-        for ours, theirs in zip(self.applied_seq, sequence):
-            if ours.uid != theirs.uid:
-                break
-            keep += 1
-        if keep < len(self.applied_seq):
+        # Longest common prefix with what we already executed: all of it
+        # whenever d_i grew by extension (one tuple comparison; messages are
+        # equal by uid), found uid by uid only on a real divergence.
+        applied = self.applied_seq
+        keep = len(applied)
+        if sequence[:keep] != applied:
+            keep = 0
+            for ours, theirs in zip(applied, sequence):
+                if ours.uid != theirs.uid:
+                    break
+                keep += 1
+        if keep < len(applied):
             self.rollbacks += 1
         # Truncate to the common prefix, then execute the new suffix.
-        self.applied_seq = self.applied_seq[:keep]
         del self._states[keep + 1 :]
         del self._results[keep:]
-        for message in sequence[keep:]:
-            payload = message.payload
-            if not (isinstance(payload, tuple) and payload and payload[0] == "cmd"):
-                raise ProtocolError(f"replica delivered non-command {payload!r}")
-            __, cmd_id, command = payload
-            state, result = self.machine.apply(self._states[-1], command)
-            self._states.append(state)
-            self._results.append(result)
-            self.applied_seq = self.applied_seq + (message,)
-            self.reexecuted_commands += 1
-            if cmd_id in self._pending_ids:
-                previous = self._responses.get(cmd_id, _UNSET)
-                if previous is _UNSET:
-                    self._responses[cmd_id] = result
-                    ctx.emit_upper(("response", cmd_id, result))
-                elif previous != result:
-                    self._responses[cmd_id] = result
-                    ctx.emit_upper(("revised-response", cmd_id, result))
+        try:
+            for message in sequence[keep:]:
+                payload = message.payload
+                if not (
+                    isinstance(payload, tuple) and payload and payload[0] == "cmd"
+                ):
+                    raise ProtocolError(f"replica delivered non-command {payload!r}")
+                __, cmd_id, command = payload
+                state, result = self.machine.apply(self._states[-1], command)
+                self._states.append(state)
+                self._results.append(result)
+                self.reexecuted_commands += 1
+                if cmd_id in self._pending_ids:
+                    previous = self._responses.get(cmd_id, _UNSET)
+                    if previous is _UNSET:
+                        self._responses[cmd_id] = result
+                        ctx.emit_upper(("response", cmd_id, result))
+                    elif previous != result:
+                        self._responses[cmd_id] = result
+                        ctx.emit_upper(("revised-response", cmd_id, result))
+        finally:
+            # One result per executed command, so this is exactly what ran
+            # even if a malformed command stopped the loop.
+            self.applied_seq = applied[:keep] + tuple(
+                sequence[keep : len(self._results)]
+            )
         ctx.output(("applied", len(self.applied_seq)))
 
 

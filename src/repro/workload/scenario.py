@@ -5,9 +5,12 @@
 - ``direct`` — each replica is a standalone :class:`KvServerProcess`
   answering from its own local store, no replication and no coordination:
   the latency floor, and the only stack whose per-operation cost and memory
-  are O(1) (the ETOB/EC/consensus stacks carry their full delivered
-  sequence, inherent to the paper's whole-graph/whole-sequence algorithms),
-  so it is the stack the million-op scale benchmark drives;
+  are O(1), so it is the stack the million-op scale benchmark drives. (The
+  ETOB/EC/consensus stacks send whole graphs and sequences, as the paper
+  writes them; their handlers do Python-level work only for what a step
+  changed, but still compare and copy whole sequences in C and keep the
+  full history — see "Per-step cost of the serving stacks" in
+  docs/ARCHITECTURE.md);
 - ``etob`` — the paper's Algorithm 5 under each replica;
 - ``ec`` — EC-from-Omega (Algorithm 4) lifted to ETOB via the Theorem 1
   transformation;

@@ -60,6 +60,25 @@ class TestEcToEtobInternals:
         layer.delivered = (b,)
         assert layer._new_batch() == (c, a)  # uid-sorted, b excluded
 
+    def test_new_batch_follows_pushes_and_decisions(self):
+        """The batch is ``to_deliver - delivered`` whatever order pushes and
+        decisions arrive in, extending or not."""
+        layer, sink, ctx, base = rig(EcToEtobLayer())
+        a, b, c = msg(0, 0), msg(1, 0), msg(2, 0)
+        act(ctx, layer.on_timeout)
+        act(ctx, layer.on_message, 1, Push(b))
+        # Decided before its own push arrives here; the late push adds nothing.
+        act(ctx, layer.on_lower_event, ("decide", 1, (a,)))
+        act(ctx, layer.on_message, 0, Push(a))
+        assert layer._new_batch() == (b,)
+        # An extending decision drops what it delivers ...
+        act(ctx, layer.on_message, 2, Push(c))
+        act(ctx, layer.on_lower_event, ("decide", 2, (a, c)))
+        assert sink.calls[-1] == ("propose", 3, (a, c, b))
+        # ... and a decision that does not extend d_i puts it back.
+        act(ctx, layer.on_lower_event, ("decide", 3, (b,)))
+        assert sink.calls[-1] == ("propose", 4, (b, a, c))
+
     def test_first_timeout_proposes_instance_one(self):
         layer, sink, ctx, base = rig(EcToEtobLayer())
         act(ctx, layer.on_timeout)

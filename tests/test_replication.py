@@ -130,3 +130,23 @@ class TestReplicaMechanics:
         sim.add_input(0, 0, ("oops",))
         with pytest.raises(ProtocolError):
             sim.run_until(5)
+
+    def test_non_command_delivery_rejected_after_what_ran(self):
+        import pytest
+
+        from repro.core.messages import AppMessage, MessageId
+        from repro.sim.context import Context
+        from repro.sim.errors import ProtocolError
+        from repro.sim.stack import LayerContext
+
+        replica = ReplicaLayer(Counter())
+        stack = ProtocolStack([replica])
+        stack.attach(0, 2)
+        ctx = LayerContext(stack, Context(pid=0, n=2, time=0), 0)
+        good = AppMessage(MessageId(1, 0), ("cmd", (1, 0), ("add", 2)))
+        bad = AppMessage(MessageId(1, 1), "not a command")
+        with pytest.raises(ProtocolError, match="non-command"):
+            replica.on_lower_event(ctx, ("deliver", (good, bad, good)))
+        # The commands before the malformed one were applied, and recorded.
+        assert replica.applied_seq == (good,)
+        assert replica.state == 2

@@ -47,6 +47,11 @@ class TestSearch:
         assert not has_duplicates((1, 2, 3))
         assert not has_duplicates(())
 
+    def test_has_duplicates_unhashable_items(self):
+        assert has_duplicates(([1], [2], [1]))
+        assert not has_duplicates(([1], [2], {"k": 3}))
+        assert has_duplicates((1, [2], 1))  # mixed: the set attempt fails late
+
     def test_index_of(self):
         assert index_of((5, 6, 7), 6) == 1
         assert index_of((5, 6, 7), 9) is None
