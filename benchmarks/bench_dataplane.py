@@ -28,7 +28,8 @@ paths run the *same* trajectory (asserted byte-identical):
   rungs are skipped silently when the extension is not built, unless
   ``--require-compiled``, which additionally asserts the C loop actually
   engaged (``sim.fused_path == "c-loop"``) rather than silently degrading
-  to the Python fused loop.
+  to the Python fused loop, and that ``repro.sim.types.stable_hash`` is
+  the extension's C function (the draw hash rides the same build).
 
 Measured: wall-clock throughput on a long run (the legacy path additionally
 decays with run length as the GC traverses millions of retained records)
@@ -56,6 +57,7 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from types import BuiltinFunctionType
 
 from repro.sim import (
     HAS_COMPILED,
@@ -67,6 +69,7 @@ from repro.sim import (
     RunRecord,
     Simulation,
 )
+from repro.sim.types import stable_hash
 
 N = 4
 TIMEOUT_INTERVAL = 32
@@ -158,9 +161,17 @@ def main() -> int:
 
     if args.require_compiled and not HAS_COMPILED_LOOP:
         print(
-            "FAIL: --require-compiled but repro.sim._ckernel is "
-            + ("stale (no run_loop)" if HAS_COMPILED else "not built")
-            + "; run `python setup.py build_ext --inplace`"
+            "FAIL: --require-compiled but repro.sim._ckernel is not built, "
+            "or not from the _ckernel.c beside it; run "
+            "`python setup.py build_ext --inplace`"
+        )
+        return 1
+    if args.require_compiled and not isinstance(stable_hash, BuiltinFunctionType):
+        # the extension also carries the draw hash; a build that loaded but
+        # left the Python body bound is a ~20x slower draw nobody would see
+        print(
+            "FAIL: --require-compiled but repro.sim.types.stable_hash is "
+            "not the C function of repro.sim._ckernel"
         )
         return 1
     paths = ["legacy", "columnar", "packed"]

@@ -8,10 +8,20 @@ False and the "compiled" kernel raises ConfigurationError at
 construction.  Build it in place with::
 
     python setup.py build_ext --inplace
+
+The sha256 of ``_ckernel.c`` is compiled in as ``_ckernel.SOURCE_DIGEST``;
+``repro/sim/_compiled.py`` compares it with the source lying beside the
+built module, so a stale build degrades to pure Python with a warning
+instead of computing with old code.
 """
+
+import hashlib
+from pathlib import Path
 
 from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
+
+CKERNEL_SOURCE = "src/repro/sim/_ckernel.c"
 
 
 class OptionalBuildExt(build_ext):
@@ -41,7 +51,15 @@ setup(
     ext_modules=[
         Extension(
             "repro.sim._ckernel",
-            sources=["src/repro/sim/_ckernel.c"],
+            sources=[CKERNEL_SOURCE],
+            define_macros=[
+                (
+                    "SOURCE_DIGEST",
+                    '"%s"' % hashlib.sha256(
+                        (Path(__file__).parent / CKERNEL_SOURCE).read_bytes()
+                    ).hexdigest(),
+                )
+            ],
             optional=True,
         )
     ],

@@ -5,10 +5,10 @@ is counter-based — so a cell's result is a function of nothing but its
 parameters and the code that computes it. This module memoizes exactly that
 function:
 
-- :func:`compute_code_version` digests the *bytes* of every ``.py`` file in
-  the ``repro`` package, so a stale hit after any source edit is impossible
-  (the digest changes, old entries become unreachable, ``--gc`` sweeps
-  them);
+- :func:`compute_code_version` digests the *bytes* of every ``.py`` and
+  ``.c`` file in the ``repro`` package, so a stale hit after any source edit
+  is impossible (the digest changes, old entries become unreachable,
+  ``--gc`` sweeps them);
 - :class:`ResultStore` is the content-addressed on-disk store: one pickle
   per completed cell under ``objects/<d2>/<digest>.pkl``, written atomically
   (temp file + ``os.replace``) so a crash can never leave a half-entry that
@@ -83,22 +83,26 @@ def default_cache_root() -> Path:
 
 
 def compute_code_version(root: Path | str | None = None) -> str:
-    """Digest the bytes of every ``.py`` file under ``root`` (default: the
-    installed ``repro`` package).
+    """Digest the bytes of every ``.py`` and ``.c`` file under ``root``
+    (default: the installed ``repro`` package).
 
     The digest covers relative paths *and* contents in sorted order, so
-    renaming, adding, deleting, or editing any module changes it. The C
-    kernel sources are deliberately outside the digest: kernels are
-    differential-tested byte-identical, so results are kernel-independent
-    and a rebuilt extension must not dump the cache.
+    renaming, adding, deleting, or editing any source file changes it. C
+    sources count because the extension computes values results depend on
+    (``stable_hash`` draws every delay, schedule and detector history), not
+    only storage that is differential-tested against Python. It is the
+    *source* that is hashed, never the built ``.so``: a build the source
+    does not match is refused at import (:mod:`repro.sim._compiled`), and
+    a rebuild of unchanged source must not dump the cache.
     """
     if root is None:
         import repro
 
         root = Path(repro.__file__).resolve().parent
     root = Path(root)
+    sources = (path for path in root.rglob("*") if path.suffix in (".py", ".c"))
     digest = hashlib.sha256()
-    for path in sorted(root.rglob("*.py"), key=lambda p: p.relative_to(root).as_posix()):
+    for path in sorted(sources, key=lambda p: p.relative_to(root).as_posix()):
         digest.update(path.relative_to(root).as_posix().encode())
         digest.update(b"\0")
         with path.open("rb") as handle:

@@ -1,7 +1,8 @@
 /* Packed struct-of-arrays envelope pool + fused tick loop for the sim
- * kernel.
+ * kernel, and the counter-based draw hash.
  *
- * Two layers live here:
+ * Two layers of the kernel live here (stable_hash, which repro.sim.types
+ * binds in place of its Python body, has its own section near the end):
  *
  * 1. The storage layer of the data plane: the slot columns (deliver_at,
  *    seq, sender, send_time, payload), the free list, and the
@@ -36,6 +37,13 @@
 #include <Python.h>
 #include <stdint.h>
 #include <string.h>
+
+/* sha256 of this file as setup.py read it, exported as
+ * _ckernel.SOURCE_DIGEST: repro/sim/_compiled.py refuses a build whose
+ * digest differs from the _ckernel.c lying beside it (a stale .so). */
+#ifndef SOURCE_DIGEST
+#error "build through setup.py, which defines SOURCE_DIGEST"
+#endif
 
 #define SLOT_LIMIT (1 << 24)
 
@@ -1682,7 +1690,115 @@ fail:
     return NULL;
 }
 
+/* ======================================================================== */
+/* stable_hash: the counter-based draw hash of repro.sim.types              */
+/* ======================================================================== */
+
+/* Bit-identical to the Python body kept in sim/types.py (the oracle):
+ * FNV-1a over the concatenated bytes of repr(part).encode() for every
+ * part.  The Python body reduces mod 2**63 after every multiply; the low
+ * 63 bits of a product depend only on the low 63 bits of its factors and
+ * the xor touches the low 8, so wrapping uint64 arithmetic masked once at
+ * the end yields the same value.
+ *
+ * Two shapes skip the repr object, both producing exactly repr's bytes:
+ * an exact int that fits an int64 (decimal digits on the stack) and an
+ * exact str of printable ASCII without quote or backslash (the characters
+ * between two single quotes).  bool, int subclasses, wider ints, every
+ * other str and every other type go through PyObject_Repr + UTF-8, which
+ * also raises what repr(part).encode() raises. */
+
+#define FNV_OFFSET_BASIS UINT64_C(1469598103934665603)
+#define FNV_PRIME UINT64_C(1099511628211)
+
+static inline uint64_t
+fnv1a(uint64_t acc, const unsigned char *bytes, Py_ssize_t size)
+{
+    for (Py_ssize_t i = 0; i < size; i++)
+        acc = (acc ^ bytes[i]) * FNV_PRIME;
+    return acc;
+}
+
+static inline int
+unicode_is_ascii(PyObject *text)
+{
+#if PY_VERSION_HEX < 0x030C0000
+    /* before 3.12 a legacy str may not be in canonical form yet: it takes
+     * the repr path */
+    if (!PyUnicode_IS_READY(text))
+        return 0;
+#endif
+    return PyUnicode_IS_ASCII(text);
+}
+
+static PyObject *
+ckernel_stable_hash(PyObject *Py_UNUSED(module), PyObject *const *args,
+                    Py_ssize_t nargs)
+{
+    uint64_t acc = FNV_OFFSET_BASIS;
+    for (Py_ssize_t i = 0; i < nargs; i++) {
+        PyObject *part = args[i];
+        if (PyLong_CheckExact(part)) {
+            int overflow;
+            long long value = PyLong_AsLongLongAndOverflow(part, &overflow);
+            if (value == -1 && !overflow && PyErr_Occurred())
+                return NULL;
+            if (!overflow) {
+                /* 19 digits and a sign; 0 - (uint64_t)value is exact for
+                 * INT64_MIN too */
+                Py_BUILD_ASSERT(sizeof(long long) == sizeof(int64_t));
+                unsigned char digits[20];
+                unsigned char *first = digits + sizeof(digits);
+                uint64_t magnitude =
+                    value < 0 ? 0 - (uint64_t)value : (uint64_t)value;
+                do {
+                    *--first = (unsigned char)('0' + magnitude % 10);
+                    magnitude /= 10;
+                } while (magnitude);
+                if (value < 0)
+                    *--first = '-';
+                acc = fnv1a(acc, first, digits + sizeof(digits) - first);
+                continue;
+            }
+        }
+        else if (PyUnicode_CheckExact(part) && unicode_is_ascii(part)) {
+            const unsigned char *text = PyUnicode_1BYTE_DATA(part);
+            Py_ssize_t size = PyUnicode_GET_LENGTH(part);
+            uint64_t quoted = (acc ^ '\'') * FNV_PRIME;
+            Py_ssize_t j = 0;
+            for (; j < size; j++) {
+                unsigned char c = text[j];
+                if (c < 0x20 || c > 0x7e || c == '\'' || c == '"' || c == '\\')
+                    break;
+                quoted = (quoted ^ c) * FNV_PRIME;
+            }
+            if (j == size) {
+                acc = (quoted ^ '\'') * FNV_PRIME;
+                continue;
+            }
+        }
+        PyObject *repr = PyObject_Repr(part);
+        if (repr == NULL)
+            return NULL;
+        Py_ssize_t size;
+        const char *utf8 = PyUnicode_AsUTF8AndSize(repr, &size);
+        if (utf8 == NULL) {
+            Py_DECREF(repr);
+            return NULL;
+        }
+        acc = fnv1a(acc, (const unsigned char *)utf8, size);
+        Py_DECREF(repr);
+    }
+    return PyLong_FromUnsignedLongLong(acc & (UINT64_MAX >> 1));
+}
+
 static PyMethodDef ckernel_functions[] = {
+    {"stable_hash", (PyCFunction)(void (*)(void))ckernel_stable_hash,
+     METH_FASTCALL,
+     "stable_hash($module, /, *parts)\n--\n\n"
+     "A deterministic 63-bit hash of the given parts: FNV-1a over the\n"
+     "bytes of repr(part).encode() for every part, bit-identical to the\n"
+     "Python body in repro.sim.types."},
     {"run_loop", (PyCFunction)(void (*)(void))ckernel_run_loop,
      METH_FASTCALL,
      "run_loop(sim, t_end, store)\n--\n\n"
@@ -1791,6 +1907,11 @@ PyInit__ckernel(void)
     Py_INCREF(&PoolType);
     if (PyModule_AddObject(module, "Pool", (PyObject *)&PoolType) < 0) {
         Py_DECREF(&PoolType);
+        Py_DECREF(module);
+        return NULL;
+    }
+    if (PyModule_AddStringConstant(module, "SOURCE_DIGEST",
+                                   SOURCE_DIGEST) < 0) {
         Py_DECREF(module);
         return NULL;
     }

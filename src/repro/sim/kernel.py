@@ -57,8 +57,9 @@ Kernel selection — ``Simulation(kernel=...)``:
     send/deliver observers (those need per-envelope views the C loop
     never materializes); ineligible runs degrade one rung to the shared
     Python fused loop on the same network, never to an error.
-    :data:`HAS_COMPILED_LOOP` reports availability (a stale extension
-    without ``run_loop`` degrades the same way).
+    :data:`HAS_COMPILED_LOOP` reports availability (the same fact as
+    :data:`HAS_COMPILED`: a stale extension is refused whole, at import,
+    by :mod:`repro.sim._compiled`).
 
 All kernel rungs are pinned byte-identical (run records, counters, RNG
 streams) by ``tests/test_kernel.py`` on top of the PR 4 differential oracle
@@ -78,6 +79,7 @@ import heapq
 from array import array
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.sim._compiled import ckernel as _ckernel
 from repro.sim.context import BROADCAST_ALL
 from repro.sim.errors import ConfigurationError
 from repro.sim.network import (
@@ -122,18 +124,13 @@ _SEQ_BITS = 40
 _SEQ_LIMIT = 1 << _SEQ_BITS
 _KEY_SHIFT = _SLOT_BITS + _SEQ_BITS
 
-try:  # optional compiled backend; see setup.py
-    from repro.sim import _ckernel  # type: ignore[attr-defined]
-
-    HAS_COMPILED = True
-except ImportError:  # pragma: no cover - exercised only without the ext
-    _ckernel = None
-    HAS_COMPILED = False
-
-#: the C tick loop rides the same extension but is feature-detected
-#: separately so a stale ``_ckernel.so`` from an older checkout degrades
-#: to the Python fused loop instead of failing at run time.
-HAS_COMPILED_LOOP = HAS_COMPILED and hasattr(_ckernel, "run_loop")
+#: a C extension built from the ``_ckernel.c`` beside it loaded
+#: (:mod:`repro.sim._compiled` verifies the compiled-in source digest and
+#: refuses a stale build with one warning, which reads here as "not
+#: built"). The C pool and the C tick loop ride the same verified build,
+#: so both names mean the same thing.
+HAS_COMPILED = _ckernel is not None
+HAS_COMPILED_LOOP = HAS_COMPILED
 
 
 class PackedNetwork(Network):
@@ -622,8 +619,9 @@ class CompiledPackedNetwork(PackedNetwork):
         if not HAS_COMPILED:
             raise ConfigurationError(
                 "kernel='compiled' requested but repro.sim._ckernel is not "
-                "built; run `python setup.py build_ext --inplace` with a C "
-                "compiler available, or use kernel='packed'"
+                "built (or was refused as stale: see the RuntimeWarning at "
+                "import); run `python setup.py build_ext --inplace` with a "
+                "C compiler available, or use kernel='packed'"
             )
         super().__init__(n, delay_model, compact_factor=compact_factor)
         self._shards = None  # type: ignore[assignment]  # lives in the pool
@@ -841,7 +839,7 @@ def fused_runner(sim: "Simulation") -> Callable[["Simulation", Time], None] | No
     packed network's compat methods.
 
     ``kernel="compiled-loop"`` adds one more rung: when the C extension
-    exports ``run_loop`` and no send/deliver observer is attached (the C
+    loaded and no send/deliver observer is attached (the C
     loop never materializes the Envelope views those hooks receive; log
     observers are fine — log dispatch crosses back into Python), the tick
     loop itself runs in C. Every ineligible combination degrades to the

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.sim._compiled import ckernel as _ckernel
+
 ProcessId = int
 Time = int
 
@@ -49,3 +51,14 @@ def stable_hash(*parts: Any) -> int:
             acc ^= byte
             acc = (acc * 1099511628211) % (1 << 63)
     return acc
+
+
+#: the Python body above under a name of its own: the pure-Python path and
+#: the oracle the tests hold the C function to, bit for bit.
+_stable_hash_python = stable_hash
+
+if _ckernel is not None:
+    # Same function at C speed (``_ckernel.c``: ``ckernel_stable_hash``).
+    # Chosen once, here, from whether a matching extension loaded — every
+    # caller imports the one name ``stable_hash`` and no flag selects.
+    stable_hash = _ckernel.stable_hash

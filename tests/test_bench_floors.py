@@ -65,6 +65,25 @@ class TestGate:
         write(tmp_path, "fresh.json", {"results_identical": True})
         assert gate(tmp_path, BASE) == 1
 
+    def test_optional_floor_is_skipped_when_null_and_held_when_measured(
+        self, tmp_path
+    ):
+        # The shape of bench_workload's compiled_ops_per_sec: null on a leg
+        # without the C extension, a gated number on the leg with it.
+        optional = {
+            "some_bench": {
+                **BASE["some_bench"],
+                "optional_floors": {"compiled_ops_per_sec": 20000},
+            }
+        }
+        fresh = {"speedup": 3.1, "results_identical": True}
+        write(tmp_path, "fresh.json", {**fresh, "compiled_ops_per_sec": None})
+        assert gate(tmp_path, optional) == 0
+        write(tmp_path, "fresh.json", {**fresh, "compiled_ops_per_sec": 80000})
+        assert gate(tmp_path, optional) == 0
+        write(tmp_path, "fresh.json", {**fresh, "compiled_ops_per_sec": 19999})
+        assert gate(tmp_path, optional) == 1
+
     def test_comment_keys_ignored(self, tmp_path):
         write(tmp_path, "fresh.json", {"speedup": 3.1, "results_identical": True})
         assert gate(tmp_path, {"_comment": ["notes"], **BASE}) == 0
@@ -118,6 +137,14 @@ class TestCommittedBaselines:
         floors = baselines["bench_workload"]["floors"]
         assert bench_workload.REQUIRED_OPS_PER_SEC == floors["ops_per_sec"]
         assert bench_workload.REQUIRED_OPS_PER_MIB == floors["ops_per_mib"]
+        # the pure-Python legs keep their floor; a build with the C
+        # extension answers to a higher one of its own
+        optional = baselines["bench_workload"]["optional_floors"]
+        assert (
+            bench_workload.REQUIRED_COMPILED_OPS_PER_SEC
+            == optional["compiled_ops_per_sec"]
+            > floors["ops_per_sec"]
+        )
         assert baselines["bench_workload"]["require"] == {
             "pinned": True,
             "scale_served": True,

@@ -104,6 +104,22 @@ class TestKeyScheme:
         (tmp_path / "pkg" / "c.py").write_text("")
         assert compute_code_version(tmp_path) != edited  # new file counts
 
+    def test_code_version_tracks_c_sources_but_not_builds(self, tmp_path):
+        """The extension computes drawn values, so its source is code like
+        any other; the built ``.so`` is not (a rebuild keeps the cache)."""
+        (tmp_path / "sim").mkdir()
+        (tmp_path / "sim" / "a.py").write_text("x = 1\n")
+        without_c = compute_code_version(tmp_path)
+        (tmp_path / "sim" / "_k.c").write_bytes(b"int f(void) { return 1; }\n")
+        first = compute_code_version(tmp_path)
+        assert first != without_c
+        (tmp_path / "sim" / "_k.c").write_bytes(b"int f(void) { return 2; }\n")
+        edited = compute_code_version(tmp_path)
+        assert edited != first
+        (tmp_path / "sim" / "_k.cpython-311-x86_64-linux-gnu.so").write_bytes(b"\x7fELF")
+        (tmp_path / "sim" / "_k.o").write_bytes(b"\x7fELF")
+        assert compute_code_version(tmp_path) == edited
+
     def test_default_code_version_digests_the_repro_package(self):
         import repro
 

@@ -14,6 +14,9 @@ Four pillars:
   and both engines;
 - unit coverage for the kernel selection flag and the tunable heap
   self-compaction threshold (``compact_factor``) it exposes;
+- the extension guard (``repro.sim._compiled``): a build is accepted only
+  with the digest of the ``_ckernel.c`` beside it, and refused with one
+  warning otherwise;
 - direct unit tests of the compiled ``Pool`` shard ordering and slot
   recycling, skipped when the extension is not built;
 - compiled-loop rung coverage: the engagement/degradation ladder
@@ -51,10 +54,8 @@ from repro.sim.types import NEVER
 from test_engine_differential import build_sim, random_config, run_sim
 
 #: kernels exercised by the whole-run differentials; the compiled rungs
-#: join when the C extension is importable, and their absence is covered
-#: separately. "compiled-loop" needs only the Pool: with a stale extension
-#: (no run_loop) it degrades to the Python fused loop, which the same
-#: differentials then pin.
+#: join when a C extension matching its source loaded, and their absence
+#: is covered separately.
 BUILT_KERNELS = [
     k for k in KERNELS if k not in ("compiled", "compiled-loop") or HAS_COMPILED
 ]
@@ -307,6 +308,73 @@ class TestKernelSelection:
         sim = Simulation([Chatter() for _ in range(2)], kernel="compiled")
         assert isinstance(sim.network, CompiledPackedNetwork)
         assert sim.network.pool_slots == 0
+
+
+class TestExtensionGuard:
+    """``repro.sim._compiled``: a build is used only when it was compiled
+    from the ``_ckernel.c`` lying beside it."""
+
+    @staticmethod
+    def _fake(tmp_path, **attributes):
+        import hashlib
+        import types
+
+        source = tmp_path / "_ckernel.c"
+        source.write_bytes(b"/* the source beside the build */\n")
+        module = types.ModuleType("repro.sim._ckernel")
+        module.__dict__.update(attributes)
+        return module, source, hashlib.sha256(source.read_bytes()).hexdigest()
+
+    def test_matching_digest_is_accepted_silently(self, tmp_path, recwarn):
+        from repro.sim._compiled import _verified
+
+        module, source, digest = self._fake(tmp_path)
+        module.SOURCE_DIGEST = digest
+        assert _verified(module, source) is module
+        assert not recwarn.list
+
+    def test_an_edited_source_byte_degrades_with_one_warning(self, tmp_path):
+        from repro.sim._compiled import _verified
+
+        module, source, digest = self._fake(tmp_path)
+        module.SOURCE_DIGEST = digest
+        source.write_bytes(source.read_bytes() + b" ")
+        with pytest.warns(RuntimeWarning, match="SOURCE_DIGEST differs") as caught:
+            assert _verified(module, source) is None
+        assert len(caught) == 1
+        assert "python setup.py build_ext --inplace" in str(caught[0].message)
+
+    def test_a_build_predating_the_digest_is_refused(self, tmp_path):
+        """The shape of every extension built before the check existed:
+        ``Pool`` and ``run_loop`` but no ``SOURCE_DIGEST`` (and no
+        ``stable_hash``) — refused even with no source to compare with."""
+        from repro.sim._compiled import _verified
+
+        module, source, __ = self._fake(tmp_path, Pool=object, run_loop=len)
+        for beside in (source, tmp_path / "absent.c"):
+            with pytest.warns(RuntimeWarning, match="no SOURCE_DIGEST") as caught:
+                assert _verified(module, beside) is None
+            assert len(caught) == 1
+
+    def test_a_binary_shipped_without_its_source_is_trusted(self, tmp_path, recwarn):
+        from repro.sim._compiled import _verified
+
+        module, __, __ = self._fake(tmp_path, SOURCE_DIGEST="0" * 64)
+        assert _verified(module, tmp_path / "absent.c") is module
+        assert not recwarn.list
+
+    @pytest.mark.skipif(not HAS_COMPILED, reason="C extension not built")
+    def test_the_loaded_extension_carries_the_digest_of_its_source(self):
+        import hashlib
+        from pathlib import Path
+
+        import repro.sim._compiled as compiled
+
+        source = Path(compiled.__file__).with_name("_ckernel.c")
+        assert compiled.ckernel.SOURCE_DIGEST == hashlib.sha256(
+            source.read_bytes()
+        ).hexdigest()
+        assert HAS_COMPILED_LOOP
 
 
 class TestCompactFactor:
