@@ -28,8 +28,10 @@ paths run the *same* trajectory (asserted byte-identical):
   rungs are skipped silently when the extension is not built, unless
   ``--require-compiled``, which additionally asserts the C loop actually
   engaged (``sim.fused_path == "c-loop"``) rather than silently degrading
-  to the Python fused loop, and that ``repro.sim.types.stable_hash`` is
-  the extension's C function (the draw hash rides the same build).
+  to the Python fused loop, that ``repro.sim.types.stable_hash`` is
+  the extension's C function (the draw hash rides the same build), and
+  that a *default* ``Simulation`` resolves to the C loop (the default rung
+  is observed from the same build).
 
 Measured: wall-clock throughput on a long run (the legacy path additionally
 decays with run length as the GC traverses millions of retained records)
@@ -174,6 +176,18 @@ def main() -> int:
             "not the C function of repro.sim._ckernel"
         )
         return 1
+    if args.require_compiled:
+        # the default rung is observed from the same build: a default
+        # Simulation that is not on the C loop means every experiment and
+        # falsifier trial silently runs a slower rung than the one timed here
+        default = Simulation([Gossip() for _ in range(N)])
+        if default.fused_path != "c-loop":
+            print(
+                "FAIL: --require-compiled but a default Simulation resolves "
+                f"to kernel={default.kernel!r}, fused_path="
+                f"{default.fused_path!r} ({default.fused_reason})"
+            )
+            return 1
     paths = ["legacy", "columnar", "packed"]
     if HAS_COMPILED:
         paths.append("compiled")

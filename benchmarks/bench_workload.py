@@ -4,7 +4,8 @@
 Three legs, all on the open-loop workload subsystem (:mod:`repro.workload`):
 
 - **scale** — the EXP-11 ``direct``-stack cell grown to one million
-  operations on the packed kernel with ``record="metrics"`` and the
+  operations on the default kernel (the C tick loop when the extension
+  loaded, ``packed`` otherwise) with ``record="metrics"`` and the
   streaming :class:`~repro.workload.LatencyObserver` (both raw-capable, so
   the fused dense-tick loop stays engaged). Every operation must complete
   and wall-clock throughput is gated by the ``ops_per_sec`` floor, which
@@ -22,7 +23,7 @@ Three legs, all on the open-loop workload subsystem (:mod:`repro.workload`):
   summaries must be identical (``pinned`` is required ``== true``), the
   executable statement that workload numbers are engine-independent.
 
-Nominal on a dev container: ~44k ops/s without the extension, ~80k ops/s
+Nominal on a dev container: ~44k ops/s without the extension, ~117k ops/s
 with it, and ~190k ops per peak MiB; CI fails below the conservative floors
 in ``benchmarks/baselines.json``.
 

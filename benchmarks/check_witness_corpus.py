@@ -9,7 +9,7 @@ the pinned pair — the earliest possible signal that replay purity broke in
 the scheduler, the environment models, the detector histories, or the suite
 dispatch path::
 
-    python benchmarks/check_witness_corpus.py [--kernels packed,legacy]
+    python benchmarks/check_witness_corpus.py [--kernels compiled-loop,packed,legacy]
                                               [--corpus tests/witnesses]
                                               [--workers N]
 
@@ -29,6 +29,7 @@ if _SRC.is_dir() and str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 from repro.search import load_corpus, replay_witness  # noqa: E402
+from repro.sim import DEFAULT_KERNEL  # noqa: E402
 
 try:  # package import (pytest / -m); falls back to script-directory import
     from benchmarks.step_summary import markdown_table, publish_step_summary
@@ -40,8 +41,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--kernels",
-        default="packed,legacy",
-        help="comma-separated sim kernels to replay on (default: packed,legacy)",
+        default=",".join(dict.fromkeys([DEFAULT_KERNEL, "packed", "legacy"])),
+        help="comma-separated sim kernels to replay on (default: the default "
+        "kernel of this interpreter, then packed,legacy)",
     )
     parser.add_argument(
         "--corpus",

@@ -29,6 +29,7 @@ from pathlib import Path
 from repro.core import EtobLayer
 from repro.detectors import OmegaDetector
 from repro.sim import (
+    DEFAULT_KERNEL,
     KERNELS,
     FailurePattern,
     FixedDelay,
@@ -74,9 +75,10 @@ def main() -> int:
     parser.add_argument("--out", default=None, help="write results as JSON")
     parser.add_argument(
         "--kernel",
-        default="packed",
+        default=DEFAULT_KERNEL,
         choices=KERNELS,
-        help="data-plane kernel for every measured run (default: packed)",
+        help="data-plane kernel for every measured run (default: the "
+        "default kernel of this interpreter)",
     )
     args = parser.parse_args()
 

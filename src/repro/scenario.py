@@ -49,6 +49,7 @@ from repro.sim import (
     UniformRandomDelay,
 )
 from repro.sim.errors import ConfigurationError
+from repro.sim.kernel import DEFAULT_KERNEL
 from repro.sim.network import DelayModel
 from repro.sim.types import ProcessId, Time
 
@@ -72,7 +73,7 @@ class Scenario:
         self._inputs: list[tuple[ProcessId, Time, Any]] = []
         self._quorum_mode = "majority"
         self._engine = "event"
-        self._kernel = "packed"
+        self._kernel = DEFAULT_KERNEL
         self._record = "full"
         self._observers: list[SimObserver] = []
 
@@ -164,9 +165,10 @@ class Scenario:
         return self
 
     def kernel(self, kernel: str) -> "Scenario":
-        """Select the data plane: ``"packed"`` (default), ``"legacy"``, or
-        ``"compiled"`` (requires the built C extension; see
-        :mod:`repro.sim.kernel`)."""
+        """Select the data plane: one of ``repro.sim.KERNELS``. The default
+        is ``repro.sim.DEFAULT_KERNEL`` — ``"compiled-loop"`` when the C
+        extension loaded, else ``"packed"``; the compiled rungs raise
+        without it (see :mod:`repro.sim.kernel`)."""
         self._kernel = kernel
         return self
 

@@ -32,6 +32,7 @@ from repro.search.witness import (
     replay_witness,
     save_witness,
 )
+from repro.sim.kernel import DEFAULT_KERNEL
 
 
 def _progress(evaluations: int, budget: int, best: float) -> None:
@@ -80,7 +81,7 @@ def main(argv: list[str] | None = None) -> int:
         help="suite worker processes for trial batches (0 = in-process)",
     )
     parser.add_argument(
-        "--kernel", default="packed", help="sim kernel for trials/replays"
+        "--kernel", default=DEFAULT_KERNEL, help="sim kernel for trials/replays"
     )
     parser.add_argument(
         "--out", type=Path, default=None,

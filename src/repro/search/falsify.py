@@ -34,6 +34,7 @@ from repro.search.envelope import point_key
 from repro.search.targets import get_target
 from repro.search.witness import Witness, _replay_cell
 from repro.sim.errors import ConfigurationError
+from repro.sim.kernel import DEFAULT_KERNEL
 from repro.sim.types import stable_hash
 
 __all__ = ["FalsifierResult", "falsify"]
@@ -64,7 +65,7 @@ def falsify(
     batch: int = 8,
     workers: int = 0,
     backend: str = "stream",
-    kernel: str = "packed",
+    kernel: str = DEFAULT_KERNEL,
     restart_after: int = 5,
     t0: float = 16.0,
     decay: float = 0.8,

@@ -49,6 +49,7 @@ from repro.sim import (
     run_plan,
 )
 from repro.sim.errors import ConfigurationError
+from repro.sim.kernel import DEFAULT_KERNEL
 from repro.sim.types import stable_hash
 
 __all__ = [
@@ -126,7 +127,7 @@ def get_target(name: str) -> FalsifyTarget:
     )
 
 
-def evaluate(name: str, point: dict, *, kernel: str = "packed") -> tuple[float, int]:
+def evaluate(name: str, point: dict, *, kernel: str = DEFAULT_KERNEL) -> tuple[float, int]:
     """Run one trial: the target's objective value plus the run digest.
 
     Pure in ``(name, point)`` — and independent of ``kernel`` (the kernels
@@ -143,7 +144,7 @@ def evaluate(name: str, point: dict, *, kernel: str = "packed") -> tuple[float, 
 
 
 def rebuild_simulation(
-    experiment: str, axes: dict, keys: dict, *, kernel: str = "packed"
+    experiment: str, axes: dict, keys: dict, *, kernel: str = DEFAULT_KERNEL
 ):
     """Rebuild (and run) the exact simulation behind ``(experiment, keys)``.
 

@@ -36,6 +36,7 @@ from typing import Any
 
 from repro.search.envelope import normalize_point
 from repro.sim.errors import ConfigurationError
+from repro.sim.kernel import DEFAULT_KERNEL
 
 __all__ = [
     "WITNESS_SCHEMA",
@@ -139,7 +140,7 @@ def _replay_cell(target: str, point: dict, kernel: str) -> tuple[float, int]:
 def replay_witness(
     witness: Witness,
     *,
-    kernel: str = "packed",
+    kernel: str = DEFAULT_KERNEL,
     workers: int = 0,
     backend: str = "stream",
 ) -> tuple[float, int]:

@@ -46,6 +46,7 @@ from repro.sim.envs import (
 from repro.sim.errors import ConfigurationError, SimulationError
 from repro.sim.failures import ChurnSchedule, Environment, FailurePattern
 from repro.sim.kernel import (
+    DEFAULT_KERNEL,
     HAS_COMPILED,
     HAS_COMPILED_LOOP,
     KERNELS,
@@ -92,6 +93,7 @@ __all__ = [
     "ConfigurationError",
     "Context",
     "DEFAULT_COMPACT_FACTOR",
+    "DEFAULT_KERNEL",
     "HAS_COMPILED",
     "HAS_COMPILED_LOOP",
     "KERNELS",

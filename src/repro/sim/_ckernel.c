@@ -1,33 +1,43 @@
-/* Packed struct-of-arrays envelope pool + fused tick loop for the sim
- * kernel, and the counter-based draw hash.
+/* Packed struct-of-arrays envelope pool, the send path and the fused tick
+ * loop of the sim kernel, and the counter-based draw hash.
  *
- * Two layers of the kernel live here (stable_hash, which repro.sim.types
+ * Three layers of the kernel live here (stable_hash, which repro.sim.types
  * binds in place of its Python body, has its own section near the end):
  *
  * 1. The storage layer of the data plane: the slot columns (deliver_at,
  *    seq, sender, send_time, payload), the free list, and the
  *    per-receiver shard heaps ordered by (deliver_at, seq).  The merge
  *    layer -- `_next_at`, the global horizon heap, live/pending counters
- *    -- stays in Python (see CompiledPackedNetwork in kernel.py) so
- *    every kernel presents identical state to the event engine.
+ *    -- stays plain Python state on the CompiledPackedNetwork (kernel.py)
+ *    so every kernel presents identical state to the event engine; the
+ *    code here updates it in place.
  *
- * 2. run_loop(sim, t_end, store): the round-robin dense-tick loop of
+ * 2. The send side (send_packed / send_all_packed): delay draw through
+ *    the network's delay model -- a user object, the one Python call --
+ *    the delay, profile-length and sequence checks of PackedNetwork with
+ *    the same exceptions, the pool push and the merge-layer update.  One
+ *    implementation behind CompiledPackedNetwork's four send methods and
+ *    run_loop's outbox expansion.
+ *
+ * 3. run_loop(sim, t_end, store): the round-robin dense-tick loop of
  *    kernel.run_fused_rr, hosted in C for the no-observer / raw-observer
  *    fast path (kernel="compiled-loop").  The loop owns the due-check,
  *    the shard pops, timeout firing, the handler dispatch trampoline,
- *    outbox expansion through the network's packed send methods, the
- *    local-index refresh, and the small-n scan next-event query; it
- *    calls back into Python only for process handlers, sends, idle-span
- *    accounting (`_skip_span_rr`), the heap-backed next-event query, and
- *    raw-capable observers.  Every mutation mirrors the Python loop's
- *    order of effects so run records, counters, and RNG-free schedule
- *    state stay byte-identical (pinned by tests/test_kernel.py).
+ *    outbox expansion through (2), the local-index refresh, and the
+ *    small-n scan next-event query; it calls back into Python only for
+ *    process handlers, the delay model, idle-span accounting
+ *    (`_skip_span_rr`), the heap-backed next-event query, and raw-capable
+ *    observers.  Every mutation mirrors the Python loop's order of
+ *    effects so run records, counters, and RNG-free schedule state stay
+ *    byte-identical, on the failure paths too (pinned by
+ *    tests/test_kernel.py and tests/test_kernel_stateful.py).
  *
  * Invariants shared with the pure-Python PackedNetwork:
- *   - seq fits in 40 bits, slot index in 24 (enforced by the caller for
- *     seq; slot growth is bounded here).
- *   - deliver_at < 2**63 always (NEVER is 2**62 and delays are bounded
- *     by the caller), so plain int64 comparisons order the heap.
+ *   - seq fits in 40 bits, slot index in 24 (both enforced here on the
+ *     send path; Pool.push trusts its caller for seq).
+ *   - deliver_at < 2**63 always (NEVER is 2**62; the send path refuses a
+ *     delay that would overflow), so plain int64 comparisons order the
+ *     heap.
  *   - pop_due() reports the receiver's next head deliver_at (or -1) so
  *     the Python side can maintain its horizon index without a peek
  *     round-trip.
@@ -138,52 +148,62 @@ shard_pop(PoolObject *self, Shard *shard)
 
 /* -- slot allocation ----------------------------------------------------- */
 
+/* Grow the slot columns to hold at least `want` slots. */
+static int
+pool_reserve(PoolObject *self, Py_ssize_t want)
+{
+    if (want <= self->cap)
+        return 0;
+    if (want > SLOT_LIMIT) {
+        PyErr_SetString(PyExc_OverflowError,
+                        "packed pool exhausted the 24-bit slot space");
+        return -1;
+    }
+    Py_ssize_t new_cap = self->cap ? self->cap : 64;
+    while (new_cap < want)
+        new_cap *= 2;
+    if (new_cap > SLOT_LIMIT)
+        new_cap = SLOT_LIMIT;
+    int64_t *deliver = PyMem_Realloc(self->col_deliver,
+                                     new_cap * sizeof(int64_t));
+    if (deliver == NULL) goto nomem;
+    self->col_deliver = deliver;
+    int64_t *seq = PyMem_Realloc(self->col_seq, new_cap * sizeof(int64_t));
+    if (seq == NULL) goto nomem;
+    self->col_seq = seq;
+    int64_t *send_time = PyMem_Realloc(self->col_send_time,
+                                       new_cap * sizeof(int64_t));
+    if (send_time == NULL) goto nomem;
+    self->col_send_time = send_time;
+    int32_t *sender = PyMem_Realloc(self->col_sender,
+                                    new_cap * sizeof(int32_t));
+    if (sender == NULL) goto nomem;
+    self->col_sender = sender;
+    PyObject **payload = PyMem_Realloc(self->col_payload,
+                                       new_cap * sizeof(PyObject *));
+    if (payload == NULL) goto nomem;
+    memset(payload + self->cap, 0,
+           (new_cap - self->cap) * sizeof(PyObject *));
+    self->col_payload = payload;
+    int32_t *free_stack = PyMem_Realloc(self->free_stack,
+                                        new_cap * sizeof(int32_t));
+    if (free_stack == NULL) goto nomem;
+    self->free_stack = free_stack;
+    self->cap = new_cap;
+    return 0;
+nomem:
+    PyErr_NoMemory();
+    return -1;
+}
+
 static int32_t
 pool_alloc_slot(PoolObject *self)
 {
     if (self->free_top > 0)
         return self->free_stack[--self->free_top];
-    if (self->used == self->cap) {
-        Py_ssize_t new_cap = self->cap ? self->cap * 2 : 64;
-        if (new_cap > SLOT_LIMIT)
-            new_cap = SLOT_LIMIT;
-        if (new_cap <= self->used) {
-            PyErr_SetString(PyExc_OverflowError,
-                            "packed pool exhausted the 24-bit slot space");
-            return -1;
-        }
-        int64_t *deliver = PyMem_Realloc(self->col_deliver,
-                                         new_cap * sizeof(int64_t));
-        if (deliver == NULL) goto nomem;
-        self->col_deliver = deliver;
-        int64_t *seq = PyMem_Realloc(self->col_seq,
-                                     new_cap * sizeof(int64_t));
-        if (seq == NULL) goto nomem;
-        self->col_seq = seq;
-        int64_t *send_time = PyMem_Realloc(self->col_send_time,
-                                           new_cap * sizeof(int64_t));
-        if (send_time == NULL) goto nomem;
-        self->col_send_time = send_time;
-        int32_t *sender = PyMem_Realloc(self->col_sender,
-                                        new_cap * sizeof(int32_t));
-        if (sender == NULL) goto nomem;
-        self->col_sender = sender;
-        PyObject **payload = PyMem_Realloc(self->col_payload,
-                                           new_cap * sizeof(PyObject *));
-        if (payload == NULL) goto nomem;
-        memset(payload + self->cap, 0,
-               (new_cap - self->cap) * sizeof(PyObject *));
-        self->col_payload = payload;
-        int32_t *free_stack = PyMem_Realloc(self->free_stack,
-                                            new_cap * sizeof(int32_t));
-        if (free_stack == NULL) goto nomem;
-        self->free_stack = free_stack;
-        self->cap = new_cap;
-    }
+    if (self->used == self->cap && pool_reserve(self, self->used + 1) < 0)
+        return -1;
     return (int32_t)self->used++;
-nomem:
-    PyErr_NoMemory();
-    return -1;
 }
 
 static inline void
@@ -517,6 +537,197 @@ Pool_free(PoolObject *self, PyObject *Py_UNUSED(ignored))
     return PyLong_FromSsize_t(self->free_top);
 }
 
+/* -- pickling ------------------------------------------------------------
+ * State is the pool as plain Python values: the five slot columns over
+ * [0, used) (a free slot's payload reads None), the free stack bottom to
+ * top, and each shard's heap array of slot indices.  Restoring reproduces
+ * slot numbering, recycling order and heap layout exactly, so a resumed
+ * run allocates and pops as the uninterrupted one does. */
+
+/* A column as a list of ints; `wide` selects int64 over int32 elements. */
+static PyObject *
+int_list(const void *values, Py_ssize_t count, int wide)
+{
+    PyObject *list = PyList_New(count);
+    if (list == NULL)
+        return NULL;
+    for (Py_ssize_t i = 0; i < count; i++) {
+        PyObject *v = wide
+            ? PyLong_FromLongLong(((const int64_t *)values)[i])
+            : PyLong_FromLong(((const int32_t *)values)[i]);
+        if (v == NULL) {
+            Py_DECREF(list);
+            return NULL;
+        }
+        PyList_SET_ITEM(list, i, v);
+    }
+    return list;
+}
+
+static PyObject *
+Pool_getstate(PoolObject *self, PyObject *Py_UNUSED(ignored))
+{
+    PyObject *payloads = PyList_New(self->used);
+    PyObject *shards = PyList_New(self->n);
+    if (payloads == NULL || shards == NULL)
+        goto fail;
+    for (Py_ssize_t i = 0; i < self->used; i++) {
+        PyObject *payload = self->col_payload[i];
+        if (payload == NULL)
+            payload = Py_None;
+        Py_INCREF(payload);
+        PyList_SET_ITEM(payloads, i, payload);
+    }
+    for (Py_ssize_t r = 0; r < self->n; r++) {
+        PyObject *heap = int_list(self->shards[r].items,
+                                  self->shards[r].len, 0);
+        if (heap == NULL)
+            goto fail;
+        PyList_SET_ITEM(shards, r, heap);
+    }
+    return Py_BuildValue(
+        "NNNNNNN", int_list(self->col_deliver, self->used, 1),
+        int_list(self->col_seq, self->used, 1),
+        int_list(self->col_send_time, self->used, 1),
+        int_list(self->col_sender, self->used, 0), payloads,
+        int_list(self->free_stack, self->free_top, 0), shards);
+fail:
+    Py_XDECREF(payloads);
+    Py_XDECREF(shards);
+    return NULL;
+}
+
+static PyObject *
+Pool_reduce(PoolObject *self, PyObject *Py_UNUSED(ignored))
+{
+    PyObject *state = Pool_getstate(self, NULL);
+    if (state == NULL)
+        return NULL;
+    return Py_BuildValue("O(n)N", (PyObject *)Py_TYPE(self), self->n, state);
+}
+
+/* A slot index out of a state list, claimed in `seen`: -1 with ValueError
+ * when it is out of range or was already claimed. */
+static Py_ssize_t
+claim_slot(PyObject *item, Py_ssize_t used, char *seen)
+{
+    Py_ssize_t slot = PyLong_AsSsize_t(item);
+    if (slot == -1 && PyErr_Occurred())
+        return -1;
+    if (slot < 0 || slot >= used || seen[slot]) {
+        PyErr_SetString(PyExc_ValueError, "malformed pool state");
+        return -1;
+    }
+    seen[slot] = 1;
+    return slot;
+}
+
+/* Restores into an empty pool only (what unpickling builds).  Every slot
+ * must be either free or in exactly one shard; that is what keeps a
+ * malformed state from ever handing a NULL payload to a handler. */
+static PyObject *
+Pool_setstate(PoolObject *self, PyObject *state)
+{
+    PyObject *deliver, *seq, *send_time, *sender, *payloads, *free_list,
+        *shards;
+    if (!PyArg_ParseTuple(state, "O!O!O!O!O!O!O!", &PyList_Type, &deliver,
+                          &PyList_Type, &seq, &PyList_Type, &send_time,
+                          &PyList_Type, &sender, &PyList_Type, &payloads,
+                          &PyList_Type, &free_list, &PyList_Type, &shards))
+        return NULL;
+    Py_ssize_t used = PyList_GET_SIZE(payloads);
+    if (self->used != 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "pool state can only be restored into an empty pool");
+        return NULL;
+    }
+    if (PyList_GET_SIZE(deliver) != used || PyList_GET_SIZE(seq) != used
+        || PyList_GET_SIZE(send_time) != used
+        || PyList_GET_SIZE(sender) != used || used > SLOT_LIMIT
+        || PyList_GET_SIZE(shards) != self->n) {
+        PyErr_SetString(PyExc_ValueError, "malformed pool state");
+        return NULL;
+    }
+    char *seen = PyMem_Calloc(used ? used : 1, 1);
+    if (seen == NULL)
+        return PyErr_NoMemory();
+    if (pool_reserve(self, used) < 0)
+        goto fail;
+    for (Py_ssize_t i = 0; i < used; i++) {
+        self->col_deliver[i] = PyLong_AsLongLong(PyList_GET_ITEM(deliver, i));
+        self->col_seq[i] = PyLong_AsLongLong(PyList_GET_ITEM(seq, i));
+        self->col_send_time[i] =
+            PyLong_AsLongLong(PyList_GET_ITEM(send_time, i));
+        self->col_sender[i] =
+            (int32_t)PyLong_AsLong(PyList_GET_ITEM(sender, i));
+        if (PyErr_Occurred())
+            goto fail;
+    }
+    Py_ssize_t placed = 0;
+    self->free_top = 0;
+    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(free_list); i++) {
+        Py_ssize_t slot = claim_slot(PyList_GET_ITEM(free_list, i), used,
+                                     seen);
+        if (slot < 0)
+            goto fail;
+        self->free_stack[self->free_top++] = (int32_t)slot;
+        placed++;
+    }
+    for (Py_ssize_t r = 0; r < self->n; r++) {
+        PyObject *heap = PyList_GET_ITEM(shards, r);
+        Shard *shard = &self->shards[r];
+        shard->len = 0;
+        if (!PyList_Check(heap)) {
+            PyErr_SetString(PyExc_ValueError, "malformed pool state");
+            goto fail;
+        }
+        Py_ssize_t len = PyList_GET_SIZE(heap);
+        if (len > shard->cap) {
+            int32_t *items = PyMem_Realloc(shard->items,
+                                           len * sizeof(int32_t));
+            if (items == NULL) {
+                PyErr_NoMemory();
+                goto fail;
+            }
+            shard->items = items;
+            shard->cap = len;
+        }
+        for (Py_ssize_t i = 0; i < len; i++) {
+            Py_ssize_t slot = claim_slot(PyList_GET_ITEM(heap, i), used,
+                                         seen);
+            if (slot < 0)
+                goto fail;
+            shard->items[shard->len++] = (int32_t)slot;
+            placed++;
+        }
+    }
+    if (placed != used) {
+        PyErr_SetString(PyExc_ValueError, "malformed pool state");
+        goto fail;
+    }
+    /* live slots take their payload; free ones stay NULL */
+    for (Py_ssize_t r = 0; r < self->n; r++) {
+        Shard *shard = &self->shards[r];
+        for (Py_ssize_t i = 0; i < shard->len; i++) {
+            int32_t slot = shard->items[i];
+            PyObject *payload = PyList_GET_ITEM(payloads, slot);
+            Py_INCREF(payload);
+            self->col_payload[slot] = payload;
+        }
+    }
+    self->used = used;
+    PyMem_Free(seen);
+    Py_RETURN_NONE;
+fail:
+    /* leave an empty pool behind */
+    for (Py_ssize_t r = 0; r < self->n; r++)
+        self->shards[r].len = 0;
+    self->used = 0;
+    self->free_top = 0;
+    PyMem_Free(seen);
+    return NULL;
+}
+
 static PyMethodDef Pool_methods[] = {
     {"push", (PyCFunction)(void (*)(void))Pool_push, METH_FASTCALL,
      "push(receiver, deliver_at, seq, sender, send_time, payload)"},
@@ -535,6 +746,13 @@ static PyMethodDef Pool_methods[] = {
      "total slots ever allocated"},
     {"free", (PyCFunction)Pool_free, METH_NOARGS,
      "slots currently on the free list"},
+    {"__getstate__", (PyCFunction)Pool_getstate, METH_NOARGS,
+     "(deliver_at, seq, send_time, sender, payload columns, free stack, "
+     "shard heaps) as plain lists"},
+    {"__setstate__", (PyCFunction)Pool_setstate, METH_O,
+     "restore a __getstate__ tuple into an empty pool"},
+    {"__reduce__", (PyCFunction)Pool_reduce, METH_NOARGS,
+     "(Pool, (n,), __getstate__())"},
     {NULL, NULL, 0, NULL},
 };
 
@@ -568,13 +786,14 @@ static PyObject *s_network, *s_n, *s_processes, *s__ctx, *s_detector,
     *s__outbox, *s__outputs, *s__log, *s_on_start, *s_on_input,
     *s_on_message, *s_on_timeout, *s_on_step_raw, *s__next_at, *s__pending,
     *s__live, *s__dead, *s__horizon, *s__horizon_cap, *s__compact_horizon,
-    *s_send_packed, *s_send_all_packed, *s__pool, *s_delivered_count,
+    *s_delay_model, *s_delay, *s_delay_profile, *s__next_seq,
+    *s_sent_count, *s__pool, *s_delivered_count,
     *s_live_pending, *s_end_time, *s_input_history, *s_output_history,
     *s__index, *s__time_col, *s__pid_col, *s__fd, *s__msg_sender,
     *s__msg_payload, *s__msg_send_time, *s__timeout, *s__sent,
     *s__received, *s__intern_fd, *s_append, *s__log_observers, *s_on_log;
 
-/* heapq entry points, resolved lazily on the first run_loop call */
+/* heapq entry points, resolved at module init */
 static PyObject *g_heappush, *g_heappop, *g_heapify;
 
 static int
@@ -671,6 +890,382 @@ heap_push_pair(PyObject *heap, int64_t key, PyObject *pid_obj)
     return 0;
 }
 
+/* ======================================================================== */
+/* The send side of a CompiledPackedNetwork                                  */
+/* ======================================================================== */
+
+/* 40-bit global send sequence (kernel.py's _SEQ_LIMIT): seq must stay
+ * orderable inside PackedNetwork's packed shard keys, and the two pools
+ * must exhaust it at the same send. */
+#define SEQ_LIMIT (((int64_t)1) << 40)
+
+/* A CompiledPackedNetwork as the C send and pop paths see it: the pool
+ * plus the merge layer (per-receiver lists, the dead set, the lazy horizon
+ * heap), which stays plain Python state on the network so the event
+ * engine reads the same `_next_at` / `_horizon` on every kernel.  The
+ * network-wide scalars (`sent_count`, `live_pending`, `_next_seq`) and
+ * `delay_model` are read through `net` at each use.  All references are
+ * owned; the lists are verified to be lists of length pool->n. */
+typedef struct {
+    PyObject *net, *pool_obj;
+    PoolObject *pool;                    /* borrowed view of pool_obj */
+    PyObject *next_at, *pending, *live, *dead, *horizon, *compact_horizon;
+    Py_ssize_t horizon_cap;
+} NetView;
+
+static void
+net_view_free(NetView *nv)
+{
+    Py_CLEAR(nv->net);
+    Py_CLEAR(nv->pool_obj);
+    Py_CLEAR(nv->next_at);
+    Py_CLEAR(nv->pending);
+    Py_CLEAR(nv->live);
+    Py_CLEAR(nv->dead);
+    Py_CLEAR(nv->horizon);
+    Py_CLEAR(nv->compact_horizon);
+}
+
+/* Fills a zeroed NetView; on failure the caller still runs net_view_free. */
+static int
+net_view_init(NetView *nv, PyObject *net)
+{
+    Py_INCREF(net);
+    nv->net = net;
+    if ((nv->pool_obj = PyObject_GetAttr(net, s__pool)) == NULL)
+        return -1;
+    if (!PyObject_TypeCheck(nv->pool_obj, &PoolType)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "expected a CompiledPackedNetwork (its _pool must "
+                        "be a _ckernel.Pool)");
+        return -1;
+    }
+    nv->pool = (PoolObject *)nv->pool_obj;
+    if ((nv->next_at = PyObject_GetAttr(net, s__next_at)) == NULL
+        || (nv->pending = PyObject_GetAttr(net, s__pending)) == NULL
+        || (nv->live = PyObject_GetAttr(net, s__live)) == NULL
+        || (nv->dead = PyObject_GetAttr(net, s__dead)) == NULL
+        || (nv->horizon = PyObject_GetAttr(net, s__horizon)) == NULL
+        || (nv->compact_horizon =
+                PyObject_GetAttr(net, s__compact_horizon)) == NULL)
+        return -1;
+    int64_t cap;
+    if (get_i64_attr(net, s__horizon_cap, &cap) < 0)
+        return -1;
+    nv->horizon_cap = (Py_ssize_t)cap;
+    Py_ssize_t n = nv->pool->n;
+    if (!PyList_Check(nv->next_at) || PyList_GET_SIZE(nv->next_at) != n
+        || !PyList_Check(nv->pending) || PyList_GET_SIZE(nv->pending) != n
+        || !PyList_Check(nv->live) || PyList_GET_SIZE(nv->live) != n
+        || !PyList_Check(nv->horizon) || !PyAnySet_Check(nv->dead)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "network merge layer is not the per-receiver "
+                        "lists / set / heap the pool was built for");
+        return -1;
+    }
+    return 0;
+}
+
+/* t + delay for one drawn delay, with DelayModel's contract checked the
+ * way PackedNetwork checks it (ValueError on delay < 1). */
+static int
+deliver_time(PyObject *delay_obj, int64_t t, int64_t *out)
+{
+    int64_t delay = PyLong_AsLongLong(delay_obj);
+    if (delay == -1 && PyErr_Occurred())
+        return -1;
+    if (delay < 1) {
+        PyErr_Format(PyExc_ValueError,
+                     "delay model produced non-positive delay %S", delay_obj);
+        return -1;
+    }
+    if (delay > INT64_MAX - t) {
+        PyErr_SetString(PyExc_OverflowError,
+                        "delivery time does not fit in 64 bits");
+        return -1;
+    }
+    *out = t + delay;
+    return 0;
+}
+
+/* Queue one message: the pool push plus the merge-layer update of
+ * PackedNetwork.send_packed on the per-receiver state, in its order of
+ * effects (pending, live, then the next-delivery index with its compaction
+ * check before the horizon push).  The two network-wide counters are the caller's: a live
+ * message to a receiver not marked dead bumps *live_gain, and the caller
+ * counts what it queued; net_commit writes both back. */
+static int
+net_queue(NetView *nv, Py_ssize_t receiver, int64_t deliver_at, int64_t seq,
+          long sender, int64_t t, PyObject *payload, int64_t *live_gain)
+{
+    PoolObject *pool = nv->pool;
+    if (receiver < 0 || receiver >= pool->n) {
+        PyErr_Format(PyExc_IndexError, "receiver %zd out of range", receiver);
+        return -1;
+    }
+    int32_t slot = pool_alloc_slot(pool);
+    if (slot < 0)
+        return -1;
+    pool_fill_slot(pool, slot, deliver_at, seq, (int32_t)sender, t, payload);
+    if (shard_push(pool, &pool->shards[receiver], slot) < 0) {
+        Py_CLEAR(pool->col_payload[slot]);
+        pool->free_stack[pool->free_top++] = slot;
+        return -1;
+    }
+    if (list_add_i64(nv->pending, receiver, 1) < 0)
+        return -1;
+    PyObject *recv_obj = PyLong_FromSsize_t(receiver);
+    if (recv_obj == NULL)
+        return -1;
+    int rc = -1;
+    if (deliver_at < NEVER_I64) {
+        if (list_add_i64(nv->live, receiver, 1) < 0)
+            goto done;
+        int is_dead = PySet_Contains(nv->dead, recv_obj);
+        if (is_dead < 0)
+            goto done;
+        if (!is_dead)
+            *live_gain += 1;
+    }
+    PyObject *head_obj = PyList_GET_ITEM(nv->next_at, receiver);
+    int lowers = head_obj == Py_None;
+    if (!lowers) {
+        int64_t head = PyLong_AsLongLong(head_obj);
+        if (head == -1 && PyErr_Occurred())
+            goto done;
+        lowers = deliver_at < head;
+    }
+    if (lowers) {
+        if (list_set_i64(nv->next_at, receiver, deliver_at) < 0)
+            goto done;
+        if (PyList_GET_SIZE(nv->horizon) > nv->horizon_cap) {
+            PyObject *r = PyObject_CallNoArgs(nv->compact_horizon);
+            if (r == NULL)
+                goto done;
+            Py_DECREF(r);
+        }
+        if (heap_push_pair(nv->horizon, deliver_at, recv_obj) < 0)
+            goto done;
+    }
+    rc = 0;
+done:
+    Py_DECREF(recv_obj);
+    return rc;
+}
+
+/* Write back what one send call queued: `_next_seq`, `sent_count`,
+ * `live_pending`.  Also runs with an exception pending (a delay model
+ * raising mid-broadcast on the per-receiver path), which it preserves, so
+ * the counters always describe exactly the messages in the pool. */
+static int
+net_commit(NetView *nv, int64_t next_seq, int64_t sent, int64_t live_gain)
+{
+    if (sent == 0)
+        return 0;
+    PyObject *exc_type, *exc_value, *exc_tb;
+    PyErr_Fetch(&exc_type, &exc_value, &exc_tb);
+    int rc = set_i64_attr(nv->net, s__next_seq, next_seq);
+    if (rc == 0)
+        rc = add_i64_attr(nv->net, s_sent_count, sent);
+    if (rc == 0 && live_gain)
+        rc = add_i64_attr(nv->net, s_live_pending, live_gain);
+    if (exc_type != NULL) {
+        PyErr_Clear();
+        PyErr_Restore(exc_type, exc_value, exc_tb);
+    }
+    return rc;
+}
+
+/* collect.append((deliver_at, seq, sender, receiver, payload, t)): the
+ * fields of the Envelope view the compat send()/send_all() hand back. */
+static int
+collect_row(PyObject *collect, int64_t deliver_at, int64_t seq, long sender,
+            Py_ssize_t receiver, PyObject *payload, int64_t t)
+{
+    PyObject *row = Py_BuildValue("LLlnOL", (long long)deliver_at,
+                                  (long long)seq, sender, receiver, payload,
+                                  (long long)t);
+    if (row == NULL)
+        return -1;
+    int rc = PyList_Append(collect, row);
+    Py_DECREF(row);
+    return rc;
+}
+
+/* model.delay(sender, receiver, t) -> deliver_at */
+static int
+draw_deliver_time(PyObject *model, PyObject *sender_obj, PyObject *recv_obj,
+                  PyObject *t_obj, int64_t t, int64_t *deliver_at)
+{
+    PyObject *cargs[4] = {model, sender_obj, recv_obj, t_obj};
+    PyObject *delay_obj = PyObject_VectorcallMethod(
+        s_delay, cargs, 4 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
+    if (delay_obj == NULL)
+        return -1;
+    int rc = deliver_time(delay_obj, t, deliver_at);
+    Py_DECREF(delay_obj);
+    return rc;
+}
+
+/* One point-to-point send (PackedNetwork.send_packed): draw the delay,
+ * check it and the sequence space, queue.  `collect`, when not NULL, is a
+ * list that receives the message's Envelope fields. */
+static int
+net_send(NetView *nv, long sender, PyObject *sender_obj, PyObject *recv_obj,
+         PyObject *payload, int64_t t, PyObject *t_obj, PyObject *collect,
+         int64_t *seq_out)
+{
+    PyObject *model = PyObject_GetAttr(nv->net, s_delay_model);
+    if (model == NULL)
+        return -1;
+    int64_t deliver_at = 0;
+    int rc = draw_deliver_time(model, sender_obj, recv_obj, t_obj, t,
+                               &deliver_at);
+    Py_DECREF(model);
+    if (rc < 0)
+        return -1;
+    Py_ssize_t receiver = PyLong_AsSsize_t(recv_obj);
+    if (receiver == -1 && PyErr_Occurred())
+        return -1;
+    int64_t seq, live_gain = 0;
+    if (get_i64_attr(nv->net, s__next_seq, &seq) < 0)
+        return -1;
+    if (seq >= SEQ_LIMIT) {
+        PyErr_SetString(PyExc_OverflowError,
+                        "packed pool exhausted the 40-bit send sequence");
+        return -1;
+    }
+    if (net_queue(nv, receiver, deliver_at, seq, sender, t, payload,
+                  &live_gain) < 0)
+        return -1;
+    rc = collect == NULL
+        ? 0 : collect_row(collect, deliver_at, seq, sender, receiver,
+                          payload, t);
+    if (net_commit(nv, seq + 1, 1, live_gain) < 0)
+        return -1;
+    *seq_out = seq;
+    return rc;
+}
+
+/* One broadcast (PackedNetwork._send_all_common): the same draws, in the
+ * same receiver order, as n point-to-point sends.  A model with the
+ * vectorized `delay_profile` hook is asked once and every delay, the
+ * profile's length and the sequence space are validated before anything
+ * queues; without the hook the model is asked per receiver and the
+ * messages queue as they are drawn, so one raising mid-broadcast leaves
+ * the network consistent with what was sent. */
+static int
+net_send_all(NetView *nv, long sender, PyObject *sender_obj,
+             PyObject *payload, int64_t t, PyObject *t_obj, int include_self,
+             PyObject *collect, long *count_out)
+{
+    Py_ssize_t n = nv->pool->n;
+    Py_ssize_t count = (include_self || sender < 0 || sender >= n) ? n : n - 1;
+    int64_t stack_times[16];
+    int64_t *times = NULL;               /* deliver_at per position */
+    PyObject *model = NULL, *profile = NULL, *receivers = NULL;
+    int64_t seq0 = 0, sent = 0, live_gain = 0;
+    int rc = -1;
+
+    if ((model = PyObject_GetAttr(nv->net, s_delay_model)) == NULL)
+        return -1;
+    profile = PyObject_GetAttr(model, s_delay_profile);
+    if (profile == NULL) {
+        if (!PyErr_ExceptionMatches(PyExc_AttributeError))
+            goto done;
+        PyErr_Clear();
+    } else if (profile == Py_None) {
+        Py_CLEAR(profile);
+    }
+    if ((receivers = PyList_New(count)) == NULL)
+        goto done;
+    for (Py_ssize_t r = 0, position = 0; r < n; r++) {
+        if (!include_self && r == sender)
+            continue;
+        PyObject *recv_obj = PyLong_FromSsize_t(r);
+        if (recv_obj == NULL)
+            goto done;
+        PyList_SET_ITEM(receivers, position++, recv_obj);
+    }
+    if (profile != NULL) {
+        PyObject *delays = call3(profile, sender_obj, t_obj, receivers);
+        if (delays == NULL)
+            goto done;
+        PyObject *fast = PySequence_Fast(
+            delays, "delay profile must return a sequence of delays");
+        Py_DECREF(delays);
+        if (fast == NULL)
+            goto done;
+        if (PySequence_Fast_GET_SIZE(fast) != count) {
+            PyErr_Format(PyExc_ValueError,
+                         "delay profile returned %zd delays for %zd "
+                         "receivers",
+                         PySequence_Fast_GET_SIZE(fast), count);
+            Py_DECREF(fast);
+            goto done;
+        }
+        times = count <= 16
+            ? stack_times : PyMem_Malloc(count * sizeof(int64_t));
+        if (times == NULL) {
+            Py_DECREF(fast);
+            PyErr_NoMemory();
+            goto done;
+        }
+        for (Py_ssize_t i = 0; i < count; i++) {
+            if (deliver_time(PySequence_Fast_GET_ITEM(fast, i), t,
+                             &times[i]) < 0) {
+                Py_DECREF(fast);
+                goto done;
+            }
+        }
+        Py_DECREF(fast);
+    }
+    if (get_i64_attr(nv->net, s__next_seq, &seq0) < 0)
+        goto done;
+    if (times != NULL && seq0 + count > SEQ_LIMIT) {
+        PyErr_SetString(PyExc_OverflowError,
+                        "packed pool exhausted the 40-bit send sequence");
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < count; i++) {
+        PyObject *recv_obj = PyList_GET_ITEM(receivers, i);
+        Py_ssize_t receiver = PyLong_AsSsize_t(recv_obj);
+        int64_t deliver_at = 0;
+        if (times != NULL) {
+            deliver_at = times[i];
+        } else {
+            if (draw_deliver_time(model, sender_obj, recv_obj, t_obj, t,
+                                  &deliver_at) < 0)
+                goto done;
+            if (seq0 + sent >= SEQ_LIMIT) {
+                PyErr_SetString(
+                    PyExc_OverflowError,
+                    "packed pool exhausted the 40-bit send sequence");
+                goto done;
+            }
+        }
+        if (net_queue(nv, receiver, deliver_at, seq0 + sent, sender, t,
+                      payload, &live_gain) < 0)
+            goto done;
+        sent += 1;
+        if (collect != NULL
+            && collect_row(collect, deliver_at, seq0 + sent - 1, sender,
+                           receiver, payload, t) < 0)
+            goto done;
+    }
+    rc = 0;
+done:
+    if (net_commit(nv, seq0 + sent, sent, live_gain) < 0)
+        rc = -1;
+    if (times != stack_times)
+        PyMem_Free(times);
+    Py_XDECREF(receivers);
+    Py_XDECREF(profile);
+    Py_DECREF(model);
+    *count_out = (long)sent;
+    return rc;
+}
+
 /* history.setdefault(pid, []).extend((t, v) for v in values) */
 static int
 history_extend(PyObject *history, PyObject *pid_obj, PyObject *t_obj,
@@ -731,18 +1326,19 @@ peek_input_at(PyObject *in_q, int64_t *out)
 
 /* Everything the loop reads, extracted once per run_loop call.  Python
  * objects are owned references unless marked borrowed; the int64 arrays
- * mirror Python lists that only this loop mutates (next_timeout,
- * local_event — written through on every change), or that are immutable
- * for the run's duration (crash times, intervals). */
+ * mirror a Python list that only this loop mutates (next_timeout —
+ * written through on every change), or that are immutable for the run's
+ * duration (crash times, intervals). */
 typedef struct {
     PyObject *sim;                       /* borrowed */
-    PyObject *net, *ctx, *processes, *started, *inputs_by_pid;
+    NetView nv;                          /* sim.network's merge layer + pool */
+    PyObject *ctx, *processes, *started, *inputs_by_pid;
     PyObject *detector_query;            /* NULL when no detector */
     PyObject *query_next, *skip_span;
     PyObject *local_event, *local_horizon;
-    PyObject *next_timeout_list, *next_at, *pending, *live, *dead, *horizon;
-    PyObject *compact_horizon, *send_packed, *send_all_packed;
-    PyObject *raw_obs, *run, *pool_obj;
+    PyObject *next_timeout_list;
+    PyObject *raw_obs, *run;
+    PyObject *crash_times, *intervals;   /* read into crash_at / interval */
     PyObject *store;                     /* borrowed; NULL without store */
     PyObject *st_append[10];             /* bound column .append methods */
     PyObject *st_index_col, *intern_fd;
@@ -755,19 +1351,18 @@ typedef struct {
     PyObject **log_methods;              /* owned bound on_log */
     Py_ssize_t log_count;
     int64_t *crash_at;                   /* INT64_MAX = never crashes */
-    int64_t *interval, *next_to, *local_evt;
+    int64_t *interval, *next_to;
     PyObject *empty_tuple;
     long n;
     int64_t message_batch, scan_cutover;
-    Py_ssize_t horizon_cap, local_cap;
+    Py_ssize_t local_cap;
     int has_crashes, has_store;
-    PoolObject *pool;                    /* borrowed view of pool_obj */
 } Loop;
 
 static void
 loop_free(Loop *L)
 {
-    Py_XDECREF(L->net);
+    net_view_free(&L->nv);
     Py_XDECREF(L->ctx);
     Py_XDECREF(L->processes);
     Py_XDECREF(L->started);
@@ -778,17 +1373,10 @@ loop_free(Loop *L)
     Py_XDECREF(L->local_event);
     Py_XDECREF(L->local_horizon);
     Py_XDECREF(L->next_timeout_list);
-    Py_XDECREF(L->next_at);
-    Py_XDECREF(L->pending);
-    Py_XDECREF(L->live);
-    Py_XDECREF(L->dead);
-    Py_XDECREF(L->horizon);
-    Py_XDECREF(L->compact_horizon);
-    Py_XDECREF(L->send_packed);
-    Py_XDECREF(L->send_all_packed);
     Py_XDECREF(L->raw_obs);
     Py_XDECREF(L->run);
-    Py_XDECREF(L->pool_obj);
+    Py_XDECREF(L->crash_times);
+    Py_XDECREF(L->intervals);
     for (int i = 0; i < 10; i++)
         Py_XDECREF(L->st_append[i]);
     Py_XDECREF(L->st_index_col);
@@ -826,7 +1414,19 @@ loop_free(Loop *L)
     PyMem_Free(L->crash_at);
     PyMem_Free(L->interval);
     PyMem_Free(L->next_to);
-    PyMem_Free(L->local_evt);
+}
+
+/* sim._local_event[p].  Read from the list at every use, not mirrored:
+ * Simulation.add_input lowers it, and a handler or observer holding the
+ * sim may call that in the middle of a run. */
+static inline int
+local_event_at(Loop *L, long p, int64_t *out)
+{
+    int64_t at = PyLong_AsLongLong(PyList_GET_ITEM(L->local_event, p));
+    if (at == -1 && PyErr_Occurred())
+        return -1;
+    *out = at;
+    return 0;
 }
 
 #define GETA(dst, obj, name)                                                \
@@ -845,7 +1445,12 @@ loop_init(Loop *L, PyObject *sim, PyObject *store)
     if (get_i64_attr(sim, s_n, &tmp) < 0)
         return -1;
     L->n = (long)tmp;
-    GETA(L->net, sim, s_network);
+    PyObject *net;
+    GETA(net, sim, s_network);
+    int r_view = net_view_init(&L->nv, net);
+    Py_DECREF(net);
+    if (r_view < 0)
+        return -1;
     GETA(L->processes, sim, s_processes);
     GETA(L->ctx, sim, s__ctx);
     PyObject *detector;
@@ -858,14 +1463,13 @@ loop_init(Loop *L, PyObject *sim, PyObject *store)
     } else {
         Py_DECREF(detector);
     }
-    PyObject *fp, *crash_times;
+    PyObject *fp;
     GETA(fp, sim, s_failure_pattern);
-    crash_times = PyObject_GetAttr(fp, s_crash_times);
+    L->crash_times = PyObject_GetAttr(fp, s_crash_times);
     Py_DECREF(fp);
-    if (crash_times == NULL)
+    if (L->crash_times == NULL)
         return -1;
-    if (!PyDict_Check(crash_times)) {
-        Py_DECREF(crash_times);
+    if (!PyDict_Check(L->crash_times)) {
         PyErr_SetString(PyExc_TypeError, "crash_times must be a dict");
         return -1;
     }
@@ -878,108 +1482,76 @@ loop_init(Loop *L, PyObject *sim, PyObject *store)
     GETA(L->started, sim, s__started);
     GETA(L->raw_obs, sim, s__raw_step_observers);
     GETA(L->run, sim, s_run);
-    PyObject *intervals;
-    intervals = PyObject_GetAttr(sim, s_timeout_intervals);
-    if (intervals == NULL) {
-        Py_DECREF(crash_times);
-        return -1;
-    }
+    GETA(L->intervals, sim, s_timeout_intervals);
     if (get_i64_attr(sim, s__local_cap, &tmp) < 0)
-        goto fail_iv;
+        return -1;
     L->local_cap = (Py_ssize_t)tmp;
     if (get_i64_attr(sim, s_message_batch, &L->message_batch) < 0)
-        goto fail_iv;
+        return -1;
     if (get_i64_attr(sim, s__scan_cutover, &L->scan_cutover) < 0)
-        goto fail_iv;
-    GETA(L->next_at, L->net, s__next_at);
-    GETA(L->pending, L->net, s__pending);
-    GETA(L->live, L->net, s__live);
-    GETA(L->dead, L->net, s__dead);
-    GETA(L->horizon, L->net, s__horizon);
-    GETA(L->compact_horizon, L->net, s__compact_horizon);
-    GETA(L->send_packed, L->net, s_send_packed);
-    GETA(L->send_all_packed, L->net, s_send_all_packed);
-    GETA(L->pool_obj, L->net, s__pool);
-    if (get_i64_attr(L->net, s__horizon_cap, &tmp) < 0)
-        goto fail_iv;
-    L->horizon_cap = (Py_ssize_t)tmp;
-    if (!PyObject_TypeCheck(L->pool_obj, &PoolType)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "run_loop needs a CompiledPackedNetwork (its _pool "
-                        "must be a _ckernel.Pool)");
-        goto fail_iv;
-    }
-    L->pool = (PoolObject *)L->pool_obj;
+        return -1;
     long n = L->n;
-    if (!PyList_Check(L->processes) || !PyList_Check(L->next_at)
-        || !PyList_Check(L->pending) || !PyList_Check(L->live)
-        || !PyList_Check(L->horizon) || !PyList_Check(L->local_event)
+    if (!PyList_Check(L->processes) || !PyList_Check(L->local_event)
         || !PyList_Check(L->local_horizon)
         || !PyList_Check(L->next_timeout_list)
-        || !PyList_Check(L->inputs_by_pid) || !PyList_Check(intervals)) {
+        || !PyList_Check(L->inputs_by_pid) || !PyList_Check(L->intervals)) {
         PyErr_SetString(PyExc_TypeError, "run_loop: expected list state");
-        goto fail_iv;
+        return -1;
     }
-    if (PyList_GET_SIZE(L->processes) != n || PyList_GET_SIZE(L->next_at) != n
+    if (PyList_GET_SIZE(L->processes) != n
         || PyList_GET_SIZE(L->local_event) != n
         || PyList_GET_SIZE(L->next_timeout_list) != n
         || PyList_GET_SIZE(L->inputs_by_pid) != n
-        || PyList_GET_SIZE(intervals) != n || L->pool->n != n) {
+        || PyList_GET_SIZE(L->intervals) != n || L->nv.pool->n != n) {
         PyErr_SetString(PyExc_ValueError,
                         "run_loop: state lists do not match sim.n");
-        goto fail_iv;
+        return -1;
     }
     L->crash_at = PyMem_Malloc(n * sizeof(int64_t));
     L->interval = PyMem_Malloc(n * sizeof(int64_t));
     L->next_to = PyMem_Malloc(n * sizeof(int64_t));
-    L->local_evt = PyMem_Malloc(n * sizeof(int64_t));
     L->pid_objs = PyMem_Calloc(n, sizeof(PyObject *));
     L->on_message_m = PyMem_Calloc(n, sizeof(PyObject *));
     L->on_timeout_m = PyMem_Calloc(n, sizeof(PyObject *));
     if (L->crash_at == NULL || L->interval == NULL || L->next_to == NULL
-        || L->local_evt == NULL || L->pid_objs == NULL
+        || L->pid_objs == NULL
         || L->on_message_m == NULL || L->on_timeout_m == NULL) {
         PyErr_NoMemory();
-        goto fail_iv;
+        return -1;
     }
     for (long p = 0; p < n; p++)
         L->crash_at[p] = INT64_MAX;
-    L->has_crashes = PyDict_GET_SIZE(crash_times) > 0;
+    L->has_crashes = PyDict_GET_SIZE(L->crash_times) > 0;
     Py_ssize_t pos = 0;
     PyObject *key, *value;
-    while (PyDict_Next(crash_times, &pos, &key, &value)) {
+    while (PyDict_Next(L->crash_times, &pos, &key, &value)) {
         long pid = PyLong_AsLong(key);
         int64_t at = PyLong_AsLongLong(value);
         if (PyErr_Occurred())
-            goto fail_iv;
+            return -1;
         if (pid < 0 || pid >= n) {
             PyErr_Format(PyExc_ValueError, "crash pid %ld out of range", pid);
-            goto fail_iv;
+            return -1;
         }
         L->crash_at[pid] = at;
     }
     for (long p = 0; p < n; p++) {
-        L->interval[p] = PyLong_AsLongLong(PyList_GET_ITEM(intervals, p));
+        L->interval[p] = PyLong_AsLongLong(PyList_GET_ITEM(L->intervals, p));
         L->next_to[p] =
             PyLong_AsLongLong(PyList_GET_ITEM(L->next_timeout_list, p));
-        L->local_evt[p] =
-            PyLong_AsLongLong(PyList_GET_ITEM(L->local_event, p));
         if (PyErr_Occurred())
-            goto fail_iv;
+            return -1;
         L->pid_objs[p] = PyLong_FromLong(p);
         if (L->pid_objs[p] == NULL)
-            goto fail_iv;
+            return -1;
         PyObject *process = PyList_GET_ITEM(L->processes, p);
         L->on_message_m[p] = PyObject_GetAttr(process, s_on_message);
         if (L->on_message_m[p] == NULL)
-            goto fail_iv;
+            return -1;
         L->on_timeout_m[p] = PyObject_GetAttr(process, s_on_timeout);
         if (L->on_timeout_m[p] == NULL)
-            goto fail_iv;
+            return -1;
     }
-    Py_DECREF(intervals);
-    Py_DECREF(crash_times);
-    intervals = crash_times = NULL;
     if (store != Py_None) {
         /* single-FullRecorder fast path: append straight into the store */
         L->has_store = 1;
@@ -1053,22 +1625,7 @@ loop_init(Loop *L, PyObject *sim, PyObject *store)
     L->empty_tuple = PyTuple_New(0);
     if (L->empty_tuple == NULL)
         return -1;
-    if (g_heappush == NULL) {
-        PyObject *heapq_mod = PyImport_ImportModule("heapq");
-        if (heapq_mod == NULL)
-            return -1;
-        g_heappush = PyObject_GetAttrString(heapq_mod, "heappush");
-        g_heappop = PyObject_GetAttrString(heapq_mod, "heappop");
-        g_heapify = PyObject_GetAttrString(heapq_mod, "heapify");
-        Py_DECREF(heapq_mod);
-        if (g_heappush == NULL || g_heappop == NULL || g_heapify == NULL)
-            return -1;
-    }
     return 0;
-fail_iv:
-    Py_XDECREF(intervals);
-    Py_XDECREF(crash_times);
-    return -1;
 }
 
 /* run_loop(sim, t_end, store) — the fused round-robin tick loop in C.
@@ -1097,7 +1654,7 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         loop_free(L);
         return NULL;
     }
-    PoolObject *pool = L->pool;
+    PoolObject *pool = L->nv.pool;
     long n = L->n;
     int64_t t, step_index, run_end_time;
     /* Per-step owned temporaries, function-scoped so step_fail can see
@@ -1114,10 +1671,13 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     while (t < t_end) {
         long pid = (long)(t % n);
         int due = 0;
-        if (L->local_evt[pid] <= t) {
+        int64_t local_at;
+        if (local_event_at(L, pid, &local_at) < 0)
+            goto fail;
+        if (local_at <= t) {
             due = 1;
         } else {
-            PyObject *head_obj = PyList_GET_ITEM(L->next_at, pid);
+            PyObject *head_obj = PyList_GET_ITEM(L->nv.next_at, pid);
             if (head_obj != Py_None) {
                 int64_t head = PyLong_AsLongLong(head_obj);
                 if (head == -1 && PyErr_Occurred())
@@ -1219,7 +1779,7 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             long received = 0;
             long first_sender = -1;
             int64_t first_send_time = -1;
-            PyObject *head_obj = PyList_GET_ITEM(L->next_at, pid);
+            PyObject *head_obj = PyList_GET_ITEM(L->nv.next_at, pid);
             int msgs_due = 0;
             if (head_obj != Py_None) {
                 int64_t head = PyLong_AsLongLong(head_obj);
@@ -1252,26 +1812,37 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                         /* per-message live accounting, exactly as the
                          * Python loop orders it (visible on handler
                          * exception) */
-                        if (list_add_i64(L->live, pid, -1) < 0) {
+                        if (list_add_i64(L->nv.live, pid, -1) < 0) {
                             Py_DECREF(payload);
                             handler_err = 1;
                             break;
                         }
-                        int is_dead = PySet_Contains(L->dead, pid_obj);
+                        int is_dead = PySet_Contains(L->nv.dead, pid_obj);
                         if (is_dead < 0) {
                             Py_DECREF(payload);
                             handler_err = 1;
                             break;
                         }
                         if (!is_dead
-                            && add_i64_attr(L->net, s_live_pending, -1) < 0) {
+                            && add_i64_attr(L->nv.net, s_live_pending, -1) < 0) {
                             Py_DECREF(payload);
                             handler_err = 1;
                             break;
                         }
                     }
-                    PyObject *r = call3(on_message, L->ctx,
-                                        L->pid_objs[sender], payload);
+                    /* a sender outside 0..n-1 can only come from a direct
+                     * network.send(); it still must not index pid_objs */
+                    PyObject *sender_obj;
+                    if (sender >= 0 && sender < n) {
+                        sender_obj = L->pid_objs[sender];
+                        Py_INCREF(sender_obj);
+                    } else {
+                        sender_obj = PyLong_FromLong(sender);
+                    }
+                    PyObject *r = sender_obj == NULL
+                        ? NULL
+                        : call3(on_message, L->ctx, sender_obj, payload);
+                    Py_XDECREF(sender_obj);
                     Py_DECREF(payload);
                     if (r == NULL) {
                         handler_err = 1;
@@ -1281,25 +1852,25 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                 }
                 if (handler_err)
                     goto step_fail;
-                if (add_i64_attr(L->net, s_delivered_count, received) < 0)
+                if (add_i64_attr(L->nv.net, s_delivered_count, received) < 0)
                     goto step_fail;
-                if (list_add_i64(L->pending, pid, -received) < 0)
+                if (list_add_i64(L->nv.pending, pid, -received) < 0)
                     goto step_fail;
                 if (shard->len > 0) {
                     int64_t new_head = pool->col_deliver[shard->items[0]];
-                    if (list_set_i64(L->next_at, pid, new_head) < 0)
+                    if (list_set_i64(L->nv.next_at, pid, new_head) < 0)
                         goto step_fail;
-                    if (PyList_GET_SIZE(L->horizon) > L->horizon_cap) {
-                        PyObject *r = PyObject_CallNoArgs(L->compact_horizon);
+                    if (PyList_GET_SIZE(L->nv.horizon) > L->nv.horizon_cap) {
+                        PyObject *r = PyObject_CallNoArgs(L->nv.compact_horizon);
                         if (r == NULL)
                             goto step_fail;
                         Py_DECREF(r);
                     }
-                    if (heap_push_pair(L->horizon, new_head, pid_obj) < 0)
+                    if (heap_push_pair(L->nv.horizon, new_head, pid_obj) < 0)
                         goto step_fail;
                 } else {
                     Py_INCREF(Py_None);
-                    if (PyList_SetItem(L->next_at, pid, Py_None) < 0)
+                    if (PyList_SetItem(L->nv.next_at, pid, Py_None) < 0)
                         goto step_fail;
                 }
             }
@@ -1318,7 +1889,7 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                 Py_DECREF(r);
             }
 
-            /* outbox expansion via the packed send entry points */
+            /* outbox expansion through the C send path */
             long sent = 0;
             PyObject *outbox = PyObject_GetAttr(L->ctx, s__outbox);
             if (outbox == NULL)
@@ -1351,26 +1922,17 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                     if (receiver == -1 && PyErr_Occurred())
                         break;
                     if (receiver >= 0) {
-                        PyObject *cargs[4] = {pid_obj, recv_obj, payload,
-                                              t_obj};
-                        PyObject *r = PyObject_Vectorcall(L->send_packed,
-                                                          cargs, 4, NULL);
-                        if (r == NULL)
+                        int64_t seq;
+                        if (net_send(&L->nv, pid, pid_obj, recv_obj, payload,
+                                     t, t_obj, NULL, &seq) < 0)
                             break;
-                        Py_DECREF(r);
                         sent += 1;
                     } else {
-                        PyObject *cargs[4] = {
-                            pid_obj, payload, t_obj,
-                            receiver == -1 ? Py_True : Py_False,
-                        };
-                        PyObject *r = PyObject_Vectorcall(L->send_all_packed,
-                                                          cargs, 4, NULL);
-                        if (r == NULL)
-                            break;
-                        long fanout = PyLong_AsLong(r);
-                        Py_DECREF(r);
-                        if (fanout == -1 && PyErr_Occurred())
+                        /* BROADCAST_ALL (-1) includes the sender */
+                        long fanout;
+                        if (net_send_all(&L->nv, pid, pid_obj, payload, t,
+                                         t_obj, receiver == -1, NULL,
+                                         &fanout) < 0)
                             break;
                         sent += fanout;
                     }
@@ -1449,8 +2011,9 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                 if (has > 0 && at < event_at)
                     event_at = at;
             }
-            if (event_at != L->local_evt[pid]) {
-                L->local_evt[pid] = event_at;
+            if (local_event_at(L, pid, &local_at) < 0)
+                goto step_fail;
+            if (event_at != local_at) {
                 if (list_set_i64(L->local_event, pid, event_at) < 0)
                     goto step_fail;
                 if (PyList_GET_SIZE(L->local_horizon) > L->local_cap) {
@@ -1458,12 +2021,9 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                     if (rebuilt == NULL)
                         goto step_fail;
                     for (long p = 0; p < n; p++) {
-                        PyObject *key_obj =
-                            PyLong_FromLongLong(L->local_evt[p]);
-                        PyObject *pair = key_obj == NULL
-                            ? NULL
-                            : PyTuple_Pack(2, key_obj, L->pid_objs[p]);
-                        Py_XDECREF(key_obj);
+                        PyObject *pair = PyTuple_Pack(
+                            2, PyList_GET_ITEM(L->local_event, p),
+                            L->pid_objs[p]);
                         if (pair == NULL) {
                             Py_DECREF(rebuilt);
                             goto step_fail;
@@ -1615,8 +2175,10 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         int have_target = 0;
         if (n <= L->scan_cutover) {
             for (long p = 0; p < n; p++) {
-                int64_t event_at = L->local_evt[p];
-                PyObject *d = PyList_GET_ITEM(L->next_at, p);
+                int64_t event_at;
+                if (local_event_at(L, p, &event_at) < 0)
+                    goto fail;
+                PyObject *d = PyList_GET_ITEM(L->nv.next_at, p);
                 if (d != Py_None) {
                     int64_t deliver_at = PyLong_AsLongLong(d);
                     if (deliver_at == -1 && PyErr_Occurred())
@@ -1792,7 +2354,88 @@ ckernel_stable_hash(PyObject *Py_UNUSED(module), PyObject *const *args,
     return PyLong_FromUnsignedLongLong(acc & (UINT64_MAX >> 1));
 }
 
+/* send_packed(net, sender, receiver, payload, t[, collect]) -> seq and
+ * send_all_packed(net, sender, payload, t, include_self[, collect]) -> count:
+ * the bodies of CompiledPackedNetwork's send methods, and the same code
+ * run_loop expands an outbox through. */
+/* Five arguments plus the optional `collect` list (NULL when absent or
+ * None).  Returns -1 with TypeError on a wrong count or a non-list. */
+static int
+parse_collect(PyObject *const *args, Py_ssize_t nargs, const char *usage,
+              PyObject **collect)
+{
+    *collect = nargs == 6 && args[5] != Py_None ? args[5] : NULL;
+    if ((nargs != 5 && nargs != 6)
+        || (*collect != NULL && !PyList_Check(*collect))) {
+        PyErr_SetString(PyExc_TypeError, usage);
+        return -1;
+    }
+    return 0;
+}
+
+static PyObject *
+ckernel_send_packed(PyObject *Py_UNUSED(module), PyObject *const *args,
+                    Py_ssize_t nargs)
+{
+    PyObject *collect;
+    if (parse_collect(args, nargs,
+                      "send_packed(net, sender, receiver, payload, t, "
+                      "collect: list | None = None)", &collect) < 0)
+        return NULL;
+    long sender = PyLong_AsLong(args[1]);
+    int64_t t = PyLong_AsLongLong(args[4]);
+    if (PyErr_Occurred())
+        return NULL;
+    NetView nv = {0};
+    int64_t seq = 0;
+    int rc = net_view_init(&nv, args[0]);
+    if (rc == 0)
+        rc = net_send(&nv, sender, args[1], args[2], args[3], t, args[4],
+                      collect, &seq);
+    net_view_free(&nv);
+    return rc < 0 ? NULL : PyLong_FromLongLong(seq);
+}
+
+static PyObject *
+ckernel_send_all_packed(PyObject *Py_UNUSED(module), PyObject *const *args,
+                        Py_ssize_t nargs)
+{
+    PyObject *collect;
+    if (parse_collect(args, nargs,
+                      "send_all_packed(net, sender, payload, t, include_self, "
+                      "collect: list | None = None)", &collect) < 0)
+        return NULL;
+    long sender = PyLong_AsLong(args[1]);
+    int64_t t = PyLong_AsLongLong(args[3]);
+    if (PyErr_Occurred())
+        return NULL;
+    int include_self = PyObject_IsTrue(args[4]);
+    if (include_self < 0)
+        return NULL;
+    NetView nv = {0};
+    long count = 0;
+    int rc = net_view_init(&nv, args[0]);
+    if (rc == 0)
+        rc = net_send_all(&nv, sender, args[1], args[2], t, args[3],
+                          include_self, collect, &count);
+    net_view_free(&nv);
+    return rc < 0 ? NULL : PyLong_FromLong(count);
+}
+
 static PyMethodDef ckernel_functions[] = {
+    {"send_packed", (PyCFunction)(void (*)(void))ckernel_send_packed,
+     METH_FASTCALL,
+     "send_packed(net, sender, receiver, payload, t, collect=None)\n--\n\n"
+     "CompiledPackedNetwork.send_packed: draw the delay, queue the message\n"
+     "in net._pool and fold it into the merge layer; returns its seq.\n"
+     "A list passed as collect receives the (deliver_at, seq, sender,\n"
+     "receiver, payload, send_time) fields of its Envelope view."},
+    {"send_all_packed", (PyCFunction)(void (*)(void))ckernel_send_all_packed,
+     METH_FASTCALL,
+     "send_all_packed(net, sender, payload, t, include_self, collect=None)"
+     "\n--\n\n"
+     "CompiledPackedNetwork.send_all_packed: one batched broadcast pass,\n"
+     "the same draws in the same order as n sends; returns the count."},
     {"stable_hash", (PyCFunction)(void (*)(void))ckernel_stable_hash,
      METH_FASTCALL,
      "stable_hash($module, /, *parts)\n--\n\n"
@@ -1868,8 +2511,11 @@ intern_names(void)
     INTERN(s__horizon, "_horizon");
     INTERN(s__horizon_cap, "_horizon_cap");
     INTERN(s__compact_horizon, "_compact_horizon");
-    INTERN(s_send_packed, "send_packed");
-    INTERN(s_send_all_packed, "send_all_packed");
+    INTERN(s_delay_model, "delay_model");
+    INTERN(s_delay, "delay");
+    INTERN(s_delay_profile, "delay_profile");
+    INTERN(s__next_seq, "_next_seq");
+    INTERN(s_sent_count, "sent_count");
     INTERN(s__pool, "_pool");
     INTERN(s_delivered_count, "delivered_count");
     INTERN(s_live_pending, "live_pending");
@@ -1900,6 +2546,15 @@ PyInit__ckernel(void)
     if (PyType_Ready(&PoolType) < 0)
         return NULL;
     if (intern_names() < 0)
+        return NULL;
+    PyObject *heapq_mod = PyImport_ImportModule("heapq");
+    if (heapq_mod == NULL)
+        return NULL;
+    g_heappush = PyObject_GetAttrString(heapq_mod, "heappush");
+    g_heappop = PyObject_GetAttrString(heapq_mod, "heappop");
+    g_heapify = PyObject_GetAttrString(heapq_mod, "heapify");
+    Py_DECREF(heapq_mod);
+    if (g_heappush == NULL || g_heappop == NULL || g_heapify == NULL)
         return NULL;
     PyObject *module = PyModule_Create(&ckernel_module);
     if (module == NULL)

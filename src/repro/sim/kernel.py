@@ -28,35 +28,42 @@ module removes both:
   (``Simulation.step`` + batched pops + timeout check + recording) fused
   into one function that reads the packed columns directly and appends
   straight into the run's columnar :class:`~repro.sim.runs.StepStore`.
-  Selected automatically by ``Simulation(kernel="packed"|"compiled")``
-  for ``engine="event"`` + round-robin runs whose observers all take the
+  Selected automatically on the packed and compiled kernels for
+  ``engine="event"`` + round-robin runs whose observers all take the
   raw dispatch paths; every other configuration falls back to the generic
   engine (still on the packed network, through its compat methods).
 
-Kernel selection — ``Simulation(kernel=...)``:
+Kernel selection — ``Simulation(kernel=...)``; the default is
+:data:`DEFAULT_KERNEL`, the top rung when the extension loaded and
+``packed`` otherwise:
 
 ``legacy``
     the PR 4 data plane: object heaps, generic engine loops.
-``packed`` (default)
-    :class:`PackedNetwork` + the pure-Python fused loop.
+``packed`` (the default without the extension)
+    :class:`PackedNetwork` + the pure-Python fused loop: the fallback and
+    the differential oracle of the two rungs above it.
 ``compiled``
     :class:`CompiledPackedNetwork`: the packed pool and shard heaps live in
     the optional C extension ``repro.sim._ckernel`` (built via
-    ``python setup.py build_ext --inplace``; see ``pyproject.toml``). The
-    fused loop is shared with ``packed`` — only the pool operations change.
+    ``python setup.py build_ext --inplace``; see ``pyproject.toml``), and
+    so does the send path — one C implementation behind ``send_packed`` /
+    ``send_all_packed`` / ``send`` / ``send_all`` whose only Python call
+    is the delay model. The fused loop is shared with ``packed``.
     Requesting it without the extension built raises
     :class:`~repro.sim.errors.ConfigurationError`; :data:`HAS_COMPILED`
     reports availability.
-``compiled-loop``
+``compiled-loop`` (the default with the extension)
     the C pool *plus* the C tick loop: ``_ckernel.run_loop`` owns the
     round-robin dense-tick loop itself (due checks, shard pops, timeout
-    firing, outbox expansion, local-index refresh, store appends) and
-    calls back into Python only for process handlers, packed sends,
-    idle-span accounting, and raw/log observers. Engages under the same
-    conditions as the Python fused loop *and* additionally requires no
-    send/deliver observers (those need per-envelope views the C loop
-    never materializes); ineligible runs degrade one rung to the shared
-    Python fused loop on the same network, never to an error.
+    firing, outbox expansion through the C send path, local-index
+    refresh, store appends) and calls back into Python only for process
+    handlers, the delay model, idle-span accounting, and raw/log
+    observers. Engages under the same conditions as the Python fused loop
+    *and* additionally requires no send/deliver observers (those need
+    per-envelope views the C loop never materializes); ineligible runs
+    degrade one rung to the shared Python fused loop on the same network,
+    never to an error — ``sim.fused_path`` / ``sim.fused_reason`` say
+    which loop runs and why (see :func:`fused_runner`).
     :data:`HAS_COMPILED_LOOP` reports availability (the same fact as
     :data:`HAS_COMPILED`: a stale extension is refused whole, at import,
     by :mod:`repro.sim._compiled`).
@@ -88,7 +95,7 @@ from repro.sim.network import (
     Envelope,
     Network,
 )
-from repro.sim.observers import FullRecorder
+from repro.sim.observers import FullRecorder, SimObserver
 from repro.sim.types import NEVER, ProcessId, Time
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -131,6 +138,14 @@ _KEY_SHIFT = _SLOT_BITS + _SEQ_BITS
 #: so both names mean the same thing.
 HAS_COMPILED = _ckernel is not None
 HAS_COMPILED_LOOP = HAS_COMPILED
+
+#: the rung a run takes when nothing names one: the fastest whose extension
+#: loaded. Like ``stable_hash``'s body (:mod:`repro.sim.types`) it is
+#: observed once, at import, from what is on disk — never configured. Every
+#: ``kernel=`` default in the package reads this name; explicit values,
+#: the one-rung degradation under envelope observers and "an explicitly
+#: requested compiled rung without the extension raises" are unaffected.
+DEFAULT_KERNEL = "compiled-loop" if HAS_COMPILED else "packed"
 
 
 class PackedNetwork(Network):
@@ -216,22 +231,6 @@ class PackedNetwork(Network):
             payload=self._col_payload[slot],
             send_time=self._col_send_time[slot],
         )
-
-    def _account_send(self, receiver: ProcessId, deliver_at: Time) -> None:
-        """Fold one queued message into the counters and the merge layer."""
-        self.sent_count += 1
-        self._pending[receiver] += 1
-        if deliver_at < NEVER:
-            self._live[receiver] += 1
-            if receiver not in self._dead:
-                self.live_pending += 1
-        head = self._next_at[receiver]
-        if head is None or deliver_at < head:
-            self._next_at[receiver] = deliver_at
-            horizon = self._horizon
-            if len(horizon) > self._horizon_cap:
-                self._compact_horizon()
-            heapq.heappush(horizon, (deliver_at, receiver))
 
     # -- sends --------------------------------------------------------------
 
@@ -602,11 +601,14 @@ class CompiledPackedNetwork(PackedNetwork):
     """The packed pool and shard heaps, hosted by the C extension.
 
     Storage moves into ``repro.sim._ckernel.Pool`` (slot columns, free
-    list, per-receiver shard heaps); the merge layer, counters, and all
-    delay-model interaction stay in Python so the scheduler's event engine
-    sees exactly the same ``_next_at`` / ``_horizon`` state as every other
-    kernel. The Python columns inherited from :class:`PackedNetwork` stay
-    empty and unused.
+    list, per-receiver shard heaps). The merge layer and counters remain
+    plain Python state on this object — the C send and pop paths update
+    them in place — so the scheduler's event engine sees exactly the same
+    ``_next_at`` / ``_horizon`` state as on every other kernel, and the
+    delay model stays an ordinary Python object the C code calls. The
+    Python columns inherited from :class:`PackedNetwork` stay empty and
+    unused. Pickles and deep-copies like the other networks: the pool's
+    state is its live slots, free stack and shard heaps as plain lists.
     """
 
     def __init__(
@@ -628,104 +630,48 @@ class CompiledPackedNetwork(PackedNetwork):
         self._pool = _ckernel.Pool(n)
 
     # -- sends --------------------------------------------------------------
+    #
+    # One implementation, in C: ``_ckernel.send_packed`` /
+    # ``_ckernel.send_all_packed`` draw through ``self.delay_model`` (the
+    # only Python they call), enforce the same ``delay >= 1``, profile
+    # length and 40-bit sequence checks as :class:`PackedNetwork` with the
+    # same exceptions, queue into the pool and fold the merge layer in the
+    # order :meth:`PackedNetwork.send_packed` does. ``run_loop`` expands
+    # outboxes through the same code without coming back here.
 
     def send_packed(
         self, sender: ProcessId, receiver: ProcessId, payload: Any, t: Time
     ) -> int:
-        delay = self.delay_model.delay(sender, receiver, t)
-        if delay < 1:
-            raise ValueError(f"delay model produced non-positive delay {delay}")
-        deliver_at = t + delay
-        seq = self._next_seq
-        if seq >= _SEQ_LIMIT:
-            raise OverflowError("packed pool exhausted the 40-bit send sequence")
-        self._next_seq = seq + 1
-        self._pool.push(receiver, deliver_at, seq, sender, t, payload)
-        self._account_send(receiver, deliver_at)
-        return seq
+        """Queue a point-to-point message; returns its send sequence."""
+        return _ckernel.send_packed(self, sender, receiver, payload, t)
 
     def send(
         self, sender: ProcessId, receiver: ProcessId, payload: Any, t: Time
     ) -> Envelope:
-        delay = self.delay_model.delay(sender, receiver, t)
-        if delay < 1:
-            raise ValueError(f"delay model produced non-positive delay {delay}")
-        deliver_at = t + delay
-        seq = self._next_seq
-        if seq >= _SEQ_LIMIT:
-            raise OverflowError("packed pool exhausted the 40-bit send sequence")
-        self._next_seq = seq + 1
-        self._pool.push(receiver, deliver_at, seq, sender, t, payload)
-        self._account_send(receiver, deliver_at)
-        return Envelope(deliver_at, seq, sender, receiver, payload, t)
+        rows: list[tuple] = []
+        _ckernel.send_packed(self, sender, receiver, payload, t, rows)
+        return Envelope(*rows[0])
 
-    def _send_all_common(
+    def send_all_packed(
         self,
         sender: ProcessId,
         payload: Any,
         t: Time,
-        include_self: bool,
-        collect: list[Envelope] | None,
+        include_self: bool = True,
     ) -> int:
-        receivers = [r for r in range(self.n) if include_self or r != sender]
-        profile = getattr(self.delay_model, "delay_profile", None)
-        pool = self._pool
-        if profile is not None:
-            delays = profile(sender, t, receivers)
-            if len(delays) != len(receivers):
-                raise ValueError(
-                    f"delay profile returned {len(delays)} delays for "
-                    f"{len(receivers)} receivers"
-                )
-            for delay in delays:
-                if delay < 1:
-                    raise ValueError(
-                        f"delay model produced non-positive delay {delay}"
-                    )
-            seq0 = self._next_seq
-            if seq0 + len(receivers) > _SEQ_LIMIT:
-                raise OverflowError(
-                    "packed pool exhausted the 40-bit send sequence"
-                )
-            deliver_ats = [t + delay for delay in delays]
-            pool.push_many(sender, t, seq0, receivers, deliver_ats, payload)
-            self._next_seq = seq0 + len(receivers)
-            account = self._account_send
-            for position, receiver in enumerate(receivers):
-                deliver_at = deliver_ats[position]
-                account(receiver, deliver_at)
-                if collect is not None:
-                    collect.append(
-                        Envelope(
-                            deliver_at, seq0 + position, sender, receiver,
-                            payload, t,
-                        )
-                    )
-            return len(receivers)
-        delay_of = self.delay_model.delay
-        account = self._account_send
-        count = 0
-        for receiver in receivers:
-            delay = delay_of(sender, receiver, t)
-            if delay < 1:
-                raise ValueError(
-                    f"delay model produced non-positive delay {delay}"
-                )
-            deliver_at = t + delay
-            seq = self._next_seq
-            if seq >= _SEQ_LIMIT:
-                raise OverflowError(
-                    "packed pool exhausted the 40-bit send sequence"
-                )
-            self._next_seq = seq + 1
-            pool.push(receiver, deliver_at, seq, sender, t, payload)
-            account(receiver, deliver_at)
-            if collect is not None:
-                collect.append(
-                    Envelope(deliver_at, seq, sender, receiver, payload, t)
-                )
-            count += 1
-        return count
+        return _ckernel.send_all_packed(self, sender, payload, t, include_self)
+
+    def send_all(
+        self,
+        sender: ProcessId,
+        payload: Any,
+        t: Time,
+        *,
+        include_self: bool = True,
+    ) -> list[Envelope]:
+        rows: list[tuple] = []
+        _ckernel.send_all_packed(self, sender, payload, t, include_self, rows)
+        return [Envelope(*row) for row in rows]
 
     # -- pops ---------------------------------------------------------------
 
@@ -811,7 +757,7 @@ def make_network(
     n: int,
     delay_model: DelayModel | None = None,
     *,
-    kernel: str = "packed",
+    kernel: str = DEFAULT_KERNEL,
     compact_factor: int = DEFAULT_COMPACT_FACTOR,
 ) -> Network:
     """Build the network backing a kernel selection (see :data:`KERNELS`)."""
@@ -828,36 +774,58 @@ def make_network(
     )
 
 
-def fused_runner(sim: "Simulation") -> Callable[["Simulation", Time], None] | None:
-    """The fused dense-tick runner for ``sim``, or None when ineligible.
+def fused_runner(
+    sim: "Simulation",
+) -> tuple[Callable[["Simulation", Time], None] | None, str | None]:
+    """``(runner, reason)``: the fused dense-tick runner ``run_until``
+    hands ``sim`` to — None when it takes the generic engine paths — and
+    why that is not the C tick loop (None when it is).
 
-    Eligible when the network is packed and every attached step observer
-    takes the raw dispatch path (the built-in recorders do) — then the
-    fused loop is behaviourally identical to the generic event engine.
-    The caller still gates on ``engine="event"`` + round-robin at run
-    time; ineligible configurations run the generic loops against the
-    packed network's compat methods.
+    A fused loop runs only under ``engine="event"`` + round-robin
+    scheduling, on a packed network, when every attached step observer
+    takes the raw dispatch path (the built-in recorders do) — then it is
+    behaviourally identical to the generic event engine. Everything else
+    runs the generic loops (against the packed network's compat methods
+    where there is one).
 
-    ``kernel="compiled-loop"`` adds one more rung: when the C extension
-    loaded and no send/deliver observer is attached (the C
-    loop never materializes the Envelope views those hooks receive; log
-    observers are fine — log dispatch crosses back into Python), the tick
-    loop itself runs in C. Every ineligible combination degrades to the
-    Python fused loop — the ladder never falls off to an error.
+    The C loop (``kernel="compiled-loop"``, the default when the
+    extension loaded) needs one thing more: no send/deliver observer — it
+    never materializes the Envelope views those hooks receive (log
+    observers are fine; log dispatch crosses back into Python). Such a run
+    degrades one rung to the Python fused loop on the same network; the
+    ladder never falls off to an error.
+
+    The reason is one of a few fixed strings (observer reasons end in the
+    blocking observer's class name): ``"engine=naive"``,
+    ``"scheduling=random"``, ``"legacy network"``,
+    ``"non-raw step observer: <Class>"``, ``"extension not loaded"``,
+    ``"kernel=<rung>"`` (a lower rung was asked for),
+    ``"network=<Class>"`` (an explicit ``network=`` overrode the flag),
+    ``"send/deliver observer: <Class>"``.
     """
-    if sim._step_observers and sim._raw_step_observers is None:
-        return None
+    if sim.engine != "event":
+        return None, f"engine={sim.engine}"
+    if sim.scheduling != "round_robin":
+        return None, f"scheduling={sim.scheduling}"
     if not isinstance(sim.network, PackedNetwork):
-        return None
-    if (
-        sim.kernel == "compiled-loop"
-        and HAS_COMPILED_LOOP
-        and isinstance(sim.network, CompiledPackedNetwork)
-        and not sim._send_observers
-        and not sim._deliver_observers
-    ):
-        return run_fused_rr_compiled
-    return run_fused_rr
+        return None, "legacy network"
+    if sim._step_observers and sim._raw_step_observers is None:
+        blocker = next(
+            o for o in sim._step_observers
+            if type(o).on_step_raw is SimObserver.on_step_raw
+        )
+        return None, f"non-raw step observer: {type(blocker).__name__}"
+    if not HAS_COMPILED_LOOP:
+        return run_fused_rr, "extension not loaded"
+    if sim.kernel != "compiled-loop":
+        return run_fused_rr, f"kernel={sim.kernel}"
+    if not isinstance(sim.network, CompiledPackedNetwork):
+        return run_fused_rr, f"network={type(sim.network).__name__}"
+    envelope_observers = sim._send_observers + sim._deliver_observers
+    if envelope_observers:
+        blocker = envelope_observers[0]
+        return run_fused_rr, f"send/deliver observer: {type(blocker).__name__}"
+    return run_fused_rr_compiled, None
 
 
 def fused_path_name(
@@ -877,11 +845,12 @@ def run_fused_rr_compiled(sim: "Simulation", t_end: Time) -> None:
 
     Resolves the single-FullRecorder columnar store exactly like
     :func:`run_fused_rr` does, then runs the tick loop in C. The C loop
-    calls back into Python only for process handlers, packed sends, the
-    idle-span machinery (``_next_event_query`` on large n /
+    calls back into Python only for process handlers, the delay model,
+    the idle-span machinery (``_next_event_query`` on large n /
     ``_skip_span_rr``), and generic raw observers; everything else —
-    due checks, shard pops, timeout firing, outbox expansion, local-index
-    refresh, store appends — happens without touching the interpreter.
+    due checks, shard pops, timeout firing, outbox expansion and sends,
+    local-index refresh, store appends — happens without touching the
+    interpreter.
     Byte-identical to the Python fused loop by construction and pinned by
     ``tests/test_kernel.py``.
     """

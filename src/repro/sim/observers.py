@@ -193,6 +193,12 @@ class RunMetrics:
     outputs: int = 0
     idle_ticks_skipped: int = 0
     end_time: Time = 0
+    #: which loop the last run call ran on, and why not the C tick loop
+    #: (``Simulation.fused_path`` / ``fused_reason`` as of its end). How a
+    #: run was executed, not what it computed: excluded from equality so
+    #: metrics still compare equal across kernel rungs.
+    fused_path: str | None = field(default=None, compare=False)
+    fused_reason: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not self.steps_by_pid:
@@ -210,6 +216,8 @@ class RunMetrics:
             "outputs": self.outputs,
             "idle_ticks_skipped": self.idle_ticks_skipped,
             "end_time": self.end_time,
+            "fused_path": self.fused_path,
+            "fused_reason": self.fused_reason,
         }
 
 

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.sim.failures import FailurePattern
+from repro.sim.kernel import DEFAULT_KERNEL
 from repro.sim.types import ProcessId, Time, stable_hash
 
 __all__ = [
@@ -65,7 +66,7 @@ class ReplayPlan:
     scheduling: str = "round_robin"
     message_batch: int = 1
     engine: str = "event"
-    kernel: str = "packed"
+    kernel: str = DEFAULT_KERNEL
     record: str = "outputs"
 
     def failure_pattern(self) -> FailurePattern:
@@ -165,7 +166,7 @@ def replay_simulation(
     axes: dict | None = None,
     *,
     keys: dict,
-    kernel: str = "packed",
+    kernel: str = DEFAULT_KERNEL,
 ):
     """Rebuild (and run) the exact simulation behind a falsifier witness.
 

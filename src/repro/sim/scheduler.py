@@ -77,6 +77,7 @@ from repro.sim.envs import EnvModel
 from repro.sim.errors import ConfigurationError
 from repro.sim.failures import FailurePattern
 from repro.sim.kernel import (
+    DEFAULT_KERNEL,
     KERNELS,
     SCAN_EVENT_CUTOVER,
     fused_path_name,
@@ -131,7 +132,7 @@ class Simulation:
         scheduling: str = "round_robin",
         message_batch: int = 1,
         engine: str = "event",
-        kernel: str = "packed",
+        kernel: str = DEFAULT_KERNEL,
         compact_factor: int = DEFAULT_COMPACT_FACTOR,
         record: str = "full",
         observers: Sequence[SimObserver] = (),
@@ -339,9 +340,10 @@ class Simulation:
         raw_pops = getattr(self.network, "pop_deliverable_batch_raw", None)
         self._raw_pops = raw_pops if not self._deliver_observers else None
         #: fused dense-tick runner (see repro.sim.kernel); None when this
-        #: configuration must take the generic engine paths. Resolved last:
-        #: eligibility reads the observer dispatch tables above.
-        self._fused_run = fused_runner(self)
+        #: configuration must take the generic engine paths, with the reason
+        #: it is not the C tick loop. Resolved last: eligibility reads the
+        #: observer dispatch tables above.
+        self._fused_run, self._fused_reason = fused_runner(self)
 
     def attach_observer(self, observer: SimObserver) -> None:
         """Attach ``observer`` mid-lifetime and re-resolve dispatch.
@@ -370,10 +372,21 @@ class Simulation:
 
     @property
     def fused_path(self) -> str | None:
-        """Which fused runner this configuration resolved to:
+        """The loop :meth:`run_until` runs this configuration on:
         ``"c-loop"`` (compiled tick loop), ``"python"`` (fused Python
-        loop), or None (generic engine paths)."""
+        loop), or None (generic engine paths — always the case under
+        ``engine="naive"`` or ``scheduling="random"``). Re-resolved when
+        observers attach or detach; copied into :attr:`metrics` at the end
+        of every run call."""
         return fused_path_name(self._fused_run)
+
+    @property
+    def fused_reason(self) -> str | None:
+        """Why :attr:`fused_path` is not ``"c-loop"`` — a short fixed
+        string such as ``"scheduling=random"``, ``"extension not loaded"``
+        or ``"send/deliver observer: <Class>"`` (the full list is in
+        :func:`repro.sim.kernel.fused_runner`) — or None when it is."""
+        return self._fused_reason
 
     # -- inputs ----------------------------------------------------------------
 
@@ -918,7 +931,19 @@ class Simulation:
                 t -= 1
         return -1
 
-    def _finish(self) -> None:
+    def _finish(self, *, per_tick: bool = False) -> None:
+        """Close a run call: note which loop it ran on, notify observers.
+
+        ``per_tick`` marks the run calls that re-evaluate a predicate at
+        every tick and therefore always step generically, whatever
+        :attr:`fused_path` says :meth:`run_until` would take.
+        """
+        metrics = self.metrics
+        if per_tick:
+            metrics.fused_path, metrics.fused_reason = None, "per-tick predicate"
+        else:
+            metrics.fused_path = self.fused_path
+            metrics.fused_reason = self._fused_reason
         for observer in self._finish_observers:
             observer.on_finish(self)
 
@@ -927,18 +952,17 @@ class Simulation:
     def run_until(self, t_end: Time) -> RunRecord:
         """Run until the clock reaches ``t_end`` ticks."""
         validate_time(t_end)
-        if self.engine == "naive":
+        if self._fused_run is not None:
+            # Event engine + round-robin on a packed/compiled kernel: one
+            # fused loop to t_end (see repro.sim.kernel.fused_runner;
+            # byte-identical by the differential tests).
+            self._fused_run(self, t_end)
+        elif self.engine == "naive":
             while self.time < t_end:
                 self.step()
         elif self.scheduling == "round_robin":
-            if self._fused_run is not None:
-                # Packed/compiled kernel: one fused loop to t_end (see
-                # repro.sim.kernel.run_fused_rr; byte-identical by the
-                # differential tests).
-                self._fused_run(self, t_end)
-            else:
-                while self.time < t_end:
-                    self._advance_event_rr(t_end)
+            while self.time < t_end:
+                self._advance_event_rr(t_end)
         else:
             while self.time < t_end:
                 self._advance_event_random(t_end)
@@ -960,7 +984,7 @@ class Simulation:
         """
         while self.time < max_time and condition(self):
             self.step()
-        self._finish()
+        self._finish(per_tick=True)
         return self.run
 
     def run_until_quiescent(
@@ -981,7 +1005,7 @@ class Simulation:
             self.step()
         if grace:
             self.run_steps(grace * self.n)
-        self._finish()
+        self._finish(per_tick=True)
         return self.run
 
     def _sync_crash_marks(self) -> None:

@@ -36,6 +36,7 @@ from repro.replication.client import ClientServingLayer, Reply, Request
 from repro.sim import FailurePattern, ProtocolStack, Simulation, make_env
 from repro.sim.context import Context
 from repro.sim.errors import ConfigurationError
+from repro.sim.kernel import DEFAULT_KERNEL
 from repro.sim.process import Process
 from repro.sim.types import ProcessId, Time
 from repro.workload.observer import LatencyObserver
@@ -127,7 +128,7 @@ def workload_sim(
     retry_after: Time = 120,
     max_retries: int = 8,
     record: str = "metrics",
-    kernel: str = "packed",
+    kernel: str = DEFAULT_KERNEL,
     message_batch: int = 4,
     precision_bits: int = 9,
     observers: tuple = (),

@@ -28,12 +28,14 @@ Four pillars:
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import (
+    DEFAULT_KERNEL,
     HAS_COMPILED,
     HAS_COMPILED_LOOP,
     KERNELS,
@@ -268,11 +270,161 @@ class Chatter(Process):
         pass
 
 
+def default_kernel_report() -> dict:
+    """What a default-kernel interpreter resolves to and computes: imported
+    by name in the extension-less child of
+    ``test_an_interpreter_without_the_extension_defaults_to_packed``."""
+    from repro.workload import WorkloadSpec, workload_sim
+
+    dense = Simulation(
+        [Gossiper() for _ in range(4)],
+        delay_model=FixedDelay(2),
+        timeout_interval=32,
+        seed=3,
+    )
+    paths = [dense.fused_path, dense.fused_reason]
+    dense.run_until(6_000)
+    spec = WorkloadSpec(clients=3, ops_per_client=8, mean_gap=12, seed=5)
+    cell, observer, horizon = workload_sim(spec, stack="etob", env="uniform")
+    cell.run_until(horizon)
+    return {
+        "default_kernel": DEFAULT_KERNEL,
+        "kernels": [dense.kernel, cell.kernel],
+        "network": type(dense.network).__name__,
+        "paths": paths + [dense.metrics.fused_path, cell.metrics.fused_path],
+        "dense": [run_digest(dense), dense.network.sent_count],
+        "cell": [run_digest(cell), repr(observer.summary())],
+    }
+
+
+class Gossiper(Process):
+    def on_timeout(self, ctx):
+        ctx.send_all(("beat", ctx.time), include_self=False)
+
+    def on_message(self, ctx, sender, payload):
+        pass
+
+
 class TestKernelSelection:
-    def test_default_kernel_is_packed(self):
+    def test_default_kernel_is_the_fastest_rung_that_loaded(self):
+        # The rule, not a rung: observed at import, never configured.
+        assert DEFAULT_KERNEL == ("compiled-loop" if HAS_COMPILED else "packed")
         sim = Simulation([Chatter() for _ in range(2)])
-        assert sim.kernel == "packed"
-        assert isinstance(sim.network, PackedNetwork)
+        assert sim.kernel == DEFAULT_KERNEL
+        assert type(sim.network) is (
+            CompiledPackedNetwork if HAS_COMPILED else PackedNetwork
+        )
+        assert sim.fused_path == ("c-loop" if HAS_COMPILED else "python")
+        assert type(make_network(2)) is type(sim.network)
+
+    def test_every_kernel_default_reads_the_one_constant(self):
+        import inspect
+
+        from repro.search.falsify import falsify
+        from repro.search.targets import evaluate, rebuild_simulation
+        from repro.search.witness import replay_witness
+        from repro.sim import ReplayPlan, replay_simulation
+        from repro.workload import workload_sim
+
+        for fn in (
+            Simulation.__init__,
+            make_network,
+            replay_simulation,
+            workload_sim,
+            evaluate,
+            rebuild_simulation,
+            falsify,
+            replay_witness,
+        ):
+            default = inspect.signature(fn).parameters["kernel"].default
+            assert default == DEFAULT_KERNEL, fn.__qualname__
+        assert ReplayPlan(n=2, duration=1).kernel == DEFAULT_KERNEL
+
+    def test_no_kernel_name_is_a_hard_coded_default_under_src(self):
+        # Grep over signatures, by syntax tree: a ``kernel`` parameter,
+        # dataclass field, ``[_]kernel`` attribute or ``--kernel`` option
+        # whose default is a rung literal would silently pin that rung.
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        def rung(node):
+            return isinstance(node, ast.Constant) and node.value in KERNELS
+
+        def named_kernel(target):
+            name = getattr(target, "id", getattr(target, "attr", ""))
+            return name.lstrip("_") == "kernel"
+
+        offenders = []
+        for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                pinned = False
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    args = node.args
+                    positional = args.posonlyargs + args.args
+                    pairs = list(
+                        zip(positional[len(positional) - len(args.defaults):],
+                            args.defaults)
+                    ) + list(zip(args.kwonlyargs, args.kw_defaults))
+                    pinned = any(
+                        arg.arg == "kernel" and rung(default)
+                        for arg, default in pairs
+                    )
+                elif isinstance(node, ast.AnnAssign):
+                    pinned = named_kernel(node.target) and rung(node.value)
+                elif isinstance(node, ast.Assign):
+                    pinned = rung(node.value) and any(
+                        named_kernel(target) for target in node.targets
+                    )
+                elif isinstance(node, ast.Call):
+                    pinned = any(
+                        isinstance(a, ast.Constant) and a.value == "--kernel"
+                        for a in node.args
+                    ) and any(
+                        k.arg == "default" and rung(k.value)
+                        for k in node.keywords
+                    )
+                if pinned:
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
+
+    @pytest.mark.skipif(not HAS_COMPILED, reason="C extension not built")
+    def test_an_interpreter_without_the_extension_defaults_to_packed(self):
+        """PR 19's idiom: a fresh interpreter in which the extension cannot
+        be imported picks ``packed`` silently and computes the same runs."""
+        import json
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        child = (
+            "import json, sys, warnings\n"
+            "sys.modules['repro.sim._ckernel'] = None\n"
+            f"sys.path[:0] = {[str(Path(repro.__file__).parents[1]), str(Path(__file__).parent)]!r}\n"
+            "warnings.simplefilter('error')\n"
+            "from test_kernel import default_kernel_report\n"
+            "print(json.dumps(default_kernel_report()))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", child],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        theirs = json.loads(result.stdout.splitlines()[-1])
+        ours = default_kernel_report()
+        assert theirs["default_kernel"] == "packed"
+        assert theirs["kernels"] == ["packed", "packed"]
+        assert theirs["network"] == "PackedNetwork"
+        assert theirs["paths"] == [
+            "python", "extension not loaded", "python", "python",
+        ]
+        assert ours["default_kernel"] == "compiled-loop"
+        assert ours["paths"] == ["c-loop", None, "c-loop", "c-loop"]
+        assert theirs["dense"] == ours["dense"]
+        assert theirs["cell"] == ours["cell"]
 
     def test_legacy_kernel_builds_plain_network(self):
         sim = Simulation([Chatter() for _ in range(2)], kernel="legacy")
@@ -289,7 +441,8 @@ class TestKernelSelection:
 
         sim = Scenario(2, seed=0).etob().kernel("legacy").build()
         assert type(sim.network) is Network
-        assert type(Scenario(2, seed=0).etob().build().network) is PackedNetwork
+        assert Scenario(2, seed=0).etob().build().kernel == DEFAULT_KERNEL
+        assert Scenario(2, seed=0).etob().kernel("packed").build().kernel == "packed"
 
     def test_explicit_network_wins_over_kernel_flag(self):
         net = Network(2, FixedDelay(1))
@@ -703,3 +856,425 @@ class TestCompiledLoopLadder:
                 sim.run_until(100)
             outcomes[kernel] = (sim.time, sim.network.sent_count)
         assert outcomes["packed"] == outcomes["compiled-loop"]
+
+
+# ---------------------------------------------------------------------------
+# fused_path / fused_reason: which loop runs, and why not the C one.
+# ---------------------------------------------------------------------------
+
+
+class RawStepSpy(SimObserver):
+    """Step observer WITH the raw hook: keeps every fused loop engaged."""
+
+    def __init__(self) -> None:
+        self.steps = 0
+
+    def on_step(self, sim, record):
+        self.steps += 1
+
+    def on_step_raw(self, sim, *fields):
+        self.steps += 1
+
+
+class TestFusedPathAndReason:
+    @pytest.mark.parametrize("kernel", BUILT_KERNELS)
+    def test_the_run_time_gate_is_part_of_the_answer(self, kernel):
+        # run_until never enters a fused loop under random scheduling or
+        # the naive engine, whatever the rung: the path must say so.
+        for gate, reason in (
+            ({"scheduling": "random"}, "scheduling=random"),
+            ({"engine": "naive"}, "engine=naive"),
+        ):
+            sim = Simulation(
+                [Chatter() for _ in range(3)], kernel=kernel, **gate
+            )
+            assert (sim.fused_path, sim.fused_reason) == (None, reason)
+            sim.run_until(50)
+            assert sim.metrics.fused_path is None
+            assert sim.metrics.fused_reason == reason
+
+    def test_every_reason_on_the_ladder(self):
+        top = ("c-loop", None) if HAS_COMPILED else (
+            "python", "extension not loaded"
+        )
+        cases = [
+            (dict(kernel="legacy"), (None, "legacy network")),
+            (dict(network=Network(3, FixedDelay(1))), (None, "legacy network")),
+            (dict(observers=[StepSpy()]),
+             (None, "non-raw step observer: StepSpy")),
+            (dict(observers=[RawStepSpy(), LogSpy()]), top),
+            (dict(), top),
+        ]
+        if HAS_COMPILED:
+            cases += [
+                (dict(kernel="packed"), ("python", "kernel=packed")),
+                (dict(kernel="compiled"), ("python", "kernel=compiled")),
+                (dict(network=PackedNetwork(3, FixedDelay(1))),
+                 ("python", "network=PackedNetwork")),
+                (dict(observers=[SendSpy()]),
+                 ("python", "send/deliver observer: SendSpy")),
+                (dict(observers=[LogSpy(), DeliverSpy()]),
+                 ("python", "send/deliver observer: DeliverSpy")),
+            ]
+        else:
+            cases.append(
+                (dict(kernel="packed", observers=[SendSpy()]),
+                 ("python", "extension not loaded"))
+            )
+        for kwargs, expected in cases:
+            sim = Simulation([Chatter() for _ in range(3)], **kwargs)
+            assert (sim.fused_path, sim.fused_reason) == expected, kwargs
+
+    def test_metrics_record_the_loop_each_run_call_took(self):
+        sim = _loop_sim(DEFAULT_KERNEL)
+        assert sim.metrics.fused_path is None  # nothing has run yet
+        sim.run_until(100)
+        assert sim.metrics.fused_path == sim.fused_path
+        assert sim.metrics.fused_reason == sim.fused_reason
+        spy = StepSpy()
+        sim.attach_observer(spy)
+        sim.run_steps(100)
+        assert sim.metrics.fused_path is None
+        assert sim.metrics.fused_reason == "non-raw step observer: StepSpy"
+        sim.detach_observer(spy)
+        sim.run_while(lambda s: True, max_time=sim.time + 10)
+        assert (sim.metrics.fused_path, sim.metrics.fused_reason) == (
+            None, "per-tick predicate",
+        )
+        assert sim.metrics.as_dict()["fused_reason"] == "per-tick predicate"
+        # how a run was executed never makes two runs' metrics unequal
+        other = _loop_sim("legacy")
+        other.run_until(sim.time)
+        assert other.metrics == sim.metrics
+        assert other.metrics.fused_reason == "legacy network"
+
+
+# ---------------------------------------------------------------------------
+# Pickle / deepcopy: a sim interrupted on any rung resumes to the same run.
+# ---------------------------------------------------------------------------
+
+
+class TestPickleRoundTrip:
+    @pytest.mark.parametrize("scheduling", ["round_robin", "random"])
+    @pytest.mark.parametrize("kernel", BUILT_KERNELS)
+    def test_round_trip_mid_run_reaches_the_uninterrupted_digest(
+        self, kernel, scheduling
+    ):
+        import copy
+        import pickle
+
+        for seed in (3, 9):
+            config = random_config(seed)
+            config["scheduling"] = scheduling
+            horizon = config["horizon"]
+            whole = build_sim(config, engine="event", kernel=kernel)
+            whole.run_until(horizon)
+            for clone in (
+                lambda sim: pickle.loads(pickle.dumps(sim)),
+                copy.deepcopy,
+            ):
+                sim = build_sim(config, engine="event", kernel=kernel)
+                sim.run_until(horizon // 2)
+                resumed = clone(sim)
+                assert resumed.kernel == kernel
+                assert type(resumed.network) is type(sim.network)
+                assert _state(resumed.network) == _state(sim.network)
+                resumed.run_until(horizon)
+                assert run_digest(resumed) == run_digest(whole)
+                assert resumed.run == whole.run
+                assert _state(resumed.network) == _state(whole.network)
+                assert resumed.fused_path == whole.fused_path
+                # the original is untouched by its copy's progress
+                sim.run_until(horizon)
+                assert run_digest(sim) == run_digest(whole)
+
+    @pytest.mark.skipif(not HAS_COMPILED, reason="C extension not built")
+    def test_pool_state_round_trips_slot_for_slot(self):
+        import pickle
+
+        from repro.sim import _ckernel
+
+        pool = _ckernel.Pool(3)
+        shared = ["payload"]
+        pool.push(1, 10, 0, 0, 0, shared)
+        pool.push(1, 8, 1, 2, 3, None)  # None is a payload, not a free slot
+        pool.push(2, 9, 2, 0, 0, shared)
+        pool.push(0, 4, 3, 1, 1, "gone")
+        pool.pop_due(0, 4)  # leaves slot 3 on the free stack
+        clone, twin = pickle.loads(pickle.dumps((pool, shared)))
+        assert clone.__getstate__() == pool.__getstate__()
+        assert (clone.slots(), clone.free()) == (4, 1)
+        assert clone.peek(1) == (8, 1, 2, 3, None)
+        clone.push(0, 5, 4, 0, 0, "reuses-3")
+        assert (clone.slots(), clone.free()) == (4, 0)
+        assert clone.pop_due(2, 99)[4] is twin  # identity follows the memo
+        assert pool.free() == 1  # the original is independent
+
+    @pytest.mark.skipif(not HAS_COMPILED, reason="C extension not built")
+    def test_malformed_pool_state_is_refused(self):
+        from repro.sim import _ckernel
+
+        pool = _ckernel.Pool(2)
+        pool.push(0, 5, 0, 1, 1, "a")
+        pool.push(1, 6, 1, 1, 1, "b")
+        deliver, seq, send_time, sender, payloads, free, shards = (
+            pool.__getstate__()
+        )
+        good = (deliver, seq, send_time, sender, payloads, free, shards)
+        for bad in (
+            good[:6],                                    # a column missing
+            (deliver[:1],) + good[1:],                   # ragged columns
+            good[:5] + ([0], shards),                    # slot free AND live
+            good[:6] + ([[0], [0]],),                    # slot in two shards
+            good[:6] + ([[0], []],),                     # a slot nowhere
+            good[:6] + ([[0], [7]],),                    # slot out of range
+            good[:6] + ([[0]],),                         # wrong shard count
+        ):
+            fresh = _ckernel.Pool(2)
+            with pytest.raises((ValueError, TypeError)):
+                fresh.__setstate__(bad)
+            assert (fresh.slots(), fresh.free()) == (0, 0)
+        with pytest.raises(ValueError, match="empty pool"):
+            pool.__setstate__(good)
+
+
+# ---------------------------------------------------------------------------
+# run_loop failure paths: every user exception crosses C by default now.
+# ---------------------------------------------------------------------------
+
+
+class Boom(Exception):
+    pass
+
+
+class Fuse:
+    """Arms one named call site to raise :class:`Boom`, once, ``after``
+    further visits from now. Call order is identical on every rung, so the
+    same arming blows at the same step everywhere."""
+
+    def __init__(self) -> None:
+        self.site = None
+        self.after = 0
+
+    def arm(self, site: str, after: int) -> None:
+        self.site, self.after = site, after
+
+    def check(self, site: str) -> None:
+        if site == self.site:
+            if self.after == 0:
+                self.site = None
+                raise Boom(site)
+            self.after -= 1
+
+
+#: shared, watched values: every message, detector sample and input of the
+#: failure-path sims is one of these objects, so a leaked reference shows.
+PAYLOAD = ("beat",)
+FD_VALUE = ("fd",)
+INPUT = ("input",)
+
+
+class FusedTalker(Process):
+    def __init__(self, fuse: Fuse) -> None:
+        self.fuse = fuse
+
+    def on_start(self, ctx):
+        self.fuse.check("on_start")
+
+    def on_input(self, ctx, value):
+        ctx.send_all(value)
+        self.fuse.check("on_input")
+
+    def on_timeout(self, ctx):
+        ctx.send((ctx.pid + 1) % ctx.n, PAYLOAD)
+        ctx.send_all(PAYLOAD, include_self=False)
+        ctx.output(PAYLOAD)
+        ctx.log(PAYLOAD)
+        self.fuse.check("on_timeout")
+
+    def on_message(self, ctx, sender, payload):
+        self.fuse.check("on_message")
+
+
+class FusedDelay:
+    """FixedDelay(2) with a fuse in ``delay`` and, when ``vectorized``, in
+    ``delay_profile`` (otherwise broadcasts take the per-receiver path)."""
+
+    def __init__(self, fuse: Fuse, vectorized: bool) -> None:
+        self.fuse = fuse
+        if vectorized:
+            self.delay_profile = self._profile
+
+    def delay(self, sender, receiver, t):
+        self.fuse.check("delay")
+        return 2
+
+    def _profile(self, sender, t, receivers):
+        self.fuse.check("delay_profile")
+        return [2] * len(receivers)
+
+
+class FusedDetector:
+    def __init__(self, fuse: Fuse) -> None:
+        self.fuse = fuse
+
+    def query(self, pid, t):
+        self.fuse.check("detector")
+        return FD_VALUE
+
+
+class FusedRawObserver(SimObserver):
+    def __init__(self, fuse: Fuse) -> None:
+        self.fuse = fuse
+        self.steps = 0
+
+    def on_step(self, sim, record):
+        self.steps += 1
+
+    def on_step_raw(self, sim, *fields):
+        self.steps += 1
+        self.fuse.check("raw_observer")
+
+    def on_log(self, sim, t, pid, event):
+        self.fuse.check("log_observer")
+
+
+FAILURE_SITES = [
+    "on_start", "on_input", "on_message", "on_timeout", "detector", "delay",
+    "delay_profile", "raw_observer", "log_observer",
+]
+
+
+def _failure_sim(kernel: str, *, vectorized: bool, record: str = "metrics"):
+    fuse = Fuse()
+    sim = Simulation(
+        [FusedTalker(fuse) for _ in range(3)],
+        delay_model=FusedDelay(fuse, vectorized),
+        detector=FusedDetector(fuse),
+        timeout_interval=5,
+        seed=2,
+        record=record,
+        kernel=kernel,
+        observers=[] if record == "full" else [FusedRawObserver(fuse)],
+    )
+    for k in range(40):
+        sim.add_input(k % 3, 7 * k, INPUT)
+    return sim, fuse
+
+
+def _engine_state(sim: Simulation) -> dict:
+    net = sim.network
+    return {
+        "time": sim.time,
+        "step_index": sim._step_index,
+        "last_live_tick": sim.last_live_tick,
+        "started": sorted(sim._started),
+        "next_timeout": list(sim._next_timeout),
+        "local_event": list(sim._local_event),
+        "next_at": list(net._next_at),
+        "pending": list(net._pending),
+        "live": list(net._live),
+        "live_pending": net.live_pending,
+        "sent": net.sent_count,
+        "delivered": net.delivered_count,
+        "next_seq": net._next_seq,
+        "pool": (net.pool_slots, net.pool_free),
+        "horizon": net.horizon_peek(),
+        "metrics": sim.metrics,
+        "run": sim.run,
+    }
+
+
+@pytest.mark.skipif(not HAS_COMPILED_LOOP, reason="C loop not built")
+class TestRunLoopFailurePaths:
+    @pytest.mark.parametrize(
+        "site,record",
+        [(site, "metrics") for site in FAILURE_SITES]
+        # record="full" appends to the store inline: no observer to blow
+        + [(site, "full") for site in FAILURE_SITES if "observer" not in site],
+    )
+    def test_a_raise_leaves_exactly_what_the_python_loop_leaves(
+        self, site, record
+    ):
+        vectorized = site != "delay"
+        sims = {
+            kernel: _failure_sim(kernel, vectorized=vectorized, record=record)
+            for kernel in ("packed", "compiled", "compiled-loop")
+        }
+        assert sims["compiled-loop"][0].fused_path == "c-loop"
+        assert sims["packed"][0].fused_path == "python"
+        # on_start runs once per process: it can only blow at the next one
+        afters = (0, 0, 0) if site == "on_start" else (0, 7, 23)
+        for round_, after in enumerate(afters):
+            states = {}
+            for kernel, (sim, fuse) in sims.items():
+                fuse.arm(site, after)
+                with pytest.raises(Boom, match=site):
+                    sim.run_until(100_000)
+                states[kernel] = _engine_state(sim)
+            for kernel in ("compiled", "compiled-loop"):
+                assert states[kernel] == states["packed"], (kernel, round_)
+        # ... and the wreckage is coherent enough to carry on identically.
+        for sim, __ in sims.values():
+            sim.run_until(sim.time + 500)
+        digests = {kernel: run_digest(sim) for kernel, (sim, __) in sims.items()}
+        assert len(set(digests.values())) == 1
+        states = {k: _engine_state(sim) for k, (sim, __) in sims.items()}
+        assert states["compiled-loop"] == states["compiled"] == states["packed"]
+
+    def test_no_reference_leaks_over_1e5_ticks_of_raising_runs(self):
+        import gc
+        import sys
+
+        sim, fuse = _failure_sim("compiled-loop", vectorized=True)
+        per_receiver, __ = _failure_sim("compiled-loop", vectorized=False)
+        per_receiver.network.delay_model.fuse = fuse
+        model = sim.network.delay_model
+        watched = [
+            sim, sim.network, sim._ctx, sim.detector, model, fuse,
+            sim._observers[-1], *sim.processes, FusedTalker.on_message,
+            FusedTalker.on_timeout, FD_VALUE,
+        ]
+
+        def counts():
+            gc.collect()
+            # messages in flight and inputs not yet due hold the shared
+            # values legitimately: count those holders out
+            in_flight = sim.network._pool.__getstate__()[4]
+            queued = [v for queue in sim._inputs for __, __, v in queue]
+            # what a step that raised had buffered stays in the context
+            ctx = sim._ctx
+            queued += [v for __, v in ctx._outbox] + ctx._outputs + ctx._log
+            held = {
+                id(obj): sum(v is obj for v in in_flight + queued)
+                for obj in (PAYLOAD, INPUT)
+            }
+            del in_flight, queued
+            return [sys.getrefcount(obj) for obj in watched] + [
+                sys.getrefcount(obj) - held[id(obj)]
+                for obj in (PAYLOAD, INPUT)
+            ]
+
+        def churn(ticks):
+            end = sim.time + ticks
+            for k in itertools.count():
+                if sim.time >= end:
+                    return
+                site = FAILURE_SITES[k % len(FAILURE_SITES)]
+                if site == "delay":
+                    sim.network.delay_model = per_receiver.network.delay_model
+                fuse.arm(site, k % 5)
+                try:
+                    sim.run_until(sim.time + 100)
+                except Boom:
+                    pass
+                sim.network.delay_model = model
+                sim.add_input(k % 3, sim.time + 3, INPUT)
+
+        churn(1_000)  # every path taken a few times: caches warm
+        before = counts()
+        raised = sim.metrics.steps
+        churn(100_000)
+        assert sim.metrics.steps - raised > 30_000  # it did run, and fail
+        assert sim.fused_path == "c-loop"
+        assert counts() == before
