@@ -31,7 +31,8 @@ paths run the *same* trajectory (asserted byte-identical):
   to the Python fused loop, that ``repro.sim.types.stable_hash`` is
   the extension's C function (the draw hash rides the same build), and
   that a *default* ``Simulation`` resolves to the C loop (the default rung
-  is observed from the same build).
+  is observed from the same build) — under round-robin and, at
+  ``record="metrics"``, under ``scheduling="random"``.
 
 Measured: wall-clock throughput on a long run (the legacy path additionally
 decays with run length as the GC traverses millions of retained records)
@@ -186,6 +187,18 @@ def main() -> int:
                 "FAIL: --require-compiled but a default Simulation resolves "
                 f"to kernel={default.kernel!r}, fused_path="
                 f"{default.fused_path!r} ({default.fused_reason})"
+            )
+            return 1
+        # ... under random scheduling too: every falsifier trial and both
+        # pinned witnesses run there, and nothing below the C loop is fused
+        adversary = Simulation(
+            [Gossip() for _ in range(N)], scheduling="random", record="metrics"
+        )
+        if adversary.fused_path != "c-loop":
+            print(
+                "FAIL: --require-compiled but a default scheduling='random', "
+                "record='metrics' Simulation resolves to fused_path="
+                f"{adversary.fused_path!r} ({adversary.fused_reason})"
             )
             return 1
     paths = ["legacy", "columnar", "packed"]

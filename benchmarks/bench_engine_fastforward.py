@@ -46,12 +46,9 @@ def sparse_etob_sim(
 
 
 def timed_run(
-    *, engine: str, record: str, scheduling: str = "round_robin",
-    random_ff: str | None = None,
+    *, engine: str, record: str, scheduling: str = "round_robin"
 ) -> tuple[Simulation, float]:
     sim = sparse_etob_sim(engine=engine, record=record, scheduling=scheduling)
-    if random_ff is not None:
-        sim._random_ff = random_ff
     start = time.perf_counter()
     sim.run_until(TICKS)
     return sim, time.perf_counter() - start
@@ -75,35 +72,6 @@ def test_fast_forward_speedup_on_sparse_run():
     )
     assert speedup >= REQUIRED_SPEEDUP, (
         f"fast-forward speedup degraded: {speedup:.2f}x < {REQUIRED_SPEEDUP}x"
-    )
-
-
-def test_random_schedule_blockwise_beats_per_tick_scan():
-    """The ROADMAP fast-forward gap, closed: under random scheduling the
-    blockwise skip (counter-based per-block permutations, idle spans
-    accounted arithmetically) must clearly beat the per-tick scan it
-    replaced on a sparse run — and compute the identical trajectory.
-    Nominal speedup is ~8-15x; the floor is conservative for loaded CI."""
-    scan_sim, scan_time = timed_run(
-        engine="event", record="metrics", scheduling="random", random_ff="scan"
-    )
-    block_sim, block_time = timed_run(
-        engine="event", record="metrics", scheduling="random"
-    )
-
-    assert block_sim._random_ff == "block"
-    assert scan_sim.metrics.as_dict() == block_sim.metrics.as_dict()
-    assert scan_sim.network.sent_count == block_sim.network.sent_count
-    assert scan_sim.network.delivered_count == block_sim.network.delivered_count
-
-    speedup = scan_time / block_time
-    print(
-        f"\nsparse 100k-tick random-schedule run: per-tick scan {scan_time:.3f}s, "
-        f"blockwise {block_time:.4f}s -> {speedup:.1f}x "
-        f"({block_sim.metrics.idle_ticks_skipped} idle ticks skipped)"
-    )
-    assert speedup >= 2.5, (
-        f"blockwise fast-forward regressed: {speedup:.2f}x < 2.5x over the scan"
     )
 
 

@@ -13,6 +13,12 @@ dispatch path::
                                               [--corpus tests/witnesses]
                                               [--workers N]
 
+On the ``compiled-loop`` rung the gate also requires that each witness's
+simulation actually ran on the C tick loop (``metrics.fused_path ==
+"c-loop"``): the witnesses are random-scheduled falsifier trials, and a
+rung that silently degraded to the generic engine would replay the same
+digest under another name.
+
 Exit codes: 0 every witness replays exactly (and still strictly exceeds its
 recorded i.i.d. baseline); 1 any mismatch, or an empty corpus (a corpus
 that silently vanished must not pass the gate).
@@ -28,8 +34,8 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if _SRC.is_dir() and str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro.search import load_corpus, replay_witness  # noqa: E402
-from repro.sim import DEFAULT_KERNEL  # noqa: E402
+from repro.search import get_target, load_corpus, replay_witness  # noqa: E402
+from repro.sim import DEFAULT_KERNEL, replay_simulation  # noqa: E402
 
 try:  # package import (pytest / -m); falls back to script-directory import
     from benchmarks.step_summary import markdown_table, publish_step_summary
@@ -73,13 +79,24 @@ def main(argv: list[str] | None = None) -> int:
             )
             ok = value == witness.value and digest == witness.digest
             status = "ok" if ok else "MISMATCH"
+            if kernel == "compiled-loop" and get_target(witness.target).build:
+                sim = replay_simulation(
+                    witness.experiment, witness.axes, keys=witness.point,
+                    kernel=kernel,
+                )
+                if sim.metrics.fused_path != "c-loop":
+                    ok = False
+                    status = (
+                        f"NOT ON THE C LOOP: fused_path="
+                        f"{sim.metrics.fused_path!r} ({sim.metrics.fused_reason})"
+                    )
             print(
                 f"{witness.target:>12} [{kernel:>6}] value={value} "
                 f"(pinned {witness.value}) digest={digest} [{status}]"
             )
             summary_rows.append(
                 (witness.target, kernel, value, witness.value, digest,
-                 "ok" if ok else "**MISMATCH**")
+                 "ok" if ok else f"**{status}**")
             )
             failures += not ok
         if witness.baseline is not None and witness.exceeds_baseline is not True:

@@ -19,16 +19,20 @@
  *    implementation behind CompiledPackedNetwork's four send methods and
  *    run_loop's outbox expansion.
  *
- * 3. run_loop(sim, t_end, store): the round-robin dense-tick loop of
- *    kernel.run_fused_rr, hosted in C for the no-observer / raw-observer
- *    fast path (kernel="compiled-loop").  The loop owns the due-check,
- *    the shard pops, timeout firing, the handler dispatch trampoline,
- *    outbox expansion through (2), the local-index refresh, and the
- *    small-n scan next-event query; it calls back into Python only for
- *    process handlers, the delay model, idle-span accounting
- *    (`_skip_span_rr`), the heap-backed next-event query, and raw-capable
- *    observers.  Every mutation mirrors the Python loop's order of
- *    effects so run records, counters, and RNG-free schedule state stay
+ * 3. run_loop(sim, t_end, store): the event engine's tick loop, hosted in
+ *    C for the no-observer / raw-observer fast path
+ *    (kernel="compiled-loop"), under either schedule: round-robin (the
+ *    loop of kernel.run_fused_rr) or seeded random (the loop of
+ *    Simulation._advance_event_random; there is no Python fused twin).
+ *    The loop owns the due-check, the shard pops, timeout firing, the
+ *    handler dispatch trampoline, outbox expansion through (2), the
+ *    local-index refresh, the small-n scan next-event query and, under
+ *    random scheduling, the block permutations and the walk of the block
+ *    an event falls in; it calls back into Python only for process
+ *    handlers, the delay model, idle-span accounting (`_skip_span_rr` /
+ *    `_skip_span_random`), the heap-backed next-event query, and
+ *    raw-capable observers.  Every mutation mirrors the Python loop's
+ *    order of effects so run records, counters and schedule state stay
  *    byte-identical, on the failure paths too (pinned by
  *    tests/test_kernel.py and tests/test_kernel_stateful.py).
  *
@@ -771,7 +775,7 @@ static PyTypeObject PoolType = {
 };
 
 /* ======================================================================== */
-/* run_loop: the fused round-robin tick loop (kernel="compiled-loop")       */
+/* run_loop: the fused tick loop (kernel="compiled-loop")                   */
 /* ======================================================================== */
 
 /* Interned attribute names, filled in at module init.  `s__time_col` /
@@ -791,10 +795,17 @@ static PyObject *s_network, *s_n, *s_processes, *s__ctx, *s_detector,
     *s_live_pending, *s_end_time, *s_input_history, *s_output_history,
     *s__index, *s__time_col, *s__pid_col, *s__fd, *s__msg_sender,
     *s__msg_payload, *s__msg_send_time, *s__timeout, *s__sent,
-    *s__received, *s__intern_fd, *s_append, *s__log_observers, *s_on_log;
+    *s__received, *s__intern_fd, *s_append, *s__log_observers, *s_on_log,
+    *s_scheduling, *s__skip_span_random, *s_seed, *s__permutation,
+    *s__perm_block, *s_metrics, *s_idle_ticks_skipped, *s_getrandbits,
+    *s_block_permutation;
 
-/* heapq entry points, resolved at module init */
-static PyObject *g_heappush, *g_heappop, *g_heapify;
+/* heapq entry points and the `_random.Random` type, resolved at module
+ * init */
+static PyObject *g_heappush, *g_heappop, *g_heapify, *g_random_type;
+
+static PyObject *ckernel_stable_hash(PyObject *module, PyObject *const *args,
+                                     Py_ssize_t nargs);
 
 static int
 get_i64_attr(PyObject *obj, PyObject *name, int64_t *out)
@@ -1303,6 +1314,33 @@ history_extend(PyObject *history, PyObject *pid_obj, PyObject *t_obj,
     return 0;
 }
 
+/* Fold `received` pops from `pid`'s shard into the merge layer: the
+ * delivered / pending counts and the receiver's next-delivery time with its
+ * horizon entry (the tail of PackedNetwork.pop_deliverable_batch). */
+static int
+fold_pops(NetView *nv, long pid, PyObject *pid_obj, long received)
+{
+    Shard *shard = &nv->pool->shards[pid];
+    if (add_i64_attr(nv->net, s_delivered_count, received) < 0)
+        return -1;
+    if (list_add_i64(nv->pending, pid, -received) < 0)
+        return -1;
+    if (shard->len == 0) {
+        Py_INCREF(Py_None);
+        return PyList_SetItem(nv->next_at, pid, Py_None);
+    }
+    int64_t new_head = nv->pool->col_deliver[shard->items[0]];
+    if (list_set_i64(nv->next_at, pid, new_head) < 0)
+        return -1;
+    if (PyList_GET_SIZE(nv->horizon) > nv->horizon_cap) {
+        PyObject *r = PyObject_CallNoArgs(nv->compact_horizon);
+        if (r == NULL)
+            return -1;
+        Py_DECREF(r);
+    }
+    return heap_push_pair(nv->horizon, new_head, pid_obj);
+}
+
 /* Peek the deliver-at of the head of a per-pid input heap.  Returns 1 and
  * sets *out when the queue is nonempty, 0 when empty, -1 on error.  Items
  * are the (at, seq, value) tuples pushed by Simulation.schedule_input. */
@@ -1357,6 +1395,14 @@ typedef struct {
     int64_t message_batch, scan_cutover;
     Py_ssize_t local_cap;
     int has_crashes, has_store;
+    /* scheduling="random" only (see the block comment above loop_perm) */
+    int random;
+    PyObject *seed;                      /* sim.seed */
+    long *perm;                          /* the schedule of block perm_block */
+    int64_t perm_block;                  /* -1 = none yet */
+    PyObject *rng_seed, *rng_getrandbits; /* of one _random.Random; lazy */
+    int64_t idle_acc;                    /* live idle ticks walked, not yet */
+    int64_t last_live_acc;               /* ... written through; -1 = none */
 } Loop;
 
 static void
@@ -1414,6 +1460,10 @@ loop_free(Loop *L)
     PyMem_Free(L->crash_at);
     PyMem_Free(L->interval);
     PyMem_Free(L->next_to);
+    Py_XDECREF(L->seed);
+    Py_XDECREF(L->rng_seed);
+    Py_XDECREF(L->rng_getrandbits);
+    PyMem_Free(L->perm);
 }
 
 /* sim._local_event[p].  Read from the list at every use, not mirrored:
@@ -1473,8 +1523,14 @@ loop_init(Loop *L, PyObject *sim, PyObject *store)
         PyErr_SetString(PyExc_TypeError, "crash_times must be a dict");
         return -1;
     }
+    PyObject *scheduling;
+    GETA(scheduling, sim, s_scheduling);
+    L->random = PyUnicode_Check(scheduling)
+        && PyUnicode_CompareWithASCIIString(scheduling, "random") == 0;
+    Py_DECREF(scheduling);
     GETA(L->query_next, sim, s__next_event_query);
-    GETA(L->skip_span, sim, s__skip_span_rr);
+    GETA(L->skip_span, sim,
+         L->random ? s__skip_span_random : s__skip_span_rr);
     GETA(L->local_event, sim, s__local_event);
     GETA(L->local_horizon, sim, s__local_horizon);
     GETA(L->next_timeout_list, sim, s__next_timeout);
@@ -1518,6 +1574,16 @@ loop_init(Loop *L, PyObject *sim, PyObject *store)
         || L->on_message_m == NULL || L->on_timeout_m == NULL) {
         PyErr_NoMemory();
         return -1;
+    }
+    if (L->random) {
+        GETA(L->seed, sim, s_seed);
+        L->perm = PyMem_Malloc(n * sizeof(long));
+        if (L->perm == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        L->perm_block = -1;
+        L->last_live_acc = -1;
     }
     for (long p = 0; p < n; p++)
         L->crash_at[p] = INT64_MAX;
@@ -1628,13 +1694,200 @@ loop_init(Loop *L, PyObject *sim, PyObject *store)
     return 0;
 }
 
-/* run_loop(sim, t_end, store) — the fused round-robin tick loop in C.
+/* 1 when `pid` has work due at `t` -- a local event (timeout, input,
+ * pending on_start) or a deliverable message -- 0 when not, -1 on error. */
+static inline int
+pid_due(Loop *L, long pid, int64_t t)
+{
+    int64_t at;
+    if (local_event_at(L, pid, &at) < 0)
+        return -1;
+    if (at <= t)
+        return 1;
+    PyObject *head_obj = PyList_GET_ITEM(L->nv.next_at, pid);
+    if (head_obj == Py_None)
+        return 0;
+    int64_t head = PyLong_AsLongLong(head_obj);
+    if (head == -1 && PyErr_Occurred())
+        return -1;
+    return head <= t;
+}
+
+/* -- scheduling="random" ------------------------------------------------- */
+
+/* Under random scheduling the process of tick t is slot t % n of the
+ * permutation of block t / n, and an idle tick inside the block an event
+ * falls in is accounted here, one at a time, as
+ * Simulation._advance_event_random_block does: `idle_acc` live idle ticks
+ * and the last of them, written through to sim.metrics.idle_ticks_skipped
+ * and sim.last_live_tick by loop_flush_idle before every call back into
+ * Python and on every exit -- handlers and observers read both mid-run. */
+static int
+loop_flush_idle(Loop *L)
+{
+    if (L->idle_acc == 0)
+        return 0;
+    PyObject *metrics = PyObject_GetAttr(L->sim, s_metrics);
+    if (metrics == NULL)
+        return -1;
+    int rc = add_i64_attr(metrics, s_idle_ticks_skipped, L->idle_acc);
+    Py_DECREF(metrics);
+    if (rc < 0)
+        return -1;
+    L->idle_acc = 0;
+    int64_t last;
+    if (get_i64_attr(L->sim, s_last_live_tick, &last) < 0)
+        return -1;
+    if (L->last_live_acc > last
+        && set_i64_attr(L->sim, s_last_live_tick, L->last_live_acc) < 0)
+        return -1;
+    L->last_live_acc = -1;
+    return 0;
+}
+
+/* One draw of random.Random._randbelow_with_getrandbits(m), k = m.bit_length():
+ * getrandbits(k) until the value falls below m.  -1 on error. */
+static long
+rng_below(Loop *L, long m, int k)
+{
+    PyObject *k_obj = PyLong_FromLong(k);
+    if (k_obj == NULL)
+        return -1;
+    long r;
+    do {
+        PyObject *drawn = call1(L->rng_getrandbits, k_obj);
+        r = drawn == NULL ? -1 : PyLong_AsLong(drawn);
+        Py_XDECREF(drawn);
+        if (r < 0 && !PyErr_Occurred())
+            PyErr_SetString(PyExc_ValueError,
+                            "getrandbits returned a negative value");
+    } while (r >= m);
+    Py_DECREF(k_obj);
+    return r;
+}
+
+/* L->perm := sim._permutation, the Python side's cached block. */
+static int
+perm_from_sim(Loop *L)
+{
+    long n = L->n;
+    PyObject *list = PyObject_GetAttr(L->sim, s__permutation);
+    if (list == NULL)
+        return -1;
+    int ok = PyList_Check(list) && PyList_GET_SIZE(list) == n;
+    for (long i = 0; ok && i < n; i++) {
+        long p = PyLong_AsLong(PyList_GET_ITEM(list, i));
+        ok = p >= 0 && p < n;
+        L->perm[i] = p;
+    }
+    Py_DECREF(list);
+    if (!ok && !PyErr_Occurred())
+        PyErr_SetString(PyExc_ValueError,
+                        "sim._permutation is not a permutation of the "
+                        "process ids");
+    return ok ? 0 : -1;
+}
+
+/* L->perm := the schedule permutation of `block`, bit for bit
+ * random.Random(stable_hash("block-permutation", seed, block))
+ *     .shuffle(list(range(n)))
+ * as Simulation._permutation_for_block (the oracle) derives it: one
+ * _random.Random -- CPython's own Mersenne Twister -- reseeded per block,
+ * and random.shuffle's Fisher-Yates driven through its getrandbits.  The
+ * one-block cache is shared with the Python side through
+ * sim._permutation / sim._perm_block: a block the span accounting
+ * (`_skip_span_random`) just derived is copied, not derived again, and one
+ * derived here is written through for it to find. */
+static int
+loop_perm(Loop *L, int64_t block)
+{
+    if (block == L->perm_block)
+        return 0;
+    L->perm_block = -1;
+    PyObject *sim = L->sim;
+    long n = L->n;
+    int64_t cached;
+    if (get_i64_attr(sim, s__perm_block, &cached) < 0)
+        return -1;
+    if (cached == block) {
+        if (perm_from_sim(L) < 0)
+            return -1;
+        L->perm_block = block;
+        return 0;
+    }
+    int rc = -1;
+    PyObject *key = NULL, *list = NULL;
+    PyObject *block_obj = PyLong_FromLongLong(block);
+    if (block_obj == NULL)
+        return -1;
+    PyObject *parts[3] = {s_block_permutation, L->seed, block_obj};
+    key = ckernel_stable_hash(NULL, parts, 3);
+    if (key == NULL)
+        goto done;
+    if (L->rng_seed == NULL) {
+        /* first need: the constructor seeds with its argument */
+        PyObject *rng = call1(g_random_type, key);
+        if (rng == NULL)
+            goto done;
+        L->rng_seed = PyObject_GetAttr(rng, s_seed);
+        L->rng_getrandbits = PyObject_GetAttr(rng, s_getrandbits);
+        Py_DECREF(rng);
+        if (L->rng_seed == NULL || L->rng_getrandbits == NULL) {
+            Py_CLEAR(L->rng_seed);
+            goto done;
+        }
+    } else {
+        PyObject *r = call1(L->rng_seed, key);
+        if (r == NULL)
+            goto done;
+        Py_DECREF(r);
+    }
+    for (long i = 0; i < n; i++)
+        L->perm[i] = i;
+    int k = 0;
+    while ((n >> k) != 0)
+        k++;
+    for (long i = n - 1; i >= 1; i--) {
+        /* j = randbelow(i + 1); k tracks (i + 1).bit_length() */
+        if (i + 1 < (1L << (k - 1)))
+            k--;
+        long j = rng_below(L, i + 1, k);
+        if (j < 0)
+            goto done;
+        long swap = L->perm[i];
+        L->perm[i] = L->perm[j];
+        L->perm[j] = swap;
+    }
+    list = PyList_New(n);
+    if (list == NULL)
+        goto done;
+    for (long i = 0; i < n; i++) {
+        PyObject *p = L->pid_objs[L->perm[i]];
+        Py_INCREF(p);
+        PyList_SET_ITEM(list, i, p);
+    }
+    if (PyObject_SetAttr(sim, s__permutation, list) < 0
+        || PyObject_SetAttr(sim, s__perm_block, block_obj) < 0)
+        goto done;
+    L->perm_block = block;
+    rc = 0;
+done:
+    Py_XDECREF(key);
+    Py_XDECREF(list);
+    Py_DECREF(block_obj);
+    return rc;
+}
+
+/* run_loop(sim, t_end, store) — the event engine's tick loop in C.
  *
- * Byte-identical to kernel.run_fused_rr over a CompiledPackedNetwork with
- * no send/deliver/log observers: same handler call order, same merge-layer
- * mutations in the same order, same store appends, same exception-time
- * state.  `store` is the single-FullRecorder StepStore (or None); the
- * Python wrapper resolves it before handing off. */
+ * Round-robin: byte-identical to kernel.run_fused_rr over a
+ * CompiledPackedNetwork with no send/deliver observers.  Random
+ * scheduling: byte-identical to `while sim.time < t_end:
+ * sim._advance_event_random(t_end)` at reduced fidelity (nothing
+ * materializes idle steps; kernel.fused_runner checks).  Same handler call
+ * order, same merge-layer mutations in the same order, same store appends,
+ * same exception-time state.  `store` is the single-FullRecorder StepStore
+ * (or None); the Python wrapper resolves it before handing off. */
 static PyObject *
 ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -1669,26 +1922,27 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         goto fail;
 
     while (t < t_end) {
-        long pid = (long)(t % n);
+        /* The scheduled process: t % n, or slot t % n of the block's
+         * permutation -- looked at only while that block is the cached
+         * one, so no permutation is derived for a block the idle branch
+         * below is about to skip whole. */
+        long pid;
+        if (!L->random)
+            pid = (long)(t % n);
+        else
+            pid = t / n == L->perm_block ? L->perm[t % n] : -1;
         int due = 0;
-        int64_t local_at;
-        if (local_event_at(L, pid, &local_at) < 0)
-            goto fail;
-        if (local_at <= t) {
-            due = 1;
-        } else {
-            PyObject *head_obj = PyList_GET_ITEM(L->nv.next_at, pid);
-            if (head_obj != Py_None) {
-                int64_t head = PyLong_AsLongLong(head_obj);
-                if (head == -1 && PyErr_Occurred())
-                    goto fail;
-                due = head <= t;
-            }
+        if (pid >= 0 && !(L->has_crashes && t >= L->crash_at[pid])) {
+            due = pid_due(L, pid, t);
+            if (due < 0)
+                goto fail;
         }
-        if (due && !(L->has_crashes && t >= L->crash_at[pid])) {
+        if (due) {
             /* ---- one fused executed step (mirrors run_fused_rr) ---- */
             PyObject *pid_obj = L->pid_objs[pid];
             PyObject *process = PyList_GET_ITEM(L->processes, pid);
+            if (loop_flush_idle(L) < 0)
+                goto fail;
             if (set_i64_attr(sim, s_time, t + 1) < 0)
                 goto fail;
             if (set_i64_attr(sim, s_last_live_tick, t) < 0)
@@ -1791,6 +2045,9 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                 Shard *shard = &pool->shards[pid];
                 PyObject *on_message = L->on_message_m[pid];
                 int handler_err = 0;
+                /* what on_message raised under random scheduling, while
+                 * the rest of the batch is popped unhandled (see below) */
+                PyObject *exc_type = NULL, *exc_value = NULL, *exc_tb = NULL;
                 while (received < L->message_batch && shard->len > 0) {
                     int32_t top = shard->items[0];
                     int64_t deliver_at = pool->col_deliver[top];
@@ -1830,6 +2087,10 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                             break;
                         }
                     }
+                    if (exc_type != NULL) {
+                        Py_DECREF(payload);
+                        continue;
+                    }
                     /* a sender outside 0..n-1 can only come from a direct
                      * network.send(); it still must not index pid_objs */
                     PyObject *sender_obj;
@@ -1845,34 +2106,35 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                     Py_XDECREF(sender_obj);
                     Py_DECREF(payload);
                     if (r == NULL) {
-                        handler_err = 1;
-                        break;
+                        if (!L->random) {
+                            handler_err = 1;
+                            break;
+                        }
+                        /* The oracle here is Simulation.step, which pops
+                         * and folds the whole batch before it calls a
+                         * handler: pop the rest and fold them too, so a
+                         * raise leaves the pool and merge layer as it
+                         * does. */
+                        PyErr_Fetch(&exc_type, &exc_value, &exc_tb);
+                        continue;
                     }
                     Py_DECREF(r);
                 }
+                if (!handler_err
+                    && fold_pops(&L->nv, pid, pid_obj, received) < 0)
+                    handler_err = 1;
+                if (exc_type != NULL) {
+                    if (handler_err) {   /* superseded by a C-API failure */
+                        Py_DECREF(exc_type);
+                        Py_XDECREF(exc_value);
+                        Py_XDECREF(exc_tb);
+                    } else {
+                        PyErr_Restore(exc_type, exc_value, exc_tb);
+                        handler_err = 1;
+                    }
+                }
                 if (handler_err)
                     goto step_fail;
-                if (add_i64_attr(L->nv.net, s_delivered_count, received) < 0)
-                    goto step_fail;
-                if (list_add_i64(L->nv.pending, pid, -received) < 0)
-                    goto step_fail;
-                if (shard->len > 0) {
-                    int64_t new_head = pool->col_deliver[shard->items[0]];
-                    if (list_set_i64(L->nv.next_at, pid, new_head) < 0)
-                        goto step_fail;
-                    if (PyList_GET_SIZE(L->nv.horizon) > L->nv.horizon_cap) {
-                        PyObject *r = PyObject_CallNoArgs(L->nv.compact_horizon);
-                        if (r == NULL)
-                            goto step_fail;
-                        Py_DECREF(r);
-                    }
-                    if (heap_push_pair(L->nv.horizon, new_head, pid_obj) < 0)
-                        goto step_fail;
-                } else {
-                    Py_INCREF(Py_None);
-                    if (PyList_SetItem(L->nv.next_at, pid, Py_None) < 0)
-                        goto step_fail;
-                }
             }
 
             /* timeout */
@@ -2011,6 +2273,7 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                 if (has > 0 && at < event_at)
                     event_at = at;
             }
+            int64_t local_at;
             if (local_event_at(L, pid, &local_at) < 0)
                 goto step_fail;
             if (event_at != local_at) {
@@ -2171,6 +2434,9 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         }
 
         /* ---- idle (or crash-gated) tick: jump forward ---- */
+        /* The earliest tick some process can act on, crash-gated: its
+         * event time clamped to now and, under round-robin, aligned to its
+         * next slot (any slot of a random block may be its owner's). */
         int64_t target = 0;
         int have_target = 0;
         if (n <= L->scan_cutover) {
@@ -2186,11 +2452,13 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                     if (deliver_at < event_at)
                         event_at = deliver_at;
                 }
-                int64_t eff = event_at > t ? event_at : t;
-                int64_t m = (p - eff) % n;
-                if (m < 0)
-                    m += n;
-                int64_t tick = eff + m;
+                int64_t tick = event_at > t ? event_at : t;
+                if (!L->random) {
+                    int64_t m = (p - tick) % n;
+                    if (m < 0)
+                        m += n;
+                    tick += m;
+                }
                 if (L->has_crashes && tick >= L->crash_at[p])
                     continue;
                 if (!have_target || tick < target) {
@@ -2199,10 +2467,13 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                 }
             }
         } else {
+            if (loop_flush_idle(L) < 0)
+                goto fail;
             PyObject *now_obj = PyLong_FromLongLong(t);
             if (now_obj == NULL)
                 goto fail;
-            PyObject *r = call2(L->query_next, now_obj, Py_True);
+            PyObject *r = call2(L->query_next, now_obj,
+                                L->random ? Py_False : Py_True);
             Py_DECREF(now_obj);
             if (r == NULL)
                 goto fail;
@@ -2217,7 +2488,9 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             Py_DECREF(r);
         }
         int64_t jump_to = (!have_target || target >= t_end) ? t_end : target;
-        {
+        if (jump_to > t) {
+            if (loop_flush_idle(L) < 0)
+                goto fail;
             PyObject *now_obj = PyLong_FromLongLong(t);
             PyObject *to_obj = PyLong_FromLongLong(jump_to);
             PyObject *r = (now_obj == NULL || to_obj == NULL)
@@ -2227,15 +2500,40 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             if (r == NULL)
                 goto fail;
             Py_DECREF(r);
+            /* _skip_span_rr may materialize idle steps (bumping
+             * _step_index) — re-read the mirror */
+            if (get_i64_attr(sim, s__step_index, &step_index) < 0)
+                goto fail;
+            t = jump_to;
         }
-        /* _skip_span_rr may materialize idle steps (bumping _step_index) —
-         * re-read the mirror */
-        if (get_i64_attr(sim, s__step_index, &step_index) < 0)
-            goto fail;
-        t = jump_to;
-        if (jump_to == t_end)
+        if (t == t_end)
             break;
+        if (L->random) {
+            /* An event is due at t, for some process: walk t's block up to
+             * the first tick whose scheduled process has work (executed at
+             * the top of the loop, its block now cached).  The slot of the
+             * event's owner may already be behind t: the block then comes
+             * up empty and the horizon is recomputed past it. */
+            int64_t base = t - t % n;
+            int64_t hi = base + n < t_end ? base + n : t_end;
+            if (loop_perm(L, t / n) < 0)
+                goto fail;
+            for (; t < hi; t++) {
+                long p = L->perm[t - base];
+                if (L->has_crashes && t >= L->crash_at[p])
+                    continue;
+                int p_due = pid_due(L, p, t);
+                if (p_due < 0)
+                    goto fail;
+                if (p_due)
+                    break;
+                L->idle_acc += 1;
+                L->last_live_acc = t;
+            }
+        }
     }
+    if (loop_flush_idle(L) < 0)
+        goto fail;
     if (set_i64_attr(sim, s_time, t) < 0)
         goto fail;
     loop_free(L);
@@ -2248,6 +2546,15 @@ step_fail:
     Py_XDECREF(outputs_t);
     Py_XDECREF(first_payload);
 fail:
+    if (L->idle_acc != 0) {
+        /* the idle ticks walked so far happened: account them under the
+         * pending exception */
+        PyObject *exc_type, *exc_value, *exc_tb;
+        PyErr_Fetch(&exc_type, &exc_value, &exc_tb);
+        if (loop_flush_idle(L) < 0)
+            PyErr_Clear();
+        PyErr_Restore(exc_type, exc_value, exc_tb);
+    }
     loop_free(L);
     return NULL;
 }
@@ -2445,10 +2752,10 @@ static PyMethodDef ckernel_functions[] = {
     {"run_loop", (PyCFunction)(void (*)(void))ckernel_run_loop,
      METH_FASTCALL,
      "run_loop(sim, t_end, store)\n--\n\n"
-     "Run the fused round-robin event engine to t_end entirely in C,\n"
-     "calling back into Python only for process handlers, packed sends,\n"
-     "idle-span accounting, and raw observers.  Byte-identical to\n"
-     "kernel.run_fused_rr."},
+     "Run the event engine to t_end in C, under round-robin or random\n"
+     "scheduling, calling back into Python only for process handlers, the\n"
+     "delay model, idle-span accounting, and raw observers.  Byte-identical\n"
+     "to kernel.run_fused_rr / Simulation._advance_event_random."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -2536,6 +2843,15 @@ intern_names(void)
     INTERN(s_append, "append");
     INTERN(s__log_observers, "_log_observers");
     INTERN(s_on_log, "on_log");
+    INTERN(s_scheduling, "scheduling");
+    INTERN(s__skip_span_random, "_skip_span_random");
+    INTERN(s_seed, "seed");
+    INTERN(s__permutation, "_permutation");
+    INTERN(s__perm_block, "_perm_block");
+    INTERN(s_metrics, "metrics");
+    INTERN(s_idle_ticks_skipped, "idle_ticks_skipped");
+    INTERN(s_getrandbits, "getrandbits");
+    INTERN(s_block_permutation, "block-permutation");
 #undef INTERN
     return 0;
 }
@@ -2555,6 +2871,13 @@ PyInit__ckernel(void)
     g_heapify = PyObject_GetAttrString(heapq_mod, "heapify");
     Py_DECREF(heapq_mod);
     if (g_heappush == NULL || g_heappop == NULL || g_heapify == NULL)
+        return NULL;
+    PyObject *random_mod = PyImport_ImportModule("_random");
+    if (random_mod == NULL)
+        return NULL;
+    g_random_type = PyObject_GetAttrString(random_mod, "Random");
+    Py_DECREF(random_mod);
+    if (g_random_type == NULL)
         return NULL;
     PyObject *module = PyModule_Create(&ckernel_module);
     if (module == NULL)

@@ -781,32 +781,43 @@ def fused_runner(
     hands ``sim`` to — None when it takes the generic engine paths — and
     why that is not the C tick loop (None when it is).
 
-    A fused loop runs only under ``engine="event"`` + round-robin
-    scheduling, on a packed network, when every attached step observer
-    takes the raw dispatch path (the built-in recorders do) — then it is
-    behaviourally identical to the generic event engine. Everything else
-    runs the generic loops (against the packed network's compat methods
-    where there is one).
+    A fused loop runs only under ``engine="event"``, on a packed network,
+    when every attached step observer takes the raw dispatch path (the
+    built-in recorders do) — then it is behaviourally identical to the
+    generic event engine. Everything else runs the generic loops (against
+    the packed network's compat methods where there is one).
 
     The C loop (``kernel="compiled-loop"``, the default when the
     extension loaded) needs one thing more: no send/deliver observer — it
     never materializes the Envelope views those hooks receive (log
-    observers are fine; log dispatch crosses back into Python). Such a run
-    degrades one rung to the Python fused loop on the same network; the
-    ladder never falls off to an error.
+    observers are fine; log dispatch crosses back into Python). Under
+    round-robin scheduling such a run degrades one rung to the Python
+    fused loop on the same network; the ladder never falls off to an
+    error.
 
-    The reason is one of a few fixed strings (observer reasons end in the
-    blocking observer's class name): ``"engine=naive"``,
-    ``"scheduling=random"``, ``"legacy network"``,
-    ``"non-raw step observer: <Class>"``, ``"extension not loaded"``,
-    ``"kernel=<rung>"`` (a lower rung was asked for),
-    ``"network=<Class>"`` (an explicit ``network=`` overrode the flag),
-    ``"send/deliver observer: <Class>"``.
+    Random scheduling is served by the C loop alone, under the same
+    conditions plus one: nothing materializes idle steps
+    (``record="full"`` and ``wants_idle_steps`` observers need every idle
+    tick visited, which is the per-tick walk). There is no Python fused
+    loop for it — one was measured slower than the generic engine — so a
+    random-scheduled run that is not on the C loop steps generically
+    (``Simulation._advance_event_random``, the single pure-Python
+    implementation and the C path's oracle) and the runner is None, never
+    :func:`run_fused_rr`.
+
+    The reason is one of a few fixed strings, first match wins (observer
+    reasons end in the blocking observer's class name):
+    ``"engine=naive"``, ``"scheduling=random materializes idle steps"``,
+    ``"legacy network"``, ``"non-raw step observer: <Class>"``,
+    ``"extension not loaded"``, ``"kernel=<rung>"`` (a lower rung was
+    asked for), ``"network=<Class>"`` (an explicit ``network=`` overrode
+    the flag), ``"send/deliver observer: <Class>"``.
     """
     if sim.engine != "event":
         return None, f"engine={sim.engine}"
-    if sim.scheduling != "round_robin":
-        return None, f"scheduling={sim.scheduling}"
+    random = sim.scheduling == "random"
+    if random and sim._materialize_idle:
+        return None, "scheduling=random materializes idle steps"
     if not isinstance(sim.network, PackedNetwork):
         return None, "legacy network"
     if sim._step_observers and sim._raw_step_observers is None:
@@ -815,17 +826,18 @@ def fused_runner(
             if type(o).on_step_raw is SimObserver.on_step_raw
         )
         return None, f"non-raw step observer: {type(blocker).__name__}"
+    python_loop = None if random else run_fused_rr
     if not HAS_COMPILED_LOOP:
-        return run_fused_rr, "extension not loaded"
+        return python_loop, "extension not loaded"
     if sim.kernel != "compiled-loop":
-        return run_fused_rr, f"kernel={sim.kernel}"
+        return python_loop, f"kernel={sim.kernel}"
     if not isinstance(sim.network, CompiledPackedNetwork):
-        return run_fused_rr, f"network={type(sim.network).__name__}"
+        return python_loop, f"network={type(sim.network).__name__}"
     envelope_observers = sim._send_observers + sim._deliver_observers
     if envelope_observers:
         blocker = envelope_observers[0]
-        return run_fused_rr, f"send/deliver observer: {type(blocker).__name__}"
-    return run_fused_rr_compiled, None
+        return python_loop, f"send/deliver observer: {type(blocker).__name__}"
+    return run_fused_compiled, None
 
 
 def fused_path_name(
@@ -833,26 +845,28 @@ def fused_path_name(
 ) -> str | None:
     """Human-readable name of a fused runner: ``"c-loop"``, ``"python"``,
     or None (generic engine)."""
-    if runner is run_fused_rr_compiled:
+    if runner is run_fused_compiled:
         return "c-loop"
     if runner is run_fused_rr:
         return "python"
     return None
 
 
-def run_fused_rr_compiled(sim: "Simulation", t_end: Time) -> None:
-    """Hand the fused round-robin loop to ``_ckernel.run_loop``.
+def run_fused_compiled(sim: "Simulation", t_end: Time) -> None:
+    """Hand the event engine's tick loop to ``_ckernel.run_loop``.
 
     Resolves the single-FullRecorder columnar store exactly like
-    :func:`run_fused_rr` does, then runs the tick loop in C. The C loop
-    calls back into Python only for process handlers, the delay model,
-    the idle-span machinery (``_next_event_query`` on large n /
-    ``_skip_span_rr``), and generic raw observers; everything else —
-    due checks, shard pops, timeout firing, outbox expansion and sends,
-    local-index refresh, store appends — happens without touching the
-    interpreter.
-    Byte-identical to the Python fused loop by construction and pinned by
-    ``tests/test_kernel.py``.
+    :func:`run_fused_rr` does, then runs the tick loop in C, under either
+    schedule. The C loop calls back into Python only for process handlers,
+    the delay model, the idle-span machinery (``_next_event_query`` on
+    large n, ``_skip_span_rr`` / ``_skip_span_random``), and generic raw
+    observers; everything else — due checks, shard pops, timeout firing,
+    outbox expansion and sends, local-index refresh, store appends and,
+    under random scheduling, the block permutations and the walk of the
+    block an event falls in — happens without touching the interpreter.
+    Byte-identical to the Python fused loop (round-robin) and to the
+    generic ``_advance_event_random`` (random) by construction and pinned
+    by ``tests/test_kernel.py``.
     """
     raw_obs = sim._raw_step_observers
     store = None

@@ -38,11 +38,15 @@ drive the clock:
   random scheduling the skip is *blockwise*: every tick strictly before the
   earliest pending event is idle regardless of which permutation the
   scheduler draws, so whole idle spans are accounted arithmetically and only
-  the blocks straddling a span edge or a crash boundary have their
-  permutation derived (each process holds exactly one slot per block, so a
-  full block's live-tick count needs no permutation at all). Permutations
-  are keyed by block index, which is what makes deriving them out of order
-  — and skipping them entirely — sound.
+  the blocks straddling a span edge at or past a crash time, or a crash
+  boundary, have their permutation derived (each process holds exactly one
+  slot per block, so a full block's live-tick count needs no permutation at
+  all, and a span wholly before the first crash needs none either).
+  Permutations are keyed by block index, which is what makes deriving them
+  out of order — and skipping them entirely — sound. At reduced fidelity on
+  the ``compiled-loop`` kernel the same loop runs in C
+  (:func:`repro.sim.kernel.fused_runner`); the methods here are the single
+  pure-Python implementation, its fallback and its oracle.
 
 Fast-forward invariants (checked by ``tests/test_engine_differential.py``):
 
@@ -239,10 +243,10 @@ class Simulation:
         self._permutation: list[ProcessId] = list(range(self.n))
         #: block index the cached permutation was derived for (-1 = none yet).
         self._perm_block = -1
-        #: random-scheduling fast-forward strategy: ``"block"`` (default)
-        #: skips idle spans arithmetically; ``"scan"`` forces the per-tick
-        #: walk (kept as the differential/benchmark baseline).
-        self._random_ff = "block"
+        #: the one generator block permutations are drawn from, reseeded per
+        #: block (its state between blocks means nothing); round-robin runs
+        #: neither build nor pickle one.
+        self._perm_rng = random.Random(0) if scheduling == "random" else None
         self.run = RunRecord(self.n, self.failure_pattern, seed=seed)
         self.record_level = record
         #: aggregate counters; populated by the ``record="metrics"`` recorder
@@ -373,17 +377,18 @@ class Simulation:
     @property
     def fused_path(self) -> str | None:
         """The loop :meth:`run_until` runs this configuration on:
-        ``"c-loop"`` (compiled tick loop), ``"python"`` (fused Python
-        loop), or None (generic engine paths — always the case under
-        ``engine="naive"`` or ``scheduling="random"``). Re-resolved when
-        observers attach or detach; copied into :attr:`metrics` at the end
-        of every run call."""
+        ``"c-loop"`` (compiled tick loop, either schedule), ``"python"``
+        (fused Python loop, round-robin only), or None (generic engine
+        paths — always the case under ``engine="naive"``, and under
+        ``scheduling="random"`` whenever the C loop cannot take the run).
+        Re-resolved when observers attach or detach; copied into
+        :attr:`metrics` at the end of every run call."""
         return fused_path_name(self._fused_run)
 
     @property
     def fused_reason(self) -> str | None:
         """Why :attr:`fused_path` is not ``"c-loop"`` — a short fixed
-        string such as ``"scheduling=random"``, ``"extension not loaded"``
+        string such as ``"kernel=packed"``, ``"extension not loaded"``
         or ``"send/deliver observer: <Class>"`` (the full list is in
         :func:`repro.sim.kernel.fused_runner`) — or None when it is."""
         return self._fused_reason
@@ -411,13 +416,29 @@ class Simulation:
 
         Keyed on ``(seed, block)`` so any block's permutation is derivable
         without visiting earlier blocks: the naive stepper, the per-tick
-        scan, and the blockwise fast-forward see identical schedules no
-        matter which blocks they actually touch.
+        scan, the blockwise fast-forward and the C loop (which derives the
+        same bits itself and shares this one-block cache) see identical
+        schedules no matter which blocks they actually touch.
+
+        By definition ``random.Random(key).shuffle(list(range(n)))`` with
+        ``key = stable_hash("block-permutation", seed, block)``. Derived
+        here with neither the construction nor the per-draw method calls:
+        one generator reseeded, and ``shuffle``'s Fisher–Yates
+        (``j = _randbelow(i + 1)`` for ``i = n-1 .. 1``, each
+        ``getrandbits((i + 1).bit_length())`` until below ``i + 1``)
+        written out — the same loop ``_ckernel.run_loop`` runs.
         """
         if block != self._perm_block:
-            rng = random.Random(stable_hash("block-permutation", self.seed, block))
+            rng = self._perm_rng
+            rng.seed(stable_hash("block-permutation", self.seed, block))
+            getrandbits = rng.getrandbits
             permutation = list(range(self.n))
-            rng.shuffle(permutation)
+            for i in range(self.n - 1, 0, -1):
+                bits = (i + 1).bit_length()
+                j = getrandbits(bits)
+                while j > i:
+                    j = getrandbits(bits)
+                permutation[i], permutation[j] = permutation[j], permutation[i]
             self._permutation = permutation
             self._perm_block = block
         return self._permutation
@@ -766,7 +787,7 @@ class Simulation:
         idle spans without the per-tick check (byte-identical outcomes —
         pinned by the differential tests).
         """
-        if self._materialize_idle or self._random_ff == "scan":
+        if self._materialize_idle:
             self._advance_event_random_scan(t_end)
             return
         # Dense-run fast path, mirroring the round-robin one.
@@ -778,9 +799,8 @@ class Simulation:
         self._advance_event_random_block(t_end)
 
     def _advance_event_random_scan(self, t_end: Time) -> None:
-        """Per-tick walk: check each tick's scheduled process for due work."""
+        """Per-tick walk for observers that need every idle-step record."""
         t = self.time
-        materialize = self._materialize_idle
         while t < t_end:
             pid = self._scheduled_pid(t)
             if self._tick_interesting(pid, t):
@@ -788,11 +808,7 @@ class Simulation:
                 self.step()
                 return
             if not self.failure_pattern.crashed(pid, t):
-                if materialize:
-                    self._record_idle_step(t, pid)
-                else:
-                    self.metrics.idle_ticks_skipped += 1
-                    self.last_live_tick = t
+                self._record_idle_step(t, pid)
             t += 1
         self.time = t_end
 
@@ -852,15 +868,18 @@ class Simulation:
         """
         if start >= end:
             return
-        live = end - start
         crash_times = self.failure_pattern.crash_times
-        if crash_times:
-            live -= self._crashed_ticks_random(start, end)
+        if not crash_times or min(crash_times.values()) >= end:
+            # Nobody has crashed before the span ends: every tick is live
+            # whatever the permutations are, so none is derived.
+            live = end - start
+            last = end - 1
+        else:
+            live = end - start - self._crashed_ticks_random(start, end)
+            last = self._last_live_tick_random(start, end) if live else -1
         self.metrics.idle_ticks_skipped += live
-        if live:
-            last = self._last_live_tick_random(start, end)
-            if last > self.last_live_tick:
-                self.last_live_tick = last
+        if last > self.last_live_tick:
+            self.last_live_tick = last
 
     def _crashed_ticks_random(self, start: Time, end: Time) -> int:
         """Ticks in ``[start, end)`` owned by an already-crashed process."""
@@ -953,9 +972,9 @@ class Simulation:
         """Run until the clock reaches ``t_end`` ticks."""
         validate_time(t_end)
         if self._fused_run is not None:
-            # Event engine + round-robin on a packed/compiled kernel: one
-            # fused loop to t_end (see repro.sim.kernel.fused_runner;
-            # byte-identical by the differential tests).
+            # Event engine on a packed/compiled kernel: one fused loop to
+            # t_end (see repro.sim.kernel.fused_runner; byte-identical by
+            # the differential tests).
             self._fused_run(self, t_end)
         elif self.engine == "naive":
             while self.time < t_end:

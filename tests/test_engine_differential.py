@@ -20,6 +20,7 @@ from repro.core import EtobLayer
 from repro.detectors import OmegaDetector
 from repro.scenario import Scenario
 from repro.sim import (
+    HAS_COMPILED,
     FailurePattern,
     FixedDelay,
     GstDelay,
@@ -172,8 +173,9 @@ class TestEngineDifferential:
 
 class TestRandomBlockwiseFastForward:
     """The blockwise random-scheduler skip (the default at reduced fidelity)
-    is byte-identical to both the naive stepper and the per-tick scan it
-    replaced, over randomized scenarios."""
+    is byte-identical to the naive stepper over randomized scenarios, in
+    both its implementations: the pure-Python block path and, where the
+    extension is built, the C tick loop."""
 
     @pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
     def test_blockwise_matches_naive_at_outputs_fidelity(self, seed):
@@ -181,7 +183,6 @@ class TestRandomBlockwiseFastForward:
         config["scheduling"] = "random"
         naive = run_sim(build_sim(config, engine="naive", record="outputs"), config)
         block = run_sim(build_sim(config, engine="event", record="outputs"), config)
-        assert block._random_ff == "block"
         assert naive.run == block.run, f"run records diverged for config {config}"
         assert naive.time == block.time
         assert naive.network.sent_count == block.network.sent_count
@@ -189,17 +190,34 @@ class TestRandomBlockwiseFastForward:
         assert naive._next_timeout == block._next_timeout
 
     @pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
-    def test_blockwise_matches_per_tick_scan_at_metrics_fidelity(self, seed):
+    def test_block_path_c_loop_and_naive_agree_at_metrics_fidelity(self, seed):
         config = random_config(seed)
         config["scheduling"] = "random"
-        scan = build_sim(config, engine="event", record="metrics")
-        scan._random_ff = "scan"
-        run_sim(scan, config)
-        block = run_sim(build_sim(config, engine="event", record="metrics"), config)
-        assert scan.metrics.as_dict() == block.metrics.as_dict()
-        assert scan.last_live_tick == block.last_live_tick
-        assert scan.time == block.time
-        assert scan.network.sent_count == block.network.sent_count
+
+        def run(**kwargs):
+            return run_sim(build_sim(config, record="metrics", **kwargs), config)
+
+        naive = run(engine="naive", kernel="packed")
+        block = run(engine="event", kernel="packed")
+        default = run(engine="event")  # the C loop where it is built
+        assert block.fused_path is None
+        assert default.fused_path == ("c-loop" if HAS_COMPILED else None)
+        assert default.metrics == block.metrics  # all but which loop ran
+        # the naive stepper executes the idle ticks the event engine skips,
+        # so its step split differs; everything else is the same run
+        split = ("steps", "steps_by_pid", "idle_ticks_skipped",
+                 "fused_path", "fused_reason")
+        want = {k: v for k, v in naive.metrics.as_dict().items() if k not in split}
+        for sim in (block, default):
+            got = sim.metrics.as_dict()
+            assert {k: v for k, v in got.items() if k not in split} == want
+            assert (
+                sim.metrics.steps + sim.metrics.idle_ticks_skipped
+                == naive.metrics.steps
+            )
+            assert sim.last_live_tick == naive.last_live_tick
+            assert sim.time == naive.time
+            assert sim.network.sent_count == naive.network.sent_count
 
     def test_full_fidelity_random_runs_use_the_scan(self):
         # Materializing observers need every idle-step record, so the

@@ -40,6 +40,7 @@ from repro.sim import (
     HAS_COMPILED_LOOP,
     KERNELS,
     CompiledPackedNetwork,
+    FailurePattern,
     FixedDelay,
     Network,
     PackedNetwork,
@@ -47,11 +48,12 @@ from repro.sim import (
     SimObserver,
     Simulation,
     StepStore,
+    make_env,
     make_network,
     run_digest,
 )
 from repro.sim.errors import ConfigurationError
-from repro.sim.types import NEVER
+from repro.sim.types import NEVER, stable_hash
 
 from test_engine_differential import build_sim, random_config, run_sim
 
@@ -879,10 +881,13 @@ class RawStepSpy(SimObserver):
 class TestFusedPathAndReason:
     @pytest.mark.parametrize("kernel", BUILT_KERNELS)
     def test_the_run_time_gate_is_part_of_the_answer(self, kernel):
-        # run_until never enters a fused loop under random scheduling or
-        # the naive engine, whatever the rung: the path must say so.
+        # run_until never enters a fused loop under the naive engine, or
+        # under random scheduling when idle steps are materialized
+        # (record="full", the default), whatever the rung: the path must
+        # say so.
         for gate, reason in (
-            ({"scheduling": "random"}, "scheduling=random"),
+            ({"scheduling": "random"},
+             "scheduling=random materializes idle steps"),
             ({"engine": "naive"}, "engine=naive"),
         ):
             sim = Simulation(
@@ -892,6 +897,45 @@ class TestFusedPathAndReason:
             sim.run_until(50)
             assert sim.metrics.fused_path is None
             assert sim.metrics.fused_reason == reason
+
+    def test_random_scheduling_is_the_c_loop_or_the_generic_engine(self):
+        # No Python fused loop exists for random scheduling: every rung
+        # below the C loop steps generically and names the actual cause.
+        class IdleSpy(SimObserver):
+            wants_idle_steps = True
+
+        def resolve(**kwargs):
+            kwargs.setdefault("record", "metrics")
+            sim = Simulation(
+                [Chatter() for _ in range(3)], scheduling="random", **kwargs
+            )
+            return sim.fused_path, sim.fused_reason
+
+        idle = (None, "scheduling=random materializes idle steps")
+        assert resolve(record="full") == idle
+        assert resolve(observers=[IdleSpy()]) == idle
+        assert resolve(kernel="legacy", observers=[IdleSpy()]) == idle
+        assert resolve(kernel="legacy") == (None, "legacy network")
+        assert resolve(observers=[StepSpy()]) == (
+            None, "non-raw step observer: StepSpy"
+        )
+        if not HAS_COMPILED:
+            assert resolve() == (None, "extension not loaded")
+            assert resolve(observers=[SendSpy()]) == (
+                None, "extension not loaded"
+            )
+            return
+        for record in ("outputs", "metrics", "none"):
+            assert resolve(record=record) == ("c-loop", None)
+        assert resolve(observers=[RawStepSpy(), LogSpy()]) == ("c-loop", None)
+        assert resolve(kernel="packed") == (None, "kernel=packed")
+        assert resolve(kernel="compiled") == (None, "kernel=compiled")
+        assert resolve(network=PackedNetwork(3, FixedDelay(1))) == (
+            None, "network=PackedNetwork"
+        )
+        assert resolve(observers=[DeliverSpy()]) == (
+            None, "send/deliver observer: DeliverSpy"
+        )
 
     def test_every_reason_on_the_ladder(self):
         top = ("c-loop", None) if HAS_COMPILED else (
@@ -1145,7 +1189,10 @@ FAILURE_SITES = [
 ]
 
 
-def _failure_sim(kernel: str, *, vectorized: bool, record: str = "metrics"):
+def _failure_sim(
+    kernel: str, *, vectorized: bool, record: str = "metrics",
+    scheduling: str = "round_robin",
+):
     fuse = Fuse()
     sim = Simulation(
         [FusedTalker(fuse) for _ in range(3)],
@@ -1153,6 +1200,10 @@ def _failure_sim(kernel: str, *, vectorized: bool, record: str = "metrics"):
         detector=FusedDetector(fuse),
         timeout_interval=5,
         seed=2,
+        scheduling=scheduling,
+        # random scheduling's oracle (Simulation.step) pops a whole batch
+        # before it calls a handler: a raise must lose the same messages
+        message_batch=3 if scheduling == "random" else 1,
         record=record,
         kernel=kernel,
         observers=[] if record == "full" else [FusedRawObserver(fuse)],
@@ -1188,21 +1239,33 @@ def _engine_state(sim: Simulation) -> dict:
 @pytest.mark.skipif(not HAS_COMPILED_LOOP, reason="C loop not built")
 class TestRunLoopFailurePaths:
     @pytest.mark.parametrize(
-        "site,record",
-        [(site, "metrics") for site in FAILURE_SITES]
+        "site,record,scheduling",
+        [(site, "metrics", "round_robin") for site in FAILURE_SITES]
         # record="full" appends to the store inline: no observer to blow
-        + [(site, "full") for site in FAILURE_SITES if "observer" not in site],
+        + [
+            (site, "full", "round_robin")
+            for site in FAILURE_SITES if "observer" not in site
+        ]
+        # random scheduling at record="full" is not the C loop's
+        + [(site, "metrics", "random") for site in FAILURE_SITES],
     )
     def test_a_raise_leaves_exactly_what_the_python_loop_leaves(
-        self, site, record
+        self, site, record, scheduling
     ):
         vectorized = site != "delay"
         sims = {
-            kernel: _failure_sim(kernel, vectorized=vectorized, record=record)
+            kernel: _failure_sim(
+                kernel, vectorized=vectorized, record=record,
+                scheduling=scheduling,
+            )
             for kernel in ("packed", "compiled", "compiled-loop")
         }
         assert sims["compiled-loop"][0].fused_path == "c-loop"
-        assert sims["packed"][0].fused_path == "python"
+        # the oracle: the Python fused loop, or — there is none for random
+        # scheduling — the generic engine
+        assert sims["packed"][0].fused_path == (
+            "python" if scheduling == "round_robin" else None
+        )
         # on_start runs once per process: it can only blow at the next one
         afters = (0, 0, 0) if site == "on_start" else (0, 7, 23)
         for round_, after in enumerate(afters):
@@ -1222,18 +1285,21 @@ class TestRunLoopFailurePaths:
         states = {k: _engine_state(sim) for k, (sim, __) in sims.items()}
         assert states["compiled-loop"] == states["compiled"] == states["packed"]
 
-    def test_no_reference_leaks_over_1e5_ticks_of_raising_runs(self):
+    @pytest.mark.parametrize("scheduling", ["round_robin", "random"])
+    def test_no_reference_leaks_over_1e5_ticks_of_raising_runs(self, scheduling):
         import gc
         import sys
 
-        sim, fuse = _failure_sim("compiled-loop", vectorized=True)
+        sim, fuse = _failure_sim(
+            "compiled-loop", vectorized=True, scheduling=scheduling
+        )
         per_receiver, __ = _failure_sim("compiled-loop", vectorized=False)
         per_receiver.network.delay_model.fuse = fuse
         model = sim.network.delay_model
         watched = [
             sim, sim.network, sim._ctx, sim.detector, model, fuse,
             sim._observers[-1], *sim.processes, FusedTalker.on_message,
-            FusedTalker.on_timeout, FD_VALUE,
+            FusedTalker.on_timeout, FD_VALUE, sim.metrics,
         ]
 
         def counts():
@@ -1278,3 +1344,306 @@ class TestRunLoopFailurePaths:
         assert sim.metrics.steps - raised > 30_000  # it did run, and fail
         assert sim.fused_path == "c-loop"
         assert counts() == before
+
+
+# ---------------------------------------------------------------------------
+# Random scheduling on the C loop: the same run as the generic engine's.
+# ---------------------------------------------------------------------------
+
+
+def reference_permutation(seed: int, block: int, n: int) -> list[int]:
+    """Block ``block``'s schedule, spelled out: the definition both
+    ``Simulation._permutation_for_block`` and the C loop are held to."""
+    permutation = list(range(n))
+    random.Random(stable_hash("block-permutation", seed, block)).shuffle(
+        permutation
+    )
+    return permutation
+
+
+class ScheduleSpy(SimObserver):
+    """Raw-capable: notes which process executed at which tick."""
+
+    def __init__(self) -> None:
+        self.schedule: list[tuple[int, int]] = []
+
+    def on_step(self, sim, record):
+        self.schedule.append((record.time, record.pid))
+
+    def on_step_raw(self, sim, index, t, pid, *rest):
+        self.schedule.append((t, pid))
+
+
+class Mixer(Process):
+    """Broadcasts, point-to-point sends, outputs and log lines, all a pure
+    function of what the process has seen."""
+
+    def __init__(self) -> None:
+        self.seen = 0
+
+    def on_input(self, ctx, value):
+        ctx.send_all(("input", value))
+        ctx.output(("accepted", value))
+
+    def on_timeout(self, ctx):
+        ctx.send((ctx.pid + 1) % ctx.n, ("beat", ctx.time))
+        ctx.log(("beat", ctx.time))
+
+    def on_message(self, ctx, sender, payload):
+        self.seen += 1
+        if self.seen % 4 == 0:
+            ctx.send_all(("echo", self.seen), include_self=False)
+        if payload[0] == "input":
+            ctx.output(("delivered", sender, payload[1]))
+
+
+#: every leg of the random-scheduling matrix; the first is the seed oracle.
+RANDOM_LEGS = [("legacy", "naive")] + [(k, "event") for k in BUILT_KERNELS]
+
+
+def _random_sim(
+    kernel, engine="event", *, n, crashes=None, record="metrics", seed=11,
+    timeout=23, batch=1, cls=Mixer,
+):
+    sim = Simulation(
+        [cls() for __ in range(n)],
+        failure_pattern=FailurePattern(n, crashes or {}),
+        delay_model=make_env("flaky", seed=seed).delay,
+        seed=seed,
+        timeout_interval=timeout,
+        scheduling="random",
+        message_batch=batch,
+        engine=engine,
+        kernel=kernel,
+        record=record,
+    )
+    for k in range(12):
+        sim.add_input(k % n, 3 + 41 * k, ("op", k))
+    return sim
+
+
+def _run_view(sim: Simulation) -> dict:
+    """What a run leaves behind, minus the executed/idle step split (the
+    naive engine executes the idle ticks the event engine skips)."""
+    view = {
+        "digest": run_digest(sim),
+        "run": sim.run,
+        "time": sim.time,
+        "last_live_tick": sim.last_live_tick,
+        "network": _state(sim.network),
+        "next_timeout": list(sim._next_timeout),
+    }
+    if sim.record_level == "metrics":  # the level that fills RunMetrics
+        metrics = sim.metrics
+        view["ticks"] = metrics.steps + metrics.idle_ticks_skipped
+        view["counters"] = (
+            metrics.messages_sent, metrics.messages_received,
+            metrics.timeouts_fired, metrics.inputs, metrics.outputs,
+            metrics.end_time,
+        )
+    return view
+
+
+def _assert_legs_agree(sims: dict) -> None:
+    oracle = _run_view(sims["legacy", "naive"])
+    reference = sims["packed", "event"]
+    for leg, sim in sims.items():
+        kernel, engine = leg
+        assert _run_view(sim) == oracle, leg
+        if engine == "event":
+            assert sim.metrics == reference.metrics, leg
+            assert sim.fused_path == (
+                "c-loop" if kernel == "compiled-loop" else None
+            ), leg
+
+
+class TestRandomSchedulingOnTheCLoop:
+    @pytest.mark.parametrize("seed", [0, 7, 4_294_967_311])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 17, 33, 64, 257])
+    def test_block_permutations_are_bit_for_bit_the_definition(self, n, seed):
+        # timeout_interval=1 makes every tick an executed step, so the
+        # executed steps spell out the schedule each implementation derived:
+        # the generic engine's (kernel="packed") and, where built, the C
+        # loop's own derivation.
+        for first in (0, 2**32 - 1):
+            blocks = range(first, first + 3)  # 0, 1, 2 and 2**32 - 1, +0, +1
+            want = [
+                (block * n + slot, pid)
+                for block in blocks
+                for slot, pid in enumerate(reference_permutation(seed, block, n))
+            ]
+            for kernel in ("packed", DEFAULT_KERNEL):
+                spy = ScheduleSpy()
+                sim = Simulation(
+                    [Process() for __ in range(n)],
+                    seed=seed,
+                    timeout_interval=1,
+                    scheduling="random",
+                    record="none",
+                    kernel=kernel,
+                    observers=[spy],
+                )
+                sim.time = first * n
+                sim.run_until((first + 3) * n)
+                assert spy.schedule == want, (kernel, first)
+                assert sim.fused_path == (
+                    "c-loop" if kernel == "compiled-loop" else None
+                )
+            oracle = Simulation(
+                [Process() for __ in range(n)], seed=seed, scheduling="random"
+            )
+            for block in blocks:
+                assert oracle._permutation_for_block(block) == (
+                    reference_permutation(seed, block, n)
+                )
+
+    @pytest.mark.parametrize("record", ["outputs", "metrics"])
+    @pytest.mark.parametrize(
+        "n,crashes,batch",
+        [
+            (5, {}, 1),
+            (5, {3: 37}, 1),                           # boundary mid-block
+            (5, {0: 200, 1: 35, 3: 36, 4: 611}, 3),    # all but one crash
+            (4, {0: 0, 2: 1}, 1),                      # dead from the start
+            (1, {}, 1),
+            (2, {1: 301}, 1),
+        ],
+    )
+    def test_every_rung_computes_the_naive_engines_run(
+        self, n, crashes, batch, record
+    ):
+        sims = {
+            (kernel, engine): _random_sim(
+                kernel, engine, n=n, crashes=crashes, batch=batch, record=record
+            )
+            for kernel, engine in RANDOM_LEGS
+        }
+        for sim in sims.values():
+            sim.run_until(1_503)
+        _assert_legs_agree(sims)
+
+    def test_segment_edges_inside_a_block_change_nothing(self):
+        # The ruler drives a run as 200 run_until segments: most edges fall
+        # mid-block, and the t_end of one call is the start of the next.
+        horizon = 7_013
+        whole = {
+            (kernel, engine): _random_sim(kernel, engine, n=5, crashes={2: 5_000})
+            for kernel, engine in RANDOM_LEGS
+        }
+        for sim in whole.values():
+            sim.run_until(horizon)
+        _assert_legs_agree(whole)
+        for kernel in BUILT_KERNELS:
+            cut = _random_sim(kernel, n=5, crashes={2: 5_000})
+            for k in range(1, 201):
+                cut.run_until(horizon * k // 200)
+            assert _run_view(cut) == _run_view(whole[kernel, "event"]), kernel
+            assert cut.metrics == whole[kernel, "event"].metrics
+
+    def test_above_the_scan_cutover_the_heap_query_answers(self):
+        from repro.sim.kernel import SCAN_EVENT_CUTOVER
+
+        n = SCAN_EVENT_CUTOVER + 1
+        sims = {
+            (kernel, engine): _random_sim(
+                kernel, engine, n=n, crashes={5: 900, n - 1: 2_000},
+                timeout=97, cls=Chatter,
+            )
+            for kernel, engine in RANDOM_LEGS
+        }
+        for sim in sims.values():
+            assert sim._scan_cutover < n
+            sim.run_until(4 * n + 50)
+        _assert_legs_agree(sims)
+        # ... and the two idle queries agree with each other on one sim size
+        forced = {}
+        for cutover in (0, SCAN_EVENT_CUTOVER):
+            sim = _random_sim(DEFAULT_KERNEL, n=6, crashes={1: 444})
+            sim._scan_cutover = cutover
+            sim.run_until(3_000)
+            forced[cutover] = _run_view(sim), sim.metrics
+        assert forced[0] == forced[SCAN_EVENT_CUTOVER]
+
+    def test_an_add_input_from_inside_a_handler_is_seen(self):
+        # Simulation.add_input lowers _local_event in the middle of a run;
+        # a loop that mirrored the index would sleep through the input.
+        class Nudger(Mixer):
+            sim = None
+
+            def on_timeout(self, ctx):
+                super().on_timeout(ctx)
+                self.sim.add_input(
+                    (ctx.pid + 2) % ctx.n, ctx.time + 1, ("nudge", ctx.time)
+                )
+
+        sims = {}
+        for kernel, engine in RANDOM_LEGS:
+            sim = _random_sim(
+                kernel, engine, n=5, crashes={4: 700}, record="outputs",
+                timeout=61, cls=Nudger,
+            )
+            for process in sim.processes:
+                process.sim = sim
+            sim.run_until(2_000)
+            sims[kernel, engine] = sim
+        _assert_legs_agree(sims)
+        accepted = sims["legacy", "naive"].run.output_history
+        assert any(
+            value[1][0] == "nudge"
+            for history in accepted.values() for __, value in history
+            if value[0] == "accepted"
+        )
+
+    def test_idle_counters_are_current_whenever_python_is_called(self):
+        # Handlers and observers read sim.metrics / sim.last_live_tick in
+        # the middle of a run: what the C loop accumulates while walking a
+        # block must be written through before it calls out.
+        class Peeker(Mixer):
+            sim = None
+            peeks = None
+
+            def on_timeout(self, ctx):
+                super().on_timeout(ctx)
+                sim = self.sim
+                self.peeks.append((
+                    ctx.time, sim.time, sim.last_live_tick,
+                    sim.metrics.idle_ticks_skipped,
+                ))
+
+        seen = {}
+        for kernel in BUILT_KERNELS:
+            sim = _random_sim(kernel, n=5, crashes={1: 310}, cls=Peeker)
+            peeks: list = []
+            for process in sim.processes:
+                process.sim, process.peeks = sim, peeks
+            sim.run_until(1_200)
+            seen[kernel] = peeks
+        assert seen["packed"]
+        for kernel in BUILT_KERNELS:
+            assert seen[kernel] == seen["packed"], kernel
+
+    def test_per_tick_run_calls_step_generically(self):
+        # run_steps is run_until by another name; run_while and
+        # run_until_quiescent re-evaluate a predicate at every tick.
+        sims = {
+            kernel: _random_sim(kernel, n=4, crashes={3: 150})
+            for kernel in BUILT_KERNELS
+        }
+        for kernel, sim in sims.items():
+            top = "c-loop" if kernel == "compiled-loop" else None
+            sim.run_steps(130)
+            assert sim.metrics.fused_path == sim.fused_path == top
+            sim.run_while(lambda s: s.time < 210)
+            assert (sim.metrics.fused_path, sim.metrics.fused_reason) == (
+                None, "per-tick predicate",
+            )
+            sim.run_until(300)
+            assert sim.metrics.fused_path == top
+            sim.run_until_quiescent(max_time=340)
+            assert sim.metrics.fused_reason == "per-tick predicate"
+            sim.step()
+            sim.run_steps(77)
+        reference = _run_view(sims["legacy"])
+        for kernel, sim in sims.items():
+            assert _run_view(sim) == reference, kernel
+            assert sim.metrics == sims["legacy"].metrics

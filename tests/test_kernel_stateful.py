@@ -102,7 +102,7 @@ class RawStepSpy(Spy):  # raw-capable: every fused loop stays engaged
         self.seen.append((t, pid, sent))
 
 
-class SendSpy(Spy):  # needs Envelope views: C loop degrades to Python loop
+class SendSpy(Spy):  # needs Envelope views: the C loop degrades one rung
     def on_send(self, sim, envelope):
         self.seen.append(("send", envelope))
 
@@ -129,17 +129,24 @@ def delay_model(env: str, seed: int):
     return make_env(env, seed=seed).delay  # counter-based, vectorized
 
 
-def expected_path(kernel, engine, scheduling, spies) -> str | None:
-    """The ladder's rules, restated independently of ``fused_runner``."""
-    if engine == "naive" or scheduling == "random" or kernel == "legacy":
+def expected_path(kernel, engine, scheduling, record, spies) -> str | None:
+    """The ladder's rules, restated independently of ``fused_runner``.
+
+    The C loop serves both schedules; the Python fused loop is round-robin
+    only, so a random-scheduled run is on the C loop or on no fused loop.
+    """
+    if engine == "naive" or kernel == "legacy":
         return None
     if any(type(spy) is StepSpy for spy in spies):
+        return None
+    random = scheduling == "random"
+    if random and record == "full":  # every idle step is materialized
         return None
     if kernel == "compiled-loop" and not any(
         isinstance(spy, (SendSpy, DeliverSpy)) for spy in spies
     ):
         return "c-loop"
-    return "python"
+    return None if random else "python"
 
 
 class KernelLadderMachine(RuleBasedStateMachine):
@@ -239,7 +246,7 @@ class KernelLadderMachine(RuleBasedStateMachine):
             kernel, engine = leg
             attached = [s for s in self.spies[leg] if s in sim._observers]
             assert sim.fused_path == expected_path(
-                kernel, engine, self.scheduling, attached
+                kernel, engine, self.scheduling, self.record, attached
             ), (leg, sim.fused_reason)
             assert (sim.fused_reason is None) == (sim.fused_path == "c-loop")
             if engine == "naive":
