@@ -7,10 +7,15 @@ simulation tree. The emulated output stabilizes on the same correct process
 at all correct processes.
 
 The second test is the extraction path's per-PR readout: wall time per
-scenario and how many analysis rounds ran a fresh extraction versus reused
-the last result on an unchanged DAG, printed (``-s``) and published to the
-CI job summary. It gates nothing — the ruler's ``report_campaign`` workload
-(``benchmarks/perf``) is the gate.
+scenario, how many analysis rounds ran a fresh extraction versus reused the
+last result on an unchanged DAG, and how many replayed steps ran the
+simulated algorithm versus repeated a local step the same extraction had
+already run (``steps_executed`` / ``steps_shared``, exact counts), printed
+(``-s``) and published to the CI job summary. It gates no timing — the
+ruler's ``report_campaign`` workload (``benchmarks/perf``) is that gate —
+but it fails if a scenario shared no step at all: the replay memo
+disengaging (say, a key part that stopped hashing) changes no result, so
+nothing else would notice.
 """
 
 import time
@@ -39,9 +44,16 @@ def test_exp7_extraction_path_per_scenario():
         run = sum(procs[pid].extractions_run for pid in pattern.correct)
         reused = sum(procs[pid].extractions_reused for pid in pattern.correct)
         assert 0 <= reused < run, (label, run, reused)
-        rows.append((label, f"{wall:.2f}", run, reused))
+        executed = sum(procs[pid].steps_executed for pid in pattern.correct)
+        shared = sum(procs[pid].steps_shared for pid in pattern.correct)
+        assert executed > 0 and shared > 0, (label, executed, shared)
+        rows.append((label, f"{wall:.2f}", run, reused, executed, shared))
     table = markdown_table(
-        ["scenario", "wall s", "extractions_run", "extractions_reused"], rows
+        [
+            "scenario", "wall s", "extractions_run", "extractions_reused",
+            "steps_executed", "steps_shared",
+        ],
+        rows,
     )
     print("\n" + table)
     publish_step_summary("### EXP-7 extraction path (seed 1)\n\n" + table)

@@ -66,9 +66,9 @@ def run_cht_scenario(n, crashes, tau, leader, window, *, seed: int = 0):
     metrics=("extractions",),
     flags=("correct", "stabilized"),
     values=("leader",),
-    # 2.65 s per cell where the other twelve experiments run at 0.355 s
+    # 1.10 s per cell where the other twelve experiments run at 0.257 s
     # per hint unit (traced report_campaign, seed 1).
-    cost=7.5,
+    cost=4.3,
 )
 def exp_cht_extraction(*, seed: int = 0) -> ExperimentResult:
     """EXP-7: the distributed reduction emulates Omega from EC runs."""

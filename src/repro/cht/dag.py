@@ -17,7 +17,7 @@ verifies them on sampled executions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from repro.sim.types import ProcessId
@@ -30,9 +30,15 @@ class DagVertex:
     pid: ProcessId
     k: int
     value: Any
+    #: the deterministic order's key, computed once: every sorted view of a
+    #: DAG asks for it, and ``repr`` of the value is most of its cost.
+    _sort_key: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_sort_key", (self.k, self.pid, repr(self.value)))
 
     def sort_key(self) -> tuple:
-        return (self.k, self.pid, repr(self.value))
+        return self._sort_key
 
 
 class SampleDag:
@@ -43,6 +49,8 @@ class SampleDag:
         #: successors: v -> set of w with edge (v, w).
         self._succ: dict[DagVertex, set[DagVertex]] = {}
         self._sample_counts: dict[ProcessId, int] = {}
+        #: the view :meth:`snapshot` last built, until the DAG next changes.
+        self._snapshot: SampleDagSnapshot | None = None
 
     # -- construction (Figure 1) ---------------------------------------------------
 
@@ -55,24 +63,31 @@ class SampleDag:
             self._succ.setdefault(existing, set()).add(vertex)
         self._vertices.add(vertex)
         self._succ.setdefault(vertex, set())
+        self._snapshot = None
         return vertex
 
     def union(self, other: "SampleDag | SampleDagSnapshot") -> None:
         """Merge a gossiped DAG into this one (``G_p := G_p u G_q``)."""
         if isinstance(other, SampleDag):
             vertices = other._vertices
-            edges = other._succ
+            edges = other._succ.items()
         else:
-            vertices = set(other.vertices)
-            edges = {v: set(ws) for v, ws in other.edges}
-        self._vertices |= vertices
-        for vertex, successors in edges.items():
+            vertices = other.vertices
+            edges = other.edges
+        size = self._size()
+        self._vertices.update(vertices)
+        for vertex, successors in edges:
             self._succ.setdefault(vertex, set()).update(successors)
         for vertex in vertices:
             self._succ.setdefault(vertex, set())
             count = self._sample_counts.get(vertex.pid, 0)
             if vertex.k > count:
                 self._sample_counts[vertex.pid] = vertex.k
+        if size != self._size():  # sets only grow: same counts, same DAG
+            self._snapshot = None
+
+    def _size(self) -> tuple[int, int, int]:
+        return len(self._vertices), len(self._succ), sum(map(len, self._succ.values()))
 
     # -- queries -----------------------------------------------------------------
 
@@ -157,16 +172,17 @@ class SampleDag:
         return sub
 
     def snapshot(self) -> "SampleDagSnapshot":
-        """An immutable copy suitable for gossiping."""
-        return SampleDagSnapshot(
-            vertices=tuple(self.vertices()),
-            edges=tuple(
-                (v, tuple(sorted(ws, key=DagVertex.sort_key)))
-                for v, ws in sorted(
-                    self._succ.items(), key=lambda item: item[0].sort_key()
-                )
-            ),
-        )
+        """An immutable copy suitable for gossiping (shared until the DAG
+        next changes: equal DAGs gossip and compare as one object)."""
+        if self._snapshot is None:
+            self._snapshot = SampleDagSnapshot(
+                vertices=tuple(self.vertices()),
+                edges=tuple(
+                    (v, tuple(sorted(self._succ[v], key=DagVertex.sort_key)))
+                    for v in sorted(self._succ, key=DagVertex.sort_key)
+                ),
+            )
+        return self._snapshot
 
 
 @dataclass(frozen=True)

@@ -72,10 +72,18 @@ def extract_leader(
     *,
     bounds: TreeBounds | None = None,
     max_instances: int = 2,
+    sandbox: ReplaySandbox | None = None,
 ) -> ExtractionResult:
-    """Run the CHT extraction on one DAG; see the module docstring."""
+    """Run the CHT extraction on one DAG; see the module docstring.
+
+    The replay sandbox — and with it the memo of local steps — lives for
+    this call. A caller that wants its step counters passes a fresh
+    ``sandbox`` built from the same ``n`` and ``stack_factory``, reads them
+    afterwards and drops it.
+    """
     bounds = bounds or TreeBounds()
-    sandbox = ReplaySandbox(n, stack_factory)
+    if sandbox is None:
+        sandbox = ReplaySandbox(n, stack_factory)
     tree = SimulationTree(dag, sandbox, bounds)
     tree.compute_tags()
 

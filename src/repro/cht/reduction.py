@@ -24,7 +24,7 @@ from typing import Any
 
 from repro.cht.dag import SampleDag, SampleDagSnapshot
 from repro.cht.extraction import ExtractionResult, extract_leader
-from repro.cht.replay import StackFactory
+from repro.cht.replay import ReplaySandbox, StackFactory
 from repro.cht.tree import TreeBounds
 from repro.sim.context import Context
 from repro.sim.process import Process
@@ -71,6 +71,11 @@ class OmegaExtractionProcess(Process):
         #: of those, the rounds answered from ``last_result`` because the
         #: (windowed) DAG had not changed since it was computed.
         self.extractions_reused = 0
+        #: over the fresh extractions: replayed steps that ran the simulated
+        #: algorithm's handlers / that repeated a step already run in the
+        #: same extraction (``ReplaySandbox.steps_executed``/``steps_shared``).
+        self.steps_executed = 0
+        self.steps_shared = 0
         self._extracted_from: SampleDagSnapshot | None = None
         self._timeouts = 0
         self._local_samples = 0
@@ -107,9 +112,12 @@ class OmegaExtractionProcess(Process):
             result = self.last_result
             self.extractions_reused += 1
         else:
+            sandbox = ReplaySandbox(ctx.n, self.stack_factory)
             result = extract_leader(
-                dag, self.stack_factory, ctx.n, bounds=self.bounds
+                dag, self.stack_factory, ctx.n, bounds=self.bounds, sandbox=sandbox
             )
+            self.steps_executed += sandbox.steps_executed
+            self.steps_shared += sandbox.steps_shared
             self._extracted_from = snapshot
             self.last_result = result
         self.extractions_run += 1

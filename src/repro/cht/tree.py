@@ -54,6 +54,16 @@ class Step:
     delivered: tuple[ProcessId, Any] | None  # (sender, payload) or lambda
     #: inputs fixed *by this step* (usually empty or one entry).
     new_inputs: tuple[tuple[tuple[ProcessId, Any], Any], ...]
+    #: see :meth:`message_key`; computed once, the gadget search asks per pair.
+    _message_key: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.delivered is None:
+            key: tuple = ("lambda",)
+        else:
+            sender, payload = self.delivered
+            key = ("msg", sender, repr(payload))
+        object.__setattr__(self, "_message_key", key)
 
     @property
     def pid(self) -> ProcessId:
@@ -61,10 +71,7 @@ class Step:
 
     def message_key(self) -> tuple:
         """Identity of the consumed message (for gadget matching)."""
-        if self.delivered is None:
-            return ("lambda",)
-        sender, payload = self.delivered
-        return ("msg", sender, repr(payload))
+        return self._message_key
 
 
 @dataclass
@@ -164,6 +171,7 @@ class SimulationTree:
         while pending:
             guard += 1
             if guard > 64:  # a single step cannot need this many inputs
+                self.truncated = True  # ...and if it does, branches are dropped
                 break
             inputs = pending.popleft()
             try:

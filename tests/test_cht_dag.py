@@ -88,6 +88,37 @@ class TestUnion:
         d1.union(snap)
         assert len(d1) == 1
 
+    def test_snapshot_is_kept_until_the_dag_changes(self):
+        d1, d2 = SampleDag(), SampleDag()
+        d1.add_sample(0, "a")
+        d2.add_sample(1, "b")
+        snap = d1.snapshot()
+        assert d1.snapshot() is snap
+        d1.union(snap)  # nothing new: same view
+        assert d1.snapshot() is snap
+        d1.union(d2.snapshot())  # a new vertex
+        merged = d1.snapshot()
+        assert merged is not snap and len(merged.vertices) == 2
+        d1.union(d2)  # the same DAG again, as a SampleDag
+        assert d1.snapshot() is merged
+        d2.add_sample(1, "c")  # an edge b -> c arrives with its vertex
+        d1.union(d2.snapshot())
+        assert d1.snapshot() is not merged
+        latest = d1.snapshot()
+        d1.add_sample(0, "d")
+        assert d1.snapshot() != latest
+        # A kept view is the view a rebuild would give.
+        rebuilt = SampleDag()
+        rebuilt.union(d1)
+        assert rebuilt.snapshot() == d1.snapshot()
+
+    def test_cached_sort_key_is_not_part_of_the_vertex(self):
+        vertex = DagVertex(1, 2, "x")
+        assert vertex.sort_key() == (2, 1, "'x'")
+        assert vertex.sort_key() is vertex.sort_key()
+        assert repr(vertex) == "DagVertex(pid=1, k=2, value='x')"
+        assert vertex == DagVertex(1, 2, "x") and hash(vertex) == hash(DagVertex(1, 2, "x"))
+
     def test_sample_counts_continue_after_union(self):
         d1, d2 = SampleDag(), SampleDag()
         d2.add_sample(0, "other")  # p0 sampled elsewhere?! — same pid space

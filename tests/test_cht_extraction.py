@@ -5,6 +5,8 @@ extracted leader must be the correct process whose hidden choices decide the
 simulated EC runs — for Algorithm 4, the Omega leader.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.cht import (
@@ -18,7 +20,7 @@ from repro.cht import (
 from repro.cht.gadgets import find_forks, smallest_gadget
 from repro.core import EcDriverLayer, EcUsingOmegaLayer
 from repro.detectors import OmegaDetector
-from repro.sim import FailurePattern, FixedDelay, ProtocolStack, Simulation
+from repro.sim import FailurePattern, FixedDelay, Process, ProtocolStack, Simulation
 
 
 def ec_factory(proposal_fn):
@@ -36,6 +38,18 @@ def stable_dag(n=2, leader=0, rounds=4):
 
 
 SMALL_BOUNDS = TreeBounds(max_depth=5, max_nodes=1200)
+
+
+class Greedy(Process):
+    """Looks up ``demands`` proposal inputs in a single step."""
+
+    def __init__(self, proposal_fn, demands):
+        self.proposal_fn = proposal_fn
+        self.demands = demands
+
+    def on_timeout(self, ctx):
+        for instance in range(1, self.demands + 1):
+            self.proposal_fn(ctx.pid, instance)
 
 
 class TestSimulationTree:
@@ -83,6 +97,25 @@ class TestSimulationTree:
                 child = tree.nodes[child_id]
                 for k, child_tag in child.tags.items():
                     assert child_tag <= node.tags.get(k, frozenset())
+
+    def test_dropped_input_branches_are_reported_as_truncation(self):
+        # Seven binary inputs in one step are 255 attempts; _try_step gives
+        # up after 64 and must say so, not hand back a silently partial tree.
+        tree = SimulationTree(
+            stable_dag(n=1, rounds=1),
+            ReplaySandbox(1, lambda proposal_fn: Greedy(proposal_fn, demands=7)),
+            TreeBounds(max_depth=1),
+        )
+        assert len(tree.nodes) - 1 < 2**7
+        assert tree.truncated
+        # Five inputs (63 attempts) fit under the guard: all 32 branches.
+        tree = SimulationTree(
+            stable_dag(n=1, rounds=1),
+            ReplaySandbox(1, lambda proposal_fn: Greedy(proposal_fn, demands=5)),
+            TreeBounds(max_depth=1),
+        )
+        assert len(tree.nodes) - 1 == 2**5
+        assert not tree.truncated
 
     def test_no_disagreement_with_stable_leader(self):
         tree = SimulationTree(stable_dag(), ReplaySandbox(2, ec_factory), SMALL_BOUNDS)
@@ -235,16 +268,21 @@ class TestDistributedReduction:
         # Two sampling rounds: the DAG grows, each one extracts afresh.
         assert tick() == (1, 0, 1)
         assert tick() == (2, 0, 2)
-        # Sampling stopped (max_samples): same snapshot, result reused.
+        # Sampling stopped (max_samples): same snapshot, result reused —
+        # and a reused round replays nothing.
         result = proc.last_result
+        replayed = proc.steps_executed, proc.steps_shared
+        assert replayed[0] > 0 and replayed[1] > 0
         assert tick() == (3, 1, 2)
         assert proc.last_result is result
+        assert (proc.steps_executed, proc.steps_shared) == replayed
         # Merging one new gossiped vertex forces a fresh extraction...
         peer = SampleDag()
         peer.add_sample(1, 0)
         gossip = reduction.DagGossip(peer.snapshot())
         proc.on_message(Context(pid=0, n=2, time=0, fd_value=0), 1, gossip)
         assert tick() == (4, 1, 3)
+        assert proc.steps_executed > replayed[0] and proc.steps_shared > replayed[1]
         # ...merging the same gossip again changes nothing...
         proc.on_message(Context(pid=0, n=2, time=0, fd_value=0), 1, gossip)
         assert tick() == (5, 2, 3)
@@ -252,8 +290,14 @@ class TestDistributedReduction:
         proc.dag.add_sample(0, 0)
         assert tick() == (6, 2, 4)
         assert fresh == [1, 2, 3, 4]
-        # A reused round still logs its ("extraction", ...) line.
+        # A reused round still logs its ("extraction", ...) line; the step
+        # counters are the process's alone, not the log's or the result's.
         assert [line[0] for line in logged] == ["extraction"] * 6
+        assert {len(line) for line in logged} == {5}
+        assert [f.name for f in dataclasses.fields(result)] == [
+            "leader", "confidence", "instance", "gadget",
+            "tree_nodes", "dag_vertices", "bivalent_node", "truncated",
+        ]
 
     def test_reduction_parameter_validation(self):
         with pytest.raises(ValueError):

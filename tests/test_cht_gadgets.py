@@ -130,3 +130,14 @@ class TestSmallest:
         a = Gadget("fork", 0, 1, 2, 3)
         b = Gadget("hook", 1, 1, 2, 3)
         assert a.sort_key() < b.sort_key()
+
+
+class TestStepIdentity:
+    def test_message_key_is_computed_once_and_is_not_part_of_the_step(self):
+        lam = Step(DagVertex(0, 1, 0), None, ())
+        msg = Step(DagVertex(0, 1, 0), (1, ("x", 2)), ())
+        assert lam.message_key() == ("lambda",)
+        assert msg.message_key() == ("msg", 1, "('x', 2)")
+        assert msg.message_key() is msg.message_key()
+        assert msg == Step(DagVertex(0, 1, 0), (1, ("x", 2)), ())
+        assert "message_key" not in repr(msg)

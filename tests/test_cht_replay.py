@@ -1,11 +1,15 @@
 """Tests for the CHT replay sandbox."""
 
+import gc
+
 import pytest
 
+from repro.cht import SampleDag, TreeBounds, extract_leader
 from repro.cht.replay import InputNeeded, ReplaySandbox
 from repro.core import EcDriverLayer, EcUsingOmegaLayer
 from repro.core.ec import Promote
-from repro.sim import ProtocolStack
+from repro.sim import Process, ProtocolStack
+from repro.sim.context import Context
 from repro.sim.errors import ConfigurationError
 
 
@@ -122,6 +126,85 @@ class TestSandbox:
         state = sandbox.initial_state()
         with pytest.raises(ValueError):
             sandbox.execute(state, 0, 0, deliver=True, inputs={(0, 1): 0})
+
+    def test_steps_of_different_processes_commute_and_share_bytes(self):
+        sandbox = ReplaySandbox(2, ec_factory)
+        root = sandbox.initial_state()
+        inputs = {(0, 1): 1, (1, 1): 0}
+        p_then_q = sandbox.execute(
+            sandbox.execute(root, 0, 0, False, inputs), 1, 0, False, inputs
+        )
+        q_then_p = sandbox.execute(
+            sandbox.execute(root, 1, 0, False, inputs), 0, 0, False, inputs
+        )
+        # S.e_p.e_q and S.e_q.e_p: each local step ran once, and both orders
+        # hold the very same frozen automata.
+        assert (sandbox.steps_executed, sandbox.steps_shared) == (2, 2)
+        assert p_then_q.automata[0] is q_then_p.automata[0]
+        assert p_then_q.automata[1] is q_then_p.automata[1]
+        assert p_then_q.started == q_then_p.started == (True, True)
+        # The configurations differ only in the order the promotes queued.
+        assert p_then_q.buffers[0] == q_then_p.buffers[0][::-1]
+        assert p_then_q.buffers[1] == q_then_p.buffers[1][::-1]
+
+    def test_input_demands_are_shared_steps_too(self):
+        sandbox = ReplaySandbox(2, ec_factory)
+        state = sandbox.initial_state()
+        for __ in range(2):
+            with pytest.raises(InputNeeded) as exc:
+                sandbox.execute(state, 0, 0, deliver=False, inputs={})
+            assert exc.value.key == (0, 1)
+        assert (sandbox.steps_executed, sandbox.steps_shared) == (1, 1)
+        # An input the step never looks up does not make it a different step...
+        with pytest.raises(InputNeeded):
+            sandbox.execute(state, 0, 0, deliver=False, inputs={(1, 1): 0})
+        assert (sandbox.steps_executed, sandbox.steps_shared) == (1, 2)
+        # ...the one it stopped on does.
+        sandbox.execute(state, 0, 0, deliver=False, inputs={(0, 1): 0})
+        assert (sandbox.steps_executed, sandbox.steps_shared) == (2, 2)
+
+    def test_unhashable_detector_value_bypasses_the_memo(self):
+        sandbox = ReplaySandbox(2, ec_factory)
+        state = sandbox.initial_state()
+        sample = {"omega": 0}  # a composite detector sample: no dict can key on it
+        first = sandbox.execute(state, 0, sample, deliver=False, inputs={(0, 1): 1})
+        again = sandbox.execute(state, 0, sample, deliver=False, inputs={(0, 1): 1})
+        assert (sandbox.steps_executed, sandbox.steps_shared) == (2, 0)
+        assert first == again
+        assert first == sandbox.execute(state, 0, 0, deliver=False, inputs={(0, 1): 1})
+
+    def test_memo_holds_no_automaton_context_or_exception(self):
+        # The memo may keep keys and plain values for as long as the sandbox
+        # lives; a caught InputNeeded would drag its traceback along — the
+        # handlers' frames, the thawed automaton, the step's Context.
+        def leftovers():
+            gc.collect()
+            return {
+                id(obj)
+                for obj in gc.get_objects()
+                if isinstance(obj, (Process, Context, InputNeeded))
+            }
+
+        dag = SampleDag()
+        for __ in range(3):
+            for pid in range(2):
+                dag.add_sample(pid, 0)
+        before = leftovers()
+        sandbox = ReplaySandbox(2, ec_factory)
+        extract_leader(
+            dag, ec_factory, 2,
+            bounds=TreeBounds(max_depth=4, max_nodes=300), sandbox=sandbox,
+        )
+        assert sandbox.steps_shared > 0 and sandbox._memo
+        assert leftovers() == before
+        # ...and extract_leader itself keeps nothing, sandbox included.
+        del sandbox
+        result = extract_leader(
+            dag, ec_factory, 2, bounds=TreeBounds(max_depth=4, max_nodes=300)
+        )
+        gc.collect()
+        assert not any(isinstance(obj, ReplaySandbox) for obj in gc.get_objects())
+        assert result.confidence == "gadget"
 
     def test_disagreement_detection(self):
         from repro.cht.replay import Decision, ReplayState
