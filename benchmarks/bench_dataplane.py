@@ -32,13 +32,17 @@ paths run the *same* trajectory (asserted byte-identical):
   the extension's C function (the draw hash rides the same build), and
   that a *default* ``Simulation`` resolves to the C loop (the default rung
   is observed from the same build) — under round-robin and, at
-  ``record="metrics"``, under ``scheduling="random"``.
+  ``record="metrics"``, under ``scheduling="random"`` — and that a default
+  ``record="full"`` round-robin run fills its crash-free idle spans into
+  the store in C instead of handing them to ``Simulation._skip_span_rr``
+  (a fill that stops engaging changes no digest, only the time).
 
 Measured: wall-clock throughput on a long run (the legacy path additionally
 decays with run length as the GC traverses millions of retained records)
 and peak ``tracemalloc`` bytes on a shorter run (the per-step memory ratio
-is length-independent). Nominal on a dev container: ~2.7x columnar, ~4.8x
-packed, and ~7.0x compiled-loop throughput, ~3.9x lower peak memory; CI
+is length-independent). Nominal on a 2-CPU dev container: ~2.2x columnar,
+~3.7-4.1x packed, and ~9.7x compiled-loop throughput, ~3.9x lower peak
+memory; CI
 fails below the conservative floors committed in
 ``benchmarks/baselines.json`` (the single source of truth shared with
 ``check_bench_floors.py``; single-CPU runners show ~15% timing noise and
@@ -63,6 +67,7 @@ from pathlib import Path
 from types import BuiltinFunctionType
 
 from repro.sim import (
+    DEFAULT_KERNEL,
     HAS_COMPILED,
     HAS_COMPILED_LOOP,
     FailurePattern,
@@ -133,6 +138,23 @@ def build(path: str) -> tuple[Simulation, RunRecord]:
     return sim, sim.run
 
 
+def spans_handed_to_python(kernel: str, ticks: int = 10_000) -> int:
+    """Idle spans a record="full" run of the bench scenario hands to the
+    Python span path (``Simulation._skip_span_rr``) over ``ticks``."""
+    sim, __ = build(kernel)
+    spans = 0
+    skip_span = sim._skip_span_rr
+
+    def spy(start, end):
+        nonlocal spans
+        spans += 1
+        skip_span(start, end)
+
+    sim._skip_span_rr = spy
+    sim.run_until(ticks)
+    return spans
+
+
 def timed_run(path: str, ticks: int) -> tuple[Simulation, RunRecord, float]:
     sim, run = build(path)
     start = time.perf_counter()
@@ -199,6 +221,21 @@ def main() -> int:
                 "FAIL: --require-compiled but a default scheduling='random', "
                 "record='metrics' Simulation resolves to fused_path="
                 f"{adversary.fused_path!r} ({adversary.fused_reason})"
+            )
+            return 1
+        # ... and at record="full" the C loop fills crash-free idle spans
+        # itself; the Python fused loop hands every one to _skip_span_rr,
+        # which shows the scenario has spans to fill
+        handed = {
+            kernel: spans_handed_to_python(kernel)
+            for kernel in (DEFAULT_KERNEL, "packed")
+        }
+        if handed[DEFAULT_KERNEL] or not handed["packed"]:
+            print(
+                "FAIL: --require-compiled but a default record='full' "
+                f"round-robin Simulation handed {handed[DEFAULT_KERNEL]} of "
+                f"{handed['packed']} crash-free idle spans to _skip_span_rr "
+                "instead of filling them in C"
             )
             return 1
     paths = ["legacy", "columnar", "packed"]

@@ -28,8 +28,10 @@
  *    handler dispatch trampoline, outbox expansion through (2), the
  *    local-index refresh, the small-n scan next-event query and, under
  *    random scheduling, the block permutations and the walk of the block
- *    an event falls in; it calls back into Python only for process
- *    handlers, the delay model, idle-span accounting (`_skip_span_rr` /
+ *    an event falls in, and -- at record="full" under round-robin -- the
+ *    store rows of a crash-free idle span (loop_fill_idle); it calls back
+ *    into Python only for process handlers, detector queries, the delay
+ *    model, the remaining idle-span accounting (`_skip_span_rr` /
  *    `_skip_span_random`), the heap-backed next-event query, and
  *    raw-capable observers.  Every mutation mirrors the Python loop's
  *    order of effects so run records, counters and schedule state stay
@@ -317,69 +319,6 @@ Pool_push(PoolObject *self, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     }
     Py_RETURN_NONE;
-}
-
-static PyObject *
-Pool_push_many(PoolObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 6) {
-        PyErr_SetString(PyExc_TypeError,
-                        "push_many(sender, send_time, seq0, receivers, "
-                        "deliver_ats, payload)");
-        return NULL;
-    }
-    long sender = PyLong_AsLong(args[0]);
-    int64_t send_time = PyLong_AsLongLong(args[1]);
-    int64_t seq0 = PyLong_AsLongLong(args[2]);
-    if (PyErr_Occurred())
-        return NULL;
-    PyObject *receivers = PySequence_Fast(args[3], "receivers must be a "
-                                          "sequence");
-    if (receivers == NULL)
-        return NULL;
-    PyObject *deliver_ats = PySequence_Fast(args[4], "deliver_ats must be a "
-                                            "sequence");
-    if (deliver_ats == NULL) {
-        Py_DECREF(receivers);
-        return NULL;
-    }
-    Py_ssize_t count = PySequence_Fast_GET_SIZE(receivers);
-    if (PySequence_Fast_GET_SIZE(deliver_ats) != count) {
-        PyErr_SetString(PyExc_ValueError,
-                        "receivers and deliver_ats differ in length");
-        goto fail;
-    }
-    PyObject **recv_items = PySequence_Fast_ITEMS(receivers);
-    PyObject **at_items = PySequence_Fast_ITEMS(deliver_ats);
-    PyObject *payload = args[5];
-    for (Py_ssize_t i = 0; i < count; i++) {
-        Py_ssize_t receiver = PyLong_AsSsize_t(recv_items[i]);
-        int64_t deliver_at = PyLong_AsLongLong(at_items[i]);
-        if (PyErr_Occurred())
-            goto fail;
-        if (receiver < 0 || receiver >= self->n) {
-            PyErr_Format(PyExc_IndexError, "receiver %zd out of range",
-                         receiver);
-            goto fail;
-        }
-        int32_t slot = pool_alloc_slot(self);
-        if (slot < 0)
-            goto fail;
-        pool_fill_slot(self, slot, deliver_at, seq0 + i, (int32_t)sender,
-                       send_time, payload);
-        if (shard_push(self, &self->shards[receiver], slot) < 0) {
-            Py_CLEAR(self->col_payload[slot]);
-            self->free_stack[self->free_top++] = slot;
-            goto fail;
-        }
-    }
-    Py_DECREF(receivers);
-    Py_DECREF(deliver_ats);
-    Py_RETURN_NONE;
-fail:
-    Py_DECREF(receivers);
-    Py_DECREF(deliver_ats);
-    return NULL;
 }
 
 static PyObject *
@@ -735,8 +674,6 @@ fail:
 static PyMethodDef Pool_methods[] = {
     {"push", (PyCFunction)(void (*)(void))Pool_push, METH_FASTCALL,
      "push(receiver, deliver_at, seq, sender, send_time, payload)"},
-    {"push_many", (PyCFunction)(void (*)(void))Pool_push_many, METH_FASTCALL,
-     "push_many(sender, send_time, seq0, receivers, deliver_ats, payload)"},
     {"pop_due", (PyCFunction)(void (*)(void))Pool_pop_due, METH_FASTCALL,
      "pop_due(receiver, t) -> None | (deliver_at, seq, sender, send_time, "
      "payload, new_head)"},
@@ -798,7 +735,8 @@ static PyObject *s_network, *s_n, *s_processes, *s__ctx, *s_detector,
     *s__received, *s__intern_fd, *s_append, *s__log_observers, *s_on_log,
     *s_scheduling, *s__skip_span_random, *s_seed, *s__permutation,
     *s__perm_block, *s_metrics, *s_idle_ticks_skipped, *s_getrandbits,
-    *s_block_permutation;
+    *s_block_permutation, *s__idle_step_observers, *s__materialize_idle,
+    *s_frombytes;
 
 /* heapq entry points and the `_random.Random` type, resolved at module
  * init */
@@ -1378,8 +1316,11 @@ typedef struct {
     PyObject *raw_obs, *run;
     PyObject *crash_times, *intervals;   /* read into crash_at / interval */
     PyObject *store;                     /* borrowed; NULL without store */
+    PyObject *st_col[10];                /* the store's columns */
     PyObject *st_append[10];             /* bound column .append methods */
-    PyObject *st_index_col, *intern_fd;
+    PyObject *st_frombytes[10];          /* bound .frombytes of the array
+                                          * columns, when fill_idle */
+    PyObject *intern_fd;
     PyObject *sparse_inputs, *sparse_outputs;
     PyObject *input_history, *output_history;
     PyObject **pid_objs;                 /* n owned ints 0..n-1 */
@@ -1395,6 +1336,10 @@ typedef struct {
     int64_t message_batch, scan_cutover;
     Py_ssize_t local_cap;
     int has_crashes, has_store;
+    int fill_idle;                       /* see loop_fill_idle */
+    int64_t first_crash;                 /* INT64_MAX = no crash */
+    long long *fill_buf;                 /* loop_fill_idle's column values */
+    Py_ssize_t fill_cap;                 /* ... capacity in long longs */
     /* scheduling="random" only (see the block comment above loop_perm) */
     int random;
     PyObject *seed;                      /* sim.seed */
@@ -1423,9 +1368,11 @@ loop_free(Loop *L)
     Py_XDECREF(L->run);
     Py_XDECREF(L->crash_times);
     Py_XDECREF(L->intervals);
-    for (int i = 0; i < 10; i++)
+    for (int i = 0; i < 10; i++) {
+        Py_XDECREF(L->st_col[i]);
         Py_XDECREF(L->st_append[i]);
-    Py_XDECREF(L->st_index_col);
+        Py_XDECREF(L->st_frombytes[i]);
+    }
     Py_XDECREF(L->intern_fd);
     Py_XDECREF(L->sparse_inputs);
     Py_XDECREF(L->sparse_outputs);
@@ -1460,6 +1407,7 @@ loop_free(Loop *L)
     PyMem_Free(L->crash_at);
     PyMem_Free(L->interval);
     PyMem_Free(L->next_to);
+    PyMem_Free(L->fill_buf);
     Py_XDECREF(L->seed);
     Py_XDECREF(L->rng_seed);
     Py_XDECREF(L->rng_getrandbits);
@@ -1485,6 +1433,194 @@ local_event_at(Loop *L, long p, int64_t *out)
         if ((dst) == NULL)                                                  \
             return -1;                                                      \
     } while (0)
+
+/* -- idle spans at record="full" ----------------------------------------- */
+
+/* The StepStore columns (st_col order) that are arrays, which the idle
+ * fill extends by frombytes: 'q' (long long) _index, _time,
+ * _msg_send_time and 'i' (int) _pid, _msg_sender, _sent, _received.  _fd
+ * and _msg_payload are lists, _timeout a bytearray. */
+static const int st_is_array[10] = {1, 1, 1, 0, 1, 0, 1, 0, 1, 1};
+
+/* Sets L->fill_idle where _skip_span_rr would hand a crash-free span to
+ * FullRecorder.on_idle_span alone: idle steps are materialized and the
+ * store's recorder is the one idle-step observer.  Otherwise the span
+ * stays a Python call. */
+static int
+fill_idle_init(Loop *L)
+{
+    if (!PyList_Check(L->raw_obs) || PyList_GET_SIZE(L->raw_obs) != 1)
+        return 0;
+    PyObject *idle_obs = PyObject_GetAttr(L->sim, s__idle_step_observers);
+    if (idle_obs == NULL)
+        return -1;
+    int sole = PyList_Check(idle_obs) && PyList_GET_SIZE(idle_obs) == 1
+        && PyList_GET_ITEM(idle_obs, 0) == PyList_GET_ITEM(L->raw_obs, 0);
+    Py_DECREF(idle_obs);
+    PyObject *materialize = PyObject_GetAttr(L->sim, s__materialize_idle);
+    if (materialize == NULL)
+        return -1;
+    int wanted = PyObject_IsTrue(materialize);
+    Py_DECREF(materialize);
+    if (wanted < 0)
+        return -1;
+    /* _timeout grows through the bytearray macros, which trust the type */
+    if (!sole || !wanted || !PyByteArray_CheckExact(L->st_col[7]))
+        return 0;
+    for (int i = 0; i < 10; i++) {
+        if (st_is_array[i])
+            GETA(L->st_frombytes[i], L->st_col[i], s_frombytes);
+    }
+    L->fill_idle = 1;
+    return 0;
+}
+
+/* column i .frombytes(the first `size` bytes of L->fill_buf) */
+static int
+fill_buf_into(Loop *L, int i, Py_ssize_t size)
+{
+    PyObject *raw = PyBytes_FromStringAndSize((const char *)L->fill_buf, size);
+    if (raw == NULL)
+        return -1;
+    PyObject *r = call1(L->st_frombytes[i], raw);
+    Py_DECREF(raw);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return 0;
+}
+
+/* list.extend(values) */
+static inline int
+list_extend(PyObject *list, PyObject *values)
+{
+    return PyList_SetSlice(list, PY_SSIZE_T_MAX, PY_SSIZE_T_MAX, values);
+}
+
+/* [intern_fd(detector.query(t % n, t)) for t in range(start, start + k)],
+ * queried in tick order (None is not interned, as _intern_fd leaves it). */
+static PyObject *
+idle_fd_values(Loop *L, int64_t start, Py_ssize_t k)
+{
+    PyObject *values = PyList_New(k);
+    if (values == NULL)
+        return NULL;
+    for (Py_ssize_t i = 0; i < k; i++) {
+        int64_t t = start + i;
+        PyObject *t_obj = PyLong_FromLongLong(t);
+        if (t_obj == NULL)
+            goto fail;
+        PyObject *v = call2(L->detector_query, L->pid_objs[t % L->n], t_obj);
+        Py_DECREF(t_obj);
+        if (v != NULL && v != Py_None) {
+            PyObject *interned = call1(L->intern_fd, v);
+            Py_DECREF(v);
+            v = interned;
+        }
+        if (v == NULL)
+            goto fail;
+        PyList_SET_ITEM(values, i, v);
+    }
+    return values;
+fail:
+    Py_DECREF(values);
+    return NULL;
+}
+
+/* The idle steps of the crash-free round-robin span [start, end), written
+ * straight into the store: _skip_span_rr's uniform branch followed by
+ * FullRecorder.on_idle_span over StepStore.extend_idle_span, in their
+ * order of effects -- last_live_tick, _step_index, then the columns in
+ * extend_idle_span's order (the detector queried per tick between _pid and
+ * _fd, so a raise leaves the same ragged store), then run.end_time.  The
+ * array columns extend through frombytes, the two object columns by one
+ * slice assignment, _timeout by a resize. */
+static int
+loop_fill_idle(Loop *L, int64_t start, int64_t end, int64_t *step_index,
+               int64_t *run_end_time)
+{
+    Py_ssize_t k = (Py_ssize_t)(end - start);
+    if (k > PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(long long)) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    if (k > L->fill_cap) {
+        long long *grown = PyMem_Realloc(L->fill_buf, k * sizeof(long long));
+        if (grown == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        L->fill_buf = grown;
+        L->fill_cap = k;
+    }
+    long long *wide = L->fill_buf;
+    int *narrow = (int *)L->fill_buf;
+    Py_ssize_t wide_size = k * sizeof(long long);
+    Py_ssize_t narrow_size = k * sizeof(int);
+    int64_t first_index = *step_index;
+    if (set_i64_attr(L->sim, s_last_live_tick, end - 1) < 0
+        || set_i64_attr(L->sim, s__step_index, first_index + k) < 0)
+        return -1;
+    *step_index = first_index + k;
+    for (Py_ssize_t i = 0; i < k; i++)
+        wide[i] = first_index + i;
+    if (fill_buf_into(L, 0, wide_size) < 0)
+        return -1;
+    for (Py_ssize_t i = 0; i < k; i++)
+        wide[i] = start + i;
+    if (fill_buf_into(L, 1, wide_size) < 0)
+        return -1;
+    for (Py_ssize_t i = 0; i < k; i++)
+        narrow[i] = (int)((start + i) % L->n);
+    if (fill_buf_into(L, 2, narrow_size) < 0)
+        return -1;
+
+    int rc = -1;
+    PyObject *fd_values = NULL;
+    PyObject *nones = PyList_New(k);
+    if (nones == NULL)
+        return -1;
+    for (Py_ssize_t i = 0; i < k; i++) {
+        Py_INCREF(Py_None);
+        PyList_SET_ITEM(nones, i, Py_None);
+    }
+    if (L->detector_query == NULL) {
+        Py_INCREF(nones);
+        fd_values = nones;
+    } else if ((fd_values = idle_fd_values(L, start, k)) == NULL) {
+        goto done;
+    }
+    if (list_extend(L->st_col[3], fd_values) < 0)
+        goto done;
+    for (Py_ssize_t i = 0; i < k; i++)
+        narrow[i] = -1;
+    if (fill_buf_into(L, 4, narrow_size) < 0
+        || list_extend(L->st_col[5], nones) < 0)
+        goto done;
+    for (Py_ssize_t i = 0; i < k; i++)
+        wide[i] = -1;
+    if (fill_buf_into(L, 6, wide_size) < 0)
+        goto done;
+    PyObject *timeout = L->st_col[7];
+    Py_ssize_t old = PyByteArray_GET_SIZE(timeout);
+    if (PyByteArray_Resize(timeout, old + k) < 0)
+        goto done;
+    memset(PyByteArray_AS_STRING(timeout) + old, 0, k);
+    memset(narrow, 0, narrow_size);
+    if (fill_buf_into(L, 8, narrow_size) < 0
+        || fill_buf_into(L, 9, narrow_size) < 0)
+        goto done;
+    if (end - 1 > *run_end_time) {
+        if (set_i64_attr(L->run, s_end_time, end - 1) < 0)
+            goto done;
+        *run_end_time = end - 1;
+    }
+    rc = 0;
+done:
+    Py_XDECREF(fd_values);
+    Py_DECREF(nones);
+    return rc;
+}
 
 static int
 loop_init(Loop *L, PyObject *sim, PyObject *store)
@@ -1587,6 +1723,7 @@ loop_init(Loop *L, PyObject *sim, PyObject *store)
     }
     for (long p = 0; p < n; p++)
         L->crash_at[p] = INT64_MAX;
+    L->first_crash = INT64_MAX;
     L->has_crashes = PyDict_GET_SIZE(L->crash_times) > 0;
     Py_ssize_t pos = 0;
     PyObject *key, *value;
@@ -1600,6 +1737,8 @@ loop_init(Loop *L, PyObject *sim, PyObject *store)
             return -1;
         }
         L->crash_at[pid] = at;
+        if (at < L->first_crash)
+            L->first_crash = at;
     }
     for (long p = 0; p < n; p++) {
         L->interval[p] = PyLong_AsLongLong(PyList_GET_ITEM(L->intervals, p));
@@ -1627,21 +1766,17 @@ loop_init(Loop *L, PyObject *sim, PyObject *store)
             s__msg_payload, s__msg_send_time, s__timeout, s__sent,
             s__received,
         };
-        GETA(L->st_index_col, store, s__index);
         for (int i = 0; i < 10; i++) {
-            PyObject *col = PyObject_GetAttr(store, col_names[i]);
-            if (col == NULL)
-                return -1;
-            L->st_append[i] = PyObject_GetAttr(col, s_append);
-            Py_DECREF(col);
-            if (L->st_append[i] == NULL)
-                return -1;
+            GETA(L->st_col[i], store, col_names[i]);
+            GETA(L->st_append[i], L->st_col[i], s_append);
         }
         GETA(L->intern_fd, store, s__intern_fd);
         GETA(L->sparse_inputs, store, s__inputs);
         GETA(L->sparse_outputs, store, s__outputs);
         GETA(L->input_history, L->run, s_input_history);
         GETA(L->output_history, L->run, s_output_history);
+        if (!L->random && fill_idle_init(L) < 0)
+            return -1;
     } else if (L->raw_obs != Py_None) {
         /* generic raw-capable observers: cache their bound methods */
         if (!PyList_Check(L->raw_obs)) {
@@ -2351,7 +2486,7 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 #undef ST_APPEND_BORROWED
                 if (PyTuple_GET_SIZE(inputs_t) > 0
                     || PyTuple_GET_SIZE(outputs_t) > 0) {
-                    Py_ssize_t size = PyObject_Size(L->st_index_col);
+                    Py_ssize_t size = PyObject_Size(L->st_col[0]);
                     if (size < 0)
                         goto step_fail;
                     PyObject *position = PyLong_FromSsize_t(size - 1);
@@ -2491,19 +2626,27 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         if (jump_to > t) {
             if (loop_flush_idle(L) < 0)
                 goto fail;
-            PyObject *now_obj = PyLong_FromLongLong(t);
-            PyObject *to_obj = PyLong_FromLongLong(jump_to);
-            PyObject *r = (now_obj == NULL || to_obj == NULL)
-                ? NULL : call2(L->skip_span, now_obj, to_obj);
-            Py_XDECREF(now_obj);
-            Py_XDECREF(to_obj);
-            if (r == NULL)
-                goto fail;
-            Py_DECREF(r);
-            /* _skip_span_rr may materialize idle steps (bumping
-             * _step_index) — re-read the mirror */
-            if (get_i64_attr(sim, s__step_index, &step_index) < 0)
-                goto fail;
+            if (L->fill_idle && jump_to <= L->first_crash) {
+                if (loop_fill_idle(L, t, jump_to, &step_index,
+                                   &run_end_time) < 0)
+                    goto fail;
+            } else {
+                PyObject *now_obj = PyLong_FromLongLong(t);
+                PyObject *to_obj = PyLong_FromLongLong(jump_to);
+                PyObject *r = (now_obj == NULL || to_obj == NULL)
+                    ? NULL : call2(L->skip_span, now_obj, to_obj);
+                Py_XDECREF(now_obj);
+                Py_XDECREF(to_obj);
+                if (r == NULL)
+                    goto fail;
+                Py_DECREF(r);
+                /* _skip_span_rr may materialize idle steps (bumping
+                 * _step_index) — re-read the mirror.  run_end_time may
+                 * now lag run.end_time; both stay below the next tick
+                 * written, so the next write is the one Python makes. */
+                if (get_i64_attr(sim, s__step_index, &step_index) < 0)
+                    goto fail;
+            }
             t = jump_to;
         }
         if (t == t_end)
@@ -2753,9 +2896,11 @@ static PyMethodDef ckernel_functions[] = {
      METH_FASTCALL,
      "run_loop(sim, t_end, store)\n--\n\n"
      "Run the event engine to t_end in C, under round-robin or random\n"
-     "scheduling, calling back into Python only for process handlers, the\n"
-     "delay model, idle-span accounting, and raw observers.  Byte-identical\n"
-     "to kernel.run_fused_rr / Simulation._advance_event_random."},
+     "scheduling, calling back into Python only for process handlers,\n"
+     "detector queries, the delay model, idle-span accounting that the\n"
+     "loop does not fill into the store itself, and raw observers.\n"
+     "Byte-identical to kernel.run_fused_rr /\n"
+     "Simulation._advance_event_random."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -2852,6 +2997,9 @@ intern_names(void)
     INTERN(s_idle_ticks_skipped, "idle_ticks_skipped");
     INTERN(s_getrandbits, "getrandbits");
     INTERN(s_block_permutation, "block-permutation");
+    INTERN(s__idle_step_observers, "_idle_step_observers");
+    INTERN(s__materialize_idle, "_materialize_idle");
+    INTERN(s_frombytes, "frombytes");
 #undef INTERN
     return 0;
 }

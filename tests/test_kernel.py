@@ -23,7 +23,9 @@ Four pillars:
   (``sim.fused_path``) under every observer capability, including
   mid-lifetime :meth:`attach_observer` / :meth:`detach_observer`, and
   skipif-gated ``run_loop`` / ``pop_due_batch`` unit tests mirroring the
-  ``Pool`` units.
+  ``Pool`` units;
+- the C loop's ``record="full"`` idle-span fill against the Python fused
+  loop and the naive stepper, and its two fallbacks to ``_skip_span_rr``.
 """
 
 from __future__ import annotations
@@ -617,15 +619,6 @@ class TestCompiledPool:
         pool.push(2, 3, 2, 0, 0, "c")  # reuses the freed slot
         assert (pool.slots(), pool.free()) == (2, 0)
 
-    def test_push_many_matches_single_pushes(self):
-        many, single = self.make_pool(), self.make_pool()
-        payload = ("beat", 4)
-        many.push_many(1, 4, 10, [0, 2], [9, 6], payload)
-        single.push(0, 9, 10, 1, 4, payload)
-        single.push(2, 6, 11, 1, 4, payload)
-        for receiver in (0, 2):
-            assert many.pop_due(receiver, 99) == single.pop_due(receiver, 99)
-
     def test_payload_identity_preserved(self):
         pool = self.make_pool()
         payload = {"mutable": []}
@@ -639,8 +632,6 @@ class TestCompiledPool:
             pool.peek(0)
         with pytest.raises(IndexError):
             pool.push(3, 1, 0, 0, 0, "x")
-        with pytest.raises(ValueError):
-            pool.push_many(0, 0, 0, [0, 1], [5], "x")
 
     def test_pop_due_batch_matches_repeated_pop_due(self):
         batch, single = self.make_pool(), self.make_pool()
@@ -858,6 +849,177 @@ class TestCompiledLoopLadder:
                 sim.run_until(100)
             outcomes[kernel] = (sim.time, sim.network.sent_count)
         assert outcomes["packed"] == outcomes["compiled-loop"]
+
+
+# ---------------------------------------------------------------------------
+# record="full" idle spans: the C loop fills the store itself.
+# ---------------------------------------------------------------------------
+
+
+class PhaseDetector:
+    """A pure ``(pid, t)`` history of fresh but equal tuples (the store
+    interns them), logging every query in order."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.log: list[tuple[int, int]] = []
+
+    def query(self, pid, t):
+        self.log.append((pid, t))
+        return ("leader", (t // 97) % self.n)
+
+
+class EchoGossiper(Gossiper):
+    """Gossip plus one output per input, so the sparse columns fill too."""
+
+    def on_input(self, ctx, value):
+        ctx.output(("got", value))
+
+
+class SpanSpy:
+    """Wraps ``sim._skip_span_rr``, the Python idle-span path, and notes
+    every span handed to it."""
+
+    def __init__(self, sim: Simulation) -> None:
+        self.spans: list[tuple[int, int]] = []
+        inner = sim._skip_span_rr
+
+        def spy(start, end):
+            self.spans.append((start, end))
+            inner(start, end)
+
+        sim._skip_span_rr = spy
+
+
+class IdleStepSpy(SimObserver):
+    def __init__(self) -> None:
+        self.ticks = []
+
+    def on_idle_step(self, sim, index, t, pid, fd_value):
+        self.ticks.append((index, t, pid, fd_value))
+
+
+class IdleSpanSpy(SimObserver):
+    def __init__(self) -> None:
+        self.spans = []
+
+    def on_idle_span(self, sim, start_index, start, end):
+        self.spans.append((start_index, start, end))
+
+
+#: the C loop, the Python fused loop it is held to, and the naive stepper
+FILL_LEGS = [("compiled-loop", "event"), ("packed", "event"), ("legacy", "naive")]
+
+
+def _fill_sim(kernel, engine="event", *, n, detector, crashes=None, observers=()):
+    sim = Simulation(
+        [EchoGossiper() for __ in range(n)],
+        failure_pattern=FailurePattern(n, crashes or {}),
+        delay_model=FixedDelay(3),
+        detector=PhaseDetector(n) if detector else None,
+        timeout_interval=29,
+        seed=4,
+        kernel=kernel,
+        engine=engine,
+        observers=list(observers),
+    )
+    for k in range(9):
+        sim.add_input(k % n, 5 + 211 * k, ("op", k))
+    return sim
+
+
+def _fill_view(sim: Simulation) -> dict:
+    return {
+        "run": sim.run,
+        "step_index": sim._step_index,
+        "last_live_tick": sim.last_live_tick,
+        "end_time": sim.run.end_time,
+        "time": sim.time,
+        "digest": run_digest(sim),
+        "queries": sim.detector.log if sim.detector is not None else None,
+    }
+
+
+@pytest.mark.skipif(not HAS_COMPILED_LOOP, reason="C loop not built")
+class TestIdleSpanFill:
+    """At record="full" under round-robin the C loop writes a crash-free
+    idle span's rows into the StepStore itself instead of calling
+    ``_skip_span_rr``; it must leave what that call leaves."""
+
+    HORIZON = 2_003
+
+    @pytest.mark.parametrize("detector", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 4, 5])
+    def test_the_fill_computes_the_python_loops_and_naive_steppers_run(
+        self, n, detector
+    ):
+        sims = {leg: _fill_sim(*leg, n=n, detector=detector) for leg in FILL_LEGS}
+        spies = {leg: SpanSpy(sims[leg]) for leg in FILL_LEGS[:2]}
+        for sim in sims.values():
+            sim.run_until(self.HORIZON)
+        oracle = _fill_view(sims["legacy", "naive"])
+        for leg, sim in sims.items():
+            assert _fill_view(sim) == oracle, leg
+        # the C loop filled every span itself, the last one ending at t_end
+        assert spies["compiled-loop", "event"].spans == []
+        assert spies["packed", "event"].spans[-1][1] == self.HORIZON
+        store = sims["compiled-loop", "event"].run.steps
+        assert len(store) == self.HORIZON
+        last = store[-1]
+        assert (last.message, last.timeout_fired, last.sent) == (None, False, 0)
+        assert store._inputs and store._outputs
+        if detector:
+            # one shared object per distinct sample
+            assert len({id(v) for v in store._fd}) == len(set(store._fd)) == n
+
+    @pytest.mark.parametrize("detector", [False, True])
+    def test_segmented_run_until_changes_nothing(self, detector):
+        whole = _fill_sim("legacy", "naive", n=4, detector=detector)
+        whole.run_until(self.HORIZON)
+        for kernel in ("compiled-loop", "packed"):
+            cut = _fill_sim(kernel, n=4, detector=detector)
+            for k in range(1, 38):
+                cut.run_until(self.HORIZON * k // 37)
+            assert _fill_view(cut) == _fill_view(whole), kernel
+
+    def test_a_crash_below_the_span_end_falls_back_to_python(self):
+        crashes = {1: 1_000}
+        sims = {
+            leg: _fill_sim(*leg, n=4, detector=True, crashes=crashes)
+            for leg in FILL_LEGS
+        }
+        spies = {leg: SpanSpy(sims[leg]) for leg in FILL_LEGS[:2]}
+        for sim in sims.values():
+            sim.run_until(self.HORIZON)
+        oracle = _fill_view(sims["legacy", "naive"])
+        for leg, sim in sims.items():
+            assert _fill_view(sim) == oracle, leg
+        spans = spies["compiled-loop", "event"].spans
+        assert spans == [
+            span for span in spies["packed", "event"].spans if span[1] > 1_000
+        ]
+        assert spans and len(spans) < len(spies["packed", "event"].spans)
+
+    @pytest.mark.parametrize("spy_cls", [IdleStepSpy, IdleSpanSpy])
+    def test_another_idle_observer_falls_back_to_python(self, spy_cls):
+        observers = {leg: spy_cls() for leg in FILL_LEGS[:2]}
+        sims = {
+            leg: _fill_sim(*leg, n=4, detector=True, observers=[observers[leg]])
+            for leg in FILL_LEGS[:2]
+        }
+        spies = {leg: SpanSpy(sim) for leg, sim in sims.items()}
+        c, py = sims["compiled-loop", "event"], sims["packed", "event"]
+        assert c.fused_path == "c-loop"
+        for sim in sims.values():
+            sim.run_until(self.HORIZON)
+        assert _fill_view(c) == _fill_view(py)
+        assert spies["compiled-loop", "event"].spans == (
+            spies["packed", "event"].spans
+        )
+        assert vars(observers["compiled-loop", "event"]) == vars(
+            observers["packed", "event"]
+        )
+        assert spies["packed", "event"].spans
 
 
 # ---------------------------------------------------------------------------
@@ -1167,6 +1329,19 @@ class FusedDetector:
         return FD_VALUE
 
 
+class TickFuseDetector:
+    """FD_VALUE everywhere, except one :class:`Boom` at tick ``at``."""
+
+    def __init__(self) -> None:
+        self.at = None
+
+    def query(self, pid, t):
+        if t == self.at:
+            self.at = None
+            raise Boom("detector")
+        return FD_VALUE
+
+
 class FusedRawObserver(SimObserver):
     def __init__(self, fuse: Fuse) -> None:
         self.fuse = fuse
@@ -1191,14 +1366,14 @@ FAILURE_SITES = [
 
 def _failure_sim(
     kernel: str, *, vectorized: bool, record: str = "metrics",
-    scheduling: str = "round_robin",
+    scheduling: str = "round_robin", timeout: int = 5,
 ):
     fuse = Fuse()
     sim = Simulation(
         [FusedTalker(fuse) for _ in range(3)],
         delay_model=FusedDelay(fuse, vectorized),
         detector=FusedDetector(fuse),
-        timeout_interval=5,
+        timeout_interval=timeout,
         seed=2,
         scheduling=scheduling,
         # random scheduling's oracle (Simulation.step) pops a whole batch
@@ -1285,13 +1460,63 @@ class TestRunLoopFailurePaths:
         states = {k: _engine_state(sim) for k, (sim, __) in sims.items()}
         assert states["compiled-loop"] == states["compiled"] == states["packed"]
 
-    @pytest.mark.parametrize("scheduling", ["round_robin", "random"])
-    def test_no_reference_leaks_over_1e5_ticks_of_raising_runs(self, scheduling):
+    def test_a_detector_raise_inside_an_idle_span_at_record_full(self):
+        # At record="full" the C loop fills a crash-free idle span into the
+        # store itself, querying the detector tick by tick between the _pid
+        # and _fd columns: a raise there must leave the ragged store, clock,
+        # step index and last_live_tick that _skip_span_rr leaves.
+        sims = {
+            kernel: Simulation(
+                [Gossiper() for __ in range(3)],
+                delay_model=FixedDelay(2),
+                detector=TickFuseDetector(),
+                timeout_interval=40,
+                record="full",
+                kernel=kernel,
+            )
+            for kernel in ("packed", "compiled", "compiled-loop")
+        }
+        assert sims["compiled-loop"].fused_path == "c-loop"
+        for at in (137, 1_019, 2_655):
+            states = {}
+            for kernel, sim in sims.items():
+                store = sim.run.steps
+                lag = len(store._index) - len(store._fd)
+                sim.detector.at = at
+                with pytest.raises(Boom, match="detector"):
+                    sim.run_until(100_000)
+                # it blew inside a span fill: the span's _index/_time/_pid
+                # rows are in, its _fd rows are not, and the clock still
+                # reads the span's start
+                span = len(store._index) - len(store._fd) - lag
+                assert span > 1
+                assert store._time[-span] == sim.time < at
+                assert store._time[-1] == sim.last_live_tick > at
+                states[kernel] = _engine_state(sim)
+            for kernel in ("compiled", "compiled-loop"):
+                assert states[kernel] == states["packed"], (kernel, at)
+        for sim in sims.values():
+            sim.run_until(sim.time + 500)
+        states = {k: _engine_state(sim) for k, sim in sims.items()}
+        assert states["compiled-loop"] == states["compiled"] == states["packed"]
+
+    @pytest.mark.parametrize(
+        "scheduling,record",
+        [("round_robin", "metrics"), ("random", "metrics"),
+         ("round_robin", "full")],
+        ids=["round_robin", "random", "round_robin-full"],
+    )
+    def test_no_reference_leaks_over_1e5_ticks_of_raising_runs(
+        self, scheduling, record
+    ):
         import gc
         import sys
 
+        # at timeout 5 the sim is saturated; the full leg's sparser timers
+        # leave idle spans for the C loop to fill into the store
         sim, fuse = _failure_sim(
-            "compiled-loop", vectorized=True, scheduling=scheduling
+            "compiled-loop", vectorized=True, scheduling=scheduling,
+            record=record, timeout=40 if record == "full" else 5,
         )
         per_receiver, __ = _failure_sim("compiled-loop", vectorized=False)
         per_receiver.network.delay_model.fuse = fuse
@@ -1299,13 +1524,29 @@ class TestRunLoopFailurePaths:
         watched = [
             sim, sim.network, sim._ctx, sim.detector, model, fuse,
             sim._observers[-1], *sim.processes, FusedTalker.on_message,
-            FusedTalker.on_timeout, FD_VALUE, sim.metrics,
+            FusedTalker.on_timeout, sim.metrics,
         ]
+        shared = (PAYLOAD, INPUT, FD_VALUE)
+
+        def recorded(obj):
+            # what record="full" retains: detector samples, payloads,
+            # inputs and outputs in the store and the histories, log events
+            run = sim.run
+            store = run.steps
+            count = sum(v is obj for v in store._fd)
+            count += sum(v is obj for v in store._msg_payload)
+            for table in (store._inputs, store._outputs):
+                count += sum(v is obj for row in table.values() for v in row)
+            for history in (run.input_history, run.output_history):
+                count += sum(
+                    v is obj for bucket in history.values() for __, v in bucket
+                )
+            return count + sum(event is obj for __, __, event in run.log)
 
         def counts():
             gc.collect()
-            # messages in flight and inputs not yet due hold the shared
-            # values legitimately: count those holders out
+            # messages in flight, inputs not yet due and the run record
+            # hold the shared values legitimately: count those holders out
             in_flight = sim.network._pool.__getstate__()[4]
             queued = [v for queue in sim._inputs for __, __, v in queue]
             # what a step that raised had buffered stays in the context
@@ -1313,12 +1554,12 @@ class TestRunLoopFailurePaths:
             queued += [v for __, v in ctx._outbox] + ctx._outputs + ctx._log
             held = {
                 id(obj): sum(v is obj for v in in_flight + queued)
-                for obj in (PAYLOAD, INPUT)
+                + recorded(obj)
+                for obj in shared
             }
             del in_flight, queued
             return [sys.getrefcount(obj) for obj in watched] + [
-                sys.getrefcount(obj) - held[id(obj)]
-                for obj in (PAYLOAD, INPUT)
+                sys.getrefcount(obj) - held[id(obj)] for obj in shared
             ]
 
         def churn(ticks):
@@ -1339,9 +1580,9 @@ class TestRunLoopFailurePaths:
 
         churn(1_000)  # every path taken a few times: caches warm
         before = counts()
-        raised = sim.metrics.steps
+        raised = sim._step_index
         churn(100_000)
-        assert sim.metrics.steps - raised > 30_000  # it did run, and fail
+        assert sim._step_index - raised > 30_000  # it did run, and fail
         assert sim.fused_path == "c-loop"
         assert counts() == before
 
