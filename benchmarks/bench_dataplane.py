@@ -24,8 +24,8 @@ paths run the *same* trajectory (asserted byte-identical):
   and gated as ``compiled_speedup``, the top of the kernel ladder).
   Skipped silently when the extension is not built, unless
   ``--require-compiled``, which additionally asserts the C loop actually
-  engaged (``sim.fused_path == "c-loop"``) rather than silently degrading
-  to the Python fused loop, that ``repro.sim.types.stable_hash`` is
+  engaged (``sim.fused_path == "c-loop"``) rather than silently stepping
+  through the generic engine, that ``repro.sim.types.stable_hash`` is
   the extension's C function (the draw hash rides the same build), and
   that a *default* ``Simulation`` resolves to the C loop (the default rung
   is observed from the same build) — under round-robin and, at
@@ -269,8 +269,8 @@ def main() -> int:
                 if args.require_compiled and not engaged:
                     print(
                         "FAIL: --require-compiled but the compiled-loop "
-                        "rung degraded to the "
-                        f"{sims['compiled-loop'].fused_path!r} fused path "
+                        "rung is off the C loop "
+                        f"({sims['compiled-loop'].fused_reason}) "
                         "on the bench scenario"
                     )
                     return 1

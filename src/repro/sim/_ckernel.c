@@ -16,7 +16,7 @@
  *    the network's delay model -- a user object, the one Python call --
  *    the delay, profile-length and sequence checks of PackedNetwork with
  *    the same exceptions, the pool push and the merge-layer update.  One
- *    implementation behind CompiledPackedNetwork's four send methods and
+ *    implementation behind CompiledPackedNetwork's two send methods and
  *    run_loop's outbox expansion.
  *
  * 3. run_loop(sim, t_end, store): the event engine's tick loop, hosted in
@@ -40,12 +40,12 @@
  *
  * Invariants shared with the pure-Python PackedNetwork:
  *   - seq fits in 40 bits, slot index in 24 (both enforced here on the
- *     send path; Pool.push trusts its caller for seq).
+ *     send path).
  *   - deliver_at < 2**63 always (NEVER is 2**62; the send path refuses a
  *     delay that would overflow), so plain int64 comparisons order the
  *     heap.
- *   - pop_due() reports the receiver's next head deliver_at (or -1) so
- *     the Python side can maintain its horizon index without a peek
+ *   - pop_due_batch() reports the receiver's next head deliver_at (or -1)
+ *     so the Python side can maintain its horizon index without a peek
  *     round-trip.
  */
 
@@ -287,79 +287,6 @@ Pool_dealloc(PoolObject *self)
 
 /* -- methods ------------------------------------------------------------- */
 
-static PyObject *
-Pool_push(PoolObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 6) {
-        PyErr_SetString(PyExc_TypeError,
-                        "push(receiver, deliver_at, seq, sender, send_time, "
-                        "payload)");
-        return NULL;
-    }
-    Py_ssize_t receiver = PyLong_AsSsize_t(args[0]);
-    int64_t deliver_at = PyLong_AsLongLong(args[1]);
-    int64_t seq = PyLong_AsLongLong(args[2]);
-    long sender = PyLong_AsLong(args[3]);
-    int64_t send_time = PyLong_AsLongLong(args[4]);
-    if (PyErr_Occurred())
-        return NULL;
-    if (receiver < 0 || receiver >= self->n) {
-        PyErr_Format(PyExc_IndexError, "receiver %zd out of range", receiver);
-        return NULL;
-    }
-    int32_t slot = pool_alloc_slot(self);
-    if (slot < 0)
-        return NULL;
-    pool_fill_slot(self, slot, deliver_at, seq, (int32_t)sender, send_time,
-                   args[5]);
-    if (shard_push(self, &self->shards[receiver], slot) < 0) {
-        /* roll the slot back onto the free list */
-        Py_CLEAR(self->col_payload[slot]);
-        self->free_stack[self->free_top++] = slot;
-        return NULL;
-    }
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-Pool_pop_due(PoolObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError, "pop_due(receiver, t)");
-        return NULL;
-    }
-    Py_ssize_t receiver = PyLong_AsSsize_t(args[0]);
-    int64_t t = PyLong_AsLongLong(args[1]);
-    if (PyErr_Occurred())
-        return NULL;
-    if (receiver < 0 || receiver >= self->n) {
-        PyErr_Format(PyExc_IndexError, "receiver %zd out of range", receiver);
-        return NULL;
-    }
-    Shard *shard = &self->shards[receiver];
-    if (shard->len == 0)
-        Py_RETURN_NONE;
-    int32_t head = shard->items[0];
-    if (self->col_deliver[head] > t)
-        Py_RETURN_NONE;
-    int32_t slot = shard_pop(self, shard);
-    int64_t new_head = shard->len ? self->col_deliver[shard->items[0]] : -1;
-    PyObject *payload = self->col_payload[slot];  /* steal the slot's ref */
-    self->col_payload[slot] = NULL;
-    self->free_stack[self->free_top++] = slot;
-    PyObject *result = Py_BuildValue(
-        "LLlLNL",
-        (long long)self->col_deliver[slot],
-        (long long)self->col_seq[slot],
-        (long)self->col_sender[slot],
-        (long long)self->col_send_time[slot],
-        payload,
-        (long long)new_head);
-    if (result == NULL)
-        Py_DECREF(payload);
-    return result;
-}
-
 /* Build one (deliver_at, seq, sender, send_time, payload) message tuple.
  * Steals the payload reference (consumed even on failure). */
 static PyObject *
@@ -441,31 +368,6 @@ Pool_pop_due_batch(PoolObject *self, PyObject *const *args, Py_ssize_t nargs)
     int64_t new_head =
         shard->len > 0 ? self->col_deliver[shard->items[0]] : -1;
     return Py_BuildValue("NLl", items, (long long)new_head, live_drop);
-}
-
-static PyObject *
-Pool_peek(PoolObject *self, PyObject *arg)
-{
-    Py_ssize_t receiver = PyLong_AsSsize_t(arg);
-    if (PyErr_Occurred())
-        return NULL;
-    if (receiver < 0 || receiver >= self->n) {
-        PyErr_Format(PyExc_IndexError, "receiver %zd out of range", receiver);
-        return NULL;
-    }
-    Shard *shard = &self->shards[receiver];
-    if (shard->len == 0) {
-        PyErr_Format(PyExc_IndexError, "shard %zd is empty", receiver);
-        return NULL;
-    }
-    int32_t slot = shard->items[0];
-    return Py_BuildValue(
-        "LLlLO",
-        (long long)self->col_deliver[slot],
-        (long long)self->col_seq[slot],
-        (long)self->col_sender[slot],
-        (long long)self->col_send_time[slot],
-        self->col_payload[slot]);
 }
 
 static PyObject *
@@ -672,17 +574,10 @@ fail:
 }
 
 static PyMethodDef Pool_methods[] = {
-    {"push", (PyCFunction)(void (*)(void))Pool_push, METH_FASTCALL,
-     "push(receiver, deliver_at, seq, sender, send_time, payload)"},
-    {"pop_due", (PyCFunction)(void (*)(void))Pool_pop_due, METH_FASTCALL,
-     "pop_due(receiver, t) -> None | (deliver_at, seq, sender, send_time, "
-     "payload, new_head)"},
     {"pop_due_batch", (PyCFunction)(void (*)(void))Pool_pop_due_batch,
      METH_FASTCALL,
      "pop_due_batch(receiver, t, limit) -> ([(deliver_at, seq, sender, "
      "send_time, payload), ...], new_head, live_drop)"},
-    {"peek", (PyCFunction)Pool_peek, METH_O,
-     "peek(receiver) -> (deliver_at, seq, sender, send_time, payload)"},
     {"slots", (PyCFunction)Pool_slots, METH_NOARGS,
      "total slots ever allocated"},
     {"free", (PyCFunction)Pool_free, METH_NOARGS,
@@ -1025,22 +920,6 @@ net_commit(NetView *nv, int64_t next_seq, int64_t sent, int64_t live_gain)
     return rc;
 }
 
-/* collect.append((deliver_at, seq, sender, receiver, payload, t)): the
- * fields of the Envelope view the compat send()/send_all() hand back. */
-static int
-collect_row(PyObject *collect, int64_t deliver_at, int64_t seq, long sender,
-            Py_ssize_t receiver, PyObject *payload, int64_t t)
-{
-    PyObject *row = Py_BuildValue("LLlnOL", (long long)deliver_at,
-                                  (long long)seq, sender, receiver, payload,
-                                  (long long)t);
-    if (row == NULL)
-        return -1;
-    int rc = PyList_Append(collect, row);
-    Py_DECREF(row);
-    return rc;
-}
-
 /* model.delay(sender, receiver, t) -> deliver_at */
 static int
 draw_deliver_time(PyObject *model, PyObject *sender_obj, PyObject *recv_obj,
@@ -1057,12 +936,10 @@ draw_deliver_time(PyObject *model, PyObject *sender_obj, PyObject *recv_obj,
 }
 
 /* One point-to-point send (PackedNetwork.send_packed): draw the delay,
- * check it and the sequence space, queue.  `collect`, when not NULL, is a
- * list that receives the message's Envelope fields. */
+ * check it and the sequence space, queue. */
 static int
 net_send(NetView *nv, long sender, PyObject *sender_obj, PyObject *recv_obj,
-         PyObject *payload, int64_t t, PyObject *t_obj, PyObject *collect,
-         int64_t *seq_out)
+         PyObject *payload, int64_t t, PyObject *t_obj, int64_t *seq_out)
 {
     PyObject *model = PyObject_GetAttr(nv->net, s_delay_model);
     if (model == NULL)
@@ -1085,18 +962,14 @@ net_send(NetView *nv, long sender, PyObject *sender_obj, PyObject *recv_obj,
         return -1;
     }
     if (net_queue(nv, receiver, deliver_at, seq, sender, t, payload,
-                  &live_gain) < 0)
-        return -1;
-    rc = collect == NULL
-        ? 0 : collect_row(collect, deliver_at, seq, sender, receiver,
-                          payload, t);
-    if (net_commit(nv, seq + 1, 1, live_gain) < 0)
+                  &live_gain) < 0
+        || net_commit(nv, seq + 1, 1, live_gain) < 0)
         return -1;
     *seq_out = seq;
-    return rc;
+    return 0;
 }
 
-/* One broadcast (PackedNetwork._send_all_common): the same draws, in the
+/* One broadcast (PackedNetwork.send_all_packed): the same draws, in the
  * same receiver order, as n point-to-point sends.  A model with the
  * vectorized `delay_profile` hook is asked once and every delay, the
  * profile's length and the sequence space are validated before anything
@@ -1106,7 +979,7 @@ net_send(NetView *nv, long sender, PyObject *sender_obj, PyObject *recv_obj,
 static int
 net_send_all(NetView *nv, long sender, PyObject *sender_obj,
              PyObject *payload, int64_t t, PyObject *t_obj, int include_self,
-             PyObject *collect, long *count_out)
+             long *count_out)
 {
     Py_ssize_t n = nv->pool->n;
     Py_ssize_t count = (include_self || sender < 0 || sender >= n) ? n : n - 1;
@@ -1197,10 +1070,6 @@ net_send_all(NetView *nv, long sender, PyObject *sender_obj,
                       payload, &live_gain) < 0)
             goto done;
         sent += 1;
-        if (collect != NULL
-            && collect_row(collect, deliver_at, seq0 + sent - 1, sender,
-                           receiver, payload, t) < 0)
-            goto done;
     }
     rc = 0;
 done:
@@ -1254,7 +1123,7 @@ history_extend(PyObject *history, PyObject *pid_obj, PyObject *t_obj,
 
 /* Fold `received` pops from `pid`'s shard into the merge layer: the
  * delivered / pending counts and the receiver's next-delivery time with its
- * horizon entry (the tail of PackedNetwork.pop_deliverable_batch). */
+ * horizon entry (the tail of PackedNetwork.pop_deliverable_batch_raw). */
 static int
 fold_pops(NetView *nv, long pid, PyObject *pid_obj, long received)
 {
@@ -2015,8 +1884,8 @@ done:
 
 /* run_loop(sim, t_end, store) — the event engine's tick loop in C.
  *
- * Round-robin: byte-identical to kernel.run_fused_rr over a
- * CompiledPackedNetwork with no send/deliver observers.  Random
+ * Round-robin: byte-identical to kernel.run_fused_rr over the Python
+ * pool of a PackedNetwork.  Random
  * scheduling: byte-identical to `while sim.time < t_end:
  * sim._advance_event_random(t_end)` at reduced fidelity (nothing
  * materializes idle steps; kernel.fused_runner checks).  Same handler call
@@ -2321,15 +2190,14 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                     if (receiver >= 0) {
                         int64_t seq;
                         if (net_send(&L->nv, pid, pid_obj, recv_obj, payload,
-                                     t, t_obj, NULL, &seq) < 0)
+                                     t, t_obj, &seq) < 0)
                             break;
                         sent += 1;
                     } else {
                         /* BROADCAST_ALL (-1) includes the sender */
                         long fanout;
                         if (net_send_all(&L->nv, pid, pid_obj, payload, t,
-                                         t_obj, receiver == -1, NULL,
-                                         &fanout) < 0)
+                                         t_obj, receiver == -1, &fanout) < 0)
                             break;
                         sent += fanout;
                     }
@@ -2804,34 +2672,19 @@ ckernel_stable_hash(PyObject *Py_UNUSED(module), PyObject *const *args,
     return PyLong_FromUnsignedLongLong(acc & (UINT64_MAX >> 1));
 }
 
-/* send_packed(net, sender, receiver, payload, t[, collect]) -> seq and
- * send_all_packed(net, sender, payload, t, include_self[, collect]) -> count:
- * the bodies of CompiledPackedNetwork's send methods, and the same code
+/* send_packed(net, sender, receiver, payload, t) -> seq and
+ * send_all_packed(net, sender, payload, t, include_self) -> count: the
+ * bodies of CompiledPackedNetwork's send methods, and the same code
  * run_loop expands an outbox through. */
-/* Five arguments plus the optional `collect` list (NULL when absent or
- * None).  Returns -1 with TypeError on a wrong count or a non-list. */
-static int
-parse_collect(PyObject *const *args, Py_ssize_t nargs, const char *usage,
-              PyObject **collect)
-{
-    *collect = nargs == 6 && args[5] != Py_None ? args[5] : NULL;
-    if ((nargs != 5 && nargs != 6)
-        || (*collect != NULL && !PyList_Check(*collect))) {
-        PyErr_SetString(PyExc_TypeError, usage);
-        return -1;
-    }
-    return 0;
-}
-
 static PyObject *
 ckernel_send_packed(PyObject *Py_UNUSED(module), PyObject *const *args,
                     Py_ssize_t nargs)
 {
-    PyObject *collect;
-    if (parse_collect(args, nargs,
-                      "send_packed(net, sender, receiver, payload, t, "
-                      "collect: list | None = None)", &collect) < 0)
+    if (nargs != 5) {
+        PyErr_SetString(PyExc_TypeError,
+                        "send_packed(net, sender, receiver, payload, t)");
         return NULL;
+    }
     long sender = PyLong_AsLong(args[1]);
     int64_t t = PyLong_AsLongLong(args[4]);
     if (PyErr_Occurred())
@@ -2841,7 +2694,7 @@ ckernel_send_packed(PyObject *Py_UNUSED(module), PyObject *const *args,
     int rc = net_view_init(&nv, args[0]);
     if (rc == 0)
         rc = net_send(&nv, sender, args[1], args[2], args[3], t, args[4],
-                      collect, &seq);
+                      &seq);
     net_view_free(&nv);
     return rc < 0 ? NULL : PyLong_FromLongLong(seq);
 }
@@ -2850,11 +2703,12 @@ static PyObject *
 ckernel_send_all_packed(PyObject *Py_UNUSED(module), PyObject *const *args,
                         Py_ssize_t nargs)
 {
-    PyObject *collect;
-    if (parse_collect(args, nargs,
-                      "send_all_packed(net, sender, payload, t, include_self, "
-                      "collect: list | None = None)", &collect) < 0)
+    if (nargs != 5) {
+        PyErr_SetString(PyExc_TypeError,
+                        "send_all_packed(net, sender, payload, t, "
+                        "include_self)");
         return NULL;
+    }
     long sender = PyLong_AsLong(args[1]);
     int64_t t = PyLong_AsLongLong(args[3]);
     if (PyErr_Occurred())
@@ -2867,7 +2721,7 @@ ckernel_send_all_packed(PyObject *Py_UNUSED(module), PyObject *const *args,
     int rc = net_view_init(&nv, args[0]);
     if (rc == 0)
         rc = net_send_all(&nv, sender, args[1], args[2], t, args[3],
-                          include_self, collect, &count);
+                          include_self, &count);
     net_view_free(&nv);
     return rc < 0 ? NULL : PyLong_FromLong(count);
 }
@@ -2875,15 +2729,12 @@ ckernel_send_all_packed(PyObject *Py_UNUSED(module), PyObject *const *args,
 static PyMethodDef ckernel_functions[] = {
     {"send_packed", (PyCFunction)(void (*)(void))ckernel_send_packed,
      METH_FASTCALL,
-     "send_packed(net, sender, receiver, payload, t, collect=None)\n--\n\n"
+     "send_packed(net, sender, receiver, payload, t)\n--\n\n"
      "CompiledPackedNetwork.send_packed: draw the delay, queue the message\n"
-     "in net._pool and fold it into the merge layer; returns its seq.\n"
-     "A list passed as collect receives the (deliver_at, seq, sender,\n"
-     "receiver, payload, send_time) fields of its Envelope view."},
+     "in net._pool and fold it into the merge layer; returns its seq."},
     {"send_all_packed", (PyCFunction)(void (*)(void))ckernel_send_all_packed,
      METH_FASTCALL,
-     "send_all_packed(net, sender, payload, t, include_self, collect=None)"
-     "\n--\n\n"
+     "send_all_packed(net, sender, payload, t, include_self)\n--\n\n"
      "CompiledPackedNetwork.send_all_packed: one batched broadcast pass,\n"
      "the same draws in the same order as n sends; returns the count."},
     {"stable_hash", (PyCFunction)(void (*)(void))ckernel_stable_hash,

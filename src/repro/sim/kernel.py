@@ -11,10 +11,10 @@ module removes both:
   subclass that stores in-transit messages as parallel ``array`` columns
   (``deliver_at``, ``seq``, ``sender``, ``send_time``) plus a payload-ref
   list, indexed by *slot* and recycled through a free list. No ``Envelope``
-  is allocated on send or pop unless an observer or compat caller actually
-  needs one (lazy views, the same trick as
-  :class:`~repro.sim.runs.StepStore`). The receiver column is implicit:
-  a slot's receiver is the shard its key lives in.
+  is ever allocated: the scheduler's three calls (``send_packed``,
+  ``send_all_packed``, ``pop_deliverable_batch_raw``) move plain fields.
+  The receiver column is implicit: a slot's receiver is the shard its key
+  lives in.
 - **Sharded horizon heaps** — instead of one object heap per receiver
   ordered by rich comparisons on ``Envelope``, each receiver has a heap of
   packed integer keys ``(deliver_at << 64) | (seq << 24) | slot``. Integer
@@ -31,7 +31,7 @@ module removes both:
   Selected automatically on the packed networks for ``engine="event"`` +
   round-robin runs whose observers all take the raw dispatch paths; every
   other configuration falls back to the generic engine (still on the
-  packed network, through its compat methods).
+  packed network, through the same three calls).
 
 Kernel selection — ``Simulation(kernel=...)``; the default is
 :data:`DEFAULT_KERNEL`, the top rung when the extension loaded and
@@ -52,12 +52,10 @@ Kernel selection — ``Simulation(kernel=...)``; the default is
     send path, local-index refresh, store appends) and calls back into
     Python only for process handlers, the delay model, idle-span
     accounting, and raw/log observers. Engages under the same conditions
-    as the Python fused loop *and* additionally requires no send/deliver
-    observers (those need per-envelope views the C loop never
-    materializes); such runs degrade to the shared Python fused loop on
-    the same C pool, never to an error — ``sim.fused_path`` /
-    ``sim.fused_reason`` say which loop runs and why (see
-    :func:`fused_runner`). Requesting it without the extension built
+    as the Python fused loop; a run it cannot take steps through the
+    generic engine on the same C pool, never to an error —
+    ``sim.fused_path`` / ``sim.fused_reason`` say which loop runs and why
+    (see :func:`fused_runner`). Requesting it without the extension built
     raises :class:`~repro.sim.errors.ConfigurationError`;
     :data:`HAS_COMPILED` / :data:`HAS_COMPILED_LOOP` report availability
     (one fact: a stale extension is refused whole, at import, by
@@ -69,10 +67,11 @@ machinery; ``run_fused_rr`` stays the reference implementation and
 differential oracle for the C loop.
 
 Handler contract (unchanged, but load-bearing here): process automata must
-not retain the :class:`~repro.sim.context.Context` or any ``Envelope``
-past their step. The fused loop reuses the pooled context, and packed
-payload slots are recycled through the free list as soon as they are
-consumed, so a retained reference would observe later steps' state.
+not retain the :class:`~repro.sim.context.Context` past their step — the
+fused loop reuses the pooled context, so a retained reference would observe
+later steps' state. Only the legacy kernel still builds an ``Envelope`` per
+message, and those never leave the network; the packed pools recycle a
+payload slot through the free list as soon as it is consumed.
 """
 
 from __future__ import annotations
@@ -84,7 +83,7 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.sim._compiled import ckernel as _ckernel
 from repro.sim.context import BROADCAST_ALL
 from repro.sim.errors import ConfigurationError
-from repro.sim.network import DelayModel, Envelope, Network
+from repro.sim.network import DelayModel, Network
 from repro.sim.observers import FullRecorder, SimObserver
 from repro.sim.types import NEVER, ProcessId, Time
 
@@ -132,9 +131,9 @@ HAS_COMPILED_LOOP = HAS_COMPILED
 #: the rung a run takes when nothing names one: the fastest whose extension
 #: loaded. Like ``stable_hash``'s body (:mod:`repro.sim.types`) it is
 #: observed once, at import, from what is on disk — never configured. Every
-#: ``kernel=`` default in the package reads this name; explicit values,
-#: the degradation under envelope observers and "an explicitly requested
-#: compiled rung without the extension raises" are unaffected.
+#: ``kernel=`` default in the package reads this name; explicit values and
+#: "an explicitly requested compiled rung without the extension raises" are
+#: unaffected.
 DEFAULT_KERNEL = "compiled-loop" if HAS_COMPILED else "packed"
 
 
@@ -147,10 +146,10 @@ class PackedNetwork(Network):
     and all the per-receiver counters — is inherited from :class:`Network`
     and maintained identically, so the event engine and every public query
     (:meth:`horizon_peek`, :meth:`in_transit`, quiescence counters) are
-    oblivious to the storage change. Compat methods (:meth:`send`,
-    :meth:`pop_deliverable`, ...) materialize ``Envelope`` views on demand;
-    the packed-primitive methods (:meth:`send_packed`,
-    :meth:`send_all_packed`) and the fused loop skip them entirely.
+    oblivious to the storage change. The scheduler talks to it through
+    :meth:`send_packed`, :meth:`send_all_packed` and
+    :meth:`pop_deliverable_batch_raw`; the legacy ``Envelope`` methods it
+    inherits fail fast on the poisoned ``_queues`` / ``_seq``.
     """
 
     def __init__(self, n: int, delay_model: DelayModel | None = None) -> None:
@@ -204,25 +203,12 @@ class PackedNetwork(Network):
             self._col_payload.append(payload)
         return slot
 
-    def _view(self, slot: int, receiver: ProcessId) -> Envelope:
-        """Materialize an ``Envelope`` for a live slot (copies the fields —
-        safe to retain even after the slot is recycled)."""
-        return Envelope(
-            deliver_at=self._col_deliver[slot],
-            seq=self._col_seq[slot],
-            sender=self._col_sender[slot],
-            receiver=receiver,
-            payload=self._col_payload[slot],
-            send_time=self._col_send_time[slot],
-        )
-
     # -- sends --------------------------------------------------------------
 
     def send_packed(
         self, sender: ProcessId, receiver: ProcessId, payload: Any, t: Time
     ) -> int:
-        """Queue a point-to-point message without materializing an
-        ``Envelope``; returns the pool slot."""
+        """Queue a point-to-point message; returns the pool slot."""
         delay = self.delay_model.delay(sender, receiver, t)
         if delay < 1:
             raise ValueError(f"delay model produced non-positive delay {delay}")
@@ -251,22 +237,15 @@ class PackedNetwork(Network):
             heapq.heappush(horizon, (deliver_at, receiver))
         return slot
 
-    def send(
-        self, sender: ProcessId, receiver: ProcessId, payload: Any, t: Time
-    ) -> Envelope:
-        slot = self.send_packed(sender, receiver, payload, t)
-        return self._view(slot, receiver)
-
-    def _send_all_common(
+    def send_all_packed(
         self,
         sender: ProcessId,
         payload: Any,
         t: Time,
-        include_self: bool,
-        collect: list[Envelope] | None,
+        include_self: bool = True,
     ) -> int:
-        """One batched broadcast pass (same draws and order as the legacy
-        :meth:`Network.send_all`).
+        """Broadcast in one batched pass (same draws and order as the legacy
+        :meth:`Network.send_all`); returns the count.
 
         With a vectorized delay profile every input is validated before any
         message queues (the profile contract), so the loop runs with local
@@ -347,10 +326,6 @@ class PackedNetwork(Network):
                     if len(horizon) > cap:
                         self._compact_horizon()
                     heappush(horizon, (deliver_at, receiver))
-                if collect is not None:
-                    collect.append(
-                        Envelope(deliver_at, seq - 1, sender, receiver, payload, t)
-                    )
             self._next_seq = seq
             self.sent_count += count
             if live_gain:
@@ -388,138 +363,17 @@ class PackedNetwork(Network):
                 if len(horizon) > cap:
                     self._compact_horizon()
                 heappush(horizon, (deliver_at, receiver))
-            if collect is not None:
-                collect.append(
-                    Envelope(deliver_at, seq, sender, receiver, payload, t)
-                )
             count += 1
         return count
 
-    def send_all_packed(
-        self,
-        sender: ProcessId,
-        payload: Any,
-        t: Time,
-        include_self: bool = True,
-    ) -> int:
-        """Broadcast without materializing envelopes; returns the count."""
-        return self._send_all_common(sender, payload, t, include_self, None)
-
-    def send_all(
-        self,
-        sender: ProcessId,
-        payload: Any,
-        t: Time,
-        *,
-        include_self: bool = True,
-    ) -> list[Envelope]:
-        envelopes: list[Envelope] = []
-        self._send_all_common(sender, payload, t, include_self, envelopes)
-        return envelopes
-
     # -- pops ---------------------------------------------------------------
-
-    def peek_deliverable(self, receiver: ProcessId, t: Time) -> Envelope | None:
-        shard = self._shards[receiver]
-        if shard and shard[0] >> _KEY_SHIFT <= t:
-            return self._view(shard[0] & _SLOT_MASK, receiver)
-        return None
-
-    def pop_deliverable(self, receiver: ProcessId, t: Time) -> Envelope | None:
-        shard = self._shards[receiver]
-        if not shard or shard[0] >> _KEY_SHIFT > t:
-            return None
-        key = heapq.heappop(shard)
-        slot = key & _SLOT_MASK
-        deliver_at = key >> _KEY_SHIFT
-        envelope = Envelope(
-            deliver_at=deliver_at,
-            seq=self._col_seq[slot],
-            sender=self._col_sender[slot],
-            receiver=receiver,
-            payload=self._col_payload[slot],
-            send_time=self._col_send_time[slot],
-        )
-        self._col_payload[slot] = None  # drop the ref before recycling
-        self._free.append(slot)
-        self.delivered_count += 1
-        self._pending[receiver] -= 1
-        if deliver_at < NEVER:
-            self._live[receiver] -= 1
-            if receiver not in self._dead:
-                self.live_pending -= 1
-        if shard:
-            head = shard[0] >> _KEY_SHIFT
-            self._next_at[receiver] = head
-            if len(self._horizon) > self._horizon_cap:
-                self._compact_horizon()
-            heapq.heappush(self._horizon, (head, receiver))
-        else:
-            self._next_at[receiver] = None
-        return envelope
-
-    def pop_deliverable_batch(
-        self, receiver: ProcessId, t: Time, limit: int
-    ) -> list[Envelope]:
-        shard = self._shards[receiver]
-        if not shard or shard[0] >> _KEY_SHIFT > t:
-            return []
-        popped: list[Envelope] = []
-        live_drop = 0
-        heappop = heapq.heappop
-        col_seq = self._col_seq
-        col_sender = self._col_sender
-        col_send_time = self._col_send_time
-        col_payload = self._col_payload
-        free_append = self._free.append
-        while shard and len(popped) < limit:
-            key = shard[0]
-            deliver_at = key >> _KEY_SHIFT
-            if deliver_at > t:
-                break
-            heappop(shard)
-            slot = key & _SLOT_MASK
-            popped.append(
-                Envelope(
-                    deliver_at=deliver_at,
-                    seq=col_seq[slot],
-                    sender=col_sender[slot],
-                    receiver=receiver,
-                    payload=col_payload[slot],
-                    send_time=col_send_time[slot],
-                )
-            )
-            col_payload[slot] = None
-            free_append(slot)
-            if deliver_at < NEVER:
-                live_drop += 1
-        count = len(popped)
-        self.delivered_count += count
-        self._pending[receiver] -= count
-        if live_drop:
-            self._live[receiver] -= live_drop
-            if receiver not in self._dead:
-                self.live_pending -= live_drop
-        if shard:
-            head = shard[0] >> _KEY_SHIFT
-            self._next_at[receiver] = head
-            if len(self._horizon) > self._horizon_cap:
-                self._compact_horizon()
-            heapq.heappush(self._horizon, (head, receiver))
-        else:
-            self._next_at[receiver] = None
-        return popped
 
     def pop_deliverable_batch_raw(
         self, receiver: ProcessId, t: Time, limit: int
     ) -> list[tuple[Time, int, ProcessId, Time, Any]]:
         """Batch-pop due messages as ``(deliver_at, seq, sender, send_time,
-        payload)`` tuples — no :class:`Envelope` materialization.
-
-        Same pops, same accounting, same merge-layer updates as
-        :meth:`pop_deliverable_batch`; the scheduler's generic loops take
-        this path when no deliver observer needs an envelope view.
-        """
+        payload)`` tuples: the same pops, accounting and merge-layer updates
+        as the legacy :meth:`Network.pop_deliverable_batch_raw`."""
         shard = self._shards[receiver]
         if not shard or shard[0] >> _KEY_SHIFT > t:
             return []
@@ -623,13 +477,6 @@ class CompiledPackedNetwork(PackedNetwork):
         """Queue a point-to-point message; returns its send sequence."""
         return _ckernel.send_packed(self, sender, receiver, payload, t)
 
-    def send(
-        self, sender: ProcessId, receiver: ProcessId, payload: Any, t: Time
-    ) -> Envelope:
-        rows: list[tuple] = []
-        _ckernel.send_packed(self, sender, receiver, payload, t, rows)
-        return Envelope(*rows[0])
-
     def send_all_packed(
         self,
         sender: ProcessId,
@@ -639,52 +486,18 @@ class CompiledPackedNetwork(PackedNetwork):
     ) -> int:
         return _ckernel.send_all_packed(self, sender, payload, t, include_self)
 
-    def send_all(
-        self,
-        sender: ProcessId,
-        payload: Any,
-        t: Time,
-        *,
-        include_self: bool = True,
-    ) -> list[Envelope]:
-        rows: list[tuple] = []
-        _ckernel.send_all_packed(self, sender, payload, t, include_self, rows)
-        return [Envelope(*row) for row in rows]
-
     # -- pops ---------------------------------------------------------------
 
-    def peek_deliverable(self, receiver: ProcessId, t: Time) -> Envelope | None:
-        head = self._next_at[receiver]
-        if head is None or head > t:
-            return None
-        deliver_at, seq, sender, send_time, payload = self._pool.peek(receiver)
-        return Envelope(deliver_at, seq, sender, receiver, payload, send_time)
-
-    def pop_deliverable(self, receiver: ProcessId, t: Time) -> Envelope | None:
-        result = self._pool.pop_due(receiver, t)
-        if result is None:
-            return None
-        deliver_at, seq, sender, send_time, payload, new_head = result
-        self.delivered_count += 1
-        self._pending[receiver] -= 1
-        if deliver_at < NEVER:
-            self._live[receiver] -= 1
-            if receiver not in self._dead:
-                self.live_pending -= 1
-        if new_head >= 0:
-            self._next_at[receiver] = new_head
-            if len(self._horizon) > self._horizon_cap:
-                self._compact_horizon()
-            heapq.heappush(self._horizon, (new_head, receiver))
-        else:
-            self._next_at[receiver] = None
-        return Envelope(deliver_at, seq, sender, receiver, payload, send_time)
-
-    def _account_batch_pop(
-        self, receiver: ProcessId, count: int, live_drop: int, new_head: int
-    ) -> None:
-        self.delivered_count += count
-        self._pending[receiver] -= count
+    def pop_deliverable_batch_raw(
+        self, receiver: ProcessId, t: Time, limit: int
+    ) -> list[tuple[Time, int, ProcessId, Time, Any]]:
+        items, new_head, live_drop = self._pool.pop_due_batch(
+            receiver, t, limit
+        )
+        if not items:
+            return []
+        self.delivered_count += len(items)
+        self._pending[receiver] -= len(items)
         if live_drop:
             self._live[receiver] -= live_drop
             if receiver not in self._dead:
@@ -696,30 +509,6 @@ class CompiledPackedNetwork(PackedNetwork):
             heapq.heappush(self._horizon, (new_head, receiver))
         else:
             self._next_at[receiver] = None
-
-    def pop_deliverable_batch(
-        self, receiver: ProcessId, t: Time, limit: int
-    ) -> list[Envelope]:
-        items, new_head, live_drop = self._pool.pop_due_batch(
-            receiver, t, limit
-        )
-        if not items:
-            return []
-        self._account_batch_pop(receiver, len(items), live_drop, new_head)
-        return [
-            Envelope(deliver_at, seq, sender, receiver, payload, send_time)
-            for deliver_at, seq, sender, send_time, payload in items
-        ]
-
-    def pop_deliverable_batch_raw(
-        self, receiver: ProcessId, t: Time, limit: int
-    ) -> list[tuple[Time, int, ProcessId, Time, Any]]:
-        items, new_head, live_drop = self._pool.pop_due_batch(
-            receiver, t, limit
-        )
-        if not items:
-            return []
-        self._account_batch_pop(receiver, len(items), live_drop, new_head)
         return items
 
     @property
@@ -759,15 +548,11 @@ def fused_runner(
     A fused loop runs only under ``engine="event"``, on a packed network,
     when every attached step observer takes the raw dispatch path (the
     built-in recorders do) — then it is behaviourally identical to the
-    generic event engine. Everything else runs the generic loops (against
-    the packed network's compat methods where there is one).
-
-    The C loop (``kernel="compiled-loop"``, the default when the
-    extension loaded) needs one thing more: no send/deliver observer — it
-    never materializes the Envelope views those hooks receive (log
-    observers are fine; log dispatch crosses back into Python). Under
-    round-robin scheduling such a run degrades to the Python fused loop
-    on the same C pool; the ladder never falls off to an error.
+    generic event engine. Everything else runs the generic loops. On
+    ``kernel="compiled-loop"`` (the default when the extension loaded) the
+    fused loop is the C loop; on ``kernel="packed"`` it is
+    :func:`run_fused_rr`, which therefore only ever sees the Python pool.
+    Log observers are fine on both (log dispatch crosses back into Python).
 
     Random scheduling is served by the C loop alone, under the same
     conditions plus one: nothing materializes idle steps
@@ -784,7 +569,7 @@ def fused_runner(
     ``"engine=naive"``, ``"scheduling=random materializes idle steps"``,
     ``"legacy network"``, ``"non-raw step observer: <Class>"``,
     ``"extension not loaded"``, ``"kernel=<rung>"`` (a lower rung was
-    asked for), ``"send/deliver observer: <Class>"``.
+    asked for).
     """
     if sim.engine != "event":
         return None, f"engine={sim.engine}"
@@ -804,10 +589,6 @@ def fused_runner(
         return python_loop, "extension not loaded"
     if sim.kernel != "compiled-loop":
         return python_loop, f"kernel={sim.kernel}"
-    envelope_observers = sim._send_observers + sim._deliver_observers
-    if envelope_observers:
-        blocker = envelope_observers[0]
-        return python_loop, f"send/deliver observer: {type(blocker).__name__}"
     return run_fused_compiled, None
 
 
@@ -852,12 +633,12 @@ def run_fused_rr(sim: "Simulation", t_end: Time) -> None:
     Semantically identical to ``while sim.time < t_end:
     sim._advance_event_rr(t_end)`` over a packed network — same handler
     call order, same RNG draws, same records, same counters — but the
-    per-tick work reads the packed columns directly: shard-heap pops and
-    sends never materialize envelopes (unless a deliver/send observer is
-    attached), and full-fidelity recording appends straight into the run's
-    columnar ``StepStore``. Idle stretches reuse the engine's span
-    accounting (``_next_event_query`` / ``_skip_span_rr``), so crashes,
-    idle-record materialization, and metrics behave exactly as before.
+    per-tick work reads the Python pool's columns directly (the C pool runs
+    under the C loop instead, see :func:`fused_runner`), and full-fidelity
+    recording appends straight into the run's columnar ``StepStore``. Idle
+    stretches reuse the engine's span accounting (``_next_event_query`` /
+    ``_skip_span_rr``), so crashes, idle-record materialization, and
+    metrics behave exactly as before.
     """
     net = sim.network
     n = sim.n
@@ -886,8 +667,6 @@ def run_fused_rr(sim: "Simulation", t_end: Time) -> None:
     inputs_by_pid = sim._inputs
     started = sim._started
     message_batch = sim.message_batch
-    deliver_obs = sim._deliver_observers
-    send_obs = sim._send_observers
     log_obs = sim._log_observers
     raw_obs = sim._raw_step_observers
     run = sim.run
@@ -900,15 +679,12 @@ def run_fused_rr(sim: "Simulation", t_end: Time) -> None:
     horizon = net._horizon
     horizon_cap = net._horizon_cap
 
-    # Pool storage: Python shard heaps + columns, or the C pool.
-    pool = getattr(net, "_pool", None)
-    if pool is None:
-        shards = net._shards
-        col_seq = net._col_seq
-        col_sender = net._col_sender
-        col_send_time = net._col_send_time
-        col_payload = net._col_payload
-        free_append = net._free.append
+    # Pool storage: the Python shard heaps and columns.
+    shards = net._shards
+    col_sender = net._col_sender
+    col_send_time = net._col_send_time
+    col_payload = net._col_payload
+    free_append = net._free.append
 
     send_packed = net.send_packed
     send_all_packed = net.send_all_packed
@@ -978,95 +754,40 @@ def run_fused_rr(sim: "Simulation", t_end: Time) -> None:
             first_sender = -1
             first_payload = None
             first_send_time = -1
-            if pool is None:
-                shard = shards[pid]
-                if shard and shard[0] >> _KEY_SHIFT <= t:
-                    on_message = process.on_message
-                    while received < message_batch and shard:
-                        key = shard[0]
-                        deliver_at = key >> _KEY_SHIFT
-                        if deliver_at > t:
-                            break
-                        heappop(shard)
-                        slot = key & _SLOT_MASK
-                        sender = col_sender[slot]
-                        payload = col_payload[slot]
-                        if received == 0:
-                            first_sender = sender
-                            first_payload = payload
-                            first_send_time = col_send_time[slot]
-                        received += 1
-                        if deliver_at < NEVER:
-                            live[pid] -= 1
-                            if pid not in dead:
-                                net.live_pending -= 1
-                        if deliver_obs:
-                            envelope = Envelope(
-                                deliver_at, col_seq[slot], sender, pid,
-                                payload, col_send_time[slot],
-                            )
-                            col_payload[slot] = None
-                            free_append(slot)
-                            for observer in deliver_obs:
-                                observer.on_deliver(sim, envelope)
-                        else:
-                            col_payload[slot] = None
-                            free_append(slot)
-                        on_message(ctx, sender, payload)
-                    net.delivered_count += received
-                    pending[pid] -= received
-                    if shard:
-                        head = shard[0] >> _KEY_SHIFT
-                        next_at[pid] = head
-                        if len(horizon) > horizon_cap:
-                            net._compact_horizon()
-                        heappush(horizon, (head, pid))
-                    else:
-                        next_at[pid] = None
-            else:
-                head = next_at[pid]
-                if head is not None and head <= t:
-                    on_message = process.on_message
-                    new_head = -1
-                    result = pool.pop_due(pid, t)
-                    while result is not None:
-                        (
-                            deliver_at, seq, sender, send_time, payload,
-                            new_head,
-                        ) = result
-                        if received == 0:
-                            first_sender = sender
-                            first_payload = payload
-                            first_send_time = send_time
-                        received += 1
-                        if deliver_at < NEVER:
-                            live[pid] -= 1
-                            if pid not in dead:
-                                net.live_pending -= 1
-                        if deliver_obs:
-                            envelope = Envelope(
-                                deliver_at, seq, sender, pid, payload,
-                                send_time,
-                            )
-                            for observer in deliver_obs:
-                                observer.on_deliver(sim, envelope)
-                        on_message(ctx, sender, payload)
-                        if (
-                            received >= message_batch
-                            or new_head < 0
-                            or new_head > t
-                        ):
-                            break
-                        result = pool.pop_due(pid, t)
-                    net.delivered_count += received
-                    pending[pid] -= received
-                    if new_head >= 0:
-                        next_at[pid] = new_head
-                        if len(horizon) > horizon_cap:
-                            net._compact_horizon()
-                        heappush(horizon, (new_head, pid))
-                    else:
-                        next_at[pid] = None
+            shard = shards[pid]
+            if shard and shard[0] >> _KEY_SHIFT <= t:
+                on_message = process.on_message
+                while received < message_batch and shard:
+                    key = shard[0]
+                    deliver_at = key >> _KEY_SHIFT
+                    if deliver_at > t:
+                        break
+                    heappop(shard)
+                    slot = key & _SLOT_MASK
+                    sender = col_sender[slot]
+                    payload = col_payload[slot]
+                    if received == 0:
+                        first_sender = sender
+                        first_payload = payload
+                        first_send_time = col_send_time[slot]
+                    received += 1
+                    if deliver_at < NEVER:
+                        live[pid] -= 1
+                        if pid not in dead:
+                            net.live_pending -= 1
+                    col_payload[slot] = None
+                    free_append(slot)
+                    on_message(ctx, sender, payload)
+                net.delivered_count += received
+                pending[pid] -= received
+                if shard:
+                    head = shard[0] >> _KEY_SHIFT
+                    next_at[pid] = head
+                    if len(horizon) > horizon_cap:
+                        net._compact_horizon()
+                    heappush(horizon, (head, pid))
+                else:
+                    next_at[pid] = None
 
             if t >= next_timeout[pid]:
                 timeout_fired = True
@@ -1079,30 +800,14 @@ def run_fused_rr(sim: "Simulation", t_end: Time) -> None:
             sent = 0
             if outbox:
                 ctx._outbox = []
-                if send_obs:
-                    for receiver, payload in outbox:
-                        if receiver >= 0:
-                            envelope = net.send(pid, receiver, payload, t)
-                            sent += 1
-                            for observer in send_obs:
-                                observer.on_send(sim, envelope)
-                        else:
-                            for envelope in net.send_all(
-                                pid, payload, t,
-                                include_self=receiver == BROADCAST_ALL,
-                            ):
-                                sent += 1
-                                for observer in send_obs:
-                                    observer.on_send(sim, envelope)
-                else:
-                    for receiver, payload in outbox:
-                        if receiver >= 0:
-                            send_packed(pid, receiver, payload, t)
-                            sent += 1
-                        else:
-                            sent += send_all_packed(
-                                pid, payload, t, receiver == BROADCAST_ALL
-                            )
+                for receiver, payload in outbox:
+                    if receiver >= 0:
+                        send_packed(pid, receiver, payload, t)
+                        sent += 1
+                    else:
+                        sent += send_all_packed(
+                            pid, payload, t, receiver == BROADCAST_ALL
+                        )
 
             outputs = ctx._outputs
             if outputs:

@@ -351,6 +351,24 @@ class Network:
             append(envelope)
         return envelopes
 
+    # -- the scheduler's three calls (shared by every kernel) ---------------
+
+    def send_packed(
+        self, sender: ProcessId, receiver: ProcessId, payload: Any, t: Time
+    ) -> int:
+        """:meth:`send`, returning the message's send sequence."""
+        return self.send(sender, receiver, payload, t).seq
+
+    def send_all_packed(
+        self,
+        sender: ProcessId,
+        payload: Any,
+        t: Time,
+        include_self: bool = True,
+    ) -> int:
+        """:meth:`send_all`, returning how many messages it queued."""
+        return len(self.send_all(sender, payload, t, include_self=include_self))
+
     def peek_deliverable(self, receiver: ProcessId, t: Time) -> Envelope | None:
         """The oldest message deliverable to ``receiver`` at time ``t``, if any."""
         queue = self._queues[receiver]
@@ -380,28 +398,38 @@ class Network:
             return envelope
         return None
 
-    def pop_deliverable_batch(
+    def pop_deliverable_batch_raw(
         self, receiver: ProcessId, t: Time, limit: int
-    ) -> list[Envelope]:
-        """Consume up to ``limit`` deliverable messages, oldest first.
+    ) -> list[tuple[Time, int, ProcessId, Time, Any]]:
+        """Consume up to ``limit`` deliverable messages, oldest first, as
+        ``(deliver_at, seq, sender, send_time, payload)`` tuples.
 
         One call replaces up to ``limit`` :meth:`pop_deliverable` calls per
         tick (the scheduler's ``message_batch`` loop): the queue head, the
-        counters, and the horizon are updated once per popped envelope but
+        counters, and the horizon are updated once per popped message but
         the per-call indirection is paid once. Behaviour is pinned identical
         to repeated single pops by the differential tests.
         """
         queue = self._queues[receiver]
         if not queue or queue[0].deliver_at > t:
             return []
-        popped: list[Envelope] = []
+        popped: list[tuple[Time, int, ProcessId, Time, Any]] = []
         live_drop = 0
         heappop = heapq.heappop
         while queue and queue[0].deliver_at <= t and len(popped) < limit:
             envelope = heappop(queue)
-            if envelope.deliver_at < NEVER:
+            deliver_at = envelope.deliver_at
+            if deliver_at < NEVER:
                 live_drop += 1
-            popped.append(envelope)
+            popped.append(
+                (
+                    deliver_at,
+                    envelope.seq,
+                    envelope.sender,
+                    envelope.send_time,
+                    envelope.payload,
+                )
+            )
         count = len(popped)
         self.delivered_count += count
         self._pending[receiver] -= count

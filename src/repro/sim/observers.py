@@ -6,9 +6,11 @@ The seed engine hard-wired recording into the scheduler: every step built a
 were therefore memory- and CPU-bound on bookkeeping. This module splits
 recording out of the scheduler into an observer protocol:
 
-- :class:`SimObserver` — the hook interface (``on_step`` / ``on_send`` /
-  ``on_deliver`` plus ``on_log`` and ``on_finish``). The scheduler invokes
-  hooks for every event it produces; observers decide what to retain.
+- :class:`SimObserver` — the hook interface (``on_step`` and its idle and
+  raw fast paths, plus ``on_log`` and ``on_finish``). A step ``(p, m, d)``
+  carries the one message it consumes, so there is no separate per-message
+  hook. The scheduler invokes hooks for every event it produces; observers
+  decide what to retain.
 - Recorders — one per fidelity level of ``Simulation(record=...)``:
 
   ========== ===============================================================
@@ -51,7 +53,6 @@ from repro.sim.runs import ReceivedMessage, RunRecord, StepRecord, StepStore
 from repro.sim.types import ProcessId, Time
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (scheduler imports us)
-    from repro.sim.network import Envelope
     from repro.sim.scheduler import Simulation
 
 #: valid values of ``Simulation(record=...)``, highest fidelity first.
@@ -159,12 +160,6 @@ class SimObserver:
                 received_count=received_count,
             ),
         )
-
-    def on_send(self, sim: "Simulation", envelope: "Envelope") -> None:
-        """A message entered the network."""
-
-    def on_deliver(self, sim: "Simulation", envelope: "Envelope") -> None:
-        """A message was consumed by its receiver."""
 
     def on_log(self, sim: "Simulation", t: Time, pid: ProcessId, event: Any) -> None:
         """A process logged a diagnostic event during a step."""

@@ -27,7 +27,7 @@ drive the clock:
 
 - ``engine="naive"`` — the seed behaviour: every tick pays full step cost.
 - ``engine="event"`` (default) — finds the earliest *interesting* tick (the
-  minimum over processes of: next deliverable envelope, next pending input,
+  minimum over processes of: next deliverable message, next pending input,
   next due local timeout, the pending ``on_start``; gated by the process's
   crash boundary) and fast-forwards the clock over idle stretches. The
   minimum is answered by two incremental indexes — the network's delivery
@@ -112,6 +112,24 @@ class DetectorHistory(Protocol):
 def _overrides(observer: SimObserver, hook: str) -> bool:
     """True iff ``observer``'s class overrides the named base-class hook."""
     return getattr(type(observer), hook) is not getattr(SimObserver, hook)
+
+
+def _check_observer(observer: Any) -> None:
+    """Refuse anything that is not a :class:`SimObserver`, and observers
+    still defining the removed per-envelope hooks ``on_send`` /
+    ``on_deliver`` (nothing would call them; a step's consumed message is
+    on ``on_step`` / ``on_step_raw``, its send count on the same record)."""
+    if not isinstance(observer, SimObserver):
+        raise ConfigurationError(
+            f"observers must be SimObserver instances, got {observer!r}"
+        )
+    for hook in ("on_send", "on_deliver"):
+        if hasattr(type(observer), hook):
+            raise ConfigurationError(
+                f"{type(observer).__name__}.{hook} is a removed observer "
+                f"hook and would never be called; observe steps instead "
+                f"(on_step / on_step_raw carry the consumed message)"
+            )
 
 
 class Simulation:
@@ -232,10 +250,7 @@ class Simulation:
             [recorder] if recorder is not None else []
         ) + list(observers)
         for observer in self._observers:
-            if not isinstance(observer, SimObserver):
-                raise ConfigurationError(
-                    f"observers must be SimObserver instances, got {observer!r}"
-                )
+            _check_observer(observer)
         #: crash boundaries not yet folded into the network's live-pending
         #: counter, in time order (consumed by :meth:`_sync_crash_marks`).
         self._crash_boundaries = sorted(
@@ -298,24 +313,11 @@ class Simulation:
             or _overrides(o, "on_idle_step")
             or _overrides(o, "on_idle_span")
         ]
-        self._send_observers = [o for o in self._observers if _overrides(o, "on_send")]
-        self._deliver_observers = [
-            o for o in self._observers if _overrides(o, "on_deliver")
-        ]
         self._log_observers = [o for o in self._observers if _overrides(o, "on_log")]
         self._finish_observers = [
             o for o in self._observers if _overrides(o, "on_finish")
         ]
         self._materialize_idle = any(o.wants_idle_steps for o in self._observers)
-        #: point-to-point/broadcast sends skip Envelope materialization when
-        #: the network has packed primitives and nothing observes sends.
-        self._packed_sends = not self._send_observers and hasattr(
-            self.network, "send_packed"
-        )
-        #: envelope-free batch pops for the generic loops (random path):
-        #: usable only when no deliver observer needs an Envelope view.
-        raw_pops = getattr(self.network, "pop_deliverable_batch_raw", None)
-        self._raw_pops = raw_pops if not self._deliver_observers else None
         #: fused dense-tick runner (see repro.sim.kernel); None when this
         #: configuration must take the generic engine paths, with the reason
         #: it is not the C tick loop. Resolved last: eligibility reads the
@@ -327,13 +329,10 @@ class Simulation:
 
         The engine re-evaluates every capability gate, so attaching an
         observer that needs hooks the current fast path does not expose
-        (a non-raw step observer, a deliver observer under the C loop)
-        downgrades to the matching slower path before the next tick.
+        (a non-raw step observer) downgrades to the matching slower path
+        before the next tick.
         """
-        if not isinstance(observer, SimObserver):
-            raise ConfigurationError(
-                f"observers must be SimObserver instances, got {observer!r}"
-            )
+        _check_observer(observer)
         self._observers.append(observer)
         self._rebuild_dispatch()
 
@@ -362,7 +361,7 @@ class Simulation:
     def fused_reason(self) -> str | None:
         """Why :attr:`fused_path` is not ``"c-loop"`` — a short fixed
         string such as ``"kernel=packed"``, ``"extension not loaded"``
-        or ``"send/deliver observer: <Class>"`` (the full list is in
+        or ``"non-raw step observer: <Class>"`` (the full list is in
         :func:`repro.sim.kernel.fused_runner`) — or None when it is."""
         return self._fused_reason
 
@@ -449,39 +448,21 @@ class Simulation:
             inputs.append(value)
             process.on_input(ctx, value)
 
-        # One batched pop per tick instead of up to message_batch calls;
-        # pinned identical to repeated single pops by the differential tests.
-        # Packed kernels without deliver observers take the raw tuple path:
-        # same pops, same accounting, no Envelope views (this is how the
-        # blockwise random schedule rides the packed pool's batch pops).
+        # One batched pop per tick instead of up to message_batch calls, as
+        # ``(deliver_at, seq, sender, send_time, payload)`` tuples on every
+        # kernel; pinned identical to repeated single pops by the tests.
         first_sender, first_payload, first_send_time = -1, None, -1
-        raw_pops = self._raw_pops
-        if raw_pops is not None:
-            messages = raw_pops(pid, t, self.message_batch)
-            received_count = len(messages)
-            if messages:
-                first = messages[0]
-                first_sender = first[2]
-                first_payload = first[4]
-                first_send_time = first[3]
-            for message in messages:
-                process.on_message(ctx, message[2], message[4])
-        else:
-            envelopes = self.network.pop_deliverable_batch(
-                pid, t, self.message_batch
-            )
-            received_count = len(envelopes)
-            if envelopes:
-                first = envelopes[0]
-                first_sender = first.sender
-                first_payload = first.payload
-                first_send_time = first.send_time
-            deliver_observers = self._deliver_observers
-            for envelope in envelopes:
-                if deliver_observers:
-                    for observer in deliver_observers:
-                        observer.on_deliver(self, envelope)
-                process.on_message(ctx, envelope.sender, envelope.payload)
+        messages = self.network.pop_deliverable_batch_raw(
+            pid, t, self.message_batch
+        )
+        received_count = len(messages)
+        if messages:
+            first = messages[0]
+            first_sender = first[2]
+            first_payload = first[4]
+            first_send_time = first[3]
+        for message in messages:
+            process.on_message(ctx, message[2], message[4])
 
         timeout_fired = False
         if t >= self._next_timeout[pid]:
@@ -491,38 +472,17 @@ class Simulation:
 
         outbox = ctx.drain_outbox()
         network = self.network
-        send_observers = self._send_observers
         sent = 0
-        if self._packed_sends:
-            # Packed kernels: queue straight into the pool, no Envelope
-            # views (nothing observes sends; same draws, same counters).
-            for receiver, payload in outbox:
-                if receiver >= 0:
-                    network.send_packed(pid, receiver, payload, t)
-                    sent += 1
-                else:
-                    sent += network.send_all_packed(
-                        pid, payload, t, receiver == BROADCAST_ALL
-                    )
-        else:
-            for receiver, payload in outbox:
-                if receiver >= 0:
-                    envelope = network.send(pid, receiver, payload, t)
-                    sent += 1
-                    if send_observers:
-                        for observer in send_observers:
-                            observer.on_send(self, envelope)
-                else:
-                    # Broadcast sentinel (see repro.sim.context): one batched
-                    # delay-model pass over all receivers.
-                    envelopes = network.send_all(
-                        pid, payload, t, include_self=receiver == BROADCAST_ALL
-                    )
-                    sent += len(envelopes)
-                    if send_observers:
-                        for envelope in envelopes:
-                            for observer in send_observers:
-                                observer.on_send(self, envelope)
+        for receiver, payload in outbox:
+            if receiver >= 0:
+                network.send_packed(pid, receiver, payload, t)
+                sent += 1
+            else:
+                # Broadcast sentinel (see repro.sim.context): one batched
+                # delay-model pass over all receivers.
+                sent += network.send_all_packed(
+                    pid, payload, t, receiver == BROADCAST_ALL
+                )
         outputs = ctx.drain_outputs()
         if self._log_observers:
             for event in ctx.drain_log():

@@ -187,7 +187,7 @@ class TestHorizonIndexOracle:
             timeout_interval=7,
             record="outputs",
         )
-        sim.network.send(0, 2, "dead letter", 1)
+        sim.network.send_packed(0, 2, "dead letter", 1)
         sim.run_until(50)
         assert sim.network.next_delivery_time(2) == 5
         assert sim.network.horizon_peek() == (5, 2)

@@ -161,7 +161,7 @@ class TestEngineDifferential:
             detector=OmegaDetector(stabilization_time=0).history(pattern, seed=0),
             timeout_interval=1000,
         )
-        sim.network.send(0, 1, "dead letter", 12)
+        sim.network.send_packed(0, 1, "dead letter", 12)
         sim.run_until(20)
         sim.run_until_quiescent(max_time=50_000)
         assert sim.time < 1000
@@ -352,19 +352,11 @@ class TestRecordingFidelity:
 class CountingObserver(SimObserver):
     def __init__(self):
         self.steps = 0
-        self.sends = 0
-        self.delivers = 0
         self.logs = 0
         self.finishes = 0
 
     def on_step(self, sim, record):
         self.steps += 1
-
-    def on_send(self, sim, envelope):
-        self.sends += 1
-
-    def on_deliver(self, sim, envelope):
-        self.delivers += 1
 
     def on_log(self, sim, t, pid, event):
         self.logs += 1
@@ -374,12 +366,11 @@ class CountingObserver(SimObserver):
 
 
 class TestObserverHooks:
-    def test_hooks_see_all_traffic_even_unrecorded(self):
+    def test_step_and_finish_hooks_fire_even_unrecorded(self):
         observer = CountingObserver()
         sim = Scenario(3, seed=1).omega().etob().record("none") \
             .observe(observer).broadcast(0, 10, "x").run(400)
-        assert observer.sends == sim.network.sent_count > 0
-        assert observer.delivers == sim.network.delivered_count > 0
+        assert sim.network.delivered_count > 0
         assert observer.steps > 0
         assert observer.finishes == 1
 
@@ -401,6 +392,33 @@ class TestObserverHooks:
 
         with pytest.raises(ConfigurationError):
             Simulation([ProtocolStack([EtobLayer()])], observers=[object()])
+
+    # Nothing calls on_send / on_deliver: an observer defining one is
+    # refused at the door, not silently never called.
+
+    def _assert_refused(self, observer, hook):
+        from repro.sim.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match=hook):
+            Simulation([ProtocolStack([EtobLayer()])], observers=[observer])
+        sim = Simulation([ProtocolStack([EtobLayer()])])
+        with pytest.raises(ConfigurationError, match=hook):
+            sim.attach_observer(observer)
+        assert sim.fused_path is not None  # dispatch untouched by the refusal
+
+    def test_an_observer_defining_on_send_is_refused(self):
+        class SendHook(CountingObserver):
+            def on_send(self, sim, envelope):
+                pass
+
+        self._assert_refused(SendHook(), "on_send")
+
+    def test_an_observer_defining_on_deliver_is_refused(self):
+        class DeliverHook(SimObserver):
+            def on_deliver(self, sim, envelope):
+                pass
+
+        self._assert_refused(DeliverHook(), "on_deliver")
 
 
 class TestTimelineObserver:

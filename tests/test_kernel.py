@@ -5,21 +5,22 @@ Four pillars:
 
 - a hypothesis differential driving the legacy ``Network`` and the packed
   pool side by side through random send/send_all/pop/batch-pop/crash/tick
-  interleavings, asserting identical envelopes, counters, and horizon state
+  interleavings, asserting identical messages, counters, and horizon state
   at every step (the compiled pool joins when the extension is built);
 - whole-run differentials over the randomized scenario space of
   ``test_engine_differential`` pinning byte-identical :class:`RunRecord`
   objects across ``kernel="legacy" | "packed" | "compiled-loop"`` — plus
-  the C pool under the Python fused loop, which ``compiled-loop`` degrades
-  to under a send observer — under both ``round_robin`` and ``random``
-  scheduling and both engines;
+  the C pool under the generic Python engine, which ``compiled-loop``
+  steps through under a plain ``on_step`` observer — under both
+  ``round_robin`` and ``random`` scheduling and both engines;
 - unit coverage for the kernel selection flag and the heap self-compaction
   caps;
 - the extension guard (``repro.sim._compiled``): a build is accepted only
   with the digest of the ``_ckernel.c`` beside it, and refused with one
   warning otherwise;
 - direct unit tests of the compiled ``Pool`` shard ordering and slot
-  recycling, skipped when the extension is not built;
+  recycling, fed through ``_ckernel.send_packed``, skipped when the
+  extension is not built;
 - compiled-loop rung coverage: the engagement/degradation ladder
   (``sim.fused_path``) under every observer capability, including
   mid-lifetime :meth:`attach_observer` / :meth:`detach_observer`, and
@@ -67,21 +68,22 @@ from test_engine_differential import build_sim, random_config, run_sim
 BUILT_KERNELS = [k for k in KERNELS if k != "compiled-loop" or HAS_COMPILED]
 
 
-class SendWatch(SimObserver):
-    """A send observer that only counts: attached to ``compiled-loop`` it
-    keeps the C pool but moves the run off the C loop (onto the Python
-    fused loop under round-robin, the generic engine under random)."""
+class StepSpy(SimObserver):
+    """Step observer WITHOUT the raw hook: forces materialized dispatch.
+    Attached to ``compiled-loop`` it keeps the C pool but moves the run off
+    the C loop onto the generic engine, so ``Simulation.step`` drives the C
+    send path and ``pop_due_batch``."""
 
     def __init__(self) -> None:
-        self.sends = 0
+        self.steps = 0
 
-    def on_send(self, sim, envelope):
-        self.sends += 1
+    def on_step(self, sim, record):
+        self.steps += 1
 
 
-#: the leg naming ``compiled-loop`` with a :class:`SendWatch` attached for
-#: the whole run: the C pool under the Python fused loop.
-POOL_UNDER_PYTHON = "compiled-loop+SendWatch"
+#: the leg naming ``compiled-loop`` with a :class:`StepSpy` attached for
+#: the whole run: the C pool under the generic Python engine.
+POOL_UNDER_PYTHON = "compiled-loop+StepSpy"
 
 #: :data:`BUILT_KERNELS` plus, when the extension is built,
 #: :data:`POOL_UNDER_PYTHON`.
@@ -92,23 +94,20 @@ def leg_options(leg: str) -> dict:
     """The ``Simulation`` keyword options that build ``leg`` of
     :data:`BUILT_LEGS`."""
     if leg == POOL_UNDER_PYTHON:
-        return {"kernel": "compiled-loop", "observers": [SendWatch()]}
+        return {"kernel": "compiled-loop", "observers": [StepSpy()]}
     return {"kernel": leg}
 
 
 def assert_pool_under_python(sim: Simulation) -> None:
-    """``sim`` is ``compiled-loop`` plus a :class:`SendWatch`: on the C
-    pool but off the C loop — under round-robin on the Python fused loop,
-    for exactly that reason."""
+    """``sim`` is ``compiled-loop`` plus a :class:`StepSpy`: on the C pool
+    but on the generic engine — for exactly that reason unless a run-time
+    gate (naive engine, idle-materializing random schedule) answers first."""
     assert isinstance(sim.network, CompiledPackedNetwork)
-    if sim.engine == "naive":
-        assert sim.fused_path is None
-    elif sim.scheduling == "round_robin":
-        assert (sim.fused_path, sim.fused_reason) == (
-            "python", "send/deliver observer: SendWatch"
-        )
-    else:
-        assert sim.fused_path is None
+    assert sim.fused_path is None
+    if sim.engine == "event" and not (
+        sim.scheduling == "random" and sim._materialize_idle
+    ):
+        assert sim.fused_reason == "non-raw step observer: StepSpy"
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +127,17 @@ class SometimesNeverDelay:
         return self._rng.randint(1, 9)
 
 
+def _fields(envelope) -> tuple:
+    """A legacy ``Envelope`` as the raw pop tuple every network returns."""
+    return (
+        envelope.deliver_at,
+        envelope.seq,
+        envelope.sender,
+        envelope.send_time,
+        envelope.payload,
+    )
+
+
 def _state(net: Network) -> dict:
     return {
         "next": [net.next_delivery_time(r) for r in range(net.n)],
@@ -141,7 +151,8 @@ def _state(net: Network) -> dict:
 
 class TestPackedPoolDifferential:
     """Drive every built pool implementation in lockstep with the legacy
-    queue-of-Envelopes network and require indistinguishable behaviour."""
+    queue-of-Envelopes network and require indistinguishable behaviour:
+    the pools' raw pop tuples match the legacy envelopes field by field."""
 
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())
@@ -162,36 +173,34 @@ class TestPackedPoolDifferential:
             ),
             label="ops",
         )
+        legacy, pools = nets[0], nets[1:]
         for op in ops:
             if op == "send":
                 sender = data.draw(st.integers(0, n - 1))
                 receiver = data.draw(st.integers(0, n - 1))
-                results = [
-                    net.send(sender, receiver, ("m", t), t) for net in nets
-                ]
-                assert all(env == results[0] for env in results[1:])
+                for net in nets:
+                    net.send_packed(sender, receiver, ("m", t), t)
             elif op == "send_all":
                 sender = data.draw(st.integers(0, n - 1))
                 include_self = data.draw(st.booleans())
-                results = [
-                    net.send_all(sender, "m", t, include_self=include_self)
+                counts = [
+                    net.send_all_packed(sender, "m", t, include_self)
                     for net in nets
                 ]
-                assert all(envs == results[0] for envs in results[1:])
-            elif op == "pop":
+                assert counts == [n - (not include_self)] * len(nets)
+            elif op in ("pop", "pop_batch"):
                 receiver = data.draw(st.integers(0, n - 1))
-                peeks = [net.peek_deliverable(receiver, t) for net in nets]
-                results = [net.pop_deliverable(receiver, t) for net in nets]
-                assert all(env == results[0] for env in results[1:])
-                assert peeks == results  # peek previews exactly the pop
-            elif op == "pop_batch":
-                receiver = data.draw(st.integers(0, n - 1))
-                limit = data.draw(st.integers(1, 4))
-                results = [
-                    net.pop_deliverable_batch(receiver, t, limit)
-                    for net in nets
-                ]
-                assert all(envs == results[0] for envs in results[1:])
+                limit = 1 if op == "pop" else data.draw(st.integers(1, 4))
+                expected = []
+                while len(expected) < limit:
+                    envelope = legacy.pop_deliverable(receiver, t)
+                    if envelope is None:
+                        break
+                    expected.append(_fields(envelope))
+                for net in pools:
+                    assert net.pop_deliverable_batch_raw(
+                        receiver, t, limit
+                    ) == expected
             elif op == "crash":
                 victim = data.draw(st.integers(0, n - 1))
                 for net in nets:
@@ -205,8 +214,8 @@ class TestPackedPoolDifferential:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_batch_pop_equals_repeated_single_pops(self, data):
-        # Satellite pin: pop_deliverable_batch is observationally the same
-        # as calling the legacy single pop `limit` times, on every kernel.
+        # pop_deliverable_batch_raw is observationally the same as calling
+        # it with limit 1 `limit` times, on every kernel.
         n = data.draw(st.integers(min_value=2, max_value=4), label="n")
         kernel = data.draw(st.sampled_from(BUILT_KERNELS), label="kernel")
         batch = make_network(n, SometimesNeverDelay(seed=n), kernel=kernel)
@@ -215,19 +224,19 @@ class TestPackedPoolDifferential:
         for step in range(data.draw(st.integers(1, 30), label="steps")):
             sender = data.draw(st.integers(0, n - 1))
             receiver = data.draw(st.integers(0, n - 1))
-            batch.send(sender, receiver, step, t)
-            single.send(sender, receiver, step, t)
+            batch.send_packed(sender, receiver, step, t)
+            single.send_packed(sender, receiver, step, t)
             if data.draw(st.booleans()):
                 t += data.draw(st.integers(1, 10))
             target = data.draw(st.integers(0, n - 1))
             limit = data.draw(st.integers(1, 5))
-            popped = batch.pop_deliverable_batch(target, t, limit)
+            popped = batch.pop_deliverable_batch_raw(target, t, limit)
             expected = []
             for _ in range(limit):
-                envelope = single.pop_deliverable(target, t)
-                if envelope is None:
+                one = single.pop_deliverable_batch_raw(target, t, 1)
+                if not one:
                     break
-                expected.append(envelope)
+                expected += one
             assert popped == expected
             assert _state(batch) == _state(single)
 
@@ -250,14 +259,11 @@ class TestKernelRunDifferential:
             )
             runs[kernel] = sim
         if HAS_COMPILED:
-            watch = SendWatch()
             pooled = build_sim(
-                config, engine="event", kernel="compiled-loop",
-                observers=[watch],
+                config, engine="event", **leg_options(POOL_UNDER_PYTHON)
             )
             assert_pool_under_python(pooled)
-            runs["pool under python"] = run_sim(pooled, config)
-            assert watch.sends == pooled.network.sent_count
+            runs[POOL_UNDER_PYTHON] = run_sim(pooled, config)
         reference = runs["legacy"]
         assert isinstance(reference.run.steps, StepStore)
         for kernel, sim in runs.items():
@@ -289,31 +295,6 @@ class TestKernelRunDifferential:
             assert_pool_under_python(naive)
             assert_pool_under_python(event)
         assert naive.run == event.run
-
-    @pytest.mark.parametrize("kernel", BUILT_KERNELS)
-    def test_observers_see_identical_traffic(self, kernel):
-        # Send/deliver observers force the envelope-materializing compat
-        # paths; the traffic they see must not depend on the kernel.
-        from test_engine_differential import CountingObserver
-
-        config = random_config(6)
-        counts = {}
-        for k in ("legacy", kernel):
-            observer = CountingObserver()
-            sim = run_sim(
-                build_sim(
-                    config, engine="event", observers=[observer], kernel=k
-                ),
-                config,
-            )
-            counts[k] = (
-                observer.steps,
-                observer.sends,
-                observer.delivers,
-                observer.logs,
-                sim.network.sent_count,
-            )
-        assert counts[kernel] == counts["legacy"]
 
 
 # ---------------------------------------------------------------------------
@@ -610,63 +591,78 @@ class TestCompactionCaps:
 # ---------------------------------------------------------------------------
 
 
+class ScriptedDelay:
+    """Delays taken in order from a script, one per send."""
+
+    def __init__(self, *delays: int) -> None:
+        self._delays = list(delays)
+
+    def delay(self, sender, receiver, t):
+        return self._delays.pop(0)
+
+
+def scripted_pool(*sends, n=3):
+    """A ``CompiledPackedNetwork`` over ``n`` processes fed ``(sender,
+    receiver, payload, t, delay)`` sends through ``_ckernel.send_packed``,
+    and its ``Pool``. The network assigns seq 0, 1, ... in send order."""
+    from repro.sim import _ckernel
+
+    net = CompiledPackedNetwork(n, ScriptedDelay(*(s[4] for s in sends)))
+    for sender, receiver, payload, t, __ in sends:
+        _ckernel.send_packed(net, sender, receiver, payload, t)
+    return net, net._pool
+
+
 @pytest.mark.skipif(not HAS_COMPILED, reason="C extension not built")
 class TestCompiledPool:
-    def make_pool(self):
-        from repro.sim import _ckernel
-
-        return _ckernel.Pool(3)
-
     def test_orders_by_deliver_at_then_seq(self):
-        pool = self.make_pool()
-        pool.push(1, 10, 5, 0, 0, "late")
-        pool.push(1, 8, 6, 0, 0, "early")
-        pool.push(1, 8, 2, 0, 0, "earlier-seq")
-        assert pool.peek(1) == (8, 2, 0, 0, "earlier-seq")
-        assert pool.pop_due(1, 20) == (8, 2, 0, 0, "earlier-seq", 8)
-        assert pool.pop_due(1, 20) == (8, 6, 0, 0, "early", 10)
-        assert pool.pop_due(1, 20) == (10, 5, 0, 0, "late", -1)
-        assert pool.pop_due(1, 20) is None
-
-    def test_pop_due_respects_time(self):
-        pool = self.make_pool()
-        pool.push(0, 7, 0, 1, 2, "x")
-        assert pool.pop_due(0, 6) is None
-        assert pool.pop_due(0, 7) == (7, 0, 1, 2, "x", -1)
+        __, pool = scripted_pool(
+            (0, 1, "late", 0, 10),
+            (0, 1, "early", 0, 8),
+            (0, 1, "later-seq", 0, 8),
+        )
+        assert pool.pop_due_batch(1, 20, 1) == ([(8, 1, 0, 0, "early")], 8, 1)
+        assert pool.pop_due_batch(1, 20, 1) == (
+            [(8, 2, 0, 0, "later-seq")], 10, 1
+        )
+        assert pool.pop_due_batch(1, 20, 1) == ([(10, 0, 0, 0, "late")], -1, 1)
+        assert pool.pop_due_batch(1, 20, 1) == ([], -1, 0)
 
     def test_slot_recycling(self):
-        pool = self.make_pool()
-        pool.push(0, 1, 0, 0, 0, "a")
-        pool.push(1, 2, 1, 0, 0, "b")
+        net, pool = scripted_pool((0, 0, "a", 0, 1), (0, 1, "b", 0, 2))
         assert (pool.slots(), pool.free()) == (2, 0)
-        pool.pop_due(0, 5)
+        pool.pop_due_batch(0, 5, 1)
         assert (pool.slots(), pool.free()) == (2, 1)
-        pool.push(2, 3, 2, 0, 0, "c")  # reuses the freed slot
+        net.delay_model = ScriptedDelay(3)
+        net.send_packed(0, 2, "c", 0)  # reuses the freed slot
         assert (pool.slots(), pool.free()) == (2, 0)
 
     def test_payload_identity_preserved(self):
-        pool = self.make_pool()
         payload = {"mutable": []}
-        pool.push(0, 1, 0, 0, 0, payload)
-        assert pool.peek(0)[4] is payload
-        assert pool.pop_due(0, 1)[4] is payload
+        __, pool = scripted_pool((0, 0, payload, 0, 1))
+        assert pool.__getstate__()[4][0] is payload
+        assert pool.pop_due_batch(0, 1, 1)[0][0][4] is payload
 
-    def test_errors(self):
-        pool = self.make_pool()
-        with pytest.raises(IndexError):
-            pool.peek(0)
-        with pytest.raises(IndexError):
-            pool.push(3, 1, 0, 0, 0, "x")
+    def test_send_packed_takes_no_collect_argument(self):
+        from repro.sim import _ckernel
 
-    def test_pop_due_batch_matches_repeated_pop_due(self):
-        batch, single = self.make_pool(), self.make_pool()
-        for pool in (batch, single):
-            pool.push(1, 8, 6, 0, 0, "early")
-            pool.push(1, 10, 5, 0, 0, "late")
-            pool.push(1, 8, 2, 0, 0, "earlier-seq")
-            pool.push(1, 99, 9, 0, 0, "future")
+        net = CompiledPackedNetwork(3, FixedDelay(1))
+        with pytest.raises(TypeError):
+            _ckernel.send_packed(net, 0, 1, "x", 0, [])
+        with pytest.raises(TypeError):
+            _ckernel.send_all_packed(net, 0, "x", 0, True, [])
+        assert net.sent_count == 0
+
+    def test_pop_due_batch_matches_repeated_single_pops(self):
+        sends = [
+            (0, 1, "early", 0, 8),
+            (0, 1, "late", 0, 10),
+            (0, 1, "later-seq", 0, 8),
+            (0, 1, "future", 0, 99),
+        ]
+        (__, batch), (__, single) = scripted_pool(*sends), scripted_pool(*sends)
         items, new_head, live_drop = batch.pop_due_batch(1, 10, 3)
-        expected = [single.pop_due(1, 10)[:5] for _ in range(3)]
+        expected = [single.pop_due_batch(1, 10, 1)[0][0] for _ in range(3)]
         assert items == expected
         assert new_head == 99  # the first still-undue message
         assert live_drop == 3  # every popped message was live
@@ -674,9 +670,7 @@ class TestCompiledPool:
         assert batch.pop_due_batch(1, 10, 4) == ([], 99, 0)
 
     def test_pop_due_batch_respects_time_and_limit(self):
-        pool = self.make_pool()
-        pool.push(0, 5, 0, 1, 2, "a")
-        pool.push(0, 6, 1, 1, 2, "b")
+        __, pool = scripted_pool((1, 0, "a", 2, 3), (1, 0, "b", 2, 4))
         assert pool.pop_due_batch(0, 4, 10) == ([], 5, 0)
         items, new_head, live_drop = pool.pop_due_batch(0, 5, 10)
         assert items == [(5, 0, 1, 2, "a")]
@@ -684,7 +678,7 @@ class TestCompiledPool:
         assert pool.pop_due_batch(2, 10, 1) == ([], -1, 0)  # empty shard
 
     def test_pop_due_batch_errors(self):
-        pool = self.make_pool()
+        __, pool = scripted_pool()
         with pytest.raises(IndexError):
             pool.pop_due_batch(5, 1, 1)
         with pytest.raises(TypeError):
@@ -694,32 +688,6 @@ class TestCompiledPool:
 # ---------------------------------------------------------------------------
 # Compiled tick loop: the engagement ladder and run_loop unit behaviour.
 # ---------------------------------------------------------------------------
-
-
-class StepSpy(SimObserver):
-    """Step observer WITHOUT the raw hook: forces materialized dispatch."""
-
-    def __init__(self) -> None:
-        self.steps = 0
-
-    def on_step(self, sim, record):
-        self.steps += 1
-
-
-class SendSpy(SimObserver):
-    def __init__(self) -> None:
-        self.sends = 0
-
-    def on_send(self, sim, envelope):
-        self.sends += 1
-
-
-class DeliverSpy(SimObserver):
-    def __init__(self) -> None:
-        self.delivers = 0
-
-    def on_deliver(self, sim, envelope):
-        self.delivers += 1
 
 
 class LogSpy(SimObserver):
@@ -801,21 +769,29 @@ class TestCompiledLoopLadder:
     def test_lower_rungs_and_the_degraded_pool_never_take_the_c_loop(self):
         assert _loop_sim("legacy").fused_path is None
         assert _loop_sim("packed").fused_path == "python"
-        assert_pool_under_python(_loop_sim("compiled-loop", [SendWatch()]))
+        assert_pool_under_python(_loop_sim("compiled-loop", [StepSpy()]))
 
-    @pytest.mark.parametrize("spy_cls", [SendSpy, DeliverSpy])
-    def test_envelope_observers_degrade_to_the_python_loop(self, spy_cls):
-        # The C loop never materializes the Envelope views these hooks
-        # receive, so their presence must leave the C loop — with identical
-        # trajectories and identical observations on both rungs.
-        c_spy, py_spy = spy_cls(), spy_cls()
-        c = _loop_sim("compiled-loop", [c_spy])
-        py = _loop_sim("packed", [py_spy])
-        assert c.fused_path == "python"
-        c.run_until(2_000)
-        py.run_until(2_000)
-        assert run_digest(c) == run_digest(py)
-        assert vars(c_spy) == vars(py_spy)
+    def test_compiled_loop_never_runs_the_python_fused_loop(self):
+        # Across the observer capability matrix, both schedules, every
+        # fidelity and both engines, compiled-loop is the C loop or the
+        # generic engine: run_fused_rr only ever sees the Python pool.
+        spies = [StepSpy, RawStepSpy, LogSpy, IdleStepSpy, IdleSpanSpy]
+        combos = [()] + [(cls,) for cls in spies] + [
+            pair for pair in itertools.combinations(spies, 2)
+        ]
+        paths = set()
+        for combo, scheduling, record, engine in itertools.product(
+            combos, ("round_robin", "random"), ("full", "metrics", "none"),
+            ("event", "naive"),
+        ):
+            sim = Simulation(
+                [Chatter() for _ in range(3)], kernel="compiled-loop",
+                scheduling=scheduling, record=record, engine=engine,
+                observers=[cls() for cls in combo],
+            )
+            assert sim.fused_path in ("c-loop", None), (combo, scheduling)
+            paths.add(sim.fused_path)
+        assert paths == {"c-loop", None}
 
     def test_log_observers_stay_on_the_c_loop(self):
         # Log dispatch crosses back into Python from C, so a log observer
@@ -1108,7 +1084,7 @@ class TestFusedPathAndReason:
         )
         if not HAS_COMPILED:
             assert resolve() == (None, "extension not loaded")
-            assert resolve(observers=[SendSpy()]) == (
+            assert resolve(observers=[LogSpy()]) == (
                 None, "extension not loaded"
             )
             return
@@ -1116,12 +1092,6 @@ class TestFusedPathAndReason:
             assert resolve(record=record) == ("c-loop", None)
         assert resolve(observers=[RawStepSpy(), LogSpy()]) == ("c-loop", None)
         assert resolve(kernel="packed") == (None, "kernel=packed")
-        assert resolve(observers=[SendWatch()]) == (
-            None, "send/deliver observer: SendWatch"
-        )
-        assert resolve(observers=[DeliverSpy()]) == (
-            None, "send/deliver observer: DeliverSpy"
-        )
 
     def test_every_reason_on_the_ladder(self):
         top = ("c-loop", None) if HAS_COMPILED else (
@@ -1129,7 +1099,7 @@ class TestFusedPathAndReason:
         )
         cases = [
             (dict(kernel="legacy"), (None, "legacy network")),
-            (dict(kernel="legacy", observers=[SendWatch()]),
+            (dict(kernel="legacy", observers=[LogSpy()]),
              (None, "legacy network")),
             (dict(observers=[StepSpy()]),
              (None, "non-raw step observer: StepSpy")),
@@ -1139,16 +1109,14 @@ class TestFusedPathAndReason:
         if HAS_COMPILED:
             cases += [
                 (dict(kernel="packed"), ("python", "kernel=packed")),
-                (dict(kernel="packed", observers=[SendWatch()]),
+                (dict(kernel="packed", observers=[LogSpy()]),
                  ("python", "kernel=packed")),
-                (dict(observers=[SendSpy()]),
-                 ("python", "send/deliver observer: SendSpy")),
-                (dict(observers=[LogSpy(), DeliverSpy()]),
-                 ("python", "send/deliver observer: DeliverSpy")),
+                (dict(observers=[LogSpy(), StepSpy()]),
+                 (None, "non-raw step observer: StepSpy")),
             ]
         else:
             cases.append(
-                (dict(kernel="packed", observers=[SendSpy()]),
+                (dict(kernel="packed", observers=[LogSpy()]),
                  ("python", "extension not loaded"))
             )
         for kwargs, expected in cases:
@@ -1224,31 +1192,31 @@ class TestPickleRoundTrip:
     def test_pool_state_round_trips_slot_for_slot(self):
         import pickle
 
-        from repro.sim import _ckernel
-
-        pool = _ckernel.Pool(3)
         shared = ["payload"]
-        pool.push(1, 10, 0, 0, 0, shared)
-        pool.push(1, 8, 1, 2, 3, None)  # None is a payload, not a free slot
-        pool.push(2, 9, 2, 0, 0, shared)
-        pool.push(0, 4, 3, 1, 1, "gone")
-        pool.pop_due(0, 4)  # leaves slot 3 on the free stack
-        clone, twin = pickle.loads(pickle.dumps((pool, shared)))
+        net, pool = scripted_pool(
+            (0, 1, shared, 0, 10),
+            (2, 1, None, 3, 5),  # None is a payload, not a free slot
+            (0, 2, shared, 0, 9),
+            (1, 0, "gone", 1, 3),
+        )
+        pool.pop_due_batch(0, 4, 1)  # leaves slot 3 on the free stack
+        clone_net, twin = pickle.loads(pickle.dumps((net, shared)))
+        clone = clone_net._pool
         assert clone.__getstate__() == pool.__getstate__()
         assert (clone.slots(), clone.free()) == (4, 1)
-        assert clone.peek(1) == (8, 1, 2, 3, None)
-        clone.push(0, 5, 4, 0, 0, "reuses-3")
+        clone_net.delay_model = ScriptedDelay(1)
+        clone_net.send_packed(0, 0, "reuses-3", 4)
         assert (clone.slots(), clone.free()) == (4, 0)
-        assert clone.pop_due(2, 99)[4] is twin  # identity follows the memo
+        assert clone.pop_due_batch(1, 8, 1)[0] == [(8, 1, 2, 3, None)]
+        # identity follows the memo
+        assert clone.pop_due_batch(2, 99, 1)[0][0][4] is twin
         assert pool.free() == 1  # the original is independent
 
     @pytest.mark.skipif(not HAS_COMPILED, reason="C extension not built")
     def test_malformed_pool_state_is_refused(self):
         from repro.sim import _ckernel
 
-        pool = _ckernel.Pool(2)
-        pool.push(0, 5, 0, 1, 1, "a")
-        pool.push(1, 6, 1, 1, 1, "b")
+        __, pool = scripted_pool((1, 0, "a", 1, 4), (1, 1, "b", 1, 5), n=2)
         deliver, seq, send_time, sender, payloads, free, shards = (
             pool.__getstate__()
         )
@@ -1374,7 +1342,10 @@ class FusedRawObserver(SimObserver):
         self.steps = 0
 
     def on_step(self, sim, record):
+        # the same call site when a plain step observer beside it turns
+        # dispatch to materialized records
         self.steps += 1
+        self.fuse.check("raw_observer")
 
     def on_step_raw(self, sim, *fields):
         self.steps += 1
@@ -1390,20 +1361,29 @@ FAILURE_SITES = [
 ]
 
 
-#: the failure-path legs: the Python fused loop (the oracle), the C loop,
-#: and the C pool under the Python fused loop.
+#: the failure-path legs, ``leg -> (kernel, extra observers, oracle leg)``:
+#: the C loop is held to the Python fused loop, the C pool under the
+#: generic engine to the Python pool under it (the generic step pops a
+#: message, accounting included, before its handler runs; the fused loops
+#: account after, so a raise leaves the two engines different wreckage).
 FAILURE_LEGS = {
-    "packed": ("packed", ()),
-    "compiled-loop": ("compiled-loop", ()),
-    "pool under python": ("compiled-loop", (SendWatch,)),
+    "packed": ("packed", (), "packed"),
+    "compiled-loop": ("compiled-loop", (), "packed"),
+    "packed generic": ("packed", (StepSpy,), "packed generic"),
+    "pool under python": ("compiled-loop", (StepSpy,), "packed generic"),
 }
+
+
+def assert_legs_match_their_oracles(states: dict, note=None) -> None:
+    for leg, (*__, oracle) in FAILURE_LEGS.items():
+        assert states[leg] == states[oracle], (leg, note)
 
 
 def _failure_sim(
     leg: str, *, vectorized: bool, record: str = "metrics",
     scheduling: str = "round_robin", timeout: int = 5,
 ):
-    kernel, extra = FAILURE_LEGS[leg]
+    kernel, extra, __ = FAILURE_LEGS[leg]
     fuse = Fuse()
     sim = Simulation(
         [FusedTalker(fuse) for _ in range(3)],
@@ -1488,16 +1468,13 @@ class TestRunLoopFailurePaths:
                 with pytest.raises(Boom, match=site):
                     sim.run_until(100_000)
                 states[leg] = _engine_state(sim)
-            for leg in FAILURE_LEGS:
-                assert states[leg] == states["packed"], (leg, round_)
+            assert_legs_match_their_oracles(states, round_)
         # ... and the wreckage is coherent enough to carry on identically.
         for sim, __ in sims.values():
             sim.run_until(sim.time + 500)
-        digests = {leg: run_digest(sim) for leg, (sim, __) in sims.items()}
-        assert len(set(digests.values())) == 1
-        states = {leg: _engine_state(sim) for leg, (sim, __) in sims.items()}
-        for leg in FAILURE_LEGS:
-            assert states[leg] == states["packed"], leg
+        assert_legs_match_their_oracles(
+            {leg: _engine_state(sim) for leg, (sim, __) in sims.items()}
+        )
 
     def test_a_detector_raise_inside_an_idle_span_at_record_full(self):
         # At record="full" the C loop fills a crash-free idle span into the
@@ -1514,7 +1491,7 @@ class TestRunLoopFailurePaths:
                 kernel=kernel,
                 observers=[cls() for cls in extra],
             )
-            for leg, (kernel, extra) in FAILURE_LEGS.items()
+            for leg, (kernel, extra, __) in FAILURE_LEGS.items()
         }
         assert sims["compiled-loop"].fused_path == "c-loop"
         assert_pool_under_python(sims["pool under python"])
@@ -1534,13 +1511,12 @@ class TestRunLoopFailurePaths:
                 assert store._time[-span] == sim.time < at
                 assert store._time[-1] == sim.last_live_tick > at
                 states[leg] = _engine_state(sim)
-            for leg in FAILURE_LEGS:
-                assert states[leg] == states["packed"], (leg, at)
+            assert_legs_match_their_oracles(states, at)
         for sim in sims.values():
             sim.run_until(sim.time + 500)
-        states = {leg: _engine_state(sim) for leg, sim in sims.items()}
-        for leg in FAILURE_LEGS:
-            assert states[leg] == states["packed"], leg
+        assert_legs_match_their_oracles(
+            {leg: _engine_state(sim) for leg, sim in sims.items()}
+        )
 
     @pytest.mark.parametrize(
         "scheduling,record",

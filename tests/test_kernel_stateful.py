@@ -5,12 +5,12 @@ each configuration start to finish. This machine covers what happens *in
 between*: Hypothesis draws an environment, a crash pattern, a scheduling
 policy, a record level and a batch size, builds the same simulation once
 per built rung (plus ``engine="naive"`` on ``legacy``, the seed oracle, and
-``compiled-loop`` with a send observer pinned from the start: the C pool
-under the Python fused loop) and then interleaves
+``compiled-loop`` with a plain step observer pinned from the start: the C
+pool under the generic engine) and then interleaves
 
 - ``run_steps(k)``,
 - ``add_input`` at drawn offsets,
-- attaching and detaching step / raw-step / send / deliver / log spies
+- attaching and detaching step / raw-step / log spies
   (each of which moves a run up or down the fused-loop ladder), and
 - a pickle or deepcopy round trip of every simulation,
 
@@ -52,14 +52,16 @@ from repro.sim import (
 from test_kernel import (
     BUILT_KERNELS,
     POOL_UNDER_PYTHON,
-    SendWatch,
     SometimesNeverDelay,
+    StepSpy as PoolPin,
+    assert_pool_under_python,
+    leg_options,
 )
 
 DEEP = os.environ.get("HYPOTHESIS_PROFILE") == "nightly"
 
-#: ``compiled-loop`` with a :class:`SendWatch` attached for the whole run:
-#: the C pool's send and pop paths under the Python fused loop.
+#: ``compiled-loop`` with a plain step observer attached for the whole run:
+#: the C pool's send and pop paths under the generic engine.
 POOL_LEG = (POOL_UNDER_PYTHON, "event")
 
 #: ``(kernel, engine)`` legs; the first is the oracle the rest are held to.
@@ -116,22 +118,12 @@ class RawStepSpy(Spy):  # raw-capable: every fused loop stays engaged
         self.seen.append((t, pid, sent))
 
 
-class SendSpy(Spy):  # needs Envelope views: the run leaves the C loop
-    def on_send(self, sim, envelope):
-        self.seen.append(("send", envelope))
-
-
-class DeliverSpy(Spy):
-    def on_deliver(self, sim, envelope):
-        self.seen.append(("deliver", envelope))
-
-
 class LogSpy(Spy):  # log dispatch crosses back from C: costs no rung
     def on_log(self, sim, t, pid, event):
         self.seen.append((t, pid, event))
 
 
-SPIES = {cls.__name__: cls for cls in (StepSpy, RawStepSpy, SendSpy, DeliverSpy, LogSpy)}
+SPIES = {cls.__name__: cls for cls in (StepSpy, RawStepSpy, LogSpy)}
 
 
 def delay_model(env: str, seed: int):
@@ -151,14 +143,12 @@ def expected_path(kernel, engine, scheduling, record, observers) -> str | None:
     """
     if engine == "naive" or kernel == "legacy":
         return None
-    if any(type(spy) is StepSpy for spy in observers):
+    if any(type(spy) in (StepSpy, PoolPin) for spy in observers):
         return None
     random = scheduling == "random"
     if random and record == "full":  # every idle step is materialized
         return None
-    if kernel == "compiled-loop" and not any(
-        isinstance(spy, (SendSpy, DeliverSpy, SendWatch)) for spy in observers
-    ):
+    if kernel == "compiled-loop":
         return "c-loop"
     return None if random else "python"
 
@@ -190,9 +180,6 @@ class KernelLadderMachine(RuleBasedStateMachine):
         self.spies = {leg: [] for leg in LEGS}
         for leg in LEGS:
             kernel, engine = leg
-            pinned = []
-            if leg == POOL_LEG:
-                kernel, pinned = "compiled-loop", [SendWatch()]
             self.sims[leg] = Simulation(
                 [Talker() for __ in range(n)],
                 failure_pattern=pattern,
@@ -205,9 +192,8 @@ class KernelLadderMachine(RuleBasedStateMachine):
                 scheduling=scheduling,
                 message_batch=message_batch,
                 engine=engine,
-                kernel=kernel,
                 record=record,
-                observers=pinned,
+                **leg_options(kernel),
             )
         self.n = n
         self.inputs = 0
@@ -267,8 +253,8 @@ class KernelLadderMachine(RuleBasedStateMachine):
                 sim.kernel, engine, self.scheduling, self.record, sim._observers
             ), (leg, sim.fused_reason)
             assert (sim.fused_reason is None) == (sim.fused_path == "c-loop")
-            if leg == POOL_LEG and sim.fused_path == "python":
-                assert sim.fused_reason == "send/deliver observer: SendWatch"
+            if leg == POOL_LEG:
+                assert_pool_under_python(sim)
             if engine == "naive":
                 continue
             # against the seed oracle: the run, the traffic, the pending
@@ -327,7 +313,7 @@ TestKernelLadder = KernelLadderMachine.TestCase
 
 def test_the_machine_covers_the_c_loop_when_it_is_built():
     # A guard on the differential itself: with the extension built, the
-    # legs include the default rung and the C pool under the Python loop.
+    # legs include the default rung and the C pool under the generic engine.
     assert LEGS[0] == ("legacy", "naive")
     assert (("compiled-loop", "event") in LEGS) == HAS_COMPILED
     assert (POOL_LEG in LEGS) == HAS_COMPILED

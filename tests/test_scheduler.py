@@ -148,7 +148,7 @@ class TestMessaging:
         procs = [Recorder(), Recorder()]
         sim = Simulation(procs, delay_model=FixedDelay(1), timeout_interval=100)
         for i in range(3):
-            sim.network.send(0, 1, f"m{i}", 0)
+            sim.network.send_packed(0, 1, f"m{i}", 0)
         sim.run_until(20)
         receive_times = [t for t, __, ___ in procs[1].messages]
         assert len(receive_times) == 3
@@ -158,7 +158,7 @@ class TestMessaging:
         pattern = FailurePattern.crash(2, {1: 0})
         procs = [Recorder(), Recorder()]
         sim = Simulation(procs, failure_pattern=pattern, timeout_interval=100)
-        sim.network.send(0, 1, "dead letter", 0)
+        sim.network.send_packed(0, 1, "dead letter", 0)
         sim.run_until(30)
         assert procs[1].messages == []
         assert sim.network.in_transit(1) == 1
@@ -222,6 +222,6 @@ class TestRunLoops:
     def test_run_until_quiescent_drains_network(self):
         procs = [Recorder(), Recorder()]
         sim = Simulation(procs, delay_model=FixedDelay(1), timeout_interval=1000)
-        sim.network.send(0, 1, "m", 0)
+        sim.network.send_packed(0, 1, "m", 0)
         sim.run_until_quiescent()
         assert sim.network.in_transit() == 0

@@ -90,7 +90,7 @@ class TestDispatch:
         # Non-stack peers (e.g. client processes) send unframed payloads;
         # those are delivered to the outward-facing top layer.
         sim, procs = build_sim()
-        sim.network.send(1, 0, "not-a-stack-frame", 0)
+        sim.network.send_packed(1, 0, "not-a-stack-frame", 0)
         sim.run_until(4)
         assert (1, "not-a-stack-frame") in procs[0].layer("upper").peer_messages
         assert procs[0].layer("lower").peer_messages == []

@@ -1,6 +1,7 @@
 """The settable surface, pinned: the exact parameters of the sim, suite and
-search entry points, the kernel rungs, and the two oracle configurations
-the performance ruler (``benchmarks/perf``) builds.
+search entry points, the kernel rungs, the observer hooks and network
+methods of the message interface, and the two oracle configurations the
+performance ruler (``benchmarks/perf``) builds.
 
 Every option is one more configuration the differentials must hold equal,
 so adding or removing one is a deliberate change to this file. The ruler
@@ -24,7 +25,16 @@ import pytest
 
 from repro.analysis.experiments import Campaign
 from repro.search import falsify, replay_witness
-from repro.sim import KERNELS, Simulation, build_simulation, make_network
+from repro.sim import (
+    HAS_COMPILED,
+    KERNELS,
+    Simulation,
+    SimObserver,
+    build_simulation,
+    make_network,
+)
+from repro.sim.kernel import CompiledPackedNetwork, PackedNetwork
+from repro.sim.network import Network
 from repro.suite import ScenarioSuite
 
 SURFACE = {
@@ -55,6 +65,40 @@ def test_parameter_names_are_pinned(fn):
 
 def test_kernel_rungs_are_pinned():
     assert KERNELS == ("legacy", "packed", "compiled-loop")
+
+
+# The message interface: a step ``(p, m, d)`` carries the one message it
+# consumes, so observers see steps only, and every network answers the
+# scheduler's three calls without building an ``Envelope``. Re-adding a
+# per-envelope hook or method is a deliberate change to these pins.
+
+def test_observer_hooks_are_pinned():
+    assert sorted(n for n in vars(SimObserver) if n.startswith("on_")) == [
+        "on_finish", "on_idle_span", "on_idle_step", "on_log", "on_step",
+        "on_step_raw",
+    ]
+
+
+@pytest.mark.parametrize("cls", [PackedNetwork, CompiledPackedNetwork])
+def test_packed_network_methods_are_pinned(cls):
+    assert sorted(n for n in vars(cls) if not n.startswith("_")) == [
+        "pool_free", "pool_slots", "pop_deliverable_batch_raw",
+        "send_all_packed", "send_packed",
+    ]
+
+
+def test_every_network_answers_the_schedulers_three_calls():
+    for name in ("send_packed", "send_all_packed", "pop_deliverable_batch_raw"):
+        assert callable(getattr(Network, name)), name
+
+
+@pytest.mark.skipif(not HAS_COMPILED, reason="C extension not built")
+def test_compiled_pool_methods_are_pinned():
+    from repro.sim import _ckernel
+
+    assert sorted(n for n in dir(_ckernel.Pool) if not n.startswith("_")) == [
+        "free", "pop_due_batch", "slots",
+    ]
 
 
 def test_the_rulers_oracle_configurations_still_agree(tmp_path):
