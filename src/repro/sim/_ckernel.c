@@ -1,8 +1,10 @@
 /* Packed struct-of-arrays envelope pool, the send path and the fused tick
- * loop of the sim kernel, and the counter-based draw hash.
+ * loop of the sim kernel, the counter-based draw hash and the random
+ * scheduler's block permutations.
  *
- * Three layers of the kernel live here (stable_hash, which repro.sim.types
- * binds in place of its Python body, has its own section near the end):
+ * Three layers of the kernel live here (stable_hash and block_permutation,
+ * which repro.sim.types binds in place of their Python bodies, have their
+ * own section near the end):
  *
  * 1. The storage layer of the data plane: the slot columns (deliver_at,
  *    seq, sender, send_time, payload), the free list, and the
@@ -628,17 +630,72 @@ static PyObject *s_network, *s_n, *s_processes, *s__ctx, *s_detector,
     *s__index, *s__time_col, *s__pid_col, *s__fd, *s__msg_sender,
     *s__msg_payload, *s__msg_send_time, *s__timeout, *s__sent,
     *s__received, *s__intern_fd, *s_append, *s__log_observers, *s_on_log,
-    *s_scheduling, *s__skip_span_random, *s_seed, *s__permutation,
-    *s__perm_block, *s_metrics, *s_idle_ticks_skipped, *s_getrandbits,
-    *s_block_permutation, *s__idle_step_observers, *s__materialize_idle,
+    *s_scheduling, *s__skip_span_random, *s_seed, *s_metrics,
+    *s_idle_ticks_skipped, *s__idle_step_observers, *s__materialize_idle,
     *s_frombytes;
 
-/* heapq entry points and the `_random.Random` type, resolved at module
- * init */
-static PyObject *g_heappush, *g_heappop, *g_heapify, *g_random_type;
+/* heapq entry points, resolved at module init */
+static PyObject *g_heappush, *g_heappop, *g_heapify;
 
-static PyObject *ckernel_stable_hash(PyObject *module, PyObject *const *args,
-                                     Py_ssize_t nargs);
+/* -- block permutations (the definition is above loop_perm) -------------- */
+
+#define BLOCK_PERMUTATION_TAG UINT64_C(0x626C6B2D7065726D) /* b"blk-perm" */
+
+/* splitmix64's output function, types._mix64 */
+static inline uint64_t
+mix64(uint64_t z)
+{
+    z += UINT64_C(0x9E3779B97F4A7C15);
+    z = (z ^ (z >> 30)) * UINT64_C(0xBF58476D1CE4E5B9);
+    z = (z ^ (z >> 27)) * UINT64_C(0x94D049BB133111EB);
+    return z ^ (z >> 31);
+}
+
+/* The high word of the 128-bit product a * b, in 32-bit halves (no
+ * __int128).  `cross` cannot wrap: it is at most 2**64 - 1. */
+static inline uint64_t
+mulhi64(uint64_t a, uint64_t b)
+{
+    uint64_t a_lo = a & UINT32_MAX, a_hi = a >> 32;
+    uint64_t b_lo = b & UINT32_MAX, b_hi = b >> 32;
+    uint64_t lo_lo = a_lo * b_lo, hi_lo = a_hi * b_lo;
+    uint64_t lo_hi = a_lo * b_hi, hi_hi = a_hi * b_hi;
+    uint64_t cross = (lo_lo >> 32) + (hi_lo & UINT32_MAX) + lo_hi;
+    return hi_hi + (hi_lo >> 32) + (cross >> 32);
+}
+
+/* *out := mix64(mix64(TAG) ^ (seed mod 2**64)), the per-seed half of a
+ * block's key.  seed must be an int, as `seed & _MASK64` requires. */
+static int
+perm_seed_mix(PyObject *seed, uint64_t *out)
+{
+    if (!PyLong_Check(seed)) {
+        PyErr_Format(PyExc_TypeError,
+                     "block permutations need an int seed, got %R", seed);
+        return -1;
+    }
+    uint64_t word = PyLong_AsUnsignedLongLongMask(seed);
+    if (word == (uint64_t)-1 && PyErr_Occurred())
+        return -1;
+    *out = mix64(mix64(BLOCK_PERMUTATION_TAG) ^ word);
+    return 0;
+}
+
+/* perm[0 .. n) := the permutation of the block with key
+ * mix64(seed_mix ^ block): Fisher-Yates, j = mulhi(mix64(key ^ i), i + 1). */
+static void
+permutation_fill(long *perm, long n, uint64_t seed_mix, uint64_t block)
+{
+    uint64_t key = mix64(seed_mix ^ block);
+    for (long i = 0; i < n; i++)
+        perm[i] = i;
+    for (long i = n - 1; i >= 1; i--) {
+        long j = (long)mulhi64(mix64(key ^ (uint64_t)i), (uint64_t)i + 1);
+        long swap = perm[i];
+        perm[i] = perm[j];
+        perm[j] = swap;
+    }
+}
 
 static int
 get_i64_attr(PyObject *obj, PyObject *name, int64_t *out)
@@ -1211,10 +1268,9 @@ typedef struct {
     Py_ssize_t fill_cap;                 /* ... capacity in long longs */
     /* scheduling="random" only (see the block comment above loop_perm) */
     int random;
-    PyObject *seed;                      /* sim.seed */
+    uint64_t seed_mix;                   /* perm_seed_mix(sim.seed) */
     long *perm;                          /* the schedule of block perm_block */
     int64_t perm_block;                  /* -1 = none yet */
-    PyObject *rng_seed, *rng_getrandbits; /* of one _random.Random; lazy */
     int64_t idle_acc;                    /* live idle ticks walked, not yet */
     int64_t last_live_acc;               /* ... written through; -1 = none */
 } Loop;
@@ -1277,9 +1333,6 @@ loop_free(Loop *L)
     PyMem_Free(L->interval);
     PyMem_Free(L->next_to);
     PyMem_Free(L->fill_buf);
-    Py_XDECREF(L->seed);
-    Py_XDECREF(L->rng_seed);
-    Py_XDECREF(L->rng_getrandbits);
     PyMem_Free(L->perm);
 }
 
@@ -1581,7 +1634,12 @@ loop_init(Loop *L, PyObject *sim, PyObject *store)
         return -1;
     }
     if (L->random) {
-        GETA(L->seed, sim, s_seed);
+        PyObject *seed;
+        GETA(seed, sim, s_seed);
+        int rc = perm_seed_mix(seed, &L->seed_mix);
+        Py_DECREF(seed);
+        if (rc < 0)
+            return -1;
         L->perm = PyMem_Malloc(n * sizeof(long));
         if (L->perm == NULL) {
             PyErr_NoMemory();
@@ -1749,137 +1807,24 @@ loop_flush_idle(Loop *L)
     return 0;
 }
 
-/* One draw of random.Random._randbelow_with_getrandbits(m), k = m.bit_length():
- * getrandbits(k) until the value falls below m.  -1 on error. */
-static long
-rng_below(Loop *L, long m, int k)
-{
-    PyObject *k_obj = PyLong_FromLong(k);
-    if (k_obj == NULL)
-        return -1;
-    long r;
-    do {
-        PyObject *drawn = call1(L->rng_getrandbits, k_obj);
-        r = drawn == NULL ? -1 : PyLong_AsLong(drawn);
-        Py_XDECREF(drawn);
-        if (r < 0 && !PyErr_Occurred())
-            PyErr_SetString(PyExc_ValueError,
-                            "getrandbits returned a negative value");
-    } while (r >= m);
-    Py_DECREF(k_obj);
-    return r;
-}
-
-/* L->perm := sim._permutation, the Python side's cached block. */
-static int
-perm_from_sim(Loop *L)
-{
-    long n = L->n;
-    PyObject *list = PyObject_GetAttr(L->sim, s__permutation);
-    if (list == NULL)
-        return -1;
-    int ok = PyList_Check(list) && PyList_GET_SIZE(list) == n;
-    for (long i = 0; ok && i < n; i++) {
-        long p = PyLong_AsLong(PyList_GET_ITEM(list, i));
-        ok = p >= 0 && p < n;
-        L->perm[i] = p;
-    }
-    Py_DECREF(list);
-    if (!ok && !PyErr_Occurred())
-        PyErr_SetString(PyExc_ValueError,
-                        "sim._permutation is not a permutation of the "
-                        "process ids");
-    return ok ? 0 : -1;
-}
-
 /* L->perm := the schedule permutation of `block`, bit for bit
- * random.Random(stable_hash("block-permutation", seed, block))
- *     .shuffle(list(range(n)))
- * as Simulation._permutation_for_block (the oracle) derives it: one
- * _random.Random -- CPython's own Mersenne Twister -- reseeded per block,
- * and random.shuffle's Fisher-Yates driven through its getrandbits.  The
- * one-block cache is shared with the Python side through
- * sim._permutation / sim._perm_block: a block the span accounting
- * (`_skip_span_random`) just derived is copied, not derived again, and one
- * derived here is written through for it to find. */
-static int
+ * repro.sim.types.block_permutation(seed, block, n) (the Python body is
+ * the definition and the oracle):
+ *     key = mix64(mix64(mix64(TAG) ^ seed) ^ block)
+ *     for i = n-1 .. 1: swap slots i and (mix64(key ^ i) * (i + 1)) >> 64
+ * with seed and block taken mod 2**64 and the high word of the product
+ * formed in 32-bit halves.  The per-seed half of the key is mixed once,
+ * at loop init.  The loop keeps a one-block cache of its own, apart from
+ * the Python side's (sim._permutation / sim._perm_block): a derivation
+ * costs ~0.2 us and touches no Python object, so deriving an edge block
+ * on both sides is cheaper than passing it across. */
+static inline void
 loop_perm(Loop *L, int64_t block)
 {
-    if (block == L->perm_block)
-        return 0;
-    L->perm_block = -1;
-    PyObject *sim = L->sim;
-    long n = L->n;
-    int64_t cached;
-    if (get_i64_attr(sim, s__perm_block, &cached) < 0)
-        return -1;
-    if (cached == block) {
-        if (perm_from_sim(L) < 0)
-            return -1;
+    if (block != L->perm_block) {
+        permutation_fill(L->perm, L->n, L->seed_mix, (uint64_t)block);
         L->perm_block = block;
-        return 0;
     }
-    int rc = -1;
-    PyObject *key = NULL, *list = NULL;
-    PyObject *block_obj = PyLong_FromLongLong(block);
-    if (block_obj == NULL)
-        return -1;
-    PyObject *parts[3] = {s_block_permutation, L->seed, block_obj};
-    key = ckernel_stable_hash(NULL, parts, 3);
-    if (key == NULL)
-        goto done;
-    if (L->rng_seed == NULL) {
-        /* first need: the constructor seeds with its argument */
-        PyObject *rng = call1(g_random_type, key);
-        if (rng == NULL)
-            goto done;
-        L->rng_seed = PyObject_GetAttr(rng, s_seed);
-        L->rng_getrandbits = PyObject_GetAttr(rng, s_getrandbits);
-        Py_DECREF(rng);
-        if (L->rng_seed == NULL || L->rng_getrandbits == NULL) {
-            Py_CLEAR(L->rng_seed);
-            goto done;
-        }
-    } else {
-        PyObject *r = call1(L->rng_seed, key);
-        if (r == NULL)
-            goto done;
-        Py_DECREF(r);
-    }
-    for (long i = 0; i < n; i++)
-        L->perm[i] = i;
-    int k = 0;
-    while ((n >> k) != 0)
-        k++;
-    for (long i = n - 1; i >= 1; i--) {
-        /* j = randbelow(i + 1); k tracks (i + 1).bit_length() */
-        if (i + 1 < (1L << (k - 1)))
-            k--;
-        long j = rng_below(L, i + 1, k);
-        if (j < 0)
-            goto done;
-        long swap = L->perm[i];
-        L->perm[i] = L->perm[j];
-        L->perm[j] = swap;
-    }
-    list = PyList_New(n);
-    if (list == NULL)
-        goto done;
-    for (long i = 0; i < n; i++) {
-        PyObject *p = L->pid_objs[L->perm[i]];
-        Py_INCREF(p);
-        PyList_SET_ITEM(list, i, p);
-    }
-    if (PyObject_SetAttr(sim, s__permutation, list) < 0
-        || PyObject_SetAttr(sim, s__perm_block, block_obj) < 0)
-        goto done;
-    L->perm_block = block;
-    rc = 0;
-done:
-    Py_XDECREF(key);
-    Py_XDECREF(list);
-    Py_DECREF(block_obj);
-    return rc;
 }
 
 /* run_loop(sim, t_end, store) — the event engine's tick loop in C.
@@ -2527,8 +2472,7 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
              * up empty and the horizon is recomputed past it. */
             int64_t base = t - t % n;
             int64_t hi = base + n < t_end ? base + n : t_end;
-            if (loop_perm(L, t / n) < 0)
-                goto fail;
+            loop_perm(L, t / n);
             for (; t < hi; t++) {
                 long p = L->perm[t - base];
                 if (L->has_crashes && t >= L->crash_at[p])
@@ -2571,7 +2515,7 @@ fail:
 }
 
 /* ======================================================================== */
-/* stable_hash: the counter-based draw hash of repro.sim.types              */
+/* stable_hash and block_permutation: the draws of repro.sim.types          */
 /* ======================================================================== */
 
 /* Bit-identical to the Python body kept in sim/types.py (the oracle):
@@ -2672,6 +2616,48 @@ ckernel_stable_hash(PyObject *Py_UNUSED(module), PyObject *const *args,
     return PyLong_FromUnsignedLongLong(acc & (UINT64_MAX >> 1));
 }
 
+/* block_permutation(seed, block, n): the list run_loop's loop_perm
+ * derives, bit-identical to the Python body in sim/types.py. */
+static PyObject *
+ckernel_block_permutation(PyObject *Py_UNUSED(module), PyObject *const *args,
+                          Py_ssize_t nargs)
+{
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError, "block_permutation(seed, block, n)");
+        return NULL;
+    }
+    uint64_t seed_mix;
+    if (perm_seed_mix(args[0], &seed_mix) < 0)
+        return NULL;
+    if (!PyLong_Check(args[1])) {
+        PyErr_Format(PyExc_TypeError,
+                     "block_permutation needs an int block, got %R", args[1]);
+        return NULL;
+    }
+    uint64_t block = PyLong_AsUnsignedLongLongMask(args[1]);
+    if (block == (uint64_t)-1 && PyErr_Occurred())
+        return NULL;
+    Py_ssize_t n = PyNumber_AsSsize_t(args[2], PyExc_OverflowError);
+    if (n == -1 && PyErr_Occurred())
+        return NULL;
+    if (n < 0)
+        n = 0; /* list(range(n)) */
+    long *perm = PyMem_Malloc((n > 0 ? n : 1) * sizeof(long));
+    if (perm == NULL)
+        return PyErr_NoMemory();
+    permutation_fill(perm, (long)n, seed_mix, block);
+    PyObject *list = PyList_New(n);
+    for (Py_ssize_t i = 0; list != NULL && i < n; i++) {
+        PyObject *p = PyLong_FromLong(perm[i]);
+        if (p == NULL)
+            Py_CLEAR(list);
+        else
+            PyList_SET_ITEM(list, i, p);
+    }
+    PyMem_Free(perm);
+    return list;
+}
+
 /* send_packed(net, sender, receiver, payload, t) -> seq and
  * send_all_packed(net, sender, payload, t, include_self) -> count: the
  * bodies of CompiledPackedNetwork's send methods, and the same code
@@ -2743,6 +2729,12 @@ static PyMethodDef ckernel_functions[] = {
      "A deterministic 63-bit hash of the given parts: FNV-1a over the\n"
      "bytes of repr(part).encode() for every part, bit-identical to the\n"
      "Python body in repro.sim.types."},
+    {"block_permutation",
+     (PyCFunction)(void (*)(void))ckernel_block_permutation, METH_FASTCALL,
+     "block_permutation($module, seed, block, n, /)\n--\n\n"
+     "The random scheduler's schedule of block `block`: a Fisher-Yates\n"
+     "shuffle of range(n) driven by a splitmix64 mixer keyed on seed and\n"
+     "block mod 2**64, bit-identical to the Python body in repro.sim.types."},
     {"run_loop", (PyCFunction)(void (*)(void))ckernel_run_loop,
      METH_FASTCALL,
      "run_loop(sim, t_end, store)\n--\n\n"
@@ -2842,12 +2834,8 @@ intern_names(void)
     INTERN(s_scheduling, "scheduling");
     INTERN(s__skip_span_random, "_skip_span_random");
     INTERN(s_seed, "seed");
-    INTERN(s__permutation, "_permutation");
-    INTERN(s__perm_block, "_perm_block");
     INTERN(s_metrics, "metrics");
     INTERN(s_idle_ticks_skipped, "idle_ticks_skipped");
-    INTERN(s_getrandbits, "getrandbits");
-    INTERN(s_block_permutation, "block-permutation");
     INTERN(s__idle_step_observers, "_idle_step_observers");
     INTERN(s__materialize_idle, "_materialize_idle");
     INTERN(s_frombytes, "frombytes");
@@ -2870,13 +2858,6 @@ PyInit__ckernel(void)
     g_heapify = PyObject_GetAttrString(heapq_mod, "heapify");
     Py_DECREF(heapq_mod);
     if (g_heappush == NULL || g_heappop == NULL || g_heapify == NULL)
-        return NULL;
-    PyObject *random_mod = PyImport_ImportModule("_random");
-    if (random_mod == NULL)
-        return NULL;
-    g_random_type = PyObject_GetAttrString(random_mod, "Random");
-    Py_DECREF(random_mod);
-    if (g_random_type == NULL)
         return NULL;
     PyObject *module = PyModule_Create(&ckernel_module);
     if (module == NULL)

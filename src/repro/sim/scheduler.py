@@ -12,10 +12,13 @@ Fairness: with round-robin scheduling process ``p`` steps at every tick
 steps; with seeded random scheduling each block of ``n`` ticks is a random
 permutation of the processes, preserving fairness while exercising different
 interleavings. Block permutations are *counter-based*: block ``b``'s
-permutation is drawn from an RNG keyed on ``(seed, b)`` (via
-:func:`~repro.sim.types.stable_hash`), not from a shared sequential stream,
-so any block's schedule can be derived without visiting the blocks before
-it — the property the blockwise fast-forward below relies on.
+permutation is :func:`~repro.sim.types.block_permutation` of ``(seed, b)``,
+a Fisher–Yates shuffle driven by an integer mixer keyed on the two words,
+not a draw from a shared sequential stream, so any block's schedule can be
+derived without visiting the blocks before it — the property the blockwise
+fast-forward below relies on. The seed of a randomly scheduled run must be
+an ``int`` (not a ``bool``) and is taken mod 2**64: seeds that agree mod
+2**64 run the same schedule.
 
 Engines
 =======
@@ -73,7 +76,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import random
 from typing import Any, Callable, Protocol, Sequence
 
 from repro.sim.context import BROADCAST_ALL, Context
@@ -96,7 +98,7 @@ from repro.sim.types import (
     NEVER,
     ProcessId,
     Time,
-    stable_hash,
+    block_permutation,
     validate_process_id,
     validate_time,
 )
@@ -195,6 +197,13 @@ class Simulation:
         self.seed = seed
         if scheduling not in ("round_robin", "random"):
             raise ConfigurationError(f"unknown scheduling policy {scheduling!r}")
+        if scheduling == "random" and (
+            not isinstance(seed, int) or isinstance(seed, bool)
+        ):
+            # block_permutation mixes the seed as a 64-bit word (mod 2**64)
+            raise ConfigurationError(
+                f"random scheduling needs an int seed, got {seed!r}"
+            )
         self.scheduling = scheduling
         if engine not in ("event", "naive"):
             raise ConfigurationError(f"unknown engine {engine!r}")
@@ -234,10 +243,6 @@ class Simulation:
         self._permutation: list[ProcessId] = list(range(self.n))
         #: block index the cached permutation was derived for (-1 = none yet).
         self._perm_block = -1
-        #: the one generator block permutations are drawn from, reseeded per
-        #: block (its state between blocks means nothing); round-robin runs
-        #: neither build nor pickle one.
-        self._perm_rng = random.Random(0) if scheduling == "random" else None
         self.run = RunRecord(self.n, self.failure_pattern, seed=seed)
         self.record_level = record
         #: aggregate counters; populated by the ``record="metrics"`` recorder
@@ -386,32 +391,17 @@ class Simulation:
     def _permutation_for_block(self, block: int) -> list[ProcessId]:
         """The schedule permutation of block ``block`` (counter-based).
 
-        Keyed on ``(seed, block)`` so any block's permutation is derivable
+        ``block_permutation(seed, block, n)`` (:mod:`repro.sim.types`),
+        keyed on ``(seed, block)`` so any block's permutation is derivable
         without visiting earlier blocks: the naive stepper, the per-tick
         scan, the blockwise fast-forward and the C loop (which derives the
-        same bits itself and shares this one-block cache) see identical
-        schedules no matter which blocks they actually touch.
-
-        By definition ``random.Random(key).shuffle(list(range(n)))`` with
-        ``key = stable_hash("block-permutation", seed, block)``. Derived
-        here with neither the construction nor the per-draw method calls:
-        one generator reseeded, and ``shuffle``'s Fisher–Yates
-        (``j = _randbelow(i + 1)`` for ``i = n-1 .. 1``, each
-        ``getrandbits((i + 1).bit_length())`` until below ``i + 1``)
-        written out — the same loop ``_ckernel.run_loop`` runs.
+        same bits itself into a cache of its own) see identical schedules
+        no matter which blocks they actually touch. Cached for one block:
+        the walks and the span accounting look at the same block several
+        times in a row.
         """
         if block != self._perm_block:
-            rng = self._perm_rng
-            rng.seed(stable_hash("block-permutation", self.seed, block))
-            getrandbits = rng.getrandbits
-            permutation = list(range(self.n))
-            for i in range(self.n - 1, 0, -1):
-                bits = (i + 1).bit_length()
-                j = getrandbits(bits)
-                while j > i:
-                    j = getrandbits(bits)
-                permutation[i], permutation[j] = permutation[j], permutation[i]
-            self._permutation = permutation
+            self._permutation = block_permutation(self.seed, block, self.n)
             self._perm_block = block
         return self._permutation
 

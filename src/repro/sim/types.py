@@ -42,8 +42,7 @@ def stable_hash(*parts: Any) -> int:
     ``hash()`` is randomized per interpreter run for strings; anything that
     must be a pure function of its inputs across interpreter runs and worker
     processes — detector histories of ``(pattern, seed, pid, t)``, per-cell
-    suite seeds, the random scheduler's per-block permutation keys — uses
-    this helper instead.
+    suite seeds, run digests — uses this helper instead.
     """
     acc = 1469598103934665603  # FNV-1a offset basis
     for part in parts:
@@ -57,8 +56,65 @@ def stable_hash(*parts: Any) -> int:
 #: the oracle the tests hold the C function to, bit for bit.
 _stable_hash_python = stable_hash
 
+_MASK64 = (1 << 64) - 1
+
+
+def _mix64(z: int) -> int:
+    """splitmix64's output function: a bijection on 64-bit words whose
+    every output bit depends on every input bit."""
+    z = (z + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+#: ``mix64(TAG)`` for the tag word ``TAG = b"blk-perm"``, which keeps these
+#: keys apart from any other draw keyed on the same two integers.
+_BLOCK_PERMUTATION_TAG = _mix64(int.from_bytes(b"blk-perm", "big"))
+
+
+def _block_key(seed: int, block: int) -> int:
+    """``mix64(mix64(mix64(TAG) ^ seed) ^ block)``, seed and block taken
+    mod 2**64.
+
+    Each input is a fixed-width word mixed in a round of its own, so there
+    is no byte string for two pairs to collide in. ``mix64`` is a
+    bijection: one seed's blocks all get distinct keys, and two seeds'
+    keys meet only where their blocks differ by the xor of two mixed
+    words, a pseudo-random 64-bit value.
+    """
+    return _mix64(
+        _mix64(_BLOCK_PERMUTATION_TAG ^ (seed & _MASK64)) ^ (block & _MASK64)
+    )
+
+
+def block_permutation(seed: int, block: int, n: int) -> list[int]:
+    """The random scheduler's schedule of block ``block``: a permutation
+    of ``range(n)``, a pure function of ``(seed, block, n)``.
+
+    Fisher–Yates driven by the mixer: with ``key = _block_key(seed,
+    block)``, for ``i = n-1 .. 1`` swap slot ``i`` with slot
+    ``j = (mix64(key ^ i) * (i + 1)) >> 64``. The multiply-shift gives
+    each ``j`` in ``0 .. i`` either ``floor`` or ``ceil`` of
+    ``2**64 / (i + 1)`` of the 2**64 words, so its probability is off
+    ``1 / (i + 1)`` by less than ``2**-64``: a relative bias of at most
+    ``(i + 1) / 2**64`` per draw, with no rejection loop.
+    """
+    key = _block_key(seed, block)
+    permutation = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = (_mix64(key ^ i) * (i + 1)) >> 64
+        permutation[i], permutation[j] = permutation[j], permutation[i]
+    return permutation
+
+
+#: the Python body above, kept as the definition and the tests' oracle.
+_block_permutation_python = block_permutation
+
 if _ckernel is not None:
-    # Same function at C speed (``_ckernel.c``: ``ckernel_stable_hash``).
-    # Chosen once, here, from whether a matching extension loaded — every
-    # caller imports the one name ``stable_hash`` and no flag selects.
+    # Same functions at C speed (``_ckernel.c``: ``ckernel_stable_hash``,
+    # ``ckernel_block_permutation``). Chosen once, here, from whether a
+    # matching extension loaded — every caller imports the one name and
+    # no flag selects.
     stable_hash = _ckernel.stable_hash
+    block_permutation = _ckernel.block_permutation

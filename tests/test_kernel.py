@@ -58,7 +58,7 @@ from repro.sim import (
 )
 from repro.sim.errors import ConfigurationError
 from repro.sim.network import DEFAULT_COMPACT_FACTOR
-from repro.sim.types import NEVER, stable_hash
+from repro.sim.types import NEVER
 
 from test_engine_differential import build_sim, random_config, run_sim
 
@@ -1611,12 +1611,28 @@ class TestRunLoopFailurePaths:
 
 
 def reference_permutation(seed: int, block: int, n: int) -> list[int]:
-    """Block ``block``'s schedule, spelled out: the definition both
-    ``Simulation._permutation_for_block`` and the C loop are held to."""
+    """Block ``block``'s schedule, spelled out from the definition (not
+    imported from ``repro``): the schedule both
+    ``Simulation._permutation_for_block`` and the C loop are held to.
+
+    splitmix64's output function keyed on the tag word ``b"blk-perm"``,
+    then the seed, then the block, each mod 2**64; Fisher–Yates with
+    ``j = (mix(key ^ i) * (i + 1)) >> 64``."""
+    word = 2**64 - 1
+
+    def mix(z: int) -> int:
+        z = (z + 0x9E3779B97F4A7C15) % 2**64
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+        return z ^ (z >> 31)
+
+    key = mix(int.from_bytes(b"blk-perm", "big"))
+    for part in (seed, block):
+        key = mix(key ^ (part & word))
     permutation = list(range(n))
-    random.Random(stable_hash("block-permutation", seed, block)).shuffle(
-        permutation
-    )
+    for i in reversed(range(1, n)):
+        j = mix(key ^ i) * (i + 1) // 2**64
+        permutation[i], permutation[j] = permutation[j], permutation[i]
     return permutation
 
 
@@ -1717,7 +1733,7 @@ def _assert_legs_agree(sims: dict) -> None:
 
 
 class TestRandomSchedulingOnTheCLoop:
-    @pytest.mark.parametrize("seed", [0, 7, 4_294_967_311])
+    @pytest.mark.parametrize("seed", [0, 7, 4_294_967_311, -3, 2**64 + 7])
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 17, 33, 64, 257])
     def test_block_permutations_are_bit_for_bit_the_definition(self, n, seed):
         # timeout_interval=1 makes every tick an executed step, so the

@@ -328,8 +328,8 @@ class TestSelection:
     def test_every_caller_imported_the_bound_function(self):
         for name in (
             "repro.detectors.base", "repro.replication.commit",
-            "repro.search.envelope", "repro.sim.envs", "repro.sim.scheduler",
-            "repro.suite", "repro.workload.population",
+            "repro.search.envelope", "repro.sim.envs", "repro.suite",
+            "repro.workload.population",
         ):
             assert importlib.import_module(name).stable_hash is stable_hash, name
 

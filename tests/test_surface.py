@@ -1,6 +1,7 @@
 """The settable surface, pinned: the exact parameters of the sim, suite and
 search entry points, the kernel rungs, the observer hooks and network
-methods of the message interface, and the two oracle configurations the
+methods of the message interface, the functions of the C extension, and
+the two oracle configurations the
 performance ruler (``benchmarks/perf``) builds.
 
 Every option is one more configuration the differentials must hold equal,
@@ -98,6 +99,19 @@ def test_compiled_pool_methods_are_pinned():
 
     assert sorted(n for n in dir(_ckernel.Pool) if not n.startswith("_")) == [
         "free", "pop_due_batch", "slots",
+    ]
+
+
+@pytest.mark.skipif(not HAS_COMPILED, reason="C extension not built")
+def test_compiled_module_functions_are_pinned():
+    from repro.sim import _ckernel
+
+    assert sorted(
+        n for n, v in vars(_ckernel).items()
+        if callable(v) and not isinstance(v, type)
+    ) == [
+        "block_permutation", "run_loop", "send_all_packed", "send_packed",
+        "stable_hash",
     ]
 
 
