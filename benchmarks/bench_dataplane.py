@@ -25,8 +25,9 @@ paths run the *same* trajectory (asserted byte-identical):
   Skipped silently when the extension is not built, unless
   ``--require-compiled``, which additionally asserts the C loop actually
   engaged (``sim.fused_path == "c-loop"``) rather than silently stepping
-  through the generic engine, that ``repro.sim.types.stable_hash`` is
-  the extension's C function (the draw hash rides the same build), and
+  through the generic engine, that ``repro.sim.types.stable_hash``,
+  ``draw_unit`` and ``draw_below`` are the extension's C functions (the
+  hash and the counter draws ride the same build), and
   that a *default* ``Simulation`` resolves to the C loop (the default rung
   is observed from the same build) — under round-robin and, at
   ``record="metrics"``, under ``scheduling="random"`` — and that a default
@@ -73,7 +74,7 @@ from repro.sim import (
     RunRecord,
     Simulation,
 )
-from repro.sim.types import stable_hash
+from repro.sim import types as sim_types
 
 N = 4
 TIMEOUT_INTERVAL = 32
@@ -187,14 +188,17 @@ def main() -> int:
             "`python setup.py build_ext --inplace`"
         )
         return 1
-    if args.require_compiled and not isinstance(stable_hash, BuiltinFunctionType):
-        # the extension also carries the draw hash; a build that loaded but
-        # left the Python body bound is a ~20x slower draw nobody would see
-        print(
-            "FAIL: --require-compiled but repro.sim.types.stable_hash is "
-            "not the C function of repro.sim._ckernel"
-        )
-        return 1
+    # the extension also carries the hash and the counter draws; a build
+    # that loaded but left a Python body bound is a several times slower
+    # draw nobody would see
+    for name in ("stable_hash", "draw_unit", "draw_below"):
+        function = getattr(sim_types, name)
+        if args.require_compiled and not isinstance(function, BuiltinFunctionType):
+            print(
+                f"FAIL: --require-compiled but repro.sim.types.{name} is "
+                "not the C function of repro.sim._ckernel"
+            )
+            return 1
     if args.require_compiled:
         # the default rung is observed from the same build: a default
         # Simulation that is not on the C loop means every experiment and

@@ -11,7 +11,7 @@ Three legs, all on the open-loop workload subsystem (:mod:`repro.workload`):
   and wall-clock throughput is gated by the ``ops_per_sec`` floor, which
   the pure-Python legs must clear too; with the C extension loaded the same
   figure is reported again as ``compiled_ops_per_sec`` and held to a floor
-  of its own (three ``stable_hash`` draws per operation run in C there).
+  of its own (the three counter draws per operation run in C there).
 - **memory** — the same configuration at 100k operations under
   ``tracemalloc``: the observer's bucketed histogram and the bounded client
   mode must keep peak traced memory independent of the operation count (no
@@ -60,7 +60,7 @@ _BASELINES = json.loads(Path(__file__).with_name("baselines.json").read_text())
 REQUIRED_OPS_PER_SEC = _BASELINES["bench_workload"]["floors"]["ops_per_sec"]
 REQUIRED_OPS_PER_MIB = _BASELINES["bench_workload"]["floors"]["ops_per_mib"]
 #: held only when the C extension loaded: the draws of every operation run
-#: through its ``stable_hash`` (``ops_per_sec`` also gates the pure-Python
+#: through its ``draw_unit`` (``ops_per_sec`` also gates the pure-Python
 #: legs and stays where it is).
 REQUIRED_COMPILED_OPS_PER_SEC = _BASELINES["bench_workload"]["optional_floors"][
     "compiled_ops_per_sec"
@@ -208,7 +208,7 @@ def main() -> int:
         print(
             f"FAIL: {scale['ops_per_sec']:,} ops/s below the "
             f"{REQUIRED_COMPILED_OPS_PER_SEC:,} floor of a build with the C "
-            "extension (is stable_hash the C function?)"
+            "extension (is draw_unit the C function?)"
         )
         failed = True
     if memory["ops_per_mib"] < REQUIRED_OPS_PER_MIB:

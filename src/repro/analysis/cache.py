@@ -89,7 +89,8 @@ def compute_code_version(root: Path | str | None = None) -> str:
     The digest covers relative paths *and* contents in sorted order, so
     renaming, adding, deleting, or editing any source file changes it. C
     sources count because the extension computes values results depend on
-    (``stable_hash`` draws every delay, schedule and detector history), not
+    (``draw_unit`` / ``draw_below`` draw every delay, client schedule and
+    detector history, ``block_permutation`` every random schedule), not
     only storage that is differential-tested against Python. It is the
     *source* that is hashed, never the built ``.so``: a build the source
     does not match is refused at import (:mod:`repro.sim._compiled`), and

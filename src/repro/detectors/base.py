@@ -6,11 +6,7 @@ import abc
 from typing import Any
 
 from repro.sim.failures import FailurePattern
-
-# stable_hash lives with the simulator primitives (the scheduler keys its
-# per-block permutations on it) but is re-exported here because detectors and
-# suite seeding are its oldest clients.
-from repro.sim.types import ProcessId, Time, stable_hash  # noqa: F401
+from repro.sim.types import ProcessId, Time
 
 
 class FailureDetectorHistory(abc.ABC):

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.detectors.base import FailureDetector, FailureDetectorHistory, stable_hash
+from repro.detectors.base import FailureDetector, FailureDetectorHistory
 from repro.sim.failures import FailurePattern
-from repro.sim.types import ProcessId, Time
+from repro.sim.types import ProcessId, Time, draw_below, tag_word
+
+_OMEGA = tag_word("omega")
 
 #: A pre-stabilization behaviour: maps (pid, t) to the leader pid sees at t.
 PreBehavior = Callable[[ProcessId, Time], ProcessId]
@@ -65,7 +67,7 @@ class OmegaHistory(FailureDetectorHistory):
 
     def _random(self, pid: ProcessId, t: Time) -> ProcessId:
         epoch = t // self.churn_period
-        return stable_hash("omega", self.seed, pid, epoch) % self.pattern.n
+        return draw_below(self.pattern.n, _OMEGA, self.seed, pid, epoch)
 
     def query(self, pid: ProcessId, t: Time) -> ProcessId:
         if t >= self.stabilization_time:

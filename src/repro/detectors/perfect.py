@@ -13,9 +13,11 @@ Both output a set of *suspected* processes.
 
 from __future__ import annotations
 
-from repro.detectors.base import FailureDetector, FailureDetectorHistory, stable_hash
+from repro.detectors.base import FailureDetector, FailureDetectorHistory
 from repro.sim.failures import FailurePattern
-from repro.sim.types import ProcessId, Time
+from repro.sim.types import ProcessId, Time, draw_below, tag_word
+
+_DIAMOND_P = tag_word("dp")
 
 
 class PerfectHistory(FailureDetectorHistory):
@@ -68,7 +70,7 @@ class EventuallyPerfectHistory(FailureDetectorHistory):
         # Pre-stabilization: wrongly suspect one pseudo-random process (which
         # may be alive) in addition to some of the crashed ones.
         epoch = t // self.mistake_period
-        wrong = stable_hash("dp", self.seed, pid, epoch) % self.pattern.n
+        wrong = draw_below(self.pattern.n, _DIAMOND_P, self.seed, pid, epoch)
         return crashed | {wrong}
 
 

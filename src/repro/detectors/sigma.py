@@ -18,9 +18,12 @@ Two construction modes:
 
 from __future__ import annotations
 
-from repro.detectors.base import FailureDetector, FailureDetectorHistory, stable_hash
+from repro.detectors.base import FailureDetector, FailureDetectorHistory
 from repro.sim.failures import FailurePattern
-from repro.sim.types import ProcessId, Time
+from repro.sim.types import ProcessId, Time, draw_below, tag_word
+
+_SIGMA = tag_word("sigma")
+_SIGMA_MAJORITY = tag_word("sigma-maj")
 
 
 class SigmaHistory(FailureDetectorHistory):
@@ -58,7 +61,7 @@ class SigmaHistory(FailureDetectorHistory):
             return []
         picked = []
         for i in range(k):
-            picked.append(pool[stable_hash("sigma", self.seed, pid, t, i) % len(pool)])
+            picked.append(pool[draw_below(len(pool), _SIGMA, self.seed, pid, t, i)])
         return picked
 
     def query(self, pid: ProcessId, t: Time) -> frozenset[ProcessId]:
@@ -70,7 +73,7 @@ class SigmaHistory(FailureDetectorHistory):
                 # A correct majority, deterministic per process.
                 return frozenset(correct[:majority])
             # Any majority intersects any other majority; rotate through them.
-            start = stable_hash("sigma-maj", self.seed, pid, t) % n
+            start = draw_below(n, _SIGMA_MAJORITY, self.seed, pid, t)
             return frozenset((start + i) % n for i in range(majority))
         # anchor mode
         if t >= self.stabilization_time:

@@ -14,9 +14,12 @@ than Omega.
 
 from __future__ import annotations
 
-from repro.detectors.base import FailureDetector, FailureDetectorHistory, stable_hash
+from repro.detectors.base import FailureDetector, FailureDetectorHistory
 from repro.sim.failures import FailurePattern
-from repro.sim.types import ProcessId, Time
+from repro.sim.types import ProcessId, Time, draw_below, tag_word
+
+_STRONG = tag_word("s")
+_DIAMOND_S = tag_word("ds")
 
 
 class StrongHistory(FailureDetectorHistory):
@@ -47,7 +50,7 @@ class StrongHistory(FailureDetectorHistory):
         }
         # S permits false suspicions of anyone except the anchor; add one
         # deterministic false suspicion to keep protocols honest.
-        wrong = stable_hash("s", self.seed, pid, t // 5) % self.pattern.n
+        wrong = draw_below(self.pattern.n, _STRONG, self.seed, pid, t // 5)
         if wrong != self.anchor:
             suspected.add(wrong)
         suspected.discard(self.anchor)
@@ -97,7 +100,7 @@ class EventuallyStrongHistory(FailureDetectorHistory):
         }
         if t < self.stabilization_time:
             # Anyone, including the anchor, may be wrongly suspected early on.
-            wrong = stable_hash("ds", self.seed, pid, t // 5) % self.pattern.n
+            wrong = draw_below(self.pattern.n, _DIAMOND_S, self.seed, pid, t // 5)
             suspected.add(wrong)
         else:
             suspected.discard(self.anchor)

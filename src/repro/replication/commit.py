@@ -26,9 +26,8 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.core.messages import AppMessage
-from repro.detectors.base import stable_hash
 from repro.sim.stack import Layer, LayerContext
-from repro.sim.types import ProcessId
+from repro.sim.types import ProcessId, stable_hash
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,9 @@ A deterministic hill-climb with restart annealing, batched onto the existing
   global best, which is what the witness records).
 
 Every random choice — proposal, acceptance, restart exploration — is
-counter-based in ``(seed, round, slot)`` via
-:func:`~repro.sim.types.stable_hash`, and every trial is pure in its point,
+counter-based in ``(seed, round, slot)``: the proposals' envelope keys via
+:func:`~repro.sim.types.stable_hash`, the annealing coin via
+:func:`~repro.sim.types.draw_unit`. Every trial is pure in its point,
 so the whole search trajectory is a pure function of
 ``(target, budget, seed, batch, restart_after, t0, decay)``.
 ``tests/test_falsify.py`` pins worker-count independence.
@@ -35,7 +36,7 @@ from repro.search.targets import get_target
 from repro.search.witness import Witness, _replay_cell
 from repro.sim.errors import ConfigurationError
 from repro.sim.kernel import DEFAULT_KERNEL
-from repro.sim.types import stable_hash
+from repro.sim.types import draw_unit, stable_hash, tag_word
 
 __all__ = ["FalsifierResult", "falsify"]
 
@@ -52,9 +53,8 @@ class FalsifierResult:
     history: list[tuple[int, float]] = field(default_factory=list)
 
 
-def _unit(*parts) -> float:
-    """A float in [0, 1), pure in ``parts``."""
-    return (stable_hash("falsify-unit", *parts) % (1 << 53)) / float(1 << 53)
+#: the tag word of the annealing acceptance coin.
+_ACCEPT = tag_word("falsify-accept")
 
 
 def falsify(
@@ -154,7 +154,8 @@ def falsify(
             current_point, current_value = cand_point, cand_value
         else:
             temperature = max(t0 * decay**r, 1e-9)
-            if _unit(seed, r) < math.exp((cand_value - current_value) / temperature):
+            acceptance = math.exp((cand_value - current_value) / temperature)
+            if draw_unit(_ACCEPT, seed, r) < acceptance:
                 current_point, current_value = cand_point, cand_value
 
         if no_improve >= restart_after:

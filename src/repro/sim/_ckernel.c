@@ -1,10 +1,10 @@
 /* Packed struct-of-arrays envelope pool, the send path and the fused tick
- * loop of the sim kernel, the counter-based draw hash and the random
- * scheduler's block permutations.
+ * loop of the sim kernel, the cold-key hash, the counter-based draws and
+ * the random scheduler's block permutations.
  *
- * Three layers of the kernel live here (stable_hash and block_permutation,
- * which repro.sim.types binds in place of their Python bodies, have their
- * own section near the end):
+ * Three layers of the kernel live here (stable_hash, block_permutation,
+ * draw_unit and draw_below, which repro.sim.types binds in place of their
+ * Python bodies, have their own section near the end):
  *
  * 1. The storage layer of the data plane: the slot columns (deliver_at,
  *    seq, sender, send_time, payload), the free list, and the
@@ -2515,7 +2515,7 @@ fail:
 }
 
 /* ======================================================================== */
-/* stable_hash and block_permutation: the draws of repro.sim.types          */
+/* stable_hash, block_permutation, draw_unit, draw_below: repro.sim.types  */
 /* ======================================================================== */
 
 /* Bit-identical to the Python body kept in sim/types.py (the oracle):
@@ -2658,6 +2658,78 @@ ckernel_block_permutation(PyObject *Py_UNUSED(module), PyObject *const *args,
     return list;
 }
 
+/* *out := the key of a counter-based draw over args[0 .. nargs), the tag
+ * word then the seed and the coordinates: key = mix64(tag), then
+ * key = mix64(key ^ w) for each later word, every word an int taken mod
+ * 2**64 -- bit-identical to draw_unit / draw_below in sim/types.py. */
+static int
+draw_key(PyObject *const *args, Py_ssize_t nargs, const char *name,
+         uint64_t *out)
+{
+    if (nargs < 2) {
+        PyErr_Format(PyExc_TypeError, "%s needs a tag and a seed", name);
+        return -1;
+    }
+    uint64_t key = 0;
+    for (Py_ssize_t i = 0; i < nargs; i++) {
+        if (!PyLong_Check(args[i])) {
+            PyErr_Format(PyExc_TypeError, "%s needs int words, got %R", name,
+                         args[i]);
+            return -1;
+        }
+        uint64_t word = PyLong_AsUnsignedLongLongMask(args[i]);
+        if (word == (uint64_t)-1 && PyErr_Occurred())
+            return -1;
+        key = mix64(i == 0 ? word : key ^ word);
+    }
+    *out = key;
+    return 0;
+}
+
+static PyObject *
+ckernel_draw_unit(PyObject *Py_UNUSED(module), PyObject *const *args,
+                  Py_ssize_t nargs)
+{
+    uint64_t key;
+    if (draw_key(args, nargs, "draw_unit", &key) < 0)
+        return NULL;
+    /* (key >> 11) + 1 <= 2**53 converts exactly; the divisor is a power
+     * of two, so the quotient is exact too */
+    return PyFloat_FromDouble((double)((key >> 11) + 1) / 9007199254740992.0);
+}
+
+static PyObject *
+ckernel_draw_below(PyObject *Py_UNUSED(module), PyObject *const *args,
+                   Py_ssize_t nargs)
+{
+    if (nargs < 3) {
+        PyErr_SetString(PyExc_TypeError,
+                        "draw_below needs a bound, a tag and a seed");
+        return NULL;
+    }
+    if (!PyLong_Check(args[0])) {
+        PyErr_Format(PyExc_TypeError, "draw_below needs an int bound, got %R",
+                     args[0]);
+        return NULL;
+    }
+    uint64_t bound = PyLong_AsUnsignedLongLong(args[0]);
+    if (bound == (uint64_t)-1 && PyErr_Occurred()) {
+        if (!PyErr_ExceptionMatches(PyExc_OverflowError))
+            return NULL;
+        PyErr_Clear();
+        bound = 0; /* negative or >= 2**64: out of range like 0 */
+    }
+    if (bound == 0) {
+        PyErr_Format(PyExc_ValueError,
+                     "draw_below needs 1 <= bound < 2**64, got %R", args[0]);
+        return NULL;
+    }
+    uint64_t key;
+    if (draw_key(args + 1, nargs - 1, "draw_below", &key) < 0)
+        return NULL;
+    return PyLong_FromUnsignedLongLong(mulhi64(key, bound));
+}
+
 /* send_packed(net, sender, receiver, payload, t) -> seq and
  * send_all_packed(net, sender, payload, t, include_self) -> count: the
  * bodies of CompiledPackedNetwork's send methods, and the same code
@@ -2735,6 +2807,17 @@ static PyMethodDef ckernel_functions[] = {
      "The random scheduler's schedule of block `block`: a Fisher-Yates\n"
      "shuffle of range(n) driven by a splitmix64 mixer keyed on seed and\n"
      "block mod 2**64, bit-identical to the Python body in repro.sim.types."},
+    {"draw_unit", (PyCFunction)(void (*)(void))ckernel_draw_unit,
+     METH_FASTCALL,
+     "draw_unit($module, tag, seed, /, *words)\n--\n\n"
+     "A float in (0, 1], pure in (tag, seed, *words): a splitmix64 mixer\n"
+     "keyed on every word mod 2**64, bit-identical to the Python body in\n"
+     "repro.sim.types."},
+    {"draw_below", (PyCFunction)(void (*)(void))ckernel_draw_below,
+     METH_FASTCALL,
+     "draw_below($module, bound, tag, seed, /, *words)\n--\n\n"
+     "An int in range(bound) by multiply-shift over the same key as\n"
+     "draw_unit, bit-identical to the Python body in repro.sim.types."},
     {"run_loop", (PyCFunction)(void (*)(void))ckernel_run_loop,
      METH_FASTCALL,
      "run_loop(sim, t_end, store)\n--\n\n"

@@ -27,8 +27,14 @@ RNG discipline
 ==============
 
 Every random draw here is *counter-based*: a pure function of
-``(model seed, sender, receiver, send time)`` via
-:func:`~repro.sim.types.stable_hash`, never a stateful RNG stream. The
+``(tag, model seed, sender, receiver, send time)`` via
+:func:`~repro.sim.types.draw_unit` / :func:`~repro.sim.types.draw_below`,
+never a stateful RNG stream. Each coordinate is mixed as a 64-bit word in a
+splitmix64 round of its own, so link 1→12 and link 11→2 draw apart, and
+consecutive send times give independent draws: a :class:`HeavyTailDist`
+tail is a slow *message*, not a slow stretch of a link. Tags are words
+computed once per name (:func:`~repro.sim.types.tag_word`); seeds must be
+``int`` (checked at construction) and are taken mod 2**64. The
 consequences are load-bearing:
 
 - one draw per receiver, in receiver order, whether messages go through
@@ -73,7 +79,15 @@ from typing import Callable, Sequence
 from repro.sim.errors import ConfigurationError
 from repro.sim.failures import ChurnSchedule, FailurePattern
 from repro.sim.network import DelayModel
-from repro.sim.types import NEVER, ProcessId, Time, stable_hash
+from repro.sim.types import (
+    NEVER,
+    ProcessId,
+    Time,
+    check_seed,
+    draw_below,
+    draw_unit,
+    tag_word,
+)
 
 __all__ = [
     "AgeGstDist",
@@ -104,19 +118,37 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+class _TagWords(dict):
+    """Tag name → tag word, each computed on first use."""
+
+    def __missing__(self, tag: str) -> int:
+        word = self[tag] = tag_word(tag)
+        return word
+
+
+_TAG_WORDS = _TagWords()
+
+#: the tag words of this module's own draws.
+_UNIFORM = _TAG_WORDS["uniform-dist"]
+_HEAVY_TAIL = _TAG_WORDS["heavy-tail"]
+_AGE_GST_PRE = _TAG_WORDS["age-gst-pre"]
+_AGE_GST_POST = _TAG_WORDS["age-gst-post"]
+_STABLE_LINK = _TAG_WORDS["stable-link"]
+
+
 def link_uniform(
     tag: str, seed: int, sender: ProcessId, receiver: ProcessId, t: Time,
     lo: Time, hi: Time,
 ) -> Time:
     """A uniform integer in ``[lo, hi]``, pure in ``(tag, seed, link, t)``."""
-    return lo + stable_hash(tag, seed, sender, receiver, t) % (hi - lo + 1)
+    return lo + draw_below(hi - lo + 1, _TAG_WORDS[tag], seed, sender, receiver, t)
 
 
 def link_unit(
     tag: str, seed: int, sender: ProcessId, receiver: ProcessId, t: Time
 ) -> float:
     """A float in ``(0, 1]``, pure in ``(tag, seed, link, t)``."""
-    return (stable_hash(tag, seed, sender, receiver, t) + 1) / float(1 << 63)
+    return draw_unit(_TAG_WORDS[tag], seed, sender, receiver, t)
 
 
 def delay_profile_of(
@@ -180,17 +212,20 @@ class UniformDist:
             raise ConfigurationError(
                 f"need 1 <= lo <= hi, got lo={self.lo}, hi={self.hi}"
             )
+        check_seed(self.seed, "UniformDist")
 
     def delay(self, sender: ProcessId, receiver: ProcessId, t: Time) -> Time:
-        return link_uniform("uniform-dist", self.seed, sender, receiver, t,
-                            self.lo, self.hi)
+        return self.lo + draw_below(
+            self.hi - self.lo + 1, _UNIFORM, self.seed, sender, receiver, t
+        )
 
     def delay_profile(
         self, sender: ProcessId, t: Time, receivers: Sequence[ProcessId]
     ) -> list[Time]:
-        seed, lo, hi = self.seed, self.lo, self.hi
+        seed, lo = self.seed, self.lo
+        span = self.hi - lo + 1
         return [
-            link_uniform("uniform-dist", seed, sender, receiver, t, lo, hi)
+            lo + draw_below(span, _UNIFORM, seed, sender, receiver, t)
             for receiver in receivers
         ]
 
@@ -199,11 +234,11 @@ class UniformDist:
 class HeavyTailDist:
     """Pareto-tailed delays: mostly ``lo``, occasionally near ``cap``.
 
-    ``P(delay > x) ~ (lo / x) ** alpha`` truncated at ``cap`` — the classic
-    heavy-tail regime where the *mean* delay says nothing about the worst
-    message. ``cap`` keeps delays finite (the paper's links are reliable
-    with finite but unbounded delays; a truncated tail is the simulable
-    rendering).
+    ``P(delay >= x) = (lo / x) ** alpha`` for integers ``lo <= x <= cap``,
+    drawn independently per message — the classic heavy-tail regime where
+    the *mean* delay says nothing about the worst message. ``cap`` keeps
+    delays finite (the paper's links are reliable with finite but unbounded
+    delays; a truncated tail is the simulable rendering).
     """
 
     lo: Time = 1
@@ -218,9 +253,10 @@ class HeavyTailDist:
             )
         if self.alpha <= 0:
             raise ConfigurationError(f"alpha must be > 0, got {self.alpha}")
+        check_seed(self.seed, "HeavyTailDist")
 
     def delay(self, sender: ProcessId, receiver: ProcessId, t: Time) -> Time:
-        u = link_unit("heavy-tail", self.seed, sender, receiver, t)
+        u = draw_unit(_HEAVY_TAIL, self.seed, sender, receiver, t)
         raw = int(self.lo * u ** (-1.0 / self.alpha))
         if raw < self.lo:
             return self.lo
@@ -254,13 +290,16 @@ class AgeGstDist:
             raise ConfigurationError("delays must be >= 1 tick")
         if self.gst < 0:
             raise ConfigurationError(f"gst must be >= 0, got {self.gst}")
+        check_seed(self.seed, "AgeGstDist")
 
     def delay(self, sender: ProcessId, receiver: ProcessId, t: Time) -> Time:
         if t >= self.gst:
-            return link_uniform("age-gst-post", self.seed, sender, receiver, t,
-                                1, self.post_delay)
-        raw = link_uniform("age-gst-pre", self.seed, sender, receiver, t,
-                           1, self.pre_max)
+            return 1 + draw_below(
+                self.post_delay, _AGE_GST_POST, self.seed, sender, receiver, t
+            )
+        raw = 1 + draw_below(
+            self.pre_max, _AGE_GST_PRE, self.seed, sender, receiver, t
+        )
         limit = (self.gst - t) + self.post_delay
         return raw if raw < limit else limit
 
@@ -420,6 +459,7 @@ class EventuallyStableLinks(LinkPolicy):
             raise ConfigurationError("post_delay must be >= 1 tick")
         if self.default_stable_at < 0:
             raise ConfigurationError("default_stable_at must be >= 0")
+        check_seed(self.seed, "EventuallyStableLinks")
         stable_at = tuple(
             ((int(a), int(b)), int(at)) for (a, b), at in self.stable_at
         )
@@ -431,8 +471,9 @@ class EventuallyStableLinks(LinkPolicy):
     ) -> Time:
         stable_from = self._stable.get((sender, receiver), self.default_stable_at)
         if t >= stable_from:
-            return link_uniform("stable-link", self.seed, sender, receiver, t,
-                                1, self.post_delay)
+            return 1 + draw_below(
+                self.post_delay, _STABLE_LINK, self.seed, sender, receiver, t
+            )
         limit = (stable_from - t) + self.post_delay
         return delay if delay < limit else limit
 

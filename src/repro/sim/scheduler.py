@@ -99,6 +99,7 @@ from repro.sim.types import (
     ProcessId,
     Time,
     block_permutation,
+    check_seed,
     validate_process_id,
     validate_time,
 )
@@ -197,13 +198,9 @@ class Simulation:
         self.seed = seed
         if scheduling not in ("round_robin", "random"):
             raise ConfigurationError(f"unknown scheduling policy {scheduling!r}")
-        if scheduling == "random" and (
-            not isinstance(seed, int) or isinstance(seed, bool)
-        ):
+        if scheduling == "random":
             # block_permutation mixes the seed as a 64-bit word (mod 2**64)
-            raise ConfigurationError(
-                f"random scheduling needs an int seed, got {seed!r}"
-            )
+            check_seed(seed, "random scheduling")
         self.scheduling = scheduling
         if engine not in ("event", "naive"):
             raise ConfigurationError(f"unknown engine {engine!r}")

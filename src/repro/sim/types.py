@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.sim._compiled import ckernel as _ckernel
+from repro.sim.errors import ConfigurationError
 
 ProcessId = int
 Time = int
@@ -39,10 +40,13 @@ def validate_time(t: Time) -> None:
 def stable_hash(*parts: Any) -> int:
     """A deterministic 63-bit hash of the given parts.
 
-    ``hash()`` is randomized per interpreter run for strings; anything that
-    must be a pure function of its inputs across interpreter runs and worker
-    processes — detector histories of ``(pattern, seed, pid, t)``, per-cell
-    suite seeds, run digests — uses this helper instead.
+    ``hash()`` is randomized per interpreter run for strings; cold keys that
+    must be a pure function of arbitrary values across interpreter runs and
+    worker processes — per-cell suite seeds, run and prefix digests, the
+    search envelope's draws, churn victims, draw tag words — use this helper
+    instead. It is FNV-1a over concatenated reprs: parts have no separator
+    and trailing bytes barely move the high bits, so counter-based draws on
+    hot paths use :func:`draw_unit` / :func:`draw_below` instead.
     """
     acc = 1469598103934665603  # FNV-1a offset basis
     for part in parts:
@@ -111,10 +115,78 @@ def block_permutation(seed: int, block: int, n: int) -> list[int]:
 #: the Python body above, kept as the definition and the tests' oracle.
 _block_permutation_python = block_permutation
 
+
+# -- counter-based draws -------------------------------------------------------
+
+
+def tag_word(name: str) -> int:
+    """The tag word of the draws named ``name``: ``stable_hash(name)``.
+
+    Callers compute it once, at import, so a hot draw never touches a
+    string.
+    """
+    return stable_hash(name)
+
+
+def _draw_key(tag: int, seed: int, words: tuple[int, ...]) -> int:
+    """``key = mix64(tag)``, then ``key = mix64(key ^ w)`` for each word
+    ``w`` in ``(seed, *words)``.
+
+    ``_mix64`` reads its argument mod 2**64, so the tag, the seed and the
+    words are taken mod 2**64 and must be ``int`` (a float or a str raises
+    ``TypeError``). Each word gets a round of its own, so there is no byte
+    string for two coordinate tuples to collide in, and every bit of the
+    key depends on every input bit.
+    """
+    key = _mix64(_mix64(tag) ^ seed)
+    for word in words:
+        key = _mix64(key ^ word)
+    return key
+
+
+def draw_unit(tag: int, seed: int, /, *words: int) -> float:
+    """A float in ``(0, 1]``, pure in ``(tag, seed, *words)``: the top 53
+    bits of the key, plus one, over 2**53 — every value a multiple of
+    2**-53, each equally likely."""
+    return ((_draw_key(tag, seed, words) >> 11) + 1) / 9007199254740992.0
+
+
+def draw_below(bound: int, tag: int, seed: int, /, *words: int) -> int:
+    """An int in ``range(bound)``, pure in ``(tag, seed, *words)``, for
+    ``1 <= bound < 2**64``.
+
+    Multiply-shift, ``(key * bound) >> 64``: each result is hit by
+    ``floor`` or ``ceil`` of ``2**64 / bound`` of the 2**64 keys, so its
+    probability is off ``1 / bound`` by a relative error of at most
+    ``bound / 2**64``, with no modulo and no rejection loop.
+    """
+    if not isinstance(bound, int):
+        raise TypeError(f"draw_below needs an int bound, got {bound!r}")
+    if not 0 < bound <= _MASK64:
+        raise ValueError(f"draw_below needs 1 <= bound < 2**64, got {bound!r}")
+    return (_draw_key(tag, seed, words) * bound) >> 64
+
+
+#: the Python bodies above, kept as the definitions and the tests' oracles.
+_draw_unit_python = draw_unit
+_draw_below_python = draw_below
+
+
+def check_seed(seed: Any, owner: str) -> None:
+    """Raise ``ConfigurationError`` unless ``seed`` is an ``int`` (not a
+    ``bool``): the draws take it as a word mod 2**64 and would raise only
+    mid-run."""
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ConfigurationError(f"{owner} needs an int seed, got {seed!r}")
+
+
 if _ckernel is not None:
     # Same functions at C speed (``_ckernel.c``: ``ckernel_stable_hash``,
-    # ``ckernel_block_permutation``). Chosen once, here, from whether a
-    # matching extension loaded — every caller imports the one name and
-    # no flag selects.
+    # ``ckernel_block_permutation``, ``ckernel_draw_unit``,
+    # ``ckernel_draw_below``). Chosen once, here, from whether a matching
+    # extension loaded — every caller imports the one name and no flag
+    # selects.
     stable_hash = _ckernel.stable_hash
     block_permutation = _ckernel.block_permutation
+    draw_unit = _ckernel.draw_unit
+    draw_below = _ckernel.draw_below

@@ -3,9 +3,11 @@
 A :class:`WorkloadSpec` describes a population of clients issuing Zipf-keyed
 read/write operations against a replicated KV service. Every draw — the
 inter-arrival gap before a client's ``k``-th operation, its key rank, its
-read/write coin — is a pure function of ``(spec.seed, client, k)`` via
-:func:`~repro.sim.types.stable_hash`, the same counter-based discipline as
-:mod:`repro.sim.envs`. Consequences, all load-bearing:
+read/write coin — is a pure function of ``(tag, spec.seed, client, k)`` via
+:func:`~repro.sim.types.draw_unit`, the same counter-based discipline as
+:mod:`repro.sim.envs`: one tag word per kind of draw, computed at import,
+and every coordinate mixed as a 64-bit word (the seed must be an ``int``
+and is taken mod 2**64). Consequences, all load-bearing:
 
 - a schedule never depends on simulation history, worker count, or kernel:
   two runs of the same spec submit the same commands at the same ticks, so
@@ -33,7 +35,7 @@ from functools import lru_cache
 from repro.replication.client import ClientProcess, Request
 from repro.sim.context import Context
 from repro.sim.errors import ConfigurationError
-from repro.sim.types import Time, stable_hash
+from repro.sim.types import Time, check_seed, draw_unit, tag_word
 
 __all__ = [
     "OpenLoopClient",
@@ -44,20 +46,9 @@ __all__ = [
     "population",
 ]
 
-
-def _unit(tag: str, seed: int, client: int, k: int) -> float:
-    """A float in ``(0, 1]``, pure in ``(tag, seed, client, k)``.
-
-    ``stable_hash`` is plain FNV-1a: when two inputs differ only in their
-    trailing bytes (consecutive ``k``), the high bits barely move — harmless
-    for modulo-style draws, fatal for a unit draw that *is* the high bits.
-    One splitmix64-style avalanche round diffuses every input bit first.
-    """
-    h = stable_hash(tag, seed, client, k)
-    h ^= h >> 31
-    h = (h * 0x9E3779B97F4A7C15) & ((1 << 63) - 1)
-    h ^= h >> 29
-    return (h + 1) / float(1 << 63)
+_GAP = tag_word("workload-gap")
+_KEY = tag_word("workload-key")
+_RW = tag_word("workload-rw")
 
 
 @dataclass(frozen=True)
@@ -93,6 +84,7 @@ class WorkloadSpec:
             raise ConfigurationError("read_fraction must be in [0, 1]")
         if self.start < 0:
             raise ConfigurationError("start must be >= 0")
+        check_seed(self.seed, "WorkloadSpec")
 
     @property
     def total_ops(self) -> int:
@@ -105,14 +97,14 @@ class WorkloadSpec:
 def arrival_gap(spec: WorkloadSpec, client: int, k: int) -> Time:
     """Gap before ``client``'s ``k``-th operation: exponential, mean
     ``spec.mean_gap``, floored at one tick; pure in ``(seed, client, k)``."""
-    u = _unit("workload-gap", spec.seed, client, k)
-    gap = int(-spec.mean_gap * math.log(u))
+    gap = int(-spec.mean_gap * math.log(draw_unit(_GAP, spec.seed, client, k)))
     return gap if gap >= 1 else 1
 
 
 @lru_cache(maxsize=32)
-def _zipf_cdf(keys: int, s: float) -> tuple[float, ...]:
-    """Cumulative Zipf weights over ranks ``1..keys`` (cached per shape)."""
+def _zipf_keys(keys: int, s: float) -> tuple[tuple[float, ...], tuple[str, ...]]:
+    """Cumulative Zipf weights over ranks ``1..keys`` and the key name of
+    each 0-based rank (cached per shape)."""
     weights = [1.0 / (rank ** s) for rank in range(1, keys + 1)]
     total = sum(weights)
     acc, cdf = 0.0, []
@@ -120,20 +112,16 @@ def _zipf_cdf(keys: int, s: float) -> tuple[float, ...]:
         acc += w
         cdf.append(acc / total)
     cdf[-1] = 1.0  # guard against float round-off at the top
-    return tuple(cdf)
-
-
-def op_key(spec: WorkloadSpec, client: int, k: int) -> int:
-    """The key rank (0-based, 0 = hottest) of ``client``'s ``k``-th op."""
-    u = _unit("workload-key", spec.seed, client, k)
-    return bisect_left(_zipf_cdf(spec.keys, spec.zipf_s), u)
+    return tuple(cdf), tuple(f"key-{rank}" for rank in range(keys))
 
 
 def op_command(spec: WorkloadSpec, client: int, k: int) -> tuple:
-    """The KV command of ``client``'s ``k``-th operation."""
-    key = f"key-{op_key(spec, client, k)}"
-    u = _unit("workload-rw", spec.seed, client, k)
-    if u <= spec.read_fraction:
+    """The KV command of ``client``'s ``k``-th operation: a Zipf-ranked key
+    (rank 0 is the hottest) and a read/write coin."""
+    cdf, names = _zipf_keys(spec.keys, spec.zipf_s)
+    seed = spec.seed
+    key = names[bisect_left(cdf, draw_unit(_KEY, seed, client, k))]
+    if draw_unit(_RW, seed, client, k) <= spec.read_fraction:
         return ("get", key)
     # A value pure in (client, k): duplicated at-least-once executions are
     # idempotent, and any replica state is reconstructible from the spec.

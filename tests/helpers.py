@@ -1,13 +1,15 @@
-"""Shared scenario builders for the test suite.
+"""Shared scenario builders and statistics for the test suite.
 
 These construct the standard simulations the paper's experiments revolve
 around: ETOB/EC/EIC stacks under configurable environments, detector
 stabilization times and delays. Keeping them here keeps individual tests
-focused on the property being asserted.
+focused on the property being asserted. The chi-square helpers serve the
+tests of the counter-based draws and block permutations.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Dict, Iterable, Sequence
 
 from repro.core import (
@@ -29,6 +31,18 @@ from repro.core.transformations import (
 from repro.consensus import PaxosConsensusLayer, TobFromConsensusLayer
 from repro.detectors import CompositeDetector, OmegaDetector, SigmaDetector
 from repro.sim import FailurePattern, FixedDelay, ProtocolStack, Simulation
+
+
+def chi2_upper(dof: int, z: float = 3.09) -> float:
+    """The upper ``z``-sigma quantile of chi-square with ``dof`` degrees of
+    freedom (Wilson–Hilferty; ``z = 3.09`` is p = 0.001)."""
+    c = 2 / (9 * dof)
+    return dof * (1 - c + z * math.sqrt(c)) ** 3
+
+
+def chi2(counts, expected: float) -> float:
+    return sum((count - expected) ** 2 / expected for count in counts)
+
 
 #: Default broadcast schedule: (pid, time, payload) triples.
 Broadcasts = Sequence[tuple[int, int, Any]]

@@ -30,20 +30,11 @@ from repro.sim import HAS_COMPILED, Process, Simulation
 from repro.sim.errors import ConfigurationError
 from repro.sim.types import _block_key, _block_permutation_python, block_permutation
 
+from tests.helpers import chi2, chi2_upper
+
 needs_extension = pytest.mark.skipif(
     not HAS_COMPILED, reason="C extension not built"
 )
-
-
-def chi2_upper(dof: int, z: float = 3.09) -> float:
-    """The upper ``z``-sigma quantile of chi-square with ``dof`` degrees of
-    freedom (Wilson–Hilferty; ``z = 3.09`` is p = 0.001)."""
-    c = 2 / (9 * dof)
-    return dof * (1 - c + z * math.sqrt(c)) ** 3
-
-
-def chi2(counts, expected: float) -> float:
-    return sum((count - expected) ** 2 / expected for count in counts)
 
 
 def random_sim(n: int, seed) -> Simulation:

@@ -513,32 +513,33 @@ class TestLayersInsideRuns:
 # -- whole runs pinned from the parent commit ------------------------------------
 
 #: ``run_digest`` and summary of ``workload_sim(PIN_SPEC, stack=..., env=
-#: "uniform", retry_after=300, record="outputs")`` run to its horizon, as the
-#: commit before the incremental indexes produced them.
+#: "uniform", retry_after=300, record="outputs")`` run to its horizon. The
+#: incremental indexes left them unchanged; the mixer-keyed counter draws
+#: (``repro.sim.types.draw_unit`` / ``draw_below``) re-pinned them.
 PIN_SPEC = WorkloadSpec(clients=3, ops_per_client=25, mean_gap=24, seed=7)
 PINNED_CELLS = {
     "etob": (
-        6050306647864938163,
+        8874736030917376791,
         WorkloadSummary(
             submitted=75, completed=75, gave_up=0, retries=0, revised=0,
-            p50=20, p95=29, p99=30, mean=20.266667, max=30, span=676,
-            throughput=110.946746,
+            p50=20, p95=30, p99=35, mean=20.426667, max=35, span=529,
+            throughput=141.776938,
         ),
     ),
     "ec": (
-        3411598003724264211,
+        6927510646788655053,
         WorkloadSummary(
             submitted=75, completed=75, gave_up=0, retries=0, revised=0,
-            p50=31, p95=45, p99=49, mean=32.026667, max=49, span=688,
-            throughput=109.011628,
+            p50=30, p95=43, p99=51, mean=31.306667, max=51, span=529,
+            throughput=141.776938,
         ),
     ),
     "paxos": (
-        196278715267528345,
+        5637516599535107535,
         WorkloadSummary(
             submitted=75, completed=75, gave_up=0, retries=0, revised=0,
-            p50=50, p95=72, p99=82, mean=49.306667, max=82, span=688,
-            throughput=109.011628,
+            p50=52, p95=72, p99=87, mean=51.146667, max=87, span=547,
+            throughput=137.111517,
         ),
     ),
 }

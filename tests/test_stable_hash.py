@@ -1,8 +1,9 @@
 """``stable_hash``: one function, two bodies, bit for bit.
 
-Every schedule, delay, detector history and suite seed in the repo is a
-:func:`repro.sim.types.stable_hash` of its coordinates, so the C body in
-``_ckernel.c`` must *be* the Python body, not resemble it. Four pillars:
+Every suite seed, run and prefix digest, search-envelope point and churn
+victim in the repo is a :func:`repro.sim.types.stable_hash` of its key, so
+the C body in ``_ckernel.c`` must *be* the Python body, not resemble it.
+Four pillars:
 
 - golden vectors computed with the Python body as it stood before the C
   one existed, pinned as literals and asserted against both bodies;
@@ -12,7 +13,10 @@ Every schedule, delay, detector history and suite seed in the repo is a
   yields a lone surrogate — raise the same exception types and leak no
   reference;
 - whole runs: a fresh interpreter in which the extension cannot be imported
-  reproduces the digests of this (compiled) interpreter exactly.
+  reproduces the digests of this (compiled) interpreter exactly — every
+  bound function at once: ``stable_hash``, the counter draws
+  (``draw_unit`` / ``draw_below``, held to their bodies in
+  ``tests/test_draws.py``) and ``block_permutation``.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.messages import MessageId
 from repro.sim import HAS_COMPILED, HAS_COMPILED_LOOP
-from repro.sim.types import _stable_hash_python, stable_hash
+from repro.sim.types import _stable_hash_python, draw_below, draw_unit, stable_hash
 
 needs_extension = pytest.mark.skipif(
     not HAS_COMPILED, reason="C extension not built"
@@ -58,7 +62,7 @@ class Shouty:
 #: test; a change to any of them is a change to every schedule.
 GOLDEN = [
     ((), 1469598103934665603),
-    # the shapes the draws use (tag, seed, coordinates)
+    # the shapes the draws used (tag, seed, coordinates)
     (("workload-gap", 1000001, 3, 0, 7), 4469640780460145957),
     (("workload-gap", 1000001, 3, 1, 7), 4470625942878833788),
     (("workload-gap", 1000005, 3, 99999, 7), 1666607491422860964),
@@ -147,9 +151,9 @@ class TestGoldenVectors:
 
     @pytest.mark.parametrize("body", BODIES)
     def test_known_stream_collisions_are_preserved(self, body):
-        """Parts are concatenated without separators, so distinct links
-        share a stream. A defect — and part of the pinned function until
-        the coordinated re-pin (ROADMAP, RNG item) replaces it."""
+        """Parts are concatenated without separators, so these keys meet.
+        Part of the pinned function; no counter draw keys on it any more
+        (``tests/test_draws.py`` holds the draws apart)."""
         assert (
             body("uniform-dist", 7, 1, 12, 3)
             == body("uniform-dist", 7, 11, 2, 3)
@@ -326,33 +330,57 @@ class TestSelection:
             assert stable_hash is _stable_hash_python
 
     def test_every_caller_imported_the_bound_function(self):
-        for name in (
-            "repro.detectors.base", "repro.replication.commit",
-            "repro.search.envelope", "repro.sim.envs", "repro.suite",
-            "repro.workload.population",
-        ):
-            assert importlib.import_module(name).stable_hash is stable_hash, name
+        callers = {
+            stable_hash: (
+                "repro.replication.commit", "repro.search.envelope",
+                "repro.search.falsify", "repro.sim.failures", "repro.suite",
+            ),
+            draw_unit: (
+                "repro.search.falsify", "repro.sim.envs",
+                "repro.workload.population",
+            ),
+            draw_below: (
+                "repro.detectors.omega", "repro.detectors.perfect",
+                "repro.detectors.sigma", "repro.detectors.strong",
+                "repro.sim.envs",
+            ),
+        }
+        for function, modules in callers.items():
+            for name in modules:
+                module = importlib.import_module(name)
+                assert getattr(module, function.__name__) is function, name
 
 
 # -- whole runs across bodies ------------------------------------------------
 
 
 def whole_run_digests() -> dict:
-    """Digests of three small runs that between them draw link delays,
-    client arrivals/keys/coins, block permutations and a detector history.
-    Imported by name in the extension-less child of the test below."""
+    """Digests of small runs and samples that between them draw link
+    delays under every registered environment, client arrivals/keys/coins,
+    block permutations and every seeded detector history. Imported by name
+    in the extension-less child of the test below."""
     import hashlib
 
     from repro.core import EtobLayer
-    from repro.detectors import OmegaDetector
+    from repro.detectors import (
+        EventuallyPerfectDetector,
+        EventuallyStrongDetector,
+        OmegaDetector,
+        SigmaDetector,
+        StrongDetector,
+    )
     from repro.sim import (
         FailurePattern,
         ProtocolStack,
         Simulation,
         make_env,
+        registered_envs,
         run_digest,
     )
     from repro.workload import WorkloadSpec, workload_sim
+
+    def sha(value) -> str:
+        return hashlib.sha256(repr(value).encode()).hexdigest()
 
     spec = WorkloadSpec(clients=3, ops_per_client=8, mean_gap=12, seed=5)
     sim, observer, horizon = workload_sim(
@@ -378,12 +406,34 @@ def whole_run_digests() -> dict:
         sim.add_input(i % (n - 1), 40 + 25 * i, ("broadcast", f"m{i}"))
     sim.run_until(1500)
 
-    history = omega.history(pattern, seed=9)
-    samples = [history.query(pid, t) for pid in range(n) for t in range(320)]
+    detectors = {
+        "omega_random": omega,
+        "sigma_anchor": SigmaDetector(stabilization_time=200),
+        "sigma_majority": SigmaDetector(stabilization_time=200, mode="majority"),
+        "diamond_p": EventuallyPerfectDetector(stabilization_time=200),
+        "s": StrongDetector(),
+        "diamond_s": EventuallyStrongDetector(stabilization_time=200),
+    }
+    histories = {}
+    for name, detector in detectors.items():
+        history = detector.history(pattern, seed=9)
+        histories[name] = sha(
+            [history.query(pid, t) for pid in range(n) for t in range(320)]
+        )
+
+    receivers = list(range(n))
+    delays = {
+        env: sha([
+            make_env(env, seed=3).delay.delay_profile(sender, t, receivers)
+            for sender in range(n) for t in range(0, 400, 3)
+        ])
+        for env in registered_envs()
+    }
     return {
         "workload": workload,
         "random_flaky_etob": run_digest(sim),
-        "omega_random_history": hashlib.sha256(repr(samples).encode()).hexdigest(),
+        "histories": histories,
+        "delays": delays,
     }
 
 
