@@ -43,7 +43,7 @@ from repro.sim.envs import (
     register_env,
     registered_envs,
 )
-from repro.sim.errors import ConfigurationError, SimulationError
+from repro.sim.errors import ConfigurationError, SimulationError, SimulationFailed
 from repro.sim.failures import ChurnSchedule, Environment, FailurePattern
 from repro.sim.kernel import (
     DEFAULT_KERNEL,
@@ -135,6 +135,7 @@ __all__ = [
     "SimObserver",
     "Simulation",
     "SimulationError",
+    "SimulationFailed",
     "StepGapProbe",
     "StepRecord",
     "StepStore",

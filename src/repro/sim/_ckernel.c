@@ -35,10 +35,11 @@
  *    into Python only for process handlers, detector queries, the delay
  *    model, the remaining idle-span accounting (`_skip_span_rr` /
  *    `_skip_span_random`), the heap-backed next-event query, and
- *    raw-capable observers.  Every mutation mirrors the Python loop's
- *    order of effects so run records, counters and schedule state stay
- *    byte-identical, on the failure paths too (pinned by
- *    tests/test_kernel.py and tests/test_kernel_stateful.py).
+ *    raw-capable observers.  Every mutation of a raise-free step mirrors
+ *    the Python loop's order of effects so run records, counters and
+ *    schedule state stay byte-identical (pinned by tests/test_kernel.py
+ *    and tests/test_kernel_stateful.py).  A raise ends the run
+ *    (repro.sim.scheduler): the failure paths only release what they hold.
  *
  * Invariants shared with the pure-Python PackedNetwork:
  *   - seq fits in 40 bits, slot index in 24 (both enforced here on the
@@ -955,26 +956,14 @@ done:
 }
 
 /* Write back what one send call queued: `_next_seq`, `sent_count`,
- * `live_pending`.  Also runs with an exception pending (a delay model
- * raising mid-broadcast on the per-receiver path), which it preserves, so
- * the counters always describe exactly the messages in the pool. */
+ * `live_pending`. */
 static int
 net_commit(NetView *nv, int64_t next_seq, int64_t sent, int64_t live_gain)
 {
-    if (sent == 0)
-        return 0;
-    PyObject *exc_type, *exc_value, *exc_tb;
-    PyErr_Fetch(&exc_type, &exc_value, &exc_tb);
-    int rc = set_i64_attr(nv->net, s__next_seq, next_seq);
-    if (rc == 0)
-        rc = add_i64_attr(nv->net, s_sent_count, sent);
-    if (rc == 0 && live_gain)
-        rc = add_i64_attr(nv->net, s_live_pending, live_gain);
-    if (exc_type != NULL) {
-        PyErr_Clear();
-        PyErr_Restore(exc_type, exc_value, exc_tb);
-    }
-    return rc;
+    if (set_i64_attr(nv->net, s__next_seq, next_seq) < 0
+        || add_i64_attr(nv->net, s_sent_count, sent) < 0)
+        return -1;
+    return live_gain ? add_i64_attr(nv->net, s_live_pending, live_gain) : 0;
 }
 
 /* model.delay(sender, receiver, t) -> deliver_at */
@@ -1027,12 +1016,10 @@ net_send(NetView *nv, long sender, PyObject *sender_obj, PyObject *recv_obj,
 }
 
 /* One broadcast (PackedNetwork.send_all_packed): the same draws, in the
- * same receiver order, as n point-to-point sends.  A model with the
- * vectorized `delay_profile` hook is asked once and every delay, the
- * profile's length and the sequence space are validated before anything
- * queues; without the hook the model is asked per receiver and the
- * messages queue as they are drawn, so one raising mid-broadcast leaves
- * the network consistent with what was sent. */
+ * same receiver order, as n point-to-point sends -- one `delay_profile`
+ * call when the model has the vectorized hook, else one `delay` call per
+ * receiver.  Every delay, the profile's length and the sequence space are
+ * checked before anything queues, so a broadcast is all or nothing. */
 static int
 net_send_all(NetView *nv, long sender, PyObject *sender_obj,
              PyObject *payload, int64_t t, PyObject *t_obj, int include_self,
@@ -1041,9 +1028,10 @@ net_send_all(NetView *nv, long sender, PyObject *sender_obj,
     Py_ssize_t n = nv->pool->n;
     Py_ssize_t count = (include_self || sender < 0 || sender >= n) ? n : n - 1;
     int64_t stack_times[16];
-    int64_t *times = NULL;               /* deliver_at per position */
+    int64_t *times = stack_times;        /* deliver_at per position */
     PyObject *model = NULL, *profile = NULL, *receivers = NULL;
-    int64_t seq0 = 0, sent = 0, live_gain = 0;
+    PyObject *delays = NULL;
+    int64_t seq0 = 0, live_gain = 0;
     int rc = -1;
 
     if ((model = PyObject_GetAttr(nv->net, s_delay_model)) == NULL)
@@ -1067,77 +1055,69 @@ net_send_all(NetView *nv, long sender, PyObject *sender_obj,
         PyList_SET_ITEM(receivers, position++, recv_obj);
     }
     if (profile != NULL) {
-        PyObject *delays = call3(profile, sender_obj, t_obj, receivers);
+        PyObject *drawn = call3(profile, sender_obj, t_obj, receivers);
+        if (drawn == NULL)
+            goto done;
+        delays = PySequence_Fast(
+            drawn, "delay profile must return a sequence of delays");
+        Py_DECREF(drawn);
         if (delays == NULL)
             goto done;
-        PyObject *fast = PySequence_Fast(
-            delays, "delay profile must return a sequence of delays");
-        Py_DECREF(delays);
-        if (fast == NULL)
-            goto done;
-        if (PySequence_Fast_GET_SIZE(fast) != count) {
+        if (PySequence_Fast_GET_SIZE(delays) != count) {
             PyErr_Format(PyExc_ValueError,
                          "delay profile returned %zd delays for %zd "
                          "receivers",
-                         PySequence_Fast_GET_SIZE(fast), count);
-            Py_DECREF(fast);
+                         PySequence_Fast_GET_SIZE(delays), count);
             goto done;
         }
-        times = count <= 16
-            ? stack_times : PyMem_Malloc(count * sizeof(int64_t));
-        if (times == NULL) {
-            Py_DECREF(fast);
-            PyErr_NoMemory();
+    } else {
+        if ((delays = PyList_New(count)) == NULL)
             goto done;
-        }
         for (Py_ssize_t i = 0; i < count; i++) {
-            if (deliver_time(PySequence_Fast_GET_ITEM(fast, i), t,
-                             &times[i]) < 0) {
-                Py_DECREF(fast);
+            PyObject *cargs[4] = {
+                model, sender_obj, PyList_GET_ITEM(receivers, i), t_obj,
+            };
+            PyObject *delay = PyObject_VectorcallMethod(
+                s_delay, cargs, 4 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
+            if (delay == NULL)
                 goto done;
-            }
+            PyList_SET_ITEM(delays, i, delay);
         }
-        Py_DECREF(fast);
+    }
+    if (count > 16
+        && (times = PyMem_Malloc(count * sizeof(int64_t))) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < count; i++) {
+        if (deliver_time(PySequence_Fast_GET_ITEM(delays, i), t,
+                         &times[i]) < 0)
+            goto done;
     }
     if (get_i64_attr(nv->net, s__next_seq, &seq0) < 0)
         goto done;
-    if (times != NULL && seq0 + count > SEQ_LIMIT) {
+    if (seq0 + count > SEQ_LIMIT) {
         PyErr_SetString(PyExc_OverflowError,
                         "packed pool exhausted the 40-bit send sequence");
         goto done;
     }
     for (Py_ssize_t i = 0; i < count; i++) {
-        PyObject *recv_obj = PyList_GET_ITEM(receivers, i);
-        Py_ssize_t receiver = PyLong_AsSsize_t(recv_obj);
-        int64_t deliver_at = 0;
-        if (times != NULL) {
-            deliver_at = times[i];
-        } else {
-            if (draw_deliver_time(model, sender_obj, recv_obj, t_obj, t,
-                                  &deliver_at) < 0)
-                goto done;
-            if (seq0 + sent >= SEQ_LIMIT) {
-                PyErr_SetString(
-                    PyExc_OverflowError,
-                    "packed pool exhausted the 40-bit send sequence");
-                goto done;
-            }
-        }
-        if (net_queue(nv, receiver, deliver_at, seq0 + sent, sender, t,
-                      payload, &live_gain) < 0)
+        Py_ssize_t receiver = PyLong_AsSsize_t(PyList_GET_ITEM(receivers, i));
+        if (net_queue(nv, receiver, times[i], seq0 + i, sender, t, payload,
+                      &live_gain) < 0)
             goto done;
-        sent += 1;
     }
+    if (net_commit(nv, seq0 + count, count, live_gain) < 0)
+        goto done;
+    *count_out = (long)count;
     rc = 0;
 done:
-    if (net_commit(nv, seq0 + sent, sent, live_gain) < 0)
-        rc = -1;
     if (times != stack_times)
         PyMem_Free(times);
+    Py_XDECREF(delays);
     Py_XDECREF(receivers);
     Py_XDECREF(profile);
     Py_DECREF(model);
-    *count_out = (long)sent;
     return rc;
 }
 
@@ -1178,17 +1158,28 @@ history_extend(PyObject *history, PyObject *pid_obj, PyObject *t_obj,
     return 0;
 }
 
-/* Fold `received` pops from `pid`'s shard into the merge layer: the
- * delivered / pending counts and the receiver's next-delivery time with its
- * horizon entry (the tail of PackedNetwork.pop_deliverable_batch_raw). */
+/* Fold `received` pops from `pid`'s shard, `live_drop` of them deliverable,
+ * into the merge layer: the delivered / pending / live counts and the
+ * receiver's next-delivery time with its horizon entry (the tail of
+ * PackedNetwork.pop_deliverable_batch_raw). */
 static int
-fold_pops(NetView *nv, long pid, PyObject *pid_obj, long received)
+fold_pops(NetView *nv, long pid, PyObject *pid_obj, long received,
+          long live_drop)
 {
     Shard *shard = &nv->pool->shards[pid];
     if (add_i64_attr(nv->net, s_delivered_count, received) < 0)
         return -1;
     if (list_add_i64(nv->pending, pid, -received) < 0)
         return -1;
+    if (live_drop) {
+        if (list_add_i64(nv->live, pid, -live_drop) < 0)
+            return -1;
+        int is_dead = PySet_Contains(nv->dead, pid_obj);
+        if (is_dead < 0
+            || (!is_dead
+                && add_i64_attr(nv->net, s_live_pending, -live_drop) < 0))
+            return -1;
+    }
     if (shard->len == 0) {
         Py_INCREF(Py_None);
         return PyList_SetItem(nv->next_at, pid, Py_None);
@@ -1451,12 +1442,11 @@ fail:
 
 /* The idle steps of the crash-free round-robin span [start, end), written
  * straight into the store: _skip_span_rr's uniform branch followed by
- * FullRecorder.on_idle_span over StepStore.extend_idle_span, in their
- * order of effects -- last_live_tick, _step_index, then the columns in
- * extend_idle_span's order (the detector queried per tick between _pid and
- * _fd, so a raise leaves the same ragged store), then run.end_time.  The
- * array columns extend through frombytes, the two object columns by one
- * slice assignment, _timeout by a resize. */
+ * FullRecorder.on_idle_span over StepStore.extend_idle_span -- the
+ * detector queried for the whole span in tick order, then last_live_tick,
+ * _step_index, the columns in extend_idle_span's order and run.end_time.
+ * The array columns extend through frombytes, the two object columns by
+ * one slice assignment, _timeout by a resize. */
 static int
 loop_fill_idle(Loop *L, int64_t start, int64_t end, int64_t *step_index,
                int64_t *run_end_time)
@@ -1475,30 +1465,6 @@ loop_fill_idle(Loop *L, int64_t start, int64_t end, int64_t *step_index,
         L->fill_buf = grown;
         L->fill_cap = k;
     }
-    long long *wide = L->fill_buf;
-    int *narrow = (int *)L->fill_buf;
-    Py_ssize_t wide_size = k * sizeof(long long);
-    Py_ssize_t narrow_size = k * sizeof(int);
-    int64_t first_index = *step_index;
-    if (set_i64_attr(L->sim, s_last_live_tick, end - 1) < 0
-        || set_i64_attr(L->sim, s__step_index, first_index + k) < 0)
-        return -1;
-    *step_index = first_index + k;
-    for (Py_ssize_t i = 0; i < k; i++)
-        wide[i] = first_index + i;
-    if (fill_buf_into(L, 0, wide_size) < 0)
-        return -1;
-    for (Py_ssize_t i = 0; i < k; i++)
-        wide[i] = start + i;
-    if (fill_buf_into(L, 1, wide_size) < 0)
-        return -1;
-    for (Py_ssize_t i = 0; i < k; i++)
-        narrow[i] = (int)((start + i) % L->n);
-    if (fill_buf_into(L, 2, narrow_size) < 0)
-        return -1;
-
-    int rc = -1;
-    PyObject *fd_values = NULL;
     PyObject *nones = PyList_New(k);
     if (nones == NULL)
         return -1;
@@ -1506,13 +1472,32 @@ loop_fill_idle(Loop *L, int64_t start, int64_t end, int64_t *step_index,
         Py_INCREF(Py_None);
         PyList_SET_ITEM(nones, i, Py_None);
     }
-    if (L->detector_query == NULL) {
-        Py_INCREF(nones);
-        fd_values = nones;
-    } else if ((fd_values = idle_fd_values(L, start, k)) == NULL) {
+    int rc = -1;
+    PyObject *fd_values = L->detector_query == NULL
+        ? Py_NewRef(nones) : idle_fd_values(L, start, k);
+    if (fd_values == NULL)
         goto done;
-    }
-    if (list_extend(L->st_col[3], fd_values) < 0)
+    long long *wide = L->fill_buf;
+    int *narrow = (int *)L->fill_buf;
+    Py_ssize_t wide_size = k * sizeof(long long);
+    Py_ssize_t narrow_size = k * sizeof(int);
+    int64_t first_index = *step_index;
+    if (set_i64_attr(L->sim, s_last_live_tick, end - 1) < 0
+        || set_i64_attr(L->sim, s__step_index, first_index + k) < 0)
+        goto done;
+    *step_index = first_index + k;
+    for (Py_ssize_t i = 0; i < k; i++)
+        wide[i] = first_index + i;
+    if (fill_buf_into(L, 0, wide_size) < 0)
+        goto done;
+    for (Py_ssize_t i = 0; i < k; i++)
+        wide[i] = start + i;
+    if (fill_buf_into(L, 1, wide_size) < 0)
+        goto done;
+    for (Py_ssize_t i = 0; i < k; i++)
+        narrow[i] = (int)((start + i) % L->n);
+    if (fill_buf_into(L, 2, narrow_size) < 0
+        || list_extend(L->st_col[3], fd_values) < 0)
         goto done;
     for (Py_ssize_t i = 0; i < k; i++)
         narrow[i] = -1;
@@ -1783,7 +1768,8 @@ pid_due(Loop *L, long pid, int64_t t)
  * Simulation._advance_event_random_block does: `idle_acc` live idle ticks
  * and the last of them, written through to sim.metrics.idle_ticks_skipped
  * and sim.last_live_tick by loop_flush_idle before every call back into
- * Python and on every exit -- handlers and observers read both mid-run. */
+ * Python and when the loop returns -- handlers and observers read both
+ * mid-run. */
 static int
 loop_flush_idle(Loop *L)
 {
@@ -1834,9 +1820,10 @@ loop_perm(Loop *L, int64_t block)
  * scheduling: byte-identical to `while sim.time < t_end:
  * sim._advance_event_random(t_end)` at reduced fidelity (nothing
  * materializes idle steps; kernel.fused_runner checks).  Same handler call
- * order, same merge-layer mutations in the same order, same store appends,
- * same exception-time state.  `store` is the single-FullRecorder StepStore
- * (or None); the Python wrapper resolves it before handing off. */
+ * order, same merge-layer mutations in the same order, same store appends.
+ * A raise leaves the step it interrupted half done and ends the run.
+ * `store` is the single-FullRecorder StepStore (or None); the Python
+ * wrapper resolves it before handing off. */
 static PyObject *
 ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -1993,10 +1980,7 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             if (msgs_due) {
                 Shard *shard = &pool->shards[pid];
                 PyObject *on_message = L->on_message_m[pid];
-                int handler_err = 0;
-                /* what on_message raised under random scheduling, while
-                 * the rest of the batch is popped unhandled (see below) */
-                PyObject *exc_type = NULL, *exc_value = NULL, *exc_tb = NULL;
+                long live_drop = 0;
                 while (received < L->message_batch && shard->len > 0) {
                     int32_t top = shard->items[0];
                     int64_t deliver_at = pool->col_deliver[top];
@@ -2014,32 +1998,8 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                         first_send_time = pool->col_send_time[top];
                     }
                     received += 1;
-                    if (deliver_at < NEVER_I64) {
-                        /* per-message live accounting, exactly as the
-                         * Python loop orders it (visible on handler
-                         * exception) */
-                        if (list_add_i64(L->nv.live, pid, -1) < 0) {
-                            Py_DECREF(payload);
-                            handler_err = 1;
-                            break;
-                        }
-                        int is_dead = PySet_Contains(L->nv.dead, pid_obj);
-                        if (is_dead < 0) {
-                            Py_DECREF(payload);
-                            handler_err = 1;
-                            break;
-                        }
-                        if (!is_dead
-                            && add_i64_attr(L->nv.net, s_live_pending, -1) < 0) {
-                            Py_DECREF(payload);
-                            handler_err = 1;
-                            break;
-                        }
-                    }
-                    if (exc_type != NULL) {
-                        Py_DECREF(payload);
-                        continue;
-                    }
+                    if (deliver_at < NEVER_I64)
+                        live_drop += 1;
                     /* a sender outside 0..n-1 can only come from a direct
                      * network.send(); it still must not index pid_objs */
                     PyObject *sender_obj;
@@ -2054,35 +2014,11 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                         : call3(on_message, L->ctx, sender_obj, payload);
                     Py_XDECREF(sender_obj);
                     Py_DECREF(payload);
-                    if (r == NULL) {
-                        if (!L->random) {
-                            handler_err = 1;
-                            break;
-                        }
-                        /* The oracle here is Simulation.step, which pops
-                         * and folds the whole batch before it calls a
-                         * handler: pop the rest and fold them too, so a
-                         * raise leaves the pool and merge layer as it
-                         * does. */
-                        PyErr_Fetch(&exc_type, &exc_value, &exc_tb);
-                        continue;
-                    }
+                    if (r == NULL)
+                        goto step_fail;
                     Py_DECREF(r);
                 }
-                if (!handler_err
-                    && fold_pops(&L->nv, pid, pid_obj, received) < 0)
-                    handler_err = 1;
-                if (exc_type != NULL) {
-                    if (handler_err) {   /* superseded by a C-API failure */
-                        Py_DECREF(exc_type);
-                        Py_XDECREF(exc_value);
-                        Py_XDECREF(exc_tb);
-                    } else {
-                        PyErr_Restore(exc_type, exc_value, exc_tb);
-                        handler_err = 1;
-                    }
-                }
-                if (handler_err)
+                if (fold_pops(&L->nv, pid, pid_obj, received, live_drop) < 0)
                     goto step_fail;
             }
 
@@ -2501,15 +2437,6 @@ step_fail:
     Py_XDECREF(outputs_t);
     Py_XDECREF(first_payload);
 fail:
-    if (L->idle_acc != 0) {
-        /* the idle ticks walked so far happened: account them under the
-         * pending exception */
-        PyObject *exc_type, *exc_value, *exc_tb;
-        PyErr_Fetch(&exc_type, &exc_value, &exc_tb);
-        if (loop_flush_idle(L) < 0)
-            PyErr_Clear();
-        PyErr_Restore(exc_type, exc_value, exc_tb);
-    }
     loop_free(L);
     return NULL;
 }

@@ -11,8 +11,9 @@ class ConfigurationError(SimulationError):
     """Raised when a simulation or component is configured inconsistently."""
 
 
-class CrashedProcessError(SimulationError):
-    """Raised when an operation is attempted on behalf of a crashed process."""
+class SimulationFailed(SimulationError):
+    """Raised by every run call after one raised (a raise ends the run);
+    ``__cause__`` is that exception, kept as ``sim.failed``."""
 
 
 class ProtocolError(SimulationError):

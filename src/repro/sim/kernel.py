@@ -66,12 +66,15 @@ streams) by ``tests/test_kernel.py`` on top of the PR 4 differential oracle
 machinery; ``run_fused_rr`` stays the reference implementation and
 differential oracle for the C loop.
 
-Handler contract (unchanged, but load-bearing here): process automata must
-not retain the :class:`~repro.sim.context.Context` past their step — the
-fused loop reuses the pooled context, so a retained reference would observe
-later steps' state. Only the legacy kernel still builds an ``Envelope`` per
-message, and those never leave the network; the packed pools recycle a
-payload slot through the free list as soon as it is consumed.
+Handler contract: process automata must not retain the
+:class:`~repro.sim.context.Context` past their step — the fused loop reuses
+the pooled context, so a retained reference would observe later steps'
+state. Only the legacy kernel still builds an ``Envelope`` per message, and
+those never leave the network; the packed pools recycle a payload slot
+through the free list as soon as it is consumed. A handler (or detector,
+delay model, observer) that raises ends the run (:mod:`repro.sim.scheduler`):
+the loops order their effects for raise-free steps only, and a raise leaves
+whatever half of a step it interrupted, holding no extra references.
 """
 
 from __future__ import annotations
@@ -169,25 +172,27 @@ class PackedNetwork(Network):
         #: per-receiver heaps of packed integer keys.
         self._shards: list[list[int]] = [[] for _ in range(n)]
 
-    # -- pool primitives ----------------------------------------------------
+    # -- sends --------------------------------------------------------------
 
-    def _alloc(
-        self,
-        deliver_at: Time,
-        seq: int,
-        sender: ProcessId,
-        send_time: Time,
-        payload: Any,
+    def send_packed(
+        self, sender: ProcessId, receiver: ProcessId, payload: Any, t: Time
     ) -> int:
-        """Claim a slot for a message; grows the columns when the free
-        list is empty."""
+        """Queue a point-to-point message; returns the pool slot (a freed
+        one when the free list has any, else the columns grow)."""
+        delay = self.delay_model.delay(sender, receiver, t)
+        if delay < 1:
+            raise ValueError(f"delay model produced non-positive delay {delay}")
+        deliver_at = t + delay
+        seq = self._next_seq
+        if seq >= _SEQ_LIMIT:
+            raise OverflowError("packed pool exhausted the 40-bit send sequence")
         free = self._free
         if free:
             slot = free.pop()
             self._col_deliver[slot] = deliver_at
             self._col_seq[slot] = seq
             self._col_sender[slot] = sender
-            self._col_send_time[slot] = send_time
+            self._col_send_time[slot] = t
             self._col_payload[slot] = payload
         else:
             slot = len(self._col_payload)
@@ -199,25 +204,9 @@ class PackedNetwork(Network):
             self._col_deliver.append(deliver_at)
             self._col_seq.append(seq)
             self._col_sender.append(sender)
-            self._col_send_time.append(send_time)
+            self._col_send_time.append(t)
             self._col_payload.append(payload)
-        return slot
-
-    # -- sends --------------------------------------------------------------
-
-    def send_packed(
-        self, sender: ProcessId, receiver: ProcessId, payload: Any, t: Time
-    ) -> int:
-        """Queue a point-to-point message; returns the pool slot."""
-        delay = self.delay_model.delay(sender, receiver, t)
-        if delay < 1:
-            raise ValueError(f"delay model produced non-positive delay {delay}")
-        deliver_at = t + delay
-        seq = self._next_seq
-        if seq >= _SEQ_LIMIT:
-            raise OverflowError("packed pool exhausted the 40-bit send sequence")
         self._next_seq = seq + 1
-        slot = self._alloc(deliver_at, seq, sender, t, payload)
         heapq.heappush(
             self._shards[receiver],
             (deliver_at << _KEY_SHIFT) | (seq << _SLOT_BITS) | slot,
@@ -247,14 +236,27 @@ class PackedNetwork(Network):
         """Broadcast in one batched pass (same draws and order as the legacy
         :meth:`Network.send_all`); returns the count.
 
-        With a vectorized delay profile every input is validated before any
-        message queues (the profile contract), so the loop runs with local
-        counters folded in at the end; the per-receiver ``delay()`` fallback
-        keeps the legacy update-as-you-queue semantics so a model raising
-        mid-broadcast leaves the network consistent with what was sent.
+        Every delay, the sequence space and the slot space are checked
+        before any message queues, so a broadcast is all or nothing; the
+        queue loop folds the network-wide counters in once at the end.
         """
         receivers = [r for r in range(self.n) if include_self or r != sender]
-        profile = getattr(self.delay_model, "delay_profile", None)
+        delays = self._broadcast_delays(sender, t, receivers)
+        count = len(receivers)
+        seq = self._next_seq
+        if seq + count > _SEQ_LIMIT:
+            raise OverflowError("packed pool exhausted the 40-bit send sequence")
+        col_deliver = self._col_deliver
+        col_seq = self._col_seq
+        col_sender = self._col_sender
+        col_send_time = self._col_send_time
+        col_payload = self._col_payload
+        free = self._free
+        if len(col_payload) + count - len(free) > _SLOT_LIMIT:
+            raise OverflowError(
+                f"packed pool exceeded {_SLOT_LIMIT} simultaneous "
+                f"in-transit messages"
+            )
         shards = self._shards
         next_at = self._next_at
         pending = self._pending
@@ -263,107 +265,43 @@ class PackedNetwork(Network):
         horizon = self._horizon
         cap = self._horizon_cap
         heappush = heapq.heappush
-        if profile is not None:
-            delays = profile(sender, t, receivers)
-            count = len(receivers)
-            if len(delays) != count:
-                raise ValueError(
-                    f"delay profile returned {len(delays)} delays for "
-                    f"{count} receivers"
-                )
-            for delay in delays:
-                if delay < 1:
-                    raise ValueError(
-                        f"delay model produced non-positive delay {delay}"
-                    )
-            seq = self._next_seq
-            if seq + count > _SEQ_LIMIT:
-                raise OverflowError(
-                    "packed pool exhausted the 40-bit send sequence"
-                )
-            col_deliver = self._col_deliver
-            col_seq = self._col_seq
-            col_sender = self._col_sender
-            col_send_time = self._col_send_time
-            col_payload = self._col_payload
-            free = self._free
-            if len(col_payload) + count - len(free) > _SLOT_LIMIT:
-                raise OverflowError(
-                    f"packed pool exceeded {_SLOT_LIMIT} simultaneous "
-                    f"in-transit messages"
-                )
-            live_gain = 0
-            for position in range(count):
-                receiver = receivers[position]
-                deliver_at = t + delays[position]
-                if free:
-                    slot = free.pop()
-                    col_deliver[slot] = deliver_at
-                    col_seq[slot] = seq
-                    col_sender[slot] = sender
-                    col_send_time[slot] = t
-                    col_payload[slot] = payload
-                else:
-                    slot = len(col_payload)
-                    col_deliver.append(deliver_at)
-                    col_seq.append(seq)
-                    col_sender.append(sender)
-                    col_send_time.append(t)
-                    col_payload.append(payload)
-                heappush(
-                    shards[receiver],
-                    (deliver_at << _KEY_SHIFT) | (seq << _SLOT_BITS) | slot,
-                )
-                seq += 1
-                pending[receiver] += 1
-                if deliver_at < NEVER:
-                    live[receiver] += 1
-                    if receiver not in dead:
-                        live_gain += 1
-                head = next_at[receiver]
-                if head is None or deliver_at < head:
-                    next_at[receiver] = deliver_at
-                    if len(horizon) > cap:
-                        self._compact_horizon()
-                    heappush(horizon, (deliver_at, receiver))
-            self._next_seq = seq
-            self.sent_count += count
-            if live_gain:
-                self.live_pending += live_gain
-            return count
-        delay_of = self.delay_model.delay
-        count = 0
-        for receiver in receivers:
-            delay = delay_of(sender, receiver, t)
-            if delay < 1:
-                raise ValueError(
-                    f"delay model produced non-positive delay {delay}"
-                )
+        live_gain = 0
+        for receiver, delay in zip(receivers, delays):
             deliver_at = t + delay
-            seq = self._next_seq
-            if seq >= _SEQ_LIMIT:
-                raise OverflowError(
-                    "packed pool exhausted the 40-bit send sequence"
-                )
-            self._next_seq = seq + 1
-            slot = self._alloc(deliver_at, seq, sender, t, payload)
+            if free:
+                slot = free.pop()
+                col_deliver[slot] = deliver_at
+                col_seq[slot] = seq
+                col_sender[slot] = sender
+                col_send_time[slot] = t
+                col_payload[slot] = payload
+            else:
+                slot = len(col_payload)
+                col_deliver.append(deliver_at)
+                col_seq.append(seq)
+                col_sender.append(sender)
+                col_send_time.append(t)
+                col_payload.append(payload)
             heappush(
                 shards[receiver],
                 (deliver_at << _KEY_SHIFT) | (seq << _SLOT_BITS) | slot,
             )
-            self.sent_count += 1
+            seq += 1
             pending[receiver] += 1
             if deliver_at < NEVER:
                 live[receiver] += 1
                 if receiver not in dead:
-                    self.live_pending += 1
+                    live_gain += 1
             head = next_at[receiver]
             if head is None or deliver_at < head:
                 next_at[receiver] = deliver_at
                 if len(horizon) > cap:
                     self._compact_horizon()
                 heappush(horizon, (deliver_at, receiver))
-            count += 1
+        self._next_seq = seq
+        self.sent_count += count
+        if live_gain:
+            self.live_pending += live_gain
         return count
 
     # -- pops ---------------------------------------------------------------
@@ -467,8 +405,9 @@ class CompiledPackedNetwork(PackedNetwork):
     # ``_ckernel.send_all_packed`` draw through ``self.delay_model`` (the
     # only Python they call), enforce the same ``delay >= 1``, profile
     # length and 40-bit sequence checks as :class:`PackedNetwork` with the
-    # same exceptions, queue into the pool and fold the merge layer in the
-    # order :meth:`PackedNetwork.send_packed` does. ``run_loop`` expands
+    # same exceptions — a broadcast's before any of it queues — queue into
+    # the pool and fold the merge layer in the order
+    # :meth:`PackedNetwork.send_packed` does. ``run_loop`` expands
     # outboxes through the same code without coming back here.
 
     def send_packed(
@@ -757,6 +696,7 @@ def run_fused_rr(sim: "Simulation", t_end: Time) -> None:
             shard = shards[pid]
             if shard and shard[0] >> _KEY_SHIFT <= t:
                 on_message = process.on_message
+                live_drop = 0
                 while received < message_batch and shard:
                     key = shard[0]
                     deliver_at = key >> _KEY_SHIFT
@@ -772,14 +712,16 @@ def run_fused_rr(sim: "Simulation", t_end: Time) -> None:
                         first_send_time = col_send_time[slot]
                     received += 1
                     if deliver_at < NEVER:
-                        live[pid] -= 1
-                        if pid not in dead:
-                            net.live_pending -= 1
+                        live_drop += 1
                     col_payload[slot] = None
                     free_append(slot)
                     on_message(ctx, sender, payload)
                 net.delivered_count += received
                 pending[pid] -= received
+                if live_drop:
+                    live[pid] -= live_drop
+                    if pid not in dead:
+                        net.live_pending -= live_drop
                 if shard:
                     head = shard[0] >> _KEY_SHIFT
                     next_at[pid] = head

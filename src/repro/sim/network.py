@@ -285,30 +285,14 @@ class Network:
     ) -> list[Envelope]:
         """Send ``payload`` to every process (the paper's ``Send``), batched.
 
-        One pass over the delay model in receiver order — the same draws, in
-        the same order, as ``n`` point-to-point :meth:`send` calls — with the
-        payload shared across envelopes. A model exposing the vectorized
-        ``delay_profile`` hook (see :class:`DelayModel`) computes the whole
-        broadcast's delays in one batched pass; otherwise the model is
-        queried once per receiver inline. Every counter is updated as its
-        envelope is queued, so a delay model raising mid-broadcast leaves
-        the network consistent with the envelopes already sent (a batched
-        profile raises before any envelope is queued).
+        Every delay is drawn first (:meth:`_broadcast_delays`), then the
+        envelopes queue in one pass, sharing the payload: a model that
+        raises leaves the network as it was.
         """
         receivers = [
             r for r in range(self.n) if include_self or r != sender
         ]
-        profile = getattr(self.delay_model, "delay_profile", None)
-        if profile is not None:
-            delays = profile(sender, t, receivers)
-            if len(delays) != len(receivers):
-                raise ValueError(
-                    f"delay profile returned {len(delays)} delays for "
-                    f"{len(receivers)} receivers"
-                )
-        else:
-            delays = None
-        delay_of = self.delay_model.delay
+        delays = self._broadcast_delays(sender, t, receivers)
         seq = self._seq
         queues = self._queues
         next_at = self._next_at
@@ -318,14 +302,7 @@ class Network:
         horizon = self._horizon
         envelopes: list[Envelope] = []
         append = envelopes.append
-        for position, receiver in enumerate(receivers):
-            delay = delays[position] if delays is not None else delay_of(
-                sender, receiver, t
-            )
-            if delay < 1:
-                raise ValueError(
-                    f"delay model produced non-positive delay {delay}"
-                )
+        for receiver, delay in zip(receivers, delays):
             deliver_at = t + delay
             envelope = Envelope(
                 deliver_at=deliver_at,
@@ -350,6 +327,31 @@ class Network:
                 heapq.heappush(horizon, (deliver_at, receiver))
             append(envelope)
         return envelopes
+
+    def _broadcast_delays(
+        self, sender: ProcessId, t: Time, receivers: list[ProcessId]
+    ) -> Sequence[Time]:
+        """Every delay of one broadcast, checked, before anything queues:
+        one ``delay_profile`` call when the model has the hook (see
+        :class:`DelayModel`), else one ``delay`` call per receiver in
+        receiver order — the draws of as many point-to-point sends."""
+        profile = getattr(self.delay_model, "delay_profile", None)
+        if profile is None:
+            delay_of = self.delay_model.delay
+            delays = [delay_of(sender, receiver, t) for receiver in receivers]
+        else:
+            delays = profile(sender, t, receivers)
+            if len(delays) != len(receivers):
+                raise ValueError(
+                    f"delay profile returned {len(delays)} delays for "
+                    f"{len(receivers)} receivers"
+                )
+        for delay in delays:
+            if delay < 1:
+                raise ValueError(
+                    f"delay model produced non-positive delay {delay}"
+                )
+        return delays
 
     # -- the scheduler's three calls (shared by every kernel) ---------------
 

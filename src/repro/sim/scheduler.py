@@ -70,17 +70,26 @@ perform.
 Recording is delegated to observers (see :mod:`repro.sim.observers`):
 ``record=`` selects a built-in recorder fidelity, ``observers=`` attaches
 additional :class:`~repro.sim.observers.SimObserver` instances.
+
+A raise ends the run: a step is atomic in the model, so one that raised is
+no step. The exception propagates unchanged and is kept as ``sim.failed``;
+every later run call (``step``, ``run_until``, ``run_steps``, ``run_while``,
+``run_until_quiescent``) raises :class:`~repro.sim.errors.SimulationFailed`
+chained to it, without moving the clock. The loops agree on the exception
+and on releasing what they hold, not on the half-step they leave. An
+argument refused before the loop starts (``validate_time``) fails nothing.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Protocol, Sequence
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator, Protocol, Sequence
 
 from repro.sim.context import BROADCAST_ALL, Context
 from repro.sim.envs import EnvModel
-from repro.sim.errors import ConfigurationError
+from repro.sim.errors import ConfigurationError, SimulationFailed
 from repro.sim.failures import FailurePattern
 from repro.sim.kernel import (
     DEFAULT_KERNEL,
@@ -229,6 +238,9 @@ class Simulation:
         self._ctx = Context(pid=0, n=self.n, time=0)
 
         self.time: Time = 0
+        #: the exception a run call raised out of, or None (see the module
+        #: docstring: a raise ends the run).
+        self.failed: BaseException | None = None
         #: last tick consumed by a live (non-crashed) process, -1 before any.
         #: Tracked by both engines so recorders can close reduced-fidelity
         #: run records on the same end_time full fidelity produces.
@@ -410,6 +422,11 @@ class Simulation:
         raw columnar path (every step observer handles ``on_step_raw``, so
         no record object is ever materialized).
         """
+        with self._terminal():
+            return self._step()
+
+    def _step(self) -> StepRecord | None:
+        """:meth:`step`'s body, which the engine loops call per tick."""
         t = self.time
         self.time += 1
         pid = self._scheduled_pid(t)
@@ -688,7 +705,7 @@ class Simulation:
             deliver_at = self.network._next_at[pid]
             due = deliver_at is not None and deliver_at <= now
         if due and not self.failure_pattern.crashed(pid, now):
-            self.step()
+            self._step()
             return
         target = self._next_event_query(now, align_rr=True)
         if target is None or target >= t_end:
@@ -697,7 +714,7 @@ class Simulation:
             return
         self._skip_span_rr(self.time, target)
         self.time = target
-        self.step()
+        self._step()
 
     def _advance_event_random(self, t_end: Time) -> None:
         """Advance to the next interesting tick under random scheduling.
@@ -714,7 +731,7 @@ class Simulation:
         now = self.time
         pid = self._scheduled_pid(now)
         if not self.failure_pattern.crashed(pid, now) and self._event_time(pid) <= now:
-            self.step()
+            self._step()
             return
         self._advance_event_random_block(t_end)
 
@@ -725,7 +742,7 @@ class Simulation:
             pid = self._scheduled_pid(t)
             if self._tick_interesting(pid, t):
                 self.time = t
-                self.step()
+                self._step()
                 return
             if not self.failure_pattern.crashed(pid, t):
                 self._record_idle_step(t, pid)
@@ -770,7 +787,7 @@ class Simulation:
                         event_at = deliver_at
                     if event_at <= t:
                         self.time = t
-                        self.step()
+                        self._step()
                         return
                     self.metrics.idle_ticks_skipped += 1
                     if t > self.last_live_tick:
@@ -888,24 +905,40 @@ class Simulation:
 
     # -- run loops ----------------------------------------------------------------
 
+    @contextmanager
+    def _terminal(self) -> Iterator[None]:
+        """One run call: refused once a run call has failed, and failing
+        the simulation with whatever escapes it (module docstring)."""
+        if self.failed is not None:
+            raise SimulationFailed(
+                f"a run call raised {self.failed!r} at t={self.time}; a raise "
+                f"ends the run, so build a fresh simulation"
+            ) from self.failed
+        try:
+            yield
+        except BaseException as exc:
+            self.failed = exc
+            raise
+
     def run_until(self, t_end: Time) -> RunRecord:
         """Run until the clock reaches ``t_end`` ticks."""
         validate_time(t_end)
-        if self._fused_run is not None:
-            # Event engine on a packed network: one fused loop to
-            # t_end (see repro.sim.kernel.fused_runner; byte-identical by
-            # the differential tests).
-            self._fused_run(self, t_end)
-        elif self.engine == "naive":
-            while self.time < t_end:
-                self.step()
-        elif self.scheduling == "round_robin":
-            while self.time < t_end:
-                self._advance_event_rr(t_end)
-        else:
-            while self.time < t_end:
-                self._advance_event_random(t_end)
-        self._finish()
+        with self._terminal():
+            if self._fused_run is not None:
+                # Event engine on a packed network: one fused loop to
+                # t_end (see repro.sim.kernel.fused_runner; byte-identical
+                # by the differential tests).
+                self._fused_run(self, t_end)
+            elif self.engine == "naive":
+                while self.time < t_end:
+                    self._step()
+            elif self.scheduling == "round_robin":
+                while self.time < t_end:
+                    self._advance_event_rr(t_end)
+            else:
+                while self.time < t_end:
+                    self._advance_event_random(t_end)
+            self._finish()
         return self.run
 
     def run_steps(self, ticks: int) -> RunRecord:
@@ -921,9 +954,10 @@ class Simulation:
         naively — fast-forwarding would change when the predicate observes the
         simulation.
         """
-        while self.time < max_time and condition(self):
-            self.step()
-        self._finish(per_tick=True)
+        with self._terminal():
+            while self.time < max_time and condition(self):
+                self._step()
+            self._finish(per_tick=True)
         return self.run
 
     def run_until_quiescent(
@@ -937,14 +971,15 @@ class Simulation:
         (crash boundaries are folded in as the clock crosses them) instead of
         rescanning the per-receiver queues.
         """
-        while self.time < max_time:
-            self._sync_crash_marks()
-            if self.network.live_pending == 0:
-                break
-            self.step()
-        if grace:
-            self.run_steps(grace * self.n)
-        self._finish(per_tick=True)
+        with self._terminal():
+            while self.time < max_time:
+                self._sync_crash_marks()
+                if self.network.live_pending == 0:
+                    break
+                self._step()
+            if grace:
+                self.run_steps(grace * self.n)
+            self._finish(per_tick=True)
         return self.run
 
     def _sync_crash_marks(self) -> None:

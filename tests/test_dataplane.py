@@ -1,12 +1,15 @@
 """Data-plane tests: the incremental event-horizon index, the columnar step
 store, and the quiescence counter under permanent partitions.
 
-Three pillars:
+Four pillars:
 
 - a hypothesis property test pinning the network's incremental next-delivery
   index (per-receiver heads, the global lazy horizon heap, and every counter)
   against a recompute-from-scratch oracle across random send/pop/crash/tick
   interleavings;
+- a broadcast is all or nothing on every network: a delay model raising at
+  the last receiver leaves every counter and the horizon as they were, and
+  every network asks the model the same calls;
 - differential tests asserting the columnar :class:`StepStore` is
   byte-identical — by equality and by pickle — to the legacy list-of-records
   recording it replaced, on both scheduling policies and both engines;
@@ -24,10 +27,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import (
+    HAS_COMPILED,
+    CompiledPackedNetwork,
     FailurePattern,
     FixedDelay,
     LegacyFullRecorder,
     Network,
+    PackedNetwork,
     PartitionWindow,
     PartitionedDelay,
     Process,
@@ -192,22 +198,111 @@ class TestHorizonIndexOracle:
         assert sim.network.next_delivery_time(2) == 5
         assert sim.network.horizon_peek() == (5, 2)
 
-    def test_send_all_counters_consistent_when_delay_model_raises(self):
-        class ExplodesOnLast:
-            def delay(self, sender, receiver, t):
-                if receiver == 2:
-                    return 0  # invalid: send_all must raise here
-                return 1
 
-        net = Network(3, ExplodesOnLast())
-        with pytest.raises(ValueError):
-            net.send_all(0, "m", 0)
-        # Receivers 0 and 1 were queued before the failure; every counter
-        # must agree with what actually entered the network.
-        assert net.sent_count == 2
-        assert net.live_pending == 2
-        assert net.in_transit() == 2
-        assert net.horizon_peek() == (1, 0)
+# ---------------------------------------------------------------------------
+# A broadcast is all or nothing, on every network.
+# ---------------------------------------------------------------------------
+
+
+class Refused(Exception):
+    pass
+
+
+class LastReceiverRefuses:
+    """Delays ``1 + receiver``, every call logged; once ``armed``, the draw
+    for the last process raises — from ``delay``, or from inside
+    ``delay_profile`` when ``vectorized``."""
+
+    def __init__(self, n: int, vectorized: bool) -> None:
+        self.n = n
+        self.armed = False
+        self.calls: list[tuple] = []
+        if vectorized:
+            self.delay_profile = self._profile
+
+    def _draw(self, receiver):
+        if self.armed and receiver == self.n - 1:
+            raise Refused(receiver)
+        return 1 + receiver
+
+    def delay(self, sender, receiver, t):
+        self.calls.append(("delay", sender, receiver, t))
+        return self._draw(receiver)
+
+    def _profile(self, sender, t, receivers):
+        self.calls.append(("delay_profile", sender, tuple(receivers), t))
+        return [self._draw(receiver) for receiver in receivers]
+
+
+NETWORKS = [
+    Network,
+    PackedNetwork,
+    pytest.param(
+        CompiledPackedNetwork,
+        marks=pytest.mark.skipif(not HAS_COMPILED, reason="C pool not built"),
+    ),
+]
+
+
+def _network_state(net: Network) -> tuple:
+    return (
+        net.sent_count,
+        net.live_pending,
+        net.in_transit(),
+        [net.in_transit(r) for r in range(net.n)],
+        net.horizon_peek(),
+    )
+
+
+class TestBroadcastAllOrNothing:
+    @pytest.mark.parametrize("vectorized", [False, True], ids=["delay", "profile"])
+    @pytest.mark.parametrize("cls", NETWORKS)
+    def test_a_model_raising_at_the_last_receiver_queues_nothing(
+        self, cls, vectorized
+    ):
+        model = LastReceiverRefuses(4, vectorized)
+        net = cls(4, model)
+        net.send_all_packed(3, "m", 5)
+        net.send_packed(1, 2, "p", 6)
+        before = _network_state(net)
+        model.armed = True
+        for include_self in (True, False):
+            with pytest.raises(Refused):
+                net.send_all_packed(0, "m", 7, include_self)
+            assert _network_state(net) == before
+
+    @pytest.mark.parametrize("vectorized", [False, True], ids=["delay", "profile"])
+    def test_every_network_asks_the_model_the_same_questions(self, vectorized):
+        logs = []
+        for cls in (Network, PackedNetwork, CompiledPackedNetwork):
+            if cls is CompiledPackedNetwork and not HAS_COMPILED:
+                continue
+            model = LastReceiverRefuses(4, vectorized)
+            net = cls(4, model)
+            net.send_all_packed(2, "m", 0)
+            net.send_all_packed(1, "m", 3, False)
+            net.send_packed(0, 3, "p", 4)
+            model.armed = True
+            with pytest.raises(Refused):
+                net.send_all_packed(0, "m", 5, False)
+            logs.append(model.calls)
+        # one profile call per broadcast, or one delay call per receiver in
+        # receiver order: the draws of as many point-to-point sends
+        if vectorized:
+            expected = [
+                ("delay_profile", 2, (0, 1, 2, 3), 0),
+                ("delay_profile", 1, (0, 2, 3), 3),
+                ("delay", 0, 3, 4),
+                ("delay_profile", 0, (1, 2, 3), 5),
+            ]
+        else:
+            expected = (
+                [("delay", 2, r, 0) for r in (0, 1, 2, 3)]
+                + [("delay", 1, r, 3) for r in (0, 2, 3)]
+                + [("delay", 0, 3, 4)]
+                + [("delay", 0, r, 5) for r in (1, 2, 3)]
+            )
+        assert logs == [expected] * len(logs)
 
 
 # ---------------------------------------------------------------------------

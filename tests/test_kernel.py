@@ -27,7 +27,10 @@ Four pillars:
   skipif-gated ``run_loop`` / ``pop_due_batch`` unit tests mirroring the
   ``Pool`` units;
 - the C loop's ``record="full"`` idle-span fill against the Python fused
-  loop and the naive stepper, and its two fallbacks to ``_skip_span_rr``.
+  loop and the naive stepper, and its two fallbacks to ``_skip_span_rr``;
+- the failure contract: a raise from any of nine call sites escapes
+  unchanged on every leg and fails the simulation for good, and the C loop
+  leaks no reference doing so.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from repro.sim import (
     Process,
     SimObserver,
     Simulation,
+    SimulationFailed,
     StepStore,
     make_env,
     make_network,
@@ -835,22 +839,6 @@ class TestCompiledLoopLadder:
         with pytest.raises(AttributeError):
             _ckernel.run_loop(object(), 10, None)
 
-    def test_handler_errors_match_the_python_loop(self):
-        class Boom(Process):
-            def on_timeout(self, ctx):
-                raise RuntimeError("boom")
-
-            def on_message(self, ctx, sender, payload):
-                pass
-
-        outcomes = {}
-        for kernel in ("packed", "compiled-loop"):
-            sim = _loop_sim(kernel, cls=Boom)
-            with pytest.raises(RuntimeError, match="boom"):
-                sim.run_until(100)
-            outcomes[kernel] = (sim.time, sim.network.sent_count)
-        assert outcomes["packed"] == outcomes["compiled-loop"]
-
 
 # ---------------------------------------------------------------------------
 # record="full" idle spans: the C loop fills the store itself.
@@ -1239,7 +1227,7 @@ class TestPickleRoundTrip:
 
 
 # ---------------------------------------------------------------------------
-# run_loop failure paths: every user exception crosses C by default now.
+# A raise ends the run: the failure contract on every leg.
 # ---------------------------------------------------------------------------
 
 
@@ -1249,12 +1237,12 @@ class Boom(Exception):
 
 class Fuse:
     """Arms one named call site to raise :class:`Boom`, once, ``after``
-    further visits from now. Call order is identical on every rung, so the
-    same arming blows at the same step everywhere."""
+    further visits from now, and keeps what it raised."""
 
     def __init__(self) -> None:
         self.site = None
         self.after = 0
+        self.raised = None
 
     def arm(self, site: str, after: int) -> None:
         self.site, self.after = site, after
@@ -1263,7 +1251,8 @@ class Fuse:
         if site == self.site:
             if self.after == 0:
                 self.site = None
-                raise Boom(site)
+                self.raised = Boom(site)
+                raise self.raised
             self.after -= 1
 
 
@@ -1323,32 +1312,16 @@ class FusedDetector:
         return FD_VALUE
 
 
-class TickFuseDetector:
-    """FD_VALUE everywhere, except one :class:`Boom` at tick ``at``."""
-
-    def __init__(self) -> None:
-        self.at = None
-
-    def query(self, pid, t):
-        if t == self.at:
-            self.at = None
-            raise Boom("detector")
-        return FD_VALUE
-
-
 class FusedRawObserver(SimObserver):
     def __init__(self, fuse: Fuse) -> None:
         self.fuse = fuse
-        self.steps = 0
 
     def on_step(self, sim, record):
         # the same call site when a plain step observer beside it turns
         # dispatch to materialized records
-        self.steps += 1
         self.fuse.check("raw_observer")
 
     def on_step_raw(self, sim, *fields):
-        self.steps += 1
         self.fuse.check("raw_observer")
 
     def on_log(self, sim, t, pid, event):
@@ -1361,163 +1334,131 @@ FAILURE_SITES = [
 ]
 
 
-#: the failure-path legs, ``leg -> (kernel, extra observers, oracle leg)``:
-#: the C loop is held to the Python fused loop, the C pool under the
-#: generic engine to the Python pool under it (the generic step pops a
-#: message, accounting included, before its handler runs; the fused loops
-#: account after, so a raise leaves the two engines different wreckage).
-FAILURE_LEGS = {
-    "packed": ("packed", (), "packed"),
-    "compiled-loop": ("compiled-loop", (), "packed"),
-    "packed generic": ("packed", (StepSpy,), "packed generic"),
-    "pool under python": ("compiled-loop", (StepSpy,), "packed generic"),
-}
+#: the legs a raise is checked on: every rung, the C pool under the generic
+#: engine, and the naive stepper (on the Python pool).
+FAILURE_LEGS = [*KERNELS, POOL_UNDER_PYTHON, "naive"]
+
+needs_c_loop = pytest.mark.skipif(not HAS_COMPILED_LOOP, reason="C loop not built")
+
+#: how often each site can blow in one run, where that is few
+SITE_VISITS = {"on_start": 3, "on_input": 40}
 
 
-def assert_legs_match_their_oracles(states: dict, note=None) -> None:
-    for leg, (*__, oracle) in FAILURE_LEGS.items():
-        assert states[leg] == states[oracle], (leg, note)
+def failure_legs() -> list:
+    return [
+        pytest.param(leg, marks=needs_c_loop) if "compiled" in leg else leg
+        for leg in FAILURE_LEGS
+    ]
 
 
 def _failure_sim(
-    leg: str, *, vectorized: bool, record: str = "metrics",
-    scheduling: str = "round_robin", timeout: int = 5,
-):
-    kernel, extra, __ = FAILURE_LEGS[leg]
-    fuse = Fuse()
+    leg: str, fuse: Fuse, *, site: str, record: str = "metrics",
+    scheduling: str = "round_robin",
+) -> Simulation:
+    options = (
+        {"kernel": "packed", "engine": "naive"} if leg == "naive"
+        else leg_options(leg)
+    )
+    observers = options.pop("observers", [])
+    if record != "full":
+        # record="full" appends to the store inline: no observer to blow
+        observers = [FusedRawObserver(fuse), *observers]
     sim = Simulation(
         [FusedTalker(fuse) for _ in range(3)],
-        delay_model=FusedDelay(fuse, vectorized),
+        delay_model=FusedDelay(fuse, vectorized=site != "delay"),
         detector=FusedDetector(fuse),
-        timeout_interval=timeout,
+        # saturated at record="metrics"; at record="full" sparse enough to
+        # leave idle spans, which the C loop fills into the store itself
+        timeout_interval=40 if record == "full" else 5,
         seed=2,
         scheduling=scheduling,
-        # random scheduling's oracle (Simulation.step) pops a whole batch
-        # before it calls a handler: a raise must lose the same messages
-        message_batch=3 if scheduling == "random" else 1,
+        message_batch=3,
         record=record,
-        kernel=kernel,
-        observers=([] if record == "full" else [FusedRawObserver(fuse)])
-        + [cls() for cls in extra],
+        observers=observers,
+        **options,
     )
     for k in range(40):
         sim.add_input(k % 3, 7 * k, INPUT)
-    return sim, fuse
+    return sim
 
 
-def _engine_state(sim: Simulation) -> dict:
-    net = sim.network
-    return {
-        "time": sim.time,
-        "step_index": sim._step_index,
-        "last_live_tick": sim.last_live_tick,
-        "started": sorted(sim._started),
-        "next_timeout": list(sim._next_timeout),
-        "local_event": list(sim._local_event),
-        "next_at": list(net._next_at),
-        "pending": list(net._pending),
-        "live": list(net._live),
-        "live_pending": net.live_pending,
-        "sent": net.sent_count,
-        "delivered": net.delivered_count,
-        "next_seq": net._next_seq,
-        "pool": (net.pool_slots, net.pool_free),
-        "horizon": net.horizon_peek(),
-        "metrics": sim.metrics,
-        "run": sim.run,
-    }
+#: every run call, as a failed simulation is asked to make it
+RUN_CALLS = {
+    "run_until": lambda sim: sim.run_until(sim.time + 10),
+    "run_steps": lambda sim: sim.run_steps(10),
+    "run_while": lambda sim: sim.run_while(lambda s: True),
+    "run_until_quiescent": lambda sim: sim.run_until_quiescent(),
+    "step": lambda sim: sim.step(),
+}
 
 
-@pytest.mark.skipif(not HAS_COMPILED_LOOP, reason="C loop not built")
-class TestRunLoopFailurePaths:
+def assert_failed_for_good(sim: Simulation, exc: BaseException) -> None:
+    """``exc`` failed ``sim``: every run call refuses, chained to it,
+    without moving the clock."""
+    assert sim.failed is exc
+    t = sim.time
+    for name, call in RUN_CALLS.items():
+        with pytest.raises(SimulationFailed) as refused:
+            call(sim)
+        assert refused.value.__cause__ is exc, name
+        assert sim.time == t, name
+    assert sim.failed is exc
+
+
+class TestARaiseEndsTheRun:
+    @pytest.mark.parametrize("leg", failure_legs())
     @pytest.mark.parametrize(
         "site,record,scheduling",
         [(site, "metrics", "round_robin") for site in FAILURE_SITES]
-        # record="full" appends to the store inline: no observer to blow
         + [
             (site, "full", "round_robin")
             for site in FAILURE_SITES if "observer" not in site
         ]
-        # random scheduling at record="full" is not the C loop's
         + [(site, "metrics", "random") for site in FAILURE_SITES],
     )
-    def test_a_raise_leaves_exactly_what_the_python_loop_leaves(
-        self, site, record, scheduling
+    def test_the_raise_escapes_and_every_later_run_call_refuses(
+        self, leg, site, record, scheduling
     ):
-        vectorized = site != "delay"
-        sims = {
-            leg: _failure_sim(
-                leg, vectorized=vectorized, record=record,
-                scheduling=scheduling,
-            )
-            for leg in FAILURE_LEGS
-        }
-        assert sims["compiled-loop"][0].fused_path == "c-loop"
-        assert_pool_under_python(sims["pool under python"][0])
-        # the oracle: the Python fused loop, or — there is none for random
-        # scheduling — the generic engine
-        assert sims["packed"][0].fused_path == (
-            "python" if scheduling == "round_robin" else None
+        fuse = Fuse()
+        sim = _failure_sim(
+            leg, fuse, site=site, record=record, scheduling=scheduling
         )
-        # on_start runs once per process: it can only blow at the next one
-        afters = (0, 0, 0) if site == "on_start" else (0, 7, 23)
-        for round_, after in enumerate(afters):
-            states = {}
-            for leg, (sim, fuse) in sims.items():
-                fuse.arm(site, after)
-                with pytest.raises(Boom, match=site):
-                    sim.run_until(100_000)
-                states[leg] = _engine_state(sim)
-            assert_legs_match_their_oracles(states, round_)
-        # ... and the wreckage is coherent enough to carry on identically.
-        for sim, __ in sims.values():
-            sim.run_until(sim.time + 500)
-        assert_legs_match_their_oracles(
-            {leg: _engine_state(sim) for leg, (sim, __) in sims.items()}
-        )
+        if leg == "compiled-loop":
+            assert sim.fused_path == "c-loop"
+        elif leg == POOL_UNDER_PYTHON:
+            assert_pool_under_python(sim)
+        fuse.arm(site, SITE_VISITS.get(site, 20) - 1)
+        with pytest.raises(Boom, match=site) as raised:
+            sim.run_until(100_000)
+        assert raised.value is fuse.raised
+        assert_failed_for_good(sim, raised.value)
 
-    def test_a_detector_raise_inside_an_idle_span_at_record_full(self):
-        # At record="full" the C loop fills a crash-free idle span into the
-        # store itself, querying the detector tick by tick between the _pid
-        # and _fd columns: a raise there must leave the ragged store, clock,
-        # step index and last_live_tick that _skip_span_rr leaves.
-        sims = {
-            leg: Simulation(
-                [Gossiper() for __ in range(3)],
-                delay_model=FixedDelay(2),
-                detector=TickFuseDetector(),
-                timeout_interval=40,
-                record="full",
-                kernel=kernel,
-                observers=[cls() for cls in extra],
-            )
-            for leg, (kernel, extra, __) in FAILURE_LEGS.items()
-        }
-        assert sims["compiled-loop"].fused_path == "c-loop"
-        assert_pool_under_python(sims["pool under python"])
-        for at in (137, 1_019, 2_655):
-            states = {}
-            for leg, sim in sims.items():
-                store = sim.run.steps
-                lag = len(store._index) - len(store._fd)
-                sim.detector.at = at
-                with pytest.raises(Boom, match="detector"):
-                    sim.run_until(100_000)
-                # it blew inside a span fill: the span's _index/_time/_pid
-                # rows are in, its _fd rows are not, and the clock still
-                # reads the span's start
-                span = len(store._index) - len(store._fd) - lag
-                assert span > 1
-                assert store._time[-span] == sim.time < at
-                assert store._time[-1] == sim.last_live_tick > at
-                states[leg] = _engine_state(sim)
-            assert_legs_match_their_oracles(states, at)
-        for sim in sims.values():
-            sim.run_until(sim.time + 500)
-        assert_legs_match_their_oracles(
-            {leg: _engine_state(sim) for leg, sim in sims.items()}
-        )
+    @pytest.mark.parametrize("call", ["step", "run_while"])
+    def test_a_raise_out_of_a_per_tick_run_call_fails_it_too(self, call):
+        fuse = Fuse()
+        sim = _failure_sim("packed", fuse, site="on_message")
+        fuse.arm("on_message", 5)
+        with pytest.raises(Boom) as raised:
+            if call == "step":
+                while True:
+                    sim.step()
+            else:
+                sim.run_while(lambda s: True)
+        assert_failed_for_good(sim, raised.value)
 
+    @pytest.mark.parametrize("leg", failure_legs())
+    def test_arguments_refused_before_the_loop_do_not_fail_it(self, leg):
+        sim = _failure_sim(leg, Fuse(), site="on_message")
+        sim.run_until(50)
+        for bad in (-1, 2.5, True):
+            with pytest.raises(ValueError):
+                sim.run_until(bad)
+        with pytest.raises(ValueError):
+            sim.run_steps(-51)
+        assert sim.failed is None and sim.time == 50
+        assert sim.run_until(100) is sim.run and sim.time == 100
+
+    @needs_c_loop
     @pytest.mark.parametrize(
         "scheduling,record",
         [("round_robin", "metrics"), ("random", "metrics"),
@@ -1530,78 +1471,48 @@ class TestRunLoopFailurePaths:
         import gc
         import sys
 
-        # at timeout 5 the sim is saturated; the full leg's sparser timers
-        # leave idle spans for the C loop to fill into the store
-        sim, fuse = _failure_sim(
-            "compiled-loop", vectorized=True, scheduling=scheduling,
-            record=record, timeout=40 if record == "full" else 5,
-        )
-        per_receiver, __ = _failure_sim("compiled-loop", vectorized=False)
-        per_receiver.network.delay_model.fuse = fuse
-        model = sim.network.delay_model
+        fuse = Fuse()
+        # Each failed simulation is dropped, and a reference the C loop
+        # leaked would keep alive something that leads back to one of
+        # these: the processes hold the fuse, the messages the payload,
+        # the input queues the input, the store the detector samples.
         watched = [
-            sim, sim.network, sim._ctx, sim.detector, model, fuse,
-            sim._observers[-1], *sim.processes, FusedTalker.on_message,
-            FusedTalker.on_timeout, sim.metrics,
+            fuse, PAYLOAD, INPUT, FD_VALUE, FusedTalker,
+            FusedTalker.on_message, FusedTalker.on_timeout,
         ]
-        shared = (PAYLOAD, INPUT, FD_VALUE)
-
-        def recorded(obj):
-            # what record="full" retains: detector samples, payloads,
-            # inputs and outputs in the store and the histories, log events
-            run = sim.run
-            store = run.steps
-            count = sum(v is obj for v in store._fd)
-            count += sum(v is obj for v in store._msg_payload)
-            for table in (store._inputs, store._outputs):
-                count += sum(v is obj for row in table.values() for v in row)
-            for history in (run.input_history, run.output_history):
-                count += sum(
-                    v is obj for bucket in history.values() for __, v in bucket
-                )
-            return count + sum(event is obj for __, __, event in run.log)
+        sites = [
+            site for site in FAILURE_SITES
+            if record != "full" or "observer" not in site
+        ]
 
         def counts():
+            # the last failure's exception, and through its traceback its
+            # simulation, are the fuse's by design
+            fuse.raised = None
             gc.collect()
-            # messages in flight, inputs not yet due and the run record
-            # hold the shared values legitimately: count those holders out
-            in_flight = sim.network._pool.__getstate__()[4]
-            queued = [v for queue in sim._inputs for __, __, v in queue]
-            # what a step that raised had buffered stays in the context
-            ctx = sim._ctx
-            queued += [v for __, v in ctx._outbox] + ctx._outputs + ctx._log
-            held = {
-                id(obj): sum(v is obj for v in in_flight + queued)
-                + recorded(obj)
-                for obj in shared
-            }
-            del in_flight, queued
-            return [sys.getrefcount(obj) for obj in watched] + [
-                sys.getrefcount(obj) - held[id(obj)] for obj in shared
-            ]
+            return [sys.getrefcount(obj) for obj in watched]
 
         def churn(ticks):
-            end = sim.time + ticks
+            ran = 0
             for k in itertools.count():
-                if sim.time >= end:
-                    return
-                site = FAILURE_SITES[k % len(FAILURE_SITES)]
-                if site == "delay":
-                    sim.network.delay_model = per_receiver.network.delay_model
-                fuse.arm(site, k % 5)
-                try:
-                    sim.run_until(sim.time + 100)
-                except Boom:
-                    pass
-                sim.network.delay_model = model
-                sim.add_input(k % 3, sim.time + 3, INPUT)
+                if ran >= ticks:
+                    return ran
+                site = sites[k % len(sites)]
+                sim = _failure_sim(
+                    "compiled-loop", fuse, site=site, record=record,
+                    scheduling=scheduling,
+                )
+                assert sim.fused_path == "c-loop"
+                # blow anywhere from the first visit to the hundredth:
+                # executed steps, mid-batch pops, broadcasts, idle spans
+                fuse.arm(site, k % SITE_VISITS.get(site, 100))
+                with pytest.raises(Boom):
+                    sim.run_until(100_000)
+                ran += sim.time
 
         churn(1_000)  # every path taken a few times: caches warm
         before = counts()
-        raised = sim._step_index
-        churn(100_000)
-        assert sim._step_index - raised > 30_000  # it did run, and fail
-        assert sim.fused_path == "c-loop"
+        assert churn(100_000) >= 100_000
         assert counts() == before
 
 

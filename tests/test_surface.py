@@ -1,7 +1,7 @@
 """The settable surface, pinned: the exact parameters of the sim, suite and
-search entry points, the kernel rungs, the observer hooks and network
-methods of the message interface, the functions of the C extension, and
-the two oracle configurations the
+search entry points, the kernel rungs, the simulator's exception classes,
+the observer hooks and network methods of the message interface, the
+functions of the C extension, and the two oracle configurations the
 performance ruler (``benchmarks/perf``) builds.
 
 Every option is one more configuration the differentials must hold equal,
@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.sim
 from repro.analysis.experiments import Campaign
 from repro.search import falsify, replay_witness
 from repro.sim import (
@@ -66,6 +67,20 @@ def test_parameter_names_are_pinned(fn):
 
 def test_kernel_rungs_are_pinned():
     assert KERNELS == ("legacy", "packed", "compiled-loop")
+
+
+def test_the_simulator_errors_are_pinned():
+    from repro.sim import errors
+
+    assert sorted(
+        name for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, Exception)
+    ) == [
+        "ConfigurationError", "ProtocolError", "SimulationError",
+        "SimulationFailed",
+    ]
+    assert issubclass(errors.SimulationFailed, errors.SimulationError)
+    assert repro.sim.SimulationFailed is errors.SimulationFailed
 
 
 # The message interface: a step ``(p, m, d)`` carries the one message it
