@@ -4,9 +4,9 @@
   communication steps, convergence/divergence measures, message counts;
 - :mod:`repro.analysis.tables` — fixed-width ASCII tables for the
   experiment reports;
-- :mod:`repro.analysis.experiments` — the scenario runners behind every
-  experiment in EXPERIMENTS.md (used by both the benchmark harness and the
-  report generator).
+- :mod:`repro.analysis.experiments` — the scenario runners and claims
+  behind every experiment in EXPERIMENTS.md (used by the report generator
+  and the performance ruler).
 """
 
 from repro.analysis.metrics import (

@@ -19,10 +19,11 @@ EXPERIMENTS.md and returns an :class:`ExperimentResult` holding structured
 rows and a rendered table; all take a ``seed`` keyword, so every
 :class:`ExperimentDef` expands into picklable, provenance-tagged cells
 (``cells(seeds)``) that a :class:`Campaign` pools across *all* experiments
-onto one shared worker pool.
-The benchmark harness (``benchmarks/``) calls the functions under
-``pytest-benchmark``; ``EXPERIMENTS.md`` quotes their tables. The functions
-are deterministic for fixed seeds.
+onto one shared worker pool. Each experiment also declares its claim
+(``claim=``, named verdicts over one cell's rows), which
+``benchmarks/generate_report.py`` checks on every cell of every seed;
+``EXPERIMENTS.md`` quotes their tables. The functions are deterministic for
+fixed seeds.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from repro.analysis.experiments.base import (
     ExperimentResult,
     ReportSpec,
     aggregate_sweep,
+    claim_verdicts,
     experiment,
     run_experiment,
     sweep_rows,
@@ -60,7 +62,7 @@ from repro.analysis.experiments.eic import exp_eic
 from repro.analysis.experiments.heartbeat import exp_ablation_heartbeat_gst
 from repro.analysis.experiments.workload import exp_workload_latency
 
-#: registry used by the report generator and the benchmark harness, in
+#: registry used by the report generator and the performance ruler, in
 #: EXP-number order (kept as a plain name → callable map for compatibility).
 ALL_EXPERIMENTS = {
     key: EXPERIMENT_REGISTRY[key].fn
@@ -92,6 +94,7 @@ __all__ = [
     "ExperimentResult",
     "ReportSpec",
     "aggregate_sweep",
+    "claim_verdicts",
     "experiment",
     "run_experiment",
     "sweep_rows",

@@ -18,8 +18,13 @@ identify a scenario (``group_by``), which are numeric measurements
 (``metrics``), which are verdict booleans (``flags``), and which are
 discrete outcomes quoted verbatim (``values``) — so :func:`aggregate_sweep`
 can fold any sweep into a single mean ± spread table with per-seed verdict
-counts. ``benchmarks/generate_report.py`` builds EXPERIMENTS.md from exactly
-these hooks; no experiment ships custom aggregation code.
+counts. Next to the spec, every experiment declares its *claim*: a pure
+function over one cell's rows returning named verdicts — the cross-row
+shape the paper asserts, which no single row's flag can see — and
+:func:`claim_verdicts` evaluates it on every completed cell, after the
+campaign, never inside one. ``benchmarks/generate_report.py`` builds
+EXPERIMENTS.md from exactly these hooks; no experiment ships custom
+aggregation code.
 """
 
 from __future__ import annotations
@@ -76,12 +81,15 @@ class ReportSpec:
 
 @dataclass(frozen=True)
 class ExperimentDef:
-    """One registered experiment: key, runner, title, report spec, and its
-    campaign face — a cost hint plus the declared extra sweep axes.
+    """One registered experiment: key, runner, title, claim, report spec,
+    and its campaign face — a cost hint plus the declared extra sweep axes.
 
-    ``cost`` is a *relative* wall-time hint (roughly seconds per seed on the
-    reference machine): a campaign sorts its pooled cells cost-descending so
-    the long tails (EXP-7) start first and overlap the cheap cells. ``axes``
+    ``claim`` maps one cell's rows to named verdicts (see
+    :func:`claim_verdicts`); the first line of its docstring is the paper
+    claim the report's summary table quotes. ``cost`` is a *relative*
+    wall-time hint (roughly seconds per seed on the reference machine): a
+    campaign sorts its pooled cells cost-descending so the long tails
+    (EXP-7) start first and overlap the cheap cells. ``axes``
     declares the extra :class:`~repro.suite.Axis` dimensions the experiment
     supports sweeping beyond ``seed`` (each axis name must be a keyword of
     ``fn``, with the declared values as the recommended sweep).
@@ -90,6 +98,7 @@ class ExperimentDef:
     key: str
     fn: Callable[..., ExperimentResult]
     title: str
+    claim: Callable[[list[dict]], dict[str, bool]]
     report: ReportSpec | None = None
     cost: float = 1.0
     axes: tuple[Axis, ...] = ()
@@ -172,6 +181,7 @@ def experiment(
     key: str,
     title: str = "",
     *,
+    claim: Callable[[list[dict]], dict[str, bool]],
     group_by: Sequence[str] = (),
     metrics: Sequence[str] = (),
     flags: Sequence[str] = (),
@@ -181,11 +191,13 @@ def experiment(
 ) -> Callable:
     """Class the decorated function as experiment ``key`` in the registry.
 
-    The keyword arguments declare the sweep-native report spec (see
-    :class:`ReportSpec`); experiments without ``group_by`` cannot be
-    aggregated by :func:`aggregate_sweep`. ``cost`` is the relative
-    per-seed wall-time hint a campaign uses to order its shared cell pool;
-    ``axes`` declares extra sweep dimensions (see :class:`ExperimentDef`).
+    ``claim`` is required: every experiment states what it reproduces (see
+    :class:`ExperimentDef`). The other keyword arguments declare the
+    sweep-native report spec (see :class:`ReportSpec`); experiments without
+    ``group_by`` cannot be aggregated by :func:`aggregate_sweep`. ``cost``
+    is the relative per-seed wall-time hint a campaign uses to order its
+    shared cell pool; ``axes`` declares extra sweep dimensions (see
+    :class:`ExperimentDef`).
     """
 
     def decorate(fn: Callable[..., ExperimentResult]) -> Callable[..., ExperimentResult]:
@@ -202,7 +214,7 @@ def experiment(
             else None
         )
         EXPERIMENT_REGISTRY[key] = ExperimentDef(
-            key, fn, summary, report, cost=cost, axes=tuple(axes)
+            key, fn, summary, claim, report, cost=cost, axes=tuple(axes)
         )
         return fn
 
@@ -396,6 +408,25 @@ def aggregate_sweep(
             )
         table.add_row(*cells)
     return table, aggregated
+
+
+def claim_verdicts(key: str, result: SuiteResult) -> list[dict]:
+    """Evaluate experiment ``key``'s claim on every completed cell of one
+    demultiplexed sweep (see :meth:`CampaignResult.experiment
+    <repro.analysis.experiments.campaign.CampaignResult.experiment>`).
+
+    One entry per completed cell, in canonical order: the cell's params
+    (``seed`` plus any swept axis) and ``verdicts``, the claim's named
+    booleans over that cell's rows. Claims run here, after the campaign —
+    never inside a cell — so cell values and cached results do not depend
+    on them.
+    """
+    claim = EXPERIMENT_REGISTRY[key].claim
+    return [
+        {**cell.params, "verdicts": claim(cell.value.rows)}
+        for cell in result.cells
+        if cell.ok and cell.value is not None
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,25 @@ from repro.properties import check_causal_order, check_etob
 from repro.sim import FailurePattern, ProtocolStack, Simulation, UniformRandomDelay
 
 
+def claim_causal(rows: list[dict]) -> dict[str, bool]:
+    """Causal order holds even during divergence (property 3)
+
+    Algorithm 5 orders every checked pair causally, on a workload that
+    produced pairs to check.
+    """
+    # The ablation half ("arrival order *can* break causal order") is
+    # existential, not a per-seed verdict: it breaks on some seeds only.
+    # tests/test_etob_variants.py::TestArrivalOrderVariant::
+    # test_violates_causal_order_under_reordering pins one such run of this
+    # workload.
+    real = next(row for row in rows if row["variant"] == "Algorithm 5 (causal graph)")
+    return {"alg5_causal_order": real["violations"] == 0 and real["pairs"] > 0}
+
+
 @experiment(
     "EXP-6",
-    "causal order always holds; the graph ablation breaks it",
+    "causal order always holds; the graph ablation can break it",
+    claim=claim_causal,
     group_by=("variant",),
     metrics=("violations", "pairs"),
     flags=("etob_ok",),
@@ -73,9 +89,26 @@ def exp_causal(*, seed: int = 0) -> ExperimentResult:
     return ExperimentResult("causal", table, rows)
 
 
+def claim_ablation_churn(rows: list[dict]) -> dict[str, bool]:
+    """Ablation: divergence window grows with churn duration
+
+    No churn means no divergence, and each longer churn window diverges for
+    strictly more ticks.
+    """
+    ordered = sorted(rows, key=lambda row: row["tau_omega"])
+    ticks = [row["total_divergence"] for row in ordered]
+    return {
+        "no_churn_no_divergence": all(
+            row["total_divergence"] == 0 for row in rows if row["tau_omega"] == 0
+        ),
+        "divergence_grows_with_churn": all(a < b for a, b in zip(ticks, ticks[1:])),
+    }
+
+
 @experiment(
     "EXP-10a",
     "leader churn duration vs divergence",
+    claim=claim_ablation_churn,
     group_by=("tau_omega",),
     metrics=("windows", "total_divergence"),
     flags=("ok",),

@@ -13,9 +13,27 @@ from repro.properties import check_eic
 from repro.sim import FailurePattern, FixedDelay, ProtocolStack, Simulation
 
 
+def claim_eic(rows: list[dict]) -> dict[str, bool]:
+    """EC and EIC are equivalent (Theorem 3, Appendix A)
+
+    A stable detector never makes a process revise a response; churn does,
+    and the revisions stay below an integrity index past the first
+    instance.
+    """
+    by_scenario = {row["scenario"]: row for row in rows}
+    stable, churn = by_scenario["stable Omega"], by_scenario["churn until t=300"]
+    return {
+        "stable_never_revises": (
+            stable["revisions"] == 0 and stable["integrity_index"] == 1
+        ),
+        "churn_revises": churn["revisions"] > 0 and churn["integrity_index"] > 1,
+    }
+
+
 @experiment(
     "EXP-9",
     "EIC: finite revisions, final agreement (Appendix A)",
+    claim=claim_eic,
     group_by=("scenario",),
     metrics=("revisions", "integrity_index"),
     flags=("ok",),

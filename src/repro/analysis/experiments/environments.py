@@ -25,9 +25,32 @@ from repro.sim import FailurePattern, ProtocolStack, Simulation, make_env
 from repro.suite import Axis
 
 
+def claim_ec_any_environment(rows: list[dict]) -> dict[str, bool]:
+    """Omega suffices for EC in any environment (Lemma 2)
+
+    Under a detector stable from the start (``tau_omega == 0``) agreement
+    holds from the first instance; under churn it starts at a later
+    instance, decided no earlier than the detector stabilizes.
+    """
+    stable = [row for row in rows if row["tau_omega"] == 0]
+    churn = [row for row in rows if row["tau_omega"] > 0]
+    return {
+        "stable_agrees_from_k1": bool(stable)
+        and all(row["k"] == 1 for row in stable),
+        "churn_agrees_after_tau_omega": bool(churn)
+        and all(
+            row["k"] > 1
+            and row["k_time"] is not None
+            and row["k_time"] >= row["tau_omega"]
+            for row in churn
+        ),
+    }
+
+
 @experiment(
     "EXP-3",
     "EC from Omega in any environment (Lemma 2)",
+    claim=claim_ec_any_environment,
     group_by=("scenario", "tau_omega"),
     metrics=("k", "k_time"),
     flags=("ok",),
@@ -89,9 +112,20 @@ def exp_ec_any_environment(
     return ExperimentResult("ec-any-environment", table, rows)
 
 
+def claim_partition_gap(rows: list[dict]) -> dict[str, bool]:
+    """Sigma is the exact gap: availability without majority
+
+    No verdict beyond the rows: each row's ``as_expected`` flag already
+    states its third of the claim (ETOB available, majority consensus
+    blocked, Omega+Sigma consensus available).
+    """
+    return {}
+
+
 @experiment(
     "EXP-8",
     "availability without a correct majority (the Sigma gap)",
+    claim=claim_partition_gap,
     group_by=("protocol", "detector"),
     metrics=("delivered",),
     flags=("as_expected",),

@@ -10,9 +10,23 @@ from repro.detectors.heartbeat import HeartbeatOmegaProcess
 from repro.sim import FailurePattern, GstDelay, Simulation
 
 
+def claim_ablation_heartbeat_gst(rows: list[dict]) -> dict[str, bool]:
+    """Ablation: heartbeat Omega stabilizes shortly after GST
+
+    The correct final leader is the flag; the verdict is that it is
+    reached within a few timeout escalations: by GST + 200 ticks.
+    """
+    return {
+        "stable_by_gst_plus_200": all(
+            row["stabilized_at"] <= row["gst"] + 200 for row in rows
+        ),
+    }
+
+
 @experiment(
     "EXP-10c",
     "heartbeat Omega stabilizes after GST",
+    claim=claim_ablation_heartbeat_gst,
     group_by=("gst",),
     metrics=("stabilized_at",),
     flags=("correct",),

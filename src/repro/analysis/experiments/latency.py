@@ -13,9 +13,38 @@ from repro.analysis.metrics import latency_report, message_counts
 from repro.analysis.tables import Table
 
 
+def claim_comm_steps(rows: list[dict]) -> dict[str, bool]:
+    """ETOB delivers in 2 communication steps; strong TOB needs 3
+
+    Each protocol's mean lands in its band (ETOB ~2, Paxos TOB ~3, the
+    Chandra-Toueg baseline ~5), Paxos TOB trails ETOB by one message delay
+    at every ``n``, and every broadcast was delivered.
+    """
+    steps = {(row["n"], row["protocol"]): row["mean_steps"] for row in rows}
+
+    def band(protocol: str, low: float, high: float) -> bool:
+        means = [mean for (__, p), mean in steps.items() if p == protocol]
+        return bool(means) and all(
+            mean is not None and low <= mean <= high for mean in means
+        )
+
+    def gap(n: int) -> bool:
+        etob, tob = steps.get((n, "etob")), steps.get((n, "tob-consensus"))
+        return etob is not None and tob is not None and 0.6 <= tob - etob <= 1.6
+
+    return {
+        "etob_2_steps": band("etob", 1.5, 2.4),
+        "paxos_tob_3_steps": band("tob-consensus", 2.5, 3.6),
+        "ct_tob_5_steps": band("tob-ct", 4.4, 5.8),
+        "one_delay_gap": all(gap(n) for n, __ in steps),
+        "all_delivered": all(row["undelivered"] == 0 for row in rows),
+    }
+
+
 @experiment(
     "EXP-1",
     "stable-delivery latency in communication steps",
+    claim=claim_comm_steps,
     group_by=("n", "protocol"),
     metrics=("mean_steps", "max_steps", "undelivered"),
     values=("paper_steps",),
@@ -103,9 +132,25 @@ def exp_comm_steps(
     return ExperimentResult("comm-steps", table, rows)
 
 
+def claim_ablation_promote_period(rows: list[dict]) -> dict[str, bool]:
+    """Ablation: promote period trades chatter for latency
+
+    From the shortest to the longest promote period, message volume falls
+    and mean delivery latency does not.
+    """
+    shortest = min(rows, key=lambda row: row["period"])
+    longest = max(rows, key=lambda row: row["period"])
+    fast, slow = shortest["mean_ticks"], longest["mean_ticks"]
+    return {
+        "volume_falls": longest["sent"] < shortest["sent"],
+        "latency_rises": fast is not None and slow is not None and slow >= fast,
+    }
+
+
 @experiment(
     "EXP-10b",
     "promote period vs delivery latency",
+    claim=claim_ablation_promote_period,
     group_by=("period",),
     metrics=("mean_ticks", "sent"),
     flags=("delivered_ok",),

@@ -20,9 +20,23 @@ from repro.suite import Axis
 from repro.workload import STACKS, WorkloadSpec, workload_sim
 
 
+def claim_workload_latency(rows: list[dict]) -> dict[str, bool]:
+    """Client-observed latency rises with each consistency level
+
+    Tail latency climbs the ladder: p99 of ``direct`` < ``etob`` <
+    ``paxos``.
+    """
+    p99 = {row["stack"]: row["p99"] for row in rows}
+    ladder = [p99["direct"], p99["etob"], p99["paxos"]]
+    return {
+        "p99_ladder": None not in ladder and ladder[0] < ladder[1] < ladder[2],
+    }
+
+
 @experiment(
     "EXP-11",
     "the latency price of consistency (open-loop workload)",
+    claim=claim_workload_latency,
     group_by=("stack",),
     metrics=("p50", "p95", "p99", "throughput"),
     flags=("served",),

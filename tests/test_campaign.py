@@ -1,6 +1,7 @@
 """Tests for the cross-experiment Campaign: pooling, demultiplexing,
 determinism across workers and pool orderings, and pivoted tables."""
 
+import dataclasses
 import io
 import json
 
@@ -182,6 +183,57 @@ class TestReportDeterminism:
                     json.dumps(report["experiments"][key]["rows"], default=repr)
                 )
             )
+
+
+class TestReportClaims:
+    """Any false claim verdict or flag fails the report, and the summary
+    column names it."""
+
+    def generate(self, tmp_path, monkeypatch):
+        import benchmarks.generate_report as generate_report
+
+        monkeypatch.setattr(
+            generate_report,
+            "ALL_EXPERIMENTS",
+            {"EXP-5": EXPERIMENT_REGISTRY["EXP-5"].fn},
+        )
+        md = tmp_path / "report.md"
+        code = generate_report.main(
+            [str(md), "--json", str(tmp_path / "report.json"), "--seeds", "1",
+             "--workers", "0"]
+        )
+        (summary,) = [
+            line for line in md.read_text().splitlines()
+            if line.startswith("| EXP-5 |")
+        ]
+        return code, summary
+
+    def replace(self, monkeypatch, **changes):
+        monkeypatch.setitem(
+            EXPERIMENT_REGISTRY,
+            "EXP-5",
+            dataclasses.replace(EXPERIMENT_REGISTRY["EXP-5"], **changes),
+        )
+
+    def test_false_verdict_fails_and_is_named(self, tmp_path, monkeypatch):
+        def broken(rows):
+            """Stable Omega from start => strong TOB (Alg 5 property 2)"""
+            return {"x": False}
+
+        self.replace(monkeypatch, claim=broken)
+        code, summary = self.generate(tmp_path, monkeypatch)
+        assert code == 1
+        assert summary.endswith("| claim holds on 0/1 seeds — false: x |")
+
+    def test_false_flag_fails_and_is_named(self, tmp_path, monkeypatch):
+        def one_false_flag(*, seed):
+            rows = [{"scenario": "crash-free n=4", "ok": False, "tau": 0}]
+            return ExperimentResult("tob-mode", Table("EXP-5", ["scenario"]), rows)
+
+        self.replace(monkeypatch, fn=one_false_flag)
+        code, summary = self.generate(tmp_path, monkeypatch)
+        assert code == 1
+        assert summary.endswith("| claim holds on 0/1 seeds — false: ok |")
 
 
 class TestExtraAxes:

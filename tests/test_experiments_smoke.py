@@ -1,12 +1,16 @@
-"""Smoke tests for the experiment harness (reduced-size configurations).
+"""Smoke tests for the experiment runners (reduced-size configurations).
 
-The full experiment parameters live in ``benchmarks/``; these verify that
+The full-size runs are the report's (``benchmarks/generate_report.py``, whose
+``--smoke`` CI gate checks every claim on every cell); these verify that
 every experiment runner produces structurally sound results quickly, so a
-plain ``pytest tests/`` run still covers the harness code.
+plain ``pytest tests/`` run still covers the runner code.
 """
+
+import pytest
 
 from repro.analysis.experiments import (
     ALL_EXPERIMENTS,
+    EXPERIMENT_REGISTRY,
     exp_ablation_promote_period,
     exp_comm_steps,
     exp_eic,
@@ -34,6 +38,11 @@ class TestExperimentSmoke:
             "EXP-10c",
             "EXP-11",
         }
+
+    @pytest.mark.parametrize("key", list(ALL_EXPERIMENTS))
+    def test_experiment_states_its_claim(self, key):
+        lines = (EXPERIMENT_REGISTRY[key].claim.__doc__ or "").strip().splitlines()
+        assert lines and lines[0].strip()
 
     def test_comm_steps_small(self):
         result = exp_comm_steps(ns=(3,), delay=40, messages=3)

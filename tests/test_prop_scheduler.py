@@ -42,7 +42,7 @@ class TestSchedulerProperties:
         st.integers(min_value=1, max_value=6),
     )
     def test_determinism_across_reruns(self, n, seed, delay):
-        def run_once():
+        def fresh_run():
             procs = [Echo() for _ in range(n)]
             sim = Simulation(
                 procs,
@@ -57,7 +57,7 @@ class TestSchedulerProperties:
                 [p.received for p in procs],
             )
 
-        assert run_once() == run_once()
+        assert fresh_run() == fresh_run()
 
     @settings(max_examples=20)
     @given(

@@ -116,7 +116,7 @@ class TestEndToEnd:
         assert report.ok, report.violations
 
     def test_determinism_same_seed(self):
-        def run_once():
+        def fresh_run():
             sim = (
                 Scenario(3, seed=42)
                 .random_delays(2, 20)
@@ -127,7 +127,7 @@ class TestEndToEnd:
             )
             return [(s.time, s.pid, s.sent) for s in sim.run.steps]
 
-        assert run_once() == run_once()
+        assert fresh_run() == fresh_run()
 
 
 class TestCrashMajority:
