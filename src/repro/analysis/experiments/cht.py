@@ -43,8 +43,9 @@ def run_cht_scenario(n, crashes, tau, leader, window, *, seed: int = 0):
         )
         for _ in range(n)
     ]
-    # Only the processes' final fields are read: record="metrics" keeps the
-    # gossiped O(V^2) DagGossip payloads out of a step-by-step run record.
+    # Only the processes' final fields are read: record="metrics" keeps no
+    # step-by-step run record, which would hold every DagGossip sent — each
+    # an O(V) in-edge map, its frozensets shared with the sender's DAG.
     sim = Simulation(
         procs,
         failure_pattern=pattern,
@@ -76,9 +77,9 @@ def claim_cht_extraction(rows: list[dict]) -> dict[str, bool]:
     metrics=("extractions",),
     flags=("correct", "stabilized"),
     values=("leader",),
-    # 1.10 s per cell where the other twelve experiments run at 0.257 s
-    # per hint unit (traced report_campaign, seed 1).
-    cost=4.3,
+    # 1.29 s per cell where the other twelve experiments run at 0.536 s
+    # per hint unit (traced report_campaign, seed 4, 2 CPUs).
+    cost=2.4,
 )
 def exp_cht_extraction(*, seed: int = 0) -> ExperimentResult:
     """EXP-7: the distributed reduction emulates Omega from EC runs."""

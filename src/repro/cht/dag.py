@@ -13,12 +13,16 @@ gossiped DAGs — yields the properties the CHT proof uses:
 
 Properties (2)-(3) are consequences of the construction; the test suite
 verifies them on sampled executions.
+
+Every edge into ``w`` is made by ``w``'s owner when it takes the sample, and
+a union only copies edges, so a DAG maps each vertex to the frozenset of its
+in-neighbours built by ``add_sample``, shared by every snapshot and union.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any
 
 from repro.sim.types import ProcessId
 
@@ -45,9 +49,8 @@ class SampleDag:
     """One process's ever-growing sample DAG."""
 
     def __init__(self) -> None:
-        self._vertices: set[DagVertex] = set()
-        #: successors: v -> set of w with edge (v, w).
-        self._succ: dict[DagVertex, set[DagVertex]] = {}
+        #: vertex -> the vertices with an edge into it.
+        self._preds: dict[DagVertex, frozenset[DagVertex]] = {}
         self._sample_counts: dict[ProcessId, int] = {}
         #: the view :meth:`snapshot` last built, until the DAG next changes.
         self._snapshot: SampleDagSnapshot | None = None
@@ -59,61 +62,54 @@ class SampleDag:
         k = self._sample_counts.get(pid, 0) + 1
         self._sample_counts[pid] = k
         vertex = DagVertex(pid, k, value)
-        for existing in self._vertices:
-            self._succ.setdefault(existing, set()).add(vertex)
-        self._vertices.add(vertex)
-        self._succ.setdefault(vertex, set())
+        self._preds[vertex] = frozenset(self._preds)
         self._snapshot = None
         return vertex
 
     def union(self, other: "SampleDag | SampleDagSnapshot") -> None:
-        """Merge a gossiped DAG into this one (``G_p := G_p u G_q``)."""
-        if isinstance(other, SampleDag):
-            vertices = other._vertices
-            edges = other._succ.items()
-        else:
-            vertices = other.vertices
-            edges = other.edges
-        size = self._size()
-        self._vertices.update(vertices)
-        for vertex, successors in edges:
-            self._succ.setdefault(vertex, set()).update(successors)
-        for vertex in vertices:
-            self._succ.setdefault(vertex, set())
-            count = self._sample_counts.get(vertex.pid, 0)
-            if vertex.k > count:
-                self._sample_counts[vertex.pid] = vertex.k
-        if size != self._size():  # sets only grow: same counts, same DAG
+        """Merge a gossiped DAG into this one (``G_p := G_p u G_q``); a vertex
+        two processes built independently gets both in-edge sets."""
+        incoming = other.preds if isinstance(other, SampleDagSnapshot) else other._preds
+        preds = self._preds
+        changed = False
+        for vertex, theirs in incoming.items():
+            mine = preds.get(vertex)
+            if mine is None:
+                preds[vertex] = theirs
+                if vertex.k > self._sample_counts.get(vertex.pid, 0):
+                    self._sample_counts[vertex.pid] = vertex.k
+            elif mine is theirs or theirs <= mine:
+                continue
+            else:
+                preds[vertex] = mine | theirs
+            changed = True
+        if changed:
             self._snapshot = None
-
-    def _size(self) -> tuple[int, int, int]:
-        return len(self._vertices), len(self._succ), sum(map(len, self._succ.values()))
 
     # -- queries -----------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._vertices)
+        return len(self._preds)
 
     def __contains__(self, vertex: DagVertex) -> bool:
-        return vertex in self._vertices
+        return vertex in self._preds
 
     def vertices(self) -> list[DagVertex]:
         """All vertices in deterministic order."""
-        return sorted(self._vertices, key=DagVertex.sort_key)
+        return sorted(self._preds, key=DagVertex.sort_key)
 
     def successors(self, vertex: DagVertex) -> list[DagVertex]:
         """Vertices reachable by one edge, in deterministic order."""
-        return sorted(self._succ.get(vertex, ()), key=DagVertex.sort_key)
+        heads = (w for w, preds in self._preds.items() if vertex in preds)
+        return sorted(heads, key=DagVertex.sort_key)
 
     def roots(self) -> list[DagVertex]:
         """Vertices with no incoming edge, in deterministic order."""
-        with_incoming: set[DagVertex] = set()
-        for successors in self._succ.values():
-            with_incoming |= successors
-        return sorted(self._vertices - with_incoming, key=DagVertex.sort_key)
+        roots = (v for v, preds in self._preds.items() if not preds)
+        return sorted(roots, key=DagVertex.sort_key)
 
     def has_edge(self, a: DagVertex, b: DagVertex) -> bool:
-        return b in self._succ.get(a, ())
+        return a in self._preds.get(b, ())
 
     def pids(self) -> set[ProcessId]:
         """Processes with at least one sample."""
@@ -121,18 +117,26 @@ class SampleDag:
 
     def samples_of(self, pid: ProcessId) -> list[DagVertex]:
         """The samples of one process, ordered by query index."""
-        return sorted(
-            (v for v in self._vertices if v.pid == pid), key=lambda v: v.k
+        return sorted((v for v in self._preds if v.pid == pid), key=lambda v: v.k)
+
+    def shape(self) -> tuple:
+        """The DAG up to a strictly increasing relabelling of query indices:
+        per vertex, in order, ``(pid, rank of k, value, in-neighbours' places)``.
+        """
+        ordered = self.vertices()  # rank order is k order: the same sort
+        ranks = {k: rank for rank, k in enumerate(sorted({v.k for v in ordered}))}
+        position = {v: i for i, v in enumerate(ordered)}
+        return tuple(
+            (v.pid, ranks[v.k], v.value, frozenset(map(position.__getitem__, self._preds[v])))
+            for v in ordered
         )
 
     # -- structural checks (used by tests) ------------------------------------------
 
     def is_transitively_closed(self) -> bool:
-        for a in self._vertices:
-            for b in self._succ.get(a, ()):
-                if not self._succ.get(b, set()) <= self._succ.get(a, set()):
-                    return False
-        return True
+        """Property (3): an edge ``a -> b`` carries every edge into ``a``."""
+        preds = self._preds
+        return all(preds[a] <= into_b for into_b in preds.values() for a in into_b)
 
     def respects_query_order(self) -> bool:
         """Property (2): samples of one process are edge-ordered by k."""
@@ -156,38 +160,28 @@ class SampleDag:
         """
         if window < 1:
             raise ValueError("window must be >= 1")
-        if not self._vertices:
-            return SampleDag()
-        cutoff = max(v.k for v in self._vertices) - window
-        keep = {v for v in self._vertices if v.k > cutoff}
         sub = SampleDag()
-        sub._vertices = set(keep)
-        sub._succ = {
-            v: {w for w in self._succ.get(v, ()) if w in keep} for v in keep
-        }
-        sub._sample_counts = {
-            pid: max(v.k for v in keep if v.pid == pid)
-            for pid in {v.pid for v in keep}
-        }
+        if not self._preds:
+            return sub
+        cutoff = max(v.k for v in self._preds) - window
+        keep = frozenset(v for v in self._preds if v.k > cutoff)
+        sub._preds = {v: self._preds[v] & keep for v in keep}
+        for v in keep:
+            if v.k > sub._sample_counts.get(v.pid, 0):
+                sub._sample_counts[v.pid] = v.k
         return sub
 
     def snapshot(self) -> "SampleDagSnapshot":
         """An immutable copy suitable for gossiping (shared until the DAG
         next changes: equal DAGs gossip and compare as one object)."""
         if self._snapshot is None:
-            self._snapshot = SampleDagSnapshot(
-                vertices=tuple(self.vertices()),
-                edges=tuple(
-                    (v, tuple(sorted(self._succ[v], key=DagVertex.sort_key)))
-                    for v in sorted(self._succ, key=DagVertex.sort_key)
-                ),
-            )
+            self._snapshot = SampleDagSnapshot(dict(self._preds))
         return self._snapshot
 
 
 @dataclass(frozen=True)
 class SampleDagSnapshot:
-    """Frozen DAG for the wire."""
+    """Frozen DAG for the wire: a copy of the in-edge map that nothing
+    mutates, holding the sender's own frozensets."""
 
-    vertices: tuple[DagVertex, ...]
-    edges: tuple[tuple[DagVertex, tuple[DagVertex, ...]], ...]
+    preds: dict[DagVertex, frozenset[DagVertex]]

@@ -68,15 +68,16 @@ class OmegaExtractionProcess(Process):
         self.last_result: ExtractionResult | None = None
         #: analysis rounds that produced a result (fresh or reused).
         self.extractions_run = 0
-        #: of those, the rounds answered from ``last_result`` because the
-        #: (windowed) DAG had not changed since it was computed.
+        #: of those, the rounds answered from an earlier result because the
+        #: (windowed) DAG had a shape already extracted from.
         self.extractions_reused = 0
         #: over the fresh extractions: replayed steps that ran the simulated
         #: algorithm's handlers / that repeated a step already run in the
         #: same extraction (``ReplaySandbox.steps_executed``/``steps_shared``).
         self.steps_executed = 0
         self.steps_shared = 0
-        self._extracted_from: SampleDagSnapshot | None = None
+        #: DAG shape -> the result extracted from it (see _analyze).
+        self._extracted: dict[tuple, ExtractionResult] = {}
         self._timeouts = 0
         self._local_samples = 0
 
@@ -99,17 +100,17 @@ class OmegaExtractionProcess(Process):
     # -- computation task ----------------------------------------------------------------
 
     def _analyze(self, ctx: Context) -> None:
-        if len(self.dag) == 0:
-            return
         dag = self.dag if self.window is None else self.dag.windowed(self.window)
         if len(dag) == 0:
             return
-        # extract_leader is a pure function of the DAG: an unchanged DAG
-        # (the common case once sampling stops or gossip has converged)
-        # needs no second simulation tree.
-        snapshot = dag.snapshot()
-        if snapshot == self._extracted_from:
-            result = self.last_result
+        # extract_leader is a pure function of the DAG that compares query
+        # indices only by order: a DAG of an already seen shape (unchanged
+        # once sampling stops or gossip has converged; a window cycling
+        # through a few shapes once the detector is stationary) needs no
+        # second simulation tree. Only results are kept, never trees.
+        shape = dag.shape()
+        result = self._extracted.get(shape)
+        if result is not None:
             self.extractions_reused += 1
         else:
             sandbox = ReplaySandbox(ctx.n, self.stack_factory)
@@ -118,8 +119,10 @@ class OmegaExtractionProcess(Process):
             )
             self.steps_executed += sandbox.steps_executed
             self.steps_shared += sandbox.steps_shared
-            self._extracted_from = snapshot
-            self.last_result = result
+            if self.window is None:  # a growing DAG never returns to a shape
+                self._extracted.clear()
+            self._extracted[shape] = result
+        self.last_result = result
         self.extractions_run += 1
         if result.leader != self.current_leader:
             self.current_leader = result.leader

@@ -21,7 +21,8 @@ from hypothesis import given, settings, strategies as st
 import repro.cht.extraction as extraction
 import repro.cht.reduction as reduction
 from repro.analysis.experiments.cht import SCENARIOS, run_cht_scenario
-from repro.cht import ReplaySandbox, SampleDag, SimulationTree, TreeBounds
+from repro.cht import DagVertex, ReplaySandbox, SampleDag, SimulationTree, TreeBounds
+from repro.cht.dag import SampleDagSnapshot
 from repro.cht.replay import Decision, ReplayState, SharedInputTable
 from repro.core import EcDriverLayer, EcUsingOmegaLayer
 from repro.sim import Process, ProtocolStack
@@ -247,6 +248,43 @@ def test_small_dags_match_the_deepcopy_oracle(name, n, samples):
     differential_extract(
         dag, FACTORIES[name], n, bounds=TreeBounds(max_depth=4, max_nodes=300)
     )
+
+
+@pytest.mark.parametrize("name", FACTORIES)
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=3),
+    st.lists(
+        st.tuples(st.integers(min_value=0), st.integers(min_value=0)),
+        min_size=1,
+        max_size=8,
+    ),
+    st.lists(st.integers(min_value=1, max_value=4), min_size=8, max_size=8),
+)
+def test_extraction_sees_query_indices_only_by_order(name, n, samples, gaps):
+    """``OmegaExtractionProcess`` reuses results across DAGs of one shape:
+    mapping every ``k`` by a strictly increasing function changes nothing."""
+    dag = SampleDag()
+    for pid, trusted in samples:
+        dag.add_sample(pid % n, trusted % n)
+
+    def relabel(v):
+        return DagVertex(v.pid, sum(gaps[: v.k]), v.value)
+
+    relabelled = SampleDag()
+    relabelled.union(
+        SampleDagSnapshot(
+            {
+                relabel(v): frozenset(map(relabel, into))
+                for v, into in dag.snapshot().preds.items()
+            }
+        )
+    )
+    assert relabelled.shape() == dag.shape()
+    bounds = TreeBounds(max_depth=4, max_nodes=300)
+    assert extraction.extract_leader(
+        relabelled, FACTORIES[name], n, bounds=bounds
+    ) == extraction.extract_leader(dag, FACTORIES[name], n, bounds=bounds)
 
 
 def _round_robin_dag(n, rounds=3):

@@ -298,6 +298,22 @@ class TestDistributedReduction:
             "leader", "confidence", "instance", "gadget",
             "tree_nodes", "dag_vertices", "bivalent_node", "truncated",
         ]
+        # A window that moves back to a shape already extracted from reuses
+        # that round, though every query index in it has moved on: the
+        # windows hold values [0], [0, 1], [1, 0], [0, 1], [1, 0].
+        fresh.clear()
+        windowed = OmegaExtractionProcess(
+            ec_factory, bounds=SMALL_BOUNDS, analyze_every=1, window=2
+        )
+        windowed.attach(0, 2)
+        rounds, results = [], []
+        for time, trusted in enumerate((0, 1, 0, 1, 0)):
+            windowed.on_timeout(Context(pid=0, n=2, time=time, fd_value=trusted))
+            rounds.append((windowed.extractions_run, windowed.extractions_reused))
+            results.append(windowed.last_result)
+        assert rounds == [(1, 0), (2, 0), (3, 0), (4, 1), (5, 2)]
+        assert fresh == [1, 2, 2]
+        assert results[3] is results[1] and results[4] is results[2]
 
     def test_reduction_parameter_validation(self):
         with pytest.raises(ValueError):
