@@ -125,9 +125,9 @@ class SampleDag:
         """
         ordered = self.vertices()  # rank order is k order: the same sort
         ranks = {k: rank for rank, k in enumerate(sorted({v.k for v in ordered}))}
-        position = {v: i for i, v in enumerate(ordered)}
+        place = {v: i for i, v in enumerate(ordered)}.__getitem__
         return tuple(
-            (v.pid, ranks[v.k], v.value, frozenset(map(position.__getitem__, self._preds[v])))
+            (v.pid, ranks[v.k], v.value, frozenset(map(place, self._preds[v])))
             for v in ordered
         )
 
