@@ -122,6 +122,12 @@ class PaxosConsensusLayer(Layer):
         self._accept_acks: dict[tuple[Ballot, int], set[ProcessId]] = {}
         self._accepts_sent: set[tuple[Ballot, int]] = set()
         self.decided: dict[int, Any] = {}
+        #: The undecided keys of ``candidates`` and of ``_constrained``: the
+        #: instances a prepared leader drives (``my_proposals`` needs no set
+        #: of its own, its keys are a subset of ``candidates``'). Kept as
+        #: handlers run so a timeout never scans the whole instance history.
+        self._open: set[int] = set()
+        self._open_constrained: set[int] = set()
 
     # -- quorums -------------------------------------------------------------------
 
@@ -145,6 +151,8 @@ class PaxosConsensusLayer(Layer):
             raise ProtocolError(f"paxos instances must be ints, got {instance!r}")
         self.my_proposals.setdefault(instance, value)
         self.candidates.setdefault(instance, {})[ctx.pid] = value
+        if instance not in self.decided:
+            self._open.add(instance)
         ctx.send_all(Forward(instance, value), include_self=False)
         if self.prepared and self._omega(ctx) == ctx.pid:
             self._drive_instances(ctx)
@@ -157,6 +165,8 @@ class PaxosConsensusLayer(Layer):
     def on_message(self, ctx: LayerContext, sender: ProcessId, payload: Any) -> None:
         if isinstance(payload, Forward):
             self.candidates.setdefault(payload.instance, {})[sender] = payload.value
+            if payload.instance not in self.decided:
+                self._open.add(payload.instance)
             if self.prepared and self._omega(ctx) == ctx.pid:
                 # A stable, prepared leader accepts new proposals immediately,
                 # giving the canonical three-step decision latency.
@@ -199,6 +209,9 @@ class PaxosConsensusLayer(Layer):
                     current = self._constrained.get(inst)
                     if current is None or ballot > current[0]:
                         self._constrained[inst] = (ballot, value)
+            self._open_constrained = {
+                inst for inst in self._constrained if inst not in self.decided
+            }
             self._drive_instances(ctx)
 
     def _on_accepted(self, ctx: LayerContext, sender: ProcessId, msg: AcceptedMsg) -> None:
@@ -209,6 +222,8 @@ class PaxosConsensusLayer(Layer):
         acks.add(sender)
         if self._is_quorum(ctx, acks):
             self.decided[msg.instance] = msg.value
+            self._open.discard(msg.instance)
+            self._open_constrained.discard(msg.instance)
             self._patience = self.INITIAL_PATIENCE
             self._phase_started = -1  # restart the clock at the next timeout
             ctx.emit_upper(("decide", msg.instance, msg.value))
@@ -216,8 +231,9 @@ class PaxosConsensusLayer(Layer):
     # -- leader duties ----------------------------------------------------------------------
 
     def _undecided_instances(self) -> list[int]:
-        known = set(self.my_proposals) | set(self.candidates) | set(self._constrained)
-        return sorted(inst for inst in known if inst not in self.decided)
+        """Every instance proposed, forwarded or constrained by the last
+        prepare, and not decided, in ascending order."""
+        return sorted(self._open | self._open_constrained)
 
     def _value_for(self, instance: int) -> Any | None:
         constrained = self._constrained.get(instance)
@@ -275,8 +291,7 @@ class PaxosConsensusLayer(Layer):
             if self._stalled(ctx):
                 self._escalate(ctx)
             return
-        pending = self._undecided_instances()
-        if pending:
+        if self._open or self._open_constrained:
             if self._stalled(ctx):
                 self._escalate(ctx)
                 return

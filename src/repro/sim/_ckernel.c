@@ -21,8 +21,8 @@
  *    implementation behind CompiledPackedNetwork's two send methods and
  *    run_loop's outbox expansion.
  *
- * 3. run_loop(sim, t_end, store): the event engine's tick loop, hosted in
- *    C for the no-observer / raw-observer fast path
+ * 3. run_loop(sim, t_end, store, metrics): the event engine's tick loop,
+ *    hosted in C for the no-observer / raw-observer fast path
  *    (kernel="compiled-loop"), under either schedule: round-robin (the
  *    loop of kernel.run_fused_rr) or seeded random (the loop of
  *    Simulation._advance_event_random; there is no Python fused twin).
@@ -35,11 +35,13 @@
  *    into Python only for process handlers, detector queries, the delay
  *    model, the remaining idle-span accounting (`_skip_span_rr` /
  *    `_skip_span_random`), the heap-backed next-event query, and
- *    raw-capable observers.  Every mutation of a raise-free step mirrors
- *    the Python loop's order of effects so run records, counters and
- *    schedule state stay byte-identical (pinned by tests/test_kernel.py
- *    and tests/test_kernel_stateful.py).  A raise ends the run
- *    (repro.sim.scheduler): the failure paths only release what they hold.
+ *    raw-capable observers other than a leading MetricsRecorder (whose
+ *    counts it folds itself, loop_fold_flush).  Every mutation of a
+ *    raise-free step mirrors the Python loop's order of effects so run
+ *    records, counters and schedule state stay byte-identical (pinned by
+ *    tests/test_kernel.py and tests/test_kernel_stateful.py).  A raise
+ *    ends the run (repro.sim.scheduler): the failure paths only release
+ *    what they hold, and flush the metrics fold.
  *
  * Invariants shared with the pure-Python PackedNetwork:
  *   - seq fits in 40 bits, slot index in 24 (both enforced here on the
@@ -633,7 +635,8 @@ static PyObject *s_network, *s_n, *s_processes, *s__ctx, *s_detector,
     *s__received, *s__intern_fd, *s_append, *s__log_observers, *s_on_log,
     *s_scheduling, *s__skip_span_random, *s_seed, *s_metrics,
     *s_idle_ticks_skipped, *s__idle_step_observers, *s__materialize_idle,
-    *s_frombytes;
+    *s_frombytes, *s_steps, *s_steps_by_pid, *s_messages_sent,
+    *s_messages_received, *s_timeouts_fired, *s_inputs, *s_outputs;
 
 /* heapq entry points, resolved at module init */
 static PyObject *g_heappush, *g_heappop, *g_heapify;
@@ -1244,6 +1247,14 @@ typedef struct {
     PyObject **on_message_m, **on_timeout_m; /* n owned bound methods */
     PyObject **raw_methods;              /* owned bound on_step_raw */
     Py_ssize_t raw_count;
+    /* record="metrics" folded in C (see loop_fold_flush): the RunMetrics
+     * of a leading MetricsRecorder and the counts of the steps executed
+     * since the last flush. */
+    PyObject *metrics;                   /* owned; NULL without the fold */
+    int64_t fold_steps, fold_sent, fold_received, fold_timeouts;
+    int64_t fold_inputs, fold_outputs;
+    int64_t fold_end;                    /* latest executed tick, -1 none */
+    int64_t *fold_by_pid;                /* n per-process step counts */
     PyObject **log_methods;              /* owned bound on_log */
     Py_ssize_t log_count;
     int64_t *crash_at;                   /* INT64_MAX = never crashes */
@@ -1281,6 +1292,7 @@ loop_free(Loop *L)
     Py_XDECREF(L->local_horizon);
     Py_XDECREF(L->next_timeout_list);
     Py_XDECREF(L->raw_obs);
+    Py_XDECREF(L->metrics);
     Py_XDECREF(L->run);
     Py_XDECREF(L->crash_times);
     Py_XDECREF(L->intervals);
@@ -1325,6 +1337,7 @@ loop_free(Loop *L)
     PyMem_Free(L->next_to);
     PyMem_Free(L->fill_buf);
     PyMem_Free(L->perm);
+    PyMem_Free(L->fold_by_pid);
 }
 
 /* sim._local_event[p].  Read from the list at every use, not mirrored:
@@ -1530,7 +1543,7 @@ done:
 }
 
 static int
-loop_init(Loop *L, PyObject *sim, PyObject *store)
+loop_init(Loop *L, PyObject *sim, PyObject *store, PyObject *metrics)
 {
     memset(L, 0, sizeof(*L));
     L->sim = sim;
@@ -1690,21 +1703,35 @@ loop_init(Loop *L, PyObject *sim, PyObject *store)
         if (!L->random && fill_idle_init(L) < 0)
             return -1;
     } else if (L->raw_obs != Py_None) {
-        /* generic raw-capable observers: cache their bound methods */
+        /* generic raw-capable observers: cache their bound methods -- all
+         * but the leading MetricsRecorder, when the loop folds its counts */
         if (!PyList_Check(L->raw_obs)) {
             PyErr_SetString(PyExc_TypeError,
                             "_raw_step_observers must be a list");
             return -1;
         }
-        Py_ssize_t count = PyList_GET_SIZE(L->raw_obs);
-        L->raw_methods = PyMem_Calloc(count ? count : 1, sizeof(PyObject *));
+        Py_ssize_t first = 0;
+        if (metrics != Py_None) {
+            L->metrics = metrics;
+            Py_INCREF(metrics);
+            L->fold_end = -1;
+            L->fold_by_pid = PyMem_Calloc(n, sizeof(int64_t));
+            if (L->fold_by_pid == NULL) {
+                PyErr_NoMemory();
+                return -1;
+            }
+            first = 1;
+        }
+        Py_ssize_t count = PyList_GET_SIZE(L->raw_obs) - first;
+        L->raw_methods = PyMem_Calloc(count > 0 ? count : 1,
+                                      sizeof(PyObject *));
         if (L->raw_methods == NULL) {
             PyErr_NoMemory();
             return -1;
         }
         for (Py_ssize_t i = 0; i < count; i++) {
             L->raw_methods[i] = PyObject_GetAttr(
-                PyList_GET_ITEM(L->raw_obs, i), s_on_step_raw);
+                PyList_GET_ITEM(L->raw_obs, first + i), s_on_step_raw);
             if (L->raw_methods[i] == NULL) {
                 L->raw_count = i;
                 return -1;
@@ -1793,6 +1820,64 @@ loop_flush_idle(Loop *L)
     return 0;
 }
 
+/* record="metrics" in C: each executed step is folded into L's counters
+ * exactly as MetricsRecorder.on_step_raw folds it into RunMetrics, and the
+ * counts are added into the RunMetrics when the loop returns or fails (a
+ * step that raises is not folded, as the recorder would not have seen
+ * it).  Added, not stored: the recorder's on_step may still run mid-loop
+ * for idle steps that _skip_span_rr materializes.  So the RunMetrics is
+ * exact between run calls, not inside one -- nothing reads it there. */
+static int
+loop_fold_flush(Loop *L)
+{
+    if (L->metrics == NULL)
+        return 0;
+    PyObject *names[6] = {
+        s_steps, s_messages_sent, s_messages_received, s_timeouts_fired,
+        s_inputs, s_outputs,
+    };
+    int64_t *counts[6] = {
+        &L->fold_steps, &L->fold_sent, &L->fold_received,
+        &L->fold_timeouts, &L->fold_inputs, &L->fold_outputs,
+    };
+    for (int i = 0; i < 6; i++) {
+        if (*counts[i] == 0)
+            continue;
+        if (add_i64_attr(L->metrics, names[i], *counts[i]) < 0)
+            return -1;
+        *counts[i] = 0;
+    }
+    PyObject *by_pid = PyObject_GetAttr(L->metrics, s_steps_by_pid);
+    if (by_pid == NULL)
+        return -1;
+    if (!PyList_Check(by_pid) || PyList_GET_SIZE(by_pid) != L->n) {
+        Py_DECREF(by_pid);
+        PyErr_SetString(PyExc_ValueError,
+                        "run_loop: metrics.steps_by_pid must be a list of n");
+        return -1;
+    }
+    for (long p = 0; p < L->n; p++) {
+        if (L->fold_by_pid[p] == 0)
+            continue;
+        if (list_add_i64(by_pid, p, L->fold_by_pid[p]) < 0) {
+            Py_DECREF(by_pid);
+            return -1;
+        }
+        L->fold_by_pid[p] = 0;
+    }
+    Py_DECREF(by_pid);
+    if (L->fold_end >= 0) {
+        int64_t end_time;
+        if (get_i64_attr(L->metrics, s_end_time, &end_time) < 0)
+            return -1;
+        if (L->fold_end > end_time
+            && set_i64_attr(L->metrics, s_end_time, L->fold_end) < 0)
+            return -1;
+        L->fold_end = -1;
+    }
+    return 0;
+}
+
 /* L->perm := the schedule permutation of `block`, bit for bit
  * repro.sim.types.block_permutation(seed, block, n) (the Python body is
  * the definition and the oracle):
@@ -1813,7 +1898,7 @@ loop_perm(Loop *L, int64_t block)
     }
 }
 
-/* run_loop(sim, t_end, store) — the event engine's tick loop in C.
+/* run_loop(sim, t_end, store, metrics) — the event engine's tick loop in C.
  *
  * Round-robin: byte-identical to kernel.run_fused_rr over the Python
  * pool of a PackedNetwork.  Random
@@ -1822,15 +1907,17 @@ loop_perm(Loop *L, int64_t block)
  * materializes idle steps; kernel.fused_runner checks).  Same handler call
  * order, same merge-layer mutations in the same order, same store appends.
  * A raise leaves the step it interrupted half done and ends the run.
- * `store` is the single-FullRecorder StepStore (or None); the Python
- * wrapper resolves it before handing off. */
+ * `store` is the single-FullRecorder StepStore (or None), `metrics` the
+ * RunMetrics of a leading MetricsRecorder (or None, the default); the
+ * Python wrapper resolves both before handing off. */
 static PyObject *
 ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
-    if (nargs != 3) {
+    if (nargs != 3 && nargs != 4) {
         PyErr_SetString(PyExc_TypeError,
-                        "run_loop(sim, t_end, store) takes 3 arguments");
+                        "run_loop(sim, t_end, store[, metrics]) takes 3 "
+                        "or 4 arguments");
         return NULL;
     }
     PyObject *sim = args[0];
@@ -1839,7 +1926,7 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     Loop loop_state;
     Loop *L = &loop_state;
-    if (loop_init(L, sim, args[2]) < 0) {
+    if (loop_init(L, sim, args[2], nargs == 4 ? args[3] : Py_None) < 0) {
         loop_free(L);
         return NULL;
     }
@@ -2265,7 +2352,19 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                     && history_extend(L->output_history, pid_obj, t_obj,
                                       outputs_t) < 0)
                     goto step_fail;
-            } else if (L->raw_methods != NULL) {
+            } else if (L->metrics != NULL) {
+                /* MetricsRecorder.on_step_raw, folded (loop_fold_flush) */
+                L->fold_steps += 1;
+                L->fold_by_pid[pid] += 1;
+                L->fold_sent += sent;
+                L->fold_received += received;
+                L->fold_timeouts += timeout_fired;
+                L->fold_inputs += PyTuple_GET_SIZE(inputs_t);
+                L->fold_outputs += PyTuple_GET_SIZE(outputs_t);
+                if (t > L->fold_end)
+                    L->fold_end = t;
+            }
+            if (L->raw_count > 0) {
                 PyObject *index_obj = PyLong_FromLongLong(index);
                 PyObject *sender_obj = PyLong_FromLong(first_sender);
                 PyObject *send_time_obj =
@@ -2425,6 +2524,8 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     }
     if (loop_flush_idle(L) < 0)
         goto fail;
+    if (loop_fold_flush(L) < 0)
+        goto fail;
     if (set_i64_attr(sim, s_time, t) < 0)
         goto fail;
     loop_free(L);
@@ -2437,6 +2538,14 @@ step_fail:
     Py_XDECREF(outputs_t);
     Py_XDECREF(first_payload);
 fail:
+    {
+        /* the completed steps still count; the raise is what propagates */
+        PyObject *type, *value, *traceback;
+        PyErr_Fetch(&type, &value, &traceback);
+        if (loop_fold_flush(L) < 0)
+            PyErr_Clear();
+        PyErr_Restore(type, value, traceback);
+    }
     loop_free(L);
     return NULL;
 }
@@ -2747,11 +2856,13 @@ static PyMethodDef ckernel_functions[] = {
      "draw_unit, bit-identical to the Python body in repro.sim.types."},
     {"run_loop", (PyCFunction)(void (*)(void))ckernel_run_loop,
      METH_FASTCALL,
-     "run_loop(sim, t_end, store)\n--\n\n"
+     "run_loop(sim, t_end, store, metrics=None)\n--\n\n"
      "Run the event engine to t_end in C, under round-robin or random\n"
      "scheduling, calling back into Python only for process handlers,\n"
      "detector queries, the delay model, idle-span accounting that the\n"
      "loop does not fill into the store itself, and raw observers.\n"
+     "`metrics` is the RunMetrics of a leading MetricsRecorder, whose\n"
+     "counts the loop folds itself (added in when it returns or fails).\n"
      "Byte-identical to kernel.run_fused_rr /\n"
      "Simulation._advance_event_random."},
     {NULL, NULL, 0, NULL},
@@ -2849,6 +2960,13 @@ intern_names(void)
     INTERN(s__idle_step_observers, "_idle_step_observers");
     INTERN(s__materialize_idle, "_materialize_idle");
     INTERN(s_frombytes, "frombytes");
+    INTERN(s_steps, "steps");
+    INTERN(s_steps_by_pid, "steps_by_pid");
+    INTERN(s_messages_sent, "messages_sent");
+    INTERN(s_messages_received, "messages_received");
+    INTERN(s_timeouts_fired, "timeouts_fired");
+    INTERN(s_inputs, "inputs");
+    INTERN(s_outputs, "outputs");
 #undef INTERN
     return 0;
 }

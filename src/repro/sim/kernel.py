@@ -87,7 +87,7 @@ from repro.sim._compiled import ckernel as _ckernel
 from repro.sim.context import BROADCAST_ALL
 from repro.sim.errors import ConfigurationError
 from repro.sim.network import DelayModel, Network
-from repro.sim.observers import FullRecorder, SimObserver
+from repro.sim.observers import FullRecorder, MetricsRecorder, SimObserver
 from repro.sim.types import NEVER, ProcessId, Time
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -548,22 +548,33 @@ def run_fused_compiled(sim: "Simulation", t_end: Time) -> None:
 
     Resolves the single-FullRecorder columnar store exactly like
     :func:`run_fused_rr` does, then runs the tick loop in C, under either
-    schedule. The C loop calls back into Python only for process handlers,
-    the delay model, the idle-span machinery (``_next_event_query`` on
-    large n, ``_skip_span_rr`` / ``_skip_span_random``), and generic raw
-    observers; everything else — due checks, shard pops, timeout firing,
-    outbox expansion and sends, local-index refresh, store appends and,
-    under random scheduling, the block permutations and the walk of the
-    block an event falls in — happens without touching the interpreter.
-    Byte-identical to the Python fused loop (round-robin) and to the
-    generic ``_advance_event_random`` (random) by construction and pinned
-    by ``tests/test_kernel.py``.
+    schedule. At ``record="metrics"`` (a :class:`MetricsRecorder` leads the
+    raw observers) it hands over the recorder's :class:`RunMetrics`
+    instead, and the loop folds each executed step's counts itself, adding
+    them in when it returns or fails: the metrics are exact between run
+    calls, not in the middle of one. Any other raw observers are called per
+    step as before. The C loop calls back into Python only for process
+    handlers, the delay model, the idle-span machinery
+    (``_next_event_query`` on large n, ``_skip_span_rr`` /
+    ``_skip_span_random``), and generic raw observers; everything else —
+    due checks, shard pops, timeout firing, outbox expansion and sends,
+    local-index refresh, store appends, the metrics fold and, under random
+    scheduling, the block permutations and the walk of the block an event
+    falls in — happens without touching the interpreter. Byte-identical to
+    the Python fused loop (round-robin) and to the generic
+    ``_advance_event_random`` (random) by construction and pinned by
+    ``tests/test_kernel.py``; ``tests/test_metrics_fold.py`` and
+    ``tests/test_kernel_stateful.py`` compare the folded
+    :class:`RunMetrics` with the Python recorder's.
     """
     raw_obs = sim._raw_step_observers
-    store = None
-    if raw_obs is not None and len(raw_obs) == 1 and type(raw_obs[0]) is FullRecorder:
-        store = raw_obs[0]._store
-    _ckernel.run_loop(sim, t_end, store)
+    store = metrics = None
+    if raw_obs is not None:
+        if len(raw_obs) == 1 and type(raw_obs[0]) is FullRecorder:
+            store = raw_obs[0]._store
+        elif type(raw_obs[0]) is MetricsRecorder:
+            metrics = raw_obs[0].metrics
+    _ckernel.run_loop(sim, t_end, store, metrics)
 
 
 def run_fused_rr(sim: "Simulation", t_end: Time) -> None:

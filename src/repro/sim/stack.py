@@ -11,18 +11,24 @@ realizes this inside one simulated process:
   receives asynchronous responses via :meth:`Layer.on_lower_event`;
 - a layer reports to the layer above with :meth:`LayerContext.emit_upper`;
   events emitted by the *top* layer become application outputs;
-- application inputs go to the top layer; timeouts reach every layer.
+- application inputs go to the top layer; timeouts reach every layer that
+  overrides :meth:`Layer.on_timeout` (the others' would be no-ops).
 
 Dispatching is iterative (a FIFO of pending deliveries inside the current
-step), so arbitrarily deep call chains do not recurse.
+step, each carrying its bound handler), so arbitrarily deep call chains do
+not recurse. A dispatch costs only the handler call: the stack keeps one
+:class:`LayerContext` per layer, bound to the step context it last saw, and
+rebuilds them only when handed a different one. The scheduler reuses one
+step context per simulation, so a stack binds once per run; a caller that
+builds a fresh context per step (the CHT replay sandbox) rebinds per step.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
-from repro.sim.context import Context
+from repro.sim.context import BROADCAST_ALL, BROADCAST_OTHERS, Context
 from repro.sim.errors import ConfigurationError, ProtocolError
 from repro.sim.process import Process
 from repro.sim.types import ProcessId
@@ -73,30 +79,45 @@ class Layer:
 
 
 class LayerContext:
-    """Per-layer view of the step context."""
+    """Per-layer view of the step context.
+
+    ``n`` is the size of the stack's protocol group: the simulation's
+    process count unless the stack was built with ``group_size`` — then the
+    layers see only the group (quorum arithmetic, rotating-coordinator
+    indexing and ``send_all`` all scale to the group, not to whatever client
+    processes share the simulation).
+
+    A context copies what dispatch needs from its stack — the layer list,
+    the pending queue, the group's receivers and the neighbouring layers'
+    bound handlers — and keeps no reference to the stack itself: the stack
+    caches its contexts, and a back-pointer would make every finished
+    simulation garbage only the cyclic collector can free.
+    """
 
     def __init__(self, stack: "ProtocolStack", base: Context, index: int) -> None:
-        self._stack = stack
         self._base = base
         self.index = index
+        layers = stack.layers
+        self._layers = layers
+        self._pending = stack._pending
+        group = stack.group_size
+        self.n = group if group is not None else base.n
+        receivers = stack._group_receivers
+        self._others, self._everyone = receivers or (None, None)
+        #: the bound handlers a call down / an event up is queued with
+        #: (None at the bottom / at the top)
+        self._lower_call: Callable[..., None] | None = (
+            layers[index - 1].on_call if index > 0 else None
+        )
+        self._upper_event: Callable[..., None] | None = (
+            layers[index + 1].on_lower_event if index < len(layers) - 1 else None
+        )
 
     # -- mirrored step facts ---------------------------------------------------
 
     @property
     def pid(self) -> ProcessId:
         return self._base.pid
-
-    @property
-    def n(self) -> int:
-        """The size of this stack's protocol group.
-
-        Equal to the simulation's process count unless the stack was built
-        with ``group_size`` — then the layers see only the group (quorum
-        arithmetic, rotating-coordinator indexing and ``send_all`` all scale
-        to the group, not to whatever client processes share the simulation).
-        """
-        group = self._stack.group_size
-        return group if group is not None else self._base.n
 
     @property
     def time(self) -> int:
@@ -130,16 +151,14 @@ class LayerContext:
         point-to-point in ascending pid order, exactly the order the batched
         expansion would have used.
         """
-        group = self._stack.group_size
-        if group is None:
-            self._base.send_all((self.index, payload), include_self=include_self)
-            return
         framed = (self.index, payload)
-        me = self._base.pid
-        for receiver in range(group):
-            if receiver == me and not include_self:
-                continue
-            self._base.send(receiver, framed)
+        if self._everyone is None:
+            self._base._outbox.append(
+                (BROADCAST_ALL if include_self else BROADCAST_OTHERS, framed)
+            )
+            return
+        receivers = self._everyone if include_self else self._others
+        self._base._outbox.extend([(receiver, framed) for receiver in receivers])
 
     def send_raw(self, receiver: ProcessId, payload: Any) -> None:
         """Send without stack framing — for non-stack peers (e.g. clients)."""
@@ -147,27 +166,32 @@ class LayerContext:
 
     def call_lower(self, request: Any) -> None:
         """Invoke an operation on the layer below (asynchronous)."""
-        if self.index == 0:
+        if self._lower_call is None:
             raise ProtocolError("bottom layer has no lower layer to call")
-        self._stack._enqueue(self.index - 1, "call", request)
+        self._pending.append((self._lower_call, self.index - 1, request))
 
     def emit_upper(self, event: Any) -> None:
         """Report an event to the layer above (or the application, at the top)."""
-        if self.index == len(self._stack.layers) - 1:
-            self._base.output(event)
+        if self._upper_event is None:
+            self._base._outputs.append(event)
         else:
-            self._stack._enqueue(self.index + 1, "event", event)
+            self._pending.append((self._upper_event, self.index + 1, event))
 
     def output(self, value: Any) -> None:
         """Record an application-visible output directly."""
-        self._base.output(value)
+        self._base._outputs.append(value)
 
     def log(self, event: Any) -> None:
-        self._base.log((self._stack.layers[self.index].layer_name(), event))
+        self._base.log((self._layers[self.index].layer_name(), event))
 
 
 class ProtocolStack(Process):
     """A process automaton composed of protocol layers."""
+
+    #: The step context the cached layer contexts (``_contexts``, one per
+    #: layer) are bound to. Neither is pickled: a frozen stack is its
+    #: protocol state alone (see :meth:`__getstate__`).
+    _base: Context | None = None
 
     def __init__(
         self, layers: Sequence[Layer], *, group_size: int | None = None
@@ -185,7 +209,16 @@ class ProtocolStack(Process):
         #: contiguous pid prefix by construction so that every existing
         #: layer's ``pid``-from-index arithmetic stays valid.
         self.group_size = group_size
-        self._pending: deque[tuple[int, str, Any]] = deque()
+        #: ``(others, everyone)``: the group's receivers in ascending pid
+        #: order without and with this process; set at attach (None without
+        #: a group: broadcasts then go out as one batched outbox entry).
+        self._group_receivers: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+        #: indices of the layers whose class overrides ``on_timeout``.
+        self._timeout_layers = tuple(
+            index for index, layer in enumerate(self.layers)
+            if type(layer).on_timeout is not Layer.on_timeout
+        )
+        self._pending: deque[tuple[Callable[..., None], int, Any]] = deque()
 
     def attach(self, pid: ProcessId, n: int) -> None:
         super().attach(pid, n)
@@ -200,8 +233,22 @@ class ProtocolStack(Process):
                     f"stack with group_size {group} attached at pid {pid} "
                     "outside its own group"
                 )
+            everyone = tuple(range(group))
+            self._group_receivers = (
+                tuple(receiver for receiver in everyone if receiver != pid),
+                everyone,
+            )
         for layer in self.layers:
             layer.attach(pid, group if group is not None else n)
+
+    def __getstate__(self) -> dict[str, Any]:
+        # The cached contexts hold the step context they were bound to;
+        # pickling them would make a frozen stack's bytes depend on where
+        # it last ran, not only on its protocol state.
+        state = self.__dict__.copy()
+        state.pop("_base", None)
+        state.pop("_contexts", None)
+        return state
 
     # -- layer lookup --------------------------------------------------------------
 
@@ -229,60 +276,69 @@ class ProtocolStack(Process):
 
     # -- dispatch machinery ----------------------------------------------------------
 
-    def _enqueue(self, index: int, kind: str, payload: Any) -> None:
-        self._pending.append((index, kind, payload))
+    def _bind(self, base_ctx: Context) -> list[LayerContext]:
+        """Rebuild the layer contexts over ``base_ctx``. Callers reuse the
+        cached ones while ``base_ctx is self._base``."""
+        self._contexts = [
+            LayerContext(self, base_ctx, index) for index in range(len(self.layers))
+        ]
+        self._base = base_ctx
+        return self._contexts
 
     def _drain(self, base_ctx: Context) -> None:
+        contexts = (
+            self._contexts if base_ctx is self._base else self._bind(base_ctx)
+        )
+        pending = self._pending
+        popleft = pending.popleft
         guard = 0
-        while self._pending:
+        while pending:
             guard += 1
             if guard > 100_000:
                 raise ProtocolError(
                     "layer dispatch did not quiesce within one step "
                     "(likely a call/event loop between layers)"
                 )
-            index, kind, payload = self._pending.popleft()
-            ctx = LayerContext(self, base_ctx, index)
-            if kind == "call":
-                self.layers[index].on_call(ctx, payload)
-            elif kind == "event":
-                self.layers[index].on_lower_event(ctx, payload)
-            else:  # pragma: no cover - internal invariant
-                raise ProtocolError(f"unknown dispatch kind {kind!r}")
+            handler, index, payload = popleft()
+            handler(contexts[index], payload)
 
     # -- Process interface -------------------------------------------------------------
 
     def on_start(self, ctx: Context) -> None:
+        contexts = self._contexts if ctx is self._base else self._bind(ctx)
         for index, layer in enumerate(self.layers):
-            layer.on_start(LayerContext(self, ctx, index))
-        self._drain(ctx)
+            layer.on_start(contexts[index])
+        if self._pending:
+            self._drain(ctx)
 
     def on_message(self, ctx: Context, sender: ProcessId, payload: Any) -> None:
+        contexts = self._contexts if ctx is self._base else self._bind(ctx)
+        layers = self.layers
         if (
             isinstance(payload, tuple)
             and len(payload) == 2
             and isinstance(payload[0], int)
-            and 0 <= payload[0] < len(self.layers)
+            and 0 <= payload[0] < len(layers)
         ):
             index, inner = payload
-            self.layers[index].on_message(
-                LayerContext(self, ctx, index), sender, inner
-            )
+            layers[index].on_message(contexts[index], sender, inner)
         else:
             # Unframed message from a non-stack peer (e.g. a client process):
             # deliver to the top layer, the stack's outward-facing protocol.
-            top_index = len(self.layers) - 1
-            self.layers[top_index].on_message(
-                LayerContext(self, ctx, top_index), sender, payload
-            )
-        self._drain(ctx)
+            layers[-1].on_message(contexts[-1], sender, payload)
+        if self._pending:
+            self._drain(ctx)
 
     def on_input(self, ctx: Context, value: Any) -> None:
-        top_index = len(self.layers) - 1
-        self.layers[top_index].on_input(LayerContext(self, ctx, top_index), value)
-        self._drain(ctx)
+        contexts = self._contexts if ctx is self._base else self._bind(ctx)
+        self.layers[-1].on_input(contexts[-1], value)
+        if self._pending:
+            self._drain(ctx)
 
     def on_timeout(self, ctx: Context) -> None:
-        for index, layer in enumerate(self.layers):
-            layer.on_timeout(LayerContext(self, ctx, index))
-        self._drain(ctx)
+        contexts = self._contexts if ctx is self._base else self._bind(ctx)
+        layers = self.layers
+        for index in self._timeout_layers:
+            layers[index].on_timeout(contexts[index])
+        if self._pending:
+            self._drain(ctx)

@@ -4,7 +4,8 @@ These construct the standard simulations the paper's experiments revolve
 around: ETOB/EC/EIC stacks under configurable environments, detector
 stabilization times and delays. Keeping them here keeps individual tests
 focused on the property being asserted. The chi-square helpers serve the
-tests of the counter-based draws and block permutations.
+tests of the counter-based draws and block permutations; the reference
+classes are earlier implementations kept as differential oracles.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ from repro.core.transformations import (
 from repro.consensus import PaxosConsensusLayer, TobFromConsensusLayer
 from repro.detectors import CompositeDetector, OmegaDetector, SigmaDetector
 from repro.sim import FailurePattern, FixedDelay, ProtocolStack, Simulation
+from repro.sim.context import Context
+from repro.sim.errors import ProtocolError
+from repro.sim.types import ProcessId
 
 
 def chi2_upper(dof: int, z: float = 3.09) -> float:
@@ -447,3 +451,142 @@ class ReferenceCausalGraph:
         clone = ReferenceCausalGraph()
         clone._nodes = dict(self._nodes)
         return clone
+
+
+class ReferenceLayerContext:
+    """``repro.sim.stack.LayerContext`` as it was before stacks bound their
+    contexts once — one allocated per dispatch, holding its stack — verbatim.
+    Test-only: see :class:`ReferenceStack`."""
+
+    def __init__(self, stack: "ReferenceStack", base: Context, index: int) -> None:
+        self._stack = stack
+        self._base = base
+        self.index = index
+
+    # -- mirrored step facts ---------------------------------------------------
+
+    @property
+    def pid(self) -> ProcessId:
+        return self._base.pid
+
+    @property
+    def n(self) -> int:
+        group = self._stack.group_size
+        return group if group is not None else self._base.n
+
+    @property
+    def time(self) -> int:
+        return self._base.time
+
+    @property
+    def fd_value(self) -> Any:
+        return self._base.fd_value
+
+    def omega(self) -> ProcessId:
+        return self._base.omega()
+
+    def sigma(self) -> frozenset[ProcessId]:
+        return self._base.sigma()
+
+    def detector(self, name: str) -> Any:
+        return self._base.detector(name)
+
+    # -- effects -----------------------------------------------------------------
+
+    def send(self, receiver: ProcessId, payload: Any) -> None:
+        self._base.send(receiver, (self.index, payload))
+
+    def send_all(self, payload: Any, *, include_self: bool = True) -> None:
+        group = self._stack.group_size
+        if group is None:
+            self._base.send_all((self.index, payload), include_self=include_self)
+            return
+        framed = (self.index, payload)
+        me = self._base.pid
+        for receiver in range(group):
+            if receiver == me and not include_self:
+                continue
+            self._base.send(receiver, framed)
+
+    def send_raw(self, receiver: ProcessId, payload: Any) -> None:
+        self._base.send(receiver, payload)
+
+    def call_lower(self, request: Any) -> None:
+        if self.index == 0:
+            raise ProtocolError("bottom layer has no lower layer to call")
+        self._stack._enqueue(self.index - 1, "call", request)
+
+    def emit_upper(self, event: Any) -> None:
+        if self.index == len(self._stack.layers) - 1:
+            self._base.output(event)
+        else:
+            self._stack._enqueue(self.index + 1, "event", event)
+
+    def output(self, value: Any) -> None:
+        self._base.output(value)
+
+    def log(self, event: Any) -> None:
+        self._base.log((self._stack.layers[self.index].layer_name(), event))
+
+
+class ReferenceStack(ProtocolStack):
+    """``repro.sim.ProtocolStack``'s dispatch as it was before contexts were
+    bound once: a fresh context per dispatch, timeouts offered to every
+    layer, a drain after every handler, the pending queue tagged by kind —
+    verbatim. Test-only: the oracle of ``tests/test_stack_dispatch.py``."""
+
+    def _enqueue(self, index: int, kind: str, payload: Any) -> None:
+        self._pending.append((index, kind, payload))
+
+    def _drain(self, base_ctx: Context) -> None:
+        guard = 0
+        while self._pending:
+            guard += 1
+            if guard > 100_000:
+                raise ProtocolError(
+                    "layer dispatch did not quiesce within one step "
+                    "(likely a call/event loop between layers)"
+                )
+            index, kind, payload = self._pending.popleft()
+            ctx = ReferenceLayerContext(self, base_ctx, index)
+            if kind == "call":
+                self.layers[index].on_call(ctx, payload)
+            elif kind == "event":
+                self.layers[index].on_lower_event(ctx, payload)
+            else:  # pragma: no cover - internal invariant
+                raise ProtocolError(f"unknown dispatch kind {kind!r}")
+
+    def on_start(self, ctx: Context) -> None:
+        for index, layer in enumerate(self.layers):
+            layer.on_start(ReferenceLayerContext(self, ctx, index))
+        self._drain(ctx)
+
+    def on_message(self, ctx: Context, sender: ProcessId, payload: Any) -> None:
+        if (
+            isinstance(payload, tuple)
+            and len(payload) == 2
+            and isinstance(payload[0], int)
+            and 0 <= payload[0] < len(self.layers)
+        ):
+            index, inner = payload
+            self.layers[index].on_message(
+                ReferenceLayerContext(self, ctx, index), sender, inner
+            )
+        else:
+            top_index = len(self.layers) - 1
+            self.layers[top_index].on_message(
+                ReferenceLayerContext(self, ctx, top_index), sender, payload
+            )
+        self._drain(ctx)
+
+    def on_input(self, ctx: Context, value: Any) -> None:
+        top_index = len(self.layers) - 1
+        self.layers[top_index].on_input(
+            ReferenceLayerContext(self, ctx, top_index), value
+        )
+        self._drain(ctx)
+
+    def on_timeout(self, ctx: Context) -> None:
+        for index, layer in enumerate(self.layers):
+            layer.on_timeout(ReferenceLayerContext(self, ctx, index))
+        self._drain(ctx)

@@ -147,6 +147,11 @@ def differential_extract(dag, stack_factory, n, *, bounds=None, sandbox=None, tr
 
 #: the EXP-7 ``extractions`` column at seed 1 (EXPERIMENTS.md).
 SEED_1_EXTRACTIONS = (20, 28, 41)
+#: ``(steps_executed, steps_shared)`` summed over each EXP-7 scenario's
+#: processes at seed 1: how often the replay memo ran a step and answered
+#: one. Any change to what a frozen automaton's bytes hold (the memo's key)
+#: moves them.
+SEED_1_STEPS = ((351, 3694), (2328, 11474), (648, 5982))
 
 
 @pytest.mark.parametrize("index", range(len(SCENARIOS)))
@@ -169,6 +174,7 @@ def test_exp7_rounds_match_the_deepcopy_oracle(monkeypatch, index):
     executed = sum(p.steps_executed for p in procs)
     shared = sum(p.steps_shared for p in procs)
     assert 0 < executed < shared
+    assert (executed, shared) == SEED_1_STEPS[index]
     # No step fixes six inputs, i.e. needs more than the 64 attempts
     # ``_try_step`` allows (a full binary branching over five is 63): the
     # guard that now reports ``truncated`` is never reached, no row moved.

@@ -1,8 +1,8 @@
 """Unit tests for safety-critical consensus internals.
 
 These poke the Paxos and TOB layers directly (no simulation loop): quorum
-logic, constrained value selection from promises, stale-ballot handling, and
-out-of-order decision buffering.
+logic, constrained value selection from promises, stale-ballot handling, the
+leader's set of open instances, and out-of-order decision buffering.
 """
 
 from repro.consensus.paxos import (
@@ -113,6 +113,52 @@ class TestProposerValueSelection:
         layer._on_accepted(ctx, 1, AcceptedMsg((1, 0), 1, "v"))
         layer._on_accepted(ctx, 2, AcceptedMsg((2, 0), 1, "v"))
         assert 1 not in layer.decided  # one ack per distinct ballot
+
+
+class TestOpenInstances:
+    """An instance the leader knows only from a phase-1 promise (no proposal
+    and no forward reached it) is driven like any other, leaves the open set
+    on decide, and leaves it too when a later prepare no longer reports it —
+    exactly as the formula over ``my_proposals``, ``candidates`` and
+    ``_constrained`` would have it."""
+
+    @staticmethod
+    def formula(layer):
+        known = set(layer.my_proposals) | set(layer.candidates) | set(layer._constrained)
+        return sorted(inst for inst in known if inst not in layer.decided)
+
+    def prepared_with_promised_instance(self):
+        layer, ctx = make_layer(n=3)
+        layer.on_message(ctx, 1, Forward(2, "fwd"))
+        layer._start_prepare(ctx)
+        ballot = layer.my_ballot
+        ctx._base.drain_outbox()
+        layer._on_promise(ctx, 1, Promise(ballot, ((7, (0, 2), "locked"),)))
+        layer._on_promise(ctx, 2, Promise(ballot, ()))
+        assert layer.prepared and 7 not in layer.candidates
+        return layer, ctx
+
+    def test_promised_instance_is_driven_then_dropped_on_decide(self):
+        layer, ctx = self.prepared_with_promised_instance()
+        assert layer._undecided_instances() == self.formula(layer) == [2, 7]
+        accepts = [
+            payload for __, (___, payload) in ctx._base.drain_outbox()
+            if isinstance(payload, Accept)
+        ]
+        assert [(a.instance, a.value) for a in accepts] == [(2, "fwd"), (7, "locked")]
+        for sender in (1, 2):
+            layer._on_accepted(ctx, sender, AcceptedMsg(layer.my_ballot, 7, "locked"))
+        assert layer.decided[7] == "locked"
+        assert layer._undecided_instances() == self.formula(layer) == [2]
+
+    def test_promised_instance_leaves_when_a_later_prepare_omits_it(self):
+        layer, ctx = self.prepared_with_promised_instance()
+        layer._start_prepare(ctx)
+        ballot = layer.my_ballot
+        layer._on_promise(ctx, 1, Promise(ballot, ()))
+        layer._on_promise(ctx, 2, Promise(ballot, ()))
+        assert layer.prepared and 7 not in layer._constrained
+        assert layer._undecided_instances() == self.formula(layer) == [2]
 
 
 def msg(i):

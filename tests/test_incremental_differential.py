@@ -2,7 +2,8 @@
 
 ``CausalGraph`` keeps its uid order, frontier and last linearization per
 insertion; ``EcToEtobLayer``, ``TobFromConsensusLayer`` and ``ReplicaLayer``
-keep their batches and applied sequence per step. Each must be
+keep their batches and applied sequence per step, and
+``PaxosConsensusLayer`` its open instances. Each must be
 indistinguishable from recomputing the value from the whole history:
 
 - the graph is driven op by op beside ``helpers.ReferenceCausalGraph`` (the
@@ -345,6 +346,18 @@ def _check_undelivered_batch(layer):
 CheckedTob = checked(TobFromConsensusLayer, _check_undelivered_batch)
 
 
+def _check_open_instances(layer):
+    # Every instance proposed, forwarded or constrained by the last prepare,
+    # minus the decided ones: the scan the open-instance sets replace.
+    known = set(layer.my_proposals) | set(layer.candidates) | set(layer._constrained)
+    assert layer._undecided_instances() == sorted(
+        inst for inst in known if inst not in layer.decided
+    )
+
+
+CheckedPaxos = checked(PaxosConsensusLayer, _check_open_instances)
+
+
 def _check_replica(layer):
     state = layer.machine.initial()
     results = []
@@ -414,7 +427,7 @@ class ShadowedEtob(EtobLayer):
 BROADCAST_LAYERS = {
     "etob": lambda: [ShadowedEtob()],
     "ec": lambda: [EcUsingOmegaLayer(), CheckedEcToEtob()],
-    "paxos": lambda: [PaxosConsensusLayer(), CheckedTob()],
+    "paxos": lambda: [CheckedPaxos(), CheckedTob()],
 }
 PLAIN_LAYERS = {
     "etob": lambda: [EtobLayer()],
