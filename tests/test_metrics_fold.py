@@ -123,10 +123,11 @@ def tripwire_sim(kernel, *, trip=None, observer_trip=None, probe=False,
 
 def _folded(kernel, **options):
     sim = tripwire_sim(kernel, **options)
-    expected_path = "c-loop" if kernel == "compiled-loop" else None
-    if options.get("scheduling", "round_robin") == "round_robin" and kernel == "packed":
-        expected_path = "python"
-    assert sim.fused_path == expected_path
+    if kernel == "compiled-loop":
+        assert sim.fused_path == "c-loop"
+    else:  # no Python fused loop serves random scheduling
+        random = options.get("scheduling") == "random"
+        assert sim.fused_path == (None if random else "python")
     failed = None
     try:
         sim.run_until(300)
