@@ -103,7 +103,7 @@ COMMENTARY = {
         "Measured: zero violations across about a thousand ordered pairs "
         "per seed under churn and network reordering. The arrival-order "
         "ablation (no causal graph) *can* break causal order on the same "
-        "workload: it did on 13 of the first 31 derived seeds, the third of "
+        "workload: it did on 11 of the first 31 derived seeds, the third of "
         "the default three among them. So the guarantee is earned by "
         "UpdateCG/UnionCG/UpdatePromote, though not every schedule exposes "
         "the difference."

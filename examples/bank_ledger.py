@@ -27,7 +27,7 @@ from repro import (
     ReplicaLayer,
     Simulation,
 )
-from repro.sim import UniformRandomDelay
+from repro.sim import UniformDist
 
 
 def main() -> None:
@@ -46,7 +46,7 @@ def main() -> None:
         processes,
         failure_pattern=pattern,
         detector=detector,
-        delay_model=UniformRandomDelay(2, 25, seed=11),
+        delay_model=UniformDist(2, 25, seed=11),
         timeout_interval=3,
         message_batch=8,
     )

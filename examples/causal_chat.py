@@ -20,7 +20,7 @@ from repro.core import EtobLayer
 from repro.core.etob_variants import ArrivalOrderEtobLayer
 from repro.core.messages import payloads
 from repro.properties import check_causal_order, extract_timeline
-from repro.sim import UniformRandomDelay
+from repro.sim import UniformDist
 
 # Replies follow their antecedents closely, so with delays up to 60 ticks a
 # reply regularly overtakes its antecedent on some links — the situation the
@@ -47,7 +47,7 @@ def run(layer_factory, label):
         [ProtocolStack([layer_factory()]) for _ in range(n)],
         failure_pattern=pattern,
         detector=detector,
-        delay_model=UniformRandomDelay(2, 60, seed=7),
+        delay_model=UniformDist(2, 60, seed=0),
         timeout_interval=2,
         message_batch=4,
     )

@@ -20,7 +20,7 @@ from repro import (
 )
 from repro.core.messages import payloads
 from repro.properties import extract_timeline
-from repro.sim import UniformRandomDelay
+from repro.sim import UniformDist
 
 
 def main() -> None:
@@ -39,7 +39,7 @@ def main() -> None:
         processes,
         failure_pattern=pattern,
         detector=omega,
-        delay_model=UniformRandomDelay(2, 40, seed=3),
+        delay_model=UniformDist(2, 40, seed=3),
         timeout_interval=2,
     )
 

@@ -76,15 +76,11 @@ from repro.sim import (
     Environment,
     FailurePattern,
     FixedDelay,
-    GstDelay,
     Layer,
     Network,
-    PartitionWindow,
-    PartitionedDelay,
     Process,
     ProtocolStack,
     Simulation,
-    UniformRandomDelay,
 )
 
 __version__ = "1.0.0"
@@ -110,7 +106,6 @@ __all__ = [
     "EtobToEcLayer",
     "FailurePattern",
     "FixedDelay",
-    "GstDelay",
     "HeartbeatOmegaLayer",
     "HeartbeatOmegaProcess",
     "KvStore",
@@ -119,8 +114,6 @@ __all__ = [
     "MultivaluedConsensusLayer",
     "Network",
     "OmegaDetector",
-    "PartitionWindow",
-    "PartitionedDelay",
     "PaxosConsensusLayer",
     "Process",
     "ProtocolStack",
@@ -129,7 +122,6 @@ __all__ = [
     "SigmaDetector",
     "Simulation",
     "TobFromConsensusLayer",
-    "UniformRandomDelay",
     "UrbLayer",
     "check_causal_order",
     "check_ec",

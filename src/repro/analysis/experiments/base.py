@@ -42,7 +42,7 @@ from repro.core.transformations import EcToEtobLayer
 from repro.detectors import CompositeDetector, OmegaDetector, SigmaDetector
 from repro.sim import FixedDelay, ProtocolStack, ReplayPlan, Simulation, run_plan
 from repro.sim.errors import ConfigurationError
-from repro.sim.network import DelayModel
+from repro.sim.envs import DelayModel
 from repro.suite import Axis, Cell, SuiteResult, derive_seed
 
 

@@ -14,7 +14,7 @@ from repro.analysis.tables import Table
 from repro.core import EtobLayer
 from repro.core.etob_variants import ArrivalOrderEtobLayer
 from repro.properties import check_causal_order, check_etob
-from repro.sim import FailurePattern, ProtocolStack, Simulation, UniformRandomDelay
+from repro.sim import FailurePattern, ProtocolStack, Simulation, UniformDist
 
 
 def claim_causal(rows: list[dict]) -> dict[str, bool]:
@@ -66,7 +66,7 @@ def exp_causal(*, seed: int = 0) -> ExperimentResult:
             [factory() for _ in range(n)],
             failure_pattern=pattern,
             detector=detector,
-            delay_model=UniformRandomDelay(2, 60, seed=seed),
+            delay_model=UniformDist(2, 60, seed=seed),
             timeout_interval=2,
             seed=seed,
             message_batch=4,
@@ -139,7 +139,7 @@ def exp_ablation_churn(
             [ProtocolStack([EtobLayer()]) for _ in range(n)],
             failure_pattern=pattern,
             detector=detector,
-            delay_model=UniformRandomDelay(2, 50, seed=seed),
+            delay_model=UniformDist(2, 50, seed=seed),
             timeout_interval=3,
             seed=seed,
             message_batch=4,

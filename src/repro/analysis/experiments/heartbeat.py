@@ -7,7 +7,7 @@ from typing import Sequence
 from repro.analysis.experiments.base import ExperimentResult, experiment
 from repro.analysis.tables import Table
 from repro.detectors.heartbeat import HeartbeatOmegaProcess
-from repro.sim import FailurePattern, GstDelay, Simulation
+from repro.sim import AgeGstDist, FailurePattern, Simulation
 
 
 def claim_ablation_heartbeat_gst(rows: list[dict]) -> dict[str, bool]:
@@ -49,7 +49,7 @@ def exp_ablation_heartbeat_gst(
         sim = Simulation(
             procs,
             failure_pattern=pattern,
-            delay_model=GstDelay(gst=gst, pre_max=40, post_delay=2, seed=seed),
+            delay_model=AgeGstDist(gst=gst, pre_max=40, post_delay=2, seed=seed),
             timeout_interval=3,
             seed=seed,
             message_batch=4,

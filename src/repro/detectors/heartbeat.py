@@ -5,7 +5,7 @@ the failure pattern. This module instead implements Omega as a protocol layer:
 every process periodically heartbeats; a process suspects a peer whose
 heartbeat is overdue relative to an adaptive per-peer bound; premature
 suspicions raise the bound, so under partial synchrony (network delays bounded
-after a global stabilization time, e.g. :class:`repro.sim.network.GstDelay`)
+after a global stabilization time, e.g. :class:`repro.sim.envs.AgeGstDist`)
 bounds eventually exceed the real delay and suspicions of correct processes
 stop. The leader is the smallest unsuspected process id, so eventually all
 correct processes agree on the smallest correct process — exactly Omega's

@@ -40,17 +40,17 @@ from repro.detectors import CompositeDetector, OmegaDetector, SigmaDetector
 from repro.replication import CommittedPrefixLayer, ReplicaLayer, StateMachine
 from repro.sim import (
     FailurePattern,
+    AgeGstDist,
     FixedDelay,
-    GstDelay,
     Process,
     ProtocolStack,
     SimObserver,
     Simulation,
-    UniformRandomDelay,
+    UniformDist,
 )
 from repro.sim.errors import ConfigurationError
 from repro.sim.kernel import DEFAULT_KERNEL
-from repro.sim.network import DelayModel
+from repro.sim.envs import DelayModel
 from repro.sim.types import ProcessId, Time
 
 
@@ -130,11 +130,11 @@ class Scenario:
         return self
 
     def random_delays(self, lo: int, hi: int) -> "Scenario":
-        self._delay_model = UniformRandomDelay(lo, hi, seed=self.seed)
+        self._delay_model = UniformDist(lo, hi, seed=self.seed)
         return self
 
     def gst_delays(self, *, gst: Time, pre_max: int = 50, post: int = 2) -> "Scenario":
-        self._delay_model = GstDelay(
+        self._delay_model = AgeGstDist(
             gst=gst, pre_max=pre_max, post_delay=post, seed=self.seed
         )
         return self

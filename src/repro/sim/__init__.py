@@ -9,12 +9,12 @@ The public surface:
 
 - :class:`~repro.sim.failures.FailurePattern` and
   :class:`~repro.sim.failures.Environment` — when and where crashes happen.
-- :class:`~repro.sim.network.Network` with pluggable
-  :class:`~repro.sim.network.DelayModel` — reliable links with finite but
-  unbounded delays, including partition windows and GST-style partial synchrony.
-- :mod:`repro.sim.envs` — composable, picklable adversarial environment
-  models (heavy-tail / message-age-dependent delays, one-way partitions,
-  flapping and eventually-stable links, node outages, churn waves), named
+- :class:`~repro.sim.network.Network` — reliable links with finite but
+  unbounded delays, each drawn by a :class:`~repro.sim.envs.DelayModel`.
+- :mod:`repro.sim.envs` — every delay model, composable and picklable
+  (fixed, uniform, heavy-tail and message-age-dependent GST delays,
+  one-way partitions, flapping and eventually-stable links, node outages,
+  churn waves), named
   in a registry (:func:`~repro.sim.envs.make_env`) and sweepable as an
   :class:`~repro.suite.Axis` via :func:`~repro.sim.envs.env_axis`.
 - :class:`~repro.sim.process.Process` and :class:`~repro.sim.context.Context`
@@ -32,7 +32,7 @@ from repro.sim.envs import (
     EnvBounds,
     EnvModel,
     EventuallyStableLinks,
-    FixedDist,
+    FixedDelay,
     FlappingLinks,
     HeavyTailDist,
     NodeOutage,
@@ -57,12 +57,7 @@ from repro.sim.kernel import (
 )
 from repro.sim.network import (
     DEFAULT_COMPACT_FACTOR,
-    FixedDelay,
-    GstDelay,
     Network,
-    PartitionWindow,
-    PartitionedDelay,
-    UniformRandomDelay,
 )
 from repro.sim.observers import (
     RECORD_LEVELS,
@@ -106,7 +101,6 @@ __all__ = [
     "EventuallyStableLinks",
     "FailurePattern",
     "FixedDelay",
-    "FixedDist",
     "FlappingLinks",
     "HeavyTailDist",
     "NodeOutage",
@@ -117,15 +111,12 @@ __all__ = [
     "register_env",
     "registered_envs",
     "FullRecorder",
-    "GstDelay",
     "Layer",
     "LegacyFullRecorder",
     "LayerContext",
     "MetricsRecorder",
     "Network",
     "OutputsRecorder",
-    "PartitionWindow",
-    "PartitionedDelay",
     "Process",
     "ProtocolStack",
     "RECORD_LEVELS",
@@ -139,7 +130,6 @@ __all__ = [
     "StepGapProbe",
     "StepRecord",
     "StepStore",
-    "UniformRandomDelay",
     "build_simulation",
     "replay_simulation",
     "run_digest",

@@ -1,16 +1,20 @@
-"""Composable, picklable adversarial environment models (``repro.sim.envs``).
+"""Every delay model, composable and picklable (``repro.sim.envs``).
 
-The paper's results only bite in *adversarial* environments — asymmetric
-partitions, message-age-dependent delays, churn, links that stabilize late —
-yet a delay model is just a function ``(sender, receiver, send time) -> delay``.
-This module grows that hook into a first-class subsystem:
+The paper's links are reliable with finite but unbounded delays; a delay
+model is the function ``(sender, receiver, send time) -> delay`` that
+renders one such environment (the :class:`DelayModel` protocol). This
+module owns every model — :class:`~repro.sim.network.Network` is only the
+buffer and takes whichever model it is given (:class:`FixedDelay` by
+default):
 
-- **delay distributions** — :class:`FixedDist`, :class:`UniformDist`,
+- **delay distributions** — :class:`FixedDelay`, :class:`UniformDist`,
   :class:`HeavyTailDist` (Pareto tail), :class:`AgeGstDist`
   (message-age-dependent partial synchrony: how late a pre-GST message may
   linger depends on how long before GST it was sent);
 - **link policies** — wrappers over any base model:
-  :class:`OneWayPartition` (asymmetric, directed blackouts),
+  :class:`OneWayPartition` (asymmetric, directed blackouts; a grouped
+  split is every ordered cross-group pair, and ``end=None`` makes it
+  permanent),
   :class:`FlappingLinks` (periodic up/down links),
   :class:`EventuallyStableLinks` (per-pair stabilization times),
   :class:`NodeOutage` (a process unreachable during windows — the
@@ -74,11 +78,10 @@ chain per receiver — the batched path
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Protocol, Sequence
 
 from repro.sim.errors import ConfigurationError
 from repro.sim.failures import ChurnSchedule, FailurePattern
-from repro.sim.network import DelayModel
 from repro.sim.types import (
     NEVER,
     ProcessId,
@@ -91,12 +94,13 @@ from repro.sim.types import (
 
 __all__ = [
     "AgeGstDist",
+    "DelayModel",
     "ENV_REGISTRY",
     "EnvBounds",
     "EnvModel",
     "EnvSpec",
     "EventuallyStableLinks",
-    "FixedDist",
+    "FixedDelay",
     "FlappingLinks",
     "HeavyTailDist",
     "LinkPolicy",
@@ -111,6 +115,27 @@ __all__ = [
     "register_env",
     "registered_envs",
 ]
+
+
+class DelayModel(Protocol):
+    """Maps a (sender, receiver, send-time) to a strictly positive delay.
+
+    A model may additionally expose a *vectorized* hook::
+
+        def delay_profile(self, sender, t, receivers) -> list[Time]: ...
+
+    returning one delay per receiver, in receiver order. The batched
+    broadcast path (:meth:`~repro.sim.network.Network.send_all`) uses it
+    when present, so a composed model pays one pass per policy layer
+    instead of one nested call chain per receiver. The profile equals one
+    :meth:`delay` call per receiver, in order: every model here is a frozen
+    value whose draws are pure in ``(seed, link, send time)``, so there is
+    no state for the two paths to disagree on.
+    """
+
+    def delay(self, sender: ProcessId, receiver: ProcessId, t: Time) -> Time:
+        """Return the link delay, in ticks, for a message sent at time ``t``."""
+        ...
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +183,7 @@ def delay_profile_of(
 
     Uses the model's vectorized :meth:`delay_profile` when it has one (every
     model in this module does), falling back to one ``delay()`` call per
-    receiver. Either path must produce identical values — the counter-based
-    draws make that automatic here; foreign models adding the hook own the
-    same contract.
+    receiver; the two give the same values (see :class:`DelayModel`).
     """
     profile = getattr(model, "delay_profile", None)
     if profile is not None:
@@ -175,8 +198,8 @@ def delay_profile_of(
 
 
 @dataclass(frozen=True)
-class FixedDist:
-    """Every message takes exactly ``ticks`` ticks (profile-capable)."""
+class FixedDelay:
+    """Every message takes exactly ``ticks`` ticks."""
 
     ticks: Time = 1
 
@@ -197,10 +220,8 @@ class FixedDist:
 class UniformDist:
     """Delays uniform in ``[lo, hi]``; pure in ``(seed, link, send time)``.
 
-    Unlike :class:`~repro.sim.network.UniformRandomDelay` (a stateful RNG
-    stream whose draws depend on query *order*), this distribution is
-    counter-based: the same message gets the same delay no matter how many
-    other messages were sent before it.
+    The same message gets the same delay no matter how many other messages
+    were sent before it, or in which order the network asked.
     """
 
     lo: Time = 1
@@ -356,9 +377,9 @@ class OneWayPartition(LinkPolicy):
 
     Messages along a blocked edge sent during the window are held until it
     closes (then take their base delay on top), or forever when ``end`` is
-    None — the one-way analogue of
-    :class:`~repro.sim.network.PartitionedDelay`, able to express routing
-    asymmetries (p hears q, q never hears p) that grouped partitions cannot.
+    None. Directed edges express routing asymmetries (p hears q, q never
+    hears p); a symmetric split between groups lists every ordered
+    cross-group pair.
     """
 
     edges: tuple[tuple[ProcessId, ProcessId], ...] = ()
@@ -638,7 +659,7 @@ def env_axis(*names: str) -> "Axis":  # noqa: F821 - lazy import below
 @register_env("baseline", "fixed links at the experiment's base delay")
 def _env_baseline(seed: int, base_delay: Time) -> EnvModel:
     return EnvModel(
-        "baseline", FixedDist(base_delay), EnvBounds(0, base_delay)
+        "baseline", FixedDelay(base_delay), EnvBounds(0, base_delay)
     )
 
 
@@ -677,7 +698,7 @@ def _env_one_way(seed: int, base_delay: Time) -> EnvModel:
     end = 260
     return EnvModel(
         "one-way",
-        OneWayPartition(FixedDist(base_delay), edges=((0, 1),), start=40,
+        OneWayPartition(FixedDelay(base_delay), edges=((0, 1),), start=40,
                         end=end),
         EnvBounds(end + base_delay, base_delay),
     )
@@ -688,7 +709,7 @@ def _env_flaky(seed: int, base_delay: Time) -> EnvModel:
     down = 8
     return EnvModel(
         "flaky",
-        FlappingLinks(FixedDist(base_delay), pairs=((0, 1), (1, 2)),
+        FlappingLinks(FixedDelay(base_delay), pairs=((0, 1), (1, 2)),
                       period=32, down=down),
         EnvBounds(0, base_delay + down),
     )
@@ -716,7 +737,7 @@ def _env_outage(seed: int, base_delay: Time) -> EnvModel:
     last = 300
     return EnvModel(
         "outage",
-        NodeOutage(FixedDist(base_delay), pids=(2,),
+        NodeOutage(FixedDelay(base_delay), pids=(2,),
                    windows=((80, 160), (240, last))),
         EnvBounds(last + base_delay, base_delay),
     )
@@ -726,7 +747,7 @@ def _env_outage(seed: int, base_delay: Time) -> EnvModel:
 def _env_churn_waves(seed: int, base_delay: Time) -> EnvModel:
     return EnvModel(
         "churn-waves",
-        FixedDist(base_delay),
+        FixedDelay(base_delay),
         EnvBounds(0, base_delay),
         churn=ChurnSchedule(waves=((60, 1), (180, 1))),
     )

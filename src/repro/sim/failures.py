@@ -11,7 +11,6 @@ process; processes absent from the map are correct.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
@@ -234,21 +233,3 @@ class Environment:
         if not 0 <= f < n:
             raise ValueError(f"need 0 <= f < n, got f={f}, n={n}")
         return cls(f"at-most-{f}-faulty", n, lambda fp: len(fp.faulty) <= f)
-
-    # -- sampling ------------------------------------------------------------
-
-    def sample(self, rng: random.Random, *, horizon: Time = 1000) -> FailurePattern:
-        """Draw a random member pattern with crash times in ``[0, horizon)``.
-
-        Rejection-samples uniformly over (faulty-set, crash-times) choices; all
-        standard environments above accept quickly.
-        """
-        for _ in range(10_000):
-            k = rng.randint(0, self.n - 1)
-            faulty = rng.sample(range(self.n), k)
-            pattern = FailurePattern(
-                self.n, {p: rng.randrange(horizon) for p in faulty}
-            )
-            if self.contains(pattern):
-                return pattern
-        raise ValueError(f"could not sample a pattern from environment {self.name!r}")

@@ -86,7 +86,8 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.sim._compiled import ckernel as _ckernel
 from repro.sim.context import BROADCAST_ALL
 from repro.sim.errors import ConfigurationError
-from repro.sim.network import DelayModel, Network
+from repro.sim.envs import DelayModel
+from repro.sim.network import Network
 from repro.sim.observers import FullRecorder, MetricsRecorder, SimObserver
 from repro.sim.types import NEVER, ProcessId, Time
 

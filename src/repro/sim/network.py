@@ -1,14 +1,14 @@
-"""Reliable message-passing links with pluggable delay models.
+"""Reliable message-passing links: the buffer of messages in transit.
 
 The paper assumes each pair of processes is connected by a reliable link:
 every message sent to a correct process is eventually received, but delays are
-finite yet unbounded. We model this with per-message integer delays drawn from
-a :class:`DelayModel`. Models include fixed delays, seeded random delays,
-partial synchrony with a global stabilization time (GST), and transient
-partition windows that hold cross-partition traffic until the partition heals.
+finite yet unbounded. :class:`Network` holds messages in transit; each
+message's integer delay comes from a
+:class:`~repro.sim.envs.DelayModel`, and every model lives in
+:mod:`repro.sim.envs` (:class:`~repro.sim.envs.FixedDelay` is the default).
 
-A permanent partition (healing time ``None``) makes crossing messages
-undeliverable; runs using it are not admissible in the paper's sense and are
+A delivery time ``>= NEVER`` (a permanent partition) makes a message
+undeliverable; such runs are not admissible in the paper's sense and are
 used only to demonstrate blocking behaviours.
 """
 
@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import random
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Protocol, Sequence
+from typing import Any, Iterable, Sequence
 
+from repro.sim.envs import DelayModel, FixedDelay
 from repro.sim.types import NEVER, ProcessId, Time
 
 #: Heap self-compaction factor: a lazy horizon heap (the network's, and the
@@ -41,155 +41,6 @@ class Envelope:
     receiver: ProcessId = field(compare=False)
     payload: Any = field(compare=False)
     send_time: Time = field(compare=False)
-
-
-class DelayModel(Protocol):
-    """Maps a (sender, receiver, send-time) to a strictly positive delay.
-
-    A model may additionally expose a *vectorized* hook::
-
-        def delay_profile(self, sender, t, receivers) -> list[Time]: ...
-
-    returning one delay per receiver, in receiver order. The batched
-    broadcast path (:meth:`Network.send_all`) uses it when present, so a
-    composed model (see :mod:`repro.sim.envs`) pays one pass per policy
-    layer instead of one nested call chain per receiver. Contract: the
-    profile must equal one :meth:`delay` call per receiver in receiver
-    order — the environment models satisfy it by construction (their draws
-    are counter-based, pure in ``(seed, link, send time)``), and
-    ``tests/test_envs.py`` pins it.
-    """
-
-    def delay(self, sender: ProcessId, receiver: ProcessId, t: Time) -> Time:
-        """Return the link delay, in ticks, for a message sent at time ``t``."""
-        ...
-
-
-@dataclass
-class FixedDelay:
-    """Every message takes exactly ``ticks`` ticks."""
-
-    ticks: Time = 1
-
-    def __post_init__(self) -> None:
-        if self.ticks < 1:
-            raise ValueError(f"delay must be >= 1 tick, got {self.ticks}")
-
-    def delay(self, sender: ProcessId, receiver: ProcessId, t: Time) -> Time:
-        return self.ticks
-
-    def delay_profile(
-        self, sender: ProcessId, t: Time, receivers: Sequence[ProcessId]
-    ) -> list[Time]:
-        # Vectorized hook (see DelayModel): trivially one `delay` per
-        # receiver — there is no per-link state to draw.
-        return [self.ticks] * len(receivers)
-
-
-@dataclass
-class UniformRandomDelay:
-    """Delays drawn uniformly from ``[lo, hi]`` with a private seeded RNG."""
-
-    lo: Time
-    hi: Time
-    seed: int = 0
-    _rng: random.Random = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.lo <= self.hi:
-            raise ValueError(f"need 1 <= lo <= hi, got lo={self.lo}, hi={self.hi}")
-        self._rng = random.Random(self.seed)
-
-    def delay(self, sender: ProcessId, receiver: ProcessId, t: Time) -> Time:
-        return self._rng.randint(self.lo, self.hi)
-
-
-@dataclass
-class GstDelay:
-    """Partial synchrony: chaotic before GST, bounded after.
-
-    Before ``gst`` delays are uniform in ``[1, pre_max]``; at and after ``gst``
-    every message takes at most ``post_delay`` ticks (uniform in
-    ``[1, post_delay]``). This is the standard partially synchronous model
-    under which heartbeat-based Omega implementations stabilize.
-    """
-
-    gst: Time
-    pre_max: Time = 50
-    post_delay: Time = 2
-    seed: int = 0
-    _rng: random.Random = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.pre_max < 1 or self.post_delay < 1:
-            raise ValueError("delays must be >= 1 tick")
-        self._rng = random.Random(self.seed)
-
-    def delay(self, sender: ProcessId, receiver: ProcessId, t: Time) -> Time:
-        if t < self.gst:
-            # A message sent before GST may still linger, but must arrive by
-            # GST + post bound to preserve reliability.
-            raw = self._rng.randint(1, self.pre_max)
-            return min(raw, (self.gst - t) + self.post_delay)
-        return self._rng.randint(1, self.post_delay)
-
-
-@dataclass(frozen=True)
-class PartitionWindow:
-    """A time window during which some process groups cannot talk.
-
-    ``groups`` is a partition (in the set-theoretic sense) of a subset of
-    processes; messages between different groups sent during ``[start, end)``
-    are held until the window closes (``end``), or forever if ``end`` is None.
-    Processes not mentioned in any group communicate normally.
-    """
-
-    start: Time
-    end: Time | None
-    groups: tuple[frozenset[ProcessId], ...]
-
-    def __post_init__(self) -> None:
-        seen: set[ProcessId] = set()
-        for group in self.groups:
-            overlap = seen & group
-            if overlap:
-                raise ValueError(f"groups must be disjoint; {overlap} repeated")
-            seen |= group
-        if self.end is not None and self.end <= self.start:
-            raise ValueError(f"window must end after it starts: {self}")
-
-    def active(self, t: Time) -> bool:
-        """True iff the partition is in force at time ``t``."""
-        return t >= self.start and (self.end is None or t < self.end)
-
-    def separates(self, a: ProcessId, b: ProcessId) -> bool:
-        """True iff ``a`` and ``b`` are in different groups of this window."""
-        group_a = next((g for g in self.groups if a in g), None)
-        group_b = next((g for g in self.groups if b in g), None)
-        if group_a is None or group_b is None:
-            return False
-        return group_a is not group_b
-
-
-@dataclass
-class PartitionedDelay:
-    """Wraps a base delay model with transient (or permanent) partitions."""
-
-    base: DelayModel
-    windows: Sequence[PartitionWindow] = ()
-
-    def delay(self, sender: ProcessId, receiver: ProcessId, t: Time) -> Time:
-        held_until: Time = 0
-        for window in self.windows:
-            if window.active(t) and window.separates(sender, receiver):
-                if window.end is None:
-                    return NEVER - t  # never delivered
-                held_until = max(held_until, window.end)
-        base = self.base.delay(sender, receiver, t)
-        if held_until > t:
-            # Delivered shortly after the partition heals.
-            return (held_until - t) + base
-        return base
 
 
 class Network:
@@ -333,7 +184,7 @@ class Network:
     ) -> Sequence[Time]:
         """Every delay of one broadcast, checked, before anything queues:
         one ``delay_profile`` call when the model has the hook (see
-        :class:`DelayModel`), else one ``delay`` call per receiver in
+        :class:`~repro.sim.envs.DelayModel`), else one ``delay`` call per receiver in
         receiver order — the draws of as many point-to-point sends."""
         profile = getattr(self.delay_model, "delay_profile", None)
         if profile is None:

@@ -99,7 +99,8 @@ from repro.sim.kernel import (
     fused_runner,
     make_network,
 )
-from repro.sim.network import DEFAULT_COMPACT_FACTOR, DelayModel, FixedDelay
+from repro.sim.envs import DelayModel, FixedDelay
+from repro.sim.network import DEFAULT_COMPACT_FACTOR
 from repro.sim.observers import RunMetrics, SimObserver, make_recorder
 from repro.sim.process import Process
 from repro.sim.runs import ReceivedMessage, RunRecord, StepRecord

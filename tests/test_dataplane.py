@@ -33,9 +33,8 @@ from repro.sim import (
     FixedDelay,
     LegacyFullRecorder,
     Network,
+    OneWayPartition,
     PackedNetwork,
-    PartitionWindow,
-    PartitionedDelay,
     Process,
     RunRecord,
     Simulation,
@@ -463,11 +462,8 @@ class CrossSender(Process):
         ctx.send((ctx.pid + 1) % ctx.n, ("hello", ctx.pid))
 
 
-def permanent_split_model() -> PartitionedDelay:
-    return PartitionedDelay(
-        FixedDelay(1),
-        [PartitionWindow(0, None, (frozenset({0}), frozenset({1})))],
-    )
+def permanent_split_model() -> OneWayPartition:
+    return OneWayPartition(FixedDelay(1), edges=((0, 1), (1, 0)), start=0)
 
 
 class TestQuiescenceUnderPermanentPartition:

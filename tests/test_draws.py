@@ -108,6 +108,32 @@ class TestDelayStatistics:
             "heavy-tail", 1, 11, 2, 3
         )
 
+    def test_uniform_delays_are_uniform_over_lo_hi(self):
+        # EXP-6's reordering model: every delay in [2, 60] equally likely.
+        model = UniformDist(2, 60, seed=1)
+        counts = Counter(
+            model.delay(*link, t) for link in self.LINKS for t in range(5_000)
+        )
+        assert sorted(counts) == list(range(2, 61))
+        expected = sum(counts.values()) / 59
+        assert chi2(counts.values(), expected) < chi2_upper(58)
+
+    def test_age_gst_is_uniform_on_each_side_of_gst(self):
+        gst, pre_max, post = 6_000, 40, 3
+        model = AgeGstDist(gst=gst, pre_max=pre_max, post_delay=post, seed=1)
+        # Sent at least pre_max - post ticks before GST, nothing is clamped.
+        early = Counter(model.delay(0, 1, t) for t in range(gst - pre_max))
+        assert sorted(early) == list(range(1, pre_max + 1))
+        expected = (gst - pre_max) / pre_max
+        assert chi2(early.values(), expected) < chi2_upper(pre_max - 1)
+        late = Counter(model.delay(0, 1, t) for t in range(gst, 2 * gst))
+        assert sorted(late) == list(range(1, post + 1))
+        assert chi2(late.values(), gst / post) < chi2_upper(post - 1)
+        # Closer to GST the clamp lands every message by gst + post.
+        assert max(
+            t + model.delay(0, 1, t) for t in range(gst - pre_max, gst)
+        ) == gst + post
+
     def test_heavy_tail_survival_is_its_pareto_tail(self):
         lo, alpha, cap = 2, 1.5, 64
         model = HeavyTailDist(lo=lo, alpha=alpha, cap=cap, seed=1)

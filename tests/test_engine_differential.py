@@ -21,14 +21,14 @@ from repro.scenario import Scenario
 from repro.sim import (
     HAS_COMPILED,
     FailurePattern,
+    AgeGstDist,
     FixedDelay,
-    GstDelay,
     ProtocolStack,
     ReplayPlan,
     RunMetrics,
     SimObserver,
     Simulation,
-    UniformRandomDelay,
+    UniformDist,
     build_simulation,
 )
 
@@ -37,7 +37,12 @@ DIFFERENTIAL_SEEDS = list(range(24))
 
 
 def random_config(seed: int) -> dict:
-    """Draw one random scenario configuration, deterministically per seed."""
+    """Draw one random scenario configuration, deterministically per seed.
+
+    The delay model is one value that every leg of a comparison shares: a
+    model's delays are pure in ``(seed, link, send time)``, so a run cannot
+    perturb what the next run built from the same config draws.
+    """
     rng = random.Random(1_000_003 * seed + 17)
     n = rng.randint(2, 6)
     horizon = rng.randint(300, 1200)
@@ -48,16 +53,14 @@ def random_config(seed: int) -> dict:
     delay_kind = rng.choice(["fixed", "uniform", "gst"])
     if delay_kind == "fixed":
         ticks = rng.randint(1, 5)
-        delay_model = lambda: FixedDelay(ticks)  # noqa: E731
+        delay_model = FixedDelay(ticks)
     elif delay_kind == "uniform":
         lo = rng.randint(1, 4)
         hi = lo + rng.randint(0, 30)
-        delay_model = lambda: UniformRandomDelay(lo, hi, seed=seed)  # noqa: E731
+        delay_model = UniformDist(lo, hi, seed=seed)
     else:
         gst = rng.randint(10, horizon)
-        delay_model = lambda: GstDelay(  # noqa: E731
-            gst=gst, pre_max=30, post_delay=3, seed=seed
-        )
+        delay_model = AgeGstDist(gst=gst, pre_max=30, post_delay=3, seed=seed)
     if rng.random() < 0.3:
         timeout = [rng.randint(1, 40) for _ in range(n)]
     else:
@@ -108,7 +111,7 @@ def build_sim(
         plan,
         [ProtocolStack([EtobLayer()]) for _ in range(plan.n)],
         detector=detector,
-        delay_model=config["delay_model"](),
+        delay_model=config["delay_model"],
         observers=observers,
         engine=engine,
         record=record,

@@ -34,7 +34,6 @@ from repro.sim import (
 from repro.sim.envs import (
     AgeGstDist,
     EventuallyStableLinks,
-    FixedDist,
     FlappingLinks,
     HeavyTailDist,
     NodeOutage,
@@ -169,9 +168,12 @@ class TestRngDiscipline:
 
     def test_legacy_models_without_profile_still_batch(self):
         # Models lacking the hook take the per-receiver fallback path.
-        network = Network(3, FixedDelay(2))
-        envelopes = network.send_all(0, "x", 5)
-        assert [e.deliver_at for e in envelopes] == [7, 7, 7]
+        class NoProfile:
+            def delay(self, sender, receiver, t):
+                return 2 + receiver
+
+        envelopes = Network(3, NoProfile()).send_all(0, "x", 5)
+        assert [e.deliver_at for e in envelopes] == [7, 8, 9]
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +228,9 @@ class TestSweptPoolDeterminism:
 
 
 class TestDistributions:
-    def test_fixed_dist_validates(self):
+    def test_fixed_delay_validates(self):
         with pytest.raises(ConfigurationError):
-            FixedDist(0)
+            FixedDelay(0)
 
     def test_uniform_dist_range(self):
         model = UniformDist(2, 5, seed=1)
@@ -253,7 +255,7 @@ class TestDistributions:
 class TestLinkPolicies:
     def test_one_way_is_asymmetric(self):
         model = OneWayPartition(
-            FixedDist(2), edges=((0, 1),), start=10, end=50
+            FixedDelay(2), edges=((0, 1),), start=10, end=50
         )
         assert model.delay(0, 1, 20) == (50 - 20) + 2  # held until heal
         assert model.delay(1, 0, 20) == 2  # reverse direction unaffected
@@ -261,20 +263,20 @@ class TestLinkPolicies:
         assert model.delay(0, 1, 50) == 2  # after the window
 
     def test_one_way_permanent_returns_never(self):
-        model = OneWayPartition(FixedDist(2), edges=((0, 1),), start=0)
+        model = OneWayPartition(FixedDelay(2), edges=((0, 1),), start=0)
         assert 20 + model.delay(0, 1, 20) >= NEVER
 
     def test_one_way_validates(self):
         with pytest.raises(ConfigurationError):
-            OneWayPartition(FixedDist(1), edges=())
+            OneWayPartition(FixedDelay(1), edges=())
         with pytest.raises(ConfigurationError):
-            OneWayPartition(FixedDist(1), edges=((1, 1),))
+            OneWayPartition(FixedDelay(1), edges=((1, 1),))
         with pytest.raises(ConfigurationError):
-            OneWayPartition(FixedDist(1), edges=((0, 1),), start=5, end=5)
+            OneWayPartition(FixedDelay(1), edges=((0, 1),), start=5, end=5)
 
     def test_flapping_holds_until_link_up(self):
         model = FlappingLinks(
-            FixedDist(3), pairs=((0, 1),), period=10, down=4
+            FixedDelay(3), pairs=((0, 1),), period=10, down=4
         )
         # t=12 -> position 2 of the period, link down for 2 more ticks.
         assert model.delay(0, 1, 12) == (4 - 2) + 3
@@ -284,9 +286,9 @@ class TestLinkPolicies:
 
     def test_flapping_validates(self):
         with pytest.raises(ConfigurationError):
-            FlappingLinks(FixedDist(1), pairs=((0, 1),), period=8, down=8)
+            FlappingLinks(FixedDelay(1), pairs=((0, 1),), period=8, down=8)
         with pytest.raises(ConfigurationError):
-            FlappingLinks(FixedDist(1), pairs=())
+            FlappingLinks(FixedDelay(1), pairs=())
 
     def test_eventually_stable_clamps_and_settles(self):
         model = EventuallyStableLinks(
@@ -308,7 +310,7 @@ class TestLinkPolicies:
         # post-stabilization message within post_delay. "Eventually stable"
         # is a promise about the *wrapped* link, whatever the base does.
         model = EventuallyStableLinks(
-            OneWayPartition(FixedDist(2), edges=((0, 1),), start=0),
+            OneWayPartition(FixedDelay(2), edges=((0, 1),), start=0),
             post_delay=3,
             stable_at=(((0, 1), 120),),
             seed=5,
@@ -332,7 +334,7 @@ class TestLinkPolicies:
         # EventuallyStableLinks bound is what EnvBounds promises, so the
         # delivery deadline max(t, stable_from) + post must survive nesting.
         base = OneWayPartition(
-            FixedDist(2), edges=((0, 1),), start=50, end=200
+            FixedDelay(2), edges=((0, 1),), start=50, end=200
         )
         flapping = FlappingLinks(base, pairs=((0, 1),), period=16, down=6)
         model = EventuallyStableLinks(
@@ -361,7 +363,7 @@ class TestLinkPolicies:
 
     def test_outage_holds_messages_of_listed_pids(self):
         model = NodeOutage(
-            FixedDist(2), pids=(1,), windows=((10, 30), (50, 60))
+            FixedDelay(2), pids=(1,), windows=((10, 30), (50, 60))
         )
         assert model.delay(0, 1, 15) == (30 - 15) + 2  # to the dark node
         assert model.delay(1, 2, 55) == (60 - 55) + 2  # from the dark node
@@ -370,9 +372,9 @@ class TestLinkPolicies:
 
     def test_outage_requires_recovery(self):
         with pytest.raises(ConfigurationError):
-            NodeOutage(FixedDist(1), pids=(0,), windows=((10, 10),))
+            NodeOutage(FixedDelay(1), pids=(0,), windows=((10, 10),))
         with pytest.raises(ConfigurationError):
-            NodeOutage(FixedDist(1), pids=(), windows=((0, 5),))
+            NodeOutage(FixedDelay(1), pids=(), windows=((0, 5),))
 
 
 class TestChurnSchedule:

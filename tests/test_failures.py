@@ -1,7 +1,5 @@
 """Unit tests for failure patterns and environments."""
 
-import random
-
 import pytest
 
 from repro.sim.failures import Environment, FailurePattern
@@ -97,14 +95,3 @@ class TestEnvironment:
     def test_wrong_n_not_contained(self):
         env = Environment.arbitrary(4)
         assert not env.contains(FailurePattern.no_failures(3))
-
-    def test_sampling_stays_in_environment(self):
-        rng = random.Random(7)
-        for name, env in [
-            ("maj", Environment.majority_correct(5)),
-            ("min", Environment.minority_correct(5)),
-            ("arb", Environment.arbitrary(5)),
-        ]:
-            for _ in range(25):
-                pattern = env.sample(rng)
-                assert env.contains(pattern), name

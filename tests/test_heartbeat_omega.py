@@ -5,7 +5,7 @@ import pytest
 from repro.detectors.heartbeat import HeartbeatOmegaLayer, HeartbeatOmegaProcess
 from repro.properties.detector_checker import check_omega_history
 from repro.detectors.scripted import ScriptedHistory
-from repro.sim import FailurePattern, FixedDelay, GstDelay, Simulation
+from repro.sim import AgeGstDist, FailurePattern, FixedDelay, Simulation
 
 
 def heartbeat_sim(n=4, crashes=None, delay_model=None, seed=0, **kwargs):
@@ -56,7 +56,7 @@ class TestPartialSynchrony:
     def test_stabilizes_after_gst(self):
         sim, procs, pattern = heartbeat_sim(
             n=4,
-            delay_model=GstDelay(gst=200, pre_max=40, post_delay=2, seed=5),
+            delay_model=AgeGstDist(gst=200, pre_max=40, post_delay=2, seed=5),
         )
         sim.run_until(1000)
         assert set(final_leaders(sim, pattern).values()) == {0}
@@ -66,7 +66,7 @@ class TestPartialSynchrony:
         # checker: the implemented detector must satisfy the oracle's spec.
         sim, procs, pattern = heartbeat_sim(
             n=3,
-            delay_model=GstDelay(gst=150, pre_max=30, post_delay=2, seed=2),
+            delay_model=AgeGstDist(gst=150, pre_max=30, post_delay=2, seed=2),
         )
         sim.run_until(900)
         streams = {
@@ -89,7 +89,7 @@ class TestPartialSynchrony:
     def test_bounds_grow_on_false_suspicion(self):
         sim, procs, pattern = heartbeat_sim(
             n=3,
-            delay_model=GstDelay(gst=300, pre_max=60, post_delay=2, seed=9),
+            delay_model=AgeGstDist(gst=300, pre_max=60, post_delay=2, seed=9),
             initial_bound=4,
             bound_increment=6,
         )

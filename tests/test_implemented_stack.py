@@ -12,7 +12,7 @@ from repro.core.drivers import EcDriverLayer
 from repro.detectors.heartbeat import HeartbeatOmegaLayer
 from repro.properties import check_causal_order, check_ec, check_etob
 from repro.replication import KvStore, ReplicaLayer
-from repro.sim import FailurePattern, GstDelay, ProtocolStack, Simulation
+from repro.sim import AgeGstDist, FailurePattern, ProtocolStack, Simulation
 
 
 def implemented_etob_stack():
@@ -34,7 +34,7 @@ class TestImplementedEtob:
         sim = Simulation(
             [implemented_etob_stack() for _ in range(n)],
             failure_pattern=pattern,
-            delay_model=GstDelay(gst=150, pre_max=30, post_delay=2, seed=3),
+            delay_model=AgeGstDist(gst=150, pre_max=30, post_delay=2, seed=3),
             timeout_interval=3,
             message_batch=4,
         )
@@ -52,7 +52,7 @@ class TestImplementedEtob:
         sim = Simulation(
             [implemented_etob_stack() for _ in range(n)],
             failure_pattern=pattern,
-            delay_model=GstDelay(gst=100, pre_max=20, post_delay=2, seed=1),
+            delay_model=AgeGstDist(gst=100, pre_max=20, post_delay=2, seed=1),
             timeout_interval=3,
             message_batch=4,
         )
@@ -70,7 +70,7 @@ class TestImplementedEc:
         sim = Simulation(
             [implemented_ec_stack(instances=30) for _ in range(n)],
             failure_pattern=pattern,
-            delay_model=GstDelay(gst=150, pre_max=30, post_delay=2, seed=7),
+            delay_model=AgeGstDist(gst=150, pre_max=30, post_delay=2, seed=7),
             timeout_interval=3,
             message_batch=4,
         )
@@ -94,7 +94,7 @@ class TestImplementedReplication:
         sim = Simulation(
             [stack() for _ in range(n)],
             failure_pattern=pattern,
-            delay_model=GstDelay(gst=120, pre_max=25, post_delay=2, seed=4),
+            delay_model=AgeGstDist(gst=120, pre_max=25, post_delay=2, seed=4),
             timeout_interval=3,
             message_batch=4,
         )

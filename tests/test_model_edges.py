@@ -10,7 +10,7 @@ from repro.sim import (
     Process,
     ProtocolStack,
     Simulation,
-    UniformRandomDelay,
+    UniformDist,
 )
 
 
@@ -48,7 +48,7 @@ class TestLemma3BoundRandomDelays:
             [ProtocolStack([EtobLayer()]) for _ in range(n)],
             failure_pattern=pattern,
             detector=detector,
-            delay_model=UniformRandomDelay(2, hi, seed=5),
+            delay_model=UniformDist(2, hi, seed=5),
             timeout_interval=timeout,
             seed=5,
             message_batch=4,

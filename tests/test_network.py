@@ -1,97 +1,84 @@
-"""Unit tests for the network and delay models."""
+"""Unit tests for the network (the message buffer).
+
+The delay-model tests check that the buffer schedules each message at
+``send time + delay`` for the models of :mod:`repro.sim.envs`; the models'
+own draws are pinned in ``test_envs.py``.
+"""
 
 import pytest
 
-from repro.sim.network import (
-    FixedDelay,
-    GstDelay,
-    Network,
-    PartitionWindow,
-    PartitionedDelay,
-    UniformRandomDelay,
-)
+from repro.sim import ConfigurationError, FixedDelay
+from repro.sim.envs import AgeGstDist, OneWayPartition, UniformDist
+from repro.sim.network import Network
 from repro.sim.types import NEVER
+
+
+def arrivals(model, sender, receiver, times):
+    """Delivery times the buffer assigns to one message sent at each of ``times``."""
+    net = Network(max(sender, receiver) + 1, model)
+    return [net.send(sender, receiver, "m", t).deliver_at for t in times]
 
 
 class TestDelayModels:
     def test_fixed_delay(self):
         assert FixedDelay(3).delay(0, 1, 100) == 3
+        assert arrivals(FixedDelay(3), 0, 1, [100]) == [103]
 
     def test_fixed_delay_rejects_zero(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             FixedDelay(0)
 
     def test_uniform_delay_in_bounds_and_deterministic(self):
-        a = UniformRandomDelay(2, 9, seed=5)
-        b = UniformRandomDelay(2, 9, seed=5)
-        seq_a = [a.delay(0, 1, t) for t in range(50)]
-        seq_b = [b.delay(0, 1, t) for t in range(50)]
-        assert seq_a == seq_b
-        assert all(2 <= d <= 9 for d in seq_a)
+        a = arrivals(UniformDist(2, 9, seed=5), 0, 1, range(50))
+        b = arrivals(UniformDist(2, 9, seed=5), 0, 1, range(50))
+        assert a == b
+        assert all(2 <= at - t <= 9 for t, at in enumerate(a))
 
     def test_gst_delay_bounded_after_gst(self):
-        model = GstDelay(gst=100, pre_max=40, post_delay=3, seed=1)
-        assert all(model.delay(0, 1, t) <= 3 for t in range(100, 200))
+        model = AgeGstDist(gst=100, pre_max=40, post_delay=3, seed=1)
+        times = range(100, 200)
+        assert all(
+            at - t <= 3 for t, at in zip(times, arrivals(model, 0, 1, times))
+        )
 
     def test_gst_delay_pre_messages_arrive_soon_after_gst(self):
-        model = GstDelay(gst=100, pre_max=1000, post_delay=3, seed=1)
-        for t in range(0, 100, 7):
-            assert t + model.delay(0, 1, t) <= 103
-
-
-class TestPartitionWindow:
-    def test_active_interval(self):
-        window = PartitionWindow(10, 20, (frozenset({0}), frozenset({1})))
-        assert not window.active(9)
-        assert window.active(10)
-        assert window.active(19)
-        assert not window.active(20)
-
-    def test_permanent_window(self):
-        window = PartitionWindow(10, None, (frozenset({0}), frozenset({1})))
-        assert window.active(10**9)
-
-    def test_separates_only_across_groups(self):
-        window = PartitionWindow(
-            0, 10, (frozenset({0, 1}), frozenset({2}))
-        )
-        assert window.separates(0, 2)
-        assert not window.separates(0, 1)
-        assert not window.separates(0, 3)  # p3 not in any group
-
-    def test_overlapping_groups_rejected(self):
-        with pytest.raises(ValueError):
-            PartitionWindow(0, 10, (frozenset({0, 1}), frozenset({1, 2})))
-
-    def test_empty_window_rejected(self):
-        with pytest.raises(ValueError):
-            PartitionWindow(10, 10, (frozenset({0}), frozenset({1})))
+        model = AgeGstDist(gst=100, pre_max=1000, post_delay=3, seed=1)
+        assert all(at <= 103 for at in arrivals(model, 0, 1, range(0, 100, 7)))
 
 
 class TestPartitionedDelay:
+    """A symmetric split of {0, 1} from {2, 3}, as one ``OneWayPartition``."""
+
     def _model(self, end=50):
-        return PartitionedDelay(
-            FixedDelay(2),
-            [PartitionWindow(10, end, (frozenset({0, 1}), frozenset({2, 3})))],
+        edges = tuple(
+            (a, b)
+            for side, other in (({0, 1}, {2, 3}), ({2, 3}, {0, 1}))
+            for a in sorted(side)
+            for b in sorted(other)
         )
+        return OneWayPartition(FixedDelay(2), edges=edges, start=10, end=end)
 
     def test_within_group_unaffected(self):
         assert self._model().delay(0, 1, 20) == 2
+        assert arrivals(self._model(), 2, 3, [20]) == [22]
 
     def test_cross_group_held_until_heal(self):
         model = self._model(end=50)
         # Sent at t=20 across the cut: arrives at 50 + base = 52 => delay 32.
         assert model.delay(0, 2, 20) == 32
+        assert arrivals(model, 3, 1, [20]) == [52]
 
     def test_outside_window_unaffected(self):
         assert self._model(end=50).delay(0, 2, 60) == 2
+        assert arrivals(self._model(end=50), 0, 2, [5, 60]) == [7, 62]
 
     def test_permanent_partition_never_delivers(self):
-        model = PartitionedDelay(
-            FixedDelay(1),
-            [PartitionWindow(0, None, (frozenset({0}), frozenset({1})))],
-        )
+        model = OneWayPartition(FixedDelay(1), edges=((0, 1),), start=0, end=None)
         assert model.delay(0, 1, 5) + 5 == NEVER
+        net = Network(2, model)
+        net.send(0, 1, "m", 5)
+        assert net.live_pending == 0
+        assert net.pop_deliverable(1, 10**9) is None
 
 
 class TestNetwork:

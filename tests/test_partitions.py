@@ -4,9 +4,10 @@ The paper motivates eventual consistency by partition tolerance: during a
 partition, replicas on different sides may disagree on the leader and
 diverge; once the partition heals and Omega stabilizes, they converge. These
 tests model a transient network partition with
-:class:`~repro.sim.network.PartitionWindow` plus an Omega history that
-elects a leader *per side* during the partition (Omega's spec only
-constrains it after some time, so this is a legitimate history).
+:class:`~repro.sim.envs.OneWayPartition` over every ordered cross-group
+pair, plus an Omega history that elects a leader *per side* during the
+partition (Omega's spec only constrains it after some time, so this is a
+legitimate history).
 """
 
 from repro.core import EtobLayer
@@ -16,8 +17,7 @@ from repro.properties import check_causal_order, check_etob, extract_timeline
 from repro.sim import (
     FailurePattern,
     FixedDelay,
-    PartitionWindow,
-    PartitionedDelay,
+    OneWayPartition,
     ProtocolStack,
     Simulation,
 )
@@ -25,6 +25,17 @@ from repro.sim import (
 GROUP_A = frozenset({0, 1})
 GROUP_B = frozenset({2, 3})
 SPLIT_START, SPLIT_END = 100, 400
+
+
+def split(start, end):
+    """Groups A and B cut apart during ``[start, end)`` (forever if None)."""
+    edges = tuple(
+        (a, b)
+        for side, other in ((GROUP_A, GROUP_B), (GROUP_B, GROUP_A))
+        for a in sorted(side)
+        for b in sorted(other)
+    )
+    return OneWayPartition(FixedDelay(2), edges=edges, start=start, end=end)
 
 
 def split_brain_omega(pid, t):
@@ -37,10 +48,7 @@ def split_brain_omega(pid, t):
 def partition_sim(seed=0):
     n = 4
     pattern = FailurePattern.no_failures(n)
-    delay = PartitionedDelay(
-        FixedDelay(2),
-        [PartitionWindow(SPLIT_START, SPLIT_END, (GROUP_A, GROUP_B))],
-    )
+    delay = split(SPLIT_START, SPLIT_END)
     procs = [ProtocolStack([EtobLayer()]) for _ in range(n)]
     return Simulation(
         procs,
@@ -125,10 +133,7 @@ class TestPermanentPartition:
     def test_sides_never_converge(self):
         n = 4
         pattern = FailurePattern.no_failures(n)
-        delay = PartitionedDelay(
-            FixedDelay(2),
-            [PartitionWindow(100, None, (GROUP_A, GROUP_B))],
-        )
+        delay = split(100, None)
         procs = [ProtocolStack([EtobLayer()]) for _ in range(n)]
         sim = Simulation(
             procs,

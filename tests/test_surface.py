@@ -1,6 +1,6 @@
 """The settable surface, pinned: the exact parameters of the sim, suite and
 search entry points, the kernel rungs, the simulator's exception classes,
-the observer hooks and network methods of the message interface, the
+the delay-model names removed for good, the observer hooks and network methods of the message interface, the
 functions of the C extension, and the two oracle configurations the
 performance ruler (``benchmarks/perf``) builds.
 
@@ -20,6 +20,7 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -81,6 +82,51 @@ def test_the_simulator_errors_are_pinned():
     ]
     assert issubclass(errors.SimulationFailed, errors.SimulationError)
     assert repro.sim.SimulationFailed is errors.SimulationFailed
+
+
+# One delay-model family: every model lives in ``repro.sim.envs`` and draws
+# pure in ``(seed, link, send time)``; the network is only the buffer. The
+# stream-drawn models, the grouped partition pair and the duplicate fixed
+# model stay gone, and nothing under ``src/repro`` holds a stream RNG.
+
+REMOVED_DELAY_NAMES = (
+    "FixedDist", "GstDelay", "PartitionWindow", "PartitionedDelay",
+    "UniformRandomDelay",
+)
+
+
+@pytest.mark.parametrize(
+    "module", [repro, repro.sim], ids=lambda module: module.__name__
+)
+def test_the_removed_delay_models_stay_gone(module):
+    assert [n for n in REMOVED_DELAY_NAMES if hasattr(module, n)] == []
+    assert set(REMOVED_DELAY_NAMES).isdisjoint(module.__all__)
+
+
+def test_the_network_defines_no_delay_model():
+    from repro.sim import envs, network
+
+    assert sorted(
+        name for name, value in vars(network).items()
+        if isinstance(value, type) and value.__module__ == network.__name__
+    ) == ["Envelope", "Network"]
+    assert network.FixedDelay is envs.FixedDelay is repro.sim.FixedDelay
+
+
+def test_failure_environments_do_not_sample():
+    assert not hasattr(repro.sim.Environment, "sample")
+
+
+def test_no_stream_rng_under_src():
+    stream = re.compile(r"import random|random\.Random")
+    hits = [
+        f"{path.relative_to(ROOT).as_posix()}:{number}"
+        for path in sorted((ROOT / "src" / "repro").rglob("*"))
+        if path.suffix in (".py", ".c")
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if stream.search(line)
+    ]
+    assert hits == []
 
 
 # The message interface: a step ``(p, m, d)`` carries the one message it
