@@ -14,7 +14,12 @@ Quorums are pluggable:
   of the Sigma failure detector; intersection is Sigma's perpetual property
   and liveness follows from Sigma's eventual accuracy, so consensus works in
   **any** environment where Sigma is available (the paper's Omega + Sigma
-  configuration).
+  configuration). An ack set is tested when an ack arrives *and* again on
+  every timeout while its instance is open: Sigma may name a process that
+  never acks (before it stabilises, or a crashed member) at the moment the
+  last ack arrives, and the leader, having decided, never re-drives the
+  instance. Any two Sigma outputs intersect whenever and wherever they are
+  read, so a late test is as safe as a timely one.
 
 Steps with a stable leader (the three communication steps the paper credits
 to strong consistency): proposer forwards its value to the leader (1), the
@@ -119,7 +124,11 @@ class PaxosConsensusLayer(Layer):
         # shared state
         self.my_proposals: dict[int, Any] = {}
         self.candidates: dict[int, dict[ProcessId, Any]] = {}
-        self._accept_acks: dict[tuple[Ballot, int], set[ProcessId]] = {}
+        #: per undecided instance, per ballot: the value accepted under
+        #: that ballot and the acceptors that acked it. An instance's entry
+        #: goes when it is decided, so a Sigma learner's re-test on timeout
+        #: walks the open instances only.
+        self._accept_acks: dict[int, dict[Ballot, tuple[Any, set[ProcessId]]]] = {}
         self._accepts_sent: set[tuple[Ballot, int]] = set()
         self.decided: dict[int, Any] = {}
         #: The undecided keys of ``candidates`` and of ``_constrained``: the
@@ -217,16 +226,30 @@ class PaxosConsensusLayer(Layer):
     def _on_accepted(self, ctx: LayerContext, sender: ProcessId, msg: AcceptedMsg) -> None:
         if msg.instance in self.decided:
             return
-        key = (msg.ballot, msg.instance)
-        acks = self._accept_acks.setdefault(key, set())
+        by_ballot = self._accept_acks.setdefault(msg.instance, {})
+        __, acks = by_ballot.setdefault(msg.ballot, (msg.value, set()))
         acks.add(sender)
         if self._is_quorum(ctx, acks):
-            self.decided[msg.instance] = msg.value
-            self._open.discard(msg.instance)
-            self._open_constrained.discard(msg.instance)
-            self._patience = self.INITIAL_PATIENCE
-            self._phase_started = -1  # restart the clock at the next timeout
-            ctx.emit_upper(("decide", msg.instance, msg.value))
+            self._decide(ctx, msg.instance, msg.value)
+
+    def _decide(self, ctx: LayerContext, instance: int, value: Any) -> None:
+        self.decided[instance] = value
+        del self._accept_acks[instance]
+        self._open.discard(instance)
+        self._open_constrained.discard(instance)
+        self._patience = self.INITIAL_PATIENCE
+        self._phase_started = -1  # restart the clock at the next timeout
+        ctx.emit_upper(("decide", instance, value))
+
+    def _retest_acks(self, ctx: LayerContext) -> None:
+        """Decide, in instance order, each open instance with a ballot
+        whose ack set now contains the current Sigma output."""
+        quorum = ctx.sigma()
+        for instance in sorted(self._accept_acks):
+            for value, acks in self._accept_acks[instance].values():
+                if quorum <= acks:
+                    self._decide(ctx, instance, value)
+                    break
 
     # -- leader duties ----------------------------------------------------------------------
 
@@ -278,6 +301,8 @@ class PaxosConsensusLayer(Layer):
         self._start_prepare(ctx)
 
     def on_timeout(self, ctx: LayerContext) -> None:
+        if self.quorum_mode == "sigma" and self._accept_acks:
+            self._retest_acks(ctx)
         if self._omega(ctx) != ctx.pid:
             self._was_leader = False
             return

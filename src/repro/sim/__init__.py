@@ -50,15 +50,11 @@ from repro.sim.kernel import (
     HAS_COMPILED,
     HAS_COMPILED_LOOP,
     KERNELS,
-    SCAN_EVENT_CUTOVER,
     CompiledPackedNetwork,
     PackedNetwork,
     make_network,
 )
-from repro.sim.network import (
-    DEFAULT_COMPACT_FACTOR,
-    Network,
-)
+from repro.sim.network import Network
 from repro.sim.observers import (
     RECORD_LEVELS,
     FullRecorder,
@@ -87,12 +83,10 @@ __all__ = [
     "CompiledPackedNetwork",
     "ConfigurationError",
     "Context",
-    "DEFAULT_COMPACT_FACTOR",
     "DEFAULT_KERNEL",
     "HAS_COMPILED",
     "HAS_COMPILED_LOOP",
     "KERNELS",
-    "SCAN_EVENT_CUTOVER",
     "PackedNetwork",
     "make_network",
     "EnvBounds",

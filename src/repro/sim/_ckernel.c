@@ -9,8 +9,8 @@
  * 1. The storage layer of the data plane: the slot columns (deliver_at,
  *    seq, sender, send_time, payload), the free list, and the
  *    per-receiver shard heaps ordered by (deliver_at, seq).  The merge
- *    layer -- `_next_at`, the global horizon heap, live/pending counters
- *    -- stays plain Python state on the CompiledPackedNetwork (kernel.py)
+ *    layer -- the `_next_at` cursors, live/pending counters and the dead
+ *    set -- stays plain Python state on the CompiledPackedNetwork (kernel.py)
  *    so every kernel presents identical state to the event engine; the
  *    code here updates it in place.
  *
@@ -28,15 +28,16 @@
  *    Simulation._advance_event_random; there is no Python fused twin).
  *    The loop owns the due-check, the shard pops, timeout firing, the
  *    handler dispatch trampoline, outbox expansion through (2), the
- *    local-index refresh, the small-n scan next-event query and, under
+ *    local-cursor refresh, the next-event scan over the per-process
+ *    cursors (the loop of Simulation._next_event_query) and, under
  *    random scheduling, the block permutations and the walk of the block
  *    an event falls in, and -- at record="full" under round-robin -- the
  *    store rows of a crash-free idle span (loop_fill_idle); it calls back
  *    into Python only for process handlers, detector queries, the delay
  *    model, the remaining idle-span accounting (`_skip_span_rr` /
- *    `_skip_span_random`), the heap-backed next-event query, and
- *    raw-capable observers other than a leading MetricsRecorder (whose
- *    counts it folds itself, loop_fold_flush).  Every mutation of a
+ *    `_skip_span_random`), and raw-capable observers other than a
+ *    leading MetricsRecorder (whose counts it folds itself,
+ *    loop_fold_flush).  Every mutation of a
  *    raise-free step mirrors the Python loop's order of effects so run
  *    records, counters and schedule state stay byte-identical (pinned by
  *    tests/test_kernel.py and tests/test_kernel_stateful.py).  A raise
@@ -50,7 +51,7 @@
  *     delay that would overflow), so plain int64 comparisons order the
  *     heap.
  *   - pop_due_batch() reports the receiver's next head deliver_at (or -1)
- *     so the Python side can maintain its horizon index without a peek
+ *     so the Python side can maintain its `_next_at` cursor without a peek
  *     round-trip.
  */
 
@@ -619,16 +620,14 @@ static PyTypeObject PoolType = {
  * `s__pid_col` are the StepStore column names "_time" / "_pid" (distinct
  * from the sim attributes "time" / "pid"). */
 static PyObject *s_network, *s_n, *s_processes, *s__ctx, *s_detector,
-    *s_query, *s_failure_pattern, *s_crash_times, *s__next_event_query,
-    *s__skip_span_rr, *s__local_event, *s__local_horizon, *s__local_cap,
-    *s__next_timeout, *s_timeout_intervals, *s__inputs, *s__started,
-    *s_message_batch, *s__raw_step_observers, *s_run, *s__scan_cutover,
+    *s_query, *s_failure_pattern, *s_crash_times, *s__skip_span_rr,
+    *s__local_event, *s__next_timeout, *s_timeout_intervals, *s__inputs,
+    *s__started, *s_message_batch, *s__raw_step_observers, *s_run,
     *s__step_index, *s_time, *s_last_live_tick, *s_pid, *s_fd_value,
     *s__outbox, *s__outputs, *s__log, *s_on_start, *s_on_input,
     *s_on_message, *s_on_timeout, *s_on_step_raw, *s__next_at, *s__pending,
-    *s__live, *s__dead, *s__horizon, *s__horizon_cap, *s__compact_horizon,
-    *s_delay_model, *s_delay, *s_delay_profile, *s__next_seq,
-    *s_sent_count, *s__pool, *s_delivered_count,
+    *s__live, *s__dead, *s_delay_model, *s_delay, *s_delay_profile,
+    *s__next_seq, *s_sent_count, *s__pool, *s_delivered_count,
     *s_live_pending, *s_end_time, *s_input_history, *s_output_history,
     *s__index, *s__time_col, *s__pid_col, *s__fd, *s__msg_sender,
     *s__msg_payload, *s__msg_send_time, *s__timeout, *s__sent,
@@ -638,8 +637,8 @@ static PyObject *s_network, *s_n, *s_processes, *s__ctx, *s_detector,
     *s_frombytes, *s_steps, *s_steps_by_pid, *s_messages_sent,
     *s_messages_received, *s_timeouts_fired, *s_inputs, *s_outputs;
 
-/* heapq entry points, resolved at module init */
-static PyObject *g_heappush, *g_heappop, *g_heapify;
+/* heapq.heappop, resolved at module init (the input queues are heaps) */
+static PyObject *g_heappop;
 
 /* -- block permutations (the definition is above loop_perm) -------------- */
 
@@ -776,25 +775,6 @@ call3(PyObject *fn, PyObject *a, PyObject *b, PyObject *c)
     return PyObject_Vectorcall(fn, args, 3, NULL);
 }
 
-/* heapq.heappush(heap, (key, pid_obj)) */
-static int
-heap_push_pair(PyObject *heap, int64_t key, PyObject *pid_obj)
-{
-    PyObject *key_obj = PyLong_FromLongLong(key);
-    if (key_obj == NULL)
-        return -1;
-    PyObject *pair = PyTuple_Pack(2, key_obj, pid_obj);
-    Py_DECREF(key_obj);
-    if (pair == NULL)
-        return -1;
-    PyObject *r = call2(g_heappush, heap, pair);
-    Py_DECREF(pair);
-    if (r == NULL)
-        return -1;
-    Py_DECREF(r);
-    return 0;
-}
-
 /* ======================================================================== */
 /* The send side of a CompiledPackedNetwork                                  */
 /* ======================================================================== */
@@ -805,17 +785,16 @@ heap_push_pair(PyObject *heap, int64_t key, PyObject *pid_obj)
 #define SEQ_LIMIT (((int64_t)1) << 40)
 
 /* A CompiledPackedNetwork as the C send and pop paths see it: the pool
- * plus the merge layer (per-receiver lists, the dead set, the lazy horizon
- * heap), which stays plain Python state on the network so the event
- * engine reads the same `_next_at` / `_horizon` on every kernel.  The
+ * plus the merge layer (per-receiver lists and the dead set), which stays
+ * plain Python state on the network so the event engine reads the same
+ * `_next_at` cursors on every kernel.  The
  * network-wide scalars (`sent_count`, `live_pending`, `_next_seq`) and
  * `delay_model` are read through `net` at each use.  All references are
  * owned; the lists are verified to be lists of length pool->n. */
 typedef struct {
     PyObject *net, *pool_obj;
     PoolObject *pool;                    /* borrowed view of pool_obj */
-    PyObject *next_at, *pending, *live, *dead, *horizon, *compact_horizon;
-    Py_ssize_t horizon_cap;
+    PyObject *next_at, *pending, *live, *dead;
 } NetView;
 
 static void
@@ -827,8 +806,6 @@ net_view_free(NetView *nv)
     Py_CLEAR(nv->pending);
     Py_CLEAR(nv->live);
     Py_CLEAR(nv->dead);
-    Py_CLEAR(nv->horizon);
-    Py_CLEAR(nv->compact_horizon);
 }
 
 /* Fills a zeroed NetView; on failure the caller still runs net_view_free. */
@@ -849,23 +826,16 @@ net_view_init(NetView *nv, PyObject *net)
     if ((nv->next_at = PyObject_GetAttr(net, s__next_at)) == NULL
         || (nv->pending = PyObject_GetAttr(net, s__pending)) == NULL
         || (nv->live = PyObject_GetAttr(net, s__live)) == NULL
-        || (nv->dead = PyObject_GetAttr(net, s__dead)) == NULL
-        || (nv->horizon = PyObject_GetAttr(net, s__horizon)) == NULL
-        || (nv->compact_horizon =
-                PyObject_GetAttr(net, s__compact_horizon)) == NULL)
+        || (nv->dead = PyObject_GetAttr(net, s__dead)) == NULL)
         return -1;
-    int64_t cap;
-    if (get_i64_attr(net, s__horizon_cap, &cap) < 0)
-        return -1;
-    nv->horizon_cap = (Py_ssize_t)cap;
     Py_ssize_t n = nv->pool->n;
     if (!PyList_Check(nv->next_at) || PyList_GET_SIZE(nv->next_at) != n
         || !PyList_Check(nv->pending) || PyList_GET_SIZE(nv->pending) != n
         || !PyList_Check(nv->live) || PyList_GET_SIZE(nv->live) != n
-        || !PyList_Check(nv->horizon) || !PyAnySet_Check(nv->dead)) {
+        || !PyAnySet_Check(nv->dead)) {
         PyErr_SetString(PyExc_TypeError,
                         "network merge layer is not the per-receiver "
-                        "lists / set / heap the pool was built for");
+                        "lists / set the pool was built for");
         return -1;
     }
     return 0;
@@ -895,8 +865,8 @@ deliver_time(PyObject *delay_obj, int64_t t, int64_t *out)
 
 /* Queue one message: the pool push plus the merge-layer update of
  * PackedNetwork.send_packed on the per-receiver state, in its order of
- * effects (pending, live, then the next-delivery index with its compaction
- * check before the horizon push).  The two network-wide counters are the caller's: a live
+ * effects (pending, live, then the next-delivery cursor).  The two
+ * network-wide counters are the caller's: a live
  * message to a receiver not marked dead bumps *live_gain, and the caller
  * counts what it queued; net_commit writes both back. */
 static int
@@ -919,43 +889,28 @@ net_queue(NetView *nv, Py_ssize_t receiver, int64_t deliver_at, int64_t seq,
     }
     if (list_add_i64(nv->pending, receiver, 1) < 0)
         return -1;
-    PyObject *recv_obj = PyLong_FromSsize_t(receiver);
-    if (recv_obj == NULL)
-        return -1;
-    int rc = -1;
     if (deliver_at < NEVER_I64) {
         if (list_add_i64(nv->live, receiver, 1) < 0)
-            goto done;
+            return -1;
+        PyObject *recv_obj = PyLong_FromSsize_t(receiver);
+        if (recv_obj == NULL)
+            return -1;
         int is_dead = PySet_Contains(nv->dead, recv_obj);
+        Py_DECREF(recv_obj);
         if (is_dead < 0)
-            goto done;
+            return -1;
         if (!is_dead)
             *live_gain += 1;
     }
     PyObject *head_obj = PyList_GET_ITEM(nv->next_at, receiver);
-    int lowers = head_obj == Py_None;
-    if (!lowers) {
+    if (head_obj != Py_None) {
         int64_t head = PyLong_AsLongLong(head_obj);
         if (head == -1 && PyErr_Occurred())
-            goto done;
-        lowers = deliver_at < head;
+            return -1;
+        if (deliver_at >= head)
+            return 0;
     }
-    if (lowers) {
-        if (list_set_i64(nv->next_at, receiver, deliver_at) < 0)
-            goto done;
-        if (PyList_GET_SIZE(nv->horizon) > nv->horizon_cap) {
-            PyObject *r = PyObject_CallNoArgs(nv->compact_horizon);
-            if (r == NULL)
-                goto done;
-            Py_DECREF(r);
-        }
-        if (heap_push_pair(nv->horizon, deliver_at, recv_obj) < 0)
-            goto done;
-    }
-    rc = 0;
-done:
-    Py_DECREF(recv_obj);
-    return rc;
+    return list_set_i64(nv->next_at, receiver, deliver_at);
 }
 
 /* Write back what one send call queued: `_next_seq`, `sent_count`,
@@ -1163,7 +1118,7 @@ history_extend(PyObject *history, PyObject *pid_obj, PyObject *t_obj,
 
 /* Fold `received` pops from `pid`'s shard, `live_drop` of them deliverable,
  * into the merge layer: the delivered / pending / live counts and the
- * receiver's next-delivery time with its horizon entry (the tail of
+ * receiver's next-delivery cursor (the tail of
  * PackedNetwork.pop_deliverable_batch_raw). */
 static int
 fold_pops(NetView *nv, long pid, PyObject *pid_obj, long received,
@@ -1187,16 +1142,8 @@ fold_pops(NetView *nv, long pid, PyObject *pid_obj, long received,
         Py_INCREF(Py_None);
         return PyList_SetItem(nv->next_at, pid, Py_None);
     }
-    int64_t new_head = nv->pool->col_deliver[shard->items[0]];
-    if (list_set_i64(nv->next_at, pid, new_head) < 0)
-        return -1;
-    if (PyList_GET_SIZE(nv->horizon) > nv->horizon_cap) {
-        PyObject *r = PyObject_CallNoArgs(nv->compact_horizon);
-        if (r == NULL)
-            return -1;
-        Py_DECREF(r);
-    }
-    return heap_push_pair(nv->horizon, new_head, pid_obj);
+    return list_set_i64(nv->next_at, pid,
+                        nv->pool->col_deliver[shard->items[0]]);
 }
 
 /* Peek the deliver-at of the head of a per-pid input heap.  Returns 1 and
@@ -1230,8 +1177,8 @@ typedef struct {
     NetView nv;                          /* sim.network's merge layer + pool */
     PyObject *ctx, *processes, *started, *inputs_by_pid;
     PyObject *detector_query;            /* NULL when no detector */
-    PyObject *query_next, *skip_span;
-    PyObject *local_event, *local_horizon;
+    PyObject *skip_span;
+    PyObject *local_event;
     PyObject *next_timeout_list;
     PyObject *raw_obs, *run;
     PyObject *crash_times, *intervals;   /* read into crash_at / interval */
@@ -1261,8 +1208,7 @@ typedef struct {
     int64_t *interval, *next_to;
     PyObject *empty_tuple;
     long n;
-    int64_t message_batch, scan_cutover;
-    Py_ssize_t local_cap;
+    int64_t message_batch;
     int has_crashes, has_store;
     int fill_idle;                       /* see loop_fill_idle */
     int64_t first_crash;                 /* INT64_MAX = no crash */
@@ -1286,10 +1232,8 @@ loop_free(Loop *L)
     Py_XDECREF(L->started);
     Py_XDECREF(L->inputs_by_pid);
     Py_XDECREF(L->detector_query);
-    Py_XDECREF(L->query_next);
     Py_XDECREF(L->skip_span);
     Py_XDECREF(L->local_event);
-    Py_XDECREF(L->local_horizon);
     Py_XDECREF(L->next_timeout_list);
     Py_XDECREF(L->raw_obs);
     Py_XDECREF(L->metrics);
@@ -1584,27 +1528,19 @@ loop_init(Loop *L, PyObject *sim, PyObject *store, PyObject *metrics)
     L->random = PyUnicode_Check(scheduling)
         && PyUnicode_CompareWithASCIIString(scheduling, "random") == 0;
     Py_DECREF(scheduling);
-    GETA(L->query_next, sim, s__next_event_query);
     GETA(L->skip_span, sim,
          L->random ? s__skip_span_random : s__skip_span_rr);
     GETA(L->local_event, sim, s__local_event);
-    GETA(L->local_horizon, sim, s__local_horizon);
     GETA(L->next_timeout_list, sim, s__next_timeout);
     GETA(L->inputs_by_pid, sim, s__inputs);
     GETA(L->started, sim, s__started);
     GETA(L->raw_obs, sim, s__raw_step_observers);
     GETA(L->run, sim, s_run);
     GETA(L->intervals, sim, s_timeout_intervals);
-    if (get_i64_attr(sim, s__local_cap, &tmp) < 0)
-        return -1;
-    L->local_cap = (Py_ssize_t)tmp;
     if (get_i64_attr(sim, s_message_batch, &L->message_batch) < 0)
-        return -1;
-    if (get_i64_attr(sim, s__scan_cutover, &L->scan_cutover) < 0)
         return -1;
     long n = L->n;
     if (!PyList_Check(L->processes) || !PyList_Check(L->local_event)
-        || !PyList_Check(L->local_horizon)
         || !PyList_Check(L->next_timeout_list)
         || !PyList_Check(L->inputs_by_pid) || !PyList_Check(L->intervals)) {
         PyErr_SetString(PyExc_TypeError, "run_loop: expected list state");
@@ -2247,36 +2183,9 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             int64_t local_at;
             if (local_event_at(L, pid, &local_at) < 0)
                 goto step_fail;
-            if (event_at != local_at) {
-                if (list_set_i64(L->local_event, pid, event_at) < 0)
-                    goto step_fail;
-                if (PyList_GET_SIZE(L->local_horizon) > L->local_cap) {
-                    PyObject *rebuilt = PyList_New(n);
-                    if (rebuilt == NULL)
-                        goto step_fail;
-                    for (long p = 0; p < n; p++) {
-                        PyObject *pair = PyTuple_Pack(
-                            2, PyList_GET_ITEM(L->local_event, p),
-                            L->pid_objs[p]);
-                        if (pair == NULL) {
-                            Py_DECREF(rebuilt);
-                            goto step_fail;
-                        }
-                        PyList_SET_ITEM(rebuilt, p, pair);
-                    }
-                    int r_slice = PyList_SetSlice(L->local_horizon, 0,
-                                                  PY_SSIZE_T_MAX, rebuilt);
-                    Py_DECREF(rebuilt);
-                    if (r_slice < 0)
-                        goto step_fail;
-                    PyObject *r = call1(g_heapify, L->local_horizon);
-                    if (r == NULL)
-                        goto step_fail;
-                    Py_DECREF(r);
-                }
-                if (heap_push_pair(L->local_horizon, event_at, pid_obj) < 0)
-                    goto step_fail;
-            }
+            if (event_at != local_at
+                && list_set_i64(L->local_event, pid, event_at) < 0)
+                goto step_fail;
 
             int64_t index = step_index;
             step_index += 1;
@@ -2422,53 +2331,31 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
          * next slot (any slot of a random block may be its owner's). */
         int64_t target = 0;
         int have_target = 0;
-        if (n <= L->scan_cutover) {
-            for (long p = 0; p < n; p++) {
-                int64_t event_at;
-                if (local_event_at(L, p, &event_at) < 0)
+        for (long p = 0; p < n; p++) {
+            int64_t event_at;
+            if (local_event_at(L, p, &event_at) < 0)
+                goto fail;
+            PyObject *d = PyList_GET_ITEM(L->nv.next_at, p);
+            if (d != Py_None) {
+                int64_t deliver_at = PyLong_AsLongLong(d);
+                if (deliver_at == -1 && PyErr_Occurred())
                     goto fail;
-                PyObject *d = PyList_GET_ITEM(L->nv.next_at, p);
-                if (d != Py_None) {
-                    int64_t deliver_at = PyLong_AsLongLong(d);
-                    if (deliver_at == -1 && PyErr_Occurred())
-                        goto fail;
-                    if (deliver_at < event_at)
-                        event_at = deliver_at;
-                }
-                int64_t tick = event_at > t ? event_at : t;
-                if (!L->random) {
-                    int64_t m = (p - tick) % n;
-                    if (m < 0)
-                        m += n;
-                    tick += m;
-                }
-                if (L->has_crashes && tick >= L->crash_at[p])
-                    continue;
-                if (!have_target || tick < target) {
-                    target = tick;
-                    have_target = 1;
-                }
+                if (deliver_at < event_at)
+                    event_at = deliver_at;
             }
-        } else {
-            if (loop_flush_idle(L) < 0)
-                goto fail;
-            PyObject *now_obj = PyLong_FromLongLong(t);
-            if (now_obj == NULL)
-                goto fail;
-            PyObject *r = call2(L->query_next, now_obj,
-                                L->random ? Py_False : Py_True);
-            Py_DECREF(now_obj);
-            if (r == NULL)
-                goto fail;
-            if (r != Py_None) {
-                target = PyLong_AsLongLong(r);
+            int64_t tick = event_at > t ? event_at : t;
+            if (!L->random) {
+                int64_t m = (p - tick) % n;
+                if (m < 0)
+                    m += n;
+                tick += m;
+            }
+            if (L->has_crashes && tick >= L->crash_at[p])
+                continue;
+            if (!have_target || tick < target) {
+                target = tick;
                 have_target = 1;
-                if (target == -1 && PyErr_Occurred()) {
-                    Py_DECREF(r);
-                    goto fail;
-                }
             }
-            Py_DECREF(r);
         }
         int64_t jump_to = (!have_target || target >= t_end) ? t_end : target;
         if (jump_to > t) {
@@ -2504,7 +2391,7 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
              * the first tick whose scheduled process has work (executed at
              * the top of the loop, its block now cached).  The slot of the
              * event's owner may already be behind t: the block then comes
-             * up empty and the horizon is recomputed past it. */
+             * up empty and the next event is recomputed past it. */
             int64_t base = t - t % n;
             int64_t hi = base + n < t_end ? base + n : t_end;
             loop_perm(L, t / n);
@@ -2894,11 +2781,8 @@ intern_names(void)
     INTERN(s_query, "query");
     INTERN(s_failure_pattern, "failure_pattern");
     INTERN(s_crash_times, "crash_times");
-    INTERN(s__next_event_query, "_next_event_query");
     INTERN(s__skip_span_rr, "_skip_span_rr");
     INTERN(s__local_event, "_local_event");
-    INTERN(s__local_horizon, "_local_horizon");
-    INTERN(s__local_cap, "_local_cap");
     INTERN(s__next_timeout, "_next_timeout");
     INTERN(s_timeout_intervals, "timeout_intervals");
     INTERN(s__inputs, "_inputs");
@@ -2906,7 +2790,6 @@ intern_names(void)
     INTERN(s_message_batch, "message_batch");
     INTERN(s__raw_step_observers, "_raw_step_observers");
     INTERN(s_run, "run");
-    INTERN(s__scan_cutover, "_scan_cutover");
     INTERN(s__step_index, "_step_index");
     INTERN(s_time, "time");
     INTERN(s_last_live_tick, "last_live_tick");
@@ -2924,9 +2807,6 @@ intern_names(void)
     INTERN(s__pending, "_pending");
     INTERN(s__live, "_live");
     INTERN(s__dead, "_dead");
-    INTERN(s__horizon, "_horizon");
-    INTERN(s__horizon_cap, "_horizon_cap");
-    INTERN(s__compact_horizon, "_compact_horizon");
     INTERN(s_delay_model, "delay_model");
     INTERN(s_delay, "delay");
     INTERN(s_delay_profile, "delay_profile");
@@ -2981,11 +2861,9 @@ PyInit__ckernel(void)
     PyObject *heapq_mod = PyImport_ImportModule("heapq");
     if (heapq_mod == NULL)
         return NULL;
-    g_heappush = PyObject_GetAttrString(heapq_mod, "heappush");
     g_heappop = PyObject_GetAttrString(heapq_mod, "heappop");
-    g_heapify = PyObject_GetAttrString(heapq_mod, "heapify");
     Py_DECREF(heapq_mod);
-    if (g_heappush == NULL || g_heappop == NULL || g_heapify == NULL)
+    if (g_heappop == NULL)
         return NULL;
     PyObject *module = PyModule_Create(&ckernel_module);
     if (module == NULL)

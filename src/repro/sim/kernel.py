@@ -15,15 +15,15 @@ module removes both:
   ``send_all_packed``, ``pop_deliverable_batch_raw``) move plain fields.
   The receiver column is implicit: a slot's receiver is the shard its key
   lives in.
-- **Sharded horizon heaps** — instead of one object heap per receiver
+- **Sharded receiver heaps** — instead of one object heap per receiver
   ordered by rich comparisons on ``Envelope``, each receiver has a heap of
   packed integer keys ``(deliver_at << 64) | (seq << 24) | slot``. Integer
   comparison preserves the exact ``(deliver_at, seq)`` delivery order
   (``seq`` is globally unique so the slot bits never decide), and push/pop
   never call ``__lt__`` on objects. The network-level merge layer — the
-  ``_next_at`` index and the global lazy ``(deliver_at, receiver)`` horizon
-  heap — is inherited unchanged from :class:`Network`, so the event
-  engine's next-event queries work on every kernel.
+  per-receiver ``_next_at`` cursors — is inherited unchanged from
+  :class:`Network`, so the event engine's next-event scan works on every
+  kernel.
 - :func:`run_fused_rr` — the scheduler's dense-tick loop
   (``Simulation.step`` + batched pops + timeout check + recording) fused
   into one function that reads the packed columns directly and appends
@@ -49,11 +49,11 @@ Kernel selection — ``Simulation(kernel=...)``; the default is
     send path whose only Python call is the delay model — *plus* the C
     tick loop: ``_ckernel.run_loop`` owns the dense-tick loop itself (due
     checks, shard pops, timeout firing, outbox expansion through the C
-    send path, local-index refresh, store appends) and calls back into
-    Python only for process handlers, the delay model, idle-span
-    accounting, and raw/log observers. Engages under the same conditions
-    as the Python fused loop; a run it cannot take steps through the
-    generic engine on the same C pool, never to an error —
+    send path, local-cursor refresh, the next-event scan, store appends)
+    and calls back into Python only for process handlers, the delay model,
+    idle-span accounting, and raw/log observers. Engages under the same
+    conditions as the Python fused loop; a run it cannot take steps through
+    the generic engine on the same C pool, never to an error —
     ``sim.fused_path`` / ``sim.fused_reason`` say which loop runs and why
     (see :func:`fused_runner`). Requesting it without the extension built
     raises :class:`~repro.sim.errors.ConfigurationError`;
@@ -97,20 +97,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: valid values of ``Simulation(kernel=...)``.
 KERNELS = ("legacy", "packed", "compiled-loop")
 
-#: scan-vs-heap cutover for the fused loop's idle next-event query: at
-#: ``n <= SCAN_EVENT_CUTOVER`` a direct O(n) scan over the per-process
-#: cursor indexes replaces the lazy-heap query. Measured by
-#: ``benchmarks/bench_scan_cutover.py`` (n ∈ {4..256} sweep, idle-heavy
-#: staggered-timeout schedule, single-CPU dev container): the scan wins at
-#: every measured n on both loops — 1.1-1.8x over the heap query in the
-#: Python fused loop and 1.1-2.8x in the compiled loop (where the scan is
-#: a C array pass but the heap query is a Python call) — so the cutover
-#: sits at the sweep's top edge and the heap query remains only as
-#: asymptotic insurance for n > 256. Both paths compute the identical
-#: target (align(min cursor) per process, crash-gated, minimized over
-#: processes), so this constant is perf-only — never correctness.
-SCAN_EVENT_CUTOVER = 256
-
 #: shard-key layout: ``(deliver_at << 64) | (seq << 24) | slot``. The low
 #: 24 bits address the pool slot (16M simultaneous in-transit messages),
 #: the next 40 bits carry the global send sequence, and everything above
@@ -146,11 +132,11 @@ class PackedNetwork(Network):
 
     In-transit messages live in parallel columns indexed by slot; each
     receiver's delivery order is a heap of packed integer keys (see module
-    docstring). The merge layer — ``_next_at``, the global horizon heap,
-    and all the per-receiver counters — is inherited from :class:`Network`
-    and maintained identically, so the event engine and every public query
-    (:meth:`horizon_peek`, :meth:`in_transit`, quiescence counters) are
-    oblivious to the storage change. The scheduler talks to it through
+    docstring). The merge layer — the ``_next_at`` cursors and all the
+    per-receiver counters — is inherited from :class:`Network` and
+    maintained identically, so the event engine and every public query
+    (:meth:`next_delivery_time`, :meth:`in_transit`, quiescence counters)
+    are oblivious to the storage change. The scheduler talks to it through
     :meth:`send_packed`, :meth:`send_all_packed` and
     :meth:`pop_deliverable_batch_raw`; the legacy ``Envelope`` methods it
     inherits fail fast on the poisoned ``_queues`` / ``_seq``.
@@ -221,10 +207,6 @@ class PackedNetwork(Network):
         head = self._next_at[receiver]
         if head is None or deliver_at < head:
             self._next_at[receiver] = deliver_at
-            horizon = self._horizon
-            if len(horizon) > self._horizon_cap:
-                self._compact_horizon()
-            heapq.heappush(horizon, (deliver_at, receiver))
         return slot
 
     def send_all_packed(
@@ -263,8 +245,6 @@ class PackedNetwork(Network):
         pending = self._pending
         live = self._live
         dead = self._dead
-        horizon = self._horizon
-        cap = self._horizon_cap
         heappush = heapq.heappush
         live_gain = 0
         for receiver, delay in zip(receivers, delays):
@@ -296,9 +276,6 @@ class PackedNetwork(Network):
             head = next_at[receiver]
             if head is None or deliver_at < head:
                 next_at[receiver] = deliver_at
-                if len(horizon) > cap:
-                    self._compact_horizon()
-                heappush(horizon, (deliver_at, receiver))
         self._next_seq = seq
         self.sent_count += count
         if live_gain:
@@ -351,14 +328,7 @@ class PackedNetwork(Network):
             self._live[receiver] -= live_drop
             if receiver not in self._dead:
                 self.live_pending -= live_drop
-        if shard:
-            head = shard[0] >> _KEY_SHIFT
-            self._next_at[receiver] = head
-            if len(self._horizon) > self._horizon_cap:
-                self._compact_horizon()
-            heapq.heappush(self._horizon, (head, receiver))
-        else:
-            self._next_at[receiver] = None
+        self._next_at[receiver] = shard[0] >> _KEY_SHIFT if shard else None
         return popped
 
     # -- introspection (tests / benchmarks) ---------------------------------
@@ -381,7 +351,7 @@ class CompiledPackedNetwork(PackedNetwork):
     list, per-receiver shard heaps). The merge layer and counters remain
     plain Python state on this object — the C send and pop paths update
     them in place — so the scheduler's event engine sees exactly the same
-    ``_next_at`` / ``_horizon`` state as on every other kernel, and the
+    ``_next_at`` cursors as on every other kernel, and the
     delay model stays an ordinary Python object the C code calls. The
     Python columns inherited from :class:`PackedNetwork` stay empty and
     unused. Pickles and deep-copies like the other networks: the pool's
@@ -442,13 +412,7 @@ class CompiledPackedNetwork(PackedNetwork):
             self._live[receiver] -= live_drop
             if receiver not in self._dead:
                 self.live_pending -= live_drop
-        if new_head >= 0:
-            self._next_at[receiver] = new_head
-            if len(self._horizon) > self._horizon_cap:
-                self._compact_horizon()
-            heapq.heappush(self._horizon, (new_head, receiver))
-        else:
-            self._next_at[receiver] = None
+        self._next_at[receiver] = new_head if new_head >= 0 else None
         return items
 
     @property
@@ -555,13 +519,13 @@ def run_fused_compiled(sim: "Simulation", t_end: Time) -> None:
     them in when it returns or fails: the metrics are exact between run
     calls, not in the middle of one. Any other raw observers are called per
     step as before. The C loop calls back into Python only for process
-    handlers, the delay model, the idle-span machinery
-    (``_next_event_query`` on large n, ``_skip_span_rr`` /
+    handlers, the delay model, the idle-span accounting (``_skip_span_rr`` /
     ``_skip_span_random``), and generic raw observers; everything else —
     due checks, shard pops, timeout firing, outbox expansion and sends,
-    local-index refresh, store appends, the metrics fold and, under random
-    scheduling, the block permutations and the walk of the block an event
-    falls in — happens without touching the interpreter. Byte-identical to
+    local-cursor refresh, the next-event scan, store appends, the metrics
+    fold and, under random scheduling, the block permutations and the walk
+    of the block an event falls in — happens without touching the
+    interpreter. Byte-identical to
     the Python fused loop (round-robin) and to the generic
     ``_advance_event_random`` (random) by construction and pinned by
     ``tests/test_kernel.py``; ``tests/test_metrics_fold.py`` and
@@ -600,19 +564,9 @@ def run_fused_rr(sim: "Simulation", t_end: Time) -> None:
     failure_pattern = sim.failure_pattern
     crashed = failure_pattern.crashed
     has_crashes = bool(failure_pattern.crash_times)
-    query_next = sim._next_event_query
+    next_event = sim._next_event_query
     skip_span = sim._skip_span_rr
-    crash_get = failure_pattern.crash_times.get
-    #: at small n a direct scan over the two per-process indexes beats the
-    #: lazy-heap query (no pops/reinserts); both compute the identical
-    #: target — align(min of the two cursors) per process, crash-gated,
-    #: minimized over processes — the heaps just answer it sublinearly.
-    #: The cutover is measured (see SCAN_EVENT_CUTOVER) and carried on the
-    #: sim so tests and the sweep benchmark can force either path.
-    scan_events = n <= sim._scan_cutover
     local_event = sim._local_event
-    local_horizon = sim._local_horizon
-    local_cap = sim._local_cap
     next_timeout = sim._next_timeout
     intervals = sim.timeout_intervals
     inputs_by_pid = sim._inputs
@@ -627,8 +581,6 @@ def run_fused_rr(sim: "Simulation", t_end: Time) -> None:
     pending = net._pending
     live = net._live
     dead = net._dead
-    horizon = net._horizon
-    horizon_cap = net._horizon_cap
 
     # Pool storage: the Python shard heaps and columns.
     shards = net._shards
@@ -665,8 +617,6 @@ def run_fused_rr(sim: "Simulation", t_end: Time) -> None:
         output_history = run.output_history
 
     heappop = heapq.heappop
-    heappush = heapq.heappush
-    heapify = heapq.heapify
 
     t = sim.time
     while t < t_end:
@@ -734,14 +684,7 @@ def run_fused_rr(sim: "Simulation", t_end: Time) -> None:
                     live[pid] -= live_drop
                     if pid not in dead:
                         net.live_pending -= live_drop
-                if shard:
-                    head = shard[0] >> _KEY_SHIFT
-                    next_at[pid] = head
-                    if len(horizon) > horizon_cap:
-                        net._compact_horizon()
-                    heappush(horizon, (head, pid))
-                else:
-                    next_at[pid] = None
+                next_at[pid] = shard[0] >> _KEY_SHIFT if shard else None
 
             if t >= next_timeout[pid]:
                 timeout_fired = True
@@ -781,14 +724,7 @@ def run_fused_rr(sim: "Simulation", t_end: Time) -> None:
             event_at = next_timeout[pid]
             if in_q and in_q[0][0] < event_at:
                 event_at = in_q[0][0]
-            if event_at != local_event[pid]:
-                local_event[pid] = event_at
-                if len(local_horizon) > local_cap:
-                    local_horizon[:] = [
-                        (local_event[p], p) for p in range(n)
-                    ]
-                    heapify(local_horizon)
-                heappush(local_horizon, (event_at, pid))
+            local_event[pid] = event_at
 
             index = sim._step_index
             sim._step_index = index + 1
@@ -828,23 +764,7 @@ def run_fused_rr(sim: "Simulation", t_end: Time) -> None:
             continue
 
         # Idle (or crash-gated) tick: jump to the next actionable one.
-        if scan_events:
-            target = None
-            for p in range(n):
-                event_at = local_event[p]
-                deliver_at = next_at[p]
-                if deliver_at is not None and deliver_at < event_at:
-                    event_at = deliver_at
-                eff = event_at if event_at > t else t
-                tick = eff + ((p - eff) % n)
-                if has_crashes:
-                    crash_at = crash_get(p)
-                    if crash_at is not None and tick >= crash_at:
-                        continue
-                if target is None or tick < target:
-                    target = tick
-        else:
-            target = query_next(t, True)
+        target = next_event(t, True)
         if target is None or target >= t_end:
             skip_span(t, t_end)
             t = t_end

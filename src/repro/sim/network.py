@@ -22,15 +22,6 @@ from typing import Any, Iterable, Sequence
 from repro.sim.envs import DelayModel, FixedDelay
 from repro.sim.types import NEVER, ProcessId, Time
 
-#: Heap self-compaction factor: a lazy horizon heap (the network's, and the
-#: scheduler's local-event heap) is rebuilt from its index once it outgrows
-#: ``max(64, factor * n)`` entries. Rebuilding costs O(n) and shrinks the
-#: heap to <= n entries, so at least ``(factor - 1) * n`` pushes separate
-#: rebuilds — amortized O(1). The derived caps are the ``_horizon_cap`` /
-#: ``_local_cap`` attributes, which the C tick loop reads.
-DEFAULT_COMPACT_FACTOR = 4
-
-
 @dataclass(frozen=True, order=True, slots=True)
 class Envelope:
     """A message in transit, ordered by delivery time then send order."""
@@ -51,15 +42,14 @@ class Network:
     network never drops messages; messages addressed to crashed processes are
     simply never consumed.
 
-    Besides the per-receiver heaps, the network maintains an *incremental
-    next-delivery index*: ``_next_at[r]`` mirrors the head delivery time of
-    ``r``'s queue and a global lazy min-heap of ``(deliver_at, receiver)``
-    horizon entries is updated on send and pop — so "when does the next
-    message arrive, and to whom?" never rescans the queues. Entries become
-    stale rather than being removed; :meth:`horizon_peek` discards entries
-    whose time no longer matches the index. Per-receiver pending and
-    live-deliverable counters make :meth:`in_transit`, :meth:`pending_for`
-    and the quiescence counter O(1) per receiver as well.
+    Besides the per-receiver heaps, the network maintains a *next-delivery
+    cursor* per receiver: ``_next_at[r]`` mirrors the head delivery time of
+    ``r``'s queue, updated on send and pop, so "when does the next message
+    arrive at ``r``?" never looks into a queue. The scheduler's next-event
+    query scans these cursors (see :mod:`repro.sim.scheduler`).
+    Per-receiver pending and live-deliverable counters make
+    :meth:`in_transit`, :meth:`pending_for` and the quiescence counter O(1)
+    per receiver as well.
     """
 
     def __init__(self, n: int, delay_model: DelayModel | None = None) -> None:
@@ -87,13 +77,6 @@ class Network:
         self._pending: list[int] = [0] * n
         #: per-receiver undelivered count excluding never-deliverable mail.
         self._live: list[int] = [0] * n
-        #: global lazy min-heap of ``(deliver_at, receiver)`` horizon entries.
-        self._horizon: list[tuple[Time, ProcessId]] = []
-        #: compaction threshold: stale entries accumulate on runs that never
-        #: query the horizon (naive engine, quiescence loops), so pushes
-        #: rebuild the heap from the index once it outgrows this (see
-        #: :data:`DEFAULT_COMPACT_FACTOR`).
-        self._horizon_cap = max(64, DEFAULT_COMPACT_FACTOR * n)
 
     def send(
         self, sender: ProcessId, receiver: ProcessId, payload: Any, t: Time
@@ -121,9 +104,6 @@ class Network:
         next_at = self._next_at[receiver]
         if next_at is None or deliver_at < next_at:
             self._next_at[receiver] = deliver_at
-            if len(self._horizon) > self._horizon_cap:
-                self._compact_horizon()
-            heapq.heappush(self._horizon, (deliver_at, receiver))
         return envelope
 
     def send_all(
@@ -150,7 +130,6 @@ class Network:
         pending = self._pending
         live = self._live
         dead = self._dead
-        horizon = self._horizon
         envelopes: list[Envelope] = []
         append = envelopes.append
         for receiver, delay in zip(receivers, delays):
@@ -173,9 +152,6 @@ class Network:
             head = next_at[receiver]
             if head is None or deliver_at < head:
                 next_at[receiver] = deliver_at
-                if len(horizon) > self._horizon_cap:
-                    self._compact_horizon()
-                heapq.heappush(horizon, (deliver_at, receiver))
             append(envelope)
         return envelopes
 
@@ -240,14 +216,7 @@ class Network:
                 self._live[receiver] -= 1
                 if receiver not in self._dead:
                     self.live_pending -= 1
-            if queue:
-                head = queue[0].deliver_at
-                self._next_at[receiver] = head
-                if len(self._horizon) > self._horizon_cap:
-                    self._compact_horizon()
-                heapq.heappush(self._horizon, (head, receiver))
-            else:
-                self._next_at[receiver] = None
+            self._next_at[receiver] = queue[0].deliver_at if queue else None
             return envelope
         return None
 
@@ -258,8 +227,8 @@ class Network:
         ``(deliver_at, seq, sender, send_time, payload)`` tuples.
 
         One call replaces up to ``limit`` :meth:`pop_deliverable` calls per
-        tick (the scheduler's ``message_batch`` loop): the queue head, the
-        counters, and the horizon are updated once per popped message but
+        tick (the scheduler's ``message_batch`` loop): the queue head and
+        the counters are updated once per popped message but
         the per-call indirection is paid once. Behaviour is pinned identical
         to repeated single pops by the differential tests.
         """
@@ -290,57 +259,12 @@ class Network:
             self._live[receiver] -= live_drop
             if receiver not in self._dead:
                 self.live_pending -= live_drop
-        if queue:
-            head = queue[0].deliver_at
-            self._next_at[receiver] = head
-            if len(self._horizon) > self._horizon_cap:
-                self._compact_horizon()
-            heapq.heappush(self._horizon, (head, receiver))
-        else:
-            self._next_at[receiver] = None
+        self._next_at[receiver] = queue[0].deliver_at if queue else None
         return popped
 
     def next_delivery_time(self, receiver: ProcessId) -> Time | None:
         """Delivery time of the oldest in-transit message to ``receiver``."""
         return self._next_at[receiver]
-
-    # -- the global delivery horizon ----------------------------------------
-
-    def horizon_peek(self) -> tuple[Time, ProcessId] | None:
-        """The earliest ``(deliver_at, receiver)`` over all queues, or None.
-
-        Lazily discards stale heap entries (whose time no longer matches the
-        next-delivery index) — amortized O(log n) per structural change.
-        """
-        horizon = self._horizon
-        next_at = self._next_at
-        while horizon:
-            entry = horizon[0]
-            if next_at[entry[1]] == entry[0]:
-                return entry
-            heapq.heappop(horizon)
-        return None
-
-    def horizon_pop(self) -> tuple[Time, ProcessId]:
-        """Pop the top horizon entry (call directly after :meth:`horizon_peek`)."""
-        return heapq.heappop(self._horizon)
-
-    def _compact_horizon(self) -> None:
-        """Rebuild the horizon heap from the index, in place.
-
-        Drops every stale entry at once; runs that push without ever
-        querying (the naive engine, quiescence loops) would otherwise grow
-        the heap by one entry per delivered message.
-        """
-        next_at = self._next_at
-        self._horizon[:] = [
-            (t, receiver) for receiver, t in enumerate(next_at) if t is not None
-        ]
-        heapq.heapify(self._horizon)
-
-    def horizon_push(self, entry: tuple[Time, ProcessId]) -> None:
-        """Reinsert an entry taken out with :meth:`horizon_pop`."""
-        heapq.heappush(self._horizon, entry)
 
     def mark_crashed(self, pid: ProcessId) -> None:
         """Exclude ``pid``'s queue from the live-pending count, permanently.

@@ -33,10 +33,10 @@ drive the clock:
   minimum over processes of: next deliverable message, next pending input,
   next due local timeout, the pending ``on_start``; gated by the process's
   crash boundary) and fast-forwards the clock over idle stretches. The
-  minimum is answered by two incremental indexes — the network's delivery
-  horizon and the scheduler's local event index, each a lazy min-heap over
-  per-process O(1) cursors — so a query costs O(log n) per jump rather
-  than an O(n) rescan of heaps and timeout tables.
+  minimum is one O(n) scan over two per-process cursors — the network's
+  next-delivery time ``_next_at`` and the scheduler's local event time
+  ``_local_event``, each kept current in O(1) by the step that moves it —
+  so a jump never looks into a message heap or a timeout table.
   Under round-robin scheduling the jump is O(1) per skipped stretch. Under
   random scheduling the skip is *blockwise*: every tick strictly before the
   earliest pending event is idle regardless of which permutation the
@@ -94,13 +94,11 @@ from repro.sim.failures import FailurePattern
 from repro.sim.kernel import (
     DEFAULT_KERNEL,
     KERNELS,
-    SCAN_EVENT_CUTOVER,
     fused_path_name,
     fused_runner,
     make_network,
 )
 from repro.sim.envs import DelayModel, FixedDelay
-from repro.sim.network import DEFAULT_COMPACT_FACTOR
 from repro.sim.observers import RunMetrics, SimObserver, make_recorder
 from repro.sim.process import Process
 from repro.sim.runs import ReceivedMessage, RunRecord, StepRecord
@@ -273,25 +271,14 @@ class Simulation:
         )
         self._crash_cursor = 0
 
-        #: incremental *local* next-event index: per process, the earliest
-        #: time with scheduler-side work pending — the next due timeout or
+        #: the *local* next-event cursor: per process, the earliest time
+        #: with scheduler-side work pending — the next due timeout or
         #: pending input, or 0 while the process has not run ``on_start``
         #: (its first step is always interesting). Maintained by
         #: :meth:`_refresh_local` after every executed step and lowered by
-        #: :meth:`add_input`; paired with a lazy min-heap mirroring the
-        #: network's delivery horizon so next-event queries cost O(log n)
-        #: instead of an O(n) rescan of timeouts/inputs/queues.
+        #: :meth:`add_input`; :meth:`_next_event_query` scans it beside the
+        #: network's ``_next_at`` cursors.
         self._local_event: list[Time] = [0] * self.n
-        self._local_horizon: list[tuple[Time, ProcessId]] = [
-            (0, pid) for pid in range(self.n)
-        ]
-        #: see Network._horizon_cap: bound the stale-entry build-up on runs
-        #: that push (every executed step) without ever querying. Shares the
-        #: network's compaction factor.
-        self._local_cap = max(64, DEFAULT_COMPACT_FACTOR * self.n)
-        #: scan-vs-heap cutover for the fused loop's idle next-event query;
-        #: per-sim so tests and the sweep benchmark can force either path.
-        self._scan_cutover = SCAN_EVENT_CUTOVER
         self._rebuild_dispatch()
 
     # -- observer dispatch -----------------------------------------------------
@@ -389,7 +376,6 @@ class Simulation:
         heapq.heappush(self._inputs[pid], (time, next(self._input_seq), value))
         if time < self._local_event[pid]:
             self._local_event[pid] = time
-            self._push_local(time, pid)
 
     # -- stepping ----------------------------------------------------------------
 
@@ -547,27 +533,15 @@ class Simulation:
         queue = self._inputs[pid]
         if queue and queue[0][0] < event_at:
             event_at = queue[0][0]
-        if event_at != self._local_event[pid]:
-            self._local_event[pid] = event_at
-            self._push_local(event_at, pid)
-
-    def _push_local(self, event_at: Time, pid: ProcessId) -> None:
-        """Push a local-horizon entry, compacting the heap when it outgrows
-        its cap (stale entries accumulate on runs that never query)."""
-        horizon = self._local_horizon
-        if len(horizon) > self._local_cap:
-            local = self._local_event
-            horizon[:] = [(local[p], p) for p in range(self.n)]
-            heapq.heapify(horizon)
-        heapq.heappush(horizon, (event_at, pid))
+        self._local_event[pid] = event_at
 
     # -- the event engine ------------------------------------------------------
 
     def _event_time(self, pid: ProcessId) -> Time:
         """Earliest time with work pending for ``pid`` (unclamped); O(1).
 
-        The minimum of the local index (timeouts / inputs / pending
-        ``on_start``) and the network's next-delivery index.
+        The minimum of the local cursor (timeouts / inputs / pending
+        ``on_start``) and the network's next-delivery cursor.
         """
         event_at = self._local_event[pid]
         deliver_at = self.network.next_delivery_time(pid)
@@ -582,57 +556,34 @@ class Simulation:
         return self._event_time(pid) <= t
 
     def _next_event_query(self, now: Time, align_rr: bool) -> Time | None:
-        """Earliest actionable tick over both lazy horizon heaps, or None.
+        """Earliest actionable tick at or after ``now``, or None.
 
-        Queries the scheduler-local event heap and the network's delivery
-        horizon instead of scanning every process: entries pop in time
-        order until none can beat the best candidate found. Under
-        round-robin (``align_rr``) a candidate is the event time aligned to
-        its process's next scheduled slot — alignment adds < n, so only
-        entries within one round of the minimum are examined (O(log n)
-        amortized per jump); under random scheduling any permutation may
-        schedule the owner at any slot, so the candidate is the event time
-        itself (clamped to ``now``).
-
-        Stale entries — their time no longer matches the owning index —
-        are discarded for good. Valid entries are always reinserted, even
-        when crash-gated (the process can never act on the event): the
-        network's horizon heap remains the authoritative "earliest over
-        all queues" index for :meth:`~repro.sim.network.Network.horizon_peek`,
-        and gated entries simply never become the answer.
+        One scan over the per-process cursors: a process's event time is
+        the earlier of its local cursor (timeouts / inputs / pending
+        ``on_start``) and its network next-delivery cursor, clamped to
+        ``now``. Under round-robin (``align_rr``) the candidate is that time
+        aligned to the process's next scheduled slot; under random
+        scheduling any permutation may schedule the owner at any slot, so
+        the clamped time is the candidate itself. A candidate at or past
+        its process's crash time is dropped — the process can never act on
+        it. The C tick loop runs the same scan over the same cursors.
         """
         n = self.n
-        crash_times = self.failure_pattern.crash_times
-        network = self.network
+        crash_get = self.failure_pattern.crash_times.get
+        next_at = self.network._next_at
         best: Time | None = None
-        for horizon, index in (
-            (self._local_horizon, self._local_event),
-            (network._horizon, network._next_at),
-        ):
-            stash = None
-            while horizon:
-                entry = horizon[0]
-                event_at, pid = entry
-                if index[pid] != event_at:
-                    heapq.heappop(horizon)  # stale
-                    continue
-                eff = event_at if event_at > now else now
-                if best is not None and eff >= best:
-                    break
-                heapq.heappop(horizon)
-                if stash is None:
-                    stash = [entry]
-                else:
-                    stash.append(entry)
-                tick = eff + ((pid - eff) % n) if align_rr else eff
-                crash_at = crash_times.get(pid)
-                if crash_at is not None and tick >= crash_at:
-                    continue  # pid can never act on this event
-                if best is None or tick < best:
-                    best = tick
-            if stash is not None:
-                for entry in stash:
-                    heapq.heappush(horizon, entry)
+        for pid, event_at in enumerate(self._local_event):
+            deliver_at = next_at[pid]
+            if deliver_at is not None and deliver_at < event_at:
+                event_at = deliver_at
+            tick = event_at if event_at > now else now
+            if align_rr:
+                tick += (pid - tick) % n
+            crash_at = crash_get(pid)
+            if crash_at is not None and tick >= crash_at:
+                continue
+            if best is None or tick < best:
+                best = tick
         return best
 
     def _record_idle_step(self, t: Time, pid: ProcessId) -> None:
@@ -697,7 +648,7 @@ class Simulation:
     def _advance_event_rr(self, t_end: Time) -> None:
         """Execute the next interesting tick before ``t_end``, or jump to it."""
         # Dense-run fast path: when the current tick is already interesting
-        # the horizon query below would return `now` — skip it (O(1)).
+        # the next-event scan below would return `now` — skip it (O(1)).
         now = self.time
         pid = now % self.n
         if self._local_event[pid] <= now:
@@ -755,11 +706,11 @@ class Simulation:
 
         Any tick strictly before the earliest pending event (over processes
         that can still act) is idle no matter which permutation the scheduler
-        draws, so the span up to that horizon is accounted arithmetically by
-        :meth:`_skip_span_random`. Only the block containing the horizon is
+        draws, so the span up to that event is accounted arithmetically by
+        :meth:`_skip_span_random`. Only the block containing the event is
         then walked tick-by-tick — and it may come up empty (the scheduled
         slot of the process owning the event can fall before the event), in
-        which case the horizon is recomputed past the block.
+        which case the next event is recomputed past the block.
         """
         n = self.n
         crash_times = self.failure_pattern.crash_times
@@ -767,14 +718,14 @@ class Simulation:
         next_at = self.network._next_at  # O(1) per-receiver delivery index
         t = self.time
         while t < t_end:
-            horizon = self._next_event_query(t, align_rr=False)
-            if horizon is None or horizon >= t_end:
+            target = self._next_event_query(t, align_rr=False)
+            if target is None or target >= t_end:
                 self._skip_span_random(t, t_end)
                 self.time = t_end
                 return
-            if horizon > t:
-                self._skip_span_random(t, horizon)
-                t = horizon
+            if target > t:
+                self._skip_span_random(t, target)
+                t = target
             block_start = t - t % n
             hi = min(block_start + n, t_end)
             perm = self._permutation_for_block(t // n)

@@ -118,11 +118,11 @@ class TimelineObserver(SimObserver):
         self.tags = tags if tags is not None else DEFAULT_TAGS
         self.pids = pids
         self.events: list[tuple[Time, ProcessId, str, str]] = []
-        self._horizon: Time = 0
+        self._last_tick: Time = 0
 
     def on_step(self, sim: "Simulation", record: StepRecord) -> None:
-        if record.time > self._horizon:
-            self._horizon = record.time
+        if record.time > self._last_tick:
+            self._last_tick = record.time
         if not record.outputs:
             return
         self._collect(record)
@@ -131,15 +131,15 @@ class TimelineObserver(SimObserver):
         # Idle ticks never carry outputs; only the horizon moves. Overriding
         # the fast path keeps a forced-materialization run (e.g. mixed with
         # full recording) from building a record per skipped tick here too.
-        if t > self._horizon:
-            self._horizon = t
+        if t > self._last_tick:
+            self._last_tick = t
 
     def on_finish(self, sim: "Simulation") -> None:
         # At reduced fidelity on_step only sees interesting steps; extend the
         # horizon to the run's true last live tick so crash annotations past
         # the last event are not dropped.
-        if sim.last_live_tick > self._horizon:
-            self._horizon = sim.last_live_tick
+        if sim.last_live_tick > self._last_tick:
+            self._last_tick = sim.last_live_tick
 
     def _collect(self, record: StepRecord) -> None:
         if self.pids is not None and record.pid not in self.pids:
@@ -159,7 +159,7 @@ class TimelineObserver(SimObserver):
     def render(self, *, failure_pattern: Any = None) -> str:
         """The merged timeline text (optionally annotating crash times)."""
         events = list(self.events)
-        horizon = self._horizon
+        horizon = self._last_tick
         if failure_pattern is not None:
             selected = (
                 self.pids if self.pids is not None else range(failure_pattern.n)

@@ -1,14 +1,14 @@
-"""Data-plane tests: the incremental event-horizon index, the columnar step
-store, and the quiescence counter under permanent partitions.
+"""Data-plane tests: the incremental next-delivery cursors, the columnar
+step store, and the quiescence counter under permanent partitions.
 
 Four pillars:
 
 - a hypothesis property test pinning the network's incremental next-delivery
-  index (per-receiver heads, the global lazy horizon heap, and every counter)
-  against a recompute-from-scratch oracle across random send/pop/crash/tick
+  cursors (per-receiver heads and every counter) against a
+  recompute-from-scratch oracle across random send/pop/crash/tick
   interleavings;
 - a broadcast is all or nothing on every network: a delay model raising at
-  the last receiver leaves every counter and the horizon as they were, and
+  the last receiver leaves every counter and cursor as they were, and
   every network asks the model the same calls;
 - differential tests asserting the columnar :class:`StepStore` is
   byte-identical — by equality and by pickle — to the legacy list-of-records
@@ -75,12 +75,6 @@ class HorizonOracle:
     def next_delivery(self, r: int) -> int | None:
         return min(self.queues[r], default=None)
 
-    def horizon(self) -> tuple[int, int] | None:
-        heads = [
-            (min(q), r) for r, q in enumerate(self.queues) if q
-        ]
-        return min(heads, default=None)
-
     def live_pending(self) -> int:
         return sum(
             sum(1 for d in q if d < NEVER)
@@ -92,7 +86,6 @@ class HorizonOracle:
         for r in range(self.n):
             assert net.next_delivery_time(r) == self.next_delivery(r)
             assert net.in_transit(r) == len(self.queues[r])
-        assert net.horizon_peek() == self.horizon()
         assert net.in_transit() == sum(len(q) for q in self.queues)
         assert net.live_pending == self.live_pending()
         alive = [r for r in range(self.n) if r not in self.dead]
@@ -146,41 +139,9 @@ class TestHorizonIndexOracle:
                 t += data.draw(st.integers(1, 12))
             oracle.check(net)
 
-    def test_horizon_pop_and_push_round_trip(self):
-        net = Network(3, FixedDelay(4))
-        net.send(0, 1, "a", 0)
-        net.send(0, 2, "b", 1)
-        entry = net.horizon_peek()
-        assert entry == (4, 1)
-        assert net.horizon_pop() == entry
-        assert net.horizon_peek() == (5, 2)
-        net.horizon_push(entry)
-        assert net.horizon_peek() == (4, 1)
-
-    def test_heaps_stay_bounded_without_queries(self):
-        # Regression: every pop/refresh pushes a lazily-invalidated entry;
-        # runs that never query (naive engine, dense fast paths) must not
-        # accumulate one stale entry per delivered message.
-        class Chatter(Process):
-            def on_timeout(self, ctx):
-                ctx.send((ctx.pid + 1) % ctx.n, "m")
-
-        sim = Simulation(
-            [Chatter() for _ in range(3)],
-            delay_model=FixedDelay(1),
-            timeout_interval=2,
-            engine="naive",
-            record="none",
-        )
-        sim.run_until(20_000)
-        assert sim.network.delivered_count > 5_000
-        assert len(sim.network._horizon) <= sim.network._horizon_cap + 1
-        assert len(sim._local_horizon) <= sim._local_cap + 1
-
-    def test_horizon_peek_stays_authoritative_after_crash_gated_queries(self):
-        # Regression: the scheduler's next-event queries must reinsert
-        # crash-gated entries — the network heap is the global index behind
-        # horizon_peek, not scheduler-private state.
+    def test_delivery_cursor_survives_crash_gated_queries(self):
+        # The scheduler's next-event scans skip a crash-gated receiver's
+        # mail without consuming it: the network's cursor still reports it.
         class Quiet(Process):
             pass
 
@@ -195,7 +156,7 @@ class TestHorizonIndexOracle:
         sim.network.send_packed(0, 2, "dead letter", 1)
         sim.run_until(50)
         assert sim.network.next_delivery_time(2) == 5
-        assert sim.network.horizon_peek() == (5, 2)
+        assert sim.network.earliest_pending(range(3)) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +210,7 @@ def _network_state(net: Network) -> tuple:
         net.live_pending,
         net.in_transit(),
         [net.in_transit(r) for r in range(net.n)],
-        net.horizon_peek(),
+        [net.next_delivery_time(r) for r in range(net.n)],
     )
 
 

@@ -5,16 +5,15 @@ Four pillars:
 
 - a hypothesis differential driving the legacy ``Network`` and the packed
   pool side by side through random send/send_all/pop/batch-pop/crash/tick
-  interleavings, asserting identical messages, counters, and horizon state
-  at every step (the compiled pool joins when the extension is built);
+  interleavings, asserting identical messages, counters, and next-delivery
+  cursors at every step (the compiled pool joins when the extension is built);
 - whole-run differentials over the randomized scenario space of
   ``test_engine_differential`` pinning byte-identical :class:`RunRecord`
   objects across ``kernel="legacy" | "packed" | "compiled-loop"`` — plus
   the C pool under the generic Python engine, which ``compiled-loop``
   steps through under a plain ``on_step`` observer — under both
   ``round_robin`` and ``random`` scheduling and both engines;
-- unit coverage for the kernel selection flag and the heap self-compaction
-  caps;
+- unit coverage for the kernel selection flag;
 - the extension guard (``repro.sim._compiled``): a build is accepted only
   with the digest of the ``_ckernel.c`` beside it, and refused with one
   warning otherwise;
@@ -61,7 +60,6 @@ from repro.sim import (
     run_digest,
 )
 from repro.sim.errors import ConfigurationError
-from repro.sim.network import DEFAULT_COMPACT_FACTOR
 from repro.sim.types import NEVER
 
 from test_engine_differential import build_sim, random_config, run_sim
@@ -146,7 +144,7 @@ def _state(net: Network) -> dict:
     return {
         "next": [net.next_delivery_time(r) for r in range(net.n)],
         "transit": [net.in_transit(r) for r in range(net.n)],
-        "horizon": net.horizon_peek(),
+        "earliest": net.earliest_pending(range(net.n)),
         "sent": net.sent_count,
         "delivered": net.delivered_count,
         "live_pending": net.live_pending,
@@ -302,7 +300,7 @@ class TestKernelRunDifferential:
 
 
 # ---------------------------------------------------------------------------
-# Kernel selection flag and the heap compaction caps.
+# Kernel selection flag.
 # ---------------------------------------------------------------------------
 
 
@@ -567,27 +565,6 @@ class TestExtensionGuard:
             source.read_bytes()
         ).hexdigest()
         assert HAS_COMPILED_LOOP
-
-
-class TestCompactionCaps:
-    @pytest.mark.parametrize("kernel", BUILT_LEGS)
-    @pytest.mark.parametrize("n", [3, 40])
-    def test_heaps_stay_bounded_by_the_derived_caps(self, kernel, n):
-        # Lazy deletions never accumulate past max(64, factor * n), on the
-        # network's horizon heap and the scheduler's local-event heap alike.
-        sim = Simulation(
-            [Chatter() for _ in range(n)],
-            delay_model=FixedDelay(1),
-            timeout_interval=2,
-            record="none",
-            **leg_options(kernel),
-        )
-        cap = max(64, DEFAULT_COMPACT_FACTOR * n)
-        assert sim.network._horizon_cap == sim._local_cap == cap
-        sim.run_until(5_000)
-        assert sim.network.delivered_count > 1_000
-        assert len(sim.network._horizon) <= cap + 1
-        assert len(sim._local_horizon) <= cap + 1
 
 
 # ---------------------------------------------------------------------------
@@ -1589,7 +1566,7 @@ RANDOM_LEGS = [("legacy", "naive")] + [(k, "event") for k in BUILT_KERNELS]
 
 def _random_sim(
     kernel, engine="event", *, n, crashes=None, record="metrics", seed=11,
-    timeout=23, batch=1, cls=Mixer,
+    timeout=23, batch=1, cls=Mixer, scheduling="random",
 ):
     sim = Simulation(
         [cls() for __ in range(n)],
@@ -1597,7 +1574,7 @@ def _random_sim(
         delay_model=make_env("flaky", seed=seed).delay,
         seed=seed,
         timeout_interval=timeout,
-        scheduling="random",
+        scheduling=scheduling,
         message_batch=batch,
         engine=engine,
         kernel=kernel,
@@ -1638,9 +1615,10 @@ def _assert_legs_agree(sims: dict) -> None:
         assert _run_view(sim) == oracle, leg
         if engine == "event":
             assert sim.metrics == reference.metrics, leg
-            assert sim.fused_path == (
-                "c-loop" if kernel == "compiled-loop" else None
-            ), leg
+            python_loop = "python" if sim.scheduling == "round_robin" else None
+            assert sim.fused_path == {
+                "compiled-loop": "c-loop", "packed": python_loop,
+            }.get(kernel), leg
 
 
 class TestRandomSchedulingOnTheCLoop:
@@ -1726,29 +1704,23 @@ class TestRandomSchedulingOnTheCLoop:
             assert _run_view(cut) == _run_view(whole[kernel, "event"]), kernel
             assert cut.metrics == whole[kernel, "event"].metrics
 
-    def test_above_the_scan_cutover_the_heap_query_answers(self):
-        from repro.sim.kernel import SCAN_EVENT_CUTOVER
-
-        n = SCAN_EVENT_CUTOVER + 1
+    @pytest.mark.parametrize("scheduling", ["round_robin", "random"])
+    def test_every_leg_agrees_at_n_257(self, scheduling):
+        # One cursor scan answers every next-event query at any n: idle
+        # spans (timeouts longer than a round) and crash-gated events on a
+        # system wider than any workload runs.
+        n = 257
         sims = {
             (kernel, engine): _random_sim(
                 kernel, engine, n=n, crashes={5: 900, n - 1: 2_000},
-                timeout=97, cls=Chatter,
+                timeout=401, cls=Chatter, scheduling=scheduling,
             )
             for kernel, engine in RANDOM_LEGS
         }
         for sim in sims.values():
-            assert sim._scan_cutover < n
-            sim.run_until(4 * n + 50)
+            sim.run_until(8 * n + 50)
+        assert sims["packed", "event"].metrics.idle_ticks_skipped > 0
         _assert_legs_agree(sims)
-        # ... and the two idle queries agree with each other on one sim size
-        forced = {}
-        for cutover in (0, SCAN_EVENT_CUTOVER):
-            sim = _random_sim(DEFAULT_KERNEL, n=6, crashes={1: 444})
-            sim._scan_cutover = cutover
-            sim.run_until(3_000)
-            forced[cutover] = _run_view(sim), sim.metrics
-        assert forced[0] == forced[SCAN_EVENT_CUTOVER]
 
     def test_an_add_input_from_inside_a_handler_is_seen(self):
         # Simulation.add_input lowers _local_event in the middle of a run;

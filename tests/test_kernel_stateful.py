@@ -290,7 +290,7 @@ class KernelLadderMachine(RuleBasedStateMachine):
             "live_pending": net.live_pending,
             "in_transit": [net.in_transit(r) for r in range(net.n)],
             "next": [net.next_delivery_time(r) for r in range(net.n)],
-            "horizon": net.horizon_peek(),
+            "earliest": net.earliest_pending(range(net.n)),
             "pending_inputs": [len(queue) for queue in sim._inputs],
         }
         if self.record == "metrics":  # the level that fills RunMetrics

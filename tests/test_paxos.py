@@ -1,10 +1,14 @@
 """Tests for the Paxos consensus baseline (Omega + majority / Omega + Sigma)."""
 
+import pytest
+
+from repro.analysis.experiments.base import _run_broadcast_scenario
 from repro.consensus import PaxosConsensusLayer
 from repro.core import EcDriverLayer
 from repro.detectors import CompositeDetector, OmegaDetector, SigmaDetector
-from repro.properties import check_ec
+from repro.properties import check_ec, check_tob
 from repro.sim import FailurePattern, FixedDelay, ProtocolStack, Simulation
+from repro.sim.envs import make_env
 
 
 def paxos_sim(
@@ -121,6 +125,46 @@ class TestSigmaQuorums:
         report = check_ec(sim.run, correct={3, 4}, expected_instances=3)
         assert report.ok, report.violations
         assert report.agreement_index == 1
+
+    #: TOB over Sigma-quorum Paxos, each run one whose learner was stranded
+    #: when ack sets were tested only as acks arrived: Sigma named a process
+    #: that never acked the ballot, then settled, and nothing re-tested.
+    #: The first is the run that located the hole (p3 delivered 3 of 8
+    #: while p2 and p4 delivered 8).
+    @pytest.mark.parametrize(
+        "env,seed,n",
+        [
+            ("baseline", 1, 5),
+            ("baseline", 2, 4),
+            ("uniform", 0, 5),
+            ("uniform", 1, 4),
+            ("heavy-tail", 1, 5),
+            ("heavy-tail", 3, 4),
+            ("flaky", 1, 5),
+            ("flaky", 2, 4),
+        ],
+    )
+    def test_learners_retest_their_acks_once_sigma_settles(self, env, seed, n):
+        crashes = {pid: 120 for pid in range(n - 3)}
+        correct = range(n - 3, n)
+        sim = _run_broadcast_scenario(
+            "tob-consensus",
+            n=n,
+            broadcasts=[
+                (correct[k % 3], 20 + 37 * k, f"m{k}") for k in range(8)
+            ],
+            duration=3_000,
+            tau_omega=400,
+            crashes=crashes,
+            quorum_mode="sigma",
+            seed=seed,
+            delay_model=make_env(env, seed=seed, base_delay=2).delay,
+        )
+        report = check_tob(sim.run)
+        assert report.ok, report.violations
+        for pid in correct:
+            paxos = sim.processes[pid].layer(PaxosConsensusLayer)
+            assert set(paxos._accept_acks).isdisjoint(paxos.decided)
 
 
 class TestMechanics:

@@ -1,7 +1,8 @@
 """The settable surface, pinned: the exact parameters of the sim, suite and
 search entry points, the kernel rungs, the simulator's exception classes,
-the delay-model names removed for good, the observer hooks and network methods of the message interface, the
-functions of the C extension, and the two oracle configurations the
+the delay-model names removed for good, the observer hooks and network
+methods of the message interface, the horizon-heap names removed for good,
+the functions of the C extension, and the two oracle configurations the
 performance ruler (``benchmarks/perf``) builds.
 
 Every option is one more configuration the differentials must hold equal,
@@ -152,6 +153,29 @@ def test_packed_network_methods_are_pinned(cls):
 def test_every_network_answers_the_schedulers_three_calls():
     for name in ("send_packed", "send_all_packed", "pop_deliverable_batch_raw"):
         assert callable(getattr(Network, name)), name
+
+
+# One next-event query: the scheduler scans the per-process cursors
+# (``Network._next_at``, ``Simulation._local_event``) on every loop, so the
+# lazy horizon heaps behind a second query, their compaction factor and the
+# scan-vs-heap cutover stay gone.
+
+@pytest.mark.parametrize("name", ["SCAN_EVENT_CUTOVER", "DEFAULT_COMPACT_FACTOR"])
+def test_the_horizon_heap_knobs_stay_gone(name):
+    from repro.sim import kernel, network
+
+    assert [m.__name__ for m in (repro.sim, kernel, network) if hasattr(m, name)] == []
+    assert name not in repro.sim.__all__
+
+
+def test_the_network_has_no_horizon_heap():
+    for name in ("horizon_peek", "horizon_pop", "horizon_push", "_compact_horizon"):
+        assert not hasattr(Network, name), name
+    sim = Simulation([repro.sim.Process() for __ in range(2)])
+    for obj, name in (
+        (sim.network, "_horizon"), (sim, "_local_horizon"), (sim, "_scan_cutover"),
+    ):
+        assert not hasattr(obj, name), name
 
 
 @pytest.mark.skipif(not HAS_COMPILED, reason="C extension not built")
