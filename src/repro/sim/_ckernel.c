@@ -31,8 +31,9 @@
  *    local-cursor refresh, the next-event scan over the per-process
  *    cursors (the loop of Simulation._next_event_query) and, under
  *    random scheduling, the block permutations and the walk of the block
- *    an event falls in, and -- at record="full" under round-robin -- the
- *    store rows of a crash-free idle span (loop_fill_idle); it calls back
+ *    an event falls in, and -- at record="full" -- the StepStore rows,
+ *    staged in C and appended in bulk (stage_flush), a crash-free idle
+ *    span's under round-robin included (loop_fill_idle); it calls back
  *    into Python only for process handlers, detector queries, the delay
  *    model, the remaining idle-span accounting (`_skip_span_rr` /
  *    `_skip_span_random`), and raw-capable observers other than a
@@ -42,7 +43,7 @@
  *    records, counters and schedule state stay byte-identical (pinned by
  *    tests/test_kernel.py and tests/test_kernel_stateful.py).  A raise
  *    ends the run (repro.sim.scheduler): the failure paths only release
- *    what they hold, and flush the metrics fold.
+ *    what they hold, and flush the metrics fold and the staged rows.
  *
  * Invariants shared with the pure-Python PackedNetwork:
  *   - seq fits in 40 bits, slot index in 24 (both enforced here on the
@@ -631,7 +632,7 @@ static PyObject *s_network, *s_n, *s_processes, *s__ctx, *s_detector,
     *s_live_pending, *s_end_time, *s_input_history, *s_output_history,
     *s__index, *s__time_col, *s__pid_col, *s__fd, *s__msg_sender,
     *s__msg_payload, *s__msg_send_time, *s__timeout, *s__sent,
-    *s__received, *s__intern_fd, *s_append, *s__log_observers, *s_on_log,
+    *s__received, *s__intern_fd, *s__log_observers, *s_on_log,
     *s_scheduling, *s__skip_span_random, *s_seed, *s_metrics,
     *s_idle_ticks_skipped, *s__idle_step_observers, *s__materialize_idle,
     *s_frombytes, *s_steps, *s_steps_by_pid, *s_messages_sent,
@@ -1167,6 +1168,22 @@ peek_input_at(PyObject *in_q, int64_t *out)
     return 1;
 }
 
+/* StepStore rows staged in C (record="full", see stage_flush): one
+ * buffer per column, in the element types of the store's arrays ('q' long
+ * long, 'i' int), _timeout as bytes and the two object columns as owned
+ * references.  A compile-time capacity: 512, 1024 and 4096 rows ran
+ * dense_gossip at the same speed, within noise. */
+#define STAGE_ROWS 1024
+
+typedef struct {
+    long long index[STAGE_ROWS], time[STAGE_ROWS], send_time[STAGE_ROWS];
+    int pid[STAGE_ROWS], sender[STAGE_ROWS];
+    int sent[STAGE_ROWS], received[STAGE_ROWS];
+    char timeout[STAGE_ROWS];
+    PyObject *fd[STAGE_ROWS], *payload[STAGE_ROWS];
+    Py_ssize_t len;
+} Stage;
+
 /* Everything the loop reads, extracted once per run_loop call.  Python
  * objects are owned references unless marked borrowed; the int64 arrays
  * mirror a Python list that only this loop mutates (next_timeout —
@@ -1184,9 +1201,10 @@ typedef struct {
     PyObject *crash_times, *intervals;   /* read into crash_at / interval */
     PyObject *store;                     /* borrowed; NULL without store */
     PyObject *st_col[10];                /* the store's columns */
-    PyObject *st_append[10];             /* bound column .append methods */
     PyObject *st_frombytes[10];          /* bound .frombytes of the array
-                                          * columns, when fill_idle */
+                                          * columns */
+    Stage *stage;                        /* rows not yet in the store */
+    int64_t run_end_time;                /* run.end_time as last written */
     PyObject *intern_fd;
     PyObject *sparse_inputs, *sparse_outputs;
     PyObject *input_history, *output_history;
@@ -1212,8 +1230,6 @@ typedef struct {
     int has_crashes, has_store;
     int fill_idle;                       /* see loop_fill_idle */
     int64_t first_crash;                 /* INT64_MAX = no crash */
-    long long *fill_buf;                 /* loop_fill_idle's column values */
-    Py_ssize_t fill_cap;                 /* ... capacity in long longs */
     /* scheduling="random" only (see the block comment above loop_perm) */
     int random;
     uint64_t seed_mix;                   /* perm_seed_mix(sim.seed) */
@@ -1242,9 +1258,9 @@ loop_free(Loop *L)
     Py_XDECREF(L->intervals);
     for (int i = 0; i < 10; i++) {
         Py_XDECREF(L->st_col[i]);
-        Py_XDECREF(L->st_append[i]);
         Py_XDECREF(L->st_frombytes[i]);
     }
+    PyMem_Free(L->stage);                /* empty: every exit flushes it */
     Py_XDECREF(L->intern_fd);
     Py_XDECREF(L->sparse_inputs);
     Py_XDECREF(L->sparse_outputs);
@@ -1279,7 +1295,6 @@ loop_free(Loop *L)
     PyMem_Free(L->crash_at);
     PyMem_Free(L->interval);
     PyMem_Free(L->next_to);
-    PyMem_Free(L->fill_buf);
     PyMem_Free(L->perm);
     PyMem_Free(L->fold_by_pid);
 }
@@ -1304,13 +1319,186 @@ local_event_at(Loop *L, long p, int64_t *out)
             return -1;                                                      \
     } while (0)
 
-/* -- idle spans at record="full" ----------------------------------------- */
+/* -- the StepStore column writer (record="full") ------------------------- */
 
-/* The StepStore columns (st_col order) that are arrays, which the idle
- * fill extends by frombytes: 'q' (long long) _index, _time,
- * _msg_send_time and 'i' (int) _pid, _msg_sender, _sent, _received.  _fd
- * and _msg_payload are lists, _timeout a bytearray. */
+/* The StepStore columns (st_col order) that are arrays, which the writer
+ * extends by frombytes: 'q' (long long) _index, _time, _msg_send_time and
+ * 'i' (int) _pid, _msg_sender, _sent, _received.  _fd and _msg_payload
+ * are lists, _timeout a bytearray. */
 static const int st_is_array[10] = {1, 1, 1, 0, 1, 0, 1, 0, 1, 1};
+
+/* Binds the array columns' .frombytes and allocates the stage. */
+static int
+stage_init(Loop *L)
+{
+    /* _timeout grows through the bytearray macros, which trust the type */
+    if (!PyByteArray_CheckExact(L->st_col[7])) {
+        PyErr_SetString(PyExc_TypeError,
+                        "run_loop: StepStore._timeout must be a bytearray");
+        return -1;
+    }
+    for (int i = 0; i < 10; i++) {
+        if (st_is_array[i])
+            GETA(L->st_frombytes[i], L->st_col[i], s_frombytes);
+    }
+    L->stage = PyMem_Malloc(sizeof(Stage));
+    if (L->stage == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    L->stage->len = 0;
+    return 0;
+}
+
+/* column i .frombytes(memoryview of the first `size` bytes at buf) */
+static int
+array_extend(Loop *L, int i, const void *buf, Py_ssize_t size)
+{
+    PyObject *view = PyMemoryView_FromMemory((char *)buf, size, PyBUF_READ);
+    if (view == NULL)
+        return -1;
+    PyObject *r = call1(L->st_frombytes[i], view);
+    Py_DECREF(view);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return 0;
+}
+
+/* list.extend(values) */
+static inline int
+list_extend(PyObject *list, PyObject *values)
+{
+    return PyList_SetSlice(list, PY_SSIZE_T_MAX, PY_SSIZE_T_MAX, values);
+}
+
+/* Deletes the positions >= rows from a sparse column (_inputs or
+ * _outputs), errors cleared: what a failed flush's rows left there. */
+static void
+sparse_trim(PyObject *sparse, Py_ssize_t rows)
+{
+    PyObject *keys = PyDict_Keys(sparse);
+    if (keys != NULL) {
+        for (Py_ssize_t i = 0; i < PyList_GET_SIZE(keys); i++) {
+            PyObject *key = PyList_GET_ITEM(keys, i);
+            if (PyLong_AsSsize_t(key) >= rows)
+                PyDict_DelItem(sparse, key);
+        }
+        Py_DECREF(keys);
+    }
+    PyErr_Clear();
+}
+
+/* The column writer: appends the staged rows to the store, in
+ * StepStore.extend_idle_span's column order, raises run.end_time to the
+ * last row's tick, and empties the stage.  The arrays extend by frombytes
+ * over the stage's own buffers, the two object columns by one slice
+ * assignment each, _timeout by a resize.  Called before a row goes into a
+ * full stage, before each _skip_span_rr call (which appends in Python),
+ * and when the loop returns or fails -- so between run calls the store
+ * holds exactly the completed steps.  A flush that fails part way (a
+ * column exporting its buffer refuses to grow; out of memory) cuts every
+ * column back to its old length and drops the staged rows, their inputs
+ * and outputs too: the store stays rectangular, and the run fails for
+ * good either way. */
+static int
+stage_flush(Loop *L)
+{
+    Stage *S = L->stage;
+    Py_ssize_t k = S == NULL ? 0 : S->len;
+    if (k == 0)
+        return 0;
+    S->len = 0;
+    PyObject *fd = PyList_New(k);
+    PyObject *payload = PyList_New(k);
+    if (fd == NULL || payload == NULL) {
+        for (Py_ssize_t i = 0; i < k; i++) {
+            Py_DECREF(S->fd[i]);
+            Py_DECREF(S->payload[i]);
+        }
+        Py_XDECREF(fd);
+        Py_XDECREF(payload);
+        return -1;
+    }
+    for (Py_ssize_t i = 0; i < k; i++) {
+        PyList_SET_ITEM(fd, i, S->fd[i]);
+        PyList_SET_ITEM(payload, i, S->payload[i]);
+    }
+    Py_ssize_t old[10];
+    for (int i = 0; i < 10; i++) {
+        old[i] = PyObject_Size(L->st_col[i]);
+        if (old[i] < 0) {
+            Py_DECREF(fd);
+            Py_DECREF(payload);
+            return -1;
+        }
+    }
+    int rc = -1;
+    Py_ssize_t wide = k * sizeof(long long), narrow = k * sizeof(int);
+    if (array_extend(L, 0, S->index, wide) < 0
+        || array_extend(L, 1, S->time, wide) < 0
+        || array_extend(L, 2, S->pid, narrow) < 0
+        || list_extend(L->st_col[3], fd) < 0
+        || array_extend(L, 4, S->sender, narrow) < 0
+        || list_extend(L->st_col[5], payload) < 0
+        || array_extend(L, 6, S->send_time, wide) < 0)
+        goto done;
+    PyObject *timeout = L->st_col[7];
+    if (PyByteArray_Resize(timeout, old[7] + k) < 0)
+        goto done;
+    memcpy(PyByteArray_AS_STRING(timeout) + old[7], S->timeout, k);
+    if (array_extend(L, 8, S->sent, narrow) < 0
+        || array_extend(L, 9, S->received, narrow) < 0)
+        goto done;
+    int64_t last = S->time[k - 1];
+    if (last > L->run_end_time) {
+        if (set_i64_attr(L->run, s_end_time, last) < 0)
+            goto done;
+        L->run_end_time = last;
+    }
+    rc = 0;
+done:
+    Py_DECREF(fd);
+    Py_DECREF(payload);
+    if (rc < 0) {
+        PyObject *type, *value, *traceback;
+        PyErr_Fetch(&type, &value, &traceback);
+        for (int i = 0; i < 10; i++) {
+            if (PySequence_DelSlice(L->st_col[i], old[i], PY_SSIZE_T_MAX) < 0)
+                PyErr_Clear();
+        }
+        sparse_trim(L->sparse_inputs, old[0]);
+        sparse_trim(L->sparse_outputs, old[0]);
+        PyErr_Restore(type, value, traceback);
+    }
+    return rc;
+}
+
+/* Stages one row (fd and payload borrowed), flushing a full stage first:
+ * executed steps and idle spans alike reach the store through here. */
+static inline int
+stage_row(Loop *L, int64_t index, int64_t t, long pid, PyObject *fd,
+          long sender, PyObject *payload, int64_t send_time, int timeout,
+          long sent, long received)
+{
+    Stage *S = L->stage;
+    if (S->len == STAGE_ROWS && stage_flush(L) < 0)
+        return -1;
+    Py_ssize_t i = S->len++;
+    S->index[i] = index;
+    S->time[i] = t;
+    S->pid[i] = (int)pid;
+    S->fd[i] = Py_NewRef(fd);
+    S->sender[i] = (int)sender;
+    S->payload[i] = Py_NewRef(payload);
+    S->send_time[i] = send_time;
+    S->timeout[i] = (char)timeout;
+    S->sent[i] = (int)sent;
+    S->received[i] = (int)received;
+    return 0;
+}
+
+/* -- idle spans at record="full" ----------------------------------------- */
 
 /* Sets L->fill_idle where _skip_span_rr would hand a crash-free span to
  * FullRecorder.on_idle_span alone: idle steps are materialized and the
@@ -1334,37 +1522,8 @@ fill_idle_init(Loop *L)
     Py_DECREF(materialize);
     if (wanted < 0)
         return -1;
-    /* _timeout grows through the bytearray macros, which trust the type */
-    if (!sole || !wanted || !PyByteArray_CheckExact(L->st_col[7]))
-        return 0;
-    for (int i = 0; i < 10; i++) {
-        if (st_is_array[i])
-            GETA(L->st_frombytes[i], L->st_col[i], s_frombytes);
-    }
-    L->fill_idle = 1;
+    L->fill_idle = sole && wanted;
     return 0;
-}
-
-/* column i .frombytes(the first `size` bytes of L->fill_buf) */
-static int
-fill_buf_into(Loop *L, int i, Py_ssize_t size)
-{
-    PyObject *raw = PyBytes_FromStringAndSize((const char *)L->fill_buf, size);
-    if (raw == NULL)
-        return -1;
-    PyObject *r = call1(L->st_frombytes[i], raw);
-    Py_DECREF(raw);
-    if (r == NULL)
-        return -1;
-    Py_DECREF(r);
-    return 0;
-}
-
-/* list.extend(values) */
-static inline int
-list_extend(PyObject *list, PyObject *values)
-{
-    return PyList_SetSlice(list, PY_SSIZE_T_MAX, PY_SSIZE_T_MAX, values);
 }
 
 /* [intern_fd(detector.query(t % n, t)) for t in range(start, start + k)],
@@ -1397,92 +1556,39 @@ fail:
     return NULL;
 }
 
-/* The idle steps of the crash-free round-robin span [start, end), written
- * straight into the store: _skip_span_rr's uniform branch followed by
+/* The idle steps of the crash-free round-robin span [start, end), staged
+ * for the store: _skip_span_rr's uniform branch followed by
  * FullRecorder.on_idle_span over StepStore.extend_idle_span -- the
- * detector queried for the whole span in tick order, then last_live_tick,
- * _step_index, the columns in extend_idle_span's order and run.end_time.
- * The array columns extend through frombytes, the two object columns by
- * one slice assignment, _timeout by a resize. */
+ * detector queried for the whole span in tick order, then
+ * last_live_tick, _step_index and the rows (run.end_time moves with the
+ * flush).  A raise from a query moves nothing. */
 static int
-loop_fill_idle(Loop *L, int64_t start, int64_t end, int64_t *step_index,
-               int64_t *run_end_time)
+loop_fill_idle(Loop *L, int64_t start, int64_t end, int64_t *step_index)
 {
     Py_ssize_t k = (Py_ssize_t)(end - start);
-    if (k > PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(long long)) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    if (k > L->fill_cap) {
-        long long *grown = PyMem_Realloc(L->fill_buf, k * sizeof(long long));
-        if (grown == NULL) {
-            PyErr_NoMemory();
+    PyObject *fd_values = NULL;
+    if (L->detector_query != NULL) {
+        fd_values = idle_fd_values(L, start, k);
+        if (fd_values == NULL)
             return -1;
-        }
-        L->fill_buf = grown;
-        L->fill_cap = k;
-    }
-    PyObject *nones = PyList_New(k);
-    if (nones == NULL)
-        return -1;
-    for (Py_ssize_t i = 0; i < k; i++) {
-        Py_INCREF(Py_None);
-        PyList_SET_ITEM(nones, i, Py_None);
     }
     int rc = -1;
-    PyObject *fd_values = L->detector_query == NULL
-        ? Py_NewRef(nones) : idle_fd_values(L, start, k);
-    if (fd_values == NULL)
-        goto done;
-    long long *wide = L->fill_buf;
-    int *narrow = (int *)L->fill_buf;
-    Py_ssize_t wide_size = k * sizeof(long long);
-    Py_ssize_t narrow_size = k * sizeof(int);
     int64_t first_index = *step_index;
     if (set_i64_attr(L->sim, s_last_live_tick, end - 1) < 0
         || set_i64_attr(L->sim, s__step_index, first_index + k) < 0)
         goto done;
     *step_index = first_index + k;
-    for (Py_ssize_t i = 0; i < k; i++)
-        wide[i] = first_index + i;
-    if (fill_buf_into(L, 0, wide_size) < 0)
-        goto done;
-    for (Py_ssize_t i = 0; i < k; i++)
-        wide[i] = start + i;
-    if (fill_buf_into(L, 1, wide_size) < 0)
-        goto done;
-    for (Py_ssize_t i = 0; i < k; i++)
-        narrow[i] = (int)((start + i) % L->n);
-    if (fill_buf_into(L, 2, narrow_size) < 0
-        || list_extend(L->st_col[3], fd_values) < 0)
-        goto done;
-    for (Py_ssize_t i = 0; i < k; i++)
-        narrow[i] = -1;
-    if (fill_buf_into(L, 4, narrow_size) < 0
-        || list_extend(L->st_col[5], nones) < 0)
-        goto done;
-    for (Py_ssize_t i = 0; i < k; i++)
-        wide[i] = -1;
-    if (fill_buf_into(L, 6, wide_size) < 0)
-        goto done;
-    PyObject *timeout = L->st_col[7];
-    Py_ssize_t old = PyByteArray_GET_SIZE(timeout);
-    if (PyByteArray_Resize(timeout, old + k) < 0)
-        goto done;
-    memset(PyByteArray_AS_STRING(timeout) + old, 0, k);
-    memset(narrow, 0, narrow_size);
-    if (fill_buf_into(L, 8, narrow_size) < 0
-        || fill_buf_into(L, 9, narrow_size) < 0)
-        goto done;
-    if (end - 1 > *run_end_time) {
-        if (set_i64_attr(L->run, s_end_time, end - 1) < 0)
+    for (Py_ssize_t i = 0; i < k; i++) {
+        int64_t t = start + i;
+        PyObject *fd = fd_values == NULL
+            ? Py_None : PyList_GET_ITEM(fd_values, i);
+        if (stage_row(L, first_index + i, t, (long)(t % L->n), fd, -1,
+                      Py_None, -1, 0, 0, 0) < 0)
             goto done;
-        *run_end_time = end - 1;
     }
     rc = 0;
 done:
     Py_XDECREF(fd_values);
-    Py_DECREF(nones);
     return rc;
 }
 
@@ -1619,7 +1725,7 @@ loop_init(Loop *L, PyObject *sim, PyObject *store, PyObject *metrics)
             return -1;
     }
     if (store != Py_None) {
-        /* single-FullRecorder fast path: append straight into the store */
+        /* single-FullRecorder fast path: stage rows for the store */
         L->has_store = 1;
         L->store = store;
         PyObject *col_names[10] = {
@@ -1627,10 +1733,10 @@ loop_init(Loop *L, PyObject *sim, PyObject *store, PyObject *metrics)
             s__msg_payload, s__msg_send_time, s__timeout, s__sent,
             s__received,
         };
-        for (int i = 0; i < 10; i++) {
+        for (int i = 0; i < 10; i++)
             GETA(L->st_col[i], store, col_names[i]);
-            GETA(L->st_append[i], L->st_col[i], s_append);
-        }
+        if (stage_init(L) < 0)
+            return -1;
         GETA(L->intern_fd, store, s__intern_fd);
         GETA(L->sparse_inputs, store, s__inputs);
         GETA(L->sparse_outputs, store, s__outputs);
@@ -1868,7 +1974,7 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     }
     PoolObject *pool = L->nv.pool;
     long n = L->n;
-    int64_t t, step_index, run_end_time;
+    int64_t t, step_index;
     /* Per-step owned temporaries, function-scoped so step_fail can see
      * them; always NULL outside an executed step. */
     PyObject *t_obj = NULL, *fd_value = NULL, *inputs_t = NULL;
@@ -1877,7 +1983,7 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         goto fail;
     if (get_i64_attr(sim, s__step_index, &step_index) < 0)
         goto fail;
-    if (get_i64_attr(L->run, s_end_time, &run_end_time) < 0)
+    if (get_i64_attr(L->run, s_end_time, &L->run_end_time) < 0)
         goto fail;
 
     while (t < t_end) {
@@ -2193,48 +2299,24 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                 goto step_fail;
 
             if (L->has_store) {
-                PyObject *v, *r;
-#define ST_APPEND_STOLEN(slot_i, boxed)                                     \
-                do {                                                        \
-                    v = (boxed);                                            \
-                    if (v == NULL)                                          \
-                        goto step_fail;                                     \
-                    r = call1(L->st_append[slot_i], v);                     \
-                    Py_DECREF(v);                                           \
-                    if (r == NULL)                                          \
-                        goto step_fail;                                     \
-                    Py_DECREF(r);                                           \
-                } while (0)
-#define ST_APPEND_BORROWED(slot_i, obj)                                     \
-                do {                                                        \
-                    r = call1(L->st_append[slot_i], (obj));                 \
-                    if (r == NULL)                                          \
-                        goto step_fail;                                     \
-                    Py_DECREF(r);                                           \
-                } while (0)
-                ST_APPEND_STOLEN(0, PyLong_FromLongLong(index));
-                ST_APPEND_BORROWED(1, t_obj);
-                ST_APPEND_BORROWED(2, pid_obj);
-                if (fd_value == Py_None) {
-                    ST_APPEND_BORROWED(3, Py_None);
-                } else {
-                    ST_APPEND_STOLEN(3, call1(L->intern_fd, fd_value));
-                }
-                ST_APPEND_STOLEN(4, PyLong_FromLong(first_sender));
-                ST_APPEND_BORROWED(
-                    5, first_payload != NULL ? first_payload : Py_None);
-                ST_APPEND_STOLEN(6, PyLong_FromLongLong(first_send_time));
-                ST_APPEND_STOLEN(7, PyLong_FromLong(timeout_fired));
-                ST_APPEND_STOLEN(8, PyLong_FromLong(sent));
-                ST_APPEND_STOLEN(9, PyLong_FromLong(received));
-#undef ST_APPEND_STOLEN
-#undef ST_APPEND_BORROWED
+                PyObject *fd_row = fd_value == Py_None
+                    ? Py_NewRef(Py_None) : call1(L->intern_fd, fd_value);
+                if (fd_row == NULL)
+                    goto step_fail;
+                int r_row = stage_row(
+                    L, index, t, pid, fd_row, first_sender,
+                    first_payload != NULL ? first_payload : Py_None,
+                    first_send_time, timeout_fired, sent, received);
+                Py_DECREF(fd_row);
+                if (r_row < 0)
+                    goto step_fail;
                 if (PyTuple_GET_SIZE(inputs_t) > 0
                     || PyTuple_GET_SIZE(outputs_t) > 0) {
                     Py_ssize_t size = PyObject_Size(L->st_col[0]);
                     if (size < 0)
                         goto step_fail;
-                    PyObject *position = PyLong_FromSsize_t(size - 1);
+                    PyObject *position =
+                        PyLong_FromSsize_t(size + L->stage->len - 1);
                     if (position == NULL)
                         goto step_fail;
                     int r_pos = 0;
@@ -2246,11 +2328,6 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                                                outputs_t);
                     Py_DECREF(position);
                     if (r_pos < 0)
-                        goto step_fail;
-                }
-                if (t > run_end_time) {
-                    run_end_time = t;
-                    if (set_i64_attr(L->run, s_end_time, t) < 0)
                         goto step_fail;
                 }
                 if (PyTuple_GET_SIZE(inputs_t) > 0
@@ -2362,10 +2439,11 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             if (loop_flush_idle(L) < 0)
                 goto fail;
             if (L->fill_idle && jump_to <= L->first_crash) {
-                if (loop_fill_idle(L, t, jump_to, &step_index,
-                                   &run_end_time) < 0)
+                if (loop_fill_idle(L, t, jump_to, &step_index) < 0)
                     goto fail;
             } else {
+                if (stage_flush(L) < 0)
+                    goto fail;
                 PyObject *now_obj = PyLong_FromLongLong(t);
                 PyObject *to_obj = PyLong_FromLongLong(jump_to);
                 PyObject *r = (now_obj == NULL || to_obj == NULL)
@@ -2376,9 +2454,9 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                     goto fail;
                 Py_DECREF(r);
                 /* _skip_span_rr may materialize idle steps (bumping
-                 * _step_index) — re-read the mirror.  run_end_time may
-                 * now lag run.end_time; both stay below the next tick
-                 * written, so the next write is the one Python makes. */
+                 * _step_index) — re-read the mirror.  L->run_end_time
+                 * may now lag run.end_time; every row staged next is
+                 * later, so the next flush writes the right value. */
                 if (get_i64_attr(sim, s__step_index, &step_index) < 0)
                     goto fail;
             }
@@ -2409,9 +2487,8 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             }
         }
     }
-    if (loop_flush_idle(L) < 0)
-        goto fail;
-    if (loop_fold_flush(L) < 0)
+    if (loop_flush_idle(L) < 0 || loop_fold_flush(L) < 0
+        || stage_flush(L) < 0)
         goto fail;
     if (set_i64_attr(sim, s_time, t) < 0)
         goto fail;
@@ -2430,6 +2507,8 @@ fail:
         PyObject *type, *value, *traceback;
         PyErr_Fetch(&type, &value, &traceback);
         if (loop_fold_flush(L) < 0)
+            PyErr_Clear();
+        if (stage_flush(L) < 0)
             PyErr_Clear();
         PyErr_Restore(type, value, traceback);
     }
@@ -2829,7 +2908,6 @@ intern_names(void)
     INTERN(s__sent, "_sent");
     INTERN(s__received, "_received");
     INTERN(s__intern_fd, "_intern_fd");
-    INTERN(s_append, "append");
     INTERN(s__log_observers, "_log_observers");
     INTERN(s_on_log, "on_log");
     INTERN(s_scheduling, "scheduling");
@@ -2875,7 +2953,8 @@ PyInit__ckernel(void)
         return NULL;
     }
     if (PyModule_AddStringConstant(module, "SOURCE_DIGEST",
-                                   SOURCE_DIGEST) < 0) {
+                                   SOURCE_DIGEST) < 0
+        || PyModule_AddIntConstant(module, "STAGE_ROWS", STAGE_ROWS) < 0) {
         Py_DECREF(module);
         return NULL;
     }

@@ -517,15 +517,19 @@ def run_fused_compiled(sim: "Simulation", t_end: Time) -> None:
     raw observers) it hands over the recorder's :class:`RunMetrics`
     instead, and the loop folds each executed step's counts itself, adding
     them in when it returns or fails: the metrics are exact between run
-    calls, not in the middle of one. Any other raw observers are called per
-    step as before. The C loop calls back into Python only for process
-    handlers, the delay model, the idle-span accounting (``_skip_span_rr`` /
-    ``_skip_span_random``), and generic raw observers; everything else —
-    due checks, shard pops, timeout firing, outbox expansion and sends,
-    local-cursor refresh, the next-event scan, store appends, the metrics
-    fold and, under random scheduling, the block permutations and the walk
-    of the block an event falls in — happens without touching the
-    interpreter. Byte-identical to
+    calls, not in the middle of one. At ``record="full"`` the store is
+    handled the same way: the loop stages each row in C and appends the
+    staged rows in bulk when its stage is full, before each
+    ``_skip_span_rr`` call, and when it returns or fails, so the store and
+    ``run.end_time`` are exact between run calls. Any other raw observers
+    are called per step as before. The C loop calls back into Python only
+    for process handlers, the delay model, the idle-span accounting
+    (``_skip_span_rr`` / ``_skip_span_random``), and generic raw observers;
+    everything else — due checks, shard pops, timeout firing, outbox
+    expansion and sends, local-cursor refresh, the next-event scan, the
+    store's rows, the metrics fold and, under random scheduling, the block
+    permutations and the walk of the block an event falls in — happens
+    without touching the interpreter. Byte-identical to
     the Python fused loop (round-robin) and to the generic
     ``_advance_event_random`` (random) by construction and pinned by
     ``tests/test_kernel.py``; ``tests/test_metrics_fold.py`` and

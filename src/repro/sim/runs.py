@@ -210,20 +210,21 @@ class StepStore:
         pids follow ``t % n``, and all message/counter columns are constant —
         so everything except the detector samples extends at C speed.
         ``detector`` is queried per ``(pid, t)`` when not None (the engine's
-        purity assumption makes per-observer querying sound).
+        purity assumption makes per-observer querying sound), for the whole
+        span before any column moves: a raising query leaves the store as
+        it was.
         """
         k = end - start
-        self._index.extend(range(start_index, start_index + k))
-        self._time.extend(range(start, end))
-        self._pid.extend([t % n for t in range(start, end)])
         if detector is None:
-            self._fd.extend([None] * k)
+            samples = [None] * k
         else:
             query = detector.query
             intern = self._intern_fd
-            self._fd.extend(
-                [intern(query(t % n, t)) for t in range(start, end)]
-            )
+            samples = [intern(query(t % n, t)) for t in range(start, end)]
+        self._index.extend(range(start_index, start_index + k))
+        self._time.extend(range(start, end))
+        self._pid.extend([t % n for t in range(start, end)])
+        self._fd.extend(samples)
         minus_ones = [-1] * k
         zeros = [0] * k
         self._msg_sender.extend(minus_ones)
@@ -307,7 +308,14 @@ class StepStore:
 
 @dataclass
 class RunRecord:
-    """A complete recorded run."""
+    """A complete recorded run.
+
+    ``steps`` and ``end_time`` are exact between run calls.  Read from a
+    handler, detector or observer in the middle of one, they may lag: the
+    compiled tick loop appends ``steps`` rows in bulk (up to
+    ``repro.sim._ckernel.STAGE_ROWS`` at a time) and moves ``end_time``
+    with them.
+    """
 
     n: int
     failure_pattern: FailurePattern

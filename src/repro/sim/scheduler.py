@@ -144,7 +144,11 @@ def _check_observer(observer: Any) -> None:
 
 
 class Simulation:
-    """Drives a set of process automata to produce a run record."""
+    """Drives a set of process automata to produce a run record.
+
+    The record (``run``) is exact between run calls; in the middle of one
+    its ``steps`` and ``end_time`` may lag (see :class:`RunRecord`).
+    """
 
     def __init__(
         self,
@@ -594,8 +598,8 @@ class Simulation:
         ``on_step`` get a materialized :class:`StepRecord` (built by the
         base-class ``on_idle_step``).
         """
-        self.last_live_tick = t
         fd_value = self.detector.query(pid, t) if self.detector is not None else None
+        self.last_live_tick = t
         index = self._step_index
         self._step_index += 1
         for observer in self._idle_step_observers:
@@ -631,12 +635,14 @@ class Simulation:
         if not crash_times or min(crash_times.values()) >= end:
             # Uniform span: every tick is live and idle, so recorders can
             # append the whole stretch in bulk (columnar stores extend their
-            # arrays at C speed instead of per-tick record dispatch).
-            self.last_live_tick = end - 1
+            # arrays at C speed instead of per-tick record dispatch). The
+            # clock's marks move after the observers, which query the
+            # detector: a raising query moves nothing, as in the C loop.
             start_index = self._step_index
-            self._step_index += end - start
             for observer in self._idle_step_observers:
                 observer.on_idle_span(self, start_index, start, end)
+            self.last_live_tick = end - 1
+            self._step_index = start_index + end - start
             return
         n = self.n
         crashed = self.failure_pattern.crashed

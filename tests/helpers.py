@@ -279,6 +279,22 @@ def strong_tob_sim(
     )
 
 
+#: the parallel columns of a :class:`~repro.sim.runs.StepStore`
+STEP_COLUMNS = (
+    "_index", "_time", "_pid", "_fd", "_msg_sender", "_msg_payload",
+    "_msg_send_time", "_timeout", "_sent", "_received",
+)
+
+
+def assert_rectangular(store) -> None:
+    """Every column of ``store`` holds one entry per step, and the sparse
+    inputs / outputs point at steps it holds."""
+    lengths = {name: len(getattr(store, name)) for name in STEP_COLUMNS}
+    assert len(set(lengths.values())) == 1, lengths
+    rows = len(store)
+    assert all(0 <= p < rows for p in (*store._inputs, *store._outputs))
+
+
 class ReferenceCausalGraph:
     """``repro.core.CausalGraph`` as it was before it kept its indexes per
     insertion — every view recomputed from the node dict on every query —

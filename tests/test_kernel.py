@@ -27,9 +27,11 @@ Four pillars:
   ``Pool`` units;
 - the C loop's ``record="full"`` idle-span fill against the Python fused
   loop and the naive stepper, and its two fallbacks to ``_skip_span_rr``;
+  its staged store writer, column by column, across every kind of flush;
 - the failure contract: a raise from any of nine call sites escapes
-  unchanged on every leg and fails the simulation for good, and the C loop
-  leaks no reference doing so.
+  unchanged on every leg and fails the simulation for good, leaves every
+  leg's store holding exactly the completed steps, and the C loop leaks
+  no reference or allocation doing so.
 """
 
 from __future__ import annotations
@@ -59,15 +61,20 @@ from repro.sim import (
     make_network,
     run_digest,
 )
+from repro.sim._compiled import ckernel
 from repro.sim.errors import ConfigurationError
 from repro.sim.types import NEVER
 
+from helpers import STEP_COLUMNS, assert_rectangular
 from test_engine_differential import build_sim, random_config, run_sim
 
 #: kernels exercised by the whole-run differentials; the compiled rung
 #: joins when a C extension matching its source loaded, and its absence
 #: is covered separately.
 BUILT_KERNELS = [k for k in KERNELS if k != "compiled-loop" or HAS_COMPILED]
+
+#: the StepStore rows the C loop stages before it appends them in bulk
+STAGE_ROWS = ckernel.STAGE_ROWS if HAS_COMPILED_LOOP else None
 
 
 class StepSpy(SimObserver):
@@ -925,6 +932,7 @@ class TestIdleSpanFill:
             sim.run_until(self.HORIZON)
         oracle = _fill_view(sims["legacy", "naive"])
         for leg, sim in sims.items():
+            assert_rectangular(sim.run.steps)
             assert _fill_view(sim) == oracle, leg
         # the C loop filled every span itself, the last one ending at t_end
         assert spies["compiled-loop", "event"].spans == []
@@ -946,6 +954,7 @@ class TestIdleSpanFill:
             cut = _fill_sim(kernel, n=4, detector=detector)
             for k in range(1, 38):
                 cut.run_until(self.HORIZON * k // 37)
+                assert_rectangular(cut.run.steps)
             assert _fill_view(cut) == _fill_view(whole), kernel
 
     def test_a_crash_below_the_span_end_falls_back_to_python(self):
@@ -959,6 +968,7 @@ class TestIdleSpanFill:
             sim.run_until(self.HORIZON)
         oracle = _fill_view(sims["legacy", "naive"])
         for leg, sim in sims.items():
+            assert_rectangular(sim.run.steps)
             assert _fill_view(sim) == oracle, leg
         spans = spies["compiled-loop", "event"].spans
         assert spans == [
@@ -978,6 +988,7 @@ class TestIdleSpanFill:
         assert c.fused_path == "c-loop"
         for sim in sims.values():
             sim.run_until(self.HORIZON)
+            assert_rectangular(sim.run.steps)
         assert _fill_view(c) == _fill_view(py)
         assert spies["compiled-loop", "event"].spans == (
             spies["packed", "event"].spans
@@ -986,6 +997,118 @@ class TestIdleSpanFill:
             observers["packed", "event"]
         )
         assert spies["packed", "event"].spans
+
+
+def _columns(store) -> dict:
+    """Every column of ``store`` as plain lists, and its sparse keys."""
+    view = {name: list(getattr(store, name)) for name in STEP_COLUMNS}
+    view["_inputs"] = sorted(store._inputs.items())
+    view["_outputs"] = sorted(store._outputs.items())
+    return view
+
+
+@pytest.mark.skipif(not HAS_COMPILED_LOOP, reason="C loop not built")
+class TestStagedStoreWriter:
+    """At record="full" the C loop stages rows and appends them to the
+    StepStore in bulk: when its stage is full, before each ``_skip_span_rr``
+    call and when a run call returns.  Across every kind of flush the store
+    must hold what the Python fused loop and the naive stepper record."""
+
+    HORIZON = 12_000
+    CRASH = 8_000
+
+    def _sim(self, kernel, engine="event"):
+        sim = _fill_sim(
+            kernel, engine, n=4, detector=True, crashes={1: self.CRASH}
+        )
+        # inputs (and so outputs) every 97 ticks: on both sides of every
+        # flush boundary
+        for k in range(self.HORIZON // 97):
+            sim.add_input(k % 4, 3 + 97 * k, ("late", k))
+        return sim
+
+    def test_the_store_matches_across_flush_boundaries(self):
+        rows = STAGE_ROWS
+        oracle = self._sim("legacy", "naive")
+        oracle.run_until(self.HORIZON)
+        expected = _columns(oracle.run.steps)
+        store = oracle.run.steps
+        busy = sum(
+            1 for i in range(len(store))
+            if store._msg_sender[i] >= 0 or store._timeout[i] or store._sent[i]
+        )
+        assert busy >= 3 * rows
+        for m in (1, 2, 3):
+            for keys in (store._inputs, store._outputs):
+                assert any(m * rows - rows <= p < m * rows for p in keys)
+                assert any(m * rows <= p < m * rows + rows for p in keys)
+        for kernel in ("compiled-loop", "packed"):
+            whole = self._sim(kernel)
+            spy = SpanSpy(whole)
+            whole.run_until(self.HORIZON)
+            if kernel == "compiled-loop":
+                # the C loop fills every span before the crash itself; the
+                # crash hands every later one to Python, between staged rows
+                assert spy.spans and spy.spans[0][1] > self.CRASH
+            cut = self._sim(kernel)
+            for t in range(1, self.HORIZON + 1):
+                cut.run_until(t)
+            for sim in (whole, cut):
+                assert_rectangular(sim.run.steps)
+                assert _columns(sim.run.steps) == expected, kernel
+                assert _fill_view(sim) == _fill_view(oracle), kernel
+
+    def test_the_store_is_exact_between_run_calls_and_may_lag_inside_one(self):
+        """What a detector (or handler, or observer) reading the store in
+        the middle of a run call sees: on the Python fused loop every
+        completed step, on the C loop up to a stage of rows fewer.  Between
+        run calls both hold the same rows and ``run.end_time``."""
+        sims, seen = {}, {}
+        for kernel in ("compiled-loop", "packed"):
+            sim = sims[kernel] = self._sim(kernel)
+            notes = seen[kernel] = []
+            inner = sim.detector.query
+
+            def query(pid, t, sim=sim, notes=notes, inner=inner):
+                notes.append((len(sim.run.steps), sim.run.end_time))
+                return inner(pid, t)
+
+            sim.detector.query = query
+        c, py = sims["compiled-loop"], sims["packed"]
+        for k in range(1, 7):
+            for sim in (c, py):
+                sim.run_until(self.HORIZON * k // 6)
+            assert _columns(c.run.steps) == _columns(py.run.steps), k
+            assert c.run.end_time == py.run.end_time, k
+        lags = [
+            (py_rows - c_rows, py_end - c_end)
+            for (c_rows, c_end), (py_rows, py_end) in zip(
+                seen["compiled-loop"], seen["packed"], strict=True
+            )
+        ]
+        assert all(0 <= rows <= STAGE_ROWS and end >= 0 for rows, end in lags)
+        assert max(rows for rows, _ in lags) > 0
+
+    @pytest.mark.parametrize("blow", [False, True], ids=["return", "raise"])
+    def test_a_failed_flush_leaves_the_store_as_it_was(self, blow):
+        """A column exporting its buffer refuses to grow.  The flush cuts
+        the columns it already extended back, and drops the staged rows'
+        inputs and outputs: on a full stage (its BufferError escapes) and
+        on the raise path (the original raise escapes)."""
+        fuse = Fuse()
+        sim = _failure_sim("compiled-loop", fuse, site="", record="full")
+        sim.run_until(500)
+        before = _columns(sim.run.steps)
+        if blow:
+            fuse.arm("on_message", 5)
+        # _sent is the ninth of the ten columns the flush extends
+        view = memoryview(sim.run.steps._sent)
+        with pytest.raises(Boom if blow else BufferError) as raised:
+            sim.run_until(100_000)
+        view.release()
+        assert_rectangular(sim.run.steps)
+        assert _columns(sim.run.steps) == before
+        assert_failed_for_good(sim, raised.value)
 
 
 # ---------------------------------------------------------------------------
@@ -1382,6 +1505,24 @@ def assert_failed_for_good(sim: Simulation, exc: BaseException) -> None:
     assert sim.failed is exc
 
 
+def _full_stage_arms() -> list:
+    """``(site, after)`` arms of a record="full" :func:`_failure_sim` that
+    blow in the step of row ``m * STAGE_ROWS``: its first ``on_message``
+    or its ``on_timeout``.  No span goes back to Python in that run, so
+    the C loop's stage is full when it raises."""
+    probe = _failure_sim("compiled-loop", Fuse(), site="", record="full")
+    probe.run_until(32 * STAGE_ROWS)
+    store = probe.run.steps
+    arms = []
+    for row in range(STAGE_ROWS, len(store), STAGE_ROWS):
+        if store._received[row]:
+            arms.append(("on_message", sum(store._received[:row])))
+        if store._timeout[row]:
+            arms.append(("on_timeout", sum(store._timeout[:row])))
+    assert arms
+    return arms
+
+
 class TestARaiseEndsTheRun:
     @pytest.mark.parametrize("leg", failure_legs())
     @pytest.mark.parametrize(
@@ -1409,6 +1550,41 @@ class TestARaiseEndsTheRun:
             sim.run_until(100_000)
         assert raised.value is fuse.raised
         assert_failed_for_good(sim, raised.value)
+
+    @pytest.mark.parametrize(
+        "site", [site for site in FAILURE_SITES if "observer" not in site]
+    )
+    def test_at_record_full_the_store_keeps_exactly_the_completed_steps(
+        self, site
+    ):
+        legs = [
+            leg for leg in FAILURE_LEGS
+            if HAS_COMPILED_LOOP or "compiled" not in leg
+        ]
+        visits = SITE_VISITS.get(site, 100)
+        for after in sorted({a % visits for a in (0, 4, 5, 19, 57, 98)}):
+            sims = {}
+            for leg in legs:
+                fuse = Fuse()
+                sim = _failure_sim(leg, fuse, site=site, record="full")
+                fuse.arm(site, after)
+                with pytest.raises(Boom):
+                    sim.run_until(100_000)
+                store = sim.run.steps
+                assert_rectangular(store)
+                assert sim._step_index == len(store) == len(list(store)), (
+                    leg, after,
+                )
+                sims[leg] = sim
+            if HAS_COMPILED_LOOP:
+                c, py = sims["compiled-loop"], sims["packed"]
+                assert _columns(c.run.steps) == _columns(py.run.steps), after
+                assert c.run == py.run, after
+                marks = [
+                    (sim.time, sim.last_live_tick, sim._step_index)
+                    for sim in (c, py)
+                ]
+                assert marks[0] == marks[1], after
 
     @pytest.mark.parametrize("call", ["step", "run_while"])
     def test_a_raise_out_of_a_per_tick_run_call_fails_it_too(self, call):
@@ -1462,35 +1638,65 @@ class TestARaiseEndsTheRun:
             if record != "full" or "observer" not in site
         ]
 
-        def counts():
+        # at record="full" the C loop stages rows and flushes them to the
+        # store on the raise path: add runs that blow with a full stage
+        full_stage = _full_stage_arms() if record == "full" else []
+
+        def growth(run) -> tuple:
+            """How much run() grows the watched objects' reference counts
+            and the interpreter's allocated blocks, after a collection."""
             # the last failure's exception, and through its traceback its
             # simulation, are the fuse's by design
             fuse.raised = None
             gc.collect()
-            return [sys.getrefcount(obj) for obj in watched]
+            refs = [sys.getrefcount(obj) for obj in watched]
+            blocks = sys.getallocatedblocks()
+            run()
+            fuse.raised = None
+            gc.collect()
+            blocks = sys.getallocatedblocks() - blocks
+            after = [sys.getrefcount(obj) for obj in watched]
+            return [a - r for a, r in zip(after, refs)], blocks
+
+        def arms():
+            for k in itertools.count():
+                site = sites[k % len(sites)]
+                # blow anywhere from the first visit to the hundredth:
+                # executed steps, mid-batch pops, broadcasts, idle spans
+                yield site, k % SITE_VISITS.get(site, 100), True
+                if full_stage and k % len(sites) == 0:
+                    # not counted, so the runs above keep their number
+                    yield *full_stage[k // len(sites) % len(full_stage)], False
 
         def churn(ticks):
-            ran = 0
-            for k in itertools.count():
+            ran = full = 0
+            for site, after, counted in arms():
                 if ran >= ticks:
-                    return ran
-                site = sites[k % len(sites)]
+                    break
                 sim = _failure_sim(
                     "compiled-loop", fuse, site=site, record=record,
                     scheduling=scheduling,
                 )
                 assert sim.fused_path == "c-loop"
-                # blow anywhere from the first visit to the hundredth:
-                # executed steps, mid-batch pops, broadcasts, idle spans
-                fuse.arm(site, k % SITE_VISITS.get(site, 100))
+                fuse.arm(site, after)
                 with pytest.raises(Boom):
                     sim.run_until(100_000)
-                ran += sim.time
+                ran += sim.time if counted else 0
+                if record == "full":
+                    store = sim.run.steps
+                    assert_rectangular(store)
+                    full += len(store) > 0 and len(store) % STAGE_ROWS == 0
+            assert full or record != "full"
+            return ran
 
         churn(1_000)  # every path taken a few times: caches warm
-        before = counts()
-        assert churn(100_000) >= 100_000
-        assert counts() == before
+        # The watched reference counts must come back exactly.  The
+        # allocated blocks are held to a short churn's growth instead: that
+        # holds the blocks measuring itself accounts for, which a leak per
+        # raising run would exceed.
+        refs, blocks = growth(lambda: churn(100_000))
+        assert refs == [0] * len(watched)
+        assert blocks == growth(lambda: churn(1_000))[1]
 
 
 # ---------------------------------------------------------------------------

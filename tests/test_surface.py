@@ -200,6 +200,18 @@ def test_compiled_module_functions_are_pinned():
     ]
 
 
+@pytest.mark.skipif(not HAS_COMPILED, reason="C extension not built")
+def test_compiled_module_constants_are_pinned():
+    """Two read-only facts of the build: its source digest and the C
+    loop's store stage capacity (a compile-time constant, not a knob)."""
+    from repro.sim import _ckernel
+
+    assert sorted(n for n in vars(_ckernel) if n.isupper()) == [
+        "SOURCE_DIGEST", "STAGE_ROWS",
+    ]
+    assert _ckernel.STAGE_ROWS == 1024
+
+
 def test_the_rulers_oracle_configurations_still_agree(tmp_path):
     """``dense_gossip`` against ``kernel="legacy", engine="naive"`` and
     ``sparse_adversary`` against ``engine="naive"``, each on a prefix and
