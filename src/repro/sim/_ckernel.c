@@ -31,14 +31,15 @@
  *    local-cursor refresh, the next-event scan over the per-process
  *    cursors (the loop of Simulation._next_event_query) and, under
  *    random scheduling, the block permutations and the walk of the block
- *    an event falls in, and -- at record="full" -- the StepStore rows,
- *    staged in C and appended in bulk (stage_flush), a crash-free idle
- *    span's under round-robin included (loop_fill_idle); it calls back
- *    into Python only for process handlers, detector queries, the delay
- *    model, the remaining idle-span accounting (`_skip_span_rr` /
- *    `_skip_span_random`), and raw-capable observers other than a
- *    leading MetricsRecorder (whose counts it folds itself,
- *    loop_fold_flush).  Every mutation of a
+ *    an event falls in, the idle-span count of a run that materializes
+ *    no idle steps, under either schedule (loop_count_idle), and -- at
+ *    record="full" -- the StepStore rows, staged in C and appended in
+ *    bulk (stage_flush), a crash-free idle span's under round-robin
+ *    included (loop_fill_idle); it calls back into Python only for
+ *    process handlers, detector queries, the delay model, the other
+ *    idle spans of a run that materializes them (`_skip_span_rr`), and
+ *    raw-capable observers other than a leading MetricsRecorder (whose
+ *    counts it folds itself, loop_fold_flush).  Every mutation of a
  *    raise-free step mirrors the Python loop's order of effects so run
  *    records, counters and schedule state stay byte-identical (pinned by
  *    tests/test_kernel.py and tests/test_kernel_stateful.py).  A raise
@@ -633,7 +634,7 @@ static PyObject *s_network, *s_n, *s_processes, *s__ctx, *s_detector,
     *s__index, *s__time_col, *s__pid_col, *s__fd, *s__msg_sender,
     *s__msg_payload, *s__msg_send_time, *s__timeout, *s__sent,
     *s__received, *s__intern_fd, *s__log_observers, *s_on_log,
-    *s_scheduling, *s__skip_span_random, *s_seed, *s_metrics,
+    *s_scheduling, *s_seed, *s_metrics,
     *s_idle_ticks_skipped, *s__idle_step_observers, *s__materialize_idle,
     *s_frombytes, *s_steps, *s_steps_by_pid, *s_messages_sent,
     *s_messages_received, *s_timeouts_fired, *s_inputs, *s_outputs;
@@ -1194,7 +1195,9 @@ typedef struct {
     NetView nv;                          /* sim.network's merge layer + pool */
     PyObject *ctx, *processes, *started, *inputs_by_pid;
     PyObject *detector_query;            /* NULL when no detector */
-    PyObject *skip_span;
+    PyObject *skip_span;                 /* sim._skip_span_rr, or NULL when
+                                          * idle spans are counted in C */
+    PyObject *sim_metrics;               /* sim.metrics (loop_flush_idle) */
     PyObject *local_event;
     PyObject *next_timeout_list;
     PyObject *raw_obs, *run;
@@ -1228,14 +1231,18 @@ typedef struct {
     long n;
     int64_t message_batch;
     int has_crashes, has_store;
+    int materialize_idle;                /* sim._materialize_idle */
     int fill_idle;                       /* see loop_fill_idle */
     int64_t first_crash;                 /* INT64_MAX = no crash */
+    int64_t all_dead_from;               /* the last crash when every
+                                          * process crashes, else INT64_MAX */
     /* scheduling="random" only (see the block comment above loop_perm) */
     int random;
     uint64_t seed_mix;                   /* perm_seed_mix(sim.seed) */
     long *perm;                          /* the schedule of block perm_block */
     int64_t perm_block;                  /* -1 = none yet */
-    int64_t idle_acc;                    /* live idle ticks walked, not yet */
+    /* both schedules (see loop_flush_idle) */
+    int64_t idle_acc;                    /* live idle ticks counted, not yet */
     int64_t last_live_acc;               /* ... written through; -1 = none */
 } Loop;
 
@@ -1249,6 +1256,7 @@ loop_free(Loop *L)
     Py_XDECREF(L->inputs_by_pid);
     Py_XDECREF(L->detector_query);
     Py_XDECREF(L->skip_span);
+    Py_XDECREF(L->sim_metrics);
     Py_XDECREF(L->local_event);
     Py_XDECREF(L->next_timeout_list);
     Py_XDECREF(L->raw_obs);
@@ -1515,14 +1523,7 @@ fill_idle_init(Loop *L)
     int sole = PyList_Check(idle_obs) && PyList_GET_SIZE(idle_obs) == 1
         && PyList_GET_ITEM(idle_obs, 0) == PyList_GET_ITEM(L->raw_obs, 0);
     Py_DECREF(idle_obs);
-    PyObject *materialize = PyObject_GetAttr(L->sim, s__materialize_idle);
-    if (materialize == NULL)
-        return -1;
-    int wanted = PyObject_IsTrue(materialize);
-    Py_DECREF(materialize);
-    if (wanted < 0)
-        return -1;
-    L->fill_idle = sole && wanted;
+    L->fill_idle = sole && L->materialize_idle;
     return 0;
 }
 
@@ -1634,8 +1635,22 @@ loop_init(Loop *L, PyObject *sim, PyObject *store, PyObject *metrics)
     L->random = PyUnicode_Check(scheduling)
         && PyUnicode_CompareWithASCIIString(scheduling, "random") == 0;
     Py_DECREF(scheduling);
-    GETA(L->skip_span, sim,
-         L->random ? s__skip_span_random : s__skip_span_rr);
+    PyObject *materialize;
+    GETA(materialize, sim, s__materialize_idle);
+    L->materialize_idle = PyObject_IsTrue(materialize);
+    Py_DECREF(materialize);
+    if (L->materialize_idle < 0)
+        return -1;
+    if (L->materialize_idle) {
+        if (L->random) {
+            PyErr_SetString(PyExc_ValueError,
+                            "run_loop: random scheduling cannot "
+                            "materialize idle steps");
+            return -1;
+        }
+        GETA(L->skip_span, sim, s__skip_span_rr);
+    }
+    GETA(L->sim_metrics, sim, s_metrics);
     GETA(L->local_event, sim, s__local_event);
     GETA(L->next_timeout_list, sim, s__next_timeout);
     GETA(L->inputs_by_pid, sim, s__inputs);
@@ -1686,11 +1701,12 @@ loop_init(Loop *L, PyObject *sim, PyObject *store, PyObject *metrics)
             return -1;
         }
         L->perm_block = -1;
-        L->last_live_acc = -1;
     }
+    L->last_live_acc = -1;
     for (long p = 0; p < n; p++)
         L->crash_at[p] = INT64_MAX;
     L->first_crash = INT64_MAX;
+    L->all_dead_from = PyDict_GET_SIZE(L->crash_times) == n ? 0 : INT64_MAX;
     L->has_crashes = PyDict_GET_SIZE(L->crash_times) > 0;
     Py_ssize_t pos = 0;
     PyObject *key, *value;
@@ -1706,6 +1722,8 @@ loop_init(Loop *L, PyObject *sim, PyObject *store, PyObject *metrics)
         L->crash_at[pid] = at;
         if (at < L->first_crash)
             L->first_crash = at;
+        if (L->all_dead_from != INT64_MAX && at > L->all_dead_from)
+            L->all_dead_from = at;
     }
     for (long p = 0; p < n; p++) {
         L->interval[p] = PyLong_AsLongLong(PyList_GET_ITEM(L->intervals, p));
@@ -1829,39 +1847,6 @@ pid_due(Loop *L, long pid, int64_t t)
     return head <= t;
 }
 
-/* -- scheduling="random" ------------------------------------------------- */
-
-/* Under random scheduling the process of tick t is slot t % n of the
- * permutation of block t / n, and an idle tick inside the block an event
- * falls in is accounted here, one at a time, as
- * Simulation._advance_event_random_block does: `idle_acc` live idle ticks
- * and the last of them, written through to sim.metrics.idle_ticks_skipped
- * and sim.last_live_tick by loop_flush_idle before every call back into
- * Python and when the loop returns -- handlers and observers read both
- * mid-run. */
-static int
-loop_flush_idle(Loop *L)
-{
-    if (L->idle_acc == 0)
-        return 0;
-    PyObject *metrics = PyObject_GetAttr(L->sim, s_metrics);
-    if (metrics == NULL)
-        return -1;
-    int rc = add_i64_attr(metrics, s_idle_ticks_skipped, L->idle_acc);
-    Py_DECREF(metrics);
-    if (rc < 0)
-        return -1;
-    L->idle_acc = 0;
-    int64_t last;
-    if (get_i64_attr(L->sim, s_last_live_tick, &last) < 0)
-        return -1;
-    if (L->last_live_acc > last
-        && set_i64_attr(L->sim, s_last_live_tick, L->last_live_acc) < 0)
-        return -1;
-    L->last_live_acc = -1;
-    return 0;
-}
-
 /* record="metrics" in C: each executed step is folded into L's counters
  * exactly as MetricsRecorder.on_step_raw folds it into RunMetrics, and the
  * counts are added into the RunMetrics when the loop returns or fails (a
@@ -1920,6 +1905,8 @@ loop_fold_flush(Loop *L)
     return 0;
 }
 
+/* -- scheduling="random" ------------------------------------------------- */
+
 /* L->perm := the schedule permutation of `block`, bit for bit
  * repro.sim.types.block_permutation(seed, block, n) (the Python body is
  * the definition and the oracle):
@@ -1938,6 +1925,148 @@ loop_perm(Loop *L, int64_t block)
         permutation_fill(L->perm, L->n, L->seed_mix, (uint64_t)block);
         L->perm_block = block;
     }
+}
+
+/* -- idle spans counted in C --------------------------------------------- */
+
+/* Idle ticks the loop counts itself -- every idle span when nothing
+ * materializes idle steps (loop_count_idle), and under random scheduling
+ * each idle tick of the block an event falls in, as
+ * Simulation._advance_event_random_block walks it -- accumulate as
+ * `idle_acc` live idle ticks and the last of them.  loop_flush_idle writes
+ * both through to sim.metrics.idle_ticks_skipped (the RunMetrics the sim
+ * held at loop init) and sim.last_live_tick before every call back into
+ * Python and when the loop returns or fails -- handlers and observers read
+ * both mid-run. */
+static int
+loop_flush_idle(Loop *L)
+{
+    if (L->idle_acc == 0)
+        return 0;
+    if (add_i64_attr(L->sim_metrics, s_idle_ticks_skipped, L->idle_acc) < 0)
+        return -1;
+    L->idle_acc = 0;
+    int64_t last;
+    if (get_i64_attr(L->sim, s_last_live_tick, &last) < 0)
+        return -1;
+    if (L->last_live_acc > last
+        && set_i64_attr(L->sim, s_last_live_tick, L->last_live_acc) < 0)
+        return -1;
+    L->last_live_acc = -1;
+    return 0;
+}
+
+/* a mod n in [0, n) (ticks and crash times are >= 0, pids may lead them) */
+static inline int64_t
+floor_mod(int64_t a, long n)
+{
+    int64_t m = a % n;
+    return m < 0 ? m + n : m;
+}
+
+/* Ticks in [lo, hi), inside `block`, owned by an already-crashed process. */
+static int64_t
+crashed_in_segment(Loop *L, int64_t block, int64_t lo, int64_t hi)
+{
+    loop_perm(L, block);
+    int64_t base = block * L->n, count = 0;
+    for (int64_t t = lo; t < hi; t++)
+        count += t >= L->crash_at[L->perm[t - base]];
+    return count;
+}
+
+/* Simulation._crashed_ticks_random: a process occupies one slot per
+ * block, so whole blocks count arithmetically and only the span's edge
+ * blocks and each crash's boundary block derive their permutation. */
+static int64_t
+crashed_ticks_random(Loop *L, int64_t start, int64_t end)
+{
+    long n = L->n;
+    int64_t first_block = start / n, last_block = (end - 1) / n;
+    if (first_block == last_block)
+        return crashed_in_segment(L, first_block, start, end);
+    int64_t crashed = 0, full_lo = first_block, full_hi = last_block;
+    if (start % n) {
+        crashed += crashed_in_segment(L, first_block, start,
+                                      (first_block + 1) * n);
+        full_lo = first_block + 1;
+    }
+    if (end % n)
+        crashed += crashed_in_segment(L, last_block, last_block * n, end);
+    else
+        full_hi = last_block + 1;
+    for (long p = 0; p < n; p++) {
+        int64_t crash_at = L->crash_at[p];
+        if (crash_at == INT64_MAX)
+            continue;
+        int64_t dead_from = crash_at / n + (crash_at % n != 0);
+        int64_t lo = full_lo > dead_from ? full_lo : dead_from;
+        if (lo < full_hi)
+            crashed += full_hi - lo;
+        int64_t boundary = crash_at / n;
+        if (boundary < dead_from && full_lo <= boundary
+            && boundary < full_hi) {
+            loop_perm(L, boundary);
+            long slot = 0;
+            while (L->perm[slot] != p)
+                slot++;
+            crashed += boundary * n + slot >= crash_at;
+        }
+    }
+    return crashed;
+}
+
+/* Simulation._last_live_tick_random: the last live tick in [start, end),
+ * or -1.  Some block slot is live unless every process has crashed, and
+ * then every tick from the last crash on is dead: the walk stays within
+ * two blocks. */
+static int64_t
+last_live_tick_random(Loop *L, int64_t start, int64_t end)
+{
+    long n = L->n;
+    int64_t t = end - 1;
+    if (t > L->all_dead_from - 1)
+        t = L->all_dead_from - 1;
+    while (t >= start) {
+        int64_t block = t / n, base = block * n;
+        loop_perm(L, block);
+        int64_t lo = base > start ? base : start;
+        for (; t >= lo; t--)
+            if (t < L->crash_at[L->perm[t - base]])
+                return t;
+    }
+    return -1;
+}
+
+/* Counts the idle span [start, end) into idle_acc / last_live_acc, as
+ * _skip_span_rr's counting branch or _skip_span_random would add it to
+ * the sim: a crash-free span is all live, a round-robin process's slots
+ * are an arithmetic progression clipped by its crash. */
+static void
+loop_count_idle(Loop *L, int64_t start, int64_t end)
+{
+    int64_t live = end - start, last = end - 1;
+    if (end > L->first_crash && L->random) {
+        live -= crashed_ticks_random(L, start, end);
+        last = live ? last_live_tick_random(L, start, end) : -1;
+    } else if (end > L->first_crash) {
+        long n = L->n;
+        live = 0;
+        last = -1;
+        for (long p = 0; p < n; p++) {
+            int64_t hi = end < L->crash_at[p] ? end : L->crash_at[p];
+            int64_t first = start + floor_mod(p - start, n);
+            if (first >= hi)
+                continue;
+            int64_t p_last = hi - 1 - floor_mod(hi - 1 - p, n);
+            live += (p_last - first) / n + 1;
+            if (p_last > last)
+                last = p_last;
+        }
+    }
+    L->idle_acc += live;
+    if (last > L->last_live_acc)
+        L->last_live_acc = last;
 }
 
 /* run_loop(sim, t_end, store, metrics) — the event engine's tick loop in C.
@@ -2436,9 +2565,10 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         }
         int64_t jump_to = (!have_target || target >= t_end) ? t_end : target;
         if (jump_to > t) {
-            if (loop_flush_idle(L) < 0)
-                goto fail;
-            if (L->fill_idle && jump_to <= L->first_crash) {
+            /* idle_acc is 0 whenever idle steps are materialized */
+            if (!L->materialize_idle) {
+                loop_count_idle(L, t, jump_to);
+            } else if (L->fill_idle && jump_to <= L->first_crash) {
                 if (loop_fill_idle(L, t, jump_to, &step_index) < 0)
                     goto fail;
             } else {
@@ -2506,6 +2636,8 @@ fail:
         /* the completed steps still count; the raise is what propagates */
         PyObject *type, *value, *traceback;
         PyErr_Fetch(&type, &value, &traceback);
+        if (loop_flush_idle(L) < 0)
+            PyErr_Clear();
         if (loop_fold_flush(L) < 0)
             PyErr_Clear();
         if (stage_flush(L) < 0)
@@ -2911,7 +3043,6 @@ intern_names(void)
     INTERN(s__log_observers, "_log_observers");
     INTERN(s_on_log, "on_log");
     INTERN(s_scheduling, "scheduling");
-    INTERN(s__skip_span_random, "_skip_span_random");
     INTERN(s_seed, "seed");
     INTERN(s_metrics, "metrics");
     INTERN(s_idle_ticks_skipped, "idle_ticks_skipped");

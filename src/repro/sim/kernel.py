@@ -49,9 +49,10 @@ Kernel selection — ``Simulation(kernel=...)``; the default is
     send path whose only Python call is the delay model — *plus* the C
     tick loop: ``_ckernel.run_loop`` owns the dense-tick loop itself (due
     checks, shard pops, timeout firing, outbox expansion through the C
-    send path, local-cursor refresh, the next-event scan, store appends)
-    and calls back into Python only for process handlers, the delay model,
-    idle-span accounting, and raw/log observers. Engages under the same
+    send path, local-cursor refresh, the next-event scan, idle-span counts,
+    store appends) and calls back into Python only for process handlers,
+    the delay model, the idle spans of a run that materializes idle steps,
+    and raw/log observers. Engages under the same
     conditions as the Python fused loop; a run it cannot take steps through
     the generic engine on the same C pool, never to an error —
     ``sim.fused_path`` / ``sim.fused_reason`` say which loop runs and why
@@ -523,13 +524,16 @@ def run_fused_compiled(sim: "Simulation", t_end: Time) -> None:
     ``_skip_span_rr`` call, and when it returns or fails, so the store and
     ``run.end_time`` are exact between run calls. Any other raw observers
     are called per step as before. The C loop calls back into Python only
-    for process handlers, the delay model, the idle-span accounting
-    (``_skip_span_rr`` / ``_skip_span_random``), and generic raw observers;
-    everything else — due checks, shard pops, timeout firing, outbox
-    expansion and sends, local-cursor refresh, the next-event scan, the
-    store's rows, the metrics fold and, under random scheduling, the block
-    permutations and the walk of the block an event falls in — happens
-    without touching the interpreter. Byte-identical to
+    for process handlers, the delay model, the idle spans of a run that
+    materializes idle steps and that it does not fill itself
+    (``_skip_span_rr``), and generic raw observers; everything else — due
+    checks, shard pops, timeout firing, outbox expansion and sends,
+    local-cursor refresh, the next-event scan, the idle-span counts of a
+    run that materializes none (``_skip_span_rr``'s counting branch and
+    ``_skip_span_random``, ported), the store's rows, the metrics fold
+    and, under random scheduling, the block permutations and the walk of
+    the block an event falls in — happens without touching the
+    interpreter. Byte-identical to
     the Python fused loop (round-robin) and to the generic
     ``_advance_event_random`` (random) by construction and pinned by
     ``tests/test_kernel.py``; ``tests/test_metrics_fold.py`` and

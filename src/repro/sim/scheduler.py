@@ -612,7 +612,8 @@ class Simulation:
         if not self._materialize_idle:
             # Count live idle ticks and find the last one without touching
             # each tick: per process, its slots in the span are an arithmetic
-            # progression clipped by its crash boundary.
+            # progression clipped by its crash boundary. The C loop's
+            # loop_count_idle ports this branch.
             n = self.n
             crash_times = self.failure_pattern.crash_times
             live = 0
@@ -759,7 +760,10 @@ class Simulation:
         Counts live idle ticks and finds the last live tick without visiting
         each tick: a process occupies exactly one slot per block, so full
         blocks contribute arithmetically and only blocks straddling a span
-        edge or a crash boundary need their permutation derived.
+        edge or a crash boundary need their permutation derived. The C loop
+        counts its spans with a port of this and the two helpers below
+        (``loop_count_idle``); these stay the generic engine's path and the
+        port's oracle.
         """
         if start >= end:
             return

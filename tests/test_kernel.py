@@ -822,6 +822,11 @@ class TestCompiledLoopLadder:
             _ckernel.run_loop(1, 2)
         with pytest.raises(AttributeError):
             _ckernel.run_loop(object(), 10, None)
+        # fused_runner never hands the loop a random schedule that keeps
+        # idle steps: it has no Python idle-span method to call for one
+        sim = Simulation([Process()], scheduling="random", record="full")
+        with pytest.raises(ValueError, match="materialize"):
+            _ckernel.run_loop(sim, 10, None)
 
 
 # ---------------------------------------------------------------------------
@@ -997,6 +1002,107 @@ class TestIdleSpanFill:
             observers["packed", "event"]
         )
         assert spies["packed", "event"].spans
+
+
+class NeverCalled:
+    """Stands in for a Python idle-span method the C loop must not reach."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __call__(self, start, end):
+        raise AssertionError(f"{self.name}({start}, {end}) called")
+
+
+#: (n, crash pattern, timeout interval) of the idle-count differential
+COUNT_CASES = {
+    "no-crash": (5, {}, 23),
+    "crash-at-0": (4, {1: 0}, 23),
+    "crash-on-a-block-boundary": (5, {2: 300}, 23),
+    "crash-mid-block": (5, {3: 37}, 23),
+    "all-but-one-crashed": (5, {0: 200, 1: 35, 3: 36, 4: 611}, 23),
+    "every-process-crashed": (4, {0: 90, 1: 401, 2: 13, 3: 777}, 23),
+    "n=1": (1, {}, 23),
+    "n=1-crashed": (1, {0: 500}, 23),
+    "long-post-crash-spans": (4, {0: 150, 2: 151}, 199),
+}
+
+#: the fidelities at which nothing materializes idle steps
+COUNTED_RECORDS = ["none", "metrics", "outputs"]
+
+
+def _count_view(sim: Simulation) -> dict:
+    return {
+        "time": sim.time,
+        "last_live_tick": sim.last_live_tick,
+        "step_index": sim._step_index,
+        "idle_ticks_skipped": sim.metrics.idle_ticks_skipped,
+        "digest": run_digest(sim),
+    }
+
+
+@pytest.mark.skipif(not HAS_COMPILED_LOOP, reason="C loop not built")
+class TestIdleSpanCount:
+    """Where nothing materializes idle steps the C loop counts every idle
+    span itself, under either schedule, instead of calling
+    ``_skip_span_rr`` / ``_skip_span_random``; it must count what they
+    count."""
+
+    HORIZON = 1_503
+
+    @pytest.mark.parametrize("case", list(COUNT_CASES))
+    @pytest.mark.parametrize("scheduling", ["round_robin", "random"])
+    @pytest.mark.parametrize("record", COUNTED_RECORDS)
+    def test_the_count_is_the_python_loops(self, record, scheduling, case):
+        n, crashes, timeout = COUNT_CASES[case]
+        spans = []
+        views = {}
+        for kernel, segment in itertools.product(
+            ("compiled-loop", "packed"), (self.HORIZON, 7)
+        ):
+            sim = _random_sim(
+                kernel, n=n, crashes=crashes, record=record, timeout=timeout,
+                scheduling=scheduling,
+            )
+            if kernel == "compiled-loop":
+                assert sim.fused_path == "c-loop"
+                sim._skip_span_rr = NeverCalled("_skip_span_rr")
+                sim._skip_span_random = NeverCalled("_skip_span_random")
+            elif segment == self.HORIZON:
+                name = (
+                    "_skip_span_rr" if scheduling == "round_robin"
+                    else "_skip_span_random"
+                )
+                inner = getattr(sim, name)
+
+                def spy(start, end, inner=inner):
+                    spans.append((start, end))
+                    inner(start, end)
+
+                setattr(sim, name, spy)
+            for t in range(segment, self.HORIZON + segment, segment):
+                sim.run_until(min(t, self.HORIZON))
+            views[kernel, segment] = _count_view(sim)
+        reference = views["packed", self.HORIZON]
+        assert reference["idle_ticks_skipped"] > 0
+        for leg, view in views.items():
+            assert view == reference, leg
+        if case == "long-post-crash-spans":
+            # some span after the first crash covers three whole blocks
+            first_crash = min(crashes.values())
+            assert any(
+                start >= first_crash and end // n - -(-start // n) >= 3
+                for start, end in spans
+            )
+
+    def test_record_full_still_hands_a_span_with_a_crash_to_python(self):
+        sim = _random_sim(
+            "compiled-loop", n=4, crashes={1: 300}, record="full",
+            timeout=97, scheduling="round_robin",
+        )
+        spy = SpanSpy(sim)
+        sim.run_until(self.HORIZON)
+        assert spy.spans and all(end > 300 for __, end in spy.spans)
 
 
 def _columns(store) -> dict:
@@ -1451,9 +1557,15 @@ def failure_legs() -> list:
     ]
 
 
+#: what leaves a failure sim below record="full" idle spans, some of them
+#: past a crash that follows the last input (the C loop counts them itself)
+IDLE_SPANS = {"timeout": 40, "crashes": {2: 300}}
+
+
 def _failure_sim(
     leg: str, fuse: Fuse, *, site: str, record: str = "metrics",
-    scheduling: str = "round_robin",
+    scheduling: str = "round_robin", timeout: int | None = None,
+    crashes: dict | None = None,
 ) -> Simulation:
     options = (
         {"kernel": "packed", "engine": "naive"} if leg == "naive"
@@ -1467,9 +1579,10 @@ def _failure_sim(
         [FusedTalker(fuse) for _ in range(3)],
         delay_model=FusedDelay(fuse, vectorized=site != "delay"),
         detector=FusedDetector(fuse),
-        # saturated at record="metrics"; at record="full" sparse enough to
-        # leave idle spans, which the C loop fills into the store itself
-        timeout_interval=40 if record == "full" else 5,
+        failure_pattern=FailurePattern(3, crashes or {}),
+        # saturated by default; at record="full" sparse enough to leave
+        # idle spans, which the C loop fills into the store itself
+        timeout_interval=timeout or (40 if record == "full" else 5),
         seed=2,
         scheduling=scheduling,
         message_batch=3,
@@ -1586,6 +1699,29 @@ class TestARaiseEndsTheRun:
                 ]
                 assert marks[0] == marks[1], after
 
+    @needs_c_loop
+    @pytest.mark.parametrize("scheduling", ["round_robin", "random"])
+    @pytest.mark.parametrize(
+        "site", [site for site in FAILURE_SITES if "observer" not in site]
+    )
+    def test_the_idle_counters_survive_a_raise(self, site, scheduling):
+        visits = SITE_VISITS.get(site, 100)
+        for after in sorted({a % visits for a in (0, 5, 19, 57, 98)}):
+            marks = {}
+            for leg in ("compiled-loop", "packed"):
+                fuse = Fuse()
+                sim = _failure_sim(
+                    leg, fuse, site=site, scheduling=scheduling, **IDLE_SPANS
+                )
+                fuse.arm(site, after)
+                with pytest.raises(Boom):
+                    sim.run_until(100_000)
+                marks[leg] = (
+                    sim.time, sim.last_live_tick,
+                    sim.metrics.idle_ticks_skipped,
+                )
+            assert marks["compiled-loop"] == marks["packed"], after
+
     @pytest.mark.parametrize("call", ["step", "run_while"])
     def test_a_raise_out_of_a_per_tick_run_call_fails_it_too(self, call):
         fuse = Fuse()
@@ -1615,8 +1751,8 @@ class TestARaiseEndsTheRun:
     @pytest.mark.parametrize(
         "scheduling,record",
         [("round_robin", "metrics"), ("random", "metrics"),
-         ("round_robin", "full")],
-        ids=["round_robin", "random", "round_robin-full"],
+         ("round_robin", "full"), ("round_robin", "none")],
+        ids=["round_robin", "random", "round_robin-full", "round_robin-none"],
     )
     def test_no_reference_leaks_over_1e5_ticks_of_raising_runs(
         self, scheduling, record
@@ -1676,6 +1812,7 @@ class TestARaiseEndsTheRun:
                 sim = _failure_sim(
                     "compiled-loop", fuse, site=site, record=record,
                     scheduling=scheduling,
+                    **(IDLE_SPANS if record == "none" else {}),
                 )
                 assert sim.fused_path == "c-loop"
                 fuse.arm(site, after)
@@ -1958,10 +2095,15 @@ class TestRandomSchedulingOnTheCLoop:
             if value[0] == "accepted"
         )
 
-    def test_idle_counters_are_current_whenever_python_is_called(self):
+    @pytest.mark.parametrize("scheduling", ["round_robin", "random"])
+    @pytest.mark.parametrize("record", ["none", "metrics", "outputs"])
+    def test_idle_counters_are_current_whenever_python_is_called(
+        self, record, scheduling
+    ):
         # Handlers and observers read sim.metrics / sim.last_live_tick in
-        # the middle of a run: what the C loop accumulates while walking a
-        # block must be written through before it calls out.
+        # the middle of a run: what the C loop counts over an idle span or
+        # accumulates while walking a block must be written through before
+        # it calls out.
         class Peeker(Mixer):
             sim = None
             peeks = None
@@ -1976,13 +2118,16 @@ class TestRandomSchedulingOnTheCLoop:
 
         seen = {}
         for kernel in BUILT_KERNELS:
-            sim = _random_sim(kernel, n=5, crashes={1: 310}, cls=Peeker)
+            sim = _random_sim(
+                kernel, n=5, crashes={1: 310}, cls=Peeker, record=record,
+                scheduling=scheduling,
+            )
             peeks: list = []
             for process in sim.processes:
                 process.sim, process.peeks = sim, peeks
             sim.run_until(1_200)
             seen[kernel] = peeks
-        assert seen["packed"]
+        assert seen["packed"] and seen["packed"][-1][3] > 0
         for kernel in BUILT_KERNELS:
             assert seen[kernel] == seen["packed"], kernel
 
