@@ -6,8 +6,8 @@ Three legs, all on the open-loop workload subsystem (:mod:`repro.workload`):
 - **scale** — the EXP-11 ``direct``-stack cell grown to one million
   operations on the default kernel (the C tick loop when the extension
   loaded, ``packed`` otherwise) with ``record="metrics"`` and the
-  streaming :class:`~repro.workload.LatencyObserver` (both raw-capable, so
-  the fused dense-tick loop stays engaged). Every operation must complete
+  streaming :class:`~repro.workload.LatencyObserver` (both fold raw step
+  fields, so no step builds a record). Every operation must complete
   and wall-clock throughput is gated by the ``ops_per_sec`` floor, which
   the pure-Python legs must clear too; with the C extension loaded the same
   figure is reported again as ``compiled_ops_per_sec`` and held to a floor

@@ -211,7 +211,15 @@ def run_metrics(sim: Simulation) -> RunMetrics:
     metrics = RunMetrics(sim.n)
     recorder = MetricsRecorder(metrics)
     for step in sim.run.iter_steps():
-        recorder.on_step(sim, step)
+        message = step.message
+        recorder.on_step_raw(
+            sim, step.index, step.time, step.pid,
+            -1 if message is None else message.sender,
+            None if message is None else message.payload,
+            -1 if message is None else message.send_time,
+            step.fd_value, step.inputs, step.outputs, step.timeout_fired,
+            step.sent, step.received_count,
+        )
     metrics.end_time = sim.run.end_time
     return metrics
 

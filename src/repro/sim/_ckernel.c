@@ -22,10 +22,9 @@
  *    run_loop's outbox expansion.
  *
  * 3. run_loop(sim, t_end, store, metrics): the event engine's tick loop,
- *    hosted in C for the no-observer / raw-observer fast path
- *    (kernel="compiled-loop"), under either schedule: round-robin (the
- *    loop of kernel.run_fused_rr) or seeded random (the loop of
- *    Simulation._advance_event_random; there is no Python fused twin).
+ *    hosted in C (kernel="compiled-loop"), under either schedule:
+ *    round-robin (the loop of kernel.run_fused_rr) or seeded random (the
+ *    loop of Simulation._advance_event_random; no Python fused twin).
  *    The loop owns the due-check, the shard pops, timeout firing, the
  *    handler dispatch trampoline, outbox expansion through (2), the
  *    local-cursor refresh, the next-event scan over the per-process
@@ -38,8 +37,8 @@
  *    included (loop_fill_idle); it calls back into Python only for
  *    process handlers, detector queries, the delay model, the other
  *    idle spans of a run that materializes them (`_skip_span_rr`), and
- *    raw-capable observers other than a leading MetricsRecorder (whose
- *    counts it folds itself, loop_fold_flush).  Every mutation of a
+ *    step observers' on_step_raw other than a leading MetricsRecorder's
+ *    (whose counts it folds itself, loop_fold_flush).  Every mutation of a
  *    raise-free step mirrors the Python loop's order of effects so run
  *    records, counters and schedule state stay byte-identical (pinned by
  *    tests/test_kernel.py and tests/test_kernel_stateful.py).  A raise
@@ -624,7 +623,7 @@ static PyTypeObject PoolType = {
 static PyObject *s_network, *s_n, *s_processes, *s__ctx, *s_detector,
     *s_query, *s_failure_pattern, *s_crash_times, *s__skip_span_rr,
     *s__local_event, *s__next_timeout, *s_timeout_intervals, *s__inputs,
-    *s__started, *s_message_batch, *s__raw_step_observers, *s_run,
+    *s__started, *s_message_batch, *s__step_observers, *s_run,
     *s__step_index, *s_time, *s_last_live_tick, *s_pid, *s_fd_value,
     *s__outbox, *s__outputs, *s__log, *s_on_start, *s_on_input,
     *s_on_message, *s_on_timeout, *s_on_step_raw, *s__next_at, *s__pending,
@@ -1200,7 +1199,7 @@ typedef struct {
     PyObject *sim_metrics;               /* sim.metrics (loop_flush_idle) */
     PyObject *local_event;
     PyObject *next_timeout_list;
-    PyObject *raw_obs, *run;
+    PyObject *step_obs, *run;
     PyObject *crash_times, *intervals;   /* read into crash_at / interval */
     PyObject *store;                     /* borrowed; NULL without store */
     PyObject *st_col[10];                /* the store's columns */
@@ -1259,7 +1258,7 @@ loop_free(Loop *L)
     Py_XDECREF(L->sim_metrics);
     Py_XDECREF(L->local_event);
     Py_XDECREF(L->next_timeout_list);
-    Py_XDECREF(L->raw_obs);
+    Py_XDECREF(L->step_obs);
     Py_XDECREF(L->metrics);
     Py_XDECREF(L->run);
     Py_XDECREF(L->crash_times);
@@ -1515,13 +1514,13 @@ stage_row(Loop *L, int64_t index, int64_t t, long pid, PyObject *fd,
 static int
 fill_idle_init(Loop *L)
 {
-    if (!PyList_Check(L->raw_obs) || PyList_GET_SIZE(L->raw_obs) != 1)
+    if (PyList_GET_SIZE(L->step_obs) != 1)
         return 0;
     PyObject *idle_obs = PyObject_GetAttr(L->sim, s__idle_step_observers);
     if (idle_obs == NULL)
         return -1;
     int sole = PyList_Check(idle_obs) && PyList_GET_SIZE(idle_obs) == 1
-        && PyList_GET_ITEM(idle_obs, 0) == PyList_GET_ITEM(L->raw_obs, 0);
+        && PyList_GET_ITEM(idle_obs, 0) == PyList_GET_ITEM(L->step_obs, 0);
     Py_DECREF(idle_obs);
     L->fill_idle = sole && L->materialize_idle;
     return 0;
@@ -1655,7 +1654,7 @@ loop_init(Loop *L, PyObject *sim, PyObject *store, PyObject *metrics)
     GETA(L->next_timeout_list, sim, s__next_timeout);
     GETA(L->inputs_by_pid, sim, s__inputs);
     GETA(L->started, sim, s__started);
-    GETA(L->raw_obs, sim, s__raw_step_observers);
+    GETA(L->step_obs, sim, s__step_observers);
     GETA(L->run, sim, s_run);
     GETA(L->intervals, sim, s_timeout_intervals);
     if (get_i64_attr(sim, s_message_batch, &L->message_batch) < 0)
@@ -1663,7 +1662,8 @@ loop_init(Loop *L, PyObject *sim, PyObject *store, PyObject *metrics)
     long n = L->n;
     if (!PyList_Check(L->processes) || !PyList_Check(L->local_event)
         || !PyList_Check(L->next_timeout_list)
-        || !PyList_Check(L->inputs_by_pid) || !PyList_Check(L->intervals)) {
+        || !PyList_Check(L->inputs_by_pid) || !PyList_Check(L->intervals)
+        || !PyList_Check(L->step_obs)) {
         PyErr_SetString(PyExc_TypeError, "run_loop: expected list state");
         return -1;
     }
@@ -1762,14 +1762,9 @@ loop_init(Loop *L, PyObject *sim, PyObject *store, PyObject *metrics)
         GETA(L->output_history, L->run, s_output_history);
         if (!L->random && fill_idle_init(L) < 0)
             return -1;
-    } else if (L->raw_obs != Py_None) {
-        /* generic raw-capable observers: cache their bound methods -- all
-         * but the leading MetricsRecorder, when the loop folds its counts */
-        if (!PyList_Check(L->raw_obs)) {
-            PyErr_SetString(PyExc_TypeError,
-                            "_raw_step_observers must be a list");
-            return -1;
-        }
+    } else {
+        /* step observers: cache their bound on_step_raw -- all but the
+         * leading MetricsRecorder, when the loop folds its counts */
         Py_ssize_t first = 0;
         if (metrics != Py_None) {
             L->metrics = metrics;
@@ -1782,7 +1777,7 @@ loop_init(Loop *L, PyObject *sim, PyObject *store, PyObject *metrics)
             }
             first = 1;
         }
-        Py_ssize_t count = PyList_GET_SIZE(L->raw_obs) - first;
+        Py_ssize_t count = PyList_GET_SIZE(L->step_obs) - first;
         L->raw_methods = PyMem_Calloc(count > 0 ? count : 1,
                                       sizeof(PyObject *));
         if (L->raw_methods == NULL) {
@@ -1791,7 +1786,7 @@ loop_init(Loop *L, PyObject *sim, PyObject *store, PyObject *metrics)
         }
         for (Py_ssize_t i = 0; i < count; i++) {
             L->raw_methods[i] = PyObject_GetAttr(
-                PyList_GET_ITEM(L->raw_obs, first + i), s_on_step_raw);
+                PyList_GET_ITEM(L->step_obs, first + i), s_on_step_raw);
             if (L->raw_methods[i] == NULL) {
                 L->raw_count = i;
                 return -1;
@@ -1851,9 +1846,10 @@ pid_due(Loop *L, long pid, int64_t t)
  * exactly as MetricsRecorder.on_step_raw folds it into RunMetrics, and the
  * counts are added into the RunMetrics when the loop returns or fails (a
  * step that raises is not folded, as the recorder would not have seen
- * it).  Added, not stored: the recorder's on_step may still run mid-loop
- * for idle steps that _skip_span_rr materializes.  So the RunMetrics is
- * exact between run calls, not inside one -- nothing reads it there. */
+ * it).  Added, not stored: the recorder's on_step_raw may still run
+ * mid-loop for idle steps that _skip_span_rr materializes.  So the
+ * RunMetrics is exact between run calls, not inside one -- nothing reads
+ * it there. */
 static int
 loop_fold_flush(Loop *L)
 {
@@ -2958,7 +2954,7 @@ static PyMethodDef ckernel_functions[] = {
      "Run the event engine to t_end in C, under round-robin or random\n"
      "scheduling, calling back into Python only for process handlers,\n"
      "detector queries, the delay model, idle-span accounting that the\n"
-     "loop does not fill into the store itself, and raw observers.\n"
+     "loop does not fill into the store itself, and step observers.\n"
      "`metrics` is the RunMetrics of a leading MetricsRecorder, whose\n"
      "counts the loop folds itself (added in when it returns or fails).\n"
      "Byte-identical to kernel.run_fused_rr /\n"
@@ -2999,7 +2995,7 @@ intern_names(void)
     INTERN(s__inputs, "_inputs");
     INTERN(s__started, "_started");
     INTERN(s_message_batch, "message_batch");
-    INTERN(s__raw_step_observers, "_raw_step_observers");
+    INTERN(s__step_observers, "_step_observers");
     INTERN(s_run, "run");
     INTERN(s__step_index, "_step_index");
     INTERN(s_time, "time");

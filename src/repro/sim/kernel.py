@@ -28,10 +28,11 @@ module removes both:
   (``Simulation.step`` + batched pops + timeout check + recording) fused
   into one function that reads the packed columns directly and appends
   straight into the run's columnar :class:`~repro.sim.runs.StepStore`.
-  Selected automatically on the packed networks for ``engine="event"`` +
-  round-robin runs whose observers all take the raw dispatch paths; every
-  other configuration falls back to the generic engine (still on the
-  packed network, through the same three calls).
+  Selected automatically on ``kernel="packed"`` for ``engine="event"`` +
+  round-robin runs, whatever observers are attached (every loop dispatches
+  a step through the one ``on_step_raw`` hook); every other configuration
+  falls back to the generic engine (still on the packed network, through
+  the same three calls).
 
 Kernel selection — ``Simulation(kernel=...)``; the default is
 :data:`DEFAULT_KERNEL`, the top rung when the extension loaded and
@@ -52,9 +53,9 @@ Kernel selection — ``Simulation(kernel=...)``; the default is
     send path, local-cursor refresh, the next-event scan, idle-span counts,
     store appends) and calls back into Python only for process handlers,
     the delay model, the idle spans of a run that materializes idle steps,
-    and raw/log observers. Engages under the same
-    conditions as the Python fused loop; a run it cannot take steps through
-    the generic engine on the same C pool, never to an error —
+    and step/log observers. Engages under the same conditions as the
+    Python fused loop, on either schedule; a run it cannot take steps
+    through the generic engine on the same C pool, never to an error —
     ``sim.fused_path`` / ``sim.fused_reason`` say which loop runs and why
     (see :func:`fused_runner`). Requesting it without the extension built
     raises :class:`~repro.sim.errors.ConfigurationError`;
@@ -89,7 +90,7 @@ from repro.sim.context import BROADCAST_ALL
 from repro.sim.errors import ConfigurationError
 from repro.sim.envs import DelayModel
 from repro.sim.network import Network
-from repro.sim.observers import FullRecorder, MetricsRecorder, SimObserver
+from repro.sim.observers import FullRecorder, MetricsRecorder
 from repro.sim.types import NEVER, ProcessId, Time
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -165,8 +166,9 @@ class PackedNetwork(Network):
     def send_packed(
         self, sender: ProcessId, receiver: ProcessId, payload: Any, t: Time
     ) -> int:
-        """Queue a point-to-point message; returns the pool slot (a freed
-        one when the free list has any, else the columns grow)."""
+        """Queue a point-to-point message; returns its send sequence (as
+        on every rung). The message takes a freed pool slot when the free
+        list has any, else the columns grow."""
         delay = self.delay_model.delay(sender, receiver, t)
         if delay < 1:
             raise ValueError(f"delay model produced non-positive delay {delay}")
@@ -208,7 +210,7 @@ class PackedNetwork(Network):
         head = self._next_at[receiver]
         if head is None or deliver_at < head:
             self._next_at[receiver] = deliver_at
-        return slot
+        return seq
 
     def send_all_packed(
         self,
@@ -450,14 +452,14 @@ def fused_runner(
     hands ``sim`` to — None when it takes the generic engine paths — and
     why that is not the C tick loop (None when it is).
 
-    A fused loop runs only under ``engine="event"``, on a packed network,
-    when every attached step observer takes the raw dispatch path (the
-    built-in recorders do) — then it is behaviourally identical to the
-    generic event engine. Everything else runs the generic loops. On
+    A fused loop runs only under ``engine="event"``, on a packed network —
+    where it is behaviourally identical to the generic event engine.
+    Everything else runs the generic loops. Step and log observers never
+    decide it: every loop calls the same ``on_step_raw`` per step and the
+    same ``on_log`` per event (both cross back into Python from C). On
     ``kernel="compiled-loop"`` (the default when the extension loaded) the
     fused loop is the C loop; on ``kernel="packed"`` it is
     :func:`run_fused_rr`, which therefore only ever sees the Python pool.
-    Log observers are fine on both (log dispatch crosses back into Python).
 
     Random scheduling is served by the C loop alone, under the same
     conditions plus one: nothing materializes idle steps
@@ -469,12 +471,10 @@ def fused_runner(
     implementation and the C path's oracle) and the runner is None, never
     :func:`run_fused_rr`.
 
-    The reason is one of a few fixed strings, first match wins (observer
-    reasons end in the blocking observer's class name):
+    The reason is one of a few fixed strings, first match wins:
     ``"engine=naive"``, ``"scheduling=random materializes idle steps"``,
-    ``"legacy network"``, ``"non-raw step observer: <Class>"``,
-    ``"extension not loaded"``, ``"kernel=<rung>"`` (a lower rung was
-    asked for).
+    ``"legacy network"``, ``"extension not loaded"``, ``"kernel=<rung>"``
+    (a lower rung was asked for).
     """
     if sim.engine != "event":
         return None, f"engine={sim.engine}"
@@ -483,12 +483,6 @@ def fused_runner(
         return None, "scheduling=random materializes idle steps"
     if not isinstance(sim.network, PackedNetwork):
         return None, "legacy network"
-    if sim._step_observers and sim._raw_step_observers is None:
-        blocker = next(
-            o for o in sim._step_observers
-            if type(o).on_step_raw is SimObserver.on_step_raw
-        )
-        return None, f"non-raw step observer: {type(blocker).__name__}"
     python_loop = None if random else run_fused_rr
     if not HAS_COMPILED_LOOP:
         return python_loop, "extension not loaded"
@@ -515,18 +509,18 @@ def run_fused_compiled(sim: "Simulation", t_end: Time) -> None:
     Resolves the single-FullRecorder columnar store exactly like
     :func:`run_fused_rr` does, then runs the tick loop in C, under either
     schedule. At ``record="metrics"`` (a :class:`MetricsRecorder` leads the
-    raw observers) it hands over the recorder's :class:`RunMetrics`
+    step observers) it hands over the recorder's :class:`RunMetrics`
     instead, and the loop folds each executed step's counts itself, adding
     them in when it returns or fails: the metrics are exact between run
     calls, not in the middle of one. At ``record="full"`` the store is
     handled the same way: the loop stages each row in C and appends the
     staged rows in bulk when its stage is full, before each
     ``_skip_span_rr`` call, and when it returns or fails, so the store and
-    ``run.end_time`` are exact between run calls. Any other raw observers
-    are called per step as before. The C loop calls back into Python only
+    ``run.end_time`` are exact between run calls. Any other step observers
+    get ``on_step_raw`` per step. The C loop calls back into Python only
     for process handlers, the delay model, the idle spans of a run that
     materializes idle steps and that it does not fill itself
-    (``_skip_span_rr``), and generic raw observers; everything else — due
+    (``_skip_span_rr``), and step and log observers; everything else — due
     checks, shard pops, timeout firing, outbox expansion and sends,
     local-cursor refresh, the next-event scan, the idle-span counts of a
     run that materializes none (``_skip_span_rr``'s counting branch and
@@ -540,13 +534,12 @@ def run_fused_compiled(sim: "Simulation", t_end: Time) -> None:
     ``tests/test_kernel_stateful.py`` compare the folded
     :class:`RunMetrics` with the Python recorder's.
     """
-    raw_obs = sim._raw_step_observers
+    step_obs = sim._step_observers
     store = metrics = None
-    if raw_obs is not None:
-        if len(raw_obs) == 1 and type(raw_obs[0]) is FullRecorder:
-            store = raw_obs[0]._store
-        elif type(raw_obs[0]) is MetricsRecorder:
-            metrics = raw_obs[0].metrics
+    if len(step_obs) == 1 and type(step_obs[0]) is FullRecorder:
+        store = step_obs[0]._store
+    elif step_obs and type(step_obs[0]) is MetricsRecorder:
+        metrics = step_obs[0].metrics
     _ckernel.run_loop(sim, t_end, store, metrics)
 
 
@@ -581,7 +574,7 @@ def run_fused_rr(sim: "Simulation", t_end: Time) -> None:
     started = sim._started
     message_batch = sim.message_batch
     log_obs = sim._log_observers
-    raw_obs = sim._raw_step_observers
+    step_obs = sim._step_observers
     run = sim.run
 
     # Merge layer (inherited Network state — identical across kernels).
@@ -604,8 +597,8 @@ def run_fused_rr(sim: "Simulation", t_end: Time) -> None:
     # (mirrors StepStore.append_exec + RunRecord.record_histories_raw; the
     # differential tests pin the equivalence).
     store = None
-    if raw_obs is not None and len(raw_obs) == 1 and type(raw_obs[0]) is FullRecorder:
-        store = raw_obs[0]._store
+    if len(step_obs) == 1 and type(step_obs[0]) is FullRecorder:
+        store = step_obs[0]._store
     if store is not None:
         st_index = store._index
         col_st_index = st_index.append
@@ -761,8 +754,8 @@ def run_fused_rr(sim: "Simulation", t_end: Time) -> None:
                 if outputs_t:
                     bucket = output_history.setdefault(pid, [])
                     bucket.extend((t, value) for value in outputs_t)
-            elif raw_obs is not None:
-                for observer in raw_obs:
+            else:
+                for observer in step_obs:
                     observer.on_step_raw(
                         sim, index, t, pid, first_sender, first_payload,
                         first_send_time, fd_value, inputs_t, outputs_t,

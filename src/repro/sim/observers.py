@@ -6,11 +6,13 @@ The seed engine hard-wired recording into the scheduler: every step built a
 were therefore memory- and CPU-bound on bookkeeping. This module splits
 recording out of the scheduler into an observer protocol:
 
-- :class:`SimObserver` — the hook interface (``on_step`` and its idle and
-  raw fast paths, plus ``on_log`` and ``on_finish``). A step ``(p, m, d)``
-  carries the one message it consumes, so there is no separate per-message
-  hook. The scheduler invokes hooks for every event it produces; observers
-  decide what to retain.
+- :class:`SimObserver` — the hook interface: ``on_step_raw`` (every
+  executed step, as raw fields; the base builds a
+  :class:`~repro.sim.runs.StepRecord` and calls ``on_step``), the idle
+  hooks, ``on_log`` and ``on_finish``. A step ``(p, m, d)`` carries the one
+  message it consumes, so there is no separate per-message hook. The
+  scheduler invokes hooks for every event it produces; observers decide
+  what to retain.
 - Recorders — one per fidelity level of ``Simulation(record=...)``:
 
   ========== ===============================================================
@@ -35,12 +37,14 @@ have produced: no message, no inputs, no timeout — just the sampled detector
 value). Observers that leave it ``False`` let the engine skip idle stretches
 in O(1).
 
-Idle ticks are dispatched through the ``on_idle_step`` fast path: the engine
-hands over the four scalars that fully determine an idle step and the base
-class materializes a :class:`~repro.sim.runs.StepRecord` for observers that
-only implement ``on_step``. Recorders override the fast path to append
-straight into the columnar :class:`~repro.sim.runs.StepStore`, so
-full-fidelity runs no longer allocate a dataclass per fast-forwarded tick.
+Every loop — the generic engine, the Python fused loop and the C tick
+loop — dispatches an executed step through ``on_step_raw`` alone, so which
+hook an observer overrides never decides which loop a run takes. Idle ticks
+are dispatched through ``on_idle_step``: the engine hands over the four
+scalars that fully determine an idle step and the base class feeds them to
+``on_step_raw`` as a lambda step. Recorders override the idle hooks to
+append straight into the columnar :class:`~repro.sim.runs.StepStore`, so
+full-fidelity runs allocate no dataclass per fast-forwarded tick.
 """
 
 from __future__ import annotations
@@ -67,12 +71,14 @@ class SimObserver:
     """
 
     #: When True, the event engine records idle live ticks instead of
-    #: skipping them, so ``on_step`` / ``on_idle_step`` sees every step the
-    #: naive stepper would have taken.
+    #: skipping them, so the step hooks see every step the naive stepper
+    #: would have taken.
     wants_idle_steps: bool = False
 
     def on_step(self, sim: "Simulation", record: StepRecord) -> None:
-        """One step was taken (or, for full-fidelity runs, an idle tick passed)."""
+        """One step was taken (or, while idle steps are recorded, an idle
+        tick passed), as a record built by the base :meth:`on_step_raw`.
+        The simple hook: an override of :meth:`on_step_raw` replaces it."""
 
     def on_idle_step(
         self,
@@ -85,14 +91,12 @@ class SimObserver:
         """An idle live tick passed while idle-step recording is forced.
 
         The four scalars fully determine the step a naive stepper would have
-        produced; the default materializes that record and feeds ``on_step``,
-        so observers that only override ``on_step`` see every step. Override
-        this to skip the record allocation on the fast-forward hot path.
+        produced; the default feeds it to :meth:`on_step_raw` as a lambda
+        step with no inputs, outputs, timeout or sends, so an observer of
+        either step hook sees every step. Override this to skip that call
+        on the fast-forward hot path.
         """
-        self.on_step(
-            sim,
-            StepRecord(index=index, time=t, pid=pid, message=None, fd_value=fd_value),
-        )
+        self.on_step_raw(sim, index, t, pid, -1, None, -1, fd_value, (), (), False, 0, 0)
 
     def on_idle_span(
         self, sim: "Simulation", start_index: int, start: Time, end: Time
@@ -130,15 +134,14 @@ class SimObserver:
         sent: int,
         received_count: int,
     ) -> None:
-        """An executed step, decomposed into its raw fields.
+        """An executed step, decomposed into its raw fields: the one hook
+        every loop calls per step, the C tick loop included.
 
-        The scheduler only takes this path when *every* attached step
-        observer overrides it (otherwise it materializes one
-        :class:`StepRecord` and dispatches ``on_step`` as usual), so an
-        override must be behaviourally identical to its ``on_step``.
-        ``sender`` is -1 for a lambda step. The base implementation exists
-        for recorders falling back to record dispatch; plain observers
-        should override ``on_step`` instead.
+        ``sender`` is -1 for a lambda step (then ``payload`` is None and
+        ``send_time`` -1). The base implementation builds the
+        :class:`StepRecord` and calls :meth:`on_step`, so an observer
+        overrides whichever of the two it likes; an override of this one
+        replaces ``on_step``, which the engine then never calls.
         """
         message = (
             None
@@ -224,11 +227,10 @@ class StepGapProbe(SimObserver):
     Tracks, per correct process, the time of its last (idle or executed)
     step and folds each new step's gap into a running maximum; idle spans
     are folded arithmetically (one O(n) pass per span, never per tick).
-    Overrides *all* step hooks — ``on_step``, ``on_step_raw``,
-    ``on_idle_step``, ``on_idle_span`` — so attaching the probe neither
-    forces record materialization on raw-capable runs nor misses a step,
-    and ``wants_idle_steps`` keeps the step notion identical to a
-    full-fidelity record's. After the run, :meth:`value` equals
+    Overrides ``on_step_raw``, which the base ``on_idle_step`` feeds too,
+    and ``on_idle_span``, so no step of either kind builds a record; and
+    ``wants_idle_steps`` keeps the step notion identical to a full-fidelity
+    record's. After the run, :meth:`value` equals
     :func:`repro.properties.run_checker.fairness_slack` of the full record
     (pinned by ``tests/test_falsify.py``).
     """
@@ -246,25 +248,16 @@ class StepGapProbe(SimObserver):
             correct = self._correct = sim.failure_pattern.correct
         return correct
 
-    def _observe(self, sim: "Simulation", t: Time, pid: ProcessId) -> None:
+    def on_step_raw(
+        self, sim, index, t, pid, sender, payload, send_time, fd_value,
+        inputs, outputs, timeout_fired, sent, received_count,
+    ) -> None:
         if pid not in self._correct_set(sim):
             return
         last = self._last.get(pid)
         if last is not None and t - last > self.max_gap:
             self.max_gap = t - last
         self._last[pid] = t
-
-    def on_step(self, sim: "Simulation", record: StepRecord) -> None:
-        self._observe(sim, record.time, record.pid)
-
-    def on_step_raw(
-        self, sim, index, t, pid, sender, payload, send_time, fd_value,
-        inputs, outputs, timeout_fired, sent, received_count,
-    ) -> None:
-        self._observe(sim, t, pid)
-
-    def on_idle_step(self, sim, index, t, pid, fd_value) -> None:
-        self._observe(sim, t, pid)
 
     def on_idle_span(
         self, sim: "Simulation", start_index: int, start: Time, end: Time
@@ -312,18 +305,20 @@ class FullRecorder(SimObserver):
 
     Executed steps are decomposed into the run's columnar
     :class:`~repro.sim.runs.StepStore`; idle ticks take the
-    ``on_idle_step`` fast path and never materialize a record at all.
+    ``on_idle_step`` / ``on_idle_span`` fast paths and never materialize a
+    record at all.
     """
 
     wants_idle_steps = True
 
     def __init__(self, run: RunRecord) -> None:
+        if not isinstance(run.steps, StepStore):
+            raise ConfigurationError(
+                "FullRecorder needs a columnar run; record a list-backed "
+                "one with LegacyFullRecorder"
+            )
         self.run = run
-        steps = run.steps
-        self._store = steps if isinstance(steps, StepStore) else None
-
-    def on_step(self, sim: "Simulation", record: StepRecord) -> None:
-        self.run.record_step(record)
+        self._store = run.steps
 
     def on_step_raw(
         self,
@@ -341,14 +336,7 @@ class FullRecorder(SimObserver):
         sent: int,
         received_count: int,
     ) -> None:
-        store = self._store
-        if store is None:  # list-backed run: materialize the record instead
-            super().on_step_raw(
-                sim, index, t, pid, sender, payload, send_time, fd_value,
-                inputs, outputs, timeout_fired, sent, received_count,
-            )
-            return
-        store.append_exec(
+        self._store.append_exec(
             index, t, pid, sender, payload, send_time, fd_value,
             inputs, outputs, timeout_fired, sent, received_count,
         )
@@ -362,11 +350,7 @@ class FullRecorder(SimObserver):
         pid: ProcessId,
         fd_value: Any,
     ) -> None:
-        store = self._store
-        if store is None:  # list-backed run: fall back to record views
-            super().on_idle_step(sim, index, t, pid, fd_value)
-            return
-        store.append_idle(index, t, pid, fd_value)
+        self._store.append_idle(index, t, pid, fd_value)
         run = self.run
         if t > run.end_time:  # idle steps carry no inputs/outputs to fold
             run.end_time = t
@@ -374,11 +358,7 @@ class FullRecorder(SimObserver):
     def on_idle_span(
         self, sim: "Simulation", start_index: int, start: Time, end: Time
     ) -> None:
-        store = self._store
-        if store is None:  # list-backed run: per-tick record materialization
-            super().on_idle_span(sim, start_index, start, end)
-            return
-        store.extend_idle_span(start_index, start, end, sim.n, sim.detector)
+        self._store.extend_idle_span(start_index, start, end, sim.n, sim.detector)
         run = self.run
         if end - 1 > run.end_time:
             run.end_time = end - 1
@@ -387,7 +367,7 @@ class FullRecorder(SimObserver):
         self.run.log.append((t, pid, event))
 
 
-class LegacyFullRecorder(FullRecorder):
+class LegacyFullRecorder(SimObserver):
     """Full-fidelity recording into a plain list of ``StepRecord`` objects.
 
     The pre-columnar data plane, kept on purpose: the differential tests pin
@@ -395,9 +375,12 @@ class LegacyFullRecorder(FullRecorder):
     ``benchmarks/bench_dataplane.py`` uses it as the wall-clock / peak-memory
     baseline. Attach via ``Simulation(record="none",
     observers=[LegacyFullRecorder(run)])`` where ``run`` was built with
-    ``steps=[]``; every step — idle ticks included — is materialized and
-    retained as a dataclass, exactly as the seed engine recorded.
+    ``steps=[]``; every step — idle ticks included — is materialized by the
+    base hooks and retained as a dataclass, exactly as the seed engine
+    recorded.
     """
+
+    wants_idle_steps = True
 
     def __init__(self, run: RunRecord) -> None:
         if isinstance(run.steps, StepStore):
@@ -405,7 +388,13 @@ class LegacyFullRecorder(FullRecorder):
                 "LegacyFullRecorder needs a list-backed run; build it with "
                 "RunRecord(n, pattern, steps=[])"
             )
-        super().__init__(run)
+        self.run = run
+
+    def on_step(self, sim: "Simulation", record: StepRecord) -> None:
+        self.run.record_step(record)
+
+    def on_log(self, sim: "Simulation", t: Time, pid: ProcessId, event: Any) -> None:
+        self.run.log.append((t, pid, event))
 
 
 class OutputsRecorder(SimObserver):
@@ -413,9 +402,6 @@ class OutputsRecorder(SimObserver):
 
     def __init__(self, run: RunRecord) -> None:
         self.run = run
-
-    def on_step(self, sim: "Simulation", record: StepRecord) -> None:
-        self.run.record_histories(record)
 
     def on_step_raw(
         self,
@@ -440,8 +426,8 @@ class OutputsRecorder(SimObserver):
 
     def on_finish(self, sim: "Simulation") -> None:
         # Idle steps are not materialized at this fidelity, so end_time cannot
-        # come from on_step alone; extend it to the last live tick the clock
-        # consumed — the same value a full-fidelity record ends on.
+        # come from the executed steps alone; extend it to the last live tick
+        # the clock consumed — the same value a full-fidelity record ends on.
         if sim.last_live_tick > self.run.end_time:
             self.run.end_time = sim.last_live_tick
 
@@ -451,18 +437,6 @@ class MetricsRecorder(SimObserver):
 
     def __init__(self, metrics: RunMetrics) -> None:
         self.metrics = metrics
-
-    def on_step(self, sim: "Simulation", record: StepRecord) -> None:
-        m = self.metrics
-        m.steps += 1
-        m.steps_by_pid[record.pid] += 1
-        m.messages_sent += record.sent
-        m.messages_received += record.received_count
-        m.timeouts_fired += bool(record.timeout_fired)
-        m.inputs += len(record.inputs)
-        m.outputs += len(record.outputs)
-        if record.time > m.end_time:
-            m.end_time = record.time
 
     def on_step_raw(
         self,

@@ -343,10 +343,6 @@ class RunRecord:
     def record_step(self, step: StepRecord) -> None:
         """Retain ``step`` in the schedule and fold it into the histories."""
         self.steps.append(step)
-        self.record_histories(step)
-
-    def record_histories(self, step: StepRecord) -> None:
-        """Fold a step into ``H_I`` / ``H_O`` / ``end_time`` without retaining it."""
         self.record_histories_raw(step.pid, step.time, step.inputs, step.outputs)
 
     def record_histories_raw(
@@ -356,8 +352,8 @@ class RunRecord:
         inputs: tuple[Any, ...],
         outputs: tuple[Any, ...],
     ) -> None:
-        """The history fold from raw step fields — the single source of
-        truth shared by record dispatch and the ``on_step_raw`` fast paths."""
+        """Fold a step's raw fields into ``H_I`` / ``H_O`` / ``end_time``
+        without retaining it — the one history fold every recorder uses."""
         if time > self.end_time:
             self.end_time = time
         if inputs:

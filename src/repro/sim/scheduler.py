@@ -46,10 +46,12 @@ drive the clock:
   slot per block, so a full block's live-tick count needs no permutation at
   all, and a span wholly before the first crash needs none either).
   Permutations are keyed by block index, which is what makes deriving them
-  out of order — and skipping them entirely — sound. At reduced fidelity on
-  the ``compiled-loop`` kernel the same loop runs in C
-  (:func:`repro.sim.kernel.fused_runner`); the methods here are the single
-  pure-Python implementation, its fallback and its oracle.
+  out of order — and skipping them entirely — sound. On the
+  ``compiled-loop`` kernel the same loop runs in C
+  (:func:`repro.sim.kernel.fused_runner`): under round-robin at every
+  ``record`` level, under random scheduling whenever nothing materializes
+  idle steps. The methods here are the single pure-Python implementation,
+  its fallback and its oracle.
 
 Fast-forward invariants (checked by ``tests/test_engine_differential.py``):
 
@@ -101,7 +103,7 @@ from repro.sim.kernel import (
 from repro.sim.envs import DelayModel, FixedDelay
 from repro.sim.observers import RunMetrics, SimObserver, make_recorder
 from repro.sim.process import Process
-from repro.sim.runs import ReceivedMessage, RunRecord, StepRecord
+from repro.sim.runs import RunRecord
 from repro.sim.types import (
     NEVER,
     ProcessId,
@@ -292,32 +294,21 @@ class Simulation:
 
         Called at construction and again by :meth:`attach_observer` /
         :meth:`detach_observer`: the fused-runner selection (including the
-        ``compiled-loop`` C rung) depends on which hooks are observed, so
-        capability changes mid-lifetime re-resolve the whole ladder — a
-        non-raw observer attaching downgrades the C loop to the generic
-        engine, detaching it restores the fast path.
+        ``compiled-loop`` C rung) reads ``wants_idle_steps`` and the lists
+        below, so an observer change mid-lifetime re-resolves the ladder.
         """
-        self._step_observers = [o for o in self._observers if _overrides(o, "on_step")]
-        #: raw executed-step dispatch: taken only when every step observer
-        #: overrides ``on_step_raw`` (the built-in recorders do), so the hot
-        #: loop never materializes StepRecord/ReceivedMessage objects that
-        #: nothing retains. A single observer without the raw hook reverts
-        #: all dispatch to materialized records.
-        self._raw_step_observers = (
-            self._step_observers
-            if self._step_observers
-            and all(_overrides(o, "on_step_raw") for o in self._step_observers)
-            else None
-        )
+        step_hooks = ("on_step", "on_step_raw")
+        #: executed-step dispatch, one hook on every loop: ``on_step_raw``
+        #: (whose base builds the record of an ``on_step``-only observer).
+        self._step_observers = [
+            o for o in self._observers if any(_overrides(o, h) for h in step_hooks)
+        ]
         #: observers that must see idle ticks when materialization is forced:
-        #: anything overriding the generic ``on_step`` hook, plus recorders
-        #: overriding the allocation-free ``on_idle_step`` fast path.
+        #: every step observer (the base idle hooks feed ``on_step_raw``),
+        #: plus recorders overriding the idle hooks themselves.
+        idle_hooks = (*step_hooks, "on_idle_step", "on_idle_span")
         self._idle_step_observers = [
-            o
-            for o in self._observers
-            if _overrides(o, "on_step")
-            or _overrides(o, "on_idle_step")
-            or _overrides(o, "on_idle_span")
+            o for o in self._observers if any(_overrides(o, h) for h in idle_hooks)
         ]
         self._log_observers = [o for o in self._observers if _overrides(o, "on_log")]
         self._finish_observers = [
@@ -333,10 +324,10 @@ class Simulation:
     def attach_observer(self, observer: SimObserver) -> None:
         """Attach ``observer`` mid-lifetime and re-resolve dispatch.
 
-        The engine re-evaluates every capability gate, so attaching an
-        observer that needs hooks the current fast path does not expose
-        (a non-raw step observer) downgrades to the matching slower path
-        before the next tick.
+        The engine re-evaluates every gate before the next tick: an
+        observer with ``wants_idle_steps`` moves a random-scheduled run off
+        the C loop, while a step observer of either hook keeps the loop it
+        is on.
         """
         _check_observer(observer)
         self._observers.append(observer)
@@ -366,9 +357,9 @@ class Simulation:
     @property
     def fused_reason(self) -> str | None:
         """Why :attr:`fused_path` is not ``"c-loop"`` — a short fixed
-        string such as ``"kernel=packed"``, ``"extension not loaded"``
-        or ``"non-raw step observer: <Class>"`` (the full list is in
-        :func:`repro.sim.kernel.fused_runner`) — or None when it is."""
+        string such as ``"kernel=packed"`` or ``"extension not loaded"``
+        (the full list is in :func:`repro.sim.kernel.fused_runner`) — or
+        None when it is."""
         return self._fused_reason
 
     # -- inputs ----------------------------------------------------------------
@@ -405,18 +396,14 @@ class Simulation:
             self._perm_block = block
         return self._permutation
 
-    def step(self) -> StepRecord | None:
-        """Advance the clock one tick; run the scheduled process if alive.
-
-        Returns the step record, or None when the tick belonged to a crashed
-        process (the tick is consumed either way) or when recording took the
-        raw columnar path (every step observer handles ``on_step_raw``, so
-        no record object is ever materialized).
-        """
+    def step(self) -> None:
+        """Advance the clock one tick; run the scheduled process if alive
+        (a crashed process's tick is consumed silently). Observers see the
+        step; read the run record for it."""
         with self._terminal():
-            return self._step()
+            self._step()
 
-    def _step(self) -> StepRecord | None:
+    def _step(self) -> None:
         """:meth:`step`'s body, which the engine loops call per tick."""
         t = self.time
         self.time += 1
@@ -491,39 +478,12 @@ class Simulation:
         self._step_index += 1
         inputs_t = tuple(inputs)
         outputs_t = tuple(outputs)
-        raw_observers = self._raw_step_observers
-        if raw_observers is not None:
-            for observer in raw_observers:
-                observer.on_step_raw(
-                    self, index, t, pid, first_sender, first_payload,
-                    first_send_time, fd_value, inputs_t, outputs_t,
-                    timeout_fired, sent, received_count,
-                )
-            return None
-        received = (
-            None
-            if received_count == 0
-            else ReceivedMessage(
-                sender=first_sender,
-                payload=first_payload,
-                send_time=first_send_time,
-            )
-        )
-        record = StepRecord(
-            index=index,
-            time=t,
-            pid=pid,
-            message=received,
-            fd_value=fd_value,
-            inputs=inputs_t,
-            outputs=outputs_t,
-            timeout_fired=timeout_fired,
-            sent=sent,
-            received_count=received_count,
-        )
         for observer in self._step_observers:
-            observer.on_step(self, record)
-        return record
+            observer.on_step_raw(
+                self, index, t, pid, first_sender, first_payload,
+                first_send_time, fd_value, inputs_t, outputs_t,
+                timeout_fired, sent, received_count,
+            )
 
     def _refresh_local(self, pid: ProcessId) -> None:
         """Re-derive ``pid``'s local next-event time after an executed step.
@@ -594,9 +554,8 @@ class Simulation:
         """Record the step a naive stepper would produce for an idle tick.
 
         Dispatched through ``on_idle_step`` so columnar recorders append
-        straight into their store; only observers that merely override
-        ``on_step`` get a materialized :class:`StepRecord` (built by the
-        base-class ``on_idle_step``).
+        straight into their store; the base hook hands every other step
+        observer the idle step through ``on_step_raw``.
         """
         fd_value = self.detector.query(pid, t) if self.detector is not None else None
         self.last_live_tick = t

@@ -2,11 +2,9 @@
 
 :class:`LatencyObserver` folds the client processes' step outputs into a
 :class:`~repro.analysis.metrics.LatencyHistogram` as the run executes. It
-overrides **both** ``on_step`` and ``on_step_raw`` (behaviourally identical),
-so attaching it keeps the scheduler's raw columnar path intact and — together
-with ``record="metrics"`` — keeps the packed kernel's fused round-robin loop
-eligible: the million-op benchmark measures latency percentiles without the
-engine ever materializing a ``StepRecord`` or the observer retaining a
+overrides ``on_step_raw``, the one step hook every loop calls, so the
+million-op benchmark measures latency percentiles on the C tick loop without
+the engine ever materializing a ``StepRecord`` or the observer retaining a
 per-operation object (in-flight arrival ticks are plain ints keyed by rid,
 bounded by outstanding requests).
 
@@ -24,7 +22,7 @@ from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.analysis.metrics import LatencyHistogram
 from repro.sim.observers import SimObserver
-from repro.sim.runs import RunRecord, StepRecord
+from repro.sim.runs import RunRecord
 from repro.sim.types import ProcessId, Time
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -166,9 +164,8 @@ class _LatencyFold:
 class LatencyObserver(SimObserver):
     """Streaming open-loop latency/throughput metrics over client outputs.
 
-    Attach alongside any recording level; with ``record="metrics"`` on the
-    packed kernel the run still takes the fused loop (both attached step
-    observers are raw-capable). ``wants_idle_steps`` stays False — client
+    Attach alongside any recording level; the run keeps whichever loop it
+    would take without it. ``wants_idle_steps`` stays False — client
     submissions and replies only ever happen on executed steps — so idle
     fast-forwarding is unaffected.
     """
@@ -183,9 +180,6 @@ class LatencyObserver(SimObserver):
     @property
     def histogram(self) -> LatencyHistogram:
         return self._fold.histogram
-
-    def on_step(self, sim: "Simulation", record: StepRecord) -> None:
-        self._fold.fold(record.time, record.pid, record.outputs)
 
     def on_step_raw(
         self, sim, index, t, pid, sender, payload, send_time, fd_value,

@@ -31,6 +31,7 @@ from repro.sim import (
     CompiledPackedNetwork,
     FailurePattern,
     FixedDelay,
+    FullRecorder,
     LegacyFullRecorder,
     Network,
     OneWayPartition,
@@ -294,12 +295,14 @@ class TestColumnarVsLegacyRecording:
         # Order of the comparison must not matter (list on the left).
         assert legacy_run == columnar.run
 
-    def test_legacy_recorder_rejects_columnar_run(self):
+    def test_each_recorder_rejects_the_other_ones_run(self):
         from repro.sim.errors import ConfigurationError
 
         pattern = FailurePattern.no_failures(2)
         with pytest.raises(ConfigurationError):
             LegacyFullRecorder(RunRecord(2, pattern))
+        with pytest.raises(ConfigurationError, match="LegacyFullRecorder"):
+            FullRecorder(RunRecord(2, pattern, steps=[]))
 
 
 class TestRunRecordSerialization:

@@ -11,8 +11,9 @@ Four pillars:
   ``test_engine_differential`` pinning byte-identical :class:`RunRecord`
   objects across ``kernel="legacy" | "packed" | "compiled-loop"`` — plus
   the C pool under the generic Python engine, which ``compiled-loop``
-  steps through under a plain ``on_step`` observer — under both
-  ``round_robin`` and ``random`` scheduling and both engines;
+  steps through under ``engine="naive"`` and under random scheduling at
+  ``record="full"`` — under both ``round_robin`` and ``random``
+  scheduling and both engines;
 - unit coverage for the kernel selection flag;
 - the extension guard (``repro.sim._compiled``): a build is accepted only
   with the digest of the ``_ckernel.c`` beside it, and refused with one
@@ -21,10 +22,12 @@ Four pillars:
   recycling, fed through ``_ckernel.send_packed``, skipped when the
   extension is not built;
 - compiled-loop rung coverage: the engagement/degradation ladder
-  (``sim.fused_path``) under every observer capability, including
+  (``sim.fused_path``), which no step observer moves, including
   mid-lifetime :meth:`attach_observer` / :meth:`detach_observer`, and
   skipif-gated ``run_loop`` / ``pop_due_batch`` unit tests mirroring the
   ``Pool`` units;
+- the one step hook: an observer of ``on_step`` or of ``on_step_raw``
+  alone sees the naive stepper's steps on every rung and loop;
 - the C loop's ``record="full"`` idle-span fill against the Python fused
   loop and the naive stepper, and its two fallbacks to ``_skip_span_rr``;
   its staged store writer, column by column, across every kind of flush;
@@ -78,21 +81,37 @@ STAGE_ROWS = ckernel.STAGE_ROWS if HAS_COMPILED_LOOP else None
 
 
 class StepSpy(SimObserver):
-    """Step observer WITHOUT the raw hook: forces materialized dispatch.
-    Attached to ``compiled-loop`` it keeps the C pool but moves the run off
-    the C loop onto the generic engine, so ``Simulation.step`` drives the C
-    send path and ``pop_due_batch``."""
+    """Overrides ``on_step`` alone: sees each step as the record the base
+    ``on_step_raw`` builds, on whichever loop the run takes."""
 
     def __init__(self) -> None:
-        self.steps = 0
+        self.seen: list[tuple[int, int, int]] = []
 
     def on_step(self, sim, record):
-        self.steps += 1
+        self.seen.append((record.index, record.time, record.pid))
 
 
-#: the leg naming ``compiled-loop`` with a :class:`StepSpy` attached for
-#: the whole run: the C pool under the generic Python engine.
-POOL_UNDER_PYTHON = "compiled-loop+StepSpy"
+class RawStepSpy(SimObserver):
+    """Overrides ``on_step_raw`` alone, the hook every loop calls."""
+
+    def __init__(self) -> None:
+        self.seen: list[tuple[int, int, int]] = []
+
+    def on_step_raw(self, sim, index, t, pid, *fields):
+        self.seen.append((index, t, pid))
+
+
+class WantsIdle(SimObserver):
+    """Asks the engine for every idle step and observes none itself."""
+
+    wants_idle_steps = True
+
+
+#: the leg stepping ``compiled-loop`` with the naive engine: the C pool
+#: under the generic Python engine, so ``Simulation.step`` drives the C
+#: send path and ``pop_due_batch``. (Random scheduling at ``record="full"``
+#: is the event engine's way there; the differentials draw it per rung.)
+POOL_UNDER_PYTHON = "compiled-loop+naive"
 
 #: :data:`BUILT_KERNELS` plus, when the extension is built,
 #: :data:`POOL_UNDER_PYTHON`.
@@ -101,22 +120,16 @@ BUILT_LEGS = BUILT_KERNELS + ([POOL_UNDER_PYTHON] if HAS_COMPILED else [])
 
 def leg_options(leg: str) -> dict:
     """The ``Simulation`` keyword options that build ``leg`` of
-    :data:`BUILT_LEGS`."""
+    :data:`BUILT_LEGS`: its kernel and engine."""
     if leg == POOL_UNDER_PYTHON:
-        return {"kernel": "compiled-loop", "observers": [StepSpy()]}
-    return {"kernel": leg}
+        return {"kernel": "compiled-loop", "engine": "naive"}
+    return {"kernel": leg, "engine": "event"}
 
 
 def assert_pool_under_python(sim: Simulation) -> None:
-    """``sim`` is ``compiled-loop`` plus a :class:`StepSpy`: on the C pool
-    but on the generic engine — for exactly that reason unless a run-time
-    gate (naive engine, idle-materializing random schedule) answers first."""
+    """``sim`` is on the C pool but on the generic engine."""
     assert isinstance(sim.network, CompiledPackedNetwork)
     assert sim.fused_path is None
-    if sim.engine == "event" and not (
-        sim.scheduling == "random" and sim._materialize_idle
-    ):
-        assert sim.fused_reason == "non-raw step observer: StepSpy"
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +174,9 @@ def _state(net: Network) -> dict:
 class TestPackedPoolDifferential:
     """Drive every built pool implementation in lockstep with the legacy
     queue-of-Envelopes network and require indistinguishable behaviour:
-    the pools' raw pop tuples match the legacy envelopes field by field."""
+    ``send_packed`` returns the same send sequence (a freed pool slot is
+    reused, the sequence never), and the pools' raw pop tuples match the
+    legacy envelopes field by field."""
 
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())
@@ -187,8 +202,12 @@ class TestPackedPoolDifferential:
             if op == "send":
                 sender = data.draw(st.integers(0, n - 1))
                 receiver = data.draw(st.integers(0, n - 1))
-                for net in nets:
+                seqs = [
                     net.send_packed(sender, receiver, ("m", t), t)
+                    for net in nets
+                ]
+                # the send sequence on every rung, never a pool slot
+                assert seqs == [legacy.sent_count - 1] * len(nets)
             elif op == "send_all":
                 sender = data.draw(st.integers(0, n - 1))
                 include_self = data.draw(st.booleans())
@@ -261,18 +280,14 @@ class TestKernelRunDifferential:
     def test_all_kernels_byte_identical(self, seed, scheduling):
         config = random_config(seed)
         config["scheduling"] = scheduling
-        runs = {}
-        for kernel in BUILT_KERNELS:
-            sim = run_sim(
-                build_sim(config, engine="event", kernel=kernel), config
-            )
-            runs[kernel] = sim
+        runs = {
+            leg: run_sim(build_sim(config, **leg_options(leg)), config)
+            for leg in BUILT_LEGS
+        }
         if HAS_COMPILED:
-            pooled = build_sim(
-                config, engine="event", **leg_options(POOL_UNDER_PYTHON)
-            )
-            assert_pool_under_python(pooled)
-            runs[POOL_UNDER_PYTHON] = run_sim(pooled, config)
+            assert_pool_under_python(runs[POOL_UNDER_PYTHON])
+            if scheduling == "random":  # record="full": the per-tick walk
+                assert_pool_under_python(runs["compiled-loop"])
         reference = runs["legacy"]
         assert isinstance(reference.run.steps, StepStore)
         for kernel, sim in runs.items():
@@ -287,22 +302,17 @@ class TestKernelRunDifferential:
             )
 
     @pytest.mark.parametrize("scheduling", ["round_robin", "random"])
-    @pytest.mark.parametrize("kernel", BUILT_LEGS)
+    @pytest.mark.parametrize("kernel", BUILT_KERNELS)
     def test_naive_engine_runs_on_every_kernel(self, kernel, scheduling):
         # With test_all_kernels_byte_identical tying the kernels together
         # under the event engine, this completes the full
         # kernel x scheduling x engine byte-equality matrix.
         config = random_config(4)
         config["scheduling"] = scheduling
-        naive = run_sim(
-            build_sim(config, engine="naive", **leg_options(kernel)), config
-        )
-        event = run_sim(
-            build_sim(config, engine="event", **leg_options(kernel)), config
-        )
-        if kernel == POOL_UNDER_PYTHON:
+        naive = run_sim(build_sim(config, engine="naive", kernel=kernel), config)
+        event = run_sim(build_sim(config, engine="event", kernel=kernel), config)
+        if kernel == "compiled-loop":
             assert_pool_under_python(naive)
-            assert_pool_under_python(event)
         assert naive.run == event.run
 
 
@@ -695,7 +705,7 @@ class LoggingChatter(Process):
         pass
 
 
-def _loop_sim(kernel, observers=(), cls=Chatter, n=3):
+def _loop_sim(kernel, observers=(), cls=Chatter, n=3, **options):
     return Simulation(
         [cls() for _ in range(n)],
         delay_model=FixedDelay(2),
@@ -704,6 +714,7 @@ def _loop_sim(kernel, observers=(), cls=Chatter, n=3):
         record="metrics",
         kernel=kernel,
         observers=list(observers),
+        **options,
     )
 
 
@@ -719,26 +730,41 @@ class TestObserverAttachDetach:
         with pytest.raises(ConfigurationError):
             _loop_sim("packed").detach_observer(StepSpy())
 
-    def test_attach_detach_restores_fused_path(self):
+    @pytest.mark.parametrize("spy_cls", [StepSpy, RawStepSpy])
+    def test_attach_detach_keeps_the_fused_path(self, spy_cls):
         sim = _loop_sim("packed")
         assert sim.fused_path == "python"
-        spy = StepSpy()
+        spy = spy_cls()
         sim.attach_observer(spy)
-        assert sim.fused_path is None  # non-raw step observer: generic loop
+        assert sim.fused_path == "python"  # no step observer moves a run
         sim.detach_observer(spy)
         assert sim.fused_path == "python"
 
-    def test_mid_run_attach_does_not_change_the_trajectory(self):
+    def test_attach_detach_toggles_a_random_run_that_materializes_idle(self):
+        sim = Simulation(
+            [Chatter() for _ in range(3)], scheduling="random", record="metrics"
+        )
+        top = sim.fused_path, sim.fused_reason
+        idle = WantsIdle()
+        sim.attach_observer(idle)
+        assert (sim.fused_path, sim.fused_reason) == (
+            None, "scheduling=random materializes idle steps"
+        )
+        sim.detach_observer(idle)
+        assert (sim.fused_path, sim.fused_reason) == top
+
+    @pytest.mark.parametrize("spy_cls", [StepSpy, RawStepSpy])
+    def test_mid_run_attach_does_not_change_the_trajectory(self, spy_cls):
         watched, plain = _loop_sim("packed"), _loop_sim("packed")
         watched.run_until(1_000)
-        spy = StepSpy()
+        spy = spy_cls()
         watched.attach_observer(spy)
         watched.run_until(2_000)
         watched.detach_observer(spy)
         watched.run_until(3_000)
         plain.run_until(3_000)
         assert run_digest(watched) == run_digest(plain)
-        assert spy.steps > 0
+        assert spy.seen
 
 
 @pytest.mark.skipif(not HAS_COMPILED_LOOP, reason="C loop not built")
@@ -757,7 +783,9 @@ class TestCompiledLoopLadder:
     def test_lower_rungs_and_the_degraded_pool_never_take_the_c_loop(self):
         assert _loop_sim("legacy").fused_path is None
         assert _loop_sim("packed").fused_path == "python"
-        assert_pool_under_python(_loop_sim("compiled-loop", [StepSpy()]))
+        assert _loop_sim("packed", [StepSpy()]).fused_path == "python"
+        assert _loop_sim("compiled-loop", [StepSpy()]).fused_path == "c-loop"
+        assert_pool_under_python(_loop_sim("compiled-loop", engine="naive"))
 
     def test_compiled_loop_never_runs_the_python_fused_loop(self):
         # Across the observer capability matrix, both schedules, every
@@ -794,24 +822,26 @@ class TestCompiledLoopLadder:
         assert c_spy.events == py_spy.events
         assert c_spy.events  # the scenario actually logged
 
-    def test_attach_detach_toggles_the_c_loop_mid_run(self):
+    @pytest.mark.parametrize("spy_cls", [StepSpy, RawStepSpy])
+    def test_attach_detach_keeps_the_c_loop_mid_run(self, spy_cls):
         c, py = _loop_sim("compiled-loop"), _loop_sim("packed")
-        c_spy, py_spy = StepSpy(), StepSpy()
+        c_spy, py_spy = spy_cls(), spy_cls()
         c.run_until(1_000)
         py.run_until(1_000)
         assert c.fused_path == "c-loop"
         c.attach_observer(c_spy)
         py.attach_observer(py_spy)
-        assert c.fused_path is None  # non-raw observer: generic engine
+        assert (c.fused_path, py.fused_path) == ("c-loop", "python")
         c.run_until(2_000)
         py.run_until(2_000)
         c.detach_observer(c_spy)
         py.detach_observer(py_spy)
-        assert c.fused_path == "c-loop"
+        assert (c.fused_path, py.fused_path) == ("c-loop", "python")
         c.run_until(3_000)
         py.run_until(3_000)
         assert run_digest(c) == run_digest(py)
-        assert c_spy.steps == py_spy.steps > 0
+        assert c_spy.seen == py_spy.seen
+        assert c_spy.seen
 
     def test_run_loop_arity_and_type_errors(self):
         from repro.sim import _ckernel
@@ -1222,21 +1252,8 @@ class TestStagedStoreWriter:
 # ---------------------------------------------------------------------------
 
 
-class RawStepSpy(SimObserver):
-    """Step observer WITH the raw hook: keeps every fused loop engaged."""
-
-    def __init__(self) -> None:
-        self.steps = 0
-
-    def on_step(self, sim, record):
-        self.steps += 1
-
-    def on_step_raw(self, sim, *fields):
-        self.steps += 1
-
-
 class TestFusedPathAndReason:
-    @pytest.mark.parametrize("kernel", BUILT_LEGS)
+    @pytest.mark.parametrize("kernel", BUILT_KERNELS)
     def test_the_run_time_gate_is_part_of_the_answer(self, kernel):
         # run_until never enters a fused loop under the naive engine, or
         # under random scheduling when idle steps are materialized
@@ -1248,7 +1265,7 @@ class TestFusedPathAndReason:
             ({"engine": "naive"}, "engine=naive"),
         ):
             sim = Simulation(
-                [Chatter() for _ in range(3)], **leg_options(kernel), **gate
+                [Chatter() for _ in range(3)], kernel=kernel, **gate
             )
             assert (sim.fused_path, sim.fused_reason) == (None, reason)
             sim.run_until(50)
@@ -1258,9 +1275,6 @@ class TestFusedPathAndReason:
     def test_random_scheduling_is_the_c_loop_or_the_generic_engine(self):
         # No Python fused loop exists for random scheduling: every rung
         # below the C loop steps generically and names the actual cause.
-        class IdleSpy(SimObserver):
-            wants_idle_steps = True
-
         def resolve(**kwargs):
             kwargs.setdefault("record", "metrics")
             sim = Simulation(
@@ -1270,20 +1284,19 @@ class TestFusedPathAndReason:
 
         idle = (None, "scheduling=random materializes idle steps")
         assert resolve(record="full") == idle
-        assert resolve(observers=[IdleSpy()]) == idle
-        assert resolve(kernel="legacy", observers=[IdleSpy()]) == idle
+        assert resolve(observers=[WantsIdle()]) == idle
+        assert resolve(kernel="legacy", observers=[WantsIdle()]) == idle
         assert resolve(kernel="legacy") == (None, "legacy network")
-        assert resolve(observers=[StepSpy()]) == (
-            None, "non-raw step observer: StepSpy"
-        )
         if not HAS_COMPILED:
+            for spy_cls in (StepSpy, RawStepSpy, LogSpy):
+                assert resolve(observers=[spy_cls()]) == (
+                    None, "extension not loaded"
+                )
             assert resolve() == (None, "extension not loaded")
-            assert resolve(observers=[LogSpy()]) == (
-                None, "extension not loaded"
-            )
             return
         for record in ("outputs", "metrics", "none"):
             assert resolve(record=record) == ("c-loop", None)
+        assert resolve(observers=[StepSpy()]) == ("c-loop", None)
         assert resolve(observers=[RawStepSpy(), LogSpy()]) == ("c-loop", None)
         assert resolve(kernel="packed") == (None, "kernel=packed")
 
@@ -1295,8 +1308,9 @@ class TestFusedPathAndReason:
             (dict(kernel="legacy"), (None, "legacy network")),
             (dict(kernel="legacy", observers=[LogSpy()]),
              (None, "legacy network")),
-            (dict(observers=[StepSpy()]),
-             (None, "non-raw step observer: StepSpy")),
+            (dict(kernel="legacy", observers=[StepSpy()]),
+             (None, "legacy network")),
+            (dict(observers=[StepSpy()]), top),
             (dict(observers=[RawStepSpy(), LogSpy()]), top),
             (dict(), top),
         ]
@@ -1305,8 +1319,9 @@ class TestFusedPathAndReason:
                 (dict(kernel="packed"), ("python", "kernel=packed")),
                 (dict(kernel="packed", observers=[LogSpy()]),
                  ("python", "kernel=packed")),
-                (dict(observers=[LogSpy(), StepSpy()]),
-                 (None, "non-raw step observer: StepSpy")),
+                (dict(kernel="packed", observers=[StepSpy()]),
+                 ("python", "kernel=packed")),
+                (dict(observers=[LogSpy(), StepSpy()]), top),
             ]
         else:
             cases.append(
@@ -1326,8 +1341,9 @@ class TestFusedPathAndReason:
         spy = StepSpy()
         sim.attach_observer(spy)
         sim.run_steps(100)
-        assert sim.metrics.fused_path is None
-        assert sim.metrics.fused_reason == "non-raw step observer: StepSpy"
+        assert spy.seen  # a step observer moves no run off its loop
+        assert sim.metrics.fused_path == sim.fused_path
+        assert sim.metrics.fused_reason == sim.fused_reason
         sim.detach_observer(spy)
         sim.run_while(lambda s: True, max_time=sim.time + 10)
         assert (sim.metrics.fused_path, sim.metrics.fused_reason) == (
@@ -1339,6 +1355,71 @@ class TestFusedPathAndReason:
         other.run_until(sim.time)
         assert other.metrics == sim.metrics
         assert other.metrics.fused_reason == "legacy network"
+
+
+class Teller(Chatter):
+    """Chatter with an output per message, so the digest sees the run."""
+
+    def on_message(self, ctx, sender, payload):
+        ctx.output(("heard", sender, payload[1]))
+
+
+class TestOneStepHook:
+    """Every loop hands an executed step to ``on_step_raw`` alone, so an
+    observer of either step hook sees the naive stepper's steps on every
+    rung — and moves no run off its loop."""
+
+    HORIZON = 1_000
+
+    @staticmethod
+    def _run(spy_cls, kernel, engine, *, dense, scheduling, record):
+        spy = spy_cls()
+        observers = [spy] if dense else [spy, WantsIdle()]
+        sim = Simulation(
+            [Teller() for _ in range(4)],
+            failure_pattern=FailurePattern(4, {3: 700}),
+            delay_model=FixedDelay(2),
+            # every live tick fires a timeout, or one in nine does and
+            # WantsIdle has the event engine record the idle ones
+            timeout_interval=1 if dense else 9,
+            seed=5,
+            scheduling=scheduling,
+            record=record,
+            kernel=kernel,
+            engine=engine,
+            observers=observers,
+        )
+        sim.run_until(TestOneStepHook.HORIZON)
+        return sim, spy
+
+    @pytest.mark.parametrize("record", ["none", "metrics", "full"])
+    @pytest.mark.parametrize("scheduling", ["round_robin", "random"])
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "idle"])
+    @pytest.mark.parametrize("spy_cls", [StepSpy, RawStepSpy])
+    def test_every_rung_shows_a_one_hook_spy_the_naive_steppers_steps(
+        self, spy_cls, dense, scheduling, record
+    ):
+        options = dict(dense=dense, scheduling=scheduling, record=record)
+        oracle, oracle_spy = self._run(spy_cls, "legacy", "naive", **options)
+        # every live tick is a step: 700 ticks of 4 processes, then 3
+        assert len(oracle_spy.seen) == 700 + (self.HORIZON - 700) * 3 // 4
+        assert [index for index, __, __ in oracle_spy.seen] == list(
+            range(len(oracle_spy.seen))
+        )
+        materialized = not dense or record == "full"
+        for kernel in BUILT_KERNELS:
+            sim, spy = self._run(spy_cls, kernel, "event", **options)
+            if kernel == "legacy" or (
+                scheduling == "random" and (materialized or kernel == "packed")
+            ):
+                expected = None
+            else:
+                expected = "c-loop" if kernel == "compiled-loop" else "python"
+            assert sim.fused_path == expected, (kernel, sim.fused_reason)
+            assert spy.seen == oracle_spy.seen, kernel
+            assert run_digest(sim) == run_digest(oracle), kernel
+            assert sim.metrics == oracle.metrics, kernel
+            assert sim.run == oracle.run, kernel
 
 
 # ---------------------------------------------------------------------------
@@ -1359,13 +1440,13 @@ class TestPickleRoundTrip:
             config = random_config(seed)
             config["scheduling"] = scheduling
             horizon = config["horizon"]
-            whole = build_sim(config, engine="event", **leg_options(kernel))
+            whole = build_sim(config, **leg_options(kernel))
             whole.run_until(horizon)
             for clone in (
                 lambda sim: pickle.loads(pickle.dumps(sim)),
                 copy.deepcopy,
             ):
-                sim = build_sim(config, engine="event", **leg_options(kernel))
+                sim = build_sim(config, **leg_options(kernel))
                 sim.run_until(horizon // 2)
                 resumed = clone(sim)
                 assert resumed.kernel == sim.kernel
@@ -1522,11 +1603,6 @@ class FusedRawObserver(SimObserver):
     def __init__(self, fuse: Fuse) -> None:
         self.fuse = fuse
 
-    def on_step(self, sim, record):
-        # the same call site when a plain step observer beside it turns
-        # dispatch to materialized records
-        self.fuse.check("raw_observer")
-
     def on_step_raw(self, sim, *fields):
         self.fuse.check("raw_observer")
 
@@ -1571,10 +1647,8 @@ def _failure_sim(
         {"kernel": "packed", "engine": "naive"} if leg == "naive"
         else leg_options(leg)
     )
-    observers = options.pop("observers", [])
-    if record != "full":
-        # record="full" appends to the store inline: no observer to blow
-        observers = [FusedRawObserver(fuse), *observers]
+    # record="full" appends to the store inline: no observer to blow
+    observers = [] if record == "full" else [FusedRawObserver(fuse)]
     sim = Simulation(
         [FusedTalker(fuse) for _ in range(3)],
         delay_model=FusedDelay(fuse, vectorized=site != "delay"),
@@ -1868,13 +1942,10 @@ def reference_permutation(seed: int, block: int, n: int) -> list[int]:
 
 
 class ScheduleSpy(SimObserver):
-    """Raw-capable: notes which process executed at which tick."""
+    """Notes which process executed at which tick."""
 
     def __init__(self) -> None:
         self.schedule: list[tuple[int, int]] = []
-
-    def on_step(self, sim, record):
-        self.schedule.append((record.time, record.pid))
 
     def on_step_raw(self, sim, index, t, pid, *rest):
         self.schedule.append((t, pid))

@@ -5,13 +5,13 @@ each configuration start to finish. This machine covers what happens *in
 between*: Hypothesis draws an environment, a crash pattern, a scheduling
 policy, a record level and a batch size, builds the same simulation once
 per built rung (plus ``engine="naive"`` on ``legacy``, the seed oracle, and
-``compiled-loop`` with a plain step observer pinned from the start: the C
-pool under the generic engine) and then interleaves
+on ``compiled-loop``: the C pool under the generic engine) and then
+interleaves
 
 - ``run_steps(k)``,
 - ``add_input`` at drawn offsets,
 - attaching and detaching step / raw-step / log spies
-  (each of which moves a run up or down the fused-loop ladder), and
+  (none of which moves a run off its loop), and
 - a pickle or deepcopy round trip of every simulation,
 
 asserting after every rule that digests, traffic counters, pending state,
@@ -51,18 +51,16 @@ from repro.sim import (
 
 from test_kernel import (
     BUILT_KERNELS,
-    POOL_UNDER_PYTHON,
     SometimesNeverDelay,
-    StepSpy as PoolPin,
     assert_pool_under_python,
-    leg_options,
 )
 
 DEEP = os.environ.get("HYPOTHESIS_PROFILE") == "nightly"
 
-#: ``compiled-loop`` with a plain step observer attached for the whole run:
-#: the C pool's send and pop paths under the generic engine.
-POOL_LEG = (POOL_UNDER_PYTHON, "event")
+#: ``compiled-loop`` stepped naively: the C pool's send and pop paths
+#: under the generic engine. (The event legs reach them there too, under
+#: random scheduling at ``record="full"``.)
+POOL_LEG = ("compiled-loop", "naive")
 
 #: ``(kernel, engine)`` legs; the first is the oracle the rest are held to.
 LEGS = (
@@ -102,15 +100,12 @@ class Spy(SimObserver):
         self.seen: list = []
 
 
-class StepSpy(Spy):  # no raw hook: drops any fused loop to the generic engine
+class StepSpy(Spy):  # on_step alone: a record built by the base on_step_raw
     def on_step(self, sim, record):
         self.seen.append((record.time, record.pid, record.sent))
 
 
-class RawStepSpy(Spy):  # raw-capable: every fused loop stays engaged
-    def on_step(self, sim, record):
-        self.seen.append((record.time, record.pid, record.sent))
-
+class RawStepSpy(Spy):  # on_step_raw alone: the hook every loop calls
     def on_step_raw(
         self, sim, index, t, pid, sender, payload, send_time, fd_value,
         inputs, outputs, timeout_fired, sent, received_count,
@@ -118,7 +113,7 @@ class RawStepSpy(Spy):  # raw-capable: every fused loop stays engaged
         self.seen.append((t, pid, sent))
 
 
-class LogSpy(Spy):  # log dispatch crosses back from C: costs no rung
+class LogSpy(Spy):  # log dispatch crosses back from C too
     def on_log(self, sim, t, pid, event):
         self.seen.append((t, pid, event))
 
@@ -135,15 +130,14 @@ def delay_model(env: str, seed: int):
     return make_env(env, seed=seed).delay  # counter-based, vectorized
 
 
-def expected_path(kernel, engine, scheduling, record, observers) -> str | None:
+def expected_path(kernel, engine, scheduling, record) -> str | None:
     """The ladder's rules, restated independently of ``fused_runner``.
 
     The C loop serves both schedules; the Python fused loop is round-robin
     only, so a random-scheduled run is on the C loop or on no fused loop.
+    No attached spy enters into it.
     """
     if engine == "naive" or kernel == "legacy":
-        return None
-    if any(type(spy) in (StepSpy, PoolPin) for spy in observers):
         return None
     random = scheduling == "random"
     if random and record == "full":  # every idle step is materialized
@@ -193,7 +187,7 @@ class KernelLadderMachine(RuleBasedStateMachine):
                 message_batch=message_batch,
                 engine=engine,
                 record=record,
-                **leg_options(kernel),
+                kernel=kernel,
             )
         self.n = n
         self.inputs = 0
@@ -246,30 +240,29 @@ class KernelLadderMachine(RuleBasedStateMachine):
         if not hasattr(self, "sims"):
             return
         oracle = self.sims[LEGS[0]]
-        reference = self.sims[LEGS[1]]  # the first event-engine leg
         for leg, sim in self.sims.items():
             engine = leg[1]
             assert sim.fused_path == expected_path(
-                sim.kernel, engine, self.scheduling, self.record, sim._observers
+                sim.kernel, engine, self.scheduling, self.record
             ), (leg, sim.fused_reason)
             assert (sim.fused_reason is None) == (sim.fused_path == "c-loop")
             if leg == POOL_LEG:
                 assert_pool_under_python(sim)
-            if engine == "naive":
-                continue
             # against the seed oracle: the run, the traffic, the pending
             # state, and every observation that is not a step (the naive
             # engine executes the idle ticks the event engine skips, so
-            # step spies and the step split are compared below, among the
-            # event-engine legs only)
+            # step spies and the step split are compared per engine: with
+            # the oracle on a naive leg, with the first event leg on the
+            # others)
             assert self._view(sim) == self._view(oracle), leg
             assert sim.run == oracle.run, leg
             assert self._seen(leg, steps=False) == self._seen(
                 LEGS[0], steps=False
             ), leg
-            assert sim.metrics == reference.metrics, leg
+            twin_leg = LEGS[0] if engine == "naive" else LEGS[1]
+            assert sim.metrics == self.sims[twin_leg].metrics, leg
             assert self._seen(leg, steps=True) == self._seen(
-                LEGS[1], steps=True
+                twin_leg, steps=True
             ), leg
 
     def _seen(self, leg, *, steps: bool) -> list:
@@ -313,7 +306,7 @@ TestKernelLadder = KernelLadderMachine.TestCase
 
 def test_the_machine_covers_the_c_loop_when_it_is_built():
     # A guard on the differential itself: with the extension built, the
-    # legs include the default rung and the C pool under the generic engine.
+    # legs include the default rung and the C pool under the naive engine.
     assert LEGS[0] == ("legacy", "naive")
     assert (("compiled-loop", "event") in LEGS) == HAS_COMPILED
     assert (POOL_LEG in LEGS) == HAS_COMPILED

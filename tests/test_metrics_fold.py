@@ -5,8 +5,8 @@ leading ``MetricsRecorder``'s ``RunMetrics`` itself and adds the counts in
 when it returns or fails; every other path calls
 ``MetricsRecorder.on_step_raw`` per step. The ``RunMetrics`` must come out
 equal on both — between run calls, after a raise (a raising step is not
-counted, a step whose later observer raises is), with further raw
-observers attached, and when the recorder's own ``on_step`` also runs
+counted, a step whose later observer raises is), with further step
+observers attached, and when the recorder's own ``on_step_raw`` also runs
 mid-loop for idle steps another observer asks to see.
 """
 
@@ -44,7 +44,7 @@ def test_workload_stacks_fold_the_same_metrics(stack):
         sim, observer, horizon = workload_sim(
             SPEC, stack=stack, env="uniform", retry_after=300, kernel=kernel
         )
-        assert [type(o).__name__ for o in sim._raw_step_observers] == [
+        assert [type(o).__name__ for o in sim._step_observers] == [
             "MetricsRecorder", "LatencyObserver",
         ]
         between = []
@@ -83,19 +83,13 @@ class Tripwire(Process):
 
 
 class TripObserver(SimObserver):
-    """A raw observer that raises on its ``trip``-th executed step."""
+    """A step observer that raises on its ``trip``-th executed step."""
 
     def __init__(self, trip=None):
         self.trip = trip
         self.steps = 0
 
-    def on_step(self, sim, record):
-        self._count()
-
     def on_step_raw(self, sim, *fields):
-        self._count()
-
-    def _count(self):
         self.steps += 1
         if self.steps == self.trip:
             raise Boom(f"step {self.steps}")

@@ -1,9 +1,21 @@
 """Tests for the run-tracing helpers."""
 
+import pytest
+
 from repro.core.messages import AppMessage, MessageId
+from repro.scenario import Scenario
+from repro.sim import HAS_COMPILED, KERNELS
 from repro.sim.failures import FailurePattern
 from repro.sim.runs import RunRecord
-from repro.sim.tracing import decision_table, sequence_comparison, timeline
+from repro.sim.tracing import (
+    TimelineObserver,
+    decision_table,
+    sequence_comparison,
+    timeline,
+)
+
+#: the kernel rungs this interpreter can run
+BUILT_KERNELS = [k for k in KERNELS if k != "compiled-loop" or HAS_COMPILED]
 
 
 def make_run():
@@ -77,3 +89,37 @@ class TestDecisionTable:
         run.output_history[1] = []
         text = decision_table(run)
         assert "'.'" in text
+
+
+class TestTimelineObserverOnEveryLoop:
+    """``TimelineObserver`` overrides ``on_step`` alone: every loop — the
+    C tick loop included — reaches it through the base ``on_step_raw``,
+    which builds each record from the raw step fields."""
+
+    @pytest.mark.parametrize("record", ["full", "metrics"])
+    @pytest.mark.parametrize("random", [False, True], ids=["rr", "random"])
+    def test_the_live_timeline_is_the_same_on_every_rung(self, random, record):
+        renders = {}
+        for kernel in BUILT_KERNELS:
+            observer = TimelineObserver()
+            scenario = (
+                Scenario(4, seed=3)
+                .crash(3, at=500)
+                .omega(tau=100)
+                .etob()
+                .kernel(kernel)
+                .record(record)
+                .observe(observer)
+                .broadcast(0, 20, "a")
+                .broadcast(1, 90, "b")
+            )
+            if random:
+                scenario = scenario.random_scheduling()
+            sim = scenario.run(1_000)
+            if kernel == "compiled-loop":
+                # only a random run that keeps idle steps leaves the C loop
+                on_c = not (random and record == "full")
+                assert (sim.fused_path == "c-loop") == on_c
+            renders[kernel] = observer.render(failure_pattern=sim.failure_pattern)
+        assert "cast" in renders["legacy"] and "CRASH" in renders["legacy"]
+        assert set(renders.values()) == {renders["legacy"]}
