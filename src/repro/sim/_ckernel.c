@@ -9,10 +9,13 @@
  * 1. The storage layer of the data plane: the slot columns (deliver_at,
  *    seq, sender, send_time, payload), the free list, and the
  *    per-receiver shard heaps ordered by (deliver_at, seq).  The merge
- *    layer -- the `_next_at` cursors, live/pending counters and the dead
- *    set -- stays plain Python state on the CompiledPackedNetwork (kernel.py)
- *    so every kernel presents identical state to the event engine; the
- *    code here updates it in place.
+ *    layer -- the `_next_at` cursors, the pending/live counts and the
+ *    network-wide `_counts` -- is array('q') state of every Network
+ *    (network.py), and the scheduler's `_local_event` / `_next_timeout`
+ *    cursors are array('q') too: each call here exports those buffers
+ *    once and reads and writes them through int64_t pointers, so Python
+ *    and C share one copy and C mirrors none of it.  Every exit releases
+ *    every buffer.  The dead set stays a Python set.
  *
  * 2. The send side (send_packed / send_all_packed): delay draw through
  *    the network's delay model -- a user object, the one Python call --
@@ -48,9 +51,10 @@
  * Invariants shared with the pure-Python PackedNetwork:
  *   - seq fits in 40 bits, slot index in 24 (both enforced here on the
  *     send path).
- *   - deliver_at < 2**63 always (NEVER is 2**62; the send path refuses a
- *     delay that would overflow), so plain int64 comparisons order the
- *     heap.
+ *   - deliver_at < NO_MESSAGE (2**63 - 1) always: the send path refuses
+ *     a delivery time at or past it, because an empty queue's `_next_at`
+ *     cursor reads NO_MESSAGE.  NEVER (2**62) is a queued message that
+ *     never arrives, so the two stay distinct.
  *   - pop_due_batch() reports the receiver's next head deliver_at (or -1)
  *     so the Python side can maintain its `_next_at` cursor without a peek
  *     round-trip.
@@ -74,6 +78,14 @@
  * that never arrive (dropped links, partitions).  Shared with the Python
  * merge layer's live-pending accounting. */
 #define NEVER_I64 (((int64_t)1) << 62)
+
+/* repro.sim.types.NO_MESSAGE == 2**63 - 1: what an empty queue's
+ * next-delivery cursor reads. */
+#define NO_MESSAGE_I64 INT64_MAX
+
+/* Network._counts slots (network.py's _SENT, _DELIVERED, _LIVE_PENDING).
+ * SENT is also the next send sequence: every queued message takes one. */
+enum { SENT, DELIVERED, LIVE_PENDING, N_COUNTS };
 
 typedef struct {
     int32_t *items;
@@ -628,8 +640,7 @@ static PyObject *s_network, *s_n, *s_processes, *s__ctx, *s_detector,
     *s__outbox, *s__outputs, *s__log, *s_on_start, *s_on_input,
     *s_on_message, *s_on_timeout, *s_on_step_raw, *s__next_at, *s__pending,
     *s__live, *s__dead, *s_delay_model, *s_delay, *s_delay_profile,
-    *s__next_seq, *s_sent_count, *s__pool, *s_delivered_count,
-    *s_live_pending, *s_end_time, *s_input_history, *s_output_history,
+    *s__counts, *s__pool, *s_end_time, *s_input_history, *s_output_history,
     *s__index, *s__time_col, *s__pid_col, *s__fd, *s__msg_sender,
     *s__msg_payload, *s__msg_send_time, *s__timeout, *s__sent,
     *s__received, *s__intern_fd, *s__log_observers, *s_on_log,
@@ -735,16 +746,6 @@ add_i64_attr(PyObject *obj, PyObject *name, int64_t delta)
     return set_i64_attr(obj, name, v + delta);
 }
 
-/* list[i] = v (new int; steals like PyList_SetItem) */
-static int
-list_set_i64(PyObject *list, Py_ssize_t i, int64_t v)
-{
-    PyObject *boxed = PyLong_FromLongLong(v);
-    if (boxed == NULL)
-        return -1;
-    return PyList_SetItem(list, i, boxed);
-}
-
 /* list[i] += delta (list of plain ints) */
 static int
 list_add_i64(PyObject *list, Py_ssize_t i, int64_t delta)
@@ -752,7 +753,34 @@ list_add_i64(PyObject *list, Py_ssize_t i, int64_t delta)
     int64_t v = PyLong_AsLongLong(PyList_GET_ITEM(list, i));
     if (v == -1 && PyErr_Occurred())
         return -1;
-    return list_set_i64(list, i, v + delta);
+    PyObject *boxed = PyLong_FromLongLong(v + delta);
+    if (boxed == NULL)
+        return -1;
+    return PyList_SetItem(list, i, boxed);
+}
+
+/* Exports attribute `name` of `owner`, which must be a writable array('q')
+ * of `len` items, into *view and points *out at its items; a TypeError
+ * naming the attribute otherwise.  The caller releases *view. */
+static int
+i64_view(PyObject *owner, PyObject *name, Py_ssize_t len, Py_buffer *view,
+         int64_t **out)
+{
+    PyObject *obj = PyObject_GetAttr(owner, name);
+    if (obj == NULL)
+        return -1;
+    int rc = PyObject_GetBuffer(obj, view, PyBUF_WRITABLE | PyBUF_FORMAT);
+    Py_DECREF(obj);
+    if (rc == 0 && strcmp(view->format, "q") == 0
+        && view->len == len * (Py_ssize_t)sizeof(int64_t)) {
+        *out = (int64_t *)view->buf;
+        return 0;
+    }
+    if (rc == 0)
+        PyBuffer_Release(view);
+    PyErr_Format(PyExc_TypeError, "%U must be an array('q') of length %zd",
+                 name, len);
+    return -1;
 }
 
 static inline PyObject *
@@ -785,27 +813,27 @@ call3(PyObject *fn, PyObject *a, PyObject *b, PyObject *c)
  * must exhaust it at the same send. */
 #define SEQ_LIMIT (((int64_t)1) << 40)
 
-/* A CompiledPackedNetwork as the C send and pop paths see it: the pool
- * plus the merge layer (per-receiver lists and the dead set), which stays
- * plain Python state on the network so the event engine reads the same
- * `_next_at` cursors on every kernel.  The
- * network-wide scalars (`sent_count`, `live_pending`, `_next_seq`) and
- * `delay_model` are read through `net` at each use.  All references are
- * owned; the lists are verified to be lists of length pool->n. */
+/* A CompiledPackedNetwork as the C send and pop paths see it: the pool,
+ * the dead set, and the exported buffers of the merge layer -- the
+ * per-receiver `_next_at` / `_pending` / `_live` and the network-wide
+ * `_counts` -- which every Network keeps as array('q'), so the event
+ * engine reads the same cursors on every kernel.  `delay_model` is read
+ * through `net` at each use.  References are owned and buffers exported
+ * until net_view_free. */
 typedef struct {
-    PyObject *net, *pool_obj;
+    PyObject *net, *pool_obj, *dead;
     PoolObject *pool;                    /* borrowed view of pool_obj */
-    PyObject *next_at, *pending, *live, *dead;
+    Py_buffer bufs[4];
+    int64_t *next_at, *pending, *live, *counts;
 } NetView;
 
 static void
 net_view_free(NetView *nv)
 {
+    for (int i = 0; i < 4; i++)
+        PyBuffer_Release(&nv->bufs[i]);
     Py_CLEAR(nv->net);
     Py_CLEAR(nv->pool_obj);
-    Py_CLEAR(nv->next_at);
-    Py_CLEAR(nv->pending);
-    Py_CLEAR(nv->live);
     Py_CLEAR(nv->dead);
 }
 
@@ -824,40 +852,41 @@ net_view_init(NetView *nv, PyObject *net)
         return -1;
     }
     nv->pool = (PoolObject *)nv->pool_obj;
-    if ((nv->next_at = PyObject_GetAttr(net, s__next_at)) == NULL
-        || (nv->pending = PyObject_GetAttr(net, s__pending)) == NULL
-        || (nv->live = PyObject_GetAttr(net, s__live)) == NULL
-        || (nv->dead = PyObject_GetAttr(net, s__dead)) == NULL)
+    if ((nv->dead = PyObject_GetAttr(net, s__dead)) == NULL)
         return -1;
-    Py_ssize_t n = nv->pool->n;
-    if (!PyList_Check(nv->next_at) || PyList_GET_SIZE(nv->next_at) != n
-        || !PyList_Check(nv->pending) || PyList_GET_SIZE(nv->pending) != n
-        || !PyList_Check(nv->live) || PyList_GET_SIZE(nv->live) != n
-        || !PyAnySet_Check(nv->dead)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "network merge layer is not the per-receiver "
-                        "lists / set the pool was built for");
+    if (!PyAnySet_Check(nv->dead)) {
+        PyErr_SetString(PyExc_TypeError, "_dead must be a set");
         return -1;
     }
+    Py_ssize_t n = nv->pool->n;
+    if (i64_view(net, s__next_at, n, &nv->bufs[0], &nv->next_at) < 0
+        || i64_view(net, s__pending, n, &nv->bufs[1], &nv->pending) < 0
+        || i64_view(net, s__live, n, &nv->bufs[2], &nv->live) < 0
+        || i64_view(net, s__counts, N_COUNTS, &nv->bufs[3], &nv->counts) < 0)
+        return -1;
     return 0;
 }
 
-/* t + delay for one drawn delay, with DelayModel's contract checked the
- * way PackedNetwork checks it (ValueError on delay < 1). */
+/* t + delay for one drawn delay, checked as network.deliver_time checks
+ * it, with the same exceptions and messages: ValueError on delay < 1,
+ * OverflowError on a delivery time at or past NO_MESSAGE. */
 static int
 deliver_time(PyObject *delay_obj, int64_t t, int64_t *out)
 {
-    int64_t delay = PyLong_AsLongLong(delay_obj);
-    if (delay == -1 && PyErr_Occurred())
+    int over;
+    int64_t delay = PyLong_AsLongLongAndOverflow(delay_obj, &over);
+    if (delay == -1 && !over && PyErr_Occurred())
         return -1;
-    if (delay < 1) {
+    if (over < 0 || (!over && delay < 1)) {
         PyErr_Format(PyExc_ValueError,
                      "delay model produced non-positive delay %S", delay_obj);
         return -1;
     }
-    if (delay > INT64_MAX - t) {
-        PyErr_SetString(PyExc_OverflowError,
-                        "delivery time does not fit in 64 bits");
+    if (over > 0 || (t > 0 ? delay >= NO_MESSAGE_I64 - t
+                           : t + delay >= NO_MESSAGE_I64)) {
+        PyErr_Format(PyExc_OverflowError,
+                     "delivery time %lld + %S reaches NO_MESSAGE (2**63 - 1)",
+                     (long long)t, delay_obj);
         return -1;
     }
     *out = t + delay;
@@ -866,13 +895,14 @@ deliver_time(PyObject *delay_obj, int64_t t, int64_t *out)
 
 /* Queue one message: the pool push plus the merge-layer update of
  * PackedNetwork.send_packed on the per-receiver state, in its order of
- * effects (pending, live, then the next-delivery cursor).  The two
- * network-wide counters are the caller's: a live
- * message to a receiver not marked dead bumps *live_gain, and the caller
- * counts what it queued; net_commit writes both back. */
+ * effects (pending, live, then the next-delivery cursor).  The
+ * network-wide counts are the caller's: a live message to a receiver not
+ * marked dead bumps *live_gain, and the caller counts what it queued;
+ * net_commit writes both. */
 static int
-net_queue(NetView *nv, Py_ssize_t receiver, int64_t deliver_at, int64_t seq,
-          long sender, int64_t t, PyObject *payload, int64_t *live_gain)
+net_queue(NetView *nv, Py_ssize_t receiver, PyObject *recv_obj,
+          int64_t deliver_at, int64_t seq, long sender, int64_t t,
+          PyObject *payload, int64_t *live_gain)
 {
     PoolObject *pool = nv->pool;
     if (receiver < 0 || receiver >= pool->n) {
@@ -888,41 +918,27 @@ net_queue(NetView *nv, Py_ssize_t receiver, int64_t deliver_at, int64_t seq,
         pool->free_stack[pool->free_top++] = slot;
         return -1;
     }
-    if (list_add_i64(nv->pending, receiver, 1) < 0)
-        return -1;
+    nv->pending[receiver] += 1;
     if (deliver_at < NEVER_I64) {
-        if (list_add_i64(nv->live, receiver, 1) < 0)
-            return -1;
-        PyObject *recv_obj = PyLong_FromSsize_t(receiver);
-        if (recv_obj == NULL)
-            return -1;
-        int is_dead = PySet_Contains(nv->dead, recv_obj);
-        Py_DECREF(recv_obj);
+        nv->live[receiver] += 1;
+        int is_dead = PySet_GET_SIZE(nv->dead) == 0
+            ? 0 : PySet_Contains(nv->dead, recv_obj);
         if (is_dead < 0)
             return -1;
-        if (!is_dead)
-            *live_gain += 1;
+        *live_gain += !is_dead;
     }
-    PyObject *head_obj = PyList_GET_ITEM(nv->next_at, receiver);
-    if (head_obj != Py_None) {
-        int64_t head = PyLong_AsLongLong(head_obj);
-        if (head == -1 && PyErr_Occurred())
-            return -1;
-        if (deliver_at >= head)
-            return 0;
-    }
-    return list_set_i64(nv->next_at, receiver, deliver_at);
+    if (deliver_at < nv->next_at[receiver])
+        nv->next_at[receiver] = deliver_at;
+    return 0;
 }
 
-/* Write back what one send call queued: `_next_seq`, `sent_count`,
- * `live_pending`. */
-static int
-net_commit(NetView *nv, int64_t next_seq, int64_t sent, int64_t live_gain)
+/* Write back what one send call queued: the sent count (the next send
+ * sequence) and the live-pending gain. */
+static inline void
+net_commit(NetView *nv, int64_t sent, int64_t live_gain)
 {
-    if (set_i64_attr(nv->net, s__next_seq, next_seq) < 0
-        || add_i64_attr(nv->net, s_sent_count, sent) < 0)
-        return -1;
-    return live_gain ? add_i64_attr(nv->net, s_live_pending, live_gain) : 0;
+    nv->counts[SENT] += sent;
+    nv->counts[LIVE_PENDING] += live_gain;
 }
 
 /* model.delay(sender, receiver, t) -> deliver_at */
@@ -958,18 +974,16 @@ net_send(NetView *nv, long sender, PyObject *sender_obj, PyObject *recv_obj,
     Py_ssize_t receiver = PyLong_AsSsize_t(recv_obj);
     if (receiver == -1 && PyErr_Occurred())
         return -1;
-    int64_t seq, live_gain = 0;
-    if (get_i64_attr(nv->net, s__next_seq, &seq) < 0)
-        return -1;
+    int64_t seq = nv->counts[SENT], live_gain = 0;
     if (seq >= SEQ_LIMIT) {
         PyErr_SetString(PyExc_OverflowError,
                         "packed pool exhausted the 40-bit send sequence");
         return -1;
     }
-    if (net_queue(nv, receiver, deliver_at, seq, sender, t, payload,
-                  &live_gain) < 0
-        || net_commit(nv, seq + 1, 1, live_gain) < 0)
+    if (net_queue(nv, receiver, recv_obj, deliver_at, seq, sender, t,
+                  payload, &live_gain) < 0)
         return -1;
+    net_commit(nv, 1, live_gain);
     *seq_out = seq;
     return 0;
 }
@@ -1053,21 +1067,19 @@ net_send_all(NetView *nv, long sender, PyObject *sender_obj,
                          &times[i]) < 0)
             goto done;
     }
-    if (get_i64_attr(nv->net, s__next_seq, &seq0) < 0)
-        goto done;
+    seq0 = nv->counts[SENT];
     if (seq0 + count > SEQ_LIMIT) {
         PyErr_SetString(PyExc_OverflowError,
                         "packed pool exhausted the 40-bit send sequence");
         goto done;
     }
     for (Py_ssize_t i = 0; i < count; i++) {
-        Py_ssize_t receiver = PyLong_AsSsize_t(PyList_GET_ITEM(receivers, i));
-        if (net_queue(nv, receiver, times[i], seq0 + i, sender, t, payload,
-                      &live_gain) < 0)
+        PyObject *recv_obj = PyList_GET_ITEM(receivers, i);
+        if (net_queue(nv, PyLong_AsSsize_t(recv_obj), recv_obj, times[i],
+                      seq0 + i, sender, t, payload, &live_gain) < 0)
             goto done;
     }
-    if (net_commit(nv, seq0 + count, count, live_gain) < 0)
-        goto done;
+    net_commit(nv, count, live_gain);
     *count_out = (long)count;
     rc = 0;
 done:
@@ -1126,25 +1138,19 @@ fold_pops(NetView *nv, long pid, PyObject *pid_obj, long received,
           long live_drop)
 {
     Shard *shard = &nv->pool->shards[pid];
-    if (add_i64_attr(nv->net, s_delivered_count, received) < 0)
-        return -1;
-    if (list_add_i64(nv->pending, pid, -received) < 0)
-        return -1;
+    nv->counts[DELIVERED] += received;
+    nv->pending[pid] -= received;
     if (live_drop) {
-        if (list_add_i64(nv->live, pid, -live_drop) < 0)
-            return -1;
+        nv->live[pid] -= live_drop;
         int is_dead = PySet_Contains(nv->dead, pid_obj);
-        if (is_dead < 0
-            || (!is_dead
-                && add_i64_attr(nv->net, s_live_pending, -live_drop) < 0))
+        if (is_dead < 0)
             return -1;
+        if (!is_dead)
+            nv->counts[LIVE_PENDING] -= live_drop;
     }
-    if (shard->len == 0) {
-        Py_INCREF(Py_None);
-        return PyList_SetItem(nv->next_at, pid, Py_None);
-    }
-    return list_set_i64(nv->next_at, pid,
-                        nv->pool->col_deliver[shard->items[0]]);
+    nv->next_at[pid] = shard->len == 0
+        ? NO_MESSAGE_I64 : nv->pool->col_deliver[shard->items[0]];
+    return 0;
 }
 
 /* Peek the deliver-at of the head of a per-pid input heap.  Returns 1 and
@@ -1185,10 +1191,10 @@ typedef struct {
 } Stage;
 
 /* Everything the loop reads, extracted once per run_loop call.  Python
- * objects are owned references unless marked borrowed; the int64 arrays
- * mirror a Python list that only this loop mutates (next_timeout —
- * written through on every change), or that are immutable for the run's
- * duration (crash times, intervals). */
+ * objects are owned references unless marked borrowed; local_event and
+ * next_timeout point into the sim's exported array('q') cursors, and the
+ * PyMem int64 arrays copy state that is immutable for the run's duration
+ * (crash times, intervals). */
 typedef struct {
     PyObject *sim;                       /* borrowed */
     NetView nv;                          /* sim.network's merge layer + pool */
@@ -1197,8 +1203,8 @@ typedef struct {
     PyObject *skip_span;                 /* sim._skip_span_rr, or NULL when
                                           * idle spans are counted in C */
     PyObject *sim_metrics;               /* sim.metrics (loop_flush_idle) */
-    PyObject *local_event;
-    PyObject *next_timeout_list;
+    Py_buffer cursor_bufs[2];            /* sim._local_event, _next_timeout */
+    int64_t *local_event, *next_timeout;
     PyObject *step_obs, *run;
     PyObject *crash_times, *intervals;   /* read into crash_at / interval */
     PyObject *store;                     /* borrowed; NULL without store */
@@ -1225,7 +1231,7 @@ typedef struct {
     PyObject **log_methods;              /* owned bound on_log */
     Py_ssize_t log_count;
     int64_t *crash_at;                   /* INT64_MAX = never crashes */
-    int64_t *interval, *next_to;
+    int64_t *interval;
     PyObject *empty_tuple;
     long n;
     int64_t message_batch;
@@ -1256,8 +1262,8 @@ loop_free(Loop *L)
     Py_XDECREF(L->detector_query);
     Py_XDECREF(L->skip_span);
     Py_XDECREF(L->sim_metrics);
-    Py_XDECREF(L->local_event);
-    Py_XDECREF(L->next_timeout_list);
+    PyBuffer_Release(&L->cursor_bufs[0]);
+    PyBuffer_Release(&L->cursor_bufs[1]);
     Py_XDECREF(L->step_obs);
     Py_XDECREF(L->metrics);
     Py_XDECREF(L->run);
@@ -1301,22 +1307,8 @@ loop_free(Loop *L)
     }
     PyMem_Free(L->crash_at);
     PyMem_Free(L->interval);
-    PyMem_Free(L->next_to);
     PyMem_Free(L->perm);
     PyMem_Free(L->fold_by_pid);
-}
-
-/* sim._local_event[p].  Read from the list at every use, not mirrored:
- * Simulation.add_input lowers it, and a handler or observer holding the
- * sim may call that in the middle of a run. */
-static inline int
-local_event_at(Loop *L, long p, int64_t *out)
-{
-    int64_t at = PyLong_AsLongLong(PyList_GET_ITEM(L->local_event, p));
-    if (at == -1 && PyErr_Occurred())
-        return -1;
-    *out = at;
-    return 0;
 }
 
 #define GETA(dst, obj, name)                                                \
@@ -1650,8 +1642,15 @@ loop_init(Loop *L, PyObject *sim, PyObject *store, PyObject *metrics)
         GETA(L->skip_span, sim, s__skip_span_rr);
     }
     GETA(L->sim_metrics, sim, s_metrics);
-    GETA(L->local_event, sim, s__local_event);
-    GETA(L->next_timeout_list, sim, s__next_timeout);
+    long n = L->n;
+    /* Simulation.add_input lowers _local_event, and a handler or observer
+     * holding the sim may call it mid-run: the loop reads the buffer at
+     * every use. */
+    if (i64_view(sim, s__local_event, n, &L->cursor_bufs[0],
+                 &L->local_event) < 0
+        || i64_view(sim, s__next_timeout, n, &L->cursor_bufs[1],
+                    &L->next_timeout) < 0)
+        return -1;
     GETA(L->inputs_by_pid, sim, s__inputs);
     GETA(L->started, sim, s__started);
     GETA(L->step_obs, sim, s__step_observers);
@@ -1659,17 +1658,12 @@ loop_init(Loop *L, PyObject *sim, PyObject *store, PyObject *metrics)
     GETA(L->intervals, sim, s_timeout_intervals);
     if (get_i64_attr(sim, s_message_batch, &L->message_batch) < 0)
         return -1;
-    long n = L->n;
-    if (!PyList_Check(L->processes) || !PyList_Check(L->local_event)
-        || !PyList_Check(L->next_timeout_list)
-        || !PyList_Check(L->inputs_by_pid) || !PyList_Check(L->intervals)
-        || !PyList_Check(L->step_obs)) {
+    if (!PyList_Check(L->processes) || !PyList_Check(L->inputs_by_pid)
+        || !PyList_Check(L->intervals) || !PyList_Check(L->step_obs)) {
         PyErr_SetString(PyExc_TypeError, "run_loop: expected list state");
         return -1;
     }
     if (PyList_GET_SIZE(L->processes) != n
-        || PyList_GET_SIZE(L->local_event) != n
-        || PyList_GET_SIZE(L->next_timeout_list) != n
         || PyList_GET_SIZE(L->inputs_by_pid) != n
         || PyList_GET_SIZE(L->intervals) != n || L->nv.pool->n != n) {
         PyErr_SetString(PyExc_ValueError,
@@ -1678,12 +1672,10 @@ loop_init(Loop *L, PyObject *sim, PyObject *store, PyObject *metrics)
     }
     L->crash_at = PyMem_Malloc(n * sizeof(int64_t));
     L->interval = PyMem_Malloc(n * sizeof(int64_t));
-    L->next_to = PyMem_Malloc(n * sizeof(int64_t));
     L->pid_objs = PyMem_Calloc(n, sizeof(PyObject *));
     L->on_message_m = PyMem_Calloc(n, sizeof(PyObject *));
     L->on_timeout_m = PyMem_Calloc(n, sizeof(PyObject *));
-    if (L->crash_at == NULL || L->interval == NULL || L->next_to == NULL
-        || L->pid_objs == NULL
+    if (L->crash_at == NULL || L->interval == NULL || L->pid_objs == NULL
         || L->on_message_m == NULL || L->on_timeout_m == NULL) {
         PyErr_NoMemory();
         return -1;
@@ -1727,8 +1719,6 @@ loop_init(Loop *L, PyObject *sim, PyObject *store, PyObject *metrics)
     }
     for (long p = 0; p < n; p++) {
         L->interval[p] = PyLong_AsLongLong(PyList_GET_ITEM(L->intervals, p));
-        L->next_to[p] =
-            PyLong_AsLongLong(PyList_GET_ITEM(L->next_timeout_list, p));
         if (PyErr_Occurred())
             return -1;
         L->pid_objs[p] = PyLong_FromLong(p);
@@ -1824,22 +1814,11 @@ loop_init(Loop *L, PyObject *sim, PyObject *store, PyObject *metrics)
 }
 
 /* 1 when `pid` has work due at `t` -- a local event (timeout, input,
- * pending on_start) or a deliverable message -- 0 when not, -1 on error. */
+ * pending on_start) or a deliverable message -- else 0. */
 static inline int
 pid_due(Loop *L, long pid, int64_t t)
 {
-    int64_t at;
-    if (local_event_at(L, pid, &at) < 0)
-        return -1;
-    if (at <= t)
-        return 1;
-    PyObject *head_obj = PyList_GET_ITEM(L->nv.next_at, pid);
-    if (head_obj == Py_None)
-        return 0;
-    int64_t head = PyLong_AsLongLong(head_obj);
-    if (head == -1 && PyErr_Occurred())
-        return -1;
-    return head <= t;
+    return L->local_event[pid] <= t || L->nv.next_at[pid] <= t;
 }
 
 /* record="metrics" in C: each executed step is folded into L's counters
@@ -2121,13 +2100,8 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             pid = (long)(t % n);
         else
             pid = t / n == L->perm_block ? L->perm[t % n] : -1;
-        int due = 0;
-        if (pid >= 0 && !(L->has_crashes && t >= L->crash_at[pid])) {
-            due = pid_due(L, pid, t);
-            if (due < 0)
-                goto fail;
-        }
-        if (due) {
+        if (pid >= 0 && !(L->has_crashes && t >= L->crash_at[pid])
+            && pid_due(L, pid, t)) {
             /* ---- one fused executed step (mirrors run_fused_rr) ---- */
             PyObject *pid_obj = L->pid_objs[pid];
             PyObject *process = PyList_GET_ITEM(L->processes, pid);
@@ -2223,15 +2197,7 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             long received = 0;
             long first_sender = -1;
             int64_t first_send_time = -1;
-            PyObject *head_obj = PyList_GET_ITEM(L->nv.next_at, pid);
-            int msgs_due = 0;
-            if (head_obj != Py_None) {
-                int64_t head = PyLong_AsLongLong(head_obj);
-                if (head == -1 && PyErr_Occurred())
-                    goto step_fail;
-                msgs_due = head <= t;
-            }
-            if (msgs_due) {
+            if (L->nv.next_at[pid] <= t) {
                 Shard *shard = &pool->shards[pid];
                 PyObject *on_message = L->on_message_m[pid];
                 long live_drop = 0;
@@ -2278,12 +2244,9 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 
             /* timeout */
             int timeout_fired = 0;
-            if (t >= L->next_to[pid]) {
+            if (t >= L->next_timeout[pid]) {
                 timeout_fired = 1;
-                L->next_to[pid] = t + L->interval[pid];
-                if (list_set_i64(L->next_timeout_list, pid,
-                                 L->next_to[pid]) < 0)
-                    goto step_fail;
+                L->next_timeout[pid] = t + L->interval[pid];
                 PyObject *r = call1(L->on_timeout_m[pid], L->ctx);
                 if (r == NULL)
                     goto step_fail;
@@ -2402,7 +2365,7 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             Py_DECREF(log_buf);
 
             /* _refresh_local, inlined */
-            int64_t event_at = L->next_to[pid];
+            int64_t event_at = L->next_timeout[pid];
             {
                 int64_t at;
                 int has = peek_input_at(in_q, &at);
@@ -2411,12 +2374,7 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                 if (has > 0 && at < event_at)
                     event_at = at;
             }
-            int64_t local_at;
-            if (local_event_at(L, pid, &local_at) < 0)
-                goto step_fail;
-            if (event_at != local_at
-                && list_set_i64(L->local_event, pid, event_at) < 0)
-                goto step_fail;
+            L->local_event[pid] = event_at;
 
             int64_t index = step_index;
             step_index += 1;
@@ -2534,17 +2492,9 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         int64_t target = 0;
         int have_target = 0;
         for (long p = 0; p < n; p++) {
-            int64_t event_at;
-            if (local_event_at(L, p, &event_at) < 0)
-                goto fail;
-            PyObject *d = PyList_GET_ITEM(L->nv.next_at, p);
-            if (d != Py_None) {
-                int64_t deliver_at = PyLong_AsLongLong(d);
-                if (deliver_at == -1 && PyErr_Occurred())
-                    goto fail;
-                if (deliver_at < event_at)
-                    event_at = deliver_at;
-            }
+            int64_t event_at = L->local_event[p];
+            if (L->nv.next_at[p] < event_at)
+                event_at = L->nv.next_at[p];
             int64_t tick = event_at > t ? event_at : t;
             if (!L->random) {
                 int64_t m = (p - tick) % n;
@@ -2603,10 +2553,7 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                 long p = L->perm[t - base];
                 if (L->has_crashes && t >= L->crash_at[p])
                     continue;
-                int p_due = pid_due(L, p, t);
-                if (p_due < 0)
-                    goto fail;
-                if (p_due)
+                if (pid_due(L, p, t))
                     break;
                 L->idle_acc += 1;
                 L->last_live_acc = t;
@@ -3017,11 +2964,8 @@ intern_names(void)
     INTERN(s_delay_model, "delay_model");
     INTERN(s_delay, "delay");
     INTERN(s_delay_profile, "delay_profile");
-    INTERN(s__next_seq, "_next_seq");
-    INTERN(s_sent_count, "sent_count");
+    INTERN(s__counts, "_counts");
     INTERN(s__pool, "_pool");
-    INTERN(s_delivered_count, "delivered_count");
-    INTERN(s_live_pending, "live_pending");
     INTERN(s_end_time, "end_time");
     INTERN(s_input_history, "input_history");
     INTERN(s_output_history, "output_history");

@@ -21,9 +21,9 @@ module removes both:
   comparison preserves the exact ``(deliver_at, seq)`` delivery order
   (``seq`` is globally unique so the slot bits never decide), and push/pop
   never call ``__lt__`` on objects. The network-level merge layer — the
-  per-receiver ``_next_at`` cursors — is inherited unchanged from
-  :class:`Network`, so the event engine's next-event scan works on every
-  kernel.
+  per-receiver ``_next_at`` cursors and counters, ``array('q')`` state —
+  is inherited unchanged from :class:`Network`, so the event engine's
+  next-event scan works on every kernel.
 - :func:`run_fused_rr` — the scheduler's dense-tick loop
   (``Simulation.step`` + batched pops + timeout check + recording) fused
   into one function that reads the packed columns directly and appends
@@ -89,9 +89,15 @@ from repro.sim._compiled import ckernel as _ckernel
 from repro.sim.context import BROADCAST_ALL
 from repro.sim.errors import ConfigurationError
 from repro.sim.envs import DelayModel
-from repro.sim.network import Network
+from repro.sim.network import (
+    _DELIVERED,
+    _LIVE_PENDING,
+    _SENT,
+    Network,
+    deliver_time,
+)
 from repro.sim.observers import FullRecorder, MetricsRecorder
-from repro.sim.types import NEVER, ProcessId, Time
+from repro.sim.types import NEVER, NO_MESSAGE, ProcessId, Time
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.scheduler import Simulation
@@ -134,14 +140,15 @@ class PackedNetwork(Network):
 
     In-transit messages live in parallel columns indexed by slot; each
     receiver's delivery order is a heap of packed integer keys (see module
-    docstring). The merge layer — the ``_next_at`` cursors and all the
-    per-receiver counters — is inherited from :class:`Network` and
-    maintained identically, so the event engine and every public query
-    (:meth:`next_delivery_time`, :meth:`in_transit`, quiescence counters)
-    are oblivious to the storage change. The scheduler talks to it through
-    :meth:`send_packed`, :meth:`send_all_packed` and
-    :meth:`pop_deliverable_batch_raw`; the legacy ``Envelope`` methods it
-    inherits fail fast on the poisoned ``_queues`` / ``_seq``.
+    docstring). The merge layer — the ``_next_at`` cursors, the
+    per-receiver counters and ``_counts``, all ``array('q')`` — is
+    inherited from :class:`Network` and maintained identically, so the
+    event engine and every public query (:meth:`next_delivery_time`,
+    :meth:`in_transit`, quiescence counters) are oblivious to the storage
+    change. The scheduler talks to it through :meth:`send_packed`,
+    :meth:`send_all_packed` and :meth:`pop_deliverable_batch_raw`; the
+    legacy ``Envelope`` methods it inherits fail fast on the poisoned
+    ``_queues``.
     """
 
     def __init__(self, n: int, delay_model: DelayModel | None = None) -> None:
@@ -149,8 +156,6 @@ class PackedNetwork(Network):
         #: the object heaps are replaced by the pool; poisoned so any code
         #: still reaching for them fails fast instead of desynchronizing.
         self._queues = None  # type: ignore[assignment]
-        self._seq = None  # replaced by the inline integer counter below
-        self._next_seq = 0
         self._col_deliver = array("q")
         self._col_seq = array("q")
         self._col_sender = array("i")
@@ -169,11 +174,11 @@ class PackedNetwork(Network):
         """Queue a point-to-point message; returns its send sequence (as
         on every rung). The message takes a freed pool slot when the free
         list has any, else the columns grow."""
-        delay = self.delay_model.delay(sender, receiver, t)
-        if delay < 1:
-            raise ValueError(f"delay model produced non-positive delay {delay}")
-        deliver_at = t + delay
-        seq = self._next_seq
+        deliver_at = deliver_time(
+            t, self.delay_model.delay(sender, receiver, t)
+        )
+        counts = self._counts
+        seq = counts[_SENT]
         if seq >= _SEQ_LIMIT:
             raise OverflowError("packed pool exhausted the 40-bit send sequence")
         free = self._free
@@ -196,19 +201,17 @@ class PackedNetwork(Network):
             self._col_sender.append(sender)
             self._col_send_time.append(t)
             self._col_payload.append(payload)
-        self._next_seq = seq + 1
+        counts[_SENT] = seq + 1
         heapq.heappush(
             self._shards[receiver],
             (deliver_at << _KEY_SHIFT) | (seq << _SLOT_BITS) | slot,
         )
-        self.sent_count += 1
         self._pending[receiver] += 1
         if deliver_at < NEVER:
             self._live[receiver] += 1
             if receiver not in self._dead:
-                self.live_pending += 1
-        head = self._next_at[receiver]
-        if head is None or deliver_at < head:
+                counts[_LIVE_PENDING] += 1
+        if deliver_at < self._next_at[receiver]:
             self._next_at[receiver] = deliver_at
         return seq
 
@@ -222,14 +225,16 @@ class PackedNetwork(Network):
         """Broadcast in one batched pass (same draws and order as the legacy
         :meth:`Network.send_all`); returns the count.
 
-        Every delay, the sequence space and the slot space are checked
-        before any message queues, so a broadcast is all or nothing; the
-        queue loop folds the network-wide counters in once at the end.
+        Every delivery time, the sequence space and the slot space are
+        checked before any message queues, so a broadcast is all or
+        nothing; the queue loop folds the network-wide counters in once at
+        the end.
         """
         receivers = [r for r in range(self.n) if include_self or r != sender]
-        delays = self._broadcast_delays(sender, t, receivers)
+        times = self._broadcast_deliver_times(sender, t, receivers)
         count = len(receivers)
-        seq = self._next_seq
+        counts = self._counts
+        seq = counts[_SENT]
         if seq + count > _SEQ_LIMIT:
             raise OverflowError("packed pool exhausted the 40-bit send sequence")
         col_deliver = self._col_deliver
@@ -250,8 +255,7 @@ class PackedNetwork(Network):
         dead = self._dead
         heappush = heapq.heappush
         live_gain = 0
-        for receiver, delay in zip(receivers, delays):
-            deliver_at = t + delay
+        for receiver, deliver_at in zip(receivers, times):
             if free:
                 slot = free.pop()
                 col_deliver[slot] = deliver_at
@@ -276,13 +280,11 @@ class PackedNetwork(Network):
                 live[receiver] += 1
                 if receiver not in dead:
                     live_gain += 1
-            head = next_at[receiver]
-            if head is None or deliver_at < head:
+            if deliver_at < next_at[receiver]:
                 next_at[receiver] = deliver_at
-        self._next_seq = seq
-        self.sent_count += count
+        counts[_SENT] = seq
         if live_gain:
-            self.live_pending += live_gain
+            counts[_LIVE_PENDING] += live_gain
         return count
 
     # -- pops ---------------------------------------------------------------
@@ -325,13 +327,16 @@ class PackedNetwork(Network):
             if deliver_at < NEVER:
                 live_drop += 1
         count = len(popped)
-        self.delivered_count += count
+        counts = self._counts
+        counts[_DELIVERED] += count
         self._pending[receiver] -= count
         if live_drop:
             self._live[receiver] -= live_drop
             if receiver not in self._dead:
-                self.live_pending -= live_drop
-        self._next_at[receiver] = shard[0] >> _KEY_SHIFT if shard else None
+                counts[_LIVE_PENDING] -= live_drop
+        self._next_at[receiver] = (
+            shard[0] >> _KEY_SHIFT if shard else NO_MESSAGE
+        )
         return popped
 
     # -- introspection (tests / benchmarks) ---------------------------------
@@ -351,11 +356,13 @@ class CompiledPackedNetwork(PackedNetwork):
     """The packed pool and shard heaps, hosted by the C extension.
 
     Storage moves into ``repro.sim._ckernel.Pool`` (slot columns, free
-    list, per-receiver shard heaps). The merge layer and counters remain
-    plain Python state on this object — the C send and pop paths update
-    them in place — so the scheduler's event engine sees exactly the same
-    ``_next_at`` cursors as on every other kernel, and the
-    delay model stays an ordinary Python object the C code calls. The
+    list, per-receiver shard heaps). The merge layer and counters stay the
+    ``array('q')`` state every :class:`Network` keeps; the C send path and
+    the C loop export those buffers and update them in place through
+    ``int64_t`` pointers, so the scheduler's event engine sees exactly the
+    same ``_next_at`` cursors as on every other kernel and no copy exists
+    on the C side. The delay model stays an ordinary Python object the C
+    code calls. The
     Python columns inherited from :class:`PackedNetwork` stay empty and
     unused. Pickles and deep-copies like the other networks: the pool's
     state is its live slots, free stack and shard heaps as plain lists.
@@ -377,9 +384,10 @@ class CompiledPackedNetwork(PackedNetwork):
     #
     # One implementation, in C: ``_ckernel.send_packed`` /
     # ``_ckernel.send_all_packed`` draw through ``self.delay_model`` (the
-    # only Python they call), enforce the same ``delay >= 1``, profile
-    # length and 40-bit sequence checks as :class:`PackedNetwork` with the
-    # same exceptions — a broadcast's before any of it queues — queue into
+    # only Python they call), enforce the same ``delay >= 1``,
+    # ``NO_MESSAGE``, profile length and 40-bit sequence checks as
+    # :class:`PackedNetwork` with the same exceptions — a broadcast's
+    # before any of it queues — queue into
     # the pool and fold the merge layer in the order
     # :meth:`PackedNetwork.send_packed` does. ``run_loop`` expands
     # outboxes through the same code without coming back here.
@@ -409,13 +417,14 @@ class CompiledPackedNetwork(PackedNetwork):
         )
         if not items:
             return []
-        self.delivered_count += len(items)
+        counts = self._counts
+        counts[_DELIVERED] += len(items)
         self._pending[receiver] -= len(items)
         if live_drop:
             self._live[receiver] -= live_drop
             if receiver not in self._dead:
-                self.live_pending -= live_drop
-        self._next_at[receiver] = new_head if new_head >= 0 else None
+                counts[_LIVE_PENDING] -= live_drop
+        self._next_at[receiver] = new_head if new_head >= 0 else NO_MESSAGE
         return items
 
     @property
@@ -581,6 +590,7 @@ def run_fused_rr(sim: "Simulation", t_end: Time) -> None:
     next_at = net._next_at
     pending = net._pending
     live = net._live
+    counts = net._counts
     dead = net._dead
 
     # Pool storage: the Python shard heaps and columns.
@@ -622,12 +632,10 @@ def run_fused_rr(sim: "Simulation", t_end: Time) -> None:
     t = sim.time
     while t < t_end:
         pid = t % n
-        if local_event[pid] <= t:
-            due = True
-        else:
-            head = next_at[pid]
-            due = head is not None and head <= t
-        if due and not (has_crashes and crashed(pid, t)):
+        head = next_at[pid]
+        if (head <= t or local_event[pid] <= t) and not (
+            has_crashes and crashed(pid, t)
+        ):
             # ---- one fused executed step (mirrors Simulation.step) ----
             sim.time = t + 1
             sim.last_live_tick = t
@@ -656,8 +664,8 @@ def run_fused_rr(sim: "Simulation", t_end: Time) -> None:
             first_sender = -1
             first_payload = None
             first_send_time = -1
-            shard = shards[pid]
-            if shard and shard[0] >> _KEY_SHIFT <= t:
+            if head <= t:  # handlers so far queue nothing due at t
+                shard = shards[pid]
                 on_message = process.on_message
                 live_drop = 0
                 while received < message_batch and shard:
@@ -679,17 +687,18 @@ def run_fused_rr(sim: "Simulation", t_end: Time) -> None:
                     col_payload[slot] = None
                     free_append(slot)
                     on_message(ctx, sender, payload)
-                net.delivered_count += received
+                counts[_DELIVERED] += received
                 pending[pid] -= received
                 if live_drop:
                     live[pid] -= live_drop
                     if pid not in dead:
-                        net.live_pending -= live_drop
-                next_at[pid] = shard[0] >> _KEY_SHIFT if shard else None
+                        counts[_LIVE_PENDING] -= live_drop
+                next_at[pid] = shard[0] >> _KEY_SHIFT if shard else NO_MESSAGE
 
-            if t >= next_timeout[pid]:
+            event_at = next_timeout[pid]  # only this step moves it
+            if t >= event_at:
                 timeout_fired = True
-                next_timeout[pid] = t + intervals[pid]
+                event_at = next_timeout[pid] = t + intervals[pid]
                 process.on_timeout(ctx)
             else:
                 timeout_fired = False
@@ -722,7 +731,6 @@ def run_fused_rr(sim: "Simulation", t_end: Time) -> None:
                             observer.on_log(sim, t, pid, event)
 
             # _refresh_local, inlined.
-            event_at = next_timeout[pid]
             if in_q and in_q[0][0] < event_at:
                 event_at = in_q[0][0]
             local_event[pid] = event_at

@@ -10,17 +10,47 @@ message's integer delay comes from a
 A delivery time ``>= NEVER`` (a permanent partition) makes a message
 undeliverable; such runs are not admissible in the paper's sense and are
 used only to demonstrate blocking behaviours.
+
+The merge layer — the per-receiver ``_next_at`` / ``_pending`` / ``_live``
+columns and the network-wide ``_counts`` — is ``array('q')`` state on every
+rung, so the C tick loop (:mod:`repro.sim.kernel`) reads and writes the very
+buffers Python reads, with no copy of its own. An empty queue's cursor reads
+:data:`~repro.sim.types.NO_MESSAGE` (``2**63 - 1``, the largest int64), not
+``None``; it is not :data:`~repro.sim.types.NEVER`, which is a queued
+message that never arrives. Every rung refuses a delivery time at or past
+``NO_MESSAGE`` with the same ``OverflowError``, before anything queues.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
+from array import array
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from repro.sim.envs import DelayModel, FixedDelay
-from repro.sim.types import NEVER, ProcessId, Time
+from repro.sim.types import NEVER, NO_MESSAGE, ProcessId, Time
+
+#: ``Network._counts`` slots: the counters behind :attr:`Network.sent_count`
+#: (every queued message takes the next send sequence, so it is that too),
+#: :attr:`Network.delivered_count` and :attr:`Network.live_pending`
+#: (``_ckernel.c`` indexes the same slots).
+_SENT, _DELIVERED, _LIVE_PENDING = range(3)
+
+
+def deliver_time(t: Time, delay: Time) -> Time:
+    """``t + delay`` for one drawn delay, checked as every rung checks it:
+    ``ValueError`` for a delay below 1, ``OverflowError`` for a delivery
+    time at or past :data:`~repro.sim.types.NO_MESSAGE`."""
+    if delay < 1:
+        raise ValueError(f"delay model produced non-positive delay {delay}")
+    deliver_at = t + delay
+    if deliver_at >= NO_MESSAGE:
+        raise OverflowError(
+            f"delivery time {t} + {delay} reaches NO_MESSAGE (2**63 - 1)"
+        )
+    return deliver_at
+
 
 @dataclass(frozen=True, order=True, slots=True)
 class Envelope:
@@ -43,13 +73,14 @@ class Network:
     simply never consumed.
 
     Besides the per-receiver heaps, the network maintains a *next-delivery
-    cursor* per receiver: ``_next_at[r]`` mirrors the head delivery time of
-    ``r``'s queue, updated on send and pop, so "when does the next message
-    arrive at ``r``?" never looks into a queue. The scheduler's next-event
-    query scans these cursors (see :mod:`repro.sim.scheduler`).
-    Per-receiver pending and live-deliverable counters make
-    :meth:`in_transit`, :meth:`pending_for` and the quiescence counter O(1)
-    per receiver as well.
+    cursor* per receiver: ``_next_at[r]`` is the head delivery time of
+    ``r``'s queue (:data:`~repro.sim.types.NO_MESSAGE` when it is empty),
+    updated on send and pop, so "when does the next message arrive at
+    ``r``?" never looks into a queue. The scheduler's next-event query scans
+    these cursors (see :mod:`repro.sim.scheduler`). Per-receiver pending and
+    live-deliverable counters make :meth:`in_transit`, :meth:`pending_for`
+    and the quiescence counter O(1) per receiver as well. All of it is
+    ``array('q')`` (module docstring).
     """
 
     def __init__(self, n: int, delay_model: DelayModel | None = None) -> None:
@@ -58,51 +89,65 @@ class Network:
         self.n = n
         self.delay_model: DelayModel = delay_model or FixedDelay(1)
         self._queues: list[list[Envelope]] = [[] for _ in range(n)]
-        self._seq = itertools.count()
-        self.sent_count = 0
-        self.delivered_count = 0
+        #: the network-wide counters, one ``array('q')`` (slots ``_SENT``,
+        #: ``_DELIVERED``, ``_LIVE_PENDING``). The live pending count is of
+        #: undelivered *deliverable* messages addressed to receivers not
+        #: marked crashed, maintained on send/deliver/mark so quiescence
+        #: checks are O(1) instead of rescanning queues every tick. Messages
+        #: that can never arrive (``deliver_at >= NEVER``, e.g. across a
+        #: permanent partition) are excluded — they must not keep
+        #: ``run_until_quiescent`` spinning forever.
+        self._counts = array("q", [0]) * 3
         #: receivers known to have crashed (scheduler calls :meth:`mark_crashed`).
         self._dead: set[ProcessId] = set()
-        #: undelivered *deliverable* messages addressed to receivers not marked
-        #: crashed. Maintained on send/deliver/mark so quiescence checks are
-        #: O(1) instead of rescanning queues every tick. Messages that can
-        #: never arrive (``deliver_at >= NEVER``, e.g. across a permanent
-        #: partition) are excluded — they must not keep
-        #: ``run_until_quiescent`` spinning forever.
-        self.live_pending = 0
-        #: per-receiver head delivery time (None = empty queue); mirrors
+        #: per-receiver head delivery time (NO_MESSAGE = empty queue); equals
         #: ``self._queues[r][0].deliver_at`` at all times.
-        self._next_at: list[Time | None] = [None] * n
+        self._next_at = array("q", [NO_MESSAGE]) * n
         #: per-receiver undelivered count (= ``len(self._queues[r])``).
-        self._pending: list[int] = [0] * n
+        self._pending = array("q", [0]) * n
         #: per-receiver undelivered count excluding never-deliverable mail.
-        self._live: list[int] = [0] * n
+        self._live = array("q", [0]) * n
+
+    @property
+    def sent_count(self) -> int:
+        """Messages queued so far."""
+        return self._counts[_SENT]
+
+    @property
+    def delivered_count(self) -> int:
+        """Messages consumed so far."""
+        return self._counts[_DELIVERED]
+
+    @property
+    def live_pending(self) -> int:
+        """Undelivered deliverable messages to receivers not marked crashed."""
+        return self._counts[_LIVE_PENDING]
 
     def send(
         self, sender: ProcessId, receiver: ProcessId, payload: Any, t: Time
     ) -> Envelope:
         """Place ``payload`` in transit from ``sender`` to ``receiver`` at time ``t``."""
-        delay = self.delay_model.delay(sender, receiver, t)
-        if delay < 1:
-            raise ValueError(f"delay model produced non-positive delay {delay}")
-        deliver_at = t + delay
+        deliver_at = deliver_time(
+            t, self.delay_model.delay(sender, receiver, t)
+        )
+        counts = self._counts
+        seq = counts[_SENT]
         envelope = Envelope(
             deliver_at=deliver_at,
-            seq=next(self._seq),
+            seq=seq,
             sender=sender,
             receiver=receiver,
             payload=payload,
             send_time=t,
         )
         heapq.heappush(self._queues[receiver], envelope)
-        self.sent_count += 1
+        counts[_SENT] = seq + 1
         self._pending[receiver] += 1
         if deliver_at < NEVER:
             self._live[receiver] += 1
             if receiver not in self._dead:
-                self.live_pending += 1
-        next_at = self._next_at[receiver]
-        if next_at is None or deliver_at < next_at:
+                counts[_LIVE_PENDING] += 1
+        if deliver_at < self._next_at[receiver]:
             self._next_at[receiver] = deliver_at
         return envelope
 
@@ -116,15 +161,17 @@ class Network:
     ) -> list[Envelope]:
         """Send ``payload`` to every process (the paper's ``Send``), batched.
 
-        Every delay is drawn first (:meth:`_broadcast_delays`), then the
-        envelopes queue in one pass, sharing the payload: a model that
-        raises leaves the network as it was.
+        Every delivery time is drawn and checked first
+        (:meth:`_broadcast_deliver_times`), then the envelopes queue in one
+        pass, sharing the payload: a model that raises, or a delivery time
+        that is refused, leaves the network as it was.
         """
         receivers = [
             r for r in range(self.n) if include_self or r != sender
         ]
-        delays = self._broadcast_delays(sender, t, receivers)
-        seq = self._seq
+        times = self._broadcast_deliver_times(sender, t, receivers)
+        counts = self._counts
+        seq = counts[_SENT]
         queues = self._queues
         next_at = self._next_at
         pending = self._pending
@@ -132,36 +179,40 @@ class Network:
         dead = self._dead
         envelopes: list[Envelope] = []
         append = envelopes.append
-        for receiver, delay in zip(receivers, delays):
-            deliver_at = t + delay
+        live_gain = 0
+        for receiver, deliver_at in zip(receivers, times):
             envelope = Envelope(
                 deliver_at=deliver_at,
-                seq=next(seq),
+                seq=seq,
                 sender=sender,
                 receiver=receiver,
                 payload=payload,
                 send_time=t,
             )
             heapq.heappush(queues[receiver], envelope)
-            self.sent_count += 1
+            seq += 1
             pending[receiver] += 1
             if deliver_at < NEVER:
                 live[receiver] += 1
                 if receiver not in dead:
-                    self.live_pending += 1
-            head = next_at[receiver]
-            if head is None or deliver_at < head:
+                    live_gain += 1
+            if deliver_at < next_at[receiver]:
                 next_at[receiver] = deliver_at
             append(envelope)
+        counts[_SENT] = seq
+        if live_gain:
+            counts[_LIVE_PENDING] += live_gain
         return envelopes
 
-    def _broadcast_delays(
+    def _broadcast_deliver_times(
         self, sender: ProcessId, t: Time, receivers: list[ProcessId]
-    ) -> Sequence[Time]:
-        """Every delay of one broadcast, checked, before anything queues:
-        one ``delay_profile`` call when the model has the hook (see
-        :class:`~repro.sim.envs.DelayModel`), else one ``delay`` call per receiver in
-        receiver order — the draws of as many point-to-point sends."""
+    ) -> list[Time]:
+        """Every delivery time of one broadcast, checked
+        (:func:`deliver_time`), before anything queues: one
+        ``delay_profile`` call when the model has the hook (see
+        :class:`~repro.sim.envs.DelayModel`), else one ``delay`` call per
+        receiver in receiver order — the draws of as many point-to-point
+        sends."""
         profile = getattr(self.delay_model, "delay_profile", None)
         if profile is None:
             delay_of = self.delay_model.delay
@@ -173,12 +224,7 @@ class Network:
                     f"delay profile returned {len(delays)} delays for "
                     f"{len(receivers)} receivers"
                 )
-        for delay in delays:
-            if delay < 1:
-                raise ValueError(
-                    f"delay model produced non-positive delay {delay}"
-                )
-        return delays
+        return [deliver_time(t, delay) for delay in delays]
 
     # -- the scheduler's three calls (shared by every kernel) ---------------
 
@@ -209,14 +255,17 @@ class Network:
         """Consume and return the oldest deliverable message, if any."""
         queue = self._queues[receiver]
         if queue and queue[0].deliver_at <= t:
-            self.delivered_count += 1
+            counts = self._counts
+            counts[_DELIVERED] += 1
             self._pending[receiver] -= 1
             envelope = heapq.heappop(queue)
             if envelope.deliver_at < NEVER:
                 self._live[receiver] -= 1
                 if receiver not in self._dead:
-                    self.live_pending -= 1
-            self._next_at[receiver] = queue[0].deliver_at if queue else None
+                    counts[_LIVE_PENDING] -= 1
+            self._next_at[receiver] = (
+                queue[0].deliver_at if queue else NO_MESSAGE
+            )
             return envelope
         return None
 
@@ -253,18 +302,21 @@ class Network:
                 )
             )
         count = len(popped)
-        self.delivered_count += count
+        counts = self._counts
+        counts[_DELIVERED] += count
         self._pending[receiver] -= count
         if live_drop:
             self._live[receiver] -= live_drop
             if receiver not in self._dead:
-                self.live_pending -= live_drop
-        self._next_at[receiver] = queue[0].deliver_at if queue else None
+                counts[_LIVE_PENDING] -= live_drop
+        self._next_at[receiver] = queue[0].deliver_at if queue else NO_MESSAGE
         return popped
 
     def next_delivery_time(self, receiver: ProcessId) -> Time | None:
-        """Delivery time of the oldest in-transit message to ``receiver``."""
-        return self._next_at[receiver]
+        """Delivery time of the oldest in-transit message to ``receiver``
+        (None when nothing is in transit to it)."""
+        head = self._next_at[receiver]
+        return None if head == NO_MESSAGE else head
 
     def mark_crashed(self, pid: ProcessId) -> None:
         """Exclude ``pid``'s queue from the live-pending count, permanently.
@@ -274,7 +326,7 @@ class Network:
         """
         if pid not in self._dead:
             self._dead.add(pid)
-            self.live_pending -= self._live[pid]
+            self._counts[_LIVE_PENDING] -= self._live[pid]
 
     def in_transit(self, receiver: ProcessId | None = None) -> int:
         """Number of undelivered messages (optionally for one receiver). O(1)."""
@@ -293,5 +345,5 @@ class Network:
     def earliest_pending(self, receivers: Iterable[ProcessId]) -> Time | None:
         """Earliest delivery time among messages to ``receivers``, if any."""
         next_at = self._next_at
-        times = [next_at[r] for r in receivers if next_at[r] is not None]
-        return min(times, default=None)
+        head = min((next_at[r] for r in receivers), default=NO_MESSAGE)
+        return None if head == NO_MESSAGE else head

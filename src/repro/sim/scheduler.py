@@ -36,7 +36,12 @@ drive the clock:
   minimum is one O(n) scan over two per-process cursors — the network's
   next-delivery time ``_next_at`` and the scheduler's local event time
   ``_local_event``, each kept current in O(1) by the step that moves it —
-  so a jump never looks into a message heap or a timeout table.
+  so a jump never looks into a message heap or a timeout table. Both
+  cursors, and the next-timeout times ``_next_timeout`` behind the local
+  one, are ``array('q')``: the C tick loop reads and writes these very
+  buffers, so neither side keeps a copy. An empty queue's cursor reads
+  :data:`~repro.sim.types.NO_MESSAGE`, which no tick reaches, so the scan
+  is plain ``min`` arithmetic.
   Under round-robin scheduling the jump is O(1) per skipped stretch. Under
   random scheduling the skip is *blockwise*: every tick strictly before the
   earliest pending event is idle regardless of which permutation the
@@ -86,6 +91,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from array import array
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Protocol, Sequence
 
@@ -229,7 +235,8 @@ class Simulation:
         if any(i < 1 for i in intervals):
             raise ConfigurationError("timeout intervals must be >= 1")
         self.timeout_intervals = intervals
-        self._next_timeout: list[Time] = list(intervals)
+        #: per process, the tick its next timeout is due (``array('q')``).
+        self._next_timeout = array("q", intervals)
         if message_batch < 1:
             raise ConfigurationError("message_batch must be >= 1")
         #: maximum receives per step. The paper's step consumes exactly one
@@ -283,8 +290,8 @@ class Simulation:
         #: (its first step is always interesting). Maintained by
         #: :meth:`_refresh_local` after every executed step and lowered by
         #: :meth:`add_input`; :meth:`_next_event_query` scans it beside the
-        #: network's ``_next_at`` cursors.
-        self._local_event: list[Time] = [0] * self.n
+        #: network's ``_next_at`` cursors. ``array('q')``, like them.
+        self._local_event = array("q", [0]) * self.n
         self._rebuild_dispatch()
 
     # -- observer dispatch -----------------------------------------------------
@@ -508,10 +515,8 @@ class Simulation:
         ``on_start``) and the network's next-delivery cursor.
         """
         event_at = self._local_event[pid]
-        deliver_at = self.network.next_delivery_time(pid)
-        if deliver_at is not None and deliver_at < event_at:
-            return deliver_at
-        return event_at
+        deliver_at = self.network._next_at[pid]
+        return deliver_at if deliver_at < event_at else event_at
 
     def _tick_interesting(self, pid: ProcessId, t: Time) -> bool:
         """True iff the step at tick ``t`` (scheduled: ``pid``) does any work."""
@@ -538,7 +543,7 @@ class Simulation:
         best: Time | None = None
         for pid, event_at in enumerate(self._local_event):
             deliver_at = next_at[pid]
-            if deliver_at is not None and deliver_at < event_at:
+            if deliver_at < event_at:
                 event_at = deliver_at
             tick = event_at if event_at > now else now
             if align_rr:
@@ -617,11 +622,10 @@ class Simulation:
         # the next-event scan below would return `now` — skip it (O(1)).
         now = self.time
         pid = now % self.n
-        if self._local_event[pid] <= now:
-            due = True
-        else:
-            deliver_at = self.network._next_at[pid]
-            due = deliver_at is not None and deliver_at <= now
+        due = (
+            self._local_event[pid] <= now
+            or self.network._next_at[pid] <= now
+        )
         if due and not self.failure_pattern.crashed(pid, now):
             self._step()
             return
@@ -699,11 +703,7 @@ class Simulation:
                 pid = perm[t - block_start]
                 crash_at = crash_times.get(pid)
                 if crash_at is None or t < crash_at:
-                    event_at = local[pid]
-                    deliver_at = next_at[pid]
-                    if deliver_at is not None and deliver_at < event_at:
-                        event_at = deliver_at
-                    if event_at <= t:
+                    if local[pid] <= t or next_at[pid] <= t:
                         self.time = t
                         self._step()
                         return

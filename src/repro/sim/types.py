@@ -20,6 +20,12 @@ Time = int
 #: still an ``int`` so ordering arithmetic stays exact.
 NEVER: Time = 2**62
 
+#: What an empty queue's next-delivery cursor reads (``Network._next_at``):
+#: the largest int64, so the cursors are plain ``int64`` arrays the C loop
+#: shares. Distinct from :data:`NEVER`, which is a *queued* message that
+#: never arrives; every rung refuses a delivery time at or past this.
+NO_MESSAGE: Time = 2**63 - 1
+
 
 def validate_process_id(pid: ProcessId, n: int) -> None:
     """Raise ``ValueError`` unless ``pid`` is a valid process id for ``n`` processes."""

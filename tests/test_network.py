@@ -3,14 +3,44 @@
 The delay-model tests check that the buffer schedules each message at
 ``send time + delay`` for the models of :mod:`repro.sim.envs`; the models'
 own draws are pinned in ``test_envs.py``.
+
+The merge layer (``_next_at`` / ``_pending`` / ``_live`` / ``_counts``) and
+the scheduler's ``_local_event`` / ``_next_timeout`` cursors are
+``array('q')`` buffers the C loop reads and writes in place. The tests at
+the end pin that this shared state is exact whenever Python is called, and
+that every exit of the C code releases the buffers it exported.
 """
+
+import copy
+import pickle
+from array import array
 
 import pytest
 
-from repro.sim import ConfigurationError, FixedDelay
+from repro.sim import (
+    ConfigurationError,
+    FailurePattern,
+    FixedDelay,
+    Process,
+    SimObserver,
+    Simulation,
+    make_network,
+    run_digest,
+)
 from repro.sim.envs import AgeGstDist, OneWayPartition, UniformDist
+from repro.sim.kernel import HAS_COMPILED
 from repro.sim.network import Network
-from repro.sim.types import NEVER
+from repro.sim.types import NEVER, NO_MESSAGE
+
+from test_kernel import (
+    BUILT_KERNELS,
+    FAILURE_SITES,
+    SITE_VISITS,
+    Boom,
+    Fuse,
+    _failure_sim,
+    needs_c_loop,
+)
 
 
 def arrivals(model, sender, receiver, times):
@@ -172,3 +202,254 @@ class TestLivePendingCounter:
         net.mark_crashed(2)
         alive = {0, 1, 3}
         assert net.live_pending == net.pending_for(alive)
+
+
+class TestDeliveryTimeBound:
+    """Every rung refuses a delivery time at or past ``NO_MESSAGE`` — what
+    an empty queue's cursor reads — with one ``OverflowError``, before
+    anything queues."""
+
+    T = 5
+
+    @staticmethod
+    def _refusal(kernel, delay_model, send):
+        net = make_network(3, delay_model, kernel=kernel)
+        before = [net.next_delivery_time(r) for r in range(3)]
+        with pytest.raises(OverflowError) as refused:
+            send(net)
+        assert [net.next_delivery_time(r) for r in range(3)] == before
+        assert (net.sent_count, net.in_transit(), net.live_pending) == (0, 0, 0)
+        return str(refused.value)
+
+    @pytest.mark.parametrize("kernel", BUILT_KERNELS)
+    def test_the_last_representable_delivery_time_is_accepted(self, kernel):
+        net = make_network(3, FixedDelay(NO_MESSAGE - self.T - 1), kernel=kernel)
+        net.send_packed(0, 1, "m", self.T)
+        assert net.send_all_packed(0, "m", self.T) == 3
+        assert net.next_delivery_time(1) == NO_MESSAGE - 1
+        assert net.in_transit(1) == 2
+        assert net.live_pending == 0  # past NEVER: never deliverable
+
+    def test_one_past_it_is_refused_alike_on_every_rung(self):
+        model = FixedDelay(NO_MESSAGE - self.T)
+        messages = {
+            (kernel, name): self._refusal(kernel, model, send)
+            for kernel in BUILT_KERNELS
+            for name, send in (
+                ("send", lambda net: net.send_packed(0, 1, "m", self.T)),
+                ("send_all", lambda net: net.send_all_packed(0, "m", self.T)),
+            )
+        }
+        assert set(messages.values()) == {
+            f"delivery time {self.T} + {NO_MESSAGE - self.T} reaches "
+            f"NO_MESSAGE (2**63 - 1)"
+        }
+
+    @pytest.mark.parametrize("kernel", BUILT_KERNELS)
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_a_broadcast_with_one_refused_time_queues_nothing(
+        self, kernel, vectorized
+    ):
+        class LastTooLate:
+            def delay(self, sender, receiver, t):
+                return 2**63 if receiver == 2 else 1
+
+        model = LastTooLate()
+        if vectorized:
+            model.delay_profile = lambda sender, t, receivers: [
+                model.delay(sender, r, t) for r in receivers
+            ]
+        self._refusal(kernel, model, lambda net: net.send_all_packed(0, "m", 1))
+
+
+class Chatter(Process):
+    """Broadcasts on every timeout and acknowledges every beat until tick
+    ``QUIET``, so the run then drains; an input is passed on once."""
+
+    QUIET = 300
+
+    def on_timeout(self, ctx):
+        if ctx.time < self.QUIET:
+            ctx.send_all(("beat", ctx.pid), include_self=ctx.pid % 2 == 0)
+
+    def on_message(self, ctx, sender, payload):
+        if payload[0] == "beat" and ctx.time < self.QUIET:
+            ctx.send(sender, ("ack", ctx.pid))
+
+    def on_input(self, ctx, value):
+        ctx.send((ctx.pid + 1) % ctx.n, ("input", value))
+
+
+class MergeLayerSnapshots(SimObserver):
+    """At every step that does work, the merge layer and the scheduler's
+    cursors as Python reads them. (The naive stepper also executes idle
+    ticks, which the event engine skips, so those and the step indices are
+    left out.)"""
+
+    def __init__(self) -> None:
+        self.seen: list[tuple] = []
+
+    def on_step_raw(
+        self, sim, index, t, pid, sender, payload, send_time, fd_value,
+        inputs, outputs, timeout_fired, sent, received,
+    ):
+        if not (inputs or outputs or timeout_fired or sent or received):
+            return
+        net = sim.network
+        self.seen.append((
+            t, pid,
+            [net.in_transit(r) for r in range(net.n)],
+            [net.next_delivery_time(r) for r in range(net.n)],
+            net.sent_count, net.delivered_count, net.live_pending,
+            list(sim._local_event), list(sim._next_timeout),
+        ))
+
+
+#: the C loop, the Python fused loop / generic engine on the Python pool,
+#: and the naive stepper on the legacy network
+SNAPSHOT_LEGS = [
+    *([("compiled-loop", "event")] if HAS_COMPILED else []),
+    ("packed", "event"),
+    ("legacy", "naive"),
+]
+
+
+def _chatter_sim(kernel, engine, scheduling) -> Simulation:
+    spy = MergeLayerSnapshots()
+    sim = Simulation(
+        [Chatter() for __ in range(4)],
+        # 0 -> 1 is cut for good from t=40: those messages queue at NEVER
+        delay_model=OneWayPartition(FixedDelay(2), edges=((0, 1),), start=40),
+        failure_pattern=FailurePattern(4, {3: 150}),
+        timeout_interval=[7, 9, 11, 13],
+        scheduling=scheduling,
+        seed=4,
+        message_batch=2,
+        kernel=kernel,
+        engine=engine,
+        record="metrics",
+        observers=[spy],
+    )
+    for k in range(12):
+        sim.add_input(k % 4, 13 * k + 1, k)
+    return sim
+
+
+def _chatter_run(sim: Simulation) -> None:
+    sim.run_until(120)
+    sim.run_until_quiescent(grace=2)
+    sim.run_until(sim.time + 50)
+
+
+class TestSharedStateIsExactWheneverPythonIsCalled:
+    @pytest.mark.parametrize("scheduling", ["round_robin", "random"])
+    def test_every_step_sees_the_same_merge_layer_on_every_leg(
+        self, scheduling
+    ):
+        seen = {}
+        for kernel, engine in SNAPSHOT_LEGS:
+            sim = _chatter_sim(kernel, engine, scheduling)
+            if kernel == "compiled-loop":
+                assert sim.fused_path == "c-loop"
+            _chatter_run(sim)
+            spy = sim._step_observers[-1]
+            seen[kernel] = (spy.seen, sim.time, run_digest(sim))
+            # the run crossed the crash, the cut link and the drain
+            net = sim.network
+            assert net._dead == {3} and net.live_pending == 0
+            assert net.next_delivery_time(1) == NEVER
+            assert len({step[6] for step in spy.seen}) > 10
+        first = seen[SNAPSHOT_LEGS[0][0]]
+        for kernel, __ in SNAPSHOT_LEGS[1:]:
+            assert seen[kernel] == first, kernel
+
+    @pytest.mark.parametrize("scheduling", ["round_robin", "random"])
+    @pytest.mark.parametrize("kernel,engine", SNAPSHOT_LEGS)
+    def test_a_copy_between_run_calls_continues_alike(
+        self, kernel, engine, scheduling
+    ):
+        whole = _chatter_sim(kernel, engine, scheduling)
+        _chatter_run(whole)
+        sim = _chatter_sim(kernel, engine, scheduling)
+        sim.run_until(60)
+        for clone in (lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy):
+            resumed = clone(sim)
+            assert isinstance(resumed.network._next_at, array)
+            assert isinstance(resumed._local_event, array)
+            _chatter_run(resumed)
+            assert run_digest(resumed) == run_digest(whole)
+            assert (
+                resumed._step_observers[-1].seen == whole._step_observers[-1].seen
+            )
+        _chatter_run(sim)
+        assert run_digest(sim) == run_digest(whole)
+
+
+def assert_buffers_released(sim: Simulation) -> None:
+    """No buffer of the merge layer or the cursors is still exported: an
+    exported array refuses to resize with ``BufferError``."""
+    for arr in (
+        sim._local_event, sim._next_timeout, sim.network._next_at,
+        sim.network._pending, sim.network._live, sim.network._counts,
+    ):
+        arr.append(0)
+        arr.pop()
+
+
+@needs_c_loop
+class TestEveryCExitReleasesItsBuffers:
+    def test_after_a_normal_run(self):
+        sim = _chatter_sim("compiled-loop", "event", "round_robin")
+        sim.run_until(200)
+        assert sim.metrics.fused_path == "c-loop"
+        assert_buffers_released(sim)
+
+    @pytest.mark.parametrize("site", FAILURE_SITES)
+    def test_after_a_raise_from_each_site(self, site):
+        fuse = Fuse()
+        sim = _failure_sim("compiled-loop", fuse, site=site)
+        assert sim.fused_path == "c-loop"
+        fuse.arm(site, SITE_VISITS.get(site, 20) - 1)
+        with pytest.raises(Boom):
+            sim.run_until(100_000)
+        assert sim.failed is fuse.raised
+        assert_buffers_released(sim)
+
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_after_a_raising_delay_model_in_a_broadcast(self, vectorized):
+        fuse = Fuse()
+        sim = _failure_sim(
+            "compiled-loop", fuse, site="delay_profile" if vectorized else "delay"
+        )
+        fuse.arm("delay_profile" if vectorized else "delay", 0)
+        with pytest.raises(Boom):
+            sim.network.send_all_packed(0, "m", 0)
+        assert sim.network.in_transit() == 0
+        assert_buffers_released(sim)
+
+    @pytest.mark.parametrize(
+        "owner,name",
+        [("network", name) for name in ("_next_at", "_pending", "_live", "_counts")]
+        + [("sim", "_local_event"), ("sim", "_next_timeout")],
+    )
+    @pytest.mark.parametrize("bad", ["list", "short", "wide-typecode"])
+    def test_a_foreign_buffer_is_refused_by_name(self, owner, name, bad):
+        sim = _chatter_sim("compiled-loop", "event", "round_robin")
+        target = sim.network if owner == "network" else sim
+        good = getattr(target, name)
+        setattr(target, name, {
+            "list": list(good),
+            "short": good[:-1],
+            "wide-typecode": array("d", good),
+        }[bad])
+        with pytest.raises(TypeError, match=f"{name} must be an array"):
+            sim.run_until(10)
+        setattr(target, name, good)
+        assert_buffers_released(sim)
+
+    def test_a_dead_set_that_is_not_a_set_is_refused(self):
+        sim = _chatter_sim("compiled-loop", "event", "round_robin")
+        sim.network._dead = []
+        with pytest.raises(TypeError, match="_dead must be a set"):
+            sim.run_until(10)
+        assert_buffers_released(sim)
