@@ -12,10 +12,11 @@
  *    layer -- the `_next_at` cursors, the pending/live counts and the
  *    network-wide `_counts` -- is array('q') state of every Network
  *    (network.py), and the scheduler's `_local_event` / `_next_timeout`
- *    cursors are array('q') too: each call here exports those buffers
- *    once and reads and writes them through int64_t pointers, so Python
- *    and C share one copy and C mirrors none of it.  Every exit releases
- *    every buffer.  The dead set stays a Python set.
+ *    cursors and its clock `_clock` (time, last_live_tick, _step_index)
+ *    are array('q') too: each call here exports those buffers once and
+ *    reads and writes them through int64_t pointers, so Python and C
+ *    share one copy and C mirrors none of it.  Every exit releases every
+ *    buffer.  The dead set stays a Python set.
  *
  * 2. The send side (send_packed / send_all_packed): delay draw through
  *    the network's delay model -- a user object, the one Python call --
@@ -34,7 +35,9 @@
  *    cursors (the loop of Simulation._next_event_query) and, under
  *    random scheduling, the block permutations and the walk of the block
  *    an event falls in, the idle-span count of a run that materializes
- *    no idle steps, under either schedule (loop_count_idle), and -- at
+ *    no idle steps, under either schedule (loop_count_idle), the clock,
+ *    the step context's effect lists (taken once per call, emptied in
+ *    place after each step consumes them), and -- at
  *    record="full" -- the StepStore rows, staged in C and appended in
  *    bulk (stage_flush), a crash-free idle span's under round-robin
  *    included (loop_fill_idle); it calls back into Python only for
@@ -632,11 +635,11 @@ static PyTypeObject PoolType = {
 /* Interned attribute names, filled in at module init.  `s__time_col` /
  * `s__pid_col` are the StepStore column names "_time" / "_pid" (distinct
  * from the sim attributes "time" / "pid"). */
-static PyObject *s_network, *s_n, *s_processes, *s__ctx, *s_detector,
+static PyObject *s_network, *s_processes, *s__ctx, *s_detector,
     *s_query, *s_failure_pattern, *s_crash_times, *s__skip_span_rr,
     *s__local_event, *s__next_timeout, *s_timeout_intervals, *s__inputs,
     *s__started, *s_message_batch, *s__step_observers, *s_run,
-    *s__step_index, *s_time, *s_last_live_tick, *s_pid, *s_fd_value,
+    *s__clock, *s_time, *s_pid, *s_fd_value,
     *s__outbox, *s__outputs, *s__log, *s_on_start, *s_on_input,
     *s_on_message, *s_on_timeout, *s_on_step_raw, *s__next_at, *s__pending,
     *s__live, *s__dead, *s_delay_model, *s_delay, *s_delay_profile,
@@ -1190,21 +1193,29 @@ typedef struct {
     Py_ssize_t len;
 } Stage;
 
+/* Simulation._clock slots: the clock (sim.time), sim.last_live_tick and
+ * sim._step_index. */
+enum { CLOCK_TIME, CLOCK_LAST_LIVE, CLOCK_STEP_INDEX, N_CLOCK };
+
 /* Everything the loop reads, extracted once per run_loop call.  Python
- * objects are owned references unless marked borrowed; local_event and
- * next_timeout point into the sim's exported array('q') cursors, and the
- * PyMem int64 arrays copy state that is immutable for the run's duration
- * (crash times, intervals). */
+ * objects are owned references unless marked borrowed; local_event,
+ * next_timeout and clock point into the sim's exported array('q') buffers,
+ * outbox / outputs / log_buf are the step context's effect lists (one each
+ * for its lifetime, emptied in place after every step), and the PyMem
+ * int64 arrays copy state that is immutable for the run's duration (crash
+ * times, intervals). */
 typedef struct {
     PyObject *sim;                       /* borrowed */
     NetView nv;                          /* sim.network's merge layer + pool */
     PyObject *ctx, *processes, *started, *inputs_by_pid;
+    PyObject *outbox, *outputs, *log_buf; /* ctx._outbox, _outputs, _log */
     PyObject *detector_query;            /* NULL when no detector */
     PyObject *skip_span;                 /* sim._skip_span_rr, or NULL when
                                           * idle spans are counted in C */
     PyObject *sim_metrics;               /* sim.metrics (loop_flush_idle) */
-    Py_buffer cursor_bufs[2];            /* sim._local_event, _next_timeout */
-    int64_t *local_event, *next_timeout;
+    Py_buffer cursor_bufs[3];            /* sim._local_event, _next_timeout,
+                                          * _clock */
+    int64_t *local_event, *next_timeout, *clock;
     PyObject *step_obs, *run;
     PyObject *crash_times, *intervals;   /* read into crash_at / interval */
     PyObject *store;                     /* borrowed; NULL without store */
@@ -1247,8 +1258,7 @@ typedef struct {
     long *perm;                          /* the schedule of block perm_block */
     int64_t perm_block;                  /* -1 = none yet */
     /* both schedules (see loop_flush_idle) */
-    int64_t idle_acc;                    /* live idle ticks counted, not yet */
-    int64_t last_live_acc;               /* ... written through; -1 = none */
+    int64_t idle_acc;                    /* live idle ticks not yet added */
 } Loop;
 
 static void
@@ -1256,14 +1266,17 @@ loop_free(Loop *L)
 {
     net_view_free(&L->nv);
     Py_XDECREF(L->ctx);
+    Py_XDECREF(L->outbox);
+    Py_XDECREF(L->outputs);
+    Py_XDECREF(L->log_buf);
     Py_XDECREF(L->processes);
     Py_XDECREF(L->started);
     Py_XDECREF(L->inputs_by_pid);
     Py_XDECREF(L->detector_query);
     Py_XDECREF(L->skip_span);
     Py_XDECREF(L->sim_metrics);
-    PyBuffer_Release(&L->cursor_bufs[0]);
-    PyBuffer_Release(&L->cursor_bufs[1]);
+    for (int i = 0; i < 3; i++)
+        PyBuffer_Release(&L->cursor_bufs[i]);
     Py_XDECREF(L->step_obs);
     Py_XDECREF(L->metrics);
     Py_XDECREF(L->run);
@@ -1369,6 +1382,15 @@ static inline int
 list_extend(PyObject *list, PyObject *values)
 {
     return PyList_SetSlice(list, PY_SSIZE_T_MAX, PY_SSIZE_T_MAX, values);
+}
+
+/* list.clear(), which cannot fail on a list: emptying one allocates
+ * nothing. */
+static inline void
+list_clear(PyObject *list)
+{
+    if (PyList_GET_SIZE(list) > 0)
+        (void)PyList_SetSlice(list, 0, PY_SSIZE_T_MAX, NULL);
 }
 
 /* Deletes the positions >= rows from a sparse column (_inputs or
@@ -1555,7 +1577,7 @@ fail:
  * last_live_tick, _step_index and the rows (run.end_time moves with the
  * flush).  A raise from a query moves nothing. */
 static int
-loop_fill_idle(Loop *L, int64_t start, int64_t end, int64_t *step_index)
+loop_fill_idle(Loop *L, int64_t start, int64_t end)
 {
     Py_ssize_t k = (Py_ssize_t)(end - start);
     PyObject *fd_values = NULL;
@@ -1564,22 +1586,17 @@ loop_fill_idle(Loop *L, int64_t start, int64_t end, int64_t *step_index)
         if (fd_values == NULL)
             return -1;
     }
-    int rc = -1;
-    int64_t first_index = *step_index;
-    if (set_i64_attr(L->sim, s_last_live_tick, end - 1) < 0
-        || set_i64_attr(L->sim, s__step_index, first_index + k) < 0)
-        goto done;
-    *step_index = first_index + k;
-    for (Py_ssize_t i = 0; i < k; i++) {
+    int64_t first_index = L->clock[CLOCK_STEP_INDEX];
+    L->clock[CLOCK_LAST_LIVE] = end - 1;
+    L->clock[CLOCK_STEP_INDEX] = first_index + k;
+    int rc = 0;
+    for (Py_ssize_t i = 0; i < k && rc == 0; i++) {
         int64_t t = start + i;
         PyObject *fd = fd_values == NULL
             ? Py_None : PyList_GET_ITEM(fd_values, i);
-        if (stage_row(L, first_index + i, t, (long)(t % L->n), fd, -1,
-                      Py_None, -1, 0, 0, 0) < 0)
-            goto done;
+        rc = stage_row(L, first_index + i, t, (long)(t % L->n), fd, -1,
+                       Py_None, -1, 0, 0, 0);
     }
-    rc = 0;
-done:
     Py_XDECREF(fd_values);
     return rc;
 }
@@ -1589,18 +1606,26 @@ loop_init(Loop *L, PyObject *sim, PyObject *store, PyObject *metrics)
 {
     memset(L, 0, sizeof(*L));
     L->sim = sim;
-    int64_t tmp;
-    if (get_i64_attr(sim, s_n, &tmp) < 0)
-        return -1;
-    L->n = (long)tmp;
     PyObject *net;
     GETA(net, sim, s_network);
     int r_view = net_view_init(&L->nv, net);
     Py_DECREF(net);
     if (r_view < 0)
         return -1;
+    /* sim.n: the network has one shard per process */
+    L->n = (long)L->nv.pool->n;
     GETA(L->processes, sim, s_processes);
     GETA(L->ctx, sim, s__ctx);
+    PyObject **bufs[3] = {&L->outbox, &L->outputs, &L->log_buf};
+    PyObject *buf_names[3] = {s__outbox, s__outputs, s__log};
+    for (int i = 0; i < 3; i++) {
+        GETA(*bufs[i], L->ctx, buf_names[i]);
+        if (!PyList_Check(*bufs[i])) {
+            PyErr_Format(PyExc_TypeError, "run_loop: %U must be a list",
+                         buf_names[i]);
+            return -1;
+        }
+    }
     PyObject *detector;
     GETA(detector, sim, s_detector);
     if (detector != Py_None) {
@@ -1645,11 +1670,14 @@ loop_init(Loop *L, PyObject *sim, PyObject *store, PyObject *metrics)
     long n = L->n;
     /* Simulation.add_input lowers _local_event, and a handler or observer
      * holding the sim may call it mid-run: the loop reads the buffer at
-     * every use. */
+     * every use.  The clock is stored through as it moves, so Python reads
+     * it exact whenever it is called. */
     if (i64_view(sim, s__local_event, n, &L->cursor_bufs[0],
                  &L->local_event) < 0
         || i64_view(sim, s__next_timeout, n, &L->cursor_bufs[1],
-                    &L->next_timeout) < 0)
+                    &L->next_timeout) < 0
+        || i64_view(sim, s__clock, N_CLOCK, &L->cursor_bufs[2],
+                    &L->clock) < 0)
         return -1;
     GETA(L->inputs_by_pid, sim, s__inputs);
     GETA(L->started, sim, s__started);
@@ -1665,9 +1693,9 @@ loop_init(Loop *L, PyObject *sim, PyObject *store, PyObject *metrics)
     }
     if (PyList_GET_SIZE(L->processes) != n
         || PyList_GET_SIZE(L->inputs_by_pid) != n
-        || PyList_GET_SIZE(L->intervals) != n || L->nv.pool->n != n) {
+        || PyList_GET_SIZE(L->intervals) != n) {
         PyErr_SetString(PyExc_ValueError,
-                        "run_loop: state lists do not match sim.n");
+                        "run_loop: state lists do not match the network's n");
         return -1;
     }
     L->crash_at = PyMem_Malloc(n * sizeof(int64_t));
@@ -1694,7 +1722,6 @@ loop_init(Loop *L, PyObject *sim, PyObject *store, PyObject *metrics)
         }
         L->perm_block = -1;
     }
-    L->last_live_acc = -1;
     for (long p = 0; p < n; p++)
         L->crash_at[p] = INT64_MAX;
     L->first_crash = INT64_MAX;
@@ -1907,12 +1934,12 @@ loop_perm(Loop *L, int64_t block)
 /* Idle ticks the loop counts itself -- every idle span when nothing
  * materializes idle steps (loop_count_idle), and under random scheduling
  * each idle tick of the block an event falls in, as
- * Simulation._advance_event_random_block walks it -- accumulate as
- * `idle_acc` live idle ticks and the last of them.  loop_flush_idle writes
- * both through to sim.metrics.idle_ticks_skipped (the RunMetrics the sim
- * held at loop init) and sim.last_live_tick before every call back into
- * Python and when the loop returns or fails -- handlers and observers read
- * both mid-run. */
+ * Simulation._advance_event_random_block walks it -- store the last of
+ * them into the clock at once and accumulate as `idle_acc`.
+ * loop_flush_idle adds that to sim.metrics.idle_ticks_skipped (the
+ * RunMetrics the sim held at loop init; a dataclass, so a Python call)
+ * before every call back into Python and when the loop returns or fails --
+ * handlers and observers read it mid-run. */
 static int
 loop_flush_idle(Loop *L)
 {
@@ -1921,13 +1948,6 @@ loop_flush_idle(Loop *L)
     if (add_i64_attr(L->sim_metrics, s_idle_ticks_skipped, L->idle_acc) < 0)
         return -1;
     L->idle_acc = 0;
-    int64_t last;
-    if (get_i64_attr(L->sim, s_last_live_tick, &last) < 0)
-        return -1;
-    if (L->last_live_acc > last
-        && set_i64_attr(L->sim, s_last_live_tick, L->last_live_acc) < 0)
-        return -1;
-    L->last_live_acc = -1;
     return 0;
 }
 
@@ -2013,7 +2033,7 @@ last_live_tick_random(Loop *L, int64_t start, int64_t end)
     return -1;
 }
 
-/* Counts the idle span [start, end) into idle_acc / last_live_acc, as
+/* Counts the idle span [start, end) into idle_acc and the clock, as
  * _skip_span_rr's counting branch or _skip_span_random would add it to
  * the sim: a crash-free span is all live, a round-robin process's slots
  * are an arithmetic progression clipped by its crash. */
@@ -2040,8 +2060,8 @@ loop_count_idle(Loop *L, int64_t start, int64_t end)
         }
     }
     L->idle_acc += live;
-    if (last > L->last_live_acc)
-        L->last_live_acc = last;
+    if (last > L->clock[CLOCK_LAST_LIVE])
+        L->clock[CLOCK_LAST_LIVE] = last;
 }
 
 /* run_loop(sim, t_end, store, metrics) — the event engine's tick loop in C.
@@ -2078,15 +2098,12 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     }
     PoolObject *pool = L->nv.pool;
     long n = L->n;
-    int64_t t, step_index;
+    int64_t *clock = L->clock;
+    int64_t t = clock[CLOCK_TIME];
     /* Per-step owned temporaries, function-scoped so step_fail can see
      * them; always NULL outside an executed step. */
     PyObject *t_obj = NULL, *fd_value = NULL, *inputs_t = NULL;
     PyObject *outputs_t = NULL, *first_payload = NULL;
-    if (get_i64_attr(sim, s_time, &t) < 0)
-        goto fail;
-    if (get_i64_attr(sim, s__step_index, &step_index) < 0)
-        goto fail;
     if (get_i64_attr(L->run, s_end_time, &L->run_end_time) < 0)
         goto fail;
 
@@ -2107,10 +2124,8 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             PyObject *process = PyList_GET_ITEM(L->processes, pid);
             if (loop_flush_idle(L) < 0)
                 goto fail;
-            if (set_i64_attr(sim, s_time, t + 1) < 0)
-                goto fail;
-            if (set_i64_attr(sim, s_last_live_tick, t) < 0)
-                goto fail;
+            clock[CLOCK_TIME] = t + 1;
+            clock[CLOCK_LAST_LIVE] = t;
             t_obj = PyLong_FromLongLong(t);
             if (t_obj == NULL)
                 goto step_fail;
@@ -2253,116 +2268,69 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                 Py_DECREF(r);
             }
 
-            /* outbox expansion through the C send path */
+            /* outbox expansion through the C send path.  The delay model
+             * is Python and could reach ctx._outbox, so each entry is held
+             * while it is sent and the length is re-read, as a Python loop
+             * over the list would. */
             long sent = 0;
-            PyObject *outbox = PyObject_GetAttr(L->ctx, s__outbox);
-            if (outbox == NULL)
-                goto step_fail;
-            if (PyList_Check(outbox) && PyList_GET_SIZE(outbox) > 0) {
-                PyObject *fresh = PyList_New(0);
-                if (fresh == NULL) {
-                    Py_DECREF(outbox);
+            PyObject *outbox = L->outbox;
+            for (Py_ssize_t i = 0; i < PyList_GET_SIZE(outbox); i++) {
+                PyObject *entry = PyList_GET_ITEM(outbox, i);
+                if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 2) {
+                    PyErr_SetString(PyExc_TypeError,
+                                    "outbox entries must be "
+                                    "(receiver, payload) tuples");
                     goto step_fail;
                 }
-                int r_set = PyObject_SetAttr(L->ctx, s__outbox, fresh);
-                Py_DECREF(fresh);
-                if (r_set < 0) {
-                    Py_DECREF(outbox);
+                Py_INCREF(entry);
+                PyObject *recv_obj = PyTuple_GET_ITEM(entry, 0);
+                PyObject *payload = PyTuple_GET_ITEM(entry, 1);
+                long receiver = PyLong_AsLong(recv_obj);
+                int r_send = receiver == -1 && PyErr_Occurred() ? -1 : 0;
+                if (r_send == 0 && receiver >= 0) {
+                    int64_t seq;
+                    r_send = net_send(&L->nv, pid, pid_obj, recv_obj,
+                                      payload, t, t_obj, &seq);
+                    sent += 1;
+                } else if (r_send == 0) {
+                    /* BROADCAST_ALL (-1) includes the sender */
+                    long fanout = 0;
+                    r_send = net_send_all(&L->nv, pid, pid_obj, payload, t,
+                                          t_obj, receiver == -1, &fanout);
+                    sent += fanout;
+                }
+                Py_DECREF(entry);
+                if (r_send < 0)
                     goto step_fail;
-                }
-                Py_ssize_t count = PyList_GET_SIZE(outbox);
-                for (Py_ssize_t i = 0; i < count; i++) {
-                    PyObject *entry = PyList_GET_ITEM(outbox, i);
-                    if (!PyTuple_Check(entry)
-                        || PyTuple_GET_SIZE(entry) != 2) {
-                        PyErr_SetString(PyExc_TypeError,
-                                        "outbox entries must be "
-                                        "(receiver, payload) tuples");
-                        break;
-                    }
-                    PyObject *recv_obj = PyTuple_GET_ITEM(entry, 0);
-                    PyObject *payload = PyTuple_GET_ITEM(entry, 1);
-                    long receiver = PyLong_AsLong(recv_obj);
-                    if (receiver == -1 && PyErr_Occurred())
-                        break;
-                    if (receiver >= 0) {
-                        int64_t seq;
-                        if (net_send(&L->nv, pid, pid_obj, recv_obj, payload,
-                                     t, t_obj, &seq) < 0)
-                            break;
-                        sent += 1;
-                    } else {
-                        /* BROADCAST_ALL (-1) includes the sender */
-                        long fanout;
-                        if (net_send_all(&L->nv, pid, pid_obj, payload, t,
-                                         t_obj, receiver == -1, &fanout) < 0)
-                            break;
-                        sent += fanout;
-                    }
-                }
             }
-            Py_DECREF(outbox);
-            if (PyErr_Occurred())
-                goto step_fail;
+            list_clear(outbox);
 
             /* outputs / log drains */
-            PyObject *outputs = PyObject_GetAttr(L->ctx, s__outputs);
-            if (outputs == NULL)
-                goto step_fail;
-            if (PyList_Check(outputs) && PyList_GET_SIZE(outputs) > 0) {
-                PyObject *fresh = PyList_New(0);
-                if (fresh == NULL) {
-                    Py_DECREF(outputs);
-                    goto step_fail;
-                }
-                int r_set = PyObject_SetAttr(L->ctx, s__outputs, fresh);
-                Py_DECREF(fresh);
-                if (r_set < 0) {
-                    Py_DECREF(outputs);
-                    goto step_fail;
-                }
-                outputs_t = PyList_AsTuple(outputs);
-                Py_DECREF(outputs);
+            if (PyList_GET_SIZE(L->outputs) > 0) {
+                outputs_t = PyList_AsTuple(L->outputs);
                 if (outputs_t == NULL)
                     goto step_fail;
+                list_clear(L->outputs);
             } else {
-                Py_DECREF(outputs);
-                outputs_t = L->empty_tuple;
-                Py_INCREF(outputs_t);
+                outputs_t = Py_NewRef(L->empty_tuple);
             }
-            PyObject *log_buf = PyObject_GetAttr(L->ctx, s__log);
-            if (log_buf == NULL)
-                goto step_fail;
-            if (PyList_Check(log_buf) && PyList_GET_SIZE(log_buf) > 0) {
-                PyObject *fresh = PyList_New(0);
-                int r_set = fresh == NULL
-                    ? -1 : PyObject_SetAttr(L->ctx, s__log, fresh);
-                Py_XDECREF(fresh);
-                if (r_set < 0) {
-                    Py_DECREF(log_buf);
-                    goto step_fail;
-                }
+            PyObject *log_buf = L->log_buf;
+            for (Py_ssize_t e = 0;
+                 L->log_count > 0 && e < PyList_GET_SIZE(log_buf); e++) {
+                PyObject *cargs[4] = {sim, t_obj, pid_obj,
+                                      Py_NewRef(PyList_GET_ITEM(log_buf, e))};
                 int log_err = 0;
-                Py_ssize_t log_len = PyList_GET_SIZE(log_buf);
-                for (Py_ssize_t e = 0; e < log_len && !log_err; e++) {
-                    PyObject *event = PyList_GET_ITEM(log_buf, e);
-                    for (Py_ssize_t i = 0; i < L->log_count; i++) {
-                        PyObject *cargs[4] = {sim, t_obj, pid_obj, event};
-                        PyObject *r = PyObject_Vectorcall(
-                            L->log_methods[i], cargs, 4, NULL);
-                        if (r == NULL) {
-                            log_err = 1;
-                            break;
-                        }
-                        Py_DECREF(r);
-                    }
+                for (Py_ssize_t i = 0; i < L->log_count && !log_err; i++) {
+                    PyObject *r = PyObject_Vectorcall(L->log_methods[i],
+                                                      cargs, 4, NULL);
+                    log_err = r == NULL;
+                    Py_XDECREF(r);
                 }
-                if (log_err) {
-                    Py_DECREF(log_buf);
+                Py_DECREF(cargs[3]);
+                if (log_err)
                     goto step_fail;
-                }
             }
-            Py_DECREF(log_buf);
+            list_clear(log_buf);
 
             /* _refresh_local, inlined */
             int64_t event_at = L->next_timeout[pid];
@@ -2376,10 +2344,7 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             }
             L->local_event[pid] = event_at;
 
-            int64_t index = step_index;
-            step_index += 1;
-            if (set_i64_attr(sim, s__step_index, step_index) < 0)
-                goto step_fail;
+            int64_t index = clock[CLOCK_STEP_INDEX]++;
 
             if (L->has_store) {
                 PyObject *fd_row = fd_value == Py_None
@@ -2515,7 +2480,7 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             if (!L->materialize_idle) {
                 loop_count_idle(L, t, jump_to);
             } else if (L->fill_idle && jump_to <= L->first_crash) {
-                if (loop_fill_idle(L, t, jump_to, &step_index) < 0)
+                if (loop_fill_idle(L, t, jump_to) < 0)
                     goto fail;
             } else {
                 if (stage_flush(L) < 0)
@@ -2529,12 +2494,9 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                 if (r == NULL)
                     goto fail;
                 Py_DECREF(r);
-                /* _skip_span_rr may materialize idle steps (bumping
-                 * _step_index) — re-read the mirror.  L->run_end_time
-                 * may now lag run.end_time; every row staged next is
-                 * later, so the next flush writes the right value. */
-                if (get_i64_attr(sim, s__step_index, &step_index) < 0)
-                    goto fail;
+                /* L->run_end_time may now lag run.end_time; every row
+                 * staged next is later, so the next flush writes the
+                 * right value. */
             }
             t = jump_to;
         }
@@ -2556,15 +2518,15 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                 if (pid_due(L, p, t))
                     break;
                 L->idle_acc += 1;
-                L->last_live_acc = t;
+                if (t > clock[CLOCK_LAST_LIVE])
+                    clock[CLOCK_LAST_LIVE] = t;
             }
         }
     }
     if (loop_flush_idle(L) < 0 || loop_fold_flush(L) < 0
         || stage_flush(L) < 0)
         goto fail;
-    if (set_i64_attr(sim, s_time, t) < 0)
-        goto fail;
+    clock[CLOCK_TIME] = t;
     loop_free(L);
     Py_RETURN_NONE;
 
@@ -2928,7 +2890,6 @@ intern_names(void)
             return -1;                                                      \
     } while (0)
     INTERN(s_network, "network");
-    INTERN(s_n, "n");
     INTERN(s_processes, "processes");
     INTERN(s__ctx, "_ctx");
     INTERN(s_detector, "detector");
@@ -2944,9 +2905,8 @@ intern_names(void)
     INTERN(s_message_batch, "message_batch");
     INTERN(s__step_observers, "_step_observers");
     INTERN(s_run, "run");
-    INTERN(s__step_index, "_step_index");
+    INTERN(s__clock, "_clock");
     INTERN(s_time, "time");
-    INTERN(s_last_live_tick, "last_live_tick");
     INTERN(s_pid, "pid");
     INTERN(s_fd_value, "fd_value");
     INTERN(s__outbox, "_outbox");

@@ -25,7 +25,14 @@ BROADCAST_OTHERS: ProcessId = -2
 
 @dataclass
 class Context:
-    """Capabilities available to a process during a single step."""
+    """Capabilities available to a process during a single step.
+
+    The three effect buffers (``_outbox``, ``_outputs``, ``_log``) are one
+    list each for the context's whole lifetime: the scheduler's loops, the
+    C tick loop and the ``drain_*`` accessors consume a step's entries and
+    empty each list in place. After a step all three are empty; a handler
+    must not rely on their identity, and nothing may rebind them.
+    """
 
     pid: ProcessId
     n: int
@@ -91,17 +98,20 @@ class Context:
         ``BROADCAST_OTHERS`` receivers); consumers that need one entry per
         receiver should run the result through :func:`expand_sends`.
         """
-        outbox, self._outbox = self._outbox, []
+        outbox = self._outbox[:]
+        self._outbox.clear()
         return outbox
 
     def drain_outputs(self) -> list[Any]:
         """Remove and return buffered outputs (scheduler use)."""
-        outputs, self._outputs = self._outputs, []
+        outputs = self._outputs[:]
+        self._outputs.clear()
         return outputs
 
     def drain_log(self) -> list[Any]:
         """Remove and return buffered diagnostic events (scheduler use)."""
-        log, self._log = self._log, []
+        log = self._log[:]
+        self._log.clear()
         return log
 
 

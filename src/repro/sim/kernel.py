@@ -585,6 +585,11 @@ def run_fused_rr(sim: "Simulation", t_end: Time) -> None:
     log_obs = sim._log_observers
     step_obs = sim._step_observers
     run = sim.run
+    # [time, last_live_tick, _step_index], written in place like the C loop
+    clock = sim._clock
+    outbox = ctx._outbox
+    outputs = ctx._outputs
+    log_buf = ctx._log
 
     # Merge layer (inherited Network state — identical across kernels).
     next_at = net._next_at
@@ -629,7 +634,7 @@ def run_fused_rr(sim: "Simulation", t_end: Time) -> None:
 
     heappop = heapq.heappop
 
-    t = sim.time
+    t = clock[0]
     while t < t_end:
         pid = t % n
         head = next_at[pid]
@@ -637,8 +642,8 @@ def run_fused_rr(sim: "Simulation", t_end: Time) -> None:
             has_crashes and crashed(pid, t)
         ):
             # ---- one fused executed step (mirrors Simulation.step) ----
-            sim.time = t + 1
-            sim.last_live_tick = t
+            clock[0] = t + 1
+            clock[1] = t
             fd_value = query_fd(pid, t) if query_fd is not None else None
             ctx.pid = pid
             ctx.time = t
@@ -703,10 +708,8 @@ def run_fused_rr(sim: "Simulation", t_end: Time) -> None:
             else:
                 timeout_fired = False
 
-            outbox = ctx._outbox
             sent = 0
             if outbox:
-                ctx._outbox = []
                 for receiver, payload in outbox:
                     if receiver >= 0:
                         send_packed(pid, receiver, payload, t)
@@ -715,28 +718,27 @@ def run_fused_rr(sim: "Simulation", t_end: Time) -> None:
                         sent += send_all_packed(
                             pid, payload, t, receiver == BROADCAST_ALL
                         )
+                outbox.clear()
 
-            outputs = ctx._outputs
             if outputs:
-                ctx._outputs = []
                 outputs_t = tuple(outputs)
+                outputs.clear()
             else:
                 outputs_t = ()
-            log_buf = ctx._log
             if log_buf:
-                ctx._log = []
                 if log_obs:
                     for event in log_buf:
                         for observer in log_obs:
                             observer.on_log(sim, t, pid, event)
+                log_buf.clear()
 
             # _refresh_local, inlined.
             if in_q and in_q[0][0] < event_at:
                 event_at = in_q[0][0]
             local_event[pid] = event_at
 
-            index = sim._step_index
-            sim._step_index = index + 1
+            index = clock[2]
+            clock[2] = index + 1
             if store is not None:
                 col_st_index(index)
                 col_st_time(t)
@@ -780,4 +782,4 @@ def run_fused_rr(sim: "Simulation", t_end: Time) -> None:
             break
         skip_span(t, target)
         t = target
-    sim.time = t
+    clock[0] = t

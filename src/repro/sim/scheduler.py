@@ -245,19 +245,22 @@ class Simulation:
         #: whose inflow otherwise exceeds the one-message-per-tick drain rate.
         self.message_batch = message_batch
         #: pooled per-step context. Safe to reuse: handlers never retain the
-        #: context past their step (the automaton contract), and every step
-        #: drains all three effect buffers, leaving fresh empty lists behind.
+        #: context past their step (the automaton contract). Its three
+        #: effect buffers are one list each for its whole lifetime: every
+        #: loop consumes a step's entries and empties each list in place, so
+        #: after a step all three are empty (the C loop holds the same lists).
         self._ctx = Context(pid=0, n=self.n, time=0)
 
-        self.time: Time = 0
+        #: the clock, ``array('q')`` on every rung: the next tick to run
+        #: (``time``), the last tick a live process consumed
+        #: (``last_live_tick``, -1 before any) and the next step's index
+        #: (``_step_index``) — the properties below. The C loop exports it
+        #: beside the cursors and stores into it in place; the Python loops
+        #: bind it locally.
+        self._clock = array("q", [0, -1, 0])
         #: the exception a run call raised out of, or None (see the module
         #: docstring: a raise ends the run).
         self.failed: BaseException | None = None
-        #: last tick consumed by a live (non-crashed) process, -1 before any.
-        #: Tracked by both engines so recorders can close reduced-fidelity
-        #: run records on the same end_time full fidelity produces.
-        self.last_live_tick: Time = -1
-        self._step_index = 0
         self._started: set[ProcessId] = set()
         self._inputs: list[list[tuple[Time, int, Any]]] = [[] for _ in range(self.n)]
         self._input_seq = itertools.count()
@@ -350,6 +353,37 @@ class Simulation:
             ) from None
         self._rebuild_dispatch()
 
+    # -- the clock -------------------------------------------------------------
+
+    @property
+    def time(self) -> Time:
+        """The next tick to run (``_clock[0]``)."""
+        return self._clock[0]
+
+    @time.setter
+    def time(self, value: Time) -> None:
+        self._clock[0] = value
+
+    @property
+    def last_live_tick(self) -> Time:
+        """The last tick consumed by a live (non-crashed) process, -1 before
+        any (``_clock[1]``). Tracked by every loop so recorders can close
+        reduced-fidelity run records on the end_time full fidelity produces."""
+        return self._clock[1]
+
+    @last_live_tick.setter
+    def last_live_tick(self, value: Time) -> None:
+        self._clock[1] = value
+
+    @property
+    def _step_index(self) -> int:
+        """The index the next executed or recorded step takes (``_clock[2]``)."""
+        return self._clock[2]
+
+    @_step_index.setter
+    def _step_index(self, value: int) -> None:
+        self._clock[2] = value
+
     @property
     def fused_path(self) -> str | None:
         """The loop :meth:`run_until` runs this configuration on:
@@ -412,12 +446,13 @@ class Simulation:
 
     def _step(self) -> None:
         """:meth:`step`'s body, which the engine loops call per tick."""
-        t = self.time
-        self.time += 1
+        clock = self._clock  # [time, last_live_tick, _step_index]
+        t = clock[0]
+        clock[0] = t + 1
         pid = self._scheduled_pid(t)
         if self.failure_pattern.crashed(pid, t):
             return None
-        self.last_live_tick = t
+        clock[1] = t
 
         process = self.processes[pid]
         fd_value = self.detector.query(pid, t) if self.detector is not None else None
@@ -478,11 +513,11 @@ class Simulation:
                 for observer in self._log_observers:
                     observer.on_log(self, t, pid, event)
         else:
-            ctx.drain_log()
+            ctx._log.clear()
 
         self._refresh_local(pid)
-        index = self._step_index
-        self._step_index += 1
+        index = clock[2]
+        clock[2] = index + 1
         inputs_t = tuple(inputs)
         outputs_t = tuple(outputs)
         for observer in self._step_observers:
@@ -563,9 +598,10 @@ class Simulation:
         observer the idle step through ``on_step_raw``.
         """
         fd_value = self.detector.query(pid, t) if self.detector is not None else None
-        self.last_live_tick = t
-        index = self._step_index
-        self._step_index += 1
+        clock = self._clock  # [time, last_live_tick, _step_index]
+        clock[1] = t
+        index = clock[2]
+        clock[2] = index + 1
         for observer in self._idle_step_observers:
             observer.on_idle_step(self, index, t, pid, fd_value)
 
@@ -686,6 +722,7 @@ class Simulation:
         crash_times = self.failure_pattern.crash_times
         local = self._local_event
         next_at = self.network._next_at  # O(1) per-receiver delivery index
+        clock = self._clock
         t = self.time
         while t < t_end:
             target = self._next_event_query(t, align_rr=False)
@@ -708,8 +745,8 @@ class Simulation:
                         self._step()
                         return
                     self.metrics.idle_ticks_skipped += 1
-                    if t > self.last_live_tick:
-                        self.last_live_tick = t
+                    if t > clock[1]:  # last_live_tick
+                        clock[1] = t
                 t += 1
         self.time = t_end
 

@@ -1,0 +1,30 @@
+"""Protocol mutants: test-only subclasses that each remove one step the
+paper or the algorithm needs, and name the checker verdict that must catch
+it.
+
+Digest equality across kernels shows that the paths agree; a checker that
+passes shows a property holds. Neither shows that the checker can fail.
+Each mutant here is a run that must fail one named verdict, on the cells
+listed beside the test that runs it. A mutant that no cell kills is a
+finding about the workload, not about the mutant.
+"""
+
+from __future__ import annotations
+
+from repro.consensus import PaxosConsensusLayer
+from repro.sim.stack import LayerContext
+
+
+class SigmaLearnerWithoutRetest(PaxosConsensusLayer):
+    """Σ-quorum Paxos whose learners test an ack set only when an ack
+    arrives, never again on a timeout.
+
+    A learner whose Σ output named a process that had not acked the ballot
+    is stranded once Σ settles on a quorum that had: no further ack comes,
+    so nothing decides the instance, and the broadcasts it carries are
+    never delivered. Killed by ``check_tob``'s validity ("p3 never stably
+    delivered its own m3.1" and similar).
+    """
+
+    def _retest_acks(self, ctx: LayerContext) -> None:
+        pass

@@ -4,11 +4,13 @@ The delay-model tests check that the buffer schedules each message at
 ``send time + delay`` for the models of :mod:`repro.sim.envs`; the models'
 own draws are pinned in ``test_envs.py``.
 
-The merge layer (``_next_at`` / ``_pending`` / ``_live`` / ``_counts``) and
-the scheduler's ``_local_event`` / ``_next_timeout`` cursors are
-``array('q')`` buffers the C loop reads and writes in place. The tests at
-the end pin that this shared state is exact whenever Python is called, and
-that every exit of the C code releases the buffers it exported.
+The merge layer (``_next_at`` / ``_pending`` / ``_live`` / ``_counts``),
+the scheduler's ``_local_event`` / ``_next_timeout`` cursors and its clock
+``_clock`` are ``array('q')`` buffers the C loop reads and writes in place,
+and the step context's three effect lists are emptied in place. The tests
+at the end pin that this shared state is exact whenever Python is called,
+that every exit of the C code releases the buffers it exported, and that
+the context's lists are empty after every step on every leg.
 """
 
 import copy
@@ -281,10 +283,10 @@ class Chatter(Process):
 
 
 class MergeLayerSnapshots(SimObserver):
-    """At every step that does work, the merge layer and the scheduler's
-    cursors as Python reads them. (The naive stepper also executes idle
-    ticks, which the event engine skips, so those and the step indices are
-    left out.)"""
+    """At every step that does work, the merge layer, the scheduler's
+    cursors and its clock as Python reads them. (The naive stepper also
+    executes idle ticks, which the event engine skips, so those and the step
+    indices are left out.)"""
 
     def __init__(self) -> None:
         self.seen: list[tuple] = []
@@ -302,7 +304,41 @@ class MergeLayerSnapshots(SimObserver):
             [net.next_delivery_time(r) for r in range(net.n)],
             net.sent_count, net.delivered_count, net.live_pending,
             list(sim._local_event), list(sim._next_timeout),
+            sim.time, sim.last_live_tick,
         ))
+
+
+class ClockReader:
+    """Records the clock as Python reads it at every call made into this
+    object in the middle of a step."""
+
+    def __init__(self) -> None:
+        self.sim: Simulation | None = None
+        self.seen: list[tuple] = []
+
+    def note(self, *call) -> None:
+        sim = self.sim
+        self.seen.append((*call, sim.time, sim.last_live_tick, sim._step_index))
+
+
+class ClockedDelay(ClockReader):
+    """A delay model that reads the clock at every draw."""
+
+    def __init__(self, inner) -> None:
+        super().__init__()
+        self.inner = inner
+
+    def delay(self, sender, receiver, t):
+        self.note(sender, receiver, t)
+        return self.inner.delay(sender, receiver, t)
+
+
+class ClockedDetector(ClockReader):
+    """A detector history that reads the clock at every query."""
+
+    def query(self, pid, t):
+        self.note(pid, t)
+        return (pid + t // 50) % 4
 
 
 #: the C loop, the Python fused loop / generic engine on the Python pool,
@@ -316,10 +352,13 @@ SNAPSHOT_LEGS = [
 
 def _chatter_sim(kernel, engine, scheduling) -> Simulation:
     spy = MergeLayerSnapshots()
+    # 0 -> 1 is cut for good from t=40: those messages queue at NEVER
+    delay = ClockedDelay(OneWayPartition(FixedDelay(2), edges=((0, 1),), start=40))
+    detector = ClockedDetector()
     sim = Simulation(
         [Chatter() for __ in range(4)],
-        # 0 -> 1 is cut for good from t=40: those messages queue at NEVER
-        delay_model=OneWayPartition(FixedDelay(2), edges=((0, 1),), start=40),
+        delay_model=delay,
+        detector=detector,
         failure_pattern=FailurePattern(4, {3: 150}),
         timeout_interval=[7, 9, 11, 13],
         scheduling=scheduling,
@@ -332,6 +371,7 @@ def _chatter_sim(kernel, engine, scheduling) -> Simulation:
     )
     for k in range(12):
         sim.add_input(k % 4, 13 * k + 1, k)
+    delay.sim = detector.sim = sim
     return sim
 
 
@@ -363,6 +403,24 @@ class TestSharedStateIsExactWheneverPythonIsCalled:
         for kernel, __ in SNAPSHOT_LEGS[1:]:
             assert seen[kernel] == first, kernel
 
+    @needs_c_loop
+    @pytest.mark.parametrize("scheduling", ["round_robin", "random"])
+    def test_the_clock_is_exact_at_every_call_in_mid_step(self, scheduling):
+        # The delay model and the detector are called by the C loop in the
+        # middle of a step; the generic engine (random) and the Python fused
+        # loop (round-robin) make the same calls on packed.
+        seen = {}
+        for kernel in ("compiled-loop", "packed"):
+            sim = _chatter_sim(kernel, "event", scheduling)
+            _chatter_run(sim)
+            delays, queries = sim.network.delay_model.seen, sim.detector.seen
+            # a call in the step at tick t reads time t + 1, last live t
+            for *call, time, last_live, __ in delays + queries:
+                assert (time, last_live) == (call[-1] + 1, call[-1])
+            assert len({index for *__, index in queries}) == len(queries)
+            seen[kernel] = delays, queries
+        assert seen["compiled-loop"] == seen["packed"]
+
     @pytest.mark.parametrize("scheduling", ["round_robin", "random"])
     @pytest.mark.parametrize("kernel,engine", SNAPSHOT_LEGS)
     def test_a_copy_between_run_calls_continues_alike(
@@ -376,20 +434,93 @@ class TestSharedStateIsExactWheneverPythonIsCalled:
             resumed = clone(sim)
             assert isinstance(resumed.network._next_at, array)
             assert isinstance(resumed._local_event, array)
+            assert isinstance(resumed._clock, array)
             _chatter_run(resumed)
             assert run_digest(resumed) == run_digest(whole)
             assert (
                 resumed._step_observers[-1].seen == whole._step_observers[-1].seen
             )
+            assert resumed.detector.seen == whole.detector.seen
         _chatter_run(sim)
         assert run_digest(sim) == run_digest(whole)
 
 
+class Effects(Process):
+    """Sends, outputs and logs in the same step: on every timeout, and on
+    every ``"next"`` message."""
+
+    def on_timeout(self, ctx):
+        ctx.send_all(("all", ctx.time))
+        ctx.send((ctx.pid + 1) % ctx.n, ("next", ctx.time))
+        ctx.output(("out", ctx.pid, ctx.time))
+        ctx.log(("log", ctx.pid, ctx.time))
+
+    def on_message(self, ctx, sender, payload):
+        if payload[0] == "next":
+            ctx.output(("got", sender, payload[1]))
+            ctx.log(("got", sender))
+            ctx.send(sender, ("back", ctx.time))
+
+
+class EmptyBuffersSpy(SimObserver):
+    """Asserts at every step that the context's three buffers are empty, and
+    keeps every logged event."""
+
+    def __init__(self) -> None:
+        self.steps = 0
+        self.logged: list[tuple] = []
+
+    def on_step_raw(self, sim, *fields):
+        ctx = sim._ctx
+        assert ctx._outbox == [] and ctx._outputs == [] and ctx._log == []
+        self.steps += 1
+
+    def on_log(self, sim, t, pid, event):
+        self.logged.append((t, pid, event))
+
+
+class TestTheContextBuffersAreEmptiedInPlace:
+    @pytest.mark.parametrize("scheduling", ["round_robin", "random"])
+    def test_every_leg_leaves_them_empty_after_every_step(self, scheduling):
+        seen = {}
+        for kernel, engine in SNAPSHOT_LEGS:
+            spy = EmptyBuffersSpy()
+            sim = Simulation(
+                [Effects() for __ in range(3)],
+                delay_model=UniformDist(1, 4),
+                failure_pattern=FailurePattern(3, {2: 200}),
+                timeout_interval=[5, 7, 9],
+                scheduling=scheduling,
+                seed=3,
+                message_batch=2,
+                kernel=kernel,
+                engine=engine,
+                record="outputs",
+                observers=[spy],
+            )
+            if kernel == "compiled-loop":
+                assert sim.fused_path == "c-loop"
+            ctx = sim._ctx
+            buffers = (ctx._outbox, ctx._outputs, ctx._log)
+            sim.run_until(300)
+            assert spy.steps > 100
+            # the same three lists, on the C loop as on the Python loops
+            assert all(
+                now is before for now, before in
+                zip((ctx._outbox, ctx._outputs, ctx._log), buffers)
+            )
+            seen[kernel] = (run_digest(sim), spy.logged)
+        first = seen[SNAPSHOT_LEGS[0][0]]
+        assert first[1]
+        for kernel, __ in SNAPSHOT_LEGS[1:]:
+            assert seen[kernel] == first, kernel
+
+
 def assert_buffers_released(sim: Simulation) -> None:
-    """No buffer of the merge layer or the cursors is still exported: an
-    exported array refuses to resize with ``BufferError``."""
+    """No buffer of the merge layer, the cursors or the clock is still
+    exported: an exported array refuses to resize with ``BufferError``."""
     for arr in (
-        sim._local_event, sim._next_timeout, sim.network._next_at,
+        sim._local_event, sim._next_timeout, sim._clock, sim.network._next_at,
         sim.network._pending, sim.network._live, sim.network._counts,
     ):
         arr.append(0)
@@ -430,7 +561,7 @@ class TestEveryCExitReleasesItsBuffers:
     @pytest.mark.parametrize(
         "owner,name",
         [("network", name) for name in ("_next_at", "_pending", "_live", "_counts")]
-        + [("sim", "_local_event"), ("sim", "_next_timeout")],
+        + [("sim", "_local_event"), ("sim", "_next_timeout"), ("sim", "_clock")],
     )
     @pytest.mark.parametrize("bad", ["list", "short", "wide-typecode"])
     def test_a_foreign_buffer_is_refused_by_name(self, owner, name, bad):
@@ -445,6 +576,16 @@ class TestEveryCExitReleasesItsBuffers:
         with pytest.raises(TypeError, match=f"{name} must be an array"):
             sim.run_until(10)
         setattr(target, name, good)
+        assert_buffers_released(sim)
+
+    @pytest.mark.parametrize("name", ["_outbox", "_outputs", "_log"])
+    def test_a_context_buffer_that_is_not_a_list_is_refused_by_name(self, name):
+        sim = _chatter_sim("compiled-loop", "event", "round_robin")
+        good = getattr(sim._ctx, name)
+        setattr(sim._ctx, name, tuple(good))
+        with pytest.raises(TypeError, match=f"{name} must be a list"):
+            sim.run_until(10)
+        setattr(sim._ctx, name, good)
         assert_buffers_released(sim)
 
     def test_a_dead_set_that_is_not_a_set_is_refused(self):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.experiments import base as experiments_base
 from repro.analysis.experiments.base import _run_broadcast_scenario
 from repro.consensus import PaxosConsensusLayer
 from repro.core import EcDriverLayer
@@ -9,6 +10,8 @@ from repro.detectors import CompositeDetector, OmegaDetector, SigmaDetector
 from repro.properties import check_ec, check_tob
 from repro.sim import FailurePattern, FixedDelay, ProtocolStack, Simulation
 from repro.sim.envs import make_env
+
+from mutants import SigmaLearnerWithoutRetest
 
 
 def paxos_sim(
@@ -103,6 +106,41 @@ class TestMajorityQuorums:
         assert report.agreement_index == 1
 
 
+#: TOB over Sigma-quorum Paxos, each run one whose learner was stranded when
+#: ack sets were tested only as acks arrived: Sigma named a process that
+#: never acked the ballot, then settled, and nothing re-tested. The first is
+#: the run that located the hole (p3 delivered 3 of 8 while p2 and p4
+#: delivered 8).
+SIGMA_SETTLES_CELLS = [
+    ("baseline", 1, 5),
+    ("baseline", 2, 4),
+    ("uniform", 0, 5),
+    ("uniform", 1, 4),
+    ("heavy-tail", 1, 5),
+    ("heavy-tail", 3, 4),
+    ("flaky", 1, 5),
+    ("flaky", 2, 4),
+]
+
+
+def sigma_settles_run(env: str, seed: int, n: int) -> Simulation:
+    """One of :data:`SIGMA_SETTLES_CELLS`: three correct processes
+    broadcast eight messages while the other ``n - 3`` crash at t = 120 and
+    Omega and Sigma settle at t = 400."""
+    correct = range(n - 3, n)
+    return _run_broadcast_scenario(
+        "tob-consensus",
+        n=n,
+        broadcasts=[(correct[k % 3], 20 + 37 * k, f"m{k}") for k in range(8)],
+        duration=3_000,
+        tau_omega=400,
+        crashes={pid: 120 for pid in range(n - 3)},
+        quorum_mode="sigma",
+        seed=seed,
+        delay_model=make_env(env, seed=seed, base_delay=2).delay,
+    )
+
+
 class TestSigmaQuorums:
     def test_decides_with_majority(self):
         sim = paxos_sim(n=4, quorum_mode="sigma", instances=3)
@@ -126,45 +164,34 @@ class TestSigmaQuorums:
         assert report.ok, report.violations
         assert report.agreement_index == 1
 
-    #: TOB over Sigma-quorum Paxos, each run one whose learner was stranded
-    #: when ack sets were tested only as acks arrived: Sigma named a process
-    #: that never acked the ballot, then settled, and nothing re-tested.
-    #: The first is the run that located the hole (p3 delivered 3 of 8
-    #: while p2 and p4 delivered 8).
-    @pytest.mark.parametrize(
-        "env,seed,n",
-        [
-            ("baseline", 1, 5),
-            ("baseline", 2, 4),
-            ("uniform", 0, 5),
-            ("uniform", 1, 4),
-            ("heavy-tail", 1, 5),
-            ("heavy-tail", 3, 4),
-            ("flaky", 1, 5),
-            ("flaky", 2, 4),
-        ],
-    )
+    @pytest.mark.parametrize("env,seed,n", SIGMA_SETTLES_CELLS)
     def test_learners_retest_their_acks_once_sigma_settles(self, env, seed, n):
-        crashes = {pid: 120 for pid in range(n - 3)}
-        correct = range(n - 3, n)
-        sim = _run_broadcast_scenario(
-            "tob-consensus",
-            n=n,
-            broadcasts=[
-                (correct[k % 3], 20 + 37 * k, f"m{k}") for k in range(8)
-            ],
-            duration=3_000,
-            tau_omega=400,
-            crashes=crashes,
-            quorum_mode="sigma",
-            seed=seed,
-            delay_model=make_env(env, seed=seed, base_delay=2).delay,
-        )
+        sim = sigma_settles_run(env, seed, n)
         report = check_tob(sim.run)
         assert report.ok, report.violations
-        for pid in correct:
+        for pid in range(n - 3, n):
             paxos = sim.processes[pid].layer(PaxosConsensusLayer)
             assert set(paxos._accept_acks).isdisjoint(paxos.decided)
+
+    @pytest.mark.parametrize("env,seed,n", SIGMA_SETTLES_CELLS)
+    def test_every_cell_kills_the_learner_without_the_retest(
+        self, env, seed, n, monkeypatch
+    ):
+        # The same run with the mutant in place of every Paxos layer: some
+        # correct process never delivers its own broadcast.
+        monkeypatch.setattr(
+            experiments_base, "PaxosConsensusLayer", SigmaLearnerWithoutRetest
+        )
+        sim = sigma_settles_run(env, seed, n)
+        assert isinstance(
+            sim.processes[0].layer(PaxosConsensusLayer), SigmaLearnerWithoutRetest
+        )
+        report = check_tob(sim.run)
+        assert not report.etob.validity_ok
+        assert any(
+            v.startswith("validity: ") and "never stably delivered" in v
+            for v in report.violations
+        ), report.violations
 
 
 class TestMechanics:
