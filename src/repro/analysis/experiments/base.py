@@ -1,4 +1,4 @@
-"""Experiment registry, shared scenario builders, and sweep aggregation.
+"""Experiment registry and sweep aggregation.
 
 An *experiment* is a deterministic, seedable function returning an
 :class:`ExperimentResult` (structured rows plus a rendered table). Experiment
@@ -36,13 +36,7 @@ from statistics import mean, quantiles, stdev
 from typing import Any, Callable, Sequence
 
 from repro.analysis.tables import Table
-from repro.consensus import PaxosConsensusLayer, TobFromConsensusLayer
-from repro.core import EcUsingOmegaLayer, EtobLayer
-from repro.core.transformations import EcToEtobLayer
-from repro.detectors import CompositeDetector, OmegaDetector, SigmaDetector
-from repro.sim import FixedDelay, ProtocolStack, ReplayPlan, Simulation, run_plan
 from repro.sim.errors import ConfigurationError
-from repro.sim.envs import DelayModel
 from repro.suite import Axis, Cell, SuiteResult, derive_seed
 
 
@@ -427,109 +421,3 @@ def claim_verdicts(key: str, result: SuiteResult) -> list[dict]:
         for cell in result.cells
         if cell.ok and cell.value is not None
     ]
-
-
-# ---------------------------------------------------------------------------
-# shared builders
-# ---------------------------------------------------------------------------
-
-
-def _broadcast_protocol(
-    protocol: str, *, quorum_mode: str = "majority"
-) -> Callable[[], ProtocolStack]:
-    """Factory of one process for a named broadcast protocol."""
-    if protocol == "etob":
-        return lambda: ProtocolStack([EtobLayer()])
-    if protocol == "ec-etob":
-        return lambda: ProtocolStack([EcUsingOmegaLayer(), EcToEtobLayer()])
-    if protocol == "tob-consensus":
-        return lambda: ProtocolStack(
-            [PaxosConsensusLayer(quorum_mode=quorum_mode), TobFromConsensusLayer()]
-        )
-    if protocol == "tob-ct":
-        from repro.consensus import ChandraTouegConsensusLayer
-
-        return lambda: ProtocolStack(
-            [ChandraTouegConsensusLayer(), TobFromConsensusLayer()]
-        )
-    raise ValueError(f"unknown protocol {protocol!r}")
-
-
-def _detector(
-    pattern,
-    *,
-    tau_omega,
-    pre_behavior="rotate",
-    with_sigma=False,
-    with_suspects=False,
-    seed=0,
-):
-    omega = OmegaDetector(stabilization_time=tau_omega, pre_behavior=pre_behavior)
-    if with_sigma or with_suspects:
-        from repro.detectors import EventuallyStrongDetector
-
-        components = {"omega": omega}
-        if with_sigma:
-            components["sigma"] = SigmaDetector(stabilization_time=tau_omega)
-        if with_suspects:
-            components["suspects"] = EventuallyStrongDetector(
-                stabilization_time=tau_omega
-            )
-        return CompositeDetector(components).history(pattern, seed=seed)
-    return omega.history(pattern, seed=seed)
-
-
-def _run_broadcast_scenario(
-    protocol: str,
-    *,
-    n: int,
-    broadcasts: Sequence[tuple[int, int, Any]],
-    duration: int,
-    delay: int = 2,
-    timeout: int = 2,
-    tau_omega: int = 0,
-    pre_behavior: str = "rotate",
-    crashes: dict[int, int] | None = None,
-    quorum_mode: str = "majority",
-    seed: int = 0,
-    record: str = "outputs",
-    delay_model: DelayModel | None = None,
-) -> Simulation:
-    """One broadcast-protocol run; records at ``outputs`` fidelity by default
-    (every experiment metric below reads the delivery timeline, not the raw
-    step list, so retaining steps would only burn memory). ``delay_model``
-    (e.g. an environment model from :func:`repro.sim.envs.make_env`)
-    overrides the fixed ``delay``-tick links.
-
-    The declarative half of the run goes through a
-    :class:`~repro.sim.replay.ReplayPlan` — the same wiring the differential
-    tests and falsifier witnesses rebuild runs from — so an experiment run
-    is reconstructible from its plan plus ``(protocol, detector config)``.
-    """
-    plan = ReplayPlan(
-        n=n,
-        duration=duration,
-        crashes=tuple(sorted((crashes or {}).items())),
-        inputs=tuple(
-            (pid, t, ("broadcast", payload)) for pid, t, payload in broadcasts
-        ),
-        seed=seed,
-        timeout_interval=timeout,
-        message_batch=4,
-        record=record,
-    )
-    detector = _detector(
-        plan.failure_pattern(),
-        tau_omega=tau_omega,
-        pre_behavior=pre_behavior,
-        with_sigma=(quorum_mode == "sigma"),
-        with_suspects=(protocol == "tob-ct"),
-        seed=seed,
-    )
-    factory = _broadcast_protocol(protocol, quorum_mode=quorum_mode)
-    return run_plan(
-        plan,
-        [factory() for _ in range(n)],
-        detector=detector,
-        delay_model=delay_model or FixedDelay(delay),
-    )

@@ -4,17 +4,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.analysis.experiments.base import (
-    ExperimentResult,
-    _detector,
-    experiment,
-)
+from repro.analysis.experiments.base import ExperimentResult, experiment
 from repro.analysis.metrics import divergence_windows
 from repro.analysis.tables import Table
-from repro.core import EtobLayer
-from repro.core.etob_variants import ArrivalOrderEtobLayer
 from repro.properties import check_causal_order, check_etob
-from repro.sim import FailurePattern, ProtocolStack, Simulation, UniformDist
+from repro.sim import RunSpec, UniformDist, run_plan
 
 
 def claim_causal(rows: list[dict]) -> dict[str, bool]:
@@ -52,29 +46,26 @@ def exp_causal(*, seed: int = 0) -> ExperimentResult:
     # Reply chains under heavy network reordering: each message causally
     # depends on everything its broadcaster has seen (frontier deps), and
     # random delays let replies overtake the messages they reply to.
-    broadcasts = [(i % n, 15 + i * 40, f"chain-{i}") for i in range(12)]
-    for variant, factory in (
-        ("Algorithm 5 (causal graph)", lambda: ProtocolStack([EtobLayer()])),
-        (
-            "ablation: arrival-order promote",
-            lambda: ProtocolStack([ArrivalOrderEtobLayer()]),
-        ),
+    inputs = tuple(
+        (i % n, 15 + i * 40, ("broadcast", f"chain-{i}")) for i in range(12)
+    )
+    for variant, protocol in (
+        ("Algorithm 5 (causal graph)", "etob"),
+        ("ablation: arrival-order promote", "etob-arrival-order"),
     ):
-        pattern = FailurePattern.no_failures(n)
-        detector = _detector(pattern, tau_omega=350, seed=seed)
-        sim = Simulation(
-            [factory() for _ in range(n)],
-            failure_pattern=pattern,
-            detector=detector,
-            delay_model=UniformDist(2, 60, seed=seed),
-            timeout_interval=2,
-            seed=seed,
-            message_batch=4,
-            record="outputs",  # both checkers read the delivery timeline only
+        sim = run_plan(
+            RunSpec(
+                n=n,
+                duration=1800,
+                protocol=protocol,
+                inputs=inputs,
+                seed=seed,
+                tau=350,
+                links=UniformDist(2, 60, seed=seed),
+                timeout_interval=2,
+                message_batch=4,
+            )
         )
-        for pid, t, payload in broadcasts:
-            sim.add_input(pid, t, ("broadcast", payload))
-        sim.run_until(1800)
         causal = check_causal_order(sim.run)
         etob = check_etob(sim.run)
         rows.append(
@@ -128,26 +119,23 @@ def exp_ablation_churn(
         # Concurrent bursts under random delays: leaders promoting during the
         # churn window hold different knowledge, so their sequences genuinely
         # diverge until Omega stabilizes.
-        broadcasts = [
-            (p, 15 + 60 * burst + p, f"m{burst}.{p}")
-            for burst in range(10)
-            for p in range(n)
-        ]
-        pattern = FailurePattern.no_failures(n)
-        detector = _detector(pattern, tau_omega=tau, seed=seed)
-        sim = Simulation(
-            [ProtocolStack([EtobLayer()]) for _ in range(n)],
-            failure_pattern=pattern,
-            detector=detector,
-            delay_model=UniformDist(2, 50, seed=seed),
-            timeout_interval=3,
-            seed=seed,
-            message_batch=4,
-            record="outputs",  # divergence_windows and check_etob are timeline-based
+        sim = run_plan(
+            RunSpec(
+                n=n,
+                duration=max(1500, tau * 3 + 600),
+                protocol="etob",
+                inputs=tuple(
+                    (p, 15 + 60 * burst + p, ("broadcast", f"m{burst}.{p}"))
+                    for burst in range(10)
+                    for p in range(n)
+                ),
+                seed=seed,
+                tau=tau,
+                links=UniformDist(2, 50, seed=seed),
+                timeout_interval=3,
+                message_batch=4,
+            )
         )
-        for pid, t, payload in broadcasts:
-            sim.add_input(pid, t, ("broadcast", payload))
-        sim.run_until(max(1500, tau * 3 + 600))
         windows = divergence_windows(sim.run)
         total = sum(end - start for start, end in windows)
         report = check_etob(sim.run)

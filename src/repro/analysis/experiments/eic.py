@@ -2,15 +2,10 @@
 
 from __future__ import annotations
 
-from repro.analysis.experiments.base import (
-    ExperimentResult,
-    _detector,
-    experiment,
-)
+from repro.analysis.experiments.base import ExperimentResult, experiment
 from repro.analysis.tables import Table
-from repro.core import EicDriverLayer, EicUsingOmegaLayer
 from repro.properties import check_eic
-from repro.sim import FailurePattern, FixedDelay, ProtocolStack, Simulation
+from repro.sim import FixedDelay, RunSpec, run_plan
 
 
 def claim_eic(rows: list[dict]) -> dict[str, bool]:
@@ -47,23 +42,18 @@ def exp_eic(*, seed: int = 0) -> ExperimentResult:
     )
     rows: list[dict] = []
     for label, tau in (("stable Omega", 0), ("churn until t=300", 300)):
-        n = 4
-        pattern = FailurePattern.no_failures(n)
-        detector = _detector(pattern, tau_omega=tau, seed=seed)
-        procs = [
-            ProtocolStack([EicUsingOmegaLayer(), EicDriverLayer(max_instances=40)])
-            for _ in range(n)
-        ]
-        sim = Simulation(
-            procs,
-            failure_pattern=pattern,
-            detector=detector,
-            delay_model=FixedDelay(2),
-            timeout_interval=4,
-            seed=seed,
-            record="outputs",  # check_eic reads the output history only
+        sim = run_plan(
+            RunSpec(
+                n=4,
+                duration=3000,
+                protocol="eic",
+                protocol_args=(("instances", 40),),
+                seed=seed,
+                tau=tau,
+                links=FixedDelay(2),
+                timeout_interval=4,
+            )
         )
-        sim.run_until(3000)
         report = check_eic(sim.run, expected_instances=40)
         rows.append(
             {

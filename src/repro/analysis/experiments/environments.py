@@ -11,17 +11,13 @@ columns (one block per environment).
 
 from __future__ import annotations
 
-from repro.analysis.experiments.base import (
-    ExperimentResult,
-    _detector,
-    _run_broadcast_scenario,
-    experiment,
-)
+from typing import Any
+
+from repro.analysis.experiments.base import ExperimentResult, experiment
 from repro.analysis.tables import Table
-from repro.core import EcDriverLayer, EcUsingOmegaLayer
 from repro.core.messages import payloads
 from repro.properties import check_ec, extract_timeline
-from repro.sim import FailurePattern, ProtocolStack, Simulation, make_env
+from repro.sim import RunSpec, make_env, run_plan
 from repro.suite import Axis
 
 
@@ -76,22 +72,19 @@ def exp_ec_any_environment(
         ("single survivor (1/4)", 4, {1: 60, 2: 60, 3: 60}, 0),
     ]
     for label, n, crashes, tau in scenarios:
-        pattern = FailurePattern.crash(n, crashes)
-        detector = _detector(pattern, tau_omega=tau, seed=seed)
-        procs = [
-            ProtocolStack([EcUsingOmegaLayer(), EcDriverLayer(max_instances=40)])
-            for _ in range(n)
-        ]
-        sim = Simulation(
-            procs,
-            failure_pattern=pattern,
-            detector=detector,
-            delay_model=environment.delay,
-            timeout_interval=4,
-            seed=seed,
-            record="outputs",  # check_ec reads the output history only
+        sim = run_plan(
+            RunSpec(
+                n=n,
+                duration=3000,
+                protocol="ec",
+                protocol_args=(("instances", 40),),
+                crashes=tuple(sorted(crashes.items())),
+                seed=seed,
+                tau=tau,
+                links=environment.delay,
+                timeout_interval=4,
+            )
         )
-        sim.run_until(3000)
         report = check_ec(sim.run, expected_instances=40)
         rows.append(
             {
@@ -110,6 +103,39 @@ def exp_ec_any_environment(
             report.agreement_time if report.agreement_time is not None else "-",
         )
     return ExperimentResult("ec-any-environment", table, rows)
+
+
+#: EXP-8's survivors' broadcasts, after the majority crashed at t=100.
+_POST_CRASH = ((3, 200, "post-crash-1"), (4, 320, "post-crash-2"))
+
+
+def partition_gap_spec(
+    protocol: str = "etob",
+    protocol_args: tuple[tuple[str, Any], ...] = (),
+    *,
+    seed: int = 0,
+    env: str = "baseline",
+) -> RunSpec:
+    """EXP-8's run of one protocol: processes 0-2 of 5 crash at t=100 after
+    one broadcast, and the survivors 3 and 4 broadcast after the crash. The
+    ``exp8-tau`` falsify target and its i.i.d. baseline derive from the
+    Omega-only ETOB case."""
+    return RunSpec(
+        n=5,
+        duration=4000,
+        protocol=protocol,
+        protocol_args=protocol_args,
+        crashes=((0, 100), (1, 100), (2, 100)),
+        inputs=tuple(
+            (p, t, ("broadcast", m))
+            for p, t, m in ((0, 10, "pre-crash"),) + _POST_CRASH
+        ),
+        seed=seed,
+        tau=150,
+        links=make_env(env, seed=seed, base_delay=2).delay,
+        timeout_interval=2,
+        message_batch=4,
+    )
 
 
 def claim_partition_gap(rows: list[dict]) -> dict[str, bool]:
@@ -143,9 +169,6 @@ def exp_partition_gap(
 ) -> ExperimentResult:
     """EXP-8: crash a majority; only Omega-only ETOB and Omega+Sigma
     consensus stay available."""
-    n = 5
-    crashes = {0: 100, 1: 100, 2: 100}
-    environment = make_env(env, seed=seed, base_delay=2)
     table = Table(
         f"EXP-8: availability after losing the majority "
         f"(3 of 5 crash at t=100), env={env}",
@@ -155,31 +178,22 @@ def exp_partition_gap(
     # The *shape* is the claim: Omega-only ETOB and Omega+Sigma consensus
     # must stay available, majority-quorum consensus must block.
     cases = [
-        ("etob", "majority", "Omega", True),
-        ("tob-consensus", "majority", "Omega (majority quorums)", False),
-        ("tob-consensus", "sigma", "Omega + Sigma", True),
+        ("etob", (), "Omega", True),
+        ("tob-consensus", (), "Omega (majority quorums)", False),
+        ("tob-consensus", (("quorum_mode", "sigma"),), "Omega + Sigma", True),
     ]
-    for protocol, quorum_mode, detector_label, expected_available in cases:
-        broadcasts = [(3, 200, "post-crash-1"), (4, 320, "post-crash-2")]
-        sim = _run_broadcast_scenario(
-            protocol,
-            n=n,
-            broadcasts=[(0, 10, "pre-crash")] + broadcasts,
-            duration=4000,
-            tau_omega=150,
-            crashes=crashes,
-            quorum_mode=quorum_mode,
-            seed=seed,
-            delay_model=environment.delay,
+    for protocol, protocol_args, detector_label, expected_available in cases:
+        sim = run_plan(
+            partition_gap_spec(protocol, protocol_args, seed=seed, env=env)
         )
         tl = extract_timeline(sim.run)
         survivors = (3, 4)
         delivered = sum(
             1
-            for __, t, payload in [(p, t, m) for p, t, m in broadcasts]
+            for __, __, payload in _POST_CRASH
             if all(payload in payloads(tl.final_sequence(pid)) for pid in survivors)
         )
-        available = delivered == len(broadcasts)
+        available = delivered == len(_POST_CRASH)
         rows.append(
             {
                 "protocol": protocol,
@@ -190,6 +204,6 @@ def exp_partition_gap(
             }
         )
         table.add_row(
-            protocol, detector_label, f"{delivered}/{len(broadcasts)}", available
+            protocol, detector_label, f"{delivered}/{len(_POST_CRASH)}", available
         )
     return ExperimentResult("partition-gap", table, rows)

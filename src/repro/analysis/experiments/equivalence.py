@@ -2,19 +2,14 @@
 
 from __future__ import annotations
 
-from repro.analysis.experiments.base import (
-    ExperimentResult,
-    _detector,
-    _run_broadcast_scenario,
-    experiment,
-)
+from dataclasses import replace
+
+from repro.analysis.experiments.base import ExperimentResult, experiment
 from repro.analysis.metrics import message_counts
 from repro.analysis.tables import Table
 from repro.suite import Axis
-from repro.core import EcDriverLayer, EcUsingOmegaLayer, EtobLayer
-from repro.core.transformations import EtobToEcLayer
 from repro.properties import check_ec, check_etob
-from repro.sim import FailurePattern, FixedDelay, ProtocolStack, Simulation
+from repro.sim import FixedDelay, RunSpec, run_plan
 
 
 def claim_equivalence(rows: list[dict]) -> dict[str, bool]:
@@ -49,17 +44,23 @@ def exp_equivalence(*, n: int = 4, seed: int = 0) -> ExperimentResult:
         ["stack", "spec", "verdict", "tau / k", "messages"],
     )
     rows: list[dict] = []
-    broadcasts = [(p, 20 + 50 * i, f"m{i}.{p}") for i in range(3) for p in range(n)]
+    base = RunSpec(
+        n=n,
+        duration=2500,
+        inputs=tuple(
+            (p, 20 + 50 * i, ("broadcast", f"m{i}.{p}"))
+            for i in range(3)
+            for p in range(n)
+        ),
+        seed=seed,
+        tau=200,
+        links=FixedDelay(2),
+        timeout_interval=2,
+        message_batch=4,
+    )
 
     for protocol, label in (("etob", "ETOB (Alg 5, native)"), ("ec-etob", "EC->ETOB (Alg 1 over Alg 4)")):
-        sim = _run_broadcast_scenario(
-            protocol,
-            n=n,
-            broadcasts=broadcasts,
-            duration=2500,
-            tau_omega=200,
-            seed=seed,
-        )
+        sim = run_plan(replace(base, protocol=protocol))
         report = check_etob(sim.run)
         counts = message_counts(sim)
         rows.append(
@@ -73,23 +74,10 @@ def exp_equivalence(*, n: int = 4, seed: int = 0) -> ExperimentResult:
         table.add_row(label, "ETOB", report.ok, f"tau={report.tau}", counts["sent"])
 
     # EC built from ETOB (Algorithm 2 over Algorithm 5).
-    pattern = FailurePattern.no_failures(n)
-    detector = _detector(pattern, tau_omega=200, seed=seed)
-    procs = [
-        ProtocolStack([EtobLayer(), EtobToEcLayer(), EcDriverLayer(max_instances=25)])
-        for _ in range(n)
-    ]
-    sim = Simulation(
-        procs,
-        failure_pattern=pattern,
-        detector=detector,
-        delay_model=FixedDelay(2),
-        timeout_interval=2,
-        seed=seed,
-        message_batch=4,
-        record="outputs",  # check_ec reads the output history only
+    ec_base = replace(base, duration=6000, inputs=())
+    sim = run_plan(
+        replace(ec_base, protocol="etob-ec", protocol_args=(("instances", 25),))
     )
-    sim.run_until(6000)
     ec = check_ec(sim.run, expected_instances=25)
     counts = message_counts(sim)
     rows.append(
@@ -111,22 +99,7 @@ def exp_equivalence(*, n: int = 4, seed: int = 0) -> ExperimentResult:
     # Native EC for reference. Algorithm 4 burns through instances much
     # faster than the ETOB-based stack, so it needs more of them for a tail
     # to start after Omega stabilizes.
-    procs = [
-        ProtocolStack([EcUsingOmegaLayer(), EcDriverLayer(max_instances=80)])
-        for _ in range(n)
-    ]
-    detector = _detector(pattern, tau_omega=200, seed=seed)
-    sim = Simulation(
-        procs,
-        failure_pattern=pattern,
-        detector=detector,
-        delay_model=FixedDelay(2),
-        timeout_interval=2,
-        seed=seed,
-        message_batch=4,
-        record="outputs",
-    )
-    sim.run_until(6000)
+    sim = run_plan(replace(ec_base, protocol="ec", protocol_args=(("instances", 80),)))
     ec = check_ec(sim.run, expected_instances=80)
     counts = message_counts(sim)
     rows.append(

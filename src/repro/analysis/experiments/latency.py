@@ -4,13 +4,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.analysis.experiments.base import (
-    ExperimentResult,
-    _run_broadcast_scenario,
-    experiment,
-)
+from repro.analysis.experiments.base import ExperimentResult, experiment
 from repro.analysis.metrics import latency_report, message_counts
 from repro.analysis.tables import Table
+from repro.sim import FixedDelay, RunSpec, run_plan
 
 
 def claim_comm_steps(rows: list[dict]) -> dict[str, bool]:
@@ -88,15 +85,20 @@ def exp_comm_steps(
             ("tob-consensus", 3),
             ("tob-ct", 5),
         ):
-            sim = _run_broadcast_scenario(
-                protocol,
-                n=n,
-                broadcasts=warmup + spaced,
-                duration=start + (messages + 12) * 8 * delay,
-                delay=delay,
-                timeout=2,
-                tau_omega=0,
-                seed=seed,
+            sim = run_plan(
+                RunSpec(
+                    n=n,
+                    duration=start + (messages + 12) * 8 * delay,
+                    protocol=protocol,
+                    inputs=tuple(
+                        (p, t, ("broadcast", m)) for p, t, m in warmup + spaced
+                    ),
+                    seed=seed,
+                    tau=0,
+                    links=FixedDelay(delay),
+                    timeout_interval=2,
+                    message_batch=4,
+                )
             )
             report = latency_report(sim.run, delay_ticks=delay, timer_ticks=n)
             measured = [
@@ -167,18 +169,21 @@ def exp_ablation_promote_period(
     )
     rows: list[dict] = []
     for period in periods:
-        broadcasts = [
-            (1 + i % (n - 1), 40 * delay + i * 6 * delay, f"m{i}") for i in range(5)
-        ]
-        sim = _run_broadcast_scenario(
-            "etob",
-            n=n,
-            broadcasts=broadcasts,
-            duration=40 * delay + 9 * 6 * delay,
-            delay=delay,
-            timeout=period,
-            tau_omega=0,
-            seed=seed,
+        sim = run_plan(
+            RunSpec(
+                n=n,
+                duration=40 * delay + 9 * 6 * delay,
+                protocol="etob",
+                inputs=tuple(
+                    (1 + i % (n - 1), (40 + 6 * i) * delay, ("broadcast", f"m{i}"))
+                    for i in range(5)
+                ),
+                seed=seed,
+                tau=0,
+                links=FixedDelay(delay),
+                timeout_interval=period,
+                message_batch=4,
+            )
         )
         report = latency_report(sim.run, delay_ticks=delay)
         counts = message_counts(sim)

@@ -4,15 +4,37 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.analysis.experiments.base import (
-    ExperimentResult,
-    _run_broadcast_scenario,
-    experiment,
-)
+from repro.analysis.experiments.base import ExperimentResult, experiment
 from repro.analysis.tables import Table
 from repro.properties import check_etob, check_tob
-from repro.sim import make_env
+from repro.sim import FixedDelay, RunSpec, make_env, run_plan
 from repro.suite import Axis
+
+#: EXP-4's link delay and timer interval.
+_DELAY, _TIMEOUT = 3, 4
+
+
+def etob_stabilization_spec(
+    tau_omega: int, *, n: int = 4, seed: int = 0, env: str = "baseline"
+) -> RunSpec:
+    """EXP-4's run at one tau_Omega: five rounds of one broadcast per
+    process, under the named environment at EXP-4's base delay. The
+    ``exp4-tau`` falsify target and its i.i.d. baseline derive from it."""
+    return RunSpec(
+        n=n,
+        duration=max(1200, tau_omega * 3 + 600),
+        protocol="etob",
+        inputs=tuple(
+            (p, 15 + 23 * i + p, ("broadcast", f"m{i}.{p}"))
+            for i in range(5)
+            for p in range(n)
+        ),
+        seed=seed,
+        tau=tau_omega,
+        links=make_env(env, seed=seed, base_delay=_DELAY).delay,
+        timeout_interval=_TIMEOUT,
+        message_batch=4,
+    )
 
 
 def claim_etob_stabilization(rows: list[dict]) -> dict[str, bool]:
@@ -47,8 +69,7 @@ def exp_etob_stabilization(
     env: str = "baseline",
 ) -> ExperimentResult:
     """EXP-4: measured ETOB tau vs the proof's bound tau_Omega + Dt + Dc."""
-    delay, timeout = 3, 4
-    environment = make_env(env, seed=seed, base_delay=delay)
+    environment = make_env(env, seed=seed, base_delay=_DELAY)
     table = Table(
         f"EXP-4: ETOB stabilization vs paper bound (tau_Omega + Dt + Dc), "
         f"env={env}",
@@ -56,20 +77,7 @@ def exp_etob_stabilization(
     )
     rows: list[dict] = []
     for tau_omega in taus:
-        broadcasts = [
-            (p, 15 + 23 * i + p, f"m{i}.{p}") for i in range(5) for p in range(n)
-        ]
-        sim = _run_broadcast_scenario(
-            "etob",
-            n=n,
-            broadcasts=broadcasts,
-            duration=max(1200, tau_omega * 3 + 600),
-            delay=delay,
-            timeout=timeout,
-            tau_omega=tau_omega,
-            seed=seed,
-            delay_model=environment.delay,
-        )
+        sim = run_plan(etob_stabilization_spec(tau_omega, n=n, seed=seed, env=env))
         report = check_etob(sim.run)
         # Dt: worst local timeout distance = timer interval stretched by the
         # scheduling granularity; Dc: one network traversal *after the
@@ -80,7 +88,7 @@ def exp_etob_stabilization(
         bounds = environment.bounds
         bound = (
             max(tau_omega, bounds.stabilizes_at)
-            + (timeout + n)
+            + (_TIMEOUT + n)
             + bounds.post_bound
         )
         rows.append(
@@ -132,14 +140,19 @@ def exp_tob_mode(*, seed: int = 0) -> ExperimentResult:
             for p, t, m in broadcasts
             if p not in crashes or t < crashes[p]
         ]
-        sim = _run_broadcast_scenario(
-            "etob",
-            n=n,
-            broadcasts=broadcasts,
-            duration=1500,
-            tau_omega=0,
-            crashes=crashes,
-            seed=seed,
+        sim = run_plan(
+            RunSpec(
+                n=n,
+                duration=1500,
+                protocol="etob",
+                crashes=tuple(sorted(crashes.items())),
+                inputs=tuple((p, t, ("broadcast", m)) for p, t, m in broadcasts),
+                seed=seed,
+                tau=0,
+                links=FixedDelay(2),
+                timeout_interval=2,
+                message_batch=4,
+            )
         )
         report = check_tob(sim.run)
         rows.append({"scenario": label, "ok": report.ok, "tau": report.etob.tau})

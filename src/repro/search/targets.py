@@ -5,9 +5,10 @@ A :class:`FalsifyTarget` binds together everything one search needs:
 - the :class:`~repro.search.envelope.Envelope` of admissible adversary
   choices (scheduler permutation keys, env-model parameters, crash
   patterns);
-- a ``build(point, kernel)`` function reconstructing the *finished*
-  :class:`~repro.sim.scheduler.Simulation` a point denotes — routed through
-  :class:`~repro.sim.replay.ReplayPlan`, so a point is also a replay recipe;
+- a ``build(point)`` function mapping a point to the
+  :class:`~repro.sim.replay.RunSpec` it denotes — derived from the
+  experiment's own spec of that scenario, so a point is also a replay
+  recipe, and an edit to the experiment moves the target with it;
 - the objective (:mod:`repro.search.objectives`) the falsifier maximizes;
 - a ``baseline_run(seed)`` function measuring the same objective on the
   *canonical i.i.d. scenario* of the underlying experiment — the thing the
@@ -35,16 +36,15 @@ Built-in targets:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 from repro.search.envelope import Envelope, IntParam, normalize_point
 from repro.search.objectives import evaluate_objective
 from repro.sim import (
     EventuallyStableLinks,
-    ReplayPlan,
+    RunSpec,
     UniformDist,
-    make_env,
     run_digest,
     run_plan,
 )
@@ -75,8 +75,8 @@ class FalsifyTarget:
     envelope: Envelope
     #: the fixed scenario identity a witness carries beside its point.
     axes: dict = field(default_factory=dict)
-    #: point, kernel -> finished Simulation (None for sim-free targets).
-    build: Callable[[dict, str], Any] | None = None
+    #: point -> the RunSpec it denotes (None for sim-free targets).
+    build: Callable[[dict], RunSpec] | None = None
     #: seed -> objective value on the canonical i.i.d. scenario.
     baseline_run: Callable[[int], float] | None = None
     #: point -> (value, digest) override for sim-free targets.
@@ -139,7 +139,7 @@ def evaluate(name: str, point: dict, *, kernel: str = DEFAULT_KERNEL) -> tuple[f
     target.envelope.validate(point)
     if target.evaluate_point is not None:
         return target.evaluate_point(point)
-    sim = target.build(point, kernel)
+    sim = run_plan(replace(target.build(point), kernel=kernel))
     return evaluate_objective(target.objective, sim), run_digest(sim)
 
 
@@ -168,7 +168,7 @@ def rebuild_simulation(
             )
     point = normalize_point(keys)
     target.envelope.validate(point)
-    return target.build(point, kernel)
+    return run_plan(replace(target.build(point), kernel=kernel))
 
 
 def iid_baseline(
@@ -197,78 +197,45 @@ def iid_baseline(
 # built-in targets
 # ---------------------------------------------------------------------------
 
-#: EXP-4's broadcast schedule at n=4 (5 rounds, one cast per process).
-_EXP4_BROADCASTS = tuple(
-    (p, 15 + 23 * i + p, f"m{i}.{p}") for i in range(5) for p in range(4)
-)
-
-#: EXP-8's broadcast schedule: one pre-crash cast, two from the survivors.
-_EXP8_BROADCASTS = (
-    (0, 10, "pre-crash"),
-    (3, 200, "post-crash-1"),
-    (4, 320, "post-crash-2"),
-)
+#: EXP-4's cell the exp4-tau target searches, and the target's scheduling.
+_EXP4_AXES = {
+    "n": 4,
+    "tau_omega": 100,
+    "env_family": "late-links",
+    "scheduling": "random",
+}
 
 
-def _etob_processes(n: int):
-    from repro.analysis.experiments.base import _broadcast_protocol
+def _exp4_spec(seed: int) -> RunSpec:
+    """EXP-4's tau_Omega=100 cell at n=4 under late-links."""
+    from repro.analysis.experiments.stabilization import etob_stabilization_spec
 
-    factory = _broadcast_protocol("etob")
-    return [factory() for _ in range(n)]
-
-
-def _omega_history(pattern, tau_omega: int, seed: int):
-    from repro.analysis.experiments.base import _detector
-
-    return _detector(pattern, tau_omega=tau_omega, seed=seed)
+    axes = _EXP4_AXES
+    return etob_stabilization_spec(
+        axes["tau_omega"], n=axes["n"], seed=seed, env=axes["env_family"]
+    )
 
 
-def _build_exp4(point: dict, kernel: str):
+def _build_exp4(point: dict) -> RunSpec:
     env_seed = point["env_seed"]
     s01, s12 = point["stable_01"], point["stable_12"]
-    delay_model = EventuallyStableLinks(
-        UniformDist(1, point["jitter_hi"], seed=env_seed),
-        post_delay=3,
-        stable_at=(((0, 1), s01), ((1, 0), s01), ((1, 2), s12), ((2, 1), s12)),
-        seed=env_seed,
-    )
-    plan = ReplayPlan(
-        n=4,
-        duration=1200,
+    return replace(
+        _exp4_spec(point["sched_seed"]),
         crashes=point["crashes"],
-        inputs=tuple(
-            (p, t, ("broadcast", m)) for p, t, m in _EXP4_BROADCASTS
+        scheduling=_EXP4_AXES["scheduling"],
+        links=EventuallyStableLinks(
+            UniformDist(1, point["jitter_hi"], seed=env_seed),
+            post_delay=3,
+            stable_at=(((0, 1), s01), ((1, 0), s01), ((1, 2), s12), ((2, 1), s12)),
+            seed=env_seed,
         ),
-        seed=point["sched_seed"],
-        timeout_interval=4,
-        scheduling="random",
-        message_batch=4,
-        kernel=kernel,
-        record="outputs",
     )
-    detector = _omega_history(plan.failure_pattern(), 100, point["sched_seed"])
-    return run_plan(plan, _etob_processes(4), detector=detector,
-                    delay_model=delay_model)
 
 
-def _baseline_exp4(seed: int) -> float:
-    """EXP-4's tau_Omega=100 / env=late-links cell, verbatim."""
-    from repro.analysis.experiments.base import _run_broadcast_scenario
+def _etob_tau(spec: RunSpec) -> float:
     from repro.properties import check_etob
 
-    env = make_env("late-links", seed=seed, base_delay=3)
-    sim = _run_broadcast_scenario(
-        "etob",
-        n=4,
-        broadcasts=list(_EXP4_BROADCASTS),
-        duration=1200,
-        delay=3,
-        timeout=4,
-        tau_omega=100,
-        seed=seed,
-        delay_model=env.delay,
-    )
-    return check_etob(sim.run).tau
+    return check_etob(run_plan(spec).run).tau
 
 
 register_target(FalsifyTarget(
@@ -290,20 +257,31 @@ register_target(FalsifyTarget(
             IntParam("stable_12", 0, 220),
         ),
     ),
-    axes={
-        "n": 4,
-        "tau_omega": 100,
-        "env_family": "late-links",
-        "scheduling": "random",
-    },
+    axes=_EXP4_AXES,
     build=_build_exp4,
-    baseline_run=_baseline_exp4,
+    baseline_run=lambda seed: _etob_tau(_exp4_spec(seed)),
     cost=0.05,
 ))
 
 
-def _build_exp8(point: dict, kernel: str):
-    delay_model = UniformDist(1, point["delay_hi"], seed=point["env_seed"])
+#: EXP-8's cell and the target's scheduling; ``partition_gap_spec`` fixes n
+#: and tau_Omega itself, and ``tests/test_run_spec.py`` checks they agree.
+_EXP8_AXES = {
+    "n": 5,
+    "tau_omega": 150,
+    "env_family": "uniform",
+    "scheduling": "random",
+}
+
+
+def _exp8_spec(seed: int) -> RunSpec:
+    """EXP-8's Omega-only ETOB availability case under uniform links."""
+    from repro.analysis.experiments.environments import partition_gap_spec
+
+    return partition_gap_spec("etob", seed=seed, env=_EXP8_AXES["env_family"])
+
+
+def _build_exp8(point: dict) -> RunSpec:
     # The adversary also times the survivors' inputs (input schedules are
     # adversary-controlled in the paper's model): each survivor emits a
     # three-message burst, and bursts landing while Omega is still rotating
@@ -317,42 +295,13 @@ def _build_exp8(point: dict, kernel: str):
     broadcasts += [
         (4, point["bcast_2"] + 15 * i, f"survivor-4.{i}") for i in range(3)
     ]
-    plan = ReplayPlan(
-        n=5,
-        duration=4000,
+    return replace(
+        _exp8_spec(point["sched_seed"]),
         crashes=point["crashes"],
-        inputs=tuple(
-            (p, t, ("broadcast", m)) for p, t, m in broadcasts
-        ),
-        seed=point["sched_seed"],
-        timeout_interval=2,
-        scheduling="random",
-        message_batch=4,
-        kernel=kernel,
-        record="outputs",
+        inputs=tuple((p, t, ("broadcast", m)) for p, t, m in broadcasts),
+        scheduling=_EXP8_AXES["scheduling"],
+        links=UniformDist(1, point["delay_hi"], seed=point["env_seed"]),
     )
-    detector = _omega_history(plan.failure_pattern(), 150, point["sched_seed"])
-    return run_plan(plan, _etob_processes(5), detector=detector,
-                    delay_model=delay_model)
-
-
-def _baseline_exp8(seed: int) -> float:
-    """EXP-8's Omega-only ETOB availability case (env=uniform), verbatim."""
-    from repro.analysis.experiments.base import _run_broadcast_scenario
-    from repro.properties import check_etob
-
-    env = make_env("uniform", seed=seed, base_delay=2)
-    sim = _run_broadcast_scenario(
-        "etob",
-        n=5,
-        broadcasts=list(_EXP8_BROADCASTS),
-        duration=4000,
-        tau_omega=150,
-        crashes={0: 100, 1: 100, 2: 100},
-        seed=seed,
-        delay_model=env.delay,
-    )
-    return check_etob(sim.run).tau
 
 
 register_target(FalsifyTarget(
@@ -384,14 +333,9 @@ register_target(FalsifyTarget(
         crash_window=(20, 400),
         max_crashes=3,
     ),
-    axes={
-        "n": 5,
-        "tau_omega": 150,
-        "env_family": "uniform",
-        "scheduling": "random",
-    },
+    axes=_EXP8_AXES,
     build=_build_exp8,
-    baseline_run=_baseline_exp8,
+    baseline_run=lambda seed: _etob_tau(_exp8_spec(seed)),
     cost=0.12,
 ))
 

@@ -67,7 +67,7 @@ from repro.sim.observers import (
 )
 from repro.sim.process import Process
 from repro.sim.replay import (
-    ReplayPlan,
+    RunSpec,
     build_simulation,
     replay_simulation,
     run_digest,
@@ -114,9 +114,9 @@ __all__ = [
     "Process",
     "ProtocolStack",
     "RECORD_LEVELS",
-    "ReplayPlan",
     "RunMetrics",
     "RunRecord",
+    "RunSpec",
     "SimObserver",
     "Simulation",
     "SimulationError",

@@ -1,30 +1,33 @@
-"""Declarative simulation replay (``repro.sim.replay``).
+"""Declarative simulation runs (``repro.sim.replay``).
 
 Every run in this repository is pure in its configuration: scheduling
 permutations are counter-based in ``(seed, block)``
 (:meth:`~repro.sim.scheduler.Simulation._permutation_for_block`), environment
 draws are counter-based in ``(seed, link, t)`` (:mod:`repro.sim.envs`), and
 detector histories are pure in ``(pattern, seed, pid, t)``. A run is therefore
-*reconstructible* from a small declarative description — which three places
-used to re-implement ad hoc: the differential tests built simulations from
-config dicts, the experiment layer from keyword soup
-(``_run_broadcast_scenario``), and nothing offered the wiring publicly. This
-module is the single shared implementation:
+fixed by a small description of plain values — the paper's failure pattern,
+detector history, input schedule and links — and this module is the one
+place that turns such a description into a simulation:
 
-- :class:`ReplayPlan` — the picklable, hashable description of one run's
-  scheduler-side configuration (size, crashes, inputs, seed, scheduling,
-  engine/kernel/record selection, duration);
-- :func:`build_simulation` / :func:`run_plan` — turn a plan plus the
-  non-declarative parts (process automata, detector, links) into a
-  :class:`~repro.sim.scheduler.Simulation`;
+- :class:`RunSpec` — the picklable, hashable description of one run: size,
+  crashes, inputs, seed, the protocol (a name in :mod:`repro.protocols`
+  plus its arguments), Ω's stabilization, the links, scheduling and the
+  engine/kernel/record selection;
+- :func:`build_simulation` / :func:`run_plan` — turn a spec into a
+  :class:`~repro.sim.scheduler.Simulation` (and run it to its duration).
+  Experiments, falsify targets, witnesses and
+  :class:`~repro.scenario.Scenario` all build through it;
 - :func:`run_digest` — a stable 63-bit digest of a finished run's observable
   outcome (output history, traffic counters, end time), identical across
   kernels, engines, worker processes, and interpreter runs — the equality
   witness replay is checked against;
 - :func:`replay_simulation` — rebuild the exact simulation of a falsifier
   witness from ``(experiment, axes, keys)`` (delegates to the target
-  registry in :mod:`repro.search.targets`; imported lazily so the sim layer
-  keeps no upward dependency).
+  registry in :mod:`repro.search.targets`).
+
+The protocol registry and the detectors sit above the sim layer, so
+:func:`build_simulation` and :func:`replay_simulation` import them when
+called: the sim layer keeps no upward dependency at import time.
 """
 
 from __future__ import annotations
@@ -32,12 +35,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Sequence
 
+from repro.sim.envs import DelayModel, FixedDelay
 from repro.sim.failures import FailurePattern
 from repro.sim.kernel import DEFAULT_KERNEL
 from repro.sim.types import ProcessId, Time, stable_hash
 
 __all__ = [
-    "ReplayPlan",
+    "RunSpec",
     "build_simulation",
     "replay_simulation",
     "run_digest",
@@ -46,22 +50,37 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ReplayPlan:
-    """The declarative half of one simulation run.
+class RunSpec:
+    """One simulation run, as plain values.
 
-    Everything here is a plain value, so a plan pickles, hashes, and
-    serializes; the non-declarative half — the process automata, the
-    detector history, the link behaviour — is supplied to
-    :func:`build_simulation` by the caller (those objects carry code, and
-    which code belongs to which experiment is the caller's knowledge).
+    A spec pickles, hashes and compares by value. Change one knob of an
+    otherwise identical run with :func:`dataclasses.replace` (for instance
+    ``replace(spec, kernel="packed")``).
+
+    The detector is derived, not listed: Ω stabilizing at ``tau`` (``None``,
+    the default: no detector at all), composed with whatever else the
+    protocol's registry entry reads — Σ for Σ-quorum consensus, ◇S for
+    Chandra–Toueg — each stabilizing at ``tau`` too. ``links`` is a delay
+    model of :mod:`repro.sim.envs`; those are frozen values that carry their
+    own seed, so a run may draw its links apart from its schedule, and a
+    registered environment enters as ``make_env(name, ...).delay``.
     """
 
     n: int
     duration: Time
+    #: a name in :data:`repro.protocols.PROTOCOLS`; ``None`` when the caller
+    #: hands :func:`build_simulation` its own processes.
+    protocol: str | None = None
+    #: keyword arguments of the protocol, as sorted ``(name, value)`` pairs.
+    protocol_args: tuple[tuple[str, Any], ...] = ()
     crashes: tuple[tuple[ProcessId, Time], ...] = ()
     #: application inputs, in insertion order: ``(pid, time, value)``.
     inputs: tuple[tuple[ProcessId, Time, Any], ...] = ()
     seed: int = 0
+    tau: Time | None = None
+    pre: str = "rotate"
+    leader: ProcessId | None = None
+    links: DelayModel = FixedDelay(1)
     timeout_interval: int | tuple[int, ...] = 8
     scheduling: str = "round_robin"
     message_batch: int = 1
@@ -70,65 +89,52 @@ class ReplayPlan:
     record: str = "outputs"
 
     def failure_pattern(self) -> FailurePattern:
-        """The plan's crash map as a :class:`FailurePattern`."""
+        """The spec's crash map as a :class:`FailurePattern`."""
         return FailurePattern.crash(self.n, dict(self.crashes))
 
 
 def build_simulation(
-    plan: ReplayPlan,
-    processes: Sequence[Any],
+    spec: RunSpec,
     *,
+    processes: Sequence[Any] | None = None,
     detector: Any = None,
-    delay_model: Any = None,
-    environment: Any = None,
     observers: Sequence[Any] = (),
-    **overrides: Any,
 ):
-    """Build the :class:`~repro.sim.scheduler.Simulation` a plan describes.
+    """Build the :class:`~repro.sim.scheduler.Simulation` a spec describes.
 
-    ``overrides`` re-override a plan field, which keeps differential tests
-    able to flip one knob (engine, kernel, record) against an otherwise
-    identical plan.
+    The object arguments stand in for the spec's own values where a caller
+    brings code: ``processes`` for the registered protocol, ``detector``
+    for the derived history. Without ``detector`` the history is the one
+    the spec derives, so processes run with no detector unless the spec
+    sets ``tau``.
     """
-    from repro.sim.scheduler import Simulation  # local: avoid import cycle
+    from repro.protocols import protocol_detector, protocol_processes
+    from repro.sim.scheduler import Simulation
 
-    kwargs: dict[str, Any] = dict(
-        failure_pattern=plan.failure_pattern(),
-        detector=detector,
-        timeout_interval=(
-            list(plan.timeout_interval)
-            if isinstance(plan.timeout_interval, tuple)
-            else plan.timeout_interval
-        ),
-        seed=plan.seed,
-        scheduling=plan.scheduling,
-        message_batch=plan.message_batch,
-        engine=plan.engine,
-        kernel=plan.kernel,
-        record=plan.record,
+    timeout = spec.timeout_interval
+    sim = Simulation(
+        list(protocol_processes(spec) if processes is None else processes),
+        failure_pattern=spec.failure_pattern(),
+        detector=protocol_detector(spec) if detector is None else detector,
+        delay_model=spec.links,
+        timeout_interval=list(timeout) if isinstance(timeout, tuple) else timeout,
+        seed=spec.seed,
+        scheduling=spec.scheduling,
+        message_batch=spec.message_batch,
+        engine=spec.engine,
+        kernel=spec.kernel,
+        record=spec.record,
         observers=observers,
     )
-    if environment is not None:
-        # The plan's crash map is authoritative even under an environment
-        # with churn: replay must reproduce exactly the recorded pattern.
-        kwargs["environment"] = environment
-    elif delay_model is not None:
-        kwargs["delay_model"] = delay_model
-    kwargs.update(overrides)
-    sim = Simulation(list(processes), **kwargs)
-    for pid, t, value in plan.inputs:
+    for pid, t, value in spec.inputs:
         sim.add_input(pid, t, value)
     return sim
 
 
-def run_plan(
-    plan: ReplayPlan,
-    processes: Sequence[Any],
-    **build_kwargs: Any,
-):
-    """Build the plan's simulation and run it to ``plan.duration``."""
-    sim = build_simulation(plan, processes, **build_kwargs)
-    sim.run_until(plan.duration)
+def run_plan(spec: RunSpec):
+    """Build the spec's simulation and run it to ``spec.duration``."""
+    sim = build_simulation(spec)
+    sim.run_until(spec.duration)
     return sim
 
 
@@ -171,8 +177,7 @@ def replay_simulation(
     witness's search point — scheduler seed, environment parameters, crash
     pattern. Returns the finished :class:`~repro.sim.scheduler.Simulation`;
     :func:`run_digest` of it must match the witness's pinned digest on any
-    kernel. Delegates to :mod:`repro.search.targets` (imported lazily: the
-    sim layer has no upward dependency at import time).
+    kernel. Delegates to :mod:`repro.search.targets`.
     """
     from repro.search.targets import rebuild_simulation
 

@@ -7,11 +7,18 @@ passes shows a property holds. Neither shows that the checker can fail.
 Each mutant here is a run that must fail one named verdict, on the cells
 listed beside the test that runs it. A mutant that no cell kills is a
 finding about the workload, not about the mutant.
+
+Each mutant also has a test-only protocol name (:data:`MUTANT_PROTOCOLS`),
+so a :class:`~repro.sim.replay.RunSpec` can name it like any registered
+protocol. A test registers the names for its own duration only
+(:func:`register_mutants`), so no other test sees them in
+:data:`repro.protocols.PROTOCOLS`.
 """
 
 from __future__ import annotations
 
-from repro.consensus import PaxosConsensusLayer
+from repro.consensus import PaxosConsensusLayer, TobFromConsensusLayer
+from repro.protocols import PROTOCOLS, ProtocolEntry
 from repro.sim.stack import LayerContext
 
 
@@ -28,3 +35,22 @@ class SigmaLearnerWithoutRetest(PaxosConsensusLayer):
 
     def _retest_acks(self, ctx: LayerContext) -> None:
         pass
+
+
+def _tob_without_retest(quorum_mode: str = "majority") -> list:
+    return [SigmaLearnerWithoutRetest(quorum_mode=quorum_mode), TobFromConsensusLayer()]
+
+
+#: test-only protocol name -> the registry entry of one mutant.
+MUTANT_PROTOCOLS = {
+    "tob-consensus-without-retest": ProtocolEntry(
+        _tob_without_retest,
+        PROTOCOLS["tob-consensus"].components,
+    ),
+}
+
+
+def register_mutants(monkeypatch) -> None:
+    """Register every mutant's protocol name until the test ends."""
+    for name, entry in MUTANT_PROTOCOLS.items():
+        monkeypatch.setitem(PROTOCOLS, name, entry)

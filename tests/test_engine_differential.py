@@ -12,6 +12,7 @@ idle-step records, detector samples, and the diagnostic log.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -24,8 +25,8 @@ from repro.sim import (
     AgeGstDist,
     FixedDelay,
     ProtocolStack,
-    ReplayPlan,
     RunMetrics,
+    RunSpec,
     SimObserver,
     Simulation,
     UniformDist,
@@ -82,10 +83,10 @@ def random_config(seed: int) -> dict:
     }
 
 
-def config_plan(config: dict) -> ReplayPlan:
-    """The declarative half of a random config, as the shared replay plan."""
+def config_spec(config: dict) -> RunSpec:
+    """The plain-value half of a random config, as a run spec."""
     timeout = config["timeout"]
-    return ReplayPlan(
+    return RunSpec(
         n=config["n"],
         duration=config["horizon"],
         crashes=tuple(sorted(config["crashes"].items())),
@@ -94,6 +95,7 @@ def config_plan(config: dict) -> ReplayPlan:
             for pid, t, payload in config["broadcasts"]
         ),
         seed=13,
+        links=config["delay_model"],
         timeout_interval=tuple(timeout) if isinstance(timeout, list) else timeout,
         scheduling=config["scheduling"],
         message_batch=config["message_batch"],
@@ -101,21 +103,17 @@ def config_plan(config: dict) -> ReplayPlan:
 
 
 def build_sim(
-    config: dict, *, engine: str, record: str = "full", observers=(), **sim_kwargs
+    config: dict, *, engine: str, record: str = "full", observers=(), **fields
 ) -> Simulation:
-    plan = config_plan(config)
+    spec = replace(config_spec(config), engine=engine, record=record, **fields)
     detector = OmegaDetector(stabilization_time=config["tau"]).history(
-        plan.failure_pattern(), seed=7
+        spec.failure_pattern(), seed=7
     )
     return build_simulation(
-        plan,
-        [ProtocolStack([EtobLayer()]) for _ in range(plan.n)],
+        spec,
+        processes=[ProtocolStack([EtobLayer()]) for _ in range(spec.n)],
         detector=detector,
-        delay_model=config["delay_model"],
         observers=observers,
-        engine=engine,
-        record=record,
-        **sim_kwargs,
     )
 
 

@@ -1,32 +1,27 @@
-"""Tests for the ablation variant of Algorithm 5 (arrival-order promotion)."""
+"""Tests for the ablation variant of Algorithm 5 (arrival-order promotion),
+registered as the protocol ``etob-arrival-order``."""
 
 from repro.core.etob_variants import ArrivalOrderEtobLayer
 from repro.core.messages import payloads
-from repro.detectors import OmegaDetector
 from repro.properties import check_causal_order, check_etob, extract_timeline
-from repro.sim import (
-    FailurePattern,
-    FixedDelay,
-    ProtocolStack,
-    Simulation,
-    UniformDist,
-)
+from repro.sim import FixedDelay, RunSpec, UniformDist, build_simulation
 
 
-def variant_sim(n=4, tau_omega=0, delay_model=None, seed=0):
-    pattern = FailurePattern.no_failures(n)
-    detector = OmegaDetector(
-        stabilization_time=tau_omega, pre_behavior="rotate"
-    ).history(pattern, seed=seed)
-    procs = [ProtocolStack([ArrivalOrderEtobLayer()]) for _ in range(n)]
-    return Simulation(
-        procs,
-        failure_pattern=pattern,
-        detector=detector,
-        delay_model=delay_model or FixedDelay(2),
-        timeout_interval=2,
-        seed=seed,
-        message_batch=4,
+def variant_sim(
+    n=4, tau_omega=0, delay_model=FixedDelay(2), seed=0, protocol="etob-arrival-order"
+):
+    return build_simulation(
+        RunSpec(
+            n=n,
+            duration=0,
+            protocol=protocol,
+            seed=seed,
+            tau=tau_omega,
+            links=delay_model,
+            timeout_interval=2,
+            message_batch=4,
+            record="full",
+        )
     )
 
 
@@ -38,6 +33,7 @@ class TestArrivalOrderVariant:
         for i, (pid, t) in enumerate([(0, 10), (1, 60), (2, 120)]):
             sim.add_input(pid, t, ("broadcast", f"m{i}"))
         sim.run_until(600)
+        assert isinstance(sim.processes[0].layers[0], ArrivalOrderEtobLayer)
         report = check_etob(sim.run)
         assert report.ok, report.violations
 
@@ -67,20 +63,12 @@ class TestArrivalOrderVariant:
         assert not causal.ok, "expected the ablation to break causal order"
 
     def test_real_algorithm_keeps_causal_order_same_workload(self):
-        from repro.core import EtobLayer
-
-        pattern = FailurePattern.no_failures(4)
-        detector = OmegaDetector(
-            stabilization_time=350, pre_behavior="rotate"
-        ).history(pattern, seed=1)
-        sim = Simulation(
-            [ProtocolStack([EtobLayer()]) for _ in range(4)],
-            failure_pattern=pattern,
-            detector=detector,
+        sim = variant_sim(
+            n=4,
+            tau_omega=350,
             delay_model=UniformDist(2, 60, seed=1),
-            timeout_interval=2,
             seed=1,
-            message_batch=4,
+            protocol="etob",
         )
         for i in range(12):
             sim.add_input(i % 4, 15 + i * 40, ("broadcast", f"chain-{i}"))

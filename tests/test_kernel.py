@@ -382,7 +382,7 @@ class TestKernelSelection:
         from repro.search.falsify import falsify
         from repro.search.targets import evaluate, rebuild_simulation
         from repro.search.witness import replay_witness
-        from repro.sim import ReplayPlan, replay_simulation
+        from repro.sim import RunSpec, replay_simulation
         from repro.workload import workload_sim
 
         for fn in (
@@ -397,7 +397,7 @@ class TestKernelSelection:
         ):
             default = inspect.signature(fn).parameters["kernel"].default
             assert default == DEFAULT_KERNEL, fn.__qualname__
-        assert ReplayPlan(n=2, duration=1).kernel == DEFAULT_KERNEL
+        assert RunSpec(n=2, duration=1).kernel == DEFAULT_KERNEL
 
     def test_no_kernel_name_is_a_hard_coded_default_under_src(self):
         # Grep over signatures, by syntax tree: a ``kernel`` parameter,

@@ -1,17 +1,24 @@
 """Tests for the Paxos consensus baseline (Omega + majority / Omega + Sigma)."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.analysis.experiments import base as experiments_base
-from repro.analysis.experiments.base import _run_broadcast_scenario
 from repro.consensus import PaxosConsensusLayer
 from repro.core import EcDriverLayer
 from repro.detectors import CompositeDetector, OmegaDetector, SigmaDetector
 from repro.properties import check_ec, check_tob
-from repro.sim import FailurePattern, FixedDelay, ProtocolStack, Simulation
+from repro.sim import (
+    FailurePattern,
+    FixedDelay,
+    ProtocolStack,
+    RunSpec,
+    Simulation,
+    run_plan,
+)
 from repro.sim.envs import make_env
 
-from mutants import SigmaLearnerWithoutRetest
+from mutants import SigmaLearnerWithoutRetest, register_mutants
 
 
 def paxos_sim(
@@ -123,21 +130,25 @@ SIGMA_SETTLES_CELLS = [
 ]
 
 
-def sigma_settles_run(env: str, seed: int, n: int) -> Simulation:
+def sigma_settles_spec(env: str, seed: int, n: int) -> RunSpec:
     """One of :data:`SIGMA_SETTLES_CELLS`: three correct processes
     broadcast eight messages while the other ``n - 3`` crash at t = 120 and
     Omega and Sigma settle at t = 400."""
     correct = range(n - 3, n)
-    return _run_broadcast_scenario(
-        "tob-consensus",
+    return RunSpec(
         n=n,
-        broadcasts=[(correct[k % 3], 20 + 37 * k, f"m{k}") for k in range(8)],
         duration=3_000,
-        tau_omega=400,
-        crashes={pid: 120 for pid in range(n - 3)},
-        quorum_mode="sigma",
+        protocol="tob-consensus",
+        protocol_args=(("quorum_mode", "sigma"),),
+        crashes=tuple((pid, 120) for pid in range(n - 3)),
+        inputs=tuple(
+            (correct[k % 3], 20 + 37 * k, ("broadcast", f"m{k}")) for k in range(8)
+        ),
         seed=seed,
-        delay_model=make_env(env, seed=seed, base_delay=2).delay,
+        tau=400,
+        links=make_env(env, seed=seed, base_delay=2).delay,
+        timeout_interval=2,
+        message_batch=4,
     )
 
 
@@ -166,7 +177,7 @@ class TestSigmaQuorums:
 
     @pytest.mark.parametrize("env,seed,n", SIGMA_SETTLES_CELLS)
     def test_learners_retest_their_acks_once_sigma_settles(self, env, seed, n):
-        sim = sigma_settles_run(env, seed, n)
+        sim = run_plan(sigma_settles_spec(env, seed, n))
         report = check_tob(sim.run)
         assert report.ok, report.violations
         for pid in range(n - 3, n):
@@ -179,10 +190,13 @@ class TestSigmaQuorums:
     ):
         # The same run with the mutant in place of every Paxos layer: some
         # correct process never delivers its own broadcast.
-        monkeypatch.setattr(
-            experiments_base, "PaxosConsensusLayer", SigmaLearnerWithoutRetest
+        register_mutants(monkeypatch)
+        sim = run_plan(
+            replace(
+                sigma_settles_spec(env, seed, n),
+                protocol="tob-consensus-without-retest",
+            )
         )
-        sim = sigma_settles_run(env, seed, n)
         assert isinstance(
             sim.processes[0].layer(PaxosConsensusLayer), SigmaLearnerWithoutRetest
         )

@@ -33,6 +33,42 @@ class TestBuilding:
         assert sim.detector is history
 
 
+class TestTheChainWritesARunSpec:
+    def test_spec_holds_every_chained_value(self):
+        from repro.sim import FixedDelay, RunSpec, UniformDist
+
+        scenario = (
+            Scenario(4, seed=3)
+            .crash(3, at=300)
+            .omega(tau=150, leader=1, pre="random")
+            .random_delays(2, 20)
+            .timeout_interval([4, 5, 6, 7])
+            .message_batch(4)
+            .random_scheduling()
+            .strong_tob(quorum="sigma")
+            .broadcast(0, 20, "a")
+            .record("outputs")
+        )
+        assert scenario.spec(900) == RunSpec(
+            n=4, duration=900, protocol="tob-consensus",
+            protocol_args=(("quorum_mode", "sigma"),), crashes=((3, 300),),
+            inputs=((0, 20, ("broadcast", "a")),), seed=3, tau=150,
+            pre="random", leader=1, links=UniformDist(2, 20, seed=3),
+            timeout_interval=(4, 5, 6, 7), scheduling="random",
+            message_batch=4, record="outputs",
+        )
+        # The scenario's own defaults: no detector, 2-tick links, full record.
+        default = Scenario(2).etob().spec()
+        assert (default.tau, default.links, default.record) == (
+            None, FixedDelay(2), "full"
+        )
+        assert Scenario(2).etob().build().detector is None
+
+    def test_a_code_stack_leaves_the_protocol_unnamed(self):
+        spec = Scenario(3).omega().replicated(Counter).spec()
+        assert spec.protocol is None and spec.protocol_args == ()
+
+
 class TestEndToEnd:
     def test_etob_scenario(self):
         sim = (

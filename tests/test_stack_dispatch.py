@@ -22,12 +22,11 @@ import weakref
 
 import pytest
 
-import repro.analysis.experiments.base as experiments_base
+import repro.protocols as protocols
 import repro.workload.scenario as workload_scenario
-from repro.analysis.experiments.base import _run_broadcast_scenario
 from repro.cht import ReplaySandbox
 from repro.core import EcDriverLayer, EcUsingOmegaLayer
-from repro.sim import FixedDelay, Layer, ProtocolStack, Simulation
+from repro.sim import FixedDelay, Layer, ProtocolStack, RunSpec, Simulation, run_plan
 from repro.sim.context import Context
 from repro.sim.replay import run_digest
 from repro.workload import WorkloadSpec, workload_sim
@@ -66,17 +65,15 @@ def test_exp1_protocol_matches_the_reference_dispatch(monkeypatch, protocol):
     broadcasts = [(0, 5, "warm-0"), (1, 9, "warm-1")] + [
         (1 + i % (n - 1), start + i * 8 * delay, f"msg-{i}") for i in range(messages)
     ]
+    spec = RunSpec(
+        n=n, duration=start + (messages + 12) * 8 * delay, protocol=protocol,
+        inputs=tuple((p, t, ("broadcast", m)) for p, t, m in broadcasts),
+        tau=0, links=FixedDelay(delay), timeout_interval=2, message_batch=4,
+    )
 
-    def run():
-        return _run_broadcast_scenario(
-            protocol, n=n, broadcasts=broadcasts,
-            duration=start + (messages + 12) * 8 * delay, delay=delay,
-            timeout=2, tau_omega=0, seed=0,
-        )
-
-    sim = run()
-    monkeypatch.setattr(experiments_base, "ProtocolStack", ReferenceStack)
-    reference = run()
+    sim = run_plan(spec)
+    monkeypatch.setattr(protocols, "ProtocolStack", ReferenceStack)
+    reference = run_plan(spec)
     assert type(reference.processes[0]) is ReferenceStack
     assert _outcome(sim) == _outcome(reference)
     assert any(

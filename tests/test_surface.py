@@ -49,8 +49,7 @@ SURFACE = {
     ],
     make_network: ["n", "delay_model", "kernel"],
     build_simulation: [
-        "plan", "processes", "detector", "delay_model", "environment",
-        "observers", "overrides",
+        "spec", "processes", "detector", "observers",
     ],
     ScenarioSuite.run: ["self", "workers", "progress", "cache"],
     Campaign.run: ["self", "workers", "progress", "cache"],
@@ -65,6 +64,49 @@ SURFACE = {
 @pytest.mark.parametrize("fn", SURFACE, ids=lambda fn: fn.__qualname__)
 def test_parameter_names_are_pinned(fn):
     assert list(inspect.signature(fn).parameters) == SURFACE[fn]
+
+
+# One run spec: every protocol run is a RunSpec of plain values built by
+# build_simulation, naming its protocol in one registry. Adding a field or a
+# protocol name is a deliberate edit here; the builders the spec replaced
+# stay gone, with no alias.
+
+def test_run_spec_fields_are_pinned():
+    from dataclasses import fields
+
+    from repro.sim import RunSpec
+
+    assert [f.name for f in fields(RunSpec)] == [
+        "n", "duration", "protocol", "protocol_args", "crashes", "inputs",
+        "seed", "tau", "pre", "leader", "links", "timeout_interval",
+        "scheduling", "message_batch", "engine", "kernel", "record",
+    ]
+
+
+def test_protocol_names_are_pinned():
+    from repro.protocols import PROTOCOLS
+
+    assert list(PROTOCOLS) == [
+        "etob", "etob-arrival-order", "ec", "eic", "ec-etob", "etob-ec",
+        "tob-consensus", "tob-ct",
+    ]
+
+
+def test_the_replaced_run_builders_stay_gone():
+    import repro.analysis.experiments.base as experiments_base
+    import repro.search.targets as targets
+    from repro.scenario import Scenario
+
+    assert not hasattr(repro.sim, "ReplayPlan")
+    assert "ReplayPlan" not in repro.sim.__all__
+    for module, names in (
+        (experiments_base, ("_run_broadcast_scenario", "_broadcast_protocol",
+                            "_detector")),
+        (targets, ("_etob_processes", "_omega_history", "_EXP4_BROADCASTS",
+                   "_EXP8_BROADCASTS")),
+        (Scenario, ("_build_detector", "omega_sigma", "input")),
+    ):
+        assert [n for n in names if hasattr(module, n)] == [], module
 
 
 def test_kernel_rungs_are_pinned():
