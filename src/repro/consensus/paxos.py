@@ -35,9 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.core.ec import OmegaSource
 from repro.sim.errors import ProtocolError
-from repro.sim.stack import Layer, LayerContext
+from repro.sim.stack import Layer, LayerContext, OmegaSource
 from repro.sim.types import ProcessId
 
 Ballot = tuple[int, int]  # (epoch, proposer pid); lexicographic order
@@ -105,7 +104,7 @@ class PaxosConsensusLayer(Layer):
         if quorum_mode not in ("majority", "sigma"):
             raise ValueError(f"unknown quorum mode {quorum_mode!r}")
         self.quorum_mode = quorum_mode
-        self.omega_source = omega_source
+        self._set_omega_source(omega_source)
 
         # acceptor state
         self.promised: Ballot = NO_BALLOT
@@ -144,11 +143,6 @@ class PaxosConsensusLayer(Layer):
         if self.quorum_mode == "majority":
             return len(members) > ctx.n // 2
         return ctx.sigma() <= members
-
-    def _omega(self, ctx: LayerContext) -> ProcessId:
-        if self.omega_source is not None:
-            return self.omega_source(ctx)
-        return ctx.omega()
 
     # -- interface -------------------------------------------------------------------
 

@@ -19,15 +19,11 @@ instance (the paper's ``count_i``) and decides only that one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable
+from typing import Any, Hashable
 
 from repro.sim.errors import ProtocolError
-from repro.sim.stack import Layer, LayerContext
+from repro.sim.stack import Layer, LayerContext, OmegaSource
 from repro.sim.types import ProcessId
-
-#: Optional override for where a layer reads Omega from (e.g. a heartbeat
-#: layer in the same stack). ``None`` means the step's failure detector value.
-OmegaSource = Callable[[LayerContext], ProcessId] | None
 
 
 @dataclass(frozen=True)
@@ -51,7 +47,7 @@ class EcUsingOmegaLayer(Layer):
     name = "ec-omega"
 
     def __init__(self, *, omega_source: OmegaSource = None) -> None:
-        self.omega_source = omega_source
+        self._set_omega_source(omega_source)
         #: the paper's ``count_i``: the instance currently being decided.
         self.count: Hashable | None = None
         #: the paper's ``received_i``: (sender, instance) -> value.
@@ -62,11 +58,6 @@ class EcUsingOmegaLayer(Layer):
         self.proposals_made = 0
 
     # -- plumbing ---------------------------------------------------------------
-
-    def _omega(self, ctx: LayerContext) -> ProcessId:
-        if self.omega_source is not None:
-            return self.omega_source(ctx)
-        return ctx.omega()
 
     def _propose(self, ctx: LayerContext, instance: Hashable, value: Any) -> None:
         if instance in self.decided:

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from typing import Any, Hashable
 
-from repro.core.ec import OmegaSource, Promote
+from repro.core.ec import Promote
 from repro.sim.errors import ProtocolError
-from repro.sim.stack import Layer, LayerContext
+from repro.sim.stack import Layer, LayerContext, OmegaSource
 from repro.sim.types import ProcessId
 
 
@@ -33,7 +33,7 @@ class EicUsingOmegaLayer(Layer):
     name = "eic-omega"
 
     def __init__(self, *, omega_source: OmegaSource = None) -> None:
-        self.omega_source = omega_source
+        self._set_omega_source(omega_source)
         self.received: dict[tuple[ProcessId, Hashable], Any] = {}
         #: instances proposed so far (revisions may touch any of them).
         self.proposed: set[Hashable] = set()
@@ -41,11 +41,6 @@ class EicUsingOmegaLayer(Layer):
         self.responses: dict[Hashable, Any] = {}
         #: diagnostic: total number of revisions (re-responses).
         self.revisions = 0
-
-    def _omega(self, ctx: LayerContext) -> ProcessId:
-        if self.omega_source is not None:
-            return self.omega_source(ctx)
-        return ctx.omega()
 
     def on_call(self, ctx: LayerContext, request: Any) -> None:
         if not (isinstance(request, tuple) and request and request[0] == "propose"):

@@ -36,10 +36,9 @@ from dataclasses import dataclass
 from typing import Any, Iterable
 
 from repro.core.causal_graph import CausalGraph
-from repro.core.ec import OmegaSource
 from repro.core.messages import AppMessage, MessageId
 from repro.sim.errors import ProtocolError
-from repro.sim.stack import Layer, LayerContext
+from repro.sim.stack import Layer, LayerContext, OmegaSource
 from repro.sim.types import ProcessId
 
 
@@ -71,7 +70,7 @@ class EtobLayer(Layer):
     name = "etob"
 
     def __init__(self, *, omega_source: OmegaSource = None) -> None:
-        self.omega_source = omega_source
+        self._set_omega_source(omega_source)
         #: output variable ``d_i``: the delivered sequence.
         self.delivered: tuple[AppMessage, ...] = ()
         #: ``promote_i``: the sequence this process promotes while leader.
@@ -87,11 +86,6 @@ class EtobLayer(Layer):
         self.stale_promotes_dropped = 0
 
     # -- plumbing ---------------------------------------------------------------
-
-    def _omega(self, ctx: LayerContext) -> ProcessId:
-        if self.omega_source is not None:
-            return self.omega_source(ctx)
-        return ctx.omega()
 
     def _refresh_promote(self) -> None:
         # UpdatePromote(): extend promote_i with the not-yet-promoted messages
@@ -139,11 +133,9 @@ class EtobLayer(Layer):
         self.on_call(ctx, value)
 
     def on_message(self, ctx: LayerContext, sender: ProcessId, payload: Any) -> None:
-        if isinstance(payload, CausalUpdate):
-            # On reception of update(CG_j): UnionCG(CG_j); UpdatePromote().
-            self.graph.union(payload.messages)
-            self._refresh_promote()
-        elif isinstance(payload, PromoteSequence):
+        # Promotes first: every leader timeout sends one to all, so they
+        # outnumber updates.
+        if isinstance(payload, PromoteSequence):
             # On reception of promote(promote_j) from p_j:
             # if Omega_i = p_j then d_i := promote_j.
             if payload.epoch < self._promote_epoch_seen.get(sender, -1):
@@ -154,6 +146,10 @@ class EtobLayer(Layer):
                 self.delivered = payload.sequence
                 self.adoptions += 1
                 ctx.emit_upper(("deliver", self.delivered))
+        elif isinstance(payload, CausalUpdate):
+            # On reception of update(CG_j): UnionCG(CG_j); UpdatePromote().
+            self.graph.union(payload.messages)
+            self._refresh_promote()
 
     def on_timeout(self, ctx: LayerContext) -> None:
         # On local timeout: if Omega_i = p_i, send promote(promote_i) to all.

@@ -20,11 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.core.ec import OmegaSource
 from repro.core.etob import PromoteSequence
 from repro.core.messages import AppMessage, MessageId
 from repro.sim.errors import ProtocolError
-from repro.sim.stack import Layer, LayerContext
+from repro.sim.stack import Layer, LayerContext, OmegaSource
 from repro.sim.types import ProcessId
 
 
@@ -41,18 +40,13 @@ class ArrivalOrderEtobLayer(Layer):
     name = "etob-arrival"
 
     def __init__(self, *, omega_source: OmegaSource = None) -> None:
-        self.omega_source = omega_source
+        self._set_omega_source(omega_source)
         self.delivered: tuple[AppMessage, ...] = ()
         self.promote: tuple[AppMessage, ...] = ()
         self.known: dict[MessageId, AppMessage] = {}
         self._next_seq = 0
         self._promotes_sent = 0
         self._promote_epoch_seen: dict[ProcessId, int] = {}
-
-    def _omega(self, ctx: LayerContext) -> ProcessId:
-        if self.omega_source is not None:
-            return self.omega_source(ctx)
-        return ctx.omega()
 
     def _absorb(self, message: AppMessage) -> None:
         if message.uid in self.known:

@@ -10,11 +10,26 @@ from repro.sim.types import ProcessId, Time
 
 
 class FailureDetectorHistory(abc.ABC):
-    """One history ``H``: the value each process would see at each time."""
+    """One history ``H``: the value each process would see at each time.
+
+    A history is pure in ``(pid, t)``. One that stops changing says so
+    through :meth:`settles`, and the simulation then stops querying it.
+    """
 
     @abc.abstractmethod
     def query(self, pid: ProcessId, t: Time) -> Any:
         """The value output by ``pid``'s detector module at time ``t``."""
+
+    def settles(self) -> tuple[Time, Any] | None:
+        """``(t, value)`` when ``query(pid, t') is value`` for every pid and
+        every ``t' >= t``, else None (the default: no such promise).
+
+        A :class:`~repro.sim.scheduler.Simulation` reads this once, at
+        construction, and from tick ``t`` on hands every step ``value``
+        without calling :meth:`query`, on every kernel. ``value`` is then
+        shared by every step, so it must be immutable.
+        """
+        return None
 
     def sample_range(
         self, pid: ProcessId, start: Time, end: Time

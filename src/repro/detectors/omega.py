@@ -74,6 +74,9 @@ class OmegaHistory(FailureDetectorHistory):
             return self.leader
         return self._pre(pid, t)
 
+    def settles(self) -> tuple[Time, ProcessId]:
+        return self.stabilization_time, self.leader
+
 
 class OmegaDetector(FailureDetector):
     """Factory of Omega histories."""

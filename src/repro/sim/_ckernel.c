@@ -37,12 +37,15 @@
  *    an event falls in, the idle-span count of a run that materializes
  *    no idle steps, under either schedule (loop_count_idle), the clock,
  *    the step context's effect lists (taken once per call, emptied in
- *    place after each step consumes them), and -- at
- *    record="full" -- the StepStore rows, staged in C and appended in
- *    bulk (stage_flush), a crash-free idle span's under round-robin
- *    included (loop_fill_idle); it calls back into Python only for
- *    process handlers, detector queries, the delay model, the other
- *    idle spans of a run that materializes them (`_skip_span_rr`), and
+ *    place after each step consumes them) and its pid / time / fd_value
+ *    slots (stored through the member offsets ctx_slot resolves once per
+ *    call), and -- at record="full" -- the StepStore rows, staged in C
+ *    and appended in bulk (stage_flush), a crash-free idle span's under
+ *    round-robin included (loop_fill_idle); it calls back into Python
+ *    only for process handlers, detector queries before the history's
+ *    settle tick (sim._fd_settle: from it on every step takes the settled
+ *    value), the delay model, the other idle spans of a run that
+ *    materializes them (`_skip_span_rr`), and
  *    step observers' on_step_raw other than a leading MetricsRecorder's
  *    (whose counts it folds itself, loop_fold_flush).  Every mutation of a
  *    raise-free step mirrors the Python loop's order of effects so run
@@ -67,6 +70,13 @@
 #include <Python.h>
 #include <stdint.h>
 #include <string.h>
+
+/* the member-descriptor constants (Python.h has them from 3.12 on) */
+#ifndef Py_T_OBJECT_EX
+#include "structmember.h"
+#define Py_T_OBJECT_EX T_OBJECT_EX
+#define Py_READONLY READONLY
+#endif
 
 /* sha256 of this file as setup.py read it, exported as
  * _ckernel.SOURCE_DIGEST: repro/sim/_compiled.py refuses a build whose
@@ -639,7 +649,7 @@ static PyObject *s_network, *s_processes, *s__ctx, *s_detector,
     *s_query, *s_failure_pattern, *s_crash_times, *s__skip_span_rr,
     *s__local_event, *s__next_timeout, *s_timeout_intervals, *s__inputs,
     *s__started, *s_message_batch, *s__step_observers, *s_run,
-    *s__clock, *s_time, *s_pid, *s_fd_value,
+    *s__clock, *s_time, *s_pid, *s_fd_value, *s__fd_settle,
     *s__outbox, *s__outputs, *s__log, *s_on_start, *s_on_input,
     *s_on_message, *s_on_timeout, *s_on_step_raw, *s__next_at, *s__pending,
     *s__live, *s__dead, *s_delay_model, *s_delay, *s_delay_profile,
@@ -1209,7 +1219,12 @@ typedef struct {
     NetView nv;                          /* sim.network's merge layer + pool */
     PyObject *ctx, *processes, *started, *inputs_by_pid;
     PyObject *outbox, *outputs, *log_buf; /* ctx._outbox, _outputs, _log */
-    PyObject *detector_query;            /* NULL when no detector */
+    Py_ssize_t off_pid, off_time, off_fd; /* ctx's pid / time / fd_value
+                                          * slots (ctx_slot) */
+    int64_t settle_at;                   /* sim._fd_settle: from this tick
+                                          * on every sample is `settled` */
+    PyObject *settled;
+    PyObject *detector_query;            /* NULL when settle_at <= 0 */
     PyObject *skip_span;                 /* sim._skip_span_rr, or NULL when
                                           * idle spans are counted in C */
     PyObject *sim_metrics;               /* sim.metrics (loop_flush_idle) */
@@ -1272,6 +1287,7 @@ loop_free(Loop *L)
     Py_XDECREF(L->processes);
     Py_XDECREF(L->started);
     Py_XDECREF(L->inputs_by_pid);
+    Py_XDECREF(L->settled);
     Py_XDECREF(L->detector_query);
     Py_XDECREF(L->skip_span);
     Py_XDECREF(L->sim_metrics);
@@ -1573,18 +1589,29 @@ fail:
 /* The idle steps of the crash-free round-robin span [start, end), staged
  * for the store: _skip_span_rr's uniform branch followed by
  * FullRecorder.on_idle_span over StepStore.extend_idle_span -- the
- * detector queried for the whole span in tick order, then
- * last_live_tick, _step_index and the rows (run.end_time moves with the
- * flush).  A raise from a query moves nothing. */
+ * detector queried in tick order for the ticks before the settle tick
+ * and the settled value interned for the rest, then last_live_tick,
+ * _step_index and the rows (run.end_time moves with the flush).  A raise
+ * from a query moves nothing. */
 static int
 loop_fill_idle(Loop *L, int64_t start, int64_t end)
 {
     Py_ssize_t k = (Py_ssize_t)(end - start);
-    PyObject *fd_values = NULL;
-    if (L->detector_query != NULL) {
-        fd_values = idle_fd_values(L, start, k);
+    int64_t cut = L->settle_at < start ? start
+        : (L->settle_at < end ? L->settle_at : end);
+    PyObject *fd_values = NULL, *settled = NULL;
+    if (cut > start) {
+        fd_values = idle_fd_values(L, start, (Py_ssize_t)(cut - start));
         if (fd_values == NULL)
             return -1;
+    }
+    if (cut < end) {
+        settled = L->settled == Py_None
+            ? Py_NewRef(Py_None) : call1(L->intern_fd, L->settled);
+        if (settled == NULL) {
+            Py_XDECREF(fd_values);
+            return -1;
+        }
     }
     int64_t first_index = L->clock[CLOCK_STEP_INDEX];
     L->clock[CLOCK_LAST_LIVE] = end - 1;
@@ -1592,13 +1619,53 @@ loop_fill_idle(Loop *L, int64_t start, int64_t end)
     int rc = 0;
     for (Py_ssize_t i = 0; i < k && rc == 0; i++) {
         int64_t t = start + i;
-        PyObject *fd = fd_values == NULL
-            ? Py_None : PyList_GET_ITEM(fd_values, i);
+        PyObject *fd = t < cut ? PyList_GET_ITEM(fd_values, i) : settled;
         rc = stage_row(L, first_index + i, t, (long)(t % L->n), fd, -1,
                        Py_None, -1, 0, 0, 0);
     }
     Py_XDECREF(fd_values);
+    Py_XDECREF(settled);
     return rc;
+}
+
+/* *offset := where the step context keeps `name`: the offset of the
+ * plain object slot that attribute lookup on `ctx` resolves it to.  A
+ * property, a read-only member or no slot at all is refused by name. */
+static int
+ctx_slot(PyObject *ctx, PyObject *name, Py_ssize_t *offset)
+{
+    PyObject *descr = PyObject_GetAttr((PyObject *)Py_TYPE(ctx), name);
+    if (descr == NULL) {
+        if (!PyErr_ExceptionMatches(PyExc_AttributeError))
+            return -1;
+        PyErr_Clear();
+    }
+    int plain = descr != NULL && Py_IS_TYPE(descr, &PyMemberDescr_Type)
+        && PyObject_TypeCheck(ctx, PyDescr_TYPE(descr));
+    if (plain) {
+        PyMemberDef *member = ((PyMemberDescrObject *)descr)->d_member;
+        plain = member->type == Py_T_OBJECT_EX
+            && !(member->flags & Py_READONLY);
+        *offset = member->offset;
+    }
+    Py_XDECREF(descr);
+    if (!plain) {
+        PyErr_Format(PyExc_TypeError,
+                     "run_loop: the step context's %U must be a plain slot",
+                     name);
+        return -1;
+    }
+    return 0;
+}
+
+/* ctx.<slot at offset> = value, as a slot's setter does it */
+static inline void
+slot_store(PyObject *obj, Py_ssize_t offset, PyObject *value)
+{
+    PyObject **slot = (PyObject **)((char *)obj + offset);
+    PyObject *old = *slot;
+    *slot = Py_NewRef(value);
+    Py_XDECREF(old);
 }
 
 static int
@@ -1626,15 +1693,31 @@ loop_init(Loop *L, PyObject *sim, PyObject *store, PyObject *metrics)
             return -1;
         }
     }
-    PyObject *detector;
-    GETA(detector, sim, s_detector);
-    if (detector != Py_None) {
+    if (ctx_slot(L->ctx, s_pid, &L->off_pid) < 0
+        || ctx_slot(L->ctx, s_time, &L->off_time) < 0
+        || ctx_slot(L->ctx, s_fd_value, &L->off_fd) < 0)
+        return -1;
+    /* the settle point Simulation read from the history at construction */
+    PyObject *settle;
+    GETA(settle, sim, s__fd_settle);
+    if (!PyTuple_Check(settle) || PyTuple_GET_SIZE(settle) != 2) {
+        Py_DECREF(settle);
+        PyErr_SetString(PyExc_TypeError,
+                        "run_loop: _fd_settle must be a (tick, value) tuple");
+        return -1;
+    }
+    L->settle_at = PyLong_AsLongLong(PyTuple_GET_ITEM(settle, 0));
+    L->settled = Py_NewRef(PyTuple_GET_ITEM(settle, 1));
+    Py_DECREF(settle);
+    if (L->settle_at == -1 && PyErr_Occurred())
+        return -1;
+    if (L->settle_at > 0) {
+        PyObject *detector;
+        GETA(detector, sim, s_detector);
         L->detector_query = PyObject_GetAttr(detector, s_query);
         Py_DECREF(detector);
         if (L->detector_query == NULL)
             return -1;
-    } else {
-        Py_DECREF(detector);
     }
     PyObject *fp;
     GETA(fp, sim, s_failure_pattern);
@@ -2129,18 +2212,16 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             t_obj = PyLong_FromLongLong(t);
             if (t_obj == NULL)
                 goto step_fail;
-            if (L->detector_query != NULL) {
+            if (t >= L->settle_at) {
+                fd_value = Py_NewRef(L->settled);
+            } else {
                 fd_value = call2(L->detector_query, pid_obj, t_obj);
                 if (fd_value == NULL)
                     goto step_fail;
-            } else {
-                fd_value = Py_None;
-                Py_INCREF(fd_value);
             }
-            if (PyObject_SetAttr(L->ctx, s_pid, pid_obj) < 0
-                || PyObject_SetAttr(L->ctx, s_time, t_obj) < 0
-                || PyObject_SetAttr(L->ctx, s_fd_value, fd_value) < 0)
-                goto step_fail;
+            slot_store(L->ctx, L->off_pid, pid_obj);
+            slot_store(L->ctx, L->off_time, t_obj);
+            slot_store(L->ctx, L->off_fd, fd_value);
             int was_started = PySet_Contains(L->started, pid_obj);
             if (was_started < 0)
                 goto step_fail;
@@ -2909,6 +2990,7 @@ intern_names(void)
     INTERN(s_time, "time");
     INTERN(s_pid, "pid");
     INTERN(s_fd_value, "fd_value");
+    INTERN(s__fd_settle, "_fd_settle");
     INTERN(s__outbox, "_outbox");
     INTERN(s__outputs, "_outputs");
     INTERN(s__log, "_log");

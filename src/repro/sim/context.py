@@ -23,9 +23,15 @@ BROADCAST_ALL: ProcessId = -1
 BROADCAST_OTHERS: ProcessId = -2
 
 
-@dataclass
+@dataclass(slots=True)
 class Context:
     """Capabilities available to a process during a single step.
+
+    A slotted class: nothing may add an attribute to a context. The C tick
+    loop stores ``pid``, ``time`` and ``fd_value`` straight into their
+    slots, so a subclass it is handed must keep all three plain slots (a
+    property in their place is refused by name; a subclass the loop never
+    sees, like the CHT replay sandbox's, may define one).
 
     The three effect buffers (``_outbox``, ``_outputs``, ``_log``) are one
     list each for the context's whole lifetime: the scheduler's loops, the

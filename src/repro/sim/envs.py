@@ -342,7 +342,9 @@ class LinkPolicy:
 
     Subclasses implement :meth:`_adjust`; ``delay`` and ``delay_profile``
     both route through it, so the point-to-point and the batched broadcast
-    path cannot diverge. The base model's draw for a held message is still
+    path cannot diverge. A subclass whose window holds nothing at a send
+    time may hand that broadcast the base profile without the per-receiver
+    calls (:class:`OneWayPartition`, :class:`FlappingLinks`). The base model's draw for a held message is still
     *taken* (and used for the post-hold delay), but because all draws are
     counter-based, policies that ignore it perturb nothing.
     """
@@ -414,6 +416,14 @@ class OneWayPartition(LinkPolicy):
             return (self.end - t) + delay
         return delay
 
+    def delay_profile(
+        self, sender: ProcessId, t: Time, receivers: Sequence[ProcessId]
+    ) -> list[Time]:
+        # The window is one test per broadcast; outside it nothing is held.
+        if t < self.start or (self.end is not None and t >= self.end):
+            return delay_profile_of(self.base, sender, t, receivers)
+        return super().delay_profile(sender, t, receivers)
+
 
 @dataclass(frozen=True)
 class FlappingLinks(LinkPolicy):
@@ -455,6 +465,15 @@ class FlappingLinks(LinkPolicy):
         if position < self.down:
             return (self.down - position) + delay
         return delay
+
+    def delay_profile(
+        self, sender: ProcessId, t: Time, receivers: Sequence[ProcessId]
+    ) -> list[Time]:
+        # The down window is one test per broadcast; while every link is
+        # up nothing is held.
+        if (t - self.phase) % self.period >= self.down:
+            return delay_profile_of(self.base, sender, t, receivers)
+        return super().delay_profile(sender, t, receivers)
 
 
 @dataclass(frozen=True)

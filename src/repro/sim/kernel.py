@@ -569,8 +569,8 @@ def run_fused_rr(sim: "Simulation", t_end: Time) -> None:
     n = sim.n
     processes = sim.processes
     ctx = sim._ctx
-    detector = sim.detector
-    query_fd = detector.query if detector is not None else None
+    settle_at, settled = sim._fd_settle
+    query_fd = sim.detector.query if settle_at > 0 else None
     failure_pattern = sim.failure_pattern
     crashed = failure_pattern.crashed
     has_crashes = bool(failure_pattern.crash_times)
@@ -644,7 +644,7 @@ def run_fused_rr(sim: "Simulation", t_end: Time) -> None:
             # ---- one fused executed step (mirrors Simulation.step) ----
             clock[0] = t + 1
             clock[1] = t
-            fd_value = query_fd(pid, t) if query_fd is not None else None
+            fd_value = settled if t >= settle_at else query_fd(pid, t)
             ctx.pid = pid
             ctx.time = t
             ctx.fd_value = fd_value

@@ -110,12 +110,11 @@ class SimObserver:
         extend their columns in bulk.
         """
         n = sim.n
-        detector = sim.detector
+        fd_value_at = sim._fd_value
         index = start_index
         for t in range(start, end):
             pid = t % n
-            fd_value = detector.query(pid, t) if detector is not None else None
-            self.on_idle_step(sim, index, t, pid, fd_value)
+            self.on_idle_step(sim, index, t, pid, fd_value_at(pid, t))
             index += 1
 
     def on_step_raw(
@@ -358,7 +357,9 @@ class FullRecorder(SimObserver):
     def on_idle_span(
         self, sim: "Simulation", start_index: int, start: Time, end: Time
     ) -> None:
-        self._store.extend_idle_span(start_index, start, end, sim.n, sim.detector)
+        self._store.extend_idle_span(
+            start_index, start, end, sim.n, sim.detector, sim._fd_settle
+        )
         run = self.run
         if end - 1 > run.end_time:
             run.end_time = end - 1

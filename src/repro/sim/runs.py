@@ -203,24 +203,29 @@ class StepStore:
         end: Time,
         n: int,
         detector: Any,
+        settle: tuple[Time, Any],
     ) -> None:
         """Append one idle step per tick of ``[start, end)``, in bulk.
 
         The round-robin uniform-span fast path: every tick is live and idle,
         pids follow ``t % n``, and all message/counter columns are constant —
         so everything except the detector samples extends at C speed.
-        ``detector`` is queried per ``(pid, t)`` when not None (the engine's
-        purity assumption makes per-observer querying sound), for the whole
-        span before any column moves: a raising query leaves the store as
-        it was.
+        ``settle`` is the simulation's ``(t, value)`` settle point: ticks
+        from its ``t`` on sample ``value``, earlier ones query ``detector``
+        per ``(pid, t)`` (the engine's purity assumption makes per-observer
+        querying sound), for the whole span before any column moves: a
+        raising query leaves the store as it was.
         """
         k = end - start
-        if detector is None:
-            samples = [None] * k
-        else:
+        settle_at, settled = settle
+        cut = min(max(settle_at, start), end)
+        intern = self._intern_fd
+        samples = []
+        if cut > start:
             query = detector.query
-            intern = self._intern_fd
-            samples = [intern(query(t % n, t)) for t in range(start, end)]
+            samples = [intern(query(t % n, t)) for t in range(start, cut)]
+        if cut < end:
+            samples += [intern(settled)] * (end - cut)
         self._index.extend(range(start_index, start_index + k))
         self._time.extend(range(start, end))
         self._pid.extend([t % n for t in range(start, end)])

@@ -112,6 +112,7 @@ from repro.sim.process import Process
 from repro.sim.runs import RunRecord
 from repro.sim.types import (
     NEVER,
+    NO_MESSAGE,
     ProcessId,
     Time,
     block_permutation,
@@ -126,6 +127,20 @@ class DetectorHistory(Protocol):
 
     def query(self, pid: ProcessId, t: Time) -> Any:
         ...
+
+
+def _settle_point(detector: DetectorHistory | None) -> tuple[Time, Any]:
+    """``Simulation._fd_settle`` of ``detector``: its settle tick, at most
+    ``NO_MESSAGE`` (a tick no run reaches, and an int64 for the C loop),
+    and its settled value."""
+    if detector is None:
+        return 0, None
+    settles = getattr(detector, "settles", None)
+    point = settles() if settles is not None else None
+    if point is None:
+        return NO_MESSAGE, None
+    t, value = point
+    return min(t, NO_MESSAGE), value
 
 
 def _overrides(observer: SimObserver, hook: str) -> bool:
@@ -215,6 +230,12 @@ class Simulation:
             self.n, delay_model or FixedDelay(1), kernel=kernel
         )
         self.detector = detector
+        #: ``(t, value)``: from tick ``t`` on, every loop takes ``value`` as
+        #: each step's detector sample without querying the history (see
+        #: ``FailureDetectorHistory.settles``). Read once, here: ``(0, None)``
+        #: without a detector, ``(NO_MESSAGE, None)`` for a history that
+        #: never settles (or has no ``settles``).
+        self._fd_settle = _settle_point(detector)
         self.seed = seed
         if scheduling not in ("round_robin", "random"):
             raise ConfigurationError(f"unknown scheduling policy {scheduling!r}")
@@ -455,7 +476,8 @@ class Simulation:
         clock[1] = t
 
         process = self.processes[pid]
-        fd_value = self.detector.query(pid, t) if self.detector is not None else None
+        settle_at, settled = self._fd_settle
+        fd_value = settled if t >= settle_at else self.detector.query(pid, t)
         ctx = self._ctx
         ctx.pid = pid
         ctx.time = t
@@ -590,6 +612,14 @@ class Simulation:
                 best = tick
         return best
 
+    def _fd_value(self, pid: ProcessId, t: Time) -> Any:
+        """The detector sample of ``pid``'s step at ``t``: the settled value
+        from the settle tick on, else the history's (the loops inline it)."""
+        settle_at, settled = self._fd_settle
+        if t >= settle_at:
+            return settled
+        return self.detector.query(pid, t)
+
     def _record_idle_step(self, t: Time, pid: ProcessId) -> None:
         """Record the step a naive stepper would produce for an idle tick.
 
@@ -597,7 +627,7 @@ class Simulation:
         straight into their store; the base hook hands every other step
         observer the idle step through ``on_step_raw``.
         """
-        fd_value = self.detector.query(pid, t) if self.detector is not None else None
+        fd_value = self._fd_value(pid, t)
         clock = self._clock  # [time, last_live_tick, _step_index]
         clock[1] = t
         index = clock[2]

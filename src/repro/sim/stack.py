@@ -34,50 +34,6 @@ from repro.sim.process import Process
 from repro.sim.types import ProcessId
 
 
-class Layer:
-    """One protocol in a stack. Subclass and override the handlers you need."""
-
-    #: Human-readable name; defaults to the class name.
-    name: str = ""
-
-    pid: ProcessId = -1
-    n: int = 0
-
-    def attach(self, pid: ProcessId, n: int) -> None:
-        """Bind the layer to its process id (called by the stack)."""
-        self.pid = pid
-        self.n = n
-
-    def on_start(self, ctx: "LayerContext") -> None:
-        """Called once at the first step of the host process."""
-
-    def on_message(self, ctx: "LayerContext", sender: ProcessId, payload: Any) -> None:
-        """Called when a message sent by this layer's peer arrives."""
-
-    def on_timeout(self, ctx: "LayerContext") -> None:
-        """Called on every local timeout of the host process."""
-
-    def on_input(self, ctx: "LayerContext", value: Any) -> None:
-        """Called for application inputs (top layer only)."""
-        raise ProtocolError(
-            f"layer {self.layer_name()} received an application input {value!r} "
-            "but does not accept inputs"
-        )
-
-    def on_call(self, ctx: "LayerContext", request: Any) -> None:
-        """Called when the layer above invokes an operation on this layer."""
-        raise ProtocolError(
-            f"layer {self.layer_name()} received a call {request!r} "
-            "but does not accept calls"
-        )
-
-    def on_lower_event(self, ctx: "LayerContext", event: Any) -> None:
-        """Called when the layer below emits an event."""
-
-    def layer_name(self) -> str:
-        return self.name or type(self).__name__
-
-
 class LayerContext:
     """Per-layer view of the step context.
 
@@ -128,6 +84,9 @@ class LayerContext:
         return self._base.fd_value
 
     def omega(self) -> ProcessId:
+        value = self._base.fd_value
+        if type(value) is int:  # a bare Omega sample: the common case
+            return value
         return self._base.omega()
 
     def sigma(self) -> frozenset[ProcessId]:
@@ -183,6 +142,70 @@ class LayerContext:
 
     def log(self, event: Any) -> None:
         self._base.log((self._layers[self.index].layer_name(), event))
+
+
+#: Optional override for where a layer reads Omega from (e.g. a heartbeat
+#: layer in the same stack). ``None`` means the step's failure detector value.
+OmegaSource = Callable[[LayerContext], ProcessId] | None
+
+
+class Layer:
+    """One protocol in a stack. Subclass and override the handlers you need."""
+
+    #: Human-readable name; defaults to the class name.
+    name: str = ""
+
+    pid: ProcessId = -1
+    n: int = 0
+
+    #: The layer's read of Omega at a step, in one call: the step's
+    #: detector value. A layer built with an ``omega_source`` reads it
+    #: there instead (see :meth:`_set_omega_source`).
+    _omega = staticmethod(LayerContext.omega)
+
+    def attach(self, pid: ProcessId, n: int) -> None:
+        """Bind the layer to its process id (called by the stack)."""
+        self.pid = pid
+        self.n = n
+
+    def _set_omega_source(self, omega_source: OmegaSource) -> None:
+        """Keep where the layer reads Omega (None: the step's detector
+        value) and route :meth:`_omega` there. The override goes on the
+        instance only when a source is given: a layer without one keeps no
+        ``_omega`` in its state, of which frozen bytes (the CHT replay
+        memo's key) are made."""
+        self.omega_source = omega_source
+        if omega_source is not None:
+            self._omega = omega_source
+
+    def on_start(self, ctx: "LayerContext") -> None:
+        """Called once at the first step of the host process."""
+
+    def on_message(self, ctx: "LayerContext", sender: ProcessId, payload: Any) -> None:
+        """Called when a message sent by this layer's peer arrives."""
+
+    def on_timeout(self, ctx: "LayerContext") -> None:
+        """Called on every local timeout of the host process."""
+
+    def on_input(self, ctx: "LayerContext", value: Any) -> None:
+        """Called for application inputs (top layer only)."""
+        raise ProtocolError(
+            f"layer {self.layer_name()} received an application input {value!r} "
+            "but does not accept inputs"
+        )
+
+    def on_call(self, ctx: "LayerContext", request: Any) -> None:
+        """Called when the layer above invokes an operation on this layer."""
+        raise ProtocolError(
+            f"layer {self.layer_name()} received a call {request!r} "
+            "but does not accept calls"
+        )
+
+    def on_lower_event(self, ctx: "LayerContext", event: Any) -> None:
+        """Called when the layer below emits an event."""
+
+    def layer_name(self) -> str:
+        return self.name or type(self).__name__
 
 
 class ProtocolStack(Process):
@@ -314,10 +337,13 @@ class ProtocolStack(Process):
     def on_message(self, ctx: Context, sender: ProcessId, payload: Any) -> None:
         contexts = self._contexts if ctx is self._base else self._bind(ctx)
         layers = self.layers
+        # Framing is exactly ``(index, payload)``, a plain tuple led by a
+        # plain int: a tuple subclass (``MessageId``, any NamedTuple) is an
+        # application payload even when it has that shape.
         if (
-            isinstance(payload, tuple)
+            type(payload) is tuple
             and len(payload) == 2
-            and isinstance(payload[0], int)
+            and type(payload[0]) is int
             and 0 <= payload[0] < len(layers)
         ):
             index, inner = payload

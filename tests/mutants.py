@@ -17,9 +17,13 @@ protocol. A test registers the names for its own duration only
 
 from __future__ import annotations
 
+from typing import Any
+
 from repro.consensus import PaxosConsensusLayer, TobFromConsensusLayer
+from repro.core.etob import EtobLayer, PromoteSequence
 from repro.protocols import PROTOCOLS, ProtocolEntry
 from repro.sim.stack import LayerContext
+from repro.sim.types import ProcessId
 
 
 class SigmaLearnerWithoutRetest(PaxosConsensusLayer):
@@ -41,8 +45,27 @@ def _tob_without_retest(quorum_mode: str = "majority") -> list:
     return [SigmaLearnerWithoutRetest(quorum_mode=quorum_mode), TobFromConsensusLayer()]
 
 
+class EtobDuplicateDelivery(EtobLayer):
+    """Algorithm 5 whose follower adopts each promote with its last message
+    repeated.
+
+    Everything else is the real promote branch: the per-sender epoch filter
+    and adoption from the trusted leader only. Killed by ``check_etob``'s
+    no-duplication verdict ("no-duplication: p1@t10 has duplicates" and
+    similar).
+    """
+
+    def on_message(self, ctx: LayerContext, sender: ProcessId, payload: Any) -> None:
+        if isinstance(payload, PromoteSequence) and payload.sequence:
+            payload = PromoteSequence(
+                payload.sequence + payload.sequence[-1:], payload.epoch
+            )
+        super().on_message(ctx, sender, payload)
+
+
 #: test-only protocol name -> the registry entry of one mutant.
 MUTANT_PROTOCOLS = {
+    "etob-duplicate-delivery": ProtocolEntry(lambda: [EtobDuplicateDelivery()]),
     "tob-consensus-without-retest": ProtocolEntry(
         _tob_without_retest,
         PROTOCOLS["tob-consensus"].components,

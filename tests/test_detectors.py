@@ -77,6 +77,48 @@ class TestOmega:
         assert not check.ok
 
 
+#: ticks from 0 to 10**6, dense near 0 and spread out further on: added to
+#: a settle tick, every sample of the settles() contract lies past it.
+SETTLED_OFFSETS = sorted(
+    set(range(64)) | {int(1.4**k) for k in range(42)} | {10**6}
+)
+
+
+class TestSettles:
+    """``settles()`` is a promise the simulation acts on: from the settle
+    tick on it stops querying. So the promised value must be what
+    ``query`` returns, at every pid and every later tick."""
+
+    @pytest.mark.parametrize(
+        "pre", ["rotate", "self", "random", "stable", lambda pid, t: (pid * t) % 5]
+    )
+    @pytest.mark.parametrize("tau", [0, 1, 97, 12_345])
+    @pytest.mark.parametrize(
+        "crashes,leader", [({}, None), ({}, 4), ({0: 50, 3: 7}, None), ({1: 0}, 2)]
+    )
+    def test_omega_answers_its_settled_value_from_the_settle_tick_on(
+        self, pre, tau, crashes, leader
+    ):
+        pattern = FailurePattern.crash(5, crashes)
+        hist = OmegaDetector(
+            stabilization_time=tau, leader=leader, pre_behavior=pre, churn_period=3
+        ).history(pattern, seed=11)
+        settle_at, value = hist.settles()
+        assert settle_at == tau
+        assert value in pattern.correct
+        for offset in SETTLED_OFFSETS:
+            t = settle_at + offset
+            for pid in range(5):
+                assert hist.query(pid, t) is value
+
+    def test_histories_promise_nothing_by_default(self):
+        pattern = FailurePattern.crash(3, {2: 10})
+        assert ScriptedHistory(lambda pid, t: 0).settles() is None
+        assert SigmaDetector().history(pattern).settles() is None
+        composite = CompositeDetector({"omega": OmegaDetector()}).history(pattern)
+        assert composite.settles() is None
+
+
 class TestSigma:
     def test_anchor_mode_quorums_always_intersect(self):
         pattern = FailurePattern.crash(5, {0: 1, 1: 1, 2: 1})  # minority correct

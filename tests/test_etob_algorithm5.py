@@ -7,10 +7,15 @@ Covers the three headline properties:
 (P3) causal order holds at all times, including divergence periods.
 """
 
+from dataclasses import replace
+
+from repro.core.etob import EtobLayer
 from repro.core.messages import payloads
 from repro.properties import check_causal_order, check_etob, check_tob
 from repro.properties.run_checker import check_no_undelivered
+from repro.sim import RunSpec, run_plan
 
+from mutants import EtobDuplicateDelivery, register_mutants
 from tests.helpers import etob_sim, feed_broadcasts
 
 BROADCASTS = [(0, 10, "m0"), (1, 40, "m1"), (2, 80, "m2"), (0, 160, "m3")]
@@ -151,3 +156,25 @@ class TestDiagnostics:
         assert follower_layer.promotes_sent == 0
         assert follower_layer.adoptions >= 1
         assert check_no_undelivered(sim)
+
+
+def test_the_cheapest_cell_kills_the_duplicating_follower(monkeypatch):
+    # One broadcast under a stable leader: the first adoption already
+    # delivers the message twice.
+    register_mutants(monkeypatch)
+    spec = RunSpec(
+        n=3,
+        duration=60,
+        protocol="etob-duplicate-delivery",
+        inputs=((0, 5, ("broadcast", "m0")),),
+        tau=0,
+    )
+    sim = run_plan(spec)
+    assert isinstance(sim.processes[1].layer(EtobLayer), EtobDuplicateDelivery)
+    report = check_etob(sim.run)
+    assert not report.no_duplication_ok
+    assert any(
+        v.startswith("no-duplication: ") and v.endswith("has duplicates")
+        for v in report.violations
+    ), report.violations
+    assert check_etob(run_plan(replace(spec, protocol="etob")).run).ok

@@ -34,17 +34,25 @@ Four pillars:
 - the failure contract: a raise from any of nine call sites escapes
   unchanged on every leg and fails the simulation for good, leaves every
   leg's store holding exactly the completed steps, and the C loop leaks
-  no reference or allocation doing so.
+  no reference or allocation doing so;
+- the detector's settle point: from the tick a history settles at, no
+  loop queries it, and the run is the one a query-only history gives;
+  and the fixed Python cost of an executed step on the C loop.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.etob import EtobLayer
+from repro.detectors import OmegaDetector, OmegaHistory
+from repro.protocols import protocol_detector
 from repro.sim import (
     DEFAULT_KERNEL,
     HAS_COMPILED,
@@ -56,10 +64,13 @@ from repro.sim import (
     Network,
     PackedNetwork,
     Process,
+    ProtocolStack,
+    RunSpec,
     SimObserver,
     Simulation,
     SimulationFailed,
     StepStore,
+    build_simulation,
     make_env,
     make_network,
     run_digest,
@@ -2227,3 +2238,140 @@ class TestRandomSchedulingOnTheCLoop:
         for kernel, sim in sims.items():
             assert _run_view(sim) == reference, kernel
             assert sim.metrics == sims["legacy"].metrics
+
+
+class Queried:
+    """A duck-typed history with ``query`` alone (no ``settles``), logging
+    every query: the simulation must ask it at every sampled tick."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.log: list[tuple[int, int]] = []
+
+    def query(self, pid, t):
+        self.log.append((pid, t))
+        return self.inner.query(pid, t)
+
+
+class CountedOmega(OmegaHistory):
+    """An Omega history that logs the queries it is asked."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.log: list[tuple[int, int]] = []
+
+    def query(self, pid, t):
+        self.log.append((pid, t))
+        return super().query(pid, t)
+
+
+#: Omega's settle tick: mid-run and strictly inside an idle span of the
+#: round-robin schedule below (timeouts every 40 ticks, broadcasts sparse),
+#: so a span split one tick off its place changes the recorded samples.
+SETTLE_AT = 310
+SETTLE_SPEC = RunSpec(
+    n=4,
+    duration=1_200,
+    protocol="etob",
+    tau=SETTLE_AT,
+    inputs=tuple((p % 4, 20 + 90 * p, ("broadcast", f"m{p}")) for p in range(10)),
+    timeout_interval=40,
+    record="full",
+)
+
+
+def _settle_sim(detector_of, **options):
+    spec = replace(SETTLE_SPEC, **options)
+    sim = build_simulation(spec, detector=detector_of(protocol_detector(spec)))
+    sim.run_until(spec.duration)
+    return sim
+
+
+class TestSettledDetector:
+    """From the tick its history settles at (``settles()``), no loop queries
+    the detector; the settled value must be what the queries would have
+    answered, on every rung, engine and schedule."""
+
+    @pytest.mark.parametrize("scheduling", ["round_robin", "random"])
+    def test_a_mid_run_settle_runs_as_the_queried_history(self, scheduling):
+        oracle = _settle_sim(
+            Queried, kernel="legacy", engine="naive", scheduling=scheduling
+        )
+        want = (run_digest(oracle), _columns(oracle.run.steps))
+        assert oracle.detector.log  # the oracle queried every step
+        for kernel, engine in itertools.product(BUILT_KERNELS, ("event", "naive")):
+            for detector_of in (lambda h: h, Queried):
+                sim = _settle_sim(
+                    detector_of, kernel=kernel, engine=engine, scheduling=scheduling
+                )
+                got = (run_digest(sim), _columns(sim.run.steps))
+                assert got == want, (kernel, engine, detector_of)
+
+    @pytest.mark.parametrize("kernel", BUILT_KERNELS)
+    @pytest.mark.parametrize("record", ["full", "metrics"])
+    def test_only_a_history_without_settles_is_queried_at_every_step(
+        self, kernel, record
+    ):
+        def counted(history):
+            return CountedOmega(history.pattern, stabilization_time=SETTLE_AT)
+
+        queried = _settle_sim(Queried, kernel=kernel, record=record)
+        settled = _settle_sim(counted, kernel=kernel, record=record)
+        if record == "full":
+            steps = [(s.pid, s.time) for s in queried.run.steps]
+        else:
+            steps = queried.detector.log
+            assert len(steps) == queried.metrics.steps
+        assert queried.detector.log == steps
+        assert settled.detector.log == [(p, t) for p, t in steps if t < SETTLE_AT]
+        assert run_digest(settled) == run_digest(queried)
+
+
+def _sparse_adversary(ticks: int, n: int = 16, seed: int = 1) -> Simulation:
+    """The ruler's sparse_adversary shape: 16 ETOB processes on flaky links,
+    random scheduling, one crash, 40 broadcasts around Omega's settle
+    tick (ticks // 8)."""
+    pattern = FailurePattern(n, {n - 1: 3 * ticks // 4})
+    sim = Simulation(
+        [ProtocolStack([EtobLayer()]) for __ in range(n)],
+        failure_pattern=pattern,
+        detector=OmegaDetector(stabilization_time=ticks // 8).history(
+            pattern, seed=seed
+        ),
+        delay_model=make_env("flaky", seed=seed).delay,
+        seed=seed,
+        timeout_interval=256,
+        scheduling="random",
+        record="metrics",
+    )
+    step = ticks // 1000
+    for i in range(40):
+        sim.add_input(
+            i % (n - 1), ticks // 8 + (i - 20) * step, ("broadcast", f"m{i}")
+        )
+    return sim
+
+
+@pytest.mark.skipif(not HAS_COMPILED_LOOP, reason="C loop not built")
+def test_an_executed_step_costs_at_most_five_python_calls():
+    # What a step pays in Python besides its handler: one call into the
+    # stack, one into the layer, one Omega read; no detector query once
+    # Omega settled, one delay-profile call per broadcast. The count is
+    # deterministic, so it guards the fixed cost itself.
+    sim = _sparse_adversary(100_000)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        sim.run_until(100_000)
+    finally:
+        sys.setprofile(None)
+    assert sim.fused_path == "c-loop"
+    steps = sim.metrics.steps
+    assert steps > 10_000
+    assert calls <= 5 * steps, calls / steps

@@ -29,6 +29,7 @@ from repro.sim import (
     make_network,
     run_digest,
 )
+from repro.sim.context import Context
 from repro.sim.envs import AgeGstDist, OneWayPartition, UniformDist
 from repro.sim.kernel import HAS_COMPILED
 from repro.sim.network import Network
@@ -586,6 +587,44 @@ class TestEveryCExitReleasesItsBuffers:
         with pytest.raises(TypeError, match=f"{name} must be a list"):
             sim.run_until(10)
         setattr(sim._ctx, name, good)
+        assert_buffers_released(sim)
+
+    @pytest.mark.parametrize("name", ["pid", "time", "fd_value"])
+    def test_a_step_fact_that_is_not_a_plain_slot_is_refused_by_name(self, name):
+        # The C loop stores pid, time and fd_value straight into the
+        # context's slots; a subclass that turns one into a property must
+        # not be written behind its back.
+        class Shadowed(Context):
+            pass
+
+        setattr(Shadowed, name, property(lambda self: 0, lambda self, value: None))
+        sim = _chatter_sim("compiled-loop", "event", "round_robin")
+        sim._ctx = Shadowed(pid=0, n=sim.n, time=0)
+        with pytest.raises(TypeError, match=f"context's {name} must be a plain slot"):
+            sim.run_until(10)
+        assert_buffers_released(sim)
+
+    def test_a_context_without_a_step_fact_is_refused_by_name(self):
+        class Bare:
+            __slots__ = ("pid", "n", "time", "_outbox", "_outputs", "_log")
+
+        sim = _chatter_sim("compiled-loop", "event", "round_robin")
+        bare = sim._ctx = Bare()
+        bare._outbox, bare._outputs, bare._log = [], [], []
+        with pytest.raises(TypeError, match="context's fd_value must be a plain slot"):
+            sim.run_until(10)
+        assert_buffers_released(sim)
+
+    @pytest.mark.parametrize(
+        "settle,error",
+        [([0, None], TypeError), ((0,), TypeError), ((2**64, None), OverflowError)],
+        ids=["list", "short", "past-int64"],
+    )
+    def test_a_settle_point_that_is_not_an_int64_pair_is_refused(self, settle, error):
+        sim = _chatter_sim("compiled-loop", "event", "round_robin")
+        sim._fd_settle = settle
+        with pytest.raises(error):
+            sim.run_until(10)
         assert_buffers_released(sim)
 
     def test_a_dead_set_that_is_not_a_set_is_refused(self):

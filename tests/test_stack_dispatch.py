@@ -26,7 +26,10 @@ import repro.protocols as protocols
 import repro.workload.scenario as workload_scenario
 from repro.cht import ReplaySandbox
 from repro.core import EcDriverLayer, EcUsingOmegaLayer
-from repro.sim import FixedDelay, Layer, ProtocolStack, RunSpec, Simulation, run_plan
+from repro.core.messages import MessageId
+from repro.sim import (
+    FixedDelay, Layer, Process, ProtocolStack, RunSpec, Simulation, run_plan,
+)
 from repro.sim.context import Context
 from repro.sim.replay import run_digest
 from repro.workload import WorkloadSpec, workload_sim
@@ -153,6 +156,41 @@ def ec_factory(proposal_fn):
     return ProtocolStack(
         [EcUsingOmegaLayer(), EcDriverLayer(proposal_fn, max_instances=2)]
     )
+
+
+class Inbox(Layer):
+    """Keeps what reaches it: ``(sender, payload)`` per message."""
+
+    def __init__(self):
+        self.received = []
+
+    def on_message(self, ctx, sender, payload):
+        self.received.append((sender, payload))
+
+
+class RawSender(Process):
+    """A non-stack peer: sends its payloads unframed to p1 at its start."""
+
+    def __init__(self, payloads):
+        self.payloads = payloads
+
+    def on_start(self, ctx):
+        for payload in self.payloads:
+            ctx.send(1, payload)
+
+
+def test_only_a_plain_int_led_pair_is_framed():
+    # MessageId(0, 7) has the framing's shape, but a tuple subclass is an
+    # application payload: it reaches the top layer whole. A plain
+    # (index, payload) pair still reaches layer index.
+    bottom, top = Inbox(), Inbox()
+    sim = Simulation(
+        [RawSender([MessageId(0, 7), (0, "framed")]), ProtocolStack([bottom, top])]
+    )
+    sim.run_until(10)
+    assert bottom.received == [(0, "framed")]
+    assert top.received == [(0, MessageId(0, 7))]
+    assert type(top.received[0][1]) is MessageId
 
 
 def test_a_stepped_stack_freezes_to_its_protocol_state():
