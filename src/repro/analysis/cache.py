@@ -20,9 +20,9 @@ function:
   cells) and executes only what is missing. When the campaign completes,
   the journal is promoted into the store and deleted;
 - :class:`ResultCache` bundles both and is what
-  :meth:`repro.suite.ScenarioSuite.run` / :meth:`Campaign.run
-  <repro.analysis.experiments.campaign.Campaign.run>` accept as ``cache=``:
-  before dispatching, each cell is keyed by
+  :func:`repro.suite.run_cells` (and so ``ScenarioSuite.run`` and
+  :meth:`Campaign.run <repro.analysis.experiments.campaign.Campaign.run>`)
+  accepts as ``cache=``: before dispatching, each cell is keyed by
   ``sha256(code_version, runner identity, params)`` — kernel-independent,
   like the results themselves — and served from the store (``hit``), the
   journal (``resumed``), or executed (``miss``).
@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.suite import Cell, CellResult, SuiteCell
+from repro.suite import Cell, CellResult
 
 __all__ = [
     "CacheSession",
@@ -230,9 +230,9 @@ class Journal:
 
     One line per cell: ``{"digest": ..., "blob": base64(pickle(record))}``.
     Appends flush and fsync before returning, so once
-    :meth:`ScenarioSuite.run <repro.suite.ScenarioSuite.run>` has reported a
-    cell the entry survives any later crash; a torn final line (the crash
-    window) is skipped on replay rather than poisoning the file.
+    :func:`~repro.suite.run_cells` has reported a cell the entry survives
+    any later crash; a torn final line (the crash window) is skipped on
+    replay rather than poisoning the file.
     """
 
     def __init__(self, path: Path) -> None:
@@ -319,8 +319,8 @@ class CacheStats:
 
 
 class ResultCache:
-    """The object :meth:`ScenarioSuite.run <repro.suite.ScenarioSuite.run>`
-    accepts as ``cache=``: a store plus the current code digest.
+    """The object :func:`~repro.suite.run_cells` accepts as ``cache=``: a
+    store plus the current code digest.
 
     ``code_version`` is injectable for tests (proving that a digest bump
     invalidates every entry without editing source files); by default it is
@@ -344,23 +344,19 @@ class ResultCache:
     def root(self) -> Path:
         return self.store.root
 
-    def session(
-        self,
-        name: str,
-        cells: Sequence[SuiteCell | Cell],
-        runner_of: Callable[[SuiteCell | Cell], Callable[..., Any]],
-    ) -> "CacheSession":
+    def session(self, name: str, cells: Sequence[Cell]) -> "CacheSession":
         """Open one run's session: partition ``cells`` into served/pending."""
-        return CacheSession(self, name, cells, runner_of)
+        return CacheSession(self, name, cells)
 
 
 class CacheSession:
-    """One suite run against the cache: lookup, streaming journal, commit.
+    """One :func:`~repro.suite.run_cells` call against the cache: lookup,
+    streaming journal, commit.
 
     Built by :meth:`ResultCache.session`. ``served`` holds ready
     :class:`~repro.suite.CellResult` objects (store hits and journal-resumed
     cells, in grid order, each carrying its original ``wall_time``);
-    ``pending`` the cells that must actually execute. The owning suite calls
+    ``pending`` the cells that must actually execute. The executor calls
     :meth:`record` as each fresh result streams in (append + fsync — the
     checkpoint) and :meth:`commit` only when every cell is accounted for
     (promote the journal into the store, then delete it). A run that dies
@@ -369,20 +365,14 @@ class CacheSession:
     """
 
     def __init__(
-        self,
-        cache: ResultCache,
-        name: str,
-        cells: Sequence[SuiteCell | Cell],
-        runner_of: Callable[[SuiteCell | Cell], Callable[..., Any]],
+        self, cache: ResultCache, name: str, cells: Sequence[Cell]
     ) -> None:
         self.cache = cache
         self.stats = CacheStats()
         self._keys: dict[int, tuple[str, str]] = {}
         digests: list[str] = []
         for cell in cells:
-            digest, payload = cell_key(
-                cache.code_version, runner_of(cell), cell.params
-            )
+            digest, payload = cell_key(cache.code_version, cell.runner, cell.params)
             self._keys[cell.index] = (digest, payload)
             digests.append(digest)
         # The journal is per-campaign: the same cell set (same code, same
@@ -395,7 +385,7 @@ class CacheSession:
         self.journal = cache.store.journal(campaign_id)
         journaled = self.journal.entries()
         self.served: list[CellResult] = []
-        self.pending: list[SuiteCell | Cell] = []
+        self.pending: list[Cell] = []
         for cell in cells:
             digest = self._keys[cell.index][0]
             record = self.cache.store.get(digest)
@@ -413,7 +403,7 @@ class CacheSession:
                     value=record["value"],
                     error=None,
                     wall_time=record["wall_time"],
-                    tags=dict(getattr(cell, "tags", None) or {}),
+                    tags=dict(cell.tags),
                     cached=status,
                 )
             )

@@ -9,7 +9,7 @@ package ``__init__`` imports every module, so importing
 Because each experiment takes a ``seed`` keyword, any experiment expands
 into :class:`~repro.suite.Cell` objects — see :meth:`ExperimentDef.cells` —
 each a picklable unit (runner + resolved params + provenance tags) that can
-execute on any :class:`~repro.suite.ScenarioSuite` worker pool. A
+execute through :func:`~repro.suite.run_cells`, the one worker pool. A
 :class:`~repro.analysis.experiments.campaign.Campaign` pools the cells of
 one or many experiments into one shared, cost-ordered pool.
 
@@ -30,14 +30,13 @@ aggregation code.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 from statistics import mean, quantiles, stdev
 from typing import Any, Callable, Sequence
 
 from repro.analysis.tables import Table
 from repro.sim.errors import ConfigurationError
-from repro.suite import Axis, Cell, SuiteResult, derive_seed
+from repro.suite import Axis, Cell, SuiteResult, expand, seed_values
 
 
 @dataclass
@@ -119,24 +118,15 @@ class ExperimentDef:
         One cell per point of ``seed × extra axes`` (seed-major, axes in
         declaration order), each invoking the experiment function with that
         seed (plus one value per extra axis) and returning its
-        :class:`ExperimentResult`. An integer ``seeds`` asks for that many
-        deterministic seeds via :func:`~repro.suite.derive_seed`. Every cell
+        :class:`ExperimentResult`. ``seeds`` follows the suite's seed rule
+        (:func:`~repro.suite.seed_values`): an integer asks for that many
+        derived seeds, a list is used verbatim, none is refused. Every cell
         is tagged with its provenance — ``experiment`` (this key), ``seed``,
         ``axes`` (the extra-axis values), and ``cell`` (the canonical index
         within this experiment's expansion) — so pooled results can be
         demultiplexed and reassembled deterministically regardless of
         execution order.
         """
-        if isinstance(seeds, int):
-            if seeds < 1:
-                raise ConfigurationError("need at least one seed")
-            seed_values: Sequence[int] = [
-                derive_seed(base_seed, i) for i in range(seeds)
-            ]
-        else:
-            seed_values = list(seeds)
-            if not seed_values:
-                raise ConfigurationError("need at least one seed")
         extra: list[Axis] = []
         for name, values in (axes or {}).items():
             if name == "seed":
@@ -144,27 +134,24 @@ class ExperimentDef:
                     "'seed' is the implicit first axis; pass seeds=... instead"
                 )
             extra.append(Axis(name, tuple(values)))
-        names = ["seed"] + [axis.name for axis in extra]
+        grid = expand([Axis("seed", seed_values(seeds, base_seed)), *extra])
         # Unpickling the runner in a cold worker imports this module's
         # package first, and its __init__ fills the whole registry.
         runner = functools.partial(run_experiment, self.key)
-        cells: list[Cell] = []
-        for combo in itertools.product(seed_values, *(a.values for a in extra)):
-            params = dict(zip(names, combo))
-            cells.append(
-                Cell(
-                    runner=runner,
-                    params=params,
-                    tags={
-                        "experiment": self.key,
-                        "seed": params["seed"],
-                        "axes": {n: params[n] for n in names[1:]},
-                        "cell": len(cells),
-                    },
-                    cost=self.cost,
-                )
+        return [
+            Cell(
+                runner=runner,
+                params=params,
+                tags={
+                    "experiment": self.key,
+                    "seed": params["seed"],
+                    "axes": {axis.name: params[axis.name] for axis in extra},
+                    "cell": index,
+                },
+                cost=self.cost,
             )
-        return cells
+            for index, params in enumerate(grid)
+        ]
 
 
 #: key (e.g. ``"EXP-4"``) → definition; populated by the module decorators.

@@ -1,13 +1,13 @@
 """Campaigns: one cross-experiment cell pool, demultiplexed per experiment.
 
 The report's throughput problem is above the simulator: sweeping experiments
-one :class:`~repro.suite.ScenarioSuite` at a time leaves workers idle through
-each experiment's tail (EXP-7's cells run for seconds while the pool holding
-them has nothing else to hand out). A :class:`Campaign` flattens *all*
-requested experiments × seeds × extra axes into one global list of
-:class:`~repro.suite.Cell` objects, orders it cost-descending (per-experiment
-cost hints, so the long tails start first and overlap the cheap cells),
-executes it through a **single** streaming suite — one worker pool for the
+one grid at a time leaves workers idle through each experiment's tail
+(EXP-7's cells run for seconds while the pool holding them has nothing else
+to hand out). A :class:`Campaign` flattens *all* requested experiments ×
+seeds × extra axes into one global list of :class:`~repro.suite.Cell`
+objects, orders it cost-descending (per-experiment cost hints, so the long
+tails start first and overlap the cheap cells), executes it through a
+**single** :func:`~repro.suite.run_cells` call — one worker pool for the
 whole report — and demultiplexes the results back into one
 :class:`~repro.suite.SuiteResult` per experiment via the provenance tags
 each cell carries::
@@ -29,8 +29,7 @@ completion orders; the cost ordering only moves wall-clock time.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Sequence
 
 from repro.analysis.experiments.base import (
@@ -38,7 +37,7 @@ from repro.analysis.experiments.base import (
     ExperimentDef,
 )
 from repro.sim.errors import ConfigurationError
-from repro.suite import Cell, CellResult, ScenarioSuite, SuiteResult
+from repro.suite import Cell, CellResult, SuiteResult, run_cells
 
 
 @dataclass
@@ -177,7 +176,7 @@ class Campaign:
         worker count never change the *results*: demultiplexing reassembles
         each experiment's cells by their canonical ``cell`` tag.
         ``workers`` / ``progress`` pass through to
-        :meth:`~repro.suite.ScenarioSuite.run`; with the default
+        :func:`~repro.suite.run_cells`; with the default
         :class:`~repro.suite.SuiteProgress` each line is prefixed by the
         cell's experiment key.
 
@@ -190,38 +189,21 @@ class Campaign:
         pool position), ``workers`` does not fragment it.
         """
         pool = sorted(self.cells(), key=lambda cell: -cell.cost)
-        start = time.perf_counter()
-        suite_result = ScenarioSuite.from_cells(pool, name=self.name).run(
-            workers=workers, progress=progress, cache=cache
+        pooled = run_cells(
+            pool, name=self.name, workers=workers, progress=progress, cache=cache
         )
         by_experiment: dict[str, list[CellResult]] = {key: [] for key in self.keys}
-        for cell in suite_result.cells:
-            by_experiment[cell.tags["experiment"]].append(cell)
+        for cell in pooled.cells:
+            by_experiment[cell.tags["experiment"]].append(
+                replace(cell, index=cell.tags["cell"])
+            )
         demuxed: dict[str, SuiteResult] = {}
         for key, cells in by_experiment.items():
-            cells.sort(key=lambda cell: cell.tags["cell"])
-            reindexed = [
-                CellResult(
-                    index=cell.tags["cell"],
-                    params=cell.params,
-                    value=cell.value,
-                    error=cell.error,
-                    wall_time=cell.wall_time,
-                    tags=cell.tags,
-                    cached=cell.cached,
-                )
-                for cell in cells
-            ]
+            cells.sort(key=lambda cell: cell.index)
             demuxed[key] = SuiteResult(
                 name=f"{key}-sweep",
-                cells=reindexed,
-                wall_time=sum(cell.wall_time for cell in reindexed),
-                workers=suite_result.workers,
+                cells=cells,
+                wall_time=sum(cell.wall_time for cell in cells),
+                workers=pooled.workers,
             )
-        pooled = SuiteResult(
-            name=suite_result.name,
-            cells=suite_result.cells,
-            wall_time=time.perf_counter() - start,
-            workers=suite_result.workers,
-        )
         return CampaignResult(suite=pooled, by_experiment=demuxed)

@@ -3,7 +3,7 @@
 Both experiments declare an ``env`` sweep axis over the registered network
 environments (:mod:`repro.sim.envs`): each axis value is an environment
 *name*, resolved per cell — with the cell's own seed — via
-:func:`~repro.sim.envs.make_env`, so the same crash scenarios run under
+:func:`~repro.sim.envs.env_links`, so the same crash scenarios run under
 heavy-tailed delays, flapping links, or asymmetric partitions exactly like
 under the fixed-delay baseline. ``generate_report`` pivots the axis into
 columns (one block per environment).
@@ -17,7 +17,7 @@ from repro.analysis.experiments.base import ExperimentResult, experiment
 from repro.analysis.tables import Table
 from repro.core.messages import payloads
 from repro.properties import check_ec, extract_timeline
-from repro.sim import RunSpec, make_env, run_plan
+from repro.sim import RunSpec, env_links, run_plan
 from repro.suite import Axis
 
 
@@ -57,7 +57,7 @@ def exp_ec_any_environment(
     *, seed: int = 0, env: str = "baseline"
 ) -> ExperimentResult:
     """EXP-3: Algorithm 4 across environments and stabilization times."""
-    environment = make_env(env, seed=seed, base_delay=2)
+    links = env_links(env, seed=seed, base_delay=2)
     table = Table(
         f"EXP-3: EC from Omega in any environment (Algorithm 4), env={env}",
         ["crash scenario", "tau_Omega", "verdict", "agreement index k",
@@ -81,7 +81,7 @@ def exp_ec_any_environment(
                 crashes=tuple(sorted(crashes.items())),
                 seed=seed,
                 tau=tau,
-                links=environment.delay,
+                links=links,
                 timeout_interval=4,
             )
         )
@@ -132,7 +132,7 @@ def partition_gap_spec(
         ),
         seed=seed,
         tau=150,
-        links=make_env(env, seed=seed, base_delay=2).delay,
+        links=env_links(env, seed=seed, base_delay=2),
         timeout_interval=2,
         message_batch=4,
     )

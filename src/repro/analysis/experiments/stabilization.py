@@ -7,7 +7,7 @@ from typing import Sequence
 from repro.analysis.experiments.base import ExperimentResult, experiment
 from repro.analysis.tables import Table
 from repro.properties import check_etob, check_tob
-from repro.sim import FixedDelay, RunSpec, make_env, run_plan
+from repro.sim import FixedDelay, RunSpec, env_links, make_env, run_plan
 from repro.suite import Axis
 
 #: EXP-4's link delay and timer interval.
@@ -31,7 +31,7 @@ def etob_stabilization_spec(
         ),
         seed=seed,
         tau=tau_omega,
-        links=make_env(env, seed=seed, base_delay=_DELAY).delay,
+        links=env_links(env, seed=seed, base_delay=_DELAY),
         timeout_interval=_TIMEOUT,
         message_batch=4,
     )
@@ -69,7 +69,8 @@ def exp_etob_stabilization(
     env: str = "baseline",
 ) -> ExperimentResult:
     """EXP-4: measured ETOB tau vs the proof's bound tau_Omega + Dt + Dc."""
-    environment = make_env(env, seed=seed, base_delay=_DELAY)
+    # Each run refuses an environment with churn (see etob_stabilization_spec).
+    bounds = make_env(env, seed=seed, base_delay=_DELAY).bounds
     table = Table(
         f"EXP-4: ETOB stabilization vs paper bound (tau_Omega + Dt + Dc), "
         f"env={env}",
@@ -85,7 +86,6 @@ def exp_etob_stabilization(
         # costs one timeout + one delivery once both the detector and the
         # links have settled — for the baseline environment this reduces to
         # the original tau_Omega + (timeout + n) + delay.
-        bounds = environment.bounds
         bound = (
             max(tau_omega, bounds.stabilizes_at)
             + (_TIMEOUT + n)

@@ -157,7 +157,7 @@ class PaxosConsensusLayer(Layer):
         if instance not in self.decided:
             self._open.add(instance)
         ctx.send_all(Forward(instance, value), include_self=False)
-        if self.prepared and self._omega(ctx) == ctx.pid:
+        if self.prepared and self._omega(ctx) == self.pid:
             self._drive_instances(ctx)
 
     def on_input(self, ctx: LayerContext, value: Any) -> None:
@@ -170,7 +170,7 @@ class PaxosConsensusLayer(Layer):
             self.candidates.setdefault(payload.instance, {})[sender] = payload.value
             if payload.instance not in self.decided:
                 self._open.add(payload.instance)
-            if self.prepared and self._omega(ctx) == ctx.pid:
+            if self.prepared and self._omega(ctx) == self.pid:
                 # A stable, prepared leader accepts new proposals immediately,
                 # giving the canonical three-step decision latency.
                 self._drive_instances(ctx)
@@ -297,7 +297,7 @@ class PaxosConsensusLayer(Layer):
     def on_timeout(self, ctx: LayerContext) -> None:
         if self.quorum_mode == "sigma" and self._accept_acks:
             self._retest_acks(ctx)
-        if self._omega(ctx) != ctx.pid:
+        if self._omega(ctx) != self.pid:
             self._was_leader = False
             return
         if not self._was_leader:

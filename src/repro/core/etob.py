@@ -153,7 +153,7 @@ class EtobLayer(Layer):
 
     def on_timeout(self, ctx: LayerContext) -> None:
         # On local timeout: if Omega_i = p_i, send promote(promote_i) to all.
-        if self._omega(ctx) == ctx.pid:
+        if self._omega(ctx) == self.pid:
             self.promotes_sent += 1
             ctx.send_all(
                 PromoteSequence(self.promote, self.promotes_sent), include_self=True

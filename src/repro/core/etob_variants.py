@@ -90,7 +90,7 @@ class ArrivalOrderEtobLayer(Layer):
                 ctx.emit_upper(("deliver", self.delivered))
 
     def on_timeout(self, ctx: LayerContext) -> None:
-        if self._omega(ctx) == ctx.pid:
+        if self._omega(ctx) == self.pid:
             self._promotes_sent += 1
             ctx.send_all(
                 PromoteSequence(self.promote, self._promotes_sent), include_self=True

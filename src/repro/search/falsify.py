@@ -1,12 +1,12 @@
 """The falsifier driver: guided perturbation over an adversary envelope.
 
-A deterministic hill-climb with restart annealing, batched onto the existing
-:class:`~repro.suite.ScenarioSuite` worker-pool machinery:
+A deterministic hill-climb with restart annealing, batched onto the one
+cell executor, :func:`~repro.suite.run_cells`:
 
 - each *round* proposes a batch of candidate points — neighbors of the
   current point (plus one random immigrant), or fresh uniform draws on the
   first round and after a restart;
-- the batch is evaluated as cost-tagged suite cells (one trial per cell, the
+- the batch is evaluated as cost-tagged cells (one trial per cell, the
   target's declared cost), so trials run across ``workers`` processes and
   stream back in completion order while results are reassembled by index —
   the worker count can never change what the search sees;
@@ -79,7 +79,7 @@ def falsify(
     is invoked after each round as ``progress(evaluations, budget,
     best_value)``.
     """
-    from repro.suite import Cell, ScenarioSuite
+    from repro.suite import Cell, run_cells
 
     target = get_target(target_name)
     if budget < 1:
@@ -127,8 +127,7 @@ def falsify(
             )
             for i, point in enumerate(candidates)
         ]
-        outcome = ScenarioSuite.from_cells(cells, name=f"falsify-{target.name}") \
-            .run(workers=workers)
+        outcome = run_cells(cells, name=f"falsify-{target.name}", workers=workers)
         for cell in outcome.cells:
             if not cell.ok:
                 raise ConfigurationError(

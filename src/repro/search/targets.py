@@ -176,18 +176,17 @@ def iid_baseline(
 ) -> dict[str, Any]:
     """The i.i.d. baseline the falsifier must beat: the target's objective
     measured on the canonical experiment scenario over the report's
-    deterministic seeds (:func:`~repro.suite.derive_seed`, the same
+    deterministic seeds (:func:`~repro.suite.seed_values`, the same
     derivation ``generate_report`` uses — for ``seeds=3`` these are exactly
     the EXPERIMENTS.md seeds, so ``max`` is the documented 3-seed maximum).
     """
-    from repro.suite import derive_seed
+    from repro.suite import seed_values
 
     target = get_target(name)
     if target.baseline_run is None:
         raise ConfigurationError(f"target {name!r} declares no i.i.d. baseline")
     values = [
-        float(target.baseline_run(derive_seed(base_seed, i)))
-        for i in range(seeds)
+        float(target.baseline_run(seed)) for seed in seed_values(seeds, base_seed)
     ]
     return {"seeds": seeds, "base_seed": base_seed, "values": values,
             "max": max(values)}

@@ -131,7 +131,7 @@ def load_corpus(directory: Path | str | None = None) -> list[Witness]:
 
 
 def _replay_cell(target: str, point: dict, kernel: str) -> tuple[float, int]:
-    """Module-level (picklable) suite runner for worker-pool replays."""
+    """Module-level (picklable) cell runner for worker-pool replays."""
     from repro.search.targets import evaluate
 
     return evaluate(target, point, kernel=kernel)
@@ -146,31 +146,21 @@ def replay_witness(
     """Reconstruct the witness's exact run; returns fresh ``(value, digest)``.
 
     ``kernel`` selects the sim kernel to reconstruct on; with ``workers > 0``
-    the trial is dispatched as a single cell on a
-    :class:`~repro.suite.ScenarioSuite` worker pool, exercising the same
-    pickle and reassembly path search trials take. The caller compares the result
+    the trial is dispatched as a single cell through
+    :func:`~repro.suite.run_cells`, exercising the same pickle and
+    reassembly path search trials take. The caller compares the result
     against ``(witness.value, witness.digest)`` — equality is the corpus
     invariant.
     """
     if workers and workers > 0:
-        from repro.suite import Cell, ScenarioSuite
+        from repro.suite import Cell, run_cells
 
-        suite = ScenarioSuite.from_cells(
-            [
-                Cell(
-                    runner=_replay_cell,
-                    params={
-                        "target": witness.target,
-                        "point": witness.point,
-                        "kernel": kernel,
-                    },
-                    tags={"witness": witness.target},
-                )
-            ],
+        params = {"target": witness.target, "point": witness.point, "kernel": kernel}
+        cell = run_cells(
+            [Cell(_replay_cell, params, tags={"witness": witness.target})],
             name="witness-replay",
-        )
-        result = suite.run(workers=workers)
-        cell = result.cells[0]
+            workers=workers,
+        ).cells[0]
         if not cell.ok:
             raise ConfigurationError(
                 f"witness replay cell failed: {cell.error}"

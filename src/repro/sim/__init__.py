@@ -39,6 +39,7 @@ from repro.sim.envs import (
     OneWayPartition,
     UniformDist,
     env_axis,
+    env_links,
     make_env,
     register_env,
     registered_envs,
@@ -101,6 +102,7 @@ __all__ = [
     "OneWayPartition",
     "UniformDist",
     "env_axis",
+    "env_links",
     "make_env",
     "register_env",
     "registered_envs",

@@ -109,6 +109,7 @@ __all__ = [
     "UniformDist",
     "delay_profile_of",
     "env_axis",
+    "env_links",
     "link_uniform",
     "link_unit",
     "make_env",
@@ -650,6 +651,21 @@ def make_env(name: str, *, seed: int = 0, base_delay: Time = 2) -> EnvModel:
     if base_delay < 1:
         raise ConfigurationError(f"base_delay must be >= 1, got {base_delay}")
     return spec.builder(seed, base_delay)
+
+
+def env_links(name: str, *, seed: int = 0, base_delay: Time = 2) -> DelayModel:
+    """The named environment's links, for a run that fixes its own crashes.
+
+    An environment with churn is refused: keeping only its links would run
+    a crash-free baseline and label it with the churn environment's name.
+    """
+    env = make_env(name, seed=seed, base_delay=base_delay)
+    if env.churn is not None:
+        raise ConfigurationError(
+            f"environment {name!r} has churn, and this run takes only an "
+            "environment's links; its crashes are fixed by the run itself"
+        )
+    return env.delay
 
 
 def env_axis(*names: str) -> "Axis":  # noqa: F821 - lazy import below

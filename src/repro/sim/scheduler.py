@@ -96,7 +96,6 @@ from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Protocol, Sequence
 
 from repro.sim.context import BROADCAST_ALL, Context
-from repro.sim.envs import EnvModel
 from repro.sim.errors import ConfigurationError, SimulationFailed
 from repro.sim.failures import FailurePattern
 from repro.sim.kernel import (
@@ -180,7 +179,6 @@ class Simulation:
         failure_pattern: FailurePattern | None = None,
         detector: DetectorHistory | None = None,
         delay_model: DelayModel | None = None,
-        environment: EnvModel | None = None,
         seed: int = 0,
         timeout_interval: int | Sequence[int] = 8,
         scheduling: str = "round_robin",
@@ -196,24 +194,6 @@ class Simulation:
         self.processes = list(processes)
         for pid, process in enumerate(self.processes):
             process.attach(pid, self.n)
-        if environment is not None:
-            # A first-class environment bundles link behaviour with an
-            # optional churn schedule: its delay model becomes the network's,
-            # and — unless the caller pins an explicit pattern — its churn is
-            # rendered over (n, seed) into the run's failure pattern.
-            if not isinstance(environment, EnvModel):
-                raise ConfigurationError(
-                    f"environment must be an EnvModel "
-                    f"(see repro.sim.envs.make_env), got {environment!r}"
-                )
-            if delay_model is not None:
-                raise ConfigurationError(
-                    "pass an environment or a delay model, not both"
-                )
-            delay_model = environment.delay
-            if failure_pattern is None and environment.churn is not None:
-                failure_pattern = environment.pattern(self.n, seed=seed)
-        self.environment = environment
         self.failure_pattern = failure_pattern or FailurePattern.no_failures(self.n)
         if self.failure_pattern.n != self.n:
             raise ConfigurationError(

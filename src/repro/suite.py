@@ -1,10 +1,12 @@
-"""Scenario suites: parameter grids executed across worker processes.
+"""Cells and the one executor that runs them across worker processes.
 
-Every experiment in this repository sweeps *something* — seeds, crash
-schedules, delay models, detector stabilization times, protocol stacks. A
-:class:`ScenarioSuite` names those axes once, expands the cross product into
-cells, and executes the cells either serially or across a
-``multiprocessing`` pool:
+The unit of work is a :class:`Cell`: a runner, its keyword params, and
+provenance tags. :func:`run_cells` executes any list of cells — serially or
+across a ``multiprocessing`` pool — and returns one :class:`SuiteResult`.
+Every sweep in this repository builds such a list: a
+:class:`ScenarioSuite` expands a seed × axes grid over one runner, a
+:class:`~repro.analysis.experiments.Campaign` pools the cells of many
+experiments, and a falsifier round is a batch of trial cells::
 
     from repro.suite import ScenarioSuite
 
@@ -20,34 +22,26 @@ cells, and executes the cells either serially or across a
         .run(workers=4)
     )
 
-Determinism: cells are enumerated in a fixed order (the cross product of the
-axes in declaration order) and each cell's parameters — including its seed —
-are fixed before any worker starts, so results are independent of worker
-count and scheduling. Derived seeds come from a stable hash of
-``(base_seed, index)`` reduced to 31 bits, never from ``hash()`` or global
-RNG state.
+Determinism: a grid is enumerated in a fixed order (the cross product of
+the axes in declaration order, :func:`expand`) and each cell's parameters —
+including its seed — are fixed before any worker starts, so results are
+independent of worker count and scheduling. Derived seeds come from a
+stable hash of ``(base_seed, index)`` reduced to 31 bits
+(:func:`seed_values`), never from ``hash()`` or global RNG state.
 
-Parallel execution pickles ``(runner, params)`` to the workers, so the runner
-must be a module-level callable (or a ``functools.partial`` of one) and the
+Parallel execution pickles each cell to the workers, so its runner must be
+a module-level callable (or a ``functools.partial`` of one) and the
 returned values must be picklable. Serial execution (``workers=0``) accepts
-any callable. Exceptions inside a cell do not abort the suite; they are
+any callable. Exceptions inside a cell do not abort the run; they are
 captured per cell in :attr:`CellResult.error`.
 
-Execution: ``run`` executes over a process pool whose results are consumed
-in *completion order* and reassembled deterministically by cell index, so a
-``progress`` callback — e.g. :class:`SuiteProgress`, a live progress table —
-observes every cell as it lands instead of waiting for the slowest. Hard
-worker deaths (a cell calling ``os._exit``, a segfault, an OOM kill) surface
-as :class:`SuiteExecutionError` rather than hanging; ordinary cell
-exceptions are captured per cell.
-
-Cell pools: besides expanding its own grid, a suite can execute an explicit
-list of pre-built :class:`Cell` objects — each carrying its *own* runner,
-resolved parameters, and provenance tags — via
-:meth:`ScenarioSuite.from_cells`. That is how a
-:class:`~repro.analysis.experiments.Campaign` packs the cells of *many*
-experiments into one shared worker pool; the tags (``experiment`` / ``seed``
-/ ``axes``) travel through :class:`CellResult` so the pooled results can be
+Execution: results are consumed in *completion order* and reassembled
+deterministically by cell index, so a ``progress`` callback — e.g.
+:class:`SuiteProgress`, a live progress table — observes every cell as it
+lands instead of waiting for the slowest. Hard worker deaths (a cell
+calling ``os._exit``, a segfault, an OOM kill) surface as
+:class:`SuiteExecutionError` rather than hanging. The tags travel through
+:class:`CellResult`, so a pool of many experiments' cells can be
 demultiplexed afterwards.
 """
 
@@ -57,7 +51,7 @@ import itertools
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
 from repro.sim.errors import ConfigurationError
@@ -102,26 +96,19 @@ class Axis:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class SuiteCell:
-    """One point of the parameter grid."""
-
-    index: int
-    params: dict[str, Any]
-
-
 @dataclass
 class Cell:
-    """One picklable unit of pooled work: runner + params + provenance.
+    """One picklable unit of work: runner + params + provenance.
 
-    Unlike :class:`SuiteCell` (a point of *one* suite's grid, executed by the
-    suite's shared runner), a ``Cell`` carries its own ``runner``, so cells
-    of many different experiments can share one worker pool. ``tags`` is
-    free-form provenance (a campaign sets ``experiment`` / ``seed`` /
-    ``axes`` / ``cell``) used to demultiplex pooled results; ``cost`` is a
-    relative wall-time hint used to order the pool most-expensive-first so
-    long tails overlap cheap cells. ``index`` is assigned when the cell
-    joins a pool (:meth:`ScenarioSuite.from_cells`).
+    The only unit :func:`run_cells` executes, whatever built it: a
+    :class:`ScenarioSuite` grid point, a campaign's experiment × seed ×
+    axes point, a falsifier trial. Each cell carries its own ``runner``, so
+    cells of many different experiments can share one worker pool.
+    ``tags`` is free-form provenance (a campaign sets ``experiment`` /
+    ``seed`` / ``axes`` / ``cell``) used to demultiplex pooled results;
+    ``cost`` is a relative wall-time hint a campaign orders its pool by,
+    most-expensive-first, so long tails overlap cheap cells. ``index`` is
+    the cell's position in the list :func:`run_cells` is given.
     """
 
     runner: Callable[..., Any]
@@ -219,26 +206,196 @@ def derive_seed(base_seed: int, index: int) -> int:
     return stable_hash("suite-cell-seed", base_seed, index) % (1 << 31)
 
 
-def _execute_cell(runner: Callable[..., Any], cell: SuiteCell | Cell) -> CellResult:
+def seed_values(seeds: int | Iterable[int], base_seed: int = 0) -> tuple[int, ...]:
+    """The ``seed`` axis values: ``k`` derived seeds, or the given ones.
+
+    An integer asks for ``k`` deterministic seeds ``derive_seed(base_seed,
+    i)``; an iterable is used verbatim. No seed at all is refused.
+    """
+    if isinstance(seeds, int):
+        values = tuple(derive_seed(base_seed, i) for i in range(seeds))
+    else:
+        values = tuple(seeds)
+    if not values:
+        raise ConfigurationError("need at least one seed")
+    return values
+
+
+def expand(axes: Iterable[Axis]) -> list[dict[str, Any]]:
+    """The cross product of ``axes``: one params dict per grid point, the
+    first axis varying slowest (a leading ``seed`` axis makes it
+    seed-major)."""
+    axes = list(axes)
+    names = [axis.name for axis in axes]
+    return [
+        dict(zip(names, combo))
+        for combo in itertools.product(*(axis.values for axis in axes))
+    ]
+
+
+def _execute_cell(cell: Cell) -> CellResult:
     """Run one cell; capture exceptions instead of propagating them."""
-    tags = getattr(cell, "tags", None) or {}
     start = time.perf_counter()
+    value, error = None, None
     try:
-        value = runner(**cell.params)
-        return CellResult(
-            cell.index, cell.params, value=value,
-            wall_time=time.perf_counter() - start, tags=tags,
-        )
+        value = cell.runner(**cell.params)
     except Exception as exc:  # noqa: BLE001 - cell isolation is the point
-        return CellResult(
-            cell.index, cell.params,
-            error=f"{type(exc).__name__}: {exc}",
-            wall_time=time.perf_counter() - start, tags=tags,
-        )
+        error = f"{type(exc).__name__}: {exc}"
+    return CellResult(
+        cell.index, cell.params, value=value, error=error,
+        wall_time=time.perf_counter() - start, tags=cell.tags,
+    )
+
+
+def _require_picklable_runners(cells: Sequence[Cell], name: str) -> None:
+    import pickle
+
+    checked: set[int] = set()
+    for cell in cells:
+        if id(cell.runner) in checked:
+            continue
+        checked.add(id(cell.runner))
+        try:
+            pickle.dumps(cell.runner)
+        except Exception as exc:
+            raise ConfigurationError(
+                f"suite runner {name!r} is not picklable ({exc}); "
+                "parallel execution needs a module-level callable — "
+                "use workers=0 to run closures serially"
+            ) from exc
+
+
+def _stream(
+    cells: Sequence[Cell], *, name: str, workers: int | None
+) -> Iterator[CellResult]:
+    """Yield each cell's result as it completes (completion order).
+
+    Serial (``workers`` <= 1) streams in list order from this process and
+    accepts any callable. Parallel streams from a process pool in whatever
+    order workers finish. A worker that dies outright raises
+    :class:`SuiteExecutionError` naming the cell being awaited.
+    """
+    if not cells:
+        return
+    if workers is None:
+        workers = min(os.cpu_count() or 1, len(cells))
+    if workers <= 1:
+        for cell in cells:
+            yield _execute_cell(cell)
+        return
+
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
+
+    _require_picklable_runners(cells, name)
+    executor = ProcessPoolExecutor(max_workers=min(workers, len(cells)))
+    try:
+        futures = {executor.submit(_execute_cell, cell): cell for cell in cells}
+        pending = set(futures)
+        while pending:
+            done, pending = wait(pending, return_when=FIRST_COMPLETED)
+            for future in done:
+                try:
+                    yield future.result()
+                except BrokenProcessPool as exc:
+                    cell = futures[future]
+                    raise SuiteExecutionError(
+                        f"a worker process died while suite {name!r} "
+                        f"awaited cell {cell.index} ({cell.params!r}); "
+                        "completed results are unreliable — rerun the suite"
+                    ) from exc
+    finally:
+        executor.shutdown(wait=True, cancel_futures=True)
+
+
+def run_cells(
+    cells: Iterable[Cell],
+    *,
+    name: str,
+    workers: int | None = None,
+    progress: Callable[[CellResult, int, int], None] | None = None,
+    cache: Any | None = None,
+) -> SuiteResult:
+    """Execute a list of cells; returns their results in list order.
+
+    The one executor: a :class:`ScenarioSuite` grid, a
+    :class:`~repro.analysis.experiments.Campaign` pool and a falsifier
+    round all end here. Each cell's ``index`` is set to its position in
+    ``cells`` (the caller owns any cost ordering *before* this call).
+
+    ``workers=None`` uses one process per CPU (capped at the cell count);
+    ``workers=0`` or ``1`` runs serially in this process and accepts any
+    callable. Results are consumed in completion order and reassembled by
+    index; a hard worker death surfaces as :class:`SuiteExecutionError`
+    instead of hanging. ``progress`` — e.g. :class:`SuiteProgress` — is
+    invoked as ``progress(result, completed, total)`` after each cell.
+    Cell params (seeds included) are fixed before any worker starts, so
+    the *result* never depends on the worker count.
+
+    ``cache`` — a :class:`repro.analysis.cache.ResultCache` — makes the run
+    memoized and resumable: cells whose content-addressed key is already in
+    the store (or in the crash-safe journal of an interrupted run of these
+    same cells) are served without dispatching, reported to ``progress``
+    first (list order, marked ``hit``/``resumed``); every freshly executed
+    result is journaled (append + fsync) the moment it streams in, *before*
+    it is reported, so killing the process mid-run loses at most one
+    in-flight cell. Only a run that completes promotes its journal into the
+    store. Cache temperature never changes the returned numbers — a served
+    result is the pickled payload of the identical earlier execution.
+    """
+    cells = list(cells)
+    if not cells:
+        raise ConfigurationError(f"suite {name!r} has no cells to run")
+    for index, cell in enumerate(cells):
+        if not isinstance(cell, Cell):
+            raise ConfigurationError(f"run_cells expects Cell objects, got {cell!r}")
+        if not callable(cell.runner):
+            raise ConfigurationError(
+                f"cell runner must be callable, got {cell.runner!r}"
+            )
+        cells[index] = replace(cell, index=index)
+    total = len(cells)
+    start = time.perf_counter()
+    if workers is None:
+        workers = min(os.cpu_count() or 1, total)
+
+    session = None
+    pending: Sequence[Cell] = cells
+    results: list[CellResult] = []
+
+    def note(result: CellResult) -> None:
+        results.append(result)
+        if progress is not None:
+            progress(result, len(results), total)
+
+    if cache is not None:
+        session = cache.session(name, cells)
+        pending = session.pending
+        for served in session.served:
+            note(served)
+
+    for result in _stream(pending, name=name, workers=workers):
+        if session is not None:
+            session.record(result)
+        note(result)
+    if session is not None:
+        session.commit()
+    results.sort(key=lambda cell: cell.index)
+    return SuiteResult(
+        name=name,
+        cells=results,
+        wall_time=time.perf_counter() - start,
+        workers=max(1, min(workers, total)),
+    )
 
 
 class ScenarioSuite:
-    """A named parameter grid over a cell runner (or an explicit cell pool)."""
+    """A named parameter grid over one cell runner.
+
+    The grid expands into :class:`Cell` objects (:meth:`cells`);
+    :meth:`run` and :meth:`stream` hand them to the one executor,
+    :func:`run_cells`.
+    """
 
     def __init__(
         self,
@@ -249,53 +406,10 @@ class ScenarioSuite:
     ) -> None:
         if not callable(runner):
             raise ConfigurationError(f"suite runner must be callable, got {runner!r}")
-        self.runner: Callable[..., Any] | None = runner
+        self.runner = runner
         self.name = name or getattr(runner, "__name__", None) or "suite"
         self.base_seed = base_seed
         self._axes: dict[str, Axis] = {}
-        self._explicit_cells: list[Cell] | None = None
-
-    @classmethod
-    def from_cells(
-        cls, cells: Iterable[Cell], *, name: str = "cell-pool"
-    ) -> "ScenarioSuite":
-        """A suite over an explicit, possibly heterogeneous list of cells.
-
-        Each :class:`Cell` carries its own runner, so one suite — one worker
-        pool — can execute the cells of many different experiments (the
-        :class:`~repro.analysis.experiments.Campaign` path). Pool indices
-        are assigned here, in the order given; the caller owns any
-        cost-descending ordering *before* this call. The suite's grid
-        methods (:meth:`axis` / :meth:`seeds`) do not apply.
-        """
-        cells = list(cells)
-        if not cells:
-            raise ConfigurationError("from_cells needs at least one cell")
-        for cell in cells:
-            if not isinstance(cell, Cell):
-                raise ConfigurationError(
-                    f"from_cells expects Cell objects, got {cell!r}"
-                )
-            if not callable(cell.runner):
-                raise ConfigurationError(
-                    f"cell runner must be callable, got {cell.runner!r}"
-                )
-        suite = cls.__new__(cls)
-        suite.runner = None
-        suite.name = name
-        suite.base_seed = 0
-        suite._axes = {}
-        suite._explicit_cells = [
-            Cell(
-                runner=cell.runner,
-                params=dict(cell.params),
-                tags=dict(cell.tags),
-                cost=cell.cost,
-                index=index,
-            )
-            for index, cell in enumerate(cells)
-        ]
-        return suite
 
     # -- grid definition -----------------------------------------------------
 
@@ -306,10 +420,6 @@ class ScenarioSuite:
         replacing a previously declared axis would shrink or reshape the
         grid behind the caller's back.
         """
-        if self._explicit_cells is not None:
-            raise ConfigurationError(
-                "an explicit-cell suite (from_cells) has no grid axes"
-            )
         if isinstance(name, Axis):
             if values is not None:
                 raise ConfigurationError(
@@ -333,114 +443,25 @@ class ScenarioSuite:
         return self
 
     def seeds(self, seeds: int | Iterable[int]) -> "ScenarioSuite":
-        """Add the ``seed`` axis: explicit values, or ``k`` derived ones.
+        """Add the ``seed`` axis: explicit values, or ``k`` derived ones
+        (see :func:`seed_values`, with this suite's ``base_seed``)."""
+        return self.axis("seed", seed_values(seeds, self.base_seed))
 
-        An integer asks for ``k`` deterministic seeds derived from
-        ``base_seed`` via :func:`derive_seed`; an iterable is used verbatim.
-        """
-        if isinstance(seeds, int):
-            if seeds < 1:
-                raise ConfigurationError("need at least one seed")
-            values: Sequence[int] = [
-                derive_seed(self.base_seed, i) for i in range(seeds)
-            ]
-        else:
-            values = list(seeds)
-        return self.axis("seed", values)
-
-    def cells(self) -> list[SuiteCell] | list[Cell]:
-        """The cells to execute: the explicit pool, or the expanded grid."""
-        if self._explicit_cells is not None:
-            return list(self._explicit_cells)
+    def cells(self) -> list[Cell]:
+        """The expanded grid: one cell per point, in declaration order."""
         if not self._axes:
             raise ConfigurationError("the suite has no axes; add axis()/seeds() first")
-        names = list(self._axes)
-        product: Iterator[tuple[Any, ...]] = itertools.product(
-            *(self._axes[name].values for name in names)
-        )
         return [
-            SuiteCell(index, dict(zip(names, combo)))
-            for index, combo in enumerate(product)
+            Cell(self.runner, params, index=index)
+            for index, params in enumerate(expand(self._axes.values()))
         ]
 
     # -- execution -------------------------------------------------------------
 
-    def _runner_of(self, cell: SuiteCell | Cell) -> Callable[..., Any]:
-        runner = getattr(cell, "runner", None) or self.runner
-        assert runner is not None  # __init__/from_cells both enforce this
-        return runner
-
-    def _require_picklable_runners(self, cells: Sequence[SuiteCell | Cell]) -> None:
-        import pickle
-
-        checked: set[int] = set()
-        for cell in cells:
-            runner = self._runner_of(cell)
-            if id(runner) in checked:
-                continue
-            checked.add(id(runner))
-            try:
-                pickle.dumps(runner)
-            except Exception as exc:
-                raise ConfigurationError(
-                    f"suite runner {self.name!r} is not picklable ({exc}); "
-                    "parallel execution needs a module-level callable — "
-                    "use workers=0 to run closures serially"
-                ) from exc
-
-    def stream(
-        self,
-        *,
-        workers: int | None = None,
-        cells: Sequence[SuiteCell | Cell] | None = None,
-    ) -> Iterator[CellResult]:
-        """Yield each cell's result as it completes (completion order).
-
-        Serial (``workers`` <= 1) streams in grid order from this process and
-        accepts any callable. Parallel streams from a process pool in
-        whatever order workers finish — consumers needing grid order sort by
-        :attr:`CellResult.index` (:meth:`run` does). A worker
-        that dies outright raises :class:`SuiteExecutionError` naming the
-        cell being awaited. ``cells`` restricts execution to an explicit
-        subset (how :meth:`run` skips cache-served cells); default is the
-        full grid/pool.
-        """
-        if cells is None:
-            cells = self.cells()
-        if not cells:
-            return
-        if workers is None:
-            workers = min(os.cpu_count() or 1, len(cells))
-        if workers <= 1:
-            for cell in cells:
-                yield _execute_cell(self._runner_of(cell), cell)
-            return
-
-        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-        from concurrent.futures.process import BrokenProcessPool
-
-        self._require_picklable_runners(cells)
-        executor = ProcessPoolExecutor(max_workers=min(workers, len(cells)))
-        try:
-            futures = {
-                executor.submit(_execute_cell, self._runner_of(cell), cell): cell
-                for cell in cells
-            }
-            pending = set(futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    try:
-                        yield future.result()
-                    except BrokenProcessPool as exc:
-                        cell = futures[future]
-                        raise SuiteExecutionError(
-                            f"a worker process died while suite {self.name!r} "
-                            f"awaited cell {cell.index} ({cell.params!r}); "
-                            "completed results are unreliable — rerun the suite"
-                        ) from exc
-        finally:
-            executor.shutdown(wait=True, cancel_futures=True)
+    def stream(self, *, workers: int | None = None) -> Iterator[CellResult]:
+        """Yield each grid cell's result as it completes (completion order;
+        consumers needing grid order sort by :attr:`CellResult.index`)."""
+        return _stream(self.cells(), name=self.name, workers=workers)
 
     def run(
         self,
@@ -449,62 +470,11 @@ class ScenarioSuite:
         progress: Callable[[CellResult, int, int], None] | None = None,
         cache: Any | None = None,
     ) -> SuiteResult:
-        """Execute every cell; returns results in grid order.
-
-        ``workers=None`` uses one process per CPU (capped at the cell count);
-        ``workers=0`` or ``1`` runs serially in this process. Cells execute
-        over :meth:`stream` (completion-order consumption, deterministic
-        reassembly by cell index, and hard worker deaths surfaced as
-        :class:`SuiteExecutionError` instead of hanging). ``progress`` —
-        e.g. :class:`SuiteProgress` — is invoked as
-        ``progress(result, completed, total)`` after each cell; cell
-        enumeration and seeding are identical across worker counts, so the
-        *result* is too.
-
-        ``cache`` — a :class:`repro.analysis.cache.ResultCache` — makes the
-        run memoized and resumable: cells whose content-addressed key is already in the store (or in the crash-safe
-        journal of an interrupted run of this same campaign) are served
-        without dispatching, reported to ``progress`` first (grid order,
-        marked ``hit``/``resumed``); every freshly executed result is
-        journaled (append + fsync) the moment it streams in, *before* it is
-        reported, so killing the process mid-run loses at most one in-flight
-        cell. Only a run that completes promotes its journal into the store.
-        Cache temperature never changes the returned numbers — a served
-        result is the pickled payload of the identical earlier execution.
-        """
-        cells = self.cells()
-        total = len(cells)
-        start = time.perf_counter()
-        if workers is None:
-            workers = min(os.cpu_count() or 1, total)
-
-        session = None
-        pending: Sequence[SuiteCell | Cell] = cells
-        results: list[CellResult] = []
-
-        def note(result: CellResult) -> None:
-            results.append(result)
-            if progress is not None:
-                progress(result, len(results), total)
-
-        if cache is not None:
-            session = cache.session(self.name, cells, self._runner_of)
-            pending = session.pending
-            for served in session.served:
-                note(served)
-
-        for result in self.stream(workers=workers, cells=pending):
-            if session is not None:
-                session.record(result)
-            note(result)
-        if session is not None:
-            session.commit()
-        results.sort(key=lambda cell: cell.index)
-        return SuiteResult(
-            name=self.name,
-            cells=results,
-            wall_time=time.perf_counter() - start,
-            workers=max(1, min(workers, total)),
+        """Execute every grid cell through :func:`run_cells`; returns
+        results in grid order."""
+        return run_cells(
+            self.cells(), name=self.name, workers=workers, progress=progress,
+            cache=cache,
         )
 
 

@@ -19,8 +19,9 @@
 :func:`workload_sim` assembles replicas + an :class:`OpenLoopClient`
 population + a :class:`LatencyObserver` into one
 :class:`~repro.sim.scheduler.Simulation` under a named environment model
-(:func:`repro.sim.envs.make_env` — delay draws counter-based, so the whole
-run is pure in ``(spec, stack, env, seed)``).
+(:func:`repro.sim.envs.env_links`; an environment with churn is refused —
+delay draws counter-based, so the whole run is pure in
+``(spec, stack, env, seed)``).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from repro.core.transformations import EcToEtobLayer
 from repro.detectors import OmegaDetector
 from repro.replication import KvStore, ReplicaLayer
 from repro.replication.client import ClientServingLayer, Reply, Request
-from repro.sim import FailurePattern, ProtocolStack, Simulation, make_env
+from repro.sim import FailurePattern, ProtocolStack, Simulation, env_links
 from repro.sim.context import Context
 from repro.sim.errors import ConfigurationError
 from repro.sim.kernel import DEFAULT_KERNEL
@@ -146,7 +147,6 @@ def workload_sim(
     if replicas < 1:
         raise ConfigurationError("need at least one replica")
     n = replicas + spec.clients
-    environment = make_env(env, seed=spec.seed, base_delay=base_delay)
     pattern = FailurePattern.no_failures(n)
     detector = OmegaDetector(stabilization_time=0, leader=0).history(
         pattern, seed=spec.seed
@@ -167,7 +167,7 @@ def workload_sim(
         processes,
         failure_pattern=pattern,
         detector=detector,
-        delay_model=environment.delay,
+        delay_model=env_links(env, seed=spec.seed, base_delay=base_delay),
         timeout_interval=timeout_interval,
         seed=spec.seed,
         message_batch=message_batch,

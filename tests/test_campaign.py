@@ -17,7 +17,7 @@ from repro.analysis.experiments import (
 )
 from repro.analysis.tables import Table
 from repro.sim.errors import ConfigurationError
-from repro.suite import CellResult, ScenarioSuite, SuiteProgress, SuiteResult
+from repro.suite import CellResult, SuiteProgress, SuiteResult, run_cells
 
 # Cheap experiments only (≤ ~0.1 s/seed each) so the whole module stays fast.
 KEYS = ["EXP-5", "EXP-9", "EXP-10c"]
@@ -103,7 +103,7 @@ class TestCampaignDeterminism:
         cells compute run in canonical order."""
         campaign = Campaign(KEYS, seeds=SEEDS)
         by_cost = campaign.run(workers=0).suite
-        by_grid = ScenarioSuite.from_cells(campaign.cells()).run(workers=0)
+        by_grid = run_cells(campaign.cells(), name="cell-pool", workers=0)
         assert [c.tags for c in by_cost.cells] != [c.tags for c in by_grid.cells]
 
         def rows(result):

@@ -41,6 +41,7 @@ from repro.sim.envs import (
     UniformDist,
     delay_profile_of,
     env_axis,
+    env_links,
     register_env,
 )
 from repro.sim.errors import ConfigurationError
@@ -197,9 +198,11 @@ def _env_cell(*, env: str, seed: int) -> bytes:
     Returns the pickled RunRecord — byte-level comparison catches anything
     equality might coarsen away.
     """
+    model = make_env(env, seed=seed, base_delay=2)
     sim = Simulation(
         [_Chatter() for _ in range(3)],
-        environment=make_env(env, seed=seed, base_delay=2),
+        delay_model=model.delay,
+        failure_pattern=model.pattern(3, seed=seed),
         timeout_interval=8,
         seed=seed,
         record="full",
@@ -440,41 +443,26 @@ class TestChurnSchedule:
             ChurnSchedule(waves=((10, 1),), stagger=-1)
 
 
-class TestSimulationEnvironmentHook:
+class TestEnvironmentBundle:
     def test_environment_supplies_delay_and_churn(self):
         env = make_env("churn-waves", seed=6)
-        sim = Simulation([_Chatter() for _ in range(4)], environment=env, seed=6)
-        assert sim.network.delay_model is env.delay
-        assert sim.failure_pattern == env.pattern(4, seed=6)
-        assert sim.failure_pattern.faulty  # the waves really crashed someone
-
-    def test_explicit_pattern_wins_over_churn(self):
-        from repro.sim import FailurePattern
-
-        env = make_env("churn-waves", seed=6)
-        pattern = FailurePattern.no_failures(4)
         sim = Simulation(
             [_Chatter() for _ in range(4)],
-            environment=env,
-            failure_pattern=pattern,
+            delay_model=env.delay,
+            failure_pattern=env.pattern(4, seed=6),
             seed=6,
         )
-        assert sim.failure_pattern == pattern
-
-    def test_environment_conflicts_rejected(self):
-        env = make_env("baseline")
-        with pytest.raises(ConfigurationError):
-            Simulation(
-                [_Chatter()], environment=env, delay_model=FixedDelay(1)
-            )
-        with pytest.raises(ConfigurationError):
-            Simulation([_Chatter()], environment="baseline")
+        assert sim.network.delay_model is env.delay
+        assert sim.failure_pattern.faulty  # the waves really crashed someone
 
     def test_environment_runs_under_both_engines_identically(self):
+        env = make_env("flaky", seed=2)
+
         def run(engine):
             sim = Simulation(
                 [_Chatter() for _ in range(3)],
-                environment=make_env("flaky", seed=2),
+                delay_model=env.delay,
+                failure_pattern=env.pattern(3, seed=2),
                 timeout_interval=8,
                 seed=2,
                 engine=engine,
@@ -484,3 +472,47 @@ class TestSimulationEnvironmentHook:
             return sim.run
 
         assert run("event") == run("naive")
+
+
+class TestLinksOnlyRunsRefuseChurn:
+    """A run that fixes its own crashes takes only an environment's links;
+    an environment with churn would lose its crashes there, so it is
+    refused rather than run as a crash-free baseline under its name."""
+
+    def test_env_links_returns_the_links_of_a_churn_free_environment(self):
+        env = make_env("flaky", seed=4, base_delay=3)
+        assert env_links("flaky", seed=4, base_delay=3) == env.delay
+        with pytest.raises(ConfigurationError, match="churn"):
+            env_links("churn-waves", seed=0)
+
+    @pytest.mark.parametrize("key", ["EXP-3", "EXP-4", "EXP-8"])
+    def test_experiments_refuse_a_churn_environment(self, key):
+        from repro.analysis.experiments import run_experiment
+
+        with pytest.raises(ConfigurationError, match="churn"):
+            run_experiment(key, seed=0, env="churn-waves")
+
+    def test_spec_builders_and_workloads_refuse_a_churn_environment(self):
+        from repro.analysis.experiments.environments import partition_gap_spec
+        from repro.analysis.experiments.stabilization import (
+            etob_stabilization_spec,
+        )
+        from repro.workload import WorkloadSpec, workload_sim
+
+        with pytest.raises(ConfigurationError, match="churn"):
+            etob_stabilization_spec(100, env="churn-waves")
+        with pytest.raises(ConfigurationError, match="churn"):
+            partition_gap_spec(env="churn-waves")
+        with pytest.raises(ConfigurationError, match="churn"):
+            workload_sim(WorkloadSpec(), stack="etob", env="churn-waves")
+
+    def test_campaign_refuses_a_churn_axis_value_per_cell(self):
+        from repro.analysis.experiments import Campaign
+
+        outcome = (
+            Campaign(["EXP-3"], seeds=[0])
+            .extend("EXP-3", env=["churn-waves"])
+            .run(workers=0)
+        )
+        [cell] = outcome.suite.cells
+        assert not cell.ok and "churn" in cell.error

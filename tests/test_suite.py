@@ -18,6 +18,8 @@ from repro.suite import (
     SuiteProgress,
     SuiteResult,
     derive_seed,
+    run_cells,
+    seed_values,
 )
 
 
@@ -121,51 +123,67 @@ def tagged_triple(*, x):
     return 3 * x
 
 
+def pool():
+    return [
+        Cell(tagged_double, {"x": 3}, tags={"experiment": "DBL", "cell": 0}),
+        Cell(tagged_triple, {"x": 3}, tags={"experiment": "TRP", "cell": 0}),
+        Cell(tagged_double, {"x": 5}, tags={"experiment": "DBL", "cell": 1}),
+    ]
+
+
+def outcome(result):
+    return [(c.index, c.value, c.tags) for c in result.cells]
+
+
 class TestCellPool:
-    def pool(self):
-        return ScenarioSuite.from_cells(
-            [
-                Cell(tagged_double, {"x": 3}, tags={"experiment": "DBL", "cell": 0}),
-                Cell(tagged_triple, {"x": 3}, tags={"experiment": "TRP", "cell": 0}),
-                Cell(tagged_double, {"x": 5}, tags={"experiment": "DBL", "cell": 1}),
-            ],
-            name="pool",
-        )
+    def run(self, **kwargs):
+        return run_cells(pool(), name="pool", **kwargs)
 
     def test_each_cell_runs_its_own_runner(self):
-        result = self.pool().run(workers=0)
+        result = self.run(workers=0)
         assert result.ok
         assert result.values() == [6, 9, 10]
         assert [c.index for c in result.cells] == [0, 1, 2]
 
     def test_tags_travel_through_results(self):
-        result = self.pool().run(workers=0)
+        result = self.run(workers=0)
         assert [c.tags["experiment"] for c in result.cells] == ["DBL", "TRP", "DBL"]
 
-    def test_parallel_pool_matches_serial(self):
-        serial = self.pool().run(workers=0)
-        parallel = self.pool().run(workers=2)
-        assert parallel.values() == serial.values()
+    def test_mixed_runners_agree_serial_parallel_and_cached(self, tmp_path):
+        from repro.analysis.cache import ResultCache
+
+        serial = self.run(workers=0)
+        parallel = self.run(workers=2)
+        cold = self.run(workers=2, cache=ResultCache(tmp_path))
+        warm = self.run(workers=2, cache=ResultCache(tmp_path))
+        assert [c.cached for c in cold.cells] == ["miss"] * 3
+        assert [c.cached for c in warm.cells] == ["hit"] * 3
+        for result in (parallel, cold, warm):
+            assert outcome(result) == outcome(serial)
 
     def test_pool_indices_assigned_in_given_order(self):
-        cells = self.pool().cells()
-        assert [c.index for c in cells] == [0, 1, 2]
+        cells = pool()[::-1]
+        result = run_cells(cells, name="pool", workers=0)
+        assert [c.index for c in result.cells] == [0, 1, 2]
+        assert result.values() == [10, 9, 6]
+        assert [c.index for c in cells] == [-1, -1, -1]  # the caller's cells
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ConfigurationError):
-            ScenarioSuite.from_cells([])
+            run_cells([], name="pool")
 
     def test_non_cell_rejected(self):
         with pytest.raises(ConfigurationError):
-            ScenarioSuite.from_cells([object()])
+            run_cells([object()], name="pool")
 
-    def test_grid_methods_rejected_on_pool(self):
-        with pytest.raises(ConfigurationError):
-            self.pool().axis("a", [1])
+    def test_a_grid_is_a_list_of_cells_over_one_runner(self):
+        cells = ScenarioSuite(add_cell).axis("a", [1, 2]).axis("b", [5]).cells()
+        assert all(isinstance(c, Cell) and c.runner is add_cell for c in cells)
+        assert [c.tags for c in cells] == [{}, {}]
 
     def test_progress_prefix_uses_experiment_tag(self):
         buffer = io.StringIO()
-        result = self.pool().run(
+        result = self.run(
             workers=0, progress=SuiteProgress(stream=buffer, label="static")
         )
         assert result.ok
@@ -200,6 +218,23 @@ class TestSeeding:
     def test_zero_seeds_rejected(self):
         with pytest.raises(ConfigurationError):
             ScenarioSuite(add_cell).seeds(0)
+
+    def test_suites_and_experiments_share_one_seed_rule(self):
+        from repro.analysis.experiments import EXPERIMENT_REGISTRY
+
+        definition = EXPERIMENT_REGISTRY["EXP-5"]
+        suite = ScenarioSuite(add_cell, base_seed=5).seeds(3).axis("b", [1, 2])
+        by_suite = [(c.params["seed"], c.params["b"]) for c in suite.cells()]
+        by_experiment = [
+            (c.params["seed"], c.params["b"])
+            for c in definition.cells(3, base_seed=5, axes={"b": [1, 2]})
+        ]
+        assert by_suite == by_experiment
+        assert [seed for seed, __ in by_suite[::2]] == list(seed_values(3, 5))
+        with pytest.raises(ConfigurationError, match="at least one seed"):
+            definition.cells([])
+        with pytest.raises(ConfigurationError, match="at least one seed"):
+            ScenarioSuite(add_cell).seeds([])
 
 
 class TestExecution:

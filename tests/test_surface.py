@@ -27,6 +27,7 @@ from pathlib import Path
 import pytest
 
 import repro.sim
+from repro.analysis.cache import ResultCache
 from repro.analysis.experiments import Campaign
 from repro.search import falsify, replay_witness
 from repro.sim import (
@@ -39,18 +40,20 @@ from repro.sim import (
 )
 from repro.sim.kernel import CompiledPackedNetwork, PackedNetwork
 from repro.sim.network import Network
-from repro.suite import ScenarioSuite
+from repro.suite import ScenarioSuite, run_cells
 
 SURFACE = {
     Simulation.__init__: [
         "self", "processes", "failure_pattern", "detector", "delay_model",
-        "environment", "seed", "timeout_interval", "scheduling",
+        "seed", "timeout_interval", "scheduling",
         "message_batch", "engine", "kernel", "record", "observers",
     ],
     make_network: ["n", "delay_model", "kernel"],
     build_simulation: [
         "spec", "processes", "detector", "observers",
     ],
+    run_cells: ["cells", "name", "workers", "progress", "cache"],
+    ResultCache.session: ["self", "name", "cells"],
     ScenarioSuite.run: ["self", "workers", "progress", "cache"],
     Campaign.run: ["self", "workers", "progress", "cache"],
     replay_witness: ["witness", "kernel", "workers"],
@@ -107,6 +110,16 @@ def test_the_replaced_run_builders_stay_gone():
         (Scenario, ("_build_detector", "omega_sigma", "input")),
     ):
         assert [n for n in names if hasattr(module, n)] == [], module
+
+
+def test_one_cell_type_and_one_executor():
+    """Grids, campaigns and falsifier rounds all hand ``Cell`` lists to
+    ``run_cells``; the grid-only cell type and the pool-mode suite stay
+    gone."""
+    import repro.suite
+
+    assert not hasattr(repro.suite, "SuiteCell")
+    assert not hasattr(ScenarioSuite, "from_cells")
 
 
 def test_kernel_rungs_are_pinned():
