@@ -13,11 +13,17 @@ dispatch path::
                                               [--corpus tests/witnesses]
                                               [--workers N]
 
+Each ETOB witness (objective ``etob_tau``) is also rerun on every rung at
+``record="metrics"``, which retains no outputs, with an
+:class:`~repro.properties.EtobMonitor` attached: the live monitor's tau
+must equal the pinned value, so the streaming fold is checked against the
+falsifier's post-hoc objective on the runs that stress it most.
+
 On the ``compiled-loop`` rung the gate also requires that each witness's
-simulation actually ran on the C tick loop (``metrics.fused_path ==
-"c-loop"``): the witnesses are random-scheduled falsifier trials, and a
-rung that silently degraded to the generic engine would replay the same
-digest under another name.
+simulation, and its monitored rerun, actually ran on the C tick loop
+(``metrics.fused_path == "c-loop"``): the witnesses are random-scheduled
+falsifier trials, and a rung that silently degraded to the generic engine
+would replay the same digest under another name.
 
 Exit codes: 0 every witness replays exactly (and still strictly exceeds its
 recorded i.i.d. baseline); 1 any mismatch, or an empty corpus (a corpus
@@ -28,19 +34,49 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
 if _SRC.is_dir() and str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro.search import get_target, load_corpus, replay_witness  # noqa: E402
-from repro.sim import DEFAULT_KERNEL, replay_simulation  # noqa: E402
+from repro.properties import EtobMonitor  # noqa: E402
+from repro.search import (  # noqa: E402
+    get_target,
+    load_corpus,
+    normalize_point,
+    replay_witness,
+)
+from repro.sim import DEFAULT_KERNEL, build_simulation, replay_simulation  # noqa: E402
 
 try:  # package import (pytest / -m); falls back to script-directory import
     from benchmarks.step_summary import markdown_table, publish_step_summary
 except ImportError:  # pragma: no cover - exercised by `python benchmarks/...`
     from step_summary import markdown_table, publish_step_summary
+
+
+def live_tau(witness, kernel: str):
+    """Rerun an ETOB witness at ``record="metrics"`` with an
+    :class:`EtobMonitor` over its correct processes attached; returns the
+    live tau and the monitored simulation."""
+    point = normalize_point(witness.point)
+    spec = replace(
+        get_target(witness.target).build(point), kernel=kernel, record="metrics"
+    )
+    monitor = EtobMonitor(spec.failure_pattern().correct)
+    sim = build_simulation(spec, observers=[monitor])
+    sim.run_until(spec.duration)
+    return monitor.report().tau, sim
+
+
+def _not_on_the_c_loop(sim) -> str | None:
+    if sim.metrics.fused_path == "c-loop":
+        return None
+    return (
+        f"NOT ON THE C LOOP: fused_path="
+        f"{sim.metrics.fused_path!r} ({sim.metrics.fused_reason})"
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -79,17 +115,24 @@ def main(argv: list[str] | None = None) -> int:
             )
             ok = value == witness.value and digest == witness.digest
             status = "ok" if ok else "MISMATCH"
-            if kernel == "compiled-loop" and get_target(witness.target).build:
+            target = get_target(witness.target)
+            if kernel == "compiled-loop" and target.build:
                 sim = replay_simulation(
                     witness.experiment, witness.axes, keys=witness.point,
                     kernel=kernel,
                 )
-                if sim.metrics.fused_path != "c-loop":
-                    ok = False
-                    status = (
-                        f"NOT ON THE C LOOP: fused_path="
-                        f"{sim.metrics.fused_path!r} ({sim.metrics.fused_reason})"
-                    )
+                problem = _not_on_the_c_loop(sim)
+                if problem:
+                    ok, status = False, problem
+            if target.objective == "etob_tau":
+                tau, sim = live_tau(witness, kernel)
+                problem = (
+                    f"LIVE MONITOR tau={tau}" if tau != witness.value else None
+                )
+                if kernel == "compiled-loop":
+                    problem = problem or _not_on_the_c_loop(sim)
+                if problem:
+                    ok, status = False, problem
             print(
                 f"{witness.target:>12} [{kernel:>6}] value={value} "
                 f"(pinned {witness.value}) digest={digest} [{status}]"

@@ -10,12 +10,16 @@ reports tail latency and throughput per network environment. The expected
 shape: ``direct < etob ~ ec << paxos`` on tail latency, with every stack
 still serving all operations (availability is EXP-8's subject; here the
 point is the *price* of each consistency level when everything is healthy).
+Every replicated stack is checked while it is timed: an
+:class:`~repro.properties.EtobMonitor` over the replicas rides the run, and a
+cell fails unless their deliveries are strong TOB (ok, with tau = 0).
 """
 
 from __future__ import annotations
 
 from repro.analysis.experiments.base import ExperimentResult, experiment
 from repro.analysis.tables import Table
+from repro.properties import EtobMonitor
 from repro.suite import Axis
 from repro.workload import STACKS, WorkloadSpec, workload_sim
 
@@ -65,10 +69,16 @@ def exp_workload_latency(
     )
     rows: list[dict] = []
     for stack in STACKS:
+        # Omega is pinned from tick 0, so the 3 replicas must deliver strong TOB.
+        monitors = () if stack == "direct" else (EtobMonitor(range(3)),)
         sim, observer, horizon = workload_sim(
-            spec, stack=stack, env=env, record="metrics", retry_after=300
+            spec, stack=stack, replicas=3, env=env, record="metrics",
+            retry_after=300, observers=monitors,
         )
         sim.run_until(horizon)
+        for report in (monitor.report() for monitor in monitors):
+            if not report.is_strong_tob():
+                raise AssertionError(f"{stack} broke strong TOB: {report}")
         summary = observer.summary()
         rows.append(
             {

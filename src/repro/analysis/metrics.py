@@ -17,7 +17,7 @@ from statistics import mean
 from typing import Iterable, Sequence
 
 from repro.core.messages import MessageId
-from repro.properties.delivery import DeliveryTimeline, extract_timeline
+from repro.properties.etob_checker import EtobMonitor
 from repro.sim.observers import MetricsRecorder, RunMetrics
 from repro.sim.runs import RunRecord
 from repro.sim.scheduler import Simulation
@@ -95,17 +95,14 @@ def latency_report(
     delay_ticks: int,
     timer_ticks: int = 0,
     correct: Iterable[ProcessId] | None = None,
-    timeline: DeliveryTimeline | None = None,
 ) -> LatencyReport:
     """Stable delivery latency of every broadcast message of a run."""
-    correct_set = sorted(
-        frozenset(correct) if correct is not None else run.failure_pattern.correct
-    )
-    tl = timeline if timeline is not None else extract_timeline(run)
+    monitor = EtobMonitor(run.correct if correct is None else correct).replay(run)
     report = LatencyReport(delay_ticks=delay_ticks, timer_ticks=timer_ticks)
-    for uid, (broadcaster, t, __) in sorted(tl.broadcasts.items()):
+    for uid, (broadcaster, t) in sorted(monitor.broadcasts.items()):
         stable = {
-            pid: tl.stable_delivery_time(pid, uid) for pid in correct_set
+            pid: monitor.stable_delivery_time(pid, uid)
+            for pid in sorted(monitor.correct)
         }
         report.latencies.append(
             MessageLatency(
@@ -119,10 +116,7 @@ def latency_report(
 
 
 def divergence_windows(
-    run: RunRecord,
-    *,
-    correct: Iterable[ProcessId] | None = None,
-    timeline: DeliveryTimeline | None = None,
+    run: RunRecord, *, correct: Iterable[ProcessId] | None = None
 ) -> list[tuple[Time, Time]]:
     """Maximal time windows during which correct processes visibly diverged.
 
@@ -136,44 +130,11 @@ def divergence_windows(
       survive (a one-tick window at the rewrite).
 
     Overlapping windows are merged. An open conflict at the end of the run
-    closes at ``run.end_time + 1``.
+    closes at ``run.end_time + 1``. A replay of
+    :meth:`~repro.properties.etob_checker.EtobMonitor.divergence_windows`.
     """
-    from repro.core.sequences import is_prefix, order_consistent
-
-    correct_set = sorted(
-        frozenset(correct) if correct is not None else run.failure_pattern.correct
-    )
-    tl = timeline if timeline is not None else extract_timeline(run)
-    current: dict[ProcessId, tuple] = {pid: () for pid in correct_set}
-    raw: list[tuple[Time, Time]] = []
-    open_start: Time | None = None
-    for t, pid, sequence in tl.merged_events():
-        if pid not in current:
-            continue
-        if not is_prefix(current[pid], sequence):
-            raw.append((t, t + 1))
-        current[pid] = sequence
-        conflicted = any(
-            not order_consistent(current[a], current[b])
-            for i, a in enumerate(correct_set)
-            for b in correct_set[i + 1 :]
-        )
-        if conflicted and open_start is None:
-            open_start = t
-        elif not conflicted and open_start is not None:
-            raw.append((open_start, t))
-            open_start = None
-    if open_start is not None:
-        raw.append((open_start, run.end_time + 1))
-
-    # Merge overlapping / adjacent windows.
-    merged: list[tuple[Time, Time]] = []
-    for start, end in sorted(raw):
-        if merged and start <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-        else:
-            merged.append((start, end))
-    return merged
+    monitor = EtobMonitor(run.correct if correct is None else correct)
+    return monitor.replay(run).divergence_windows(run.end_time)
 
 
 def message_counts(sim: Simulation) -> dict[str, int]:

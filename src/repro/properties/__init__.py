@@ -1,33 +1,38 @@
 """Executable versions of the paper's specifications.
 
-Every property in Section 3 (and Appendix A) of the paper is implemented as a
-function from a :class:`~repro.sim.runs.RunRecord` to a structured report:
+Each property of Section 3 (and Appendix A) that is a statement about a
+run's output history is implemented once, as a monitor: an
+:class:`~repro.sim.observers.OutputMonitor` that folds the outputs as they
+happen, keeping each process's current state and per-message state, never
+the history. Attached through ``observers=`` it checks a run live, at any
+recording level and on any loop; ``report()`` gives the verdict. Each
+``check_*`` function replays a retained run through the same monitor:
 
-- :mod:`repro.properties.etob_checker` — TOB-Validity/No-creation/
-  No-duplication/Agreement plus ETOB-Stability and ETOB-Total-order with the
-  *discovered* stabilization time tau;
-- :mod:`repro.properties.tob_checker` — the strong TOB specification
-  (tau = 0 everywhere);
-- :mod:`repro.properties.causal_checker` — TOB-Causal-Order;
-- :mod:`repro.properties.ec_checker` — EC-Termination/Integrity/Validity and
-  EC-Agreement with the discovered agreement index k;
-- :mod:`repro.properties.eic_checker` — the EIC properties of Appendix A;
-- :mod:`repro.properties.urb_checker` — uniform reliable broadcast;
-- :mod:`repro.properties.run_checker` — admissibility proxies (fairness,
-  message delivery);
-- :mod:`repro.properties.detector_checker` — is a sampled history really an
-  Omega (or Sigma) history?
+- :mod:`repro.properties.etob_checker` — :class:`EtobMonitor`:
+  TOB-Validity/No-creation/No-duplication/Agreement plus ETOB-Stability and
+  ETOB-Total-order with the *discovered* stabilization time tau;
+- :mod:`repro.properties.tob_checker` — strong TOB (tau = 0 everywhere);
+- :mod:`repro.properties.causal_checker` — :class:`CausalMonitor`:
+  TOB-Causal-Order;
+- :mod:`repro.properties.ec_checker` — :class:`EcMonitor`: EC with the
+  discovered agreement index k;
+- :mod:`repro.properties.eic_checker` — :class:`EicMonitor`: EIC.
+
+Post-hoc only: :mod:`~repro.properties.urb_checker` (uniform reliable
+broadcast), :mod:`~repro.properties.run_checker` (admissibility proxies)
+and :mod:`~repro.properties.detector_checker` (is a sampled history really
+an Omega or Sigma history?).
 
 Tests and benchmarks assert through these checkers rather than ad-hoc
 conditions, so the specifications are written down exactly once.
 """
 
-from repro.properties.causal_checker import check_causal_order
+from repro.properties.causal_checker import CausalMonitor, check_causal_order
 from repro.properties.delivery import DeliveryTimeline, extract_timeline
 from repro.properties.detector_checker import check_omega_history, check_sigma_history
-from repro.properties.ec_checker import EcReport, check_ec
-from repro.properties.eic_checker import EicReport, check_eic
-from repro.properties.etob_checker import EtobReport, check_etob
+from repro.properties.ec_checker import EcMonitor, EcReport, check_ec
+from repro.properties.eic_checker import EicMonitor, EicReport, check_eic
+from repro.properties.etob_checker import EtobMonitor, EtobReport, check_etob
 from repro.properties.run_checker import (
     check_fairness,
     check_no_undelivered,
@@ -37,9 +42,13 @@ from repro.properties.tob_checker import check_tob
 from repro.properties.urb_checker import UrbReport, check_urb
 
 __all__ = [
+    "CausalMonitor",
     "DeliveryTimeline",
+    "EcMonitor",
     "EcReport",
+    "EicMonitor",
     "EicReport",
+    "EtobMonitor",
     "EtobReport",
     "UrbReport",
     "check_causal_order",

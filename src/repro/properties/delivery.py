@@ -3,13 +3,15 @@
 (E)TOB layers emit ``("deliver", seq)`` whenever their output variable ``d_i``
 changes and ``("broadcast-uid", uid, payload)`` when a message is broadcast.
 A :class:`DeliveryTimeline` reconstructs from those outputs, per process, the
-step function ``t -> d_i(t)``, plus the broadcast events — everything the
-(E)TOB checkers and latency metrics need.
+step function ``t -> d_i(t)``, plus the broadcast events, for code that wants
+to inspect a run's deliveries by hand. The checkers and metrics never build
+one: they fold the same outputs as they stream by (see
+:class:`~repro.properties.etob_checker.EtobMonitor`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.core.messages import AppMessage, MessageId
@@ -28,9 +30,6 @@ class DeliveryTimeline:
     #: horizon: the run's end time.
     end_time: Time
 
-    def pids(self) -> list[ProcessId]:
-        return sorted(self.snapshots)
-
     def sequence_at(self, pid: ProcessId, t: Time) -> tuple[AppMessage, ...]:
         """``d_pid(t)``: the last snapshot at or before ``t``."""
         current: tuple[AppMessage, ...] = ()
@@ -45,63 +44,16 @@ class DeliveryTimeline:
         snaps = self.snapshots.get(pid, [])
         return snaps[-1][1] if snaps else ()
 
-    def stable_delivery_time(self, pid: ProcessId, uid: MessageId) -> Time | None:
-        """The paper's *stable delivery*: the earliest time from which ``uid``
-        appears in every later snapshot of ``pid`` (including the final one).
-
-        Returns None when the message is absent from the final snapshot.
-        """
-        snaps = self.snapshots.get(pid, [])
-        if not snaps:
-            return None
-        stable_from: Time | None = None
-        for snap_time, sequence in snaps:
-            present = any(m.uid == uid for m in sequence)
-            if present and stable_from is None:
-                stable_from = snap_time
-            elif not present:
-                stable_from = None
-        return stable_from
-
-    def all_message_uids(self) -> set[MessageId]:
-        """Every uid that ever appeared in any snapshot."""
-        uids: set[MessageId] = set()
-        for snaps in self.snapshots.values():
-            for __, sequence in snaps:
-                uids.update(m.uid for m in sequence)
-        return uids
-
-    def all_messages(self) -> dict[MessageId, AppMessage]:
-        """Every message (with deps) that ever appeared in any snapshot."""
-        out: dict[MessageId, AppMessage] = {}
-        for snaps in self.snapshots.values():
-            for __, sequence in snaps:
-                for message in sequence:
-                    out.setdefault(message.uid, message)
-        return out
-
-    def merged_events(self) -> list[tuple[Time, ProcessId, tuple[AppMessage, ...]]]:
-        """All snapshot events of all processes, sorted by time."""
-        events: list[tuple[Time, ProcessId, tuple[AppMessage, ...]]] = []
-        for pid, snaps in self.snapshots.items():
-            events.extend((t, pid, seq) for t, seq in snaps)
-        events.sort(key=lambda e: (e[0], e[1]))
-        return events
-
 
 def extract_timeline(run: RunRecord) -> DeliveryTimeline:
     """Build the delivery timeline of a run from its tagged outputs."""
     snapshots: dict[ProcessId, list[tuple[Time, tuple[AppMessage, ...]]]] = {}
     broadcasts: dict[MessageId, tuple[ProcessId, Time, Any]] = {}
     for pid in range(run.n):
-        snaps: list[tuple[Time, tuple[AppMessage, ...]]] = []
-        for t, payload in run.tagged_outputs(pid, "deliver"):
-            (sequence,) = payload
-            snaps.append((t, tuple(sequence)))
-        if snaps:
-            snapshots[pid] = snaps
-        else:
-            snapshots[pid] = []
+        snapshots[pid] = [
+            (t, tuple(sequence))
+            for t, (sequence,) in run.tagged_outputs(pid, "deliver")
+        ]
         for t, payload in run.tagged_outputs(pid, "broadcast-uid"):
             uid, message_payload = payload
             broadcasts[uid] = (pid, t, message_payload)

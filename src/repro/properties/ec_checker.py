@@ -16,12 +16,9 @@ finite run callers assert ``agreement_index <= L`` (agreement was actually
 observed) and typically relate ``k``'s decision time to the detector's
 stabilization time.
 
-Fidelity contract (audited): the checker is *step-list independent*. It
-reads only ``run.tagged_outputs`` (backed by ``run.output_history``) and
-``run.failure_pattern.correct`` — never ``run.steps``, ``run.steps_of``,
-``run.fd_samples``, or the diagnostic log — so any recording level that
-retains the output history is sufficient: ``record="outputs"`` gives the
-same verdicts as ``record="full"`` at a fraction of the memory and runtime.
+One fold, :class:`EcMonitor`, checks all of it, live or by replay
+(``check_ec``). It reads only outputs and the correct set, so
+``record="outputs"`` gives the same verdicts as ``record="full"``.
 """
 
 from __future__ import annotations
@@ -29,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
+from repro.sim.observers import OutputMonitor
 from repro.sim.runs import RunRecord
 from repro.sim.types import ProcessId, Time
 
@@ -60,20 +58,100 @@ class EcReport:
         )
 
 
-def _first_decisions(
-    run: RunRecord, pid: ProcessId
-) -> tuple[dict[int, Any], dict[int, Time], list[int]]:
-    """(instance -> first decided value, instance -> time, duplicated instances)."""
-    values: dict[int, Any] = {}
-    times: dict[int, Time] = {}
-    duplicates: list[int] = []
-    for t, (instance, value) in run.tagged_outputs(pid, "decide"):
-        if instance in values:
-            duplicates.append(instance)
-            continue
-        values[instance] = value
-        times[instance] = t
-    return values, times, duplicates
+class ConsensusMonitor(OutputMonitor):
+    """What the EC and EIC folds share: every process's proposals (by
+    ``repr``, so unhashable values work), and per correct process its
+    ``answers`` per instance (folded by the subclass's ``_answer``) and the
+    instances it answered again."""
+
+    #: the output tags that answer an instance.
+    tags: tuple[str, ...] = ()
+
+    def __init__(
+        self, correct: Iterable[ProcessId], *, expected_instances: int | None = None
+    ) -> None:
+        self.correct = sorted(frozenset(correct))
+        self.expected_instances = expected_instances
+        #: instance -> the reprs of the values proposed to it.
+        self.proposals: dict[int, set[str]] = {}
+        self.answers: dict[ProcessId, dict[int, Any]] = {p: {} for p in self.correct}
+        self.repeated: dict[ProcessId, list[int]] = {p: [] for p in self.correct}
+
+    def fold(self, t: Time, pid: ProcessId, outputs: tuple[Any, ...]) -> None:
+        for out in outputs:
+            if not (isinstance(out, tuple) and out):
+                continue
+            if out[0] == "propose":
+                __, instance, value = out
+                self.proposals.setdefault(instance, set()).add(repr(value))
+            elif out[0] in self.tags and pid in self.answers:
+                tag, instance, value = out
+                if instance in self.answers[pid]:
+                    self.repeated[pid].append(instance)
+                self._answer(t, pid, tag, instance, value)
+
+    def _termination(self, violations: list[str]) -> tuple[int, bool]:
+        """(L, termination ok): L is the largest instance every correct
+        process answered, capped at the expected count."""
+        expected = self.expected_instances
+        last_common = min(
+            (max(self.answers[pid], default=0) for pid in self.correct), default=0
+        )
+        if expected is not None:
+            last_common = min(last_common, expected)
+        ok = last_common >= 1
+        for pid in self.correct if expected is not None else ():
+            missing = [l for l in range(1, expected + 1) if l not in self.answers[pid]]
+            if missing:
+                ok = False
+                violations.append(f"termination: p{pid} missing instances {missing}")
+        return last_common, ok
+
+
+class EcMonitor(ConsensusMonitor):
+    """The EC fold; see the module docstring. Its ``answers`` map each
+    instance to a correct process's first decision and the decision time."""
+
+    tags = ("decide",)
+
+    def _answer(self, t: Time, pid: ProcessId, tag: str, instance: int, value: Any) -> None:
+        self.answers[pid].setdefault(instance, (value, t))
+
+    def report(self) -> EcReport:
+        """The verdicts on the outputs folded so far."""
+        correct, decisions = self.correct, self.answers
+        violations = [
+            f"integrity: p{pid} decided twice in {self.repeated[pid]}"
+            for pid in correct
+            if self.repeated[pid]
+        ]
+        last_common, termination_ok = self._termination(violations)
+        validity_ok = True
+        for pid in correct:
+            for instance, (value, __) in sorted(decisions[pid].items()):
+                if repr(value) not in self.proposals.get(instance, set()):
+                    validity_ok = False
+                    violations.append(
+                        f"validity: p{pid} decided {value!r} in instance {instance}, "
+                        "which was never proposed"
+                    )
+        agreement_index = last_common + 1
+        for k in range(last_common, 0, -1):
+            if len({repr(decisions[pid].get(k, (None,))[0]) for pid in correct}) > 1:
+                break
+            agreement_index = k
+        agreement_time: Time | None = None
+        if agreement_index <= last_common:
+            agreement_time = max(decisions[pid][agreement_index][1] for pid in correct)
+        return EcReport(
+            termination_ok=termination_ok,
+            integrity_ok=not any(self.repeated.values()),
+            validity_ok=validity_ok,
+            agreement_index=agreement_index,
+            last_common_instance=last_common,
+            agreement_time=agreement_time,
+            violations=violations,
+        )
 
 
 def check_ec(
@@ -83,77 +161,8 @@ def check_ec(
     expected_instances: int | None = None,
 ) -> EcReport:
     """Check the EC properties of a run; see the module docstring."""
-    correct_set = sorted(
-        frozenset(correct) if correct is not None else run.failure_pattern.correct
+    monitor = EcMonitor(
+        run.correct if correct is None else correct,
+        expected_instances=expected_instances,
     )
-    violations: list[str] = []
-
-    decisions: dict[ProcessId, dict[int, Any]] = {}
-    decision_times: dict[ProcessId, dict[int, Time]] = {}
-    integrity_ok = True
-    for pid in correct_set:
-        values, times, duplicates = _first_decisions(run, pid)
-        decisions[pid] = values
-        decision_times[pid] = times
-        if duplicates:
-            integrity_ok = False
-            violations.append(f"integrity: p{pid} decided twice in {duplicates}")
-
-    # Proposals from every process (faulty proposers still count for
-    # validity). Values are compared by repr so unhashable proposals (lists,
-    # dicts, message sequences) are supported.
-    proposals: dict[int, set[str]] = {}
-    for pid in range(run.n):
-        for __, (instance, value) in run.tagged_outputs(pid, "propose"):
-            proposals.setdefault(instance, set()).add(repr(value))
-
-    # Termination up to L.
-    per_process_max = [
-        max(decisions[pid], default=0) for pid in correct_set
-    ]
-    last_common = min(per_process_max, default=0)
-    if expected_instances is not None:
-        last_common = min(last_common, expected_instances)
-    termination_ok = last_common >= 1
-    if expected_instances is not None:
-        for pid in correct_set:
-            missing = [
-                l for l in range(1, expected_instances + 1) if l not in decisions[pid]
-            ]
-            if missing:
-                termination_ok = False
-                violations.append(f"termination: p{pid} missing instances {missing}")
-
-    # Validity.
-    validity_ok = True
-    for pid in correct_set:
-        for instance, value in sorted(decisions[pid].items()):
-            if repr(value) not in proposals.get(instance, set()):
-                validity_ok = False
-                violations.append(
-                    f"validity: p{pid} decided {value!r} in instance {instance}, "
-                    "which was never proposed"
-                )
-
-    # Agreement index k.
-    agreement_index = last_common + 1
-    for k in range(last_common, 0, -1):
-        values = {repr(decisions[pid].get(k)) for pid in correct_set}
-        if len(values) > 1:
-            break
-        agreement_index = k
-    agreement_time: Time | None = None
-    if agreement_index <= last_common:
-        agreement_time = max(
-            decision_times[pid][agreement_index] for pid in correct_set
-        )
-
-    return EcReport(
-        termination_ok=termination_ok,
-        integrity_ok=integrity_ok,
-        validity_ok=validity_ok,
-        agreement_index=agreement_index,
-        last_common_instance=last_common,
-        agreement_time=agreement_time,
-        violations=violations,
-    )
+    return monitor.replay(run).report()

@@ -12,11 +12,9 @@ responses) and ``("revise", l, v)`` (subsequent responses) — the convention of
   infinitely different values");
 - EIC-Validity: every response (initial or revision) was a proposed value.
 
-Fidelity contract (audited): step-list independent, like
-:mod:`~repro.properties.ec_checker`. Only ``run.tagged_outputs`` (the
-``H_O`` output history) and ``run.failure_pattern.correct`` are consulted —
-revision ordering relies on output timestamps, not on step records — so
-``record="outputs"`` yields verdicts identical to ``record="full"``.
+One fold, :class:`EicMonitor`, checks all of it, live or by replay
+(``check_eic``), from the outputs alone, with each process's responses in
+the order it emitted them.
 """
 
 from __future__ import annotations
@@ -24,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
+from repro.properties.ec_checker import ConsensusMonitor
 from repro.sim.runs import RunRecord
 from repro.sim.types import ProcessId, Time
 
@@ -53,6 +52,61 @@ class EicReport:
         )
 
 
+class EicMonitor(ConsensusMonitor):
+    """The EIC fold; see the module docstring. Its ``answers`` map each
+    instance to a correct process's responses, in the order emitted."""
+
+    tags = ("decide", "revise")
+    total_revisions = 0
+
+    def _answer(self, t: Time, pid: ProcessId, tag: str, instance: int, value: Any) -> None:
+        self.answers[pid].setdefault(instance, []).append(value)
+        self.total_revisions += tag == "revise"
+
+    def report(self) -> EicReport:
+        """The verdicts on the outputs folded so far."""
+        correct, responses = self.correct, self.answers
+        violations: list[str] = []
+        last_common, termination_ok = self._termination(violations)
+
+        # Integrity index: smallest k such that every instance >= k got
+        # exactly one response at every correct process.
+        integrity_index = max(
+            [1] + [instance + 1 for pid in correct for instance in self.repeated[pid]]
+        )
+
+        agreement_ok = True
+        for instance in range(1, last_common + 1):
+            finals = {repr(responses[pid][instance][-1]) for pid in correct}
+            if len(finals) > 1:
+                agreement_ok = False
+                violations.append(
+                    f"agreement: final responses for instance {instance} differ"
+                )
+
+        validity_ok = True
+        for pid in correct:
+            for instance, values in responses[pid].items():
+                allowed = self.proposals.get(instance, set())
+                for value in values:
+                    if repr(value) not in allowed:
+                        validity_ok = False
+                        violations.append(
+                            f"validity: p{pid} responded {value!r} to instance "
+                            f"{instance}, never proposed"
+                        )
+
+        return EicReport(
+            termination_ok=termination_ok,
+            agreement_ok=agreement_ok,
+            validity_ok=validity_ok,
+            integrity_index=integrity_index,
+            last_common_instance=last_common,
+            total_revisions=self.total_revisions,
+            violations=violations,
+        )
+
+
 def check_eic(
     run: RunRecord,
     *,
@@ -60,85 +114,8 @@ def check_eic(
     expected_instances: int | None = None,
 ) -> EicReport:
     """Check the EIC properties of a run; see the module docstring."""
-    correct_set = sorted(
-        frozenset(correct) if correct is not None else run.failure_pattern.correct
+    monitor = EicMonitor(
+        run.correct if correct is None else correct,
+        expected_instances=expected_instances,
     )
-    violations: list[str] = []
-
-    # Response streams: per pid, per instance, the ordered list of responses.
-    responses: dict[ProcessId, dict[int, list[Any]]] = {}
-    total_revisions = 0
-    for pid in correct_set:
-        stream: dict[int, list[Any]] = {}
-        events: list[tuple[Time, int, Any]] = []
-        for t, (instance, value) in run.tagged_outputs(pid, "decide"):
-            events.append((t, instance, value))
-        for t, (instance, value) in run.tagged_outputs(pid, "revise"):
-            events.append((t, instance, value))
-            total_revisions += 1
-        for __, instance, value in sorted(events, key=lambda e: e[0]):
-            stream.setdefault(instance, []).append(value)
-        responses[pid] = stream
-
-    # Values compared by repr so unhashable proposals are supported.
-    proposals: dict[int, set[str]] = {}
-    for pid in range(run.n):
-        for __, (instance, value) in run.tagged_outputs(pid, "propose"):
-            proposals.setdefault(instance, set()).add(repr(value))
-
-    per_process_max = [max(responses[pid], default=0) for pid in correct_set]
-    last_common = min(per_process_max, default=0)
-    if expected_instances is not None:
-        last_common = min(last_common, expected_instances)
-    termination_ok = last_common >= 1
-    if expected_instances is not None:
-        for pid in correct_set:
-            missing = [
-                l
-                for l in range(1, expected_instances + 1)
-                if l not in responses[pid]
-            ]
-            if missing:
-                termination_ok = False
-                violations.append(f"termination: p{pid} missing instances {missing}")
-
-    # Integrity index: smallest k such that every instance >= k got exactly
-    # one response at every correct process.
-    integrity_index = 1
-    for pid in correct_set:
-        for instance, values in responses[pid].items():
-            if len(values) > 1:
-                integrity_index = max(integrity_index, instance + 1)
-
-    # Final agreement per instance.
-    agreement_ok = True
-    for instance in range(1, last_common + 1):
-        finals = {repr(responses[pid][instance][-1]) for pid in correct_set}
-        if len(finals) > 1:
-            agreement_ok = False
-            violations.append(
-                f"agreement: final responses for instance {instance} differ"
-            )
-
-    # Validity of every response.
-    validity_ok = True
-    for pid in correct_set:
-        for instance, values in responses[pid].items():
-            allowed = proposals.get(instance, set())
-            for value in values:
-                if repr(value) not in allowed:
-                    validity_ok = False
-                    violations.append(
-                        f"validity: p{pid} responded {value!r} to instance "
-                        f"{instance}, never proposed"
-                    )
-
-    return EicReport(
-        termination_ok=termination_ok,
-        agreement_ok=agreement_ok,
-        validity_ok=validity_ok,
-        integrity_index=integrity_index,
-        last_common_instance=last_common,
-        total_revisions=total_revisions,
-        violations=violations,
-    )
+    return monitor.replay(run).report()

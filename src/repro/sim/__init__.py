@@ -61,6 +61,7 @@ from repro.sim.observers import (
     FullRecorder,
     LegacyFullRecorder,
     MetricsRecorder,
+    OutputMonitor,
     OutputsRecorder,
     RunMetrics,
     SimObserver,
@@ -112,6 +113,7 @@ __all__ = [
     "LayerContext",
     "MetricsRecorder",
     "Network",
+    "OutputMonitor",
     "OutputsRecorder",
     "Process",
     "ProtocolStack",

@@ -24,8 +24,8 @@ recording out of the scheduler into an observer protocol:
              stepper — the event engine materializes idle-step records so
              the run record ``(F, H, H_I, H_O, S, T)`` is exact.
   ``outputs`` input/output histories, log, and ``end_time`` only; the step
-             list stays empty. Enough for every delivery-timeline based
-             property checker and metric.
+             list stays empty. Enough to replay every
+             :class:`OutputMonitor` (property checkers, metrics).
   ``metrics`` aggregate :class:`RunMetrics` counters only (steps per
              process, receives, timeouts, inputs/outputs, traffic).
   ``none``   nothing.
@@ -168,6 +168,35 @@ class SimObserver:
 
     def on_finish(self, sim: "Simulation") -> None:
         """A run loop (``run_until`` / ``run_steps`` / quiescence) returned."""
+
+
+class OutputMonitor(SimObserver):
+    """A fold over a run's output history, fed live or by replay.
+
+    Attached through ``observers=`` it rides whichever loop the run takes
+    (the C tick loop at ``record="metrics"`` included), and ``on_step_raw``
+    hands each step's outputs to :meth:`fold`. :meth:`replay` makes the same
+    ``fold`` calls from a retained run's
+    :meth:`~repro.sim.runs.RunRecord.output_stream`, so a live monitor and
+    a replay of the same run end in equal states.
+    """
+
+    def fold(self, t: Time, pid: ProcessId, outputs: tuple[Any, ...]) -> None:
+        """Fold one step's non-empty outputs, emitted by ``pid`` at ``t``."""
+        raise NotImplementedError
+
+    def on_step_raw(
+        self, sim, index, t, pid, sender, payload, send_time, fd_value,
+        inputs, outputs, timeout_fired, sent, received_count,
+    ) -> None:
+        if outputs:
+            self.fold(t, pid, outputs)
+
+    def replay(self, run: RunRecord):
+        """Fold a run retained at ``record="outputs"`` or ``"full"``."""
+        for t, pid, outputs in run.output_stream():
+            self.fold(t, pid, outputs)
+        return self
 
 
 @dataclass

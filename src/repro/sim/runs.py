@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from typing import Any, Callable, Iterator
 
 from repro.sim.failures import FailurePattern
@@ -420,6 +422,19 @@ class RunRecord:
             if isinstance(value, tuple) and value and value[0] == tag:
                 result.append((t, value[1:]))
         return result
+
+    def output_stream(self) -> list[tuple[Time, ProcessId, tuple[Any, ...]]]:
+        """The output history as the live loop emitted it: one
+        ``(time, pid, outputs)`` per step with output, in
+        ``(time, pid, emission)`` order. At most one process steps per
+        tick, so that is the order ``on_step_raw`` sees."""
+        stream = [
+            (t, pid, tuple(value for __, value in group))
+            for pid, history in sorted(self.output_history.items())
+            for t, group in groupby(history, key=itemgetter(0))
+        ]
+        stream.sort(key=itemgetter(0, 1))
+        return stream
 
     def iter_steps(self) -> Iterator[StepRecord]:
         """All steps in schedule order, as lazy views (nothing retained)."""

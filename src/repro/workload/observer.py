@@ -1,32 +1,29 @@
 """Streaming tail-latency measurement, fused-loop compatible.
 
 :class:`LatencyObserver` folds the client processes' step outputs into a
-:class:`~repro.analysis.metrics.LatencyHistogram` as the run executes. It
-overrides ``on_step_raw``, the one step hook every loop calls, so the
-million-op benchmark measures latency percentiles on the C tick loop without
-the engine ever materializing a ``StepRecord`` or the observer retaining a
-per-operation object (in-flight arrival ticks are plain ints keyed by rid,
-bounded by outstanding requests).
+:class:`~repro.analysis.metrics.LatencyHistogram` as the run executes. It is
+an :class:`~repro.sim.observers.OutputMonitor`, like the property monitors
+of :mod:`repro.properties`: one ``on_step_raw`` call per step, the hook
+every loop calls, so the million-op benchmark measures latency percentiles
+on the C tick loop without the engine ever materializing a ``StepRecord``
+or the observer retaining a per-operation object (in-flight arrival ticks
+are plain ints keyed by rid, bounded by outstanding requests).
 
-:func:`latency_from_run` recomputes the identical summary post hoc from a
-``full``- or ``outputs``-fidelity run record's output history (the same
-per-``(tick, value)`` pairs the ``StepStore`` columns carry) — the
-differential oracle ``tests/test_workload.py`` pins the streaming observer
-against across kernels and worker counts.
+:func:`latency_from_run` is the same fold replayed over a ``full``- or
+``outputs``-fidelity run record's output history, so it recomputes the
+identical summary post hoc; ``tests/test_workload.py`` pins the two against
+each other across kernels and worker counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import Any, Iterable
 
 from repro.analysis.metrics import LatencyHistogram
-from repro.sim.observers import SimObserver
+from repro.sim.observers import OutputMonitor
 from repro.sim.runs import RunRecord
 from repro.sim.types import ProcessId, Time
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.scheduler import Simulation
 
 __all__ = ["LatencyObserver", "WorkloadSummary", "latency_from_run"]
 
@@ -80,14 +77,19 @@ class WorkloadSummary:
         }
 
 
-class _LatencyFold:
-    """The shared fold: client outputs -> histogram + counters.
+class LatencyObserver(OutputMonitor):
+    """Streaming open-loop latency/throughput metrics over client outputs.
 
-    One code path serves the streaming observer and the post-hoc
-    recomputation, so the two cannot drift apart.
+    Attach alongside any recording level; the run keeps whichever loop it
+    would take without it. ``wants_idle_steps`` stays False — client
+    submissions and replies only ever happen on executed steps — so idle
+    fast-forwarding is unaffected. :func:`latency_from_run` replays a
+    retained run through the same fold.
     """
 
-    def __init__(self, client_pids: Iterable[ProcessId], precision_bits: int) -> None:
+    def __init__(
+        self, client_pids: Iterable[ProcessId], *, precision_bits: int = 9
+    ) -> None:
         self.clients = frozenset(client_pids)
         if not self.clients:
             raise ValueError("LatencyObserver needs at least one client pid")
@@ -106,7 +108,7 @@ class _LatencyFold:
         self.last_completion: Time | None = None
 
     def fold(self, t: Time, pid: ProcessId, outputs: tuple) -> None:
-        if pid not in self.clients or not outputs:
+        if pid not in self.clients:
             return
         inflight = self._inflight[pid]
         for out in outputs:
@@ -161,36 +163,6 @@ class _LatencyFold:
         )
 
 
-class LatencyObserver(SimObserver):
-    """Streaming open-loop latency/throughput metrics over client outputs.
-
-    Attach alongside any recording level; the run keeps whichever loop it
-    would take without it. ``wants_idle_steps`` stays False — client
-    submissions and replies only ever happen on executed steps — so idle
-    fast-forwarding is unaffected.
-    """
-
-    wants_idle_steps = False
-
-    def __init__(
-        self, client_pids: Iterable[ProcessId], *, precision_bits: int = 9
-    ) -> None:
-        self._fold = _LatencyFold(client_pids, precision_bits)
-
-    @property
-    def histogram(self) -> LatencyHistogram:
-        return self._fold.histogram
-
-    def on_step_raw(
-        self, sim, index, t, pid, sender, payload, send_time, fd_value,
-        inputs, outputs, timeout_fired, sent, received_count,
-    ) -> None:
-        self._fold.fold(t, pid, outputs)
-
-    def summary(self) -> WorkloadSummary:
-        return self._fold.summary()
-
-
 def latency_from_run(
     run: RunRecord,
     client_pids: Iterable[ProcessId],
@@ -199,23 +171,11 @@ def latency_from_run(
 ) -> WorkloadSummary:
     """Recompute the workload summary from a retained run record.
 
-    Needs ``record="full"`` or ``record="outputs"`` (an output history). The
-    outputs of each client are folded in (tick, emission) order — exactly the
-    order the streaming observer saw them — so the result is *equal* to the
-    live :class:`LatencyObserver`'s, which the differential tests pin across
-    kernels and worker counts.
+    Needs ``record="full"`` or ``record="outputs"`` (an output history).
+    The outputs are replayed in (tick, pid, emission) order —
+    exactly the order the streaming observer saw them — so the result is
+    *equal* to the live :class:`LatencyObserver`'s, which the differential
+    tests pin across kernels and worker counts.
     """
-    fold = _LatencyFold(client_pids, precision_bits)
-    merged: list[tuple[Time, int, ProcessId, Any]] = []
-    for pid in sorted(fold.clients):
-        history = run.output_history.get(pid, [])
-        # A single client's outputs are already time-ordered; the per-pid
-        # emission index breaks same-tick ties without comparing payloads.
-        merged.extend(
-            (t, position, pid, value)
-            for position, (t, value) in enumerate(history)
-        )
-    merged.sort(key=lambda item: (item[0], item[2], item[1]))
-    for t, __, pid, value in merged:
-        fold.fold(t, pid, (value,))
-    return fold.summary()
+    observer = LatencyObserver(client_pids, precision_bits=precision_bits)
+    return observer.replay(run).summary()

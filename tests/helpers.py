@@ -33,8 +33,13 @@ from repro.consensus import PaxosConsensusLayer, TobFromConsensusLayer
 from repro.detectors import CompositeDetector, OmegaDetector, SigmaDetector
 from repro.sim import FailurePattern, FixedDelay, ProtocolStack, Simulation
 from repro.sim.context import Context
+from repro.sim.kernel import HAS_COMPILED, KERNELS
 from repro.sim.errors import ProtocolError
 from repro.sim.types import ProcessId
+
+
+#: the kernel rungs this interpreter can run.
+BUILT_KERNELS = [k for k in KERNELS if k != "compiled-loop" or HAS_COMPILED]
 
 
 def chi2_upper(dof: int, z: float = 3.09) -> float:
@@ -131,8 +136,11 @@ def eic_sim(
     delay: int = 2,
     timeout: int = 4,
     seed: int = 0,
+    **options: Any,
 ) -> Simulation:
-    """A native EIC simulation with the standard driver."""
+    """A native EIC simulation run by ``EicDriverLayer``; ``options`` are
+    further :class:`Simulation` keywords (``record``, ``kernel``,
+    ``observers``)."""
     pattern = FailurePattern.crash(n, crashes or {})
     detector = OmegaDetector(stabilization_time=tau_omega).history(
         pattern, seed=seed
@@ -150,6 +158,7 @@ def eic_sim(
         delay_model=FixedDelay(delay),
         timeout_interval=timeout,
         seed=seed,
+        **options,
     )
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.consensus import PaxosConsensusLayer, TobFromConsensusLayer
+from repro.core import EcDriverLayer, EcUsingOmegaLayer
 from repro.core.etob import EtobLayer, PromoteSequence
 from repro.protocols import PROTOCOLS, ProtocolEntry
 from repro.sim.stack import LayerContext
@@ -63,8 +64,36 @@ class EtobDuplicateDelivery(EtobLayer):
         super().on_message(ctx, sender, payload)
 
 
+class EcDecidesFirstProposal(EcUsingOmegaLayer):
+    """Algorithm 4 whose timeout decides the first promote it holds for
+    ``count_i``, from any sender, without asking Ω.
+
+    Processes that hold different first promotes decide differently, and
+    nothing ever brings them back together. Killed by ``check_ec``'s
+    agreement index (past the last common instance, so ``ok`` is false).
+    Under ``FixedDelay`` every process holds p0's promote first (p0 steps
+    first and every link is equally slow), so the mutant agrees by accident
+    there: it takes reordering links, such as the ``uniform`` environment.
+    """
+
+    def on_timeout(self, ctx: LayerContext) -> None:
+        instance = self.count
+        if instance is None or instance in self.decided:
+            return
+        for (__, held), value in self.received.items():
+            if held == instance:
+                self.decided.add(instance)
+                ctx.emit_upper(("decide", instance, value))
+                return
+
+
 #: test-only protocol name -> the registry entry of one mutant.
 MUTANT_PROTOCOLS = {
+    "ec-decides-first-proposal": ProtocolEntry(
+        lambda instances=10: [
+            EcDecidesFirstProposal(), EcDriverLayer(max_instances=instances)
+        ]
+    ),
     "etob-duplicate-delivery": ProtocolEntry(lambda: [EtobDuplicateDelivery()]),
     "tob-consensus-without-retest": ProtocolEntry(
         _tob_without_retest,

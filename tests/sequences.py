@@ -1,9 +1,11 @@
-"""Sequence algebra used by the (E)TOB definitions and checkers.
+"""Sequence algebra: the paper's (E)TOB definitions, written plainly.
 
-The paper's properties are all statements about message sequences: prefixes
+The properties are all statements about message sequences: prefixes
 (stability), relative order (total order), first occurrences, and absence of
 duplicates. These helpers work on arbitrary tuples/lists whose elements
-support equality.
+support equality. The monitors of ``repro.properties`` fold the same
+definitions incrementally; ``tests/test_monitor_reference.py`` checks them
+against these plain forms.
 """
 
 from __future__ import annotations

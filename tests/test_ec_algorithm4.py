@@ -6,13 +6,33 @@ instance k on — where k is bounded by the instances started after Omega's
 stabilization time.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.drivers import binary_proposals
 from repro.properties import check_ec
 from repro.properties.run_checker import check_fairness, check_no_undelivered
+from repro.sim import RunSpec, run_plan
+from repro.sim.envs import make_env
 
+from mutants import EcDecidesFirstProposal, register_mutants
 from tests.helpers import ec_sim
+
+#: The cheapest cell that kills :class:`mutants.EcDecidesFirstProposal`:
+#: ``ec_sim``'s stack (distinct proposals, three instances, Omega stable
+#: from tick 0, round-robin) under reordering links. The mutant's
+#: processes decide different first promotes in every instance.
+EC_MUTANT_CELL = RunSpec(
+    n=3,
+    duration=300,
+    protocol="ec-decides-first-proposal",
+    protocol_args=(("instances", 3),),
+    seed=1,
+    tau=0,
+    links=make_env("uniform", seed=1, base_delay=2).delay,
+    timeout_interval=4,
+)
 
 
 class TestStableLeader:
@@ -156,3 +176,16 @@ class TestMechanics:
         ctx = LayerContext(stack, Context(pid=0, n=2, time=0, fd_value=0), 0)
         with pytest.raises(ProtocolError):
             stack.layers[0].on_call(ctx, ("weird",))
+
+
+def test_the_cheapest_cell_kills_the_ec_that_decides_the_first_proposal(
+    monkeypatch,
+):
+    register_mutants(monkeypatch)
+    sim = run_plan(EC_MUTANT_CELL)
+    assert isinstance(sim.processes[0].layers[0], EcDecidesFirstProposal)
+    report = check_ec(sim.run)
+    assert not report.ok
+    assert report.agreement_index > report.last_common_instance == 3
+    real = check_ec(run_plan(replace(EC_MUTANT_CELL, protocol="ec")).run)
+    assert real.ok and real.agreement_index == 1

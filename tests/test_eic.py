@@ -1,8 +1,10 @@
 """Tests for EIC (Appendix A): the native implementation and its spec."""
 
-from repro.properties import check_eic
+import pytest
 
-from tests.helpers import eic_sim
+from repro.properties import EicMonitor, check_eic
+
+from tests.helpers import BUILT_KERNELS, eic_sim
 
 
 class TestNativeEic:
@@ -37,3 +39,27 @@ class TestNativeEic:
         )
         report = check_eic(sim.run, expected_instances=60)
         assert report.total_revisions == layer_revisions
+
+
+#: The native-EIC cells above: (eic_sim arguments, horizon, instances).
+CELLS = [
+    (dict(n=3, tau_omega=0, instances=5), 900, 5),
+    (dict(n=4, tau_omega=250, instances=40, seed=2), 2500, 40),
+    (dict(n=5, crashes={0: 80, 1: 80, 2: 80}, tau_omega=150, instances=10), 2500, 10),
+    (dict(n=3, tau_omega=400, instances=60, seed=7), 3000, 60),
+]
+
+
+@pytest.mark.parametrize("kernel", BUILT_KERNELS)
+@pytest.mark.parametrize("args,horizon,instances", CELLS)
+def test_the_live_monitor_equals_the_replay(args, horizon, instances, kernel):
+    # The monitor rides a record="metrics" run, which keeps no outputs at
+    # all; its report must equal check_eic's replay of the retained run.
+    sim = eic_sim(**args, record="outputs")
+    sim.run_until(horizon)
+    replay = check_eic(sim.run, expected_instances=instances)
+    monitor = EicMonitor(sim.run.correct, expected_instances=instances)
+    live = eic_sim(**args, record="metrics", kernel=kernel, observers=[monitor])
+    live.run_until(horizon)
+    assert live.run.output_history == {}
+    assert monitor.report() == replay

@@ -158,17 +158,21 @@ class TestDiagnostics:
         assert check_no_undelivered(sim)
 
 
+#: The cheapest cell that kills :class:`mutants.EtobDuplicateDelivery`: one
+#: broadcast under a stable leader, so the first adoption already delivers
+#: the message twice.
+DUPLICATE_CELL = RunSpec(
+    n=3,
+    duration=60,
+    protocol="etob-duplicate-delivery",
+    inputs=((0, 5, ("broadcast", "m0")),),
+    tau=0,
+)
+
+
 def test_the_cheapest_cell_kills_the_duplicating_follower(monkeypatch):
-    # One broadcast under a stable leader: the first adoption already
-    # delivers the message twice.
     register_mutants(monkeypatch)
-    spec = RunSpec(
-        n=3,
-        duration=60,
-        protocol="etob-duplicate-delivery",
-        inputs=((0, 5, ("broadcast", "m0")),),
-        tau=0,
-    )
+    spec = DUPLICATE_CELL
     sim = run_plan(spec)
     assert isinstance(sim.processes[1].layer(EtobLayer), EtobDuplicateDelivery)
     report = check_etob(sim.run)

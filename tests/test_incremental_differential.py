@@ -25,13 +25,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.helpers import ReferenceCausalGraph
+from tests.helpers import BUILT_KERNELS, ReferenceCausalGraph
 from repro.consensus import PaxosConsensusLayer, TobFromConsensusLayer
 from repro.core import EcUsingOmegaLayer, EtobLayer
 from repro.core.causal_graph import CausalGraph, LinearizationError
 from repro.core.messages import AppMessage, MessageId
 from repro.core.transformations import EcToEtobLayer
 from repro.detectors import OmegaDetector
+from repro.properties import (
+    CausalMonitor,
+    EtobMonitor,
+    check_causal_order,
+    check_etob,
+)
 from repro.replication import KvStore, ReplicaLayer
 from repro.sim import FailurePattern, ProtocolStack, Simulation, UniformDist
 from repro.sim.replay import run_digest
@@ -437,10 +443,12 @@ PLAIN_LAYERS = {
 
 def replicated_run(
     stack, *, seed, tau_omega, delay_hi, invocations, n=3, checks=True,
-    horizon=420,
+    horizon=420, **options,
 ):
     """``n`` KV replicas over ``stack`` under reordering delays and an Omega
-    that rotates leaders until ``tau_omega``; returns the finished sim."""
+    that rotates leaders until ``tau_omega``; returns the finished sim.
+    ``options`` override the :class:`Simulation` keywords (``record``,
+    ``kernel``, ``observers``)."""
     pattern = FailurePattern.no_failures(n)
     detector = OmegaDetector(
         stabilization_time=tau_omega, pre_behavior="rotate", churn_period=5
@@ -454,7 +462,7 @@ def replicated_run(
         delay_model=UniformDist(1, delay_hi, seed=seed),
         timeout_interval=3,
         seed=seed,
-        record="outputs",
+        **{"record": "outputs", **options},
     )
     for k, (pid, time) in enumerate(invocations):
         sim.add_input(pid % n, time, ("invoke", ("set", f"k{k % 3}", k)))
@@ -498,6 +506,34 @@ class TestLayersInsideRuns:
         )
         if stack == "paxos":
             assert sum(r.rollbacks for r in _replicas(sim)) == 0
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.sampled_from(sorted(BROADCAST_LAYERS)),
+        st.integers(0, 10_000),
+        st.integers(0, 150),
+        st.integers(1, 9),
+        invocation_lists,
+    )
+    def test_live_monitors_equal_their_replays(
+        self, stack, seed, tau_omega, delay_hi, invocations
+    ):
+        # The ETOB and causal monitors ride a record="metrics" run on every
+        # built kernel; their reports must equal the checkers' replay of the
+        # same run retained at record="outputs", field for field.
+        args = dict(
+            seed=seed, tau_omega=tau_omega, delay_hi=delay_hi,
+            invocations=invocations, checks=False,
+        )
+        run = replicated_run(stack, **args).run
+        replays = [check_etob(run), check_causal_order(run)]
+        for kernel in BUILT_KERNELS:
+            monitors = [EtobMonitor(range(3)), CausalMonitor(range(3))]
+            replicated_run(
+                stack, record="metrics", kernel=kernel, observers=monitors,
+                **args,
+            )
+            assert [monitor.report() for monitor in monitors] == replays
 
     @pytest.mark.parametrize("stack", ["etob", "ec"])
     def test_the_drawn_regime_reaches_rollbacks_and_rebuilds(self, stack):

@@ -3,7 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.sequences import (
+from sequences import (
     common_prefix_length,
     has_duplicates,
     is_prefix,

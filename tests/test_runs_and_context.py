@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.messages import AppMessage, MessageId
+from repro.properties import CausalMonitor, EtobMonitor
 from repro.properties.delivery import extract_timeline
 from repro.sim.context import (
     BROADCAST_ALL,
@@ -146,29 +147,41 @@ class TestDeliveryTimeline:
 
     def test_stable_delivery_time(self):
         run, a, b = self.make_run()
-        tl = extract_timeline(run)
-        assert tl.stable_delivery_time(0, a.uid) == 5
+        monitor = EtobMonitor(range(2)).replay(run)
+        assert monitor.stable_delivery_time(0, a.uid) == 5
         # At p1, a only appears from the second snapshot.
-        assert tl.stable_delivery_time(1, a.uid) == 12
+        assert monitor.stable_delivery_time(1, a.uid) == 12
         # b at p1 is stable from its first appearance.
-        assert tl.stable_delivery_time(1, b.uid) == 7
+        assert monitor.stable_delivery_time(1, b.uid) == 7
 
     def test_unstable_message_has_no_stable_time(self):
         run, a, b = self.make_run()
         # Remove b from p1's final snapshot: b was delivered but not stably.
         run.output_history[1][-1] = (12, ("deliver", (a,)))
-        tl = extract_timeline(run)
-        assert tl.stable_delivery_time(1, b.uid) is None
+        monitor = EtobMonitor(range(2)).replay(run)
+        assert monitor.stable_delivery_time(1, b.uid) is None
 
     def test_broadcasts_and_universe(self):
         run, a, b = self.make_run()
         tl = extract_timeline(run)
         assert set(tl.broadcasts) == {a.uid, b.uid}
-        assert set(tl.all_message_uids()) == {a.uid, b.uid}
-        assert tl.all_messages()[a.uid] == a
+        assert set(EtobMonitor(range(2)).replay(run).broadcasts) == {a.uid, b.uid}
+        causal = CausalMonitor(range(2)).replay(run)
+        assert set(causal.deps) == {a.uid, b.uid}
+        assert causal.deps[a.uid] == a.deps
 
     def test_merged_events_sorted(self):
         run, a, b = self.make_run()
-        tl = extract_timeline(run)
-        times = [t for t, __, ___ in tl.merged_events()]
+        stream = run.output_stream()
+        times = [t for t, __, ___ in stream]
         assert times == sorted(times)
+        assert [pid for __, pid, ___ in stream] == [0, 1, 0, 1, 0, 1]
+        assert stream[1] == (2, 1, (("broadcast-uid", b.uid, "b"),))
+
+    def test_output_stream_groups_one_step_and_orders_ties_by_pid(self):
+        run = RunRecord(2, FailurePattern.no_failures(2))
+        run.output_history[1] = [(3, "x"), (3, "y"), (4, "z")]
+        run.output_history[0] = [(3, "w")]
+        assert run.output_stream() == [
+            (3, 0, ("w",)), (3, 1, ("x", "y")), (4, 1, ("z",))
+        ]

@@ -1,6 +1,6 @@
 """Unit tests for the sequence algebra used by the (E)TOB checkers."""
 
-from repro.core.sequences import (
+from sequences import (
     appears_before,
     common_prefix_length,
     has_duplicates,
