@@ -26,9 +26,7 @@ See ``examples/`` for full scenarios, ``DESIGN.md`` for the system inventory
 and ``EXPERIMENTS.md`` for the claim-by-claim reproduction record.
 """
 
-from repro.broadcast import UrbLayer
 from repro.consensus import (
-    MultivaluedConsensusLayer,
     PaxosConsensusLayer,
     TobFromConsensusLayer,
 )
@@ -60,7 +58,6 @@ from repro.properties import (
     check_eic,
     check_etob,
     check_tob,
-    check_urb,
 )
 from repro.replication import (
     BankLedger,
@@ -71,7 +68,6 @@ from repro.replication import (
     KvStore,
     ReplicaLayer,
 )
-from repro.scenario import Scenario
 from repro.sim import (
     Environment,
     FailurePattern,
@@ -111,22 +107,18 @@ __all__ = [
     "KvStore",
     "Layer",
     "MessageId",
-    "MultivaluedConsensusLayer",
     "Network",
     "OmegaDetector",
     "PaxosConsensusLayer",
     "Process",
     "ProtocolStack",
     "ReplicaLayer",
-    "Scenario",
     "SigmaDetector",
     "Simulation",
     "TobFromConsensusLayer",
-    "UrbLayer",
     "check_causal_order",
     "check_ec",
     "check_eic",
     "check_etob",
     "check_tob",
-    "check_urb",
 ]

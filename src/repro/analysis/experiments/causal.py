@@ -5,9 +5,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.analysis.experiments.base import ExperimentResult, experiment
-from repro.analysis.metrics import divergence_windows
 from repro.analysis.tables import Table
-from repro.properties import check_causal_order, check_etob
+from repro.properties import EtobMonitor, check_causal_order, check_etob
 from repro.sim import RunSpec, UniformDist, run_plan
 
 
@@ -136,9 +135,11 @@ def exp_ablation_churn(
                 message_batch=4,
             )
         )
-        windows = divergence_windows(sim.run)
+        # one replay serves both divergence_windows and check_etob
+        monitor = EtobMonitor(sim.run.correct).replay(sim.run)
+        windows = monitor.divergence_windows(sim.run.end_time)
         total = sum(end - start for start, end in windows)
-        report = check_etob(sim.run)
+        report = monitor.report()
         rows.append(
             {
                 "tau_omega": tau,

@@ -11,20 +11,15 @@ is implementable). This package provides:
 - :mod:`repro.consensus.chandra_toueg` — the original rotating-coordinator
   algorithm of [3] driven by a diamond-S suspected-set detector;
 - :mod:`repro.consensus.tob` — strong total order broadcast from repeated
-  consensus (the classical transformation of [3]);
-- :mod:`repro.consensus.multivalued` — the binary-to-multivalued consensus
-  transformation of Mostefaoui, Raynal and Tronel [23], built on URB plus a
-  binary consensus layer.
+  consensus (the classical transformation of [3]).
 """
 
 from repro.consensus.chandra_toueg import ChandraTouegConsensusLayer
-from repro.consensus.multivalued import MultivaluedConsensusLayer
 from repro.consensus.paxos import PaxosConsensusLayer
 from repro.consensus.tob import TobFromConsensusLayer
 
 __all__ = [
     "ChandraTouegConsensusLayer",
-    "MultivaluedConsensusLayer",
     "PaxosConsensusLayer",
     "TobFromConsensusLayer",
 ]

@@ -4,8 +4,7 @@
 - :mod:`repro.core.etob` — eventual total order broadcast from Omega
   (Algorithm 5), with two-step delivery and causal order;
 - :mod:`repro.core.eic` — eventual irrevocable consensus (Appendix A);
-- :mod:`repro.core.transformations` — Algorithms 1, 2, 6, 7 and the
-  binary-to-multivalued construction;
+- :mod:`repro.core.transformations` — Algorithms 1, 2, 6 and 7;
 - :mod:`repro.core.causal_graph` — the causal dependency graph ``CG`` with
   ``UpdateCG`` / ``UnionCG`` / ``UpdatePromote``;
 - :mod:`repro.core.drivers` — application drivers that exercise the

@@ -10,9 +10,8 @@ processes return the leader's proposal for every subsequent instance, giving
 EC-Agreement from some instance ``k`` on, while EC-Termination, EC-Integrity
 and EC-Validity hold throughout — in **any** environment.
 
-Instances are identified by arbitrary hashable ids. The paper numbers them
-``1, 2, ...``; the binary-to-multivalued transformation additionally uses
-structured ids such as ``(l, r, i)``. A process tracks only its *current*
+Instances are identified by arbitrary hashable ids; the paper numbers them
+``1, 2, ...``. A process tracks only its *current*
 instance (the paper's ``count_i``) and decides only that one.
 """
 

@@ -18,8 +18,7 @@ recording level and on any loop; ``report()`` gives the verdict. Each
   discovered agreement index k;
 - :mod:`repro.properties.eic_checker` — :class:`EicMonitor`: EIC.
 
-Post-hoc only: :mod:`~repro.properties.urb_checker` (uniform reliable
-broadcast), :mod:`~repro.properties.run_checker` (admissibility proxies)
+Post-hoc only: :mod:`~repro.properties.run_checker` (the fairness slack)
 and :mod:`~repro.properties.detector_checker` (is a sampled history really
 an Omega or Sigma history?).
 
@@ -33,13 +32,8 @@ from repro.properties.detector_checker import check_omega_history, check_sigma_h
 from repro.properties.ec_checker import EcMonitor, EcReport, check_ec
 from repro.properties.eic_checker import EicMonitor, EicReport, check_eic
 from repro.properties.etob_checker import EtobMonitor, EtobReport, check_etob
-from repro.properties.run_checker import (
-    check_fairness,
-    check_no_undelivered,
-    fairness_slack,
-)
+from repro.properties.run_checker import fairness_slack
 from repro.properties.tob_checker import check_tob
-from repro.properties.urb_checker import UrbReport, check_urb
 
 __all__ = [
     "CausalMonitor",
@@ -50,17 +44,13 @@ __all__ = [
     "EicReport",
     "EtobMonitor",
     "EtobReport",
-    "UrbReport",
     "check_causal_order",
     "check_ec",
     "check_eic",
     "check_etob",
-    "check_fairness",
-    "check_no_undelivered",
     "check_omega_history",
     "check_sigma_history",
     "check_tob",
-    "check_urb",
     "extract_timeline",
     "fairness_slack",
 ]

@@ -91,8 +91,11 @@ class ConsensusMonitor(OutputMonitor):
                 self._answer(t, pid, tag, instance, value)
 
     def _termination(self, violations: list[str]) -> tuple[int, bool]:
-        """(L, termination ok): L is the largest instance every correct
-        process answered, capped at the expected count."""
+        """(L, termination ok): L is the smallest of the correct processes'
+        largest answered instances, capped at the expected count. Every
+        correct process must answer every instance up to the expected
+        count, or up to L when none is expected: one it skipped is a
+        termination violation."""
         expected = self.expected_instances
         last_common = min(
             (max(self.answers[pid], default=0) for pid in self.correct), default=0
@@ -100,8 +103,9 @@ class ConsensusMonitor(OutputMonitor):
         if expected is not None:
             last_common = min(last_common, expected)
         ok = last_common >= 1
-        for pid in self.correct if expected is not None else ():
-            missing = [l for l in range(1, expected + 1) if l not in self.answers[pid]]
+        upto = last_common if expected is None else expected
+        for pid in self.correct:
+            missing = [l for l in range(1, upto + 1) if l not in self.answers[pid]]
             if missing:
                 ok = False
                 violations.append(f"termination: p{pid} missing instances {missing}")
@@ -135,9 +139,13 @@ class EcMonitor(ConsensusMonitor):
                         f"validity: p{pid} decided {value!r} in instance {instance}, "
                         "which was never proposed"
                     )
+        # Agreement on [k, L] needs every correct process's decision in
+        # each instance of it: an instance one of them skipped ends it.
         agreement_index = last_common + 1
         for k in range(last_common, 0, -1):
-            if len({repr(decisions[pid].get(k, (None,))[0]) for pid in correct}) > 1:
+            if any(k not in decisions[pid] for pid in correct):
+                break
+            if len({repr(decisions[pid][k][0]) for pid in correct}) > 1:
                 break
             agreement_index = k
         agreement_time: Time | None = None

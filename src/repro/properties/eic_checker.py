@@ -75,8 +75,12 @@ class EicMonitor(ConsensusMonitor):
             [1] + [instance + 1 for pid in correct for instance in self.repeated[pid]]
         )
 
+        # An instance some correct process skipped is a termination
+        # violation (reported above); agreement compares the others.
         agreement_ok = True
         for instance in range(1, last_common + 1):
+            if any(instance not in responses[pid] for pid in correct):
+                continue
             finals = {repr(responses[pid][instance][-1]) for pid in correct}
             if len(finals) > 1:
                 agreement_ok = False

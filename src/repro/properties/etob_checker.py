@@ -105,7 +105,8 @@ class EtobMonitor(OutputMonitor):
     stable-delivery time, at the end); per pair of correct processes,
     whether they conflict, or else their last common message. An extension
     costs one tuple comparison plus work on its new suffix; a conflict
-    survives any extension, so only a rewrite rescans.
+    survives any extension, so only a rewrite rescans, and an extension
+    holding nothing of the other's sequence leaves the pair as it was.
     """
 
     def __init__(self, correct: Iterable[ProcessId]) -> None:
@@ -149,11 +150,13 @@ class EtobMonitor(OutputMonitor):
         if rewrite or pid not in self._first:
             self._first[pid], self._since[pid] = {}, {}
         first, since = self._first[pid], self._since[pid]
+        entered: list[MessageId] = []
         for i in range(start, len(seq)):
             uid = seq[i].uid
             if uid not in first:
                 first[uid] = i
                 since[uid] = previous.get(uid, t)
+                entered.append(uid)
                 if uid not in self.broadcasts:
                     self._unbroadcast.add(uid)
         duplicated = len(first) != len(seq)
@@ -176,6 +179,10 @@ class EtobMonitor(OutputMonitor):
                 pair_ok = ok if pid < other else _scan_order(theirs, 0, first, None)[0]
             elif not rewrite and pair in self._conflicts:
                 ok = pair_ok = False
+            elif not rewrite and at.keys().isdisjoint(entered):
+                # The scan would pass over the whole suffix and keep the
+                # pair's last common uid.
+                continue
             else:
                 last = None if rewrite else self._last_common.get(pair)
                 ok, self._last_common[pair] = _scan_order(seq, start, at, last)

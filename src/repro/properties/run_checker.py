@@ -1,30 +1,26 @@
-"""Admissibility proxies for finite runs.
+"""The fairness slack of a finite run.
 
-The paper's admissible runs require (1) every correct process takes
-infinitely many steps, and (2) every message sent to a correct process is
-eventually received. On a finite run we check the finite analogues:
-
-- fairness: between any two consecutive steps of a correct process, at most
-  ``slack * n`` clock ticks elapse (round-robin gives exactly ``n``);
-- delivery: at the end of the run, no message addressed to a correct process
-  remains in transit (requires access to the simulation's network).
+The paper's admissible runs require every correct process to take
+infinitely many steps. On a finite run the analogue is a bound on the gap
+between consecutive steps of a correct process: round-robin scheduling gives
+exactly ``n`` clock ticks, so a run is fair at slack ``s`` when
+``fairness_slack(run) <= s * run.n``. (The other admissibility condition,
+that every message sent to a correct process is received, reads off the
+simulation: ``sim.network.pending_for(sim.correct) == 0``.)
 """
 
 from __future__ import annotations
 
 from repro.sim.runs import RunRecord
-from repro.sim.scheduler import Simulation
 from repro.sim.types import Time
 
 
 def fairness_slack(run: RunRecord) -> Time:
     """The run's worst fairness gap: the largest number of clock ticks any
     correct process went without taking a step (including the tail from its
-    last step to the run's end). ``check_fairness(run, slack=s)`` is
-    equivalent to ``fairness_slack(run) <= s * run.n`` whenever every
-    correct process stepped at least once; a correct process that never
-    stepped yields ``run.end_time + 1`` (strictly larger than any
-    realizable gap on the run).
+    last step to the run's end). A correct process that never stepped
+    yields ``run.end_time + 1`` (strictly larger than any realizable gap on
+    the run).
 
     This is the falsifier's *fairness slack* objective read off a finished
     record's :meth:`~repro.sim.runs.RunRecord.step_times` columns;
@@ -43,34 +39,3 @@ def fairness_slack(run: RunRecord) -> Time:
         if run.end_time - last_time > worst:
             worst = run.end_time - last_time
     return worst
-
-
-def check_fairness(run: RunRecord, *, slack: int = 2) -> bool:
-    """True iff every correct process stepped regularly throughout the run.
-
-    Reads the per-process step times straight off the run's time column
-    (:meth:`~repro.sim.runs.RunRecord.step_times`) — no step views are
-    materialized, so checking a long full-fidelity run stays cheap.
-    """
-    bound = slack * run.n
-    for pid in sorted(run.correct):
-        last_time = -1
-        for step_time in run.step_times(pid):
-            if last_time >= 0 and step_time - last_time > bound:
-                return False
-            last_time = step_time
-        if last_time < 0:
-            return False  # a correct process never stepped
-        if run.end_time - last_time > bound:
-            return False
-    return True
-
-
-def check_no_undelivered(sim: Simulation) -> bool:
-    """True iff no message to a live correct process remains in transit.
-
-    Call after the simulation has run past its last disturbance; a False
-    result means the run was stopped too early to read "eventually"
-    properties off it (or a permanent partition was configured).
-    """
-    return sim.network.pending_for(sim.correct) == 0

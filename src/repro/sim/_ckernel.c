@@ -9,14 +9,14 @@
  * 1. The storage layer of the data plane: the slot columns (deliver_at,
  *    seq, sender, send_time, payload), the free list, and the
  *    per-receiver shard heaps ordered by (deliver_at, seq).  The merge
- *    layer -- the `_next_at` cursors, the pending/live counts and the
+ *    layer -- the `_next_at` cursors, the pending counts and the
  *    network-wide `_counts` -- is array('q') state of every Network
  *    (network.py), and the scheduler's `_local_event` / `_next_timeout`
  *    cursors and its clock `_clock` (time, last_live_tick, _step_index)
  *    are array('q') too: each call here exports those buffers once and
  *    reads and writes them through int64_t pointers, so Python and C
  *    share one copy and C mirrors none of it.  Every exit releases every
- *    buffer.  The dead set stays a Python set.
+ *    buffer.
  *
  * 2. The send side (send_packed / send_all_packed): delay draw through
  *    the network's delay model -- a user object, the one Python call --
@@ -87,18 +87,13 @@
 
 #define SLOT_LIMIT (1 << 24)
 
-/* repro.sim.types.NEVER == 2**62: the sentinel delivery time of messages
- * that never arrive (dropped links, partitions).  Shared with the Python
- * merge layer's live-pending accounting. */
-#define NEVER_I64 (((int64_t)1) << 62)
-
 /* repro.sim.types.NO_MESSAGE == 2**63 - 1: what an empty queue's
  * next-delivery cursor reads. */
 #define NO_MESSAGE_I64 INT64_MAX
 
-/* Network._counts slots (network.py's _SENT, _DELIVERED, _LIVE_PENDING).
+/* Network._counts slots (network.py's _SENT, _DELIVERED).
  * SENT is also the next send sequence: every queued message takes one. */
-enum { SENT, DELIVERED, LIVE_PENDING, N_COUNTS };
+enum { SENT, DELIVERED, N_COUNTS };
 
 typedef struct {
     int32_t *items;
@@ -371,7 +366,6 @@ Pool_pop_due_batch(PoolObject *self, PyObject *const *args, Py_ssize_t nargs)
     if (items == NULL)
         return NULL;
     Shard *shard = &self->shards[receiver];
-    long live_drop = 0;
     while (shard->len > 0 && PyList_GET_SIZE(items) < limit) {
         int32_t head = shard->items[0];
         int64_t deliver_at = self->col_deliver[head];
@@ -381,8 +375,6 @@ Pool_pop_due_batch(PoolObject *self, PyObject *const *args, Py_ssize_t nargs)
         PyObject *payload = self->col_payload[slot];  /* steal the ref */
         self->col_payload[slot] = NULL;
         self->free_stack[self->free_top++] = slot;
-        if (deliver_at < NEVER_I64)
-            live_drop++;
         PyObject *item = build_msg_tuple(
             deliver_at, self->col_seq[slot], (long)self->col_sender[slot],
             self->col_send_time[slot], payload);
@@ -399,7 +391,7 @@ Pool_pop_due_batch(PoolObject *self, PyObject *const *args, Py_ssize_t nargs)
     }
     int64_t new_head =
         shard->len > 0 ? self->col_deliver[shard->items[0]] : -1;
-    return Py_BuildValue("NLl", items, (long long)new_head, live_drop);
+    return Py_BuildValue("NL", items, (long long)new_head);
 }
 
 static PyObject *
@@ -609,7 +601,7 @@ static PyMethodDef Pool_methods[] = {
     {"pop_due_batch", (PyCFunction)(void (*)(void))Pool_pop_due_batch,
      METH_FASTCALL,
      "pop_due_batch(receiver, t, limit) -> ([(deliver_at, seq, sender, "
-     "send_time, payload), ...], new_head, live_drop)"},
+     "send_time, payload), ...], new_head)"},
     {"slots", (PyCFunction)Pool_slots, METH_NOARGS,
      "total slots ever allocated"},
     {"free", (PyCFunction)Pool_free, METH_NOARGS,
@@ -652,7 +644,7 @@ static PyObject *s_network, *s_processes, *s__ctx, *s_detector,
     *s__clock, *s_time, *s_pid, *s_fd_value, *s__fd_settle,
     *s__outbox, *s__outputs, *s__log, *s_on_start, *s_on_input,
     *s_on_message, *s_on_timeout, *s_on_step_raw, *s__next_at, *s__pending,
-    *s__live, *s__dead, *s_delay_model, *s_delay, *s_delay_profile,
+    *s_delay_model, *s_delay, *s_delay_profile,
     *s__counts, *s__pool, *s_end_time, *s_input_history, *s_output_history,
     *s__index, *s__time_col, *s__pid_col, *s__fd, *s__msg_sender,
     *s__msg_payload, *s__msg_send_time, *s__timeout, *s__sent,
@@ -826,28 +818,26 @@ call3(PyObject *fn, PyObject *a, PyObject *b, PyObject *c)
  * must exhaust it at the same send. */
 #define SEQ_LIMIT (((int64_t)1) << 40)
 
-/* A CompiledPackedNetwork as the C send and pop paths see it: the pool,
- * the dead set, and the exported buffers of the merge layer -- the
- * per-receiver `_next_at` / `_pending` / `_live` and the network-wide
- * `_counts` -- which every Network keeps as array('q'), so the event
+/* A CompiledPackedNetwork as the C send and pop paths see it: the pool
+ * and the exported buffers of the merge layer -- the per-receiver
+ * `_next_at` / `_pending` and the network-wide `_counts` -- which every Network keeps as array('q'), so the event
  * engine reads the same cursors on every kernel.  `delay_model` is read
  * through `net` at each use.  References are owned and buffers exported
  * until net_view_free. */
 typedef struct {
-    PyObject *net, *pool_obj, *dead;
+    PyObject *net, *pool_obj;
     PoolObject *pool;                    /* borrowed view of pool_obj */
-    Py_buffer bufs[4];
-    int64_t *next_at, *pending, *live, *counts;
+    Py_buffer bufs[3];
+    int64_t *next_at, *pending, *counts;
 } NetView;
 
 static void
 net_view_free(NetView *nv)
 {
-    for (int i = 0; i < 4; i++)
+    for (int i = 0; i < 3; i++)
         PyBuffer_Release(&nv->bufs[i]);
     Py_CLEAR(nv->net);
     Py_CLEAR(nv->pool_obj);
-    Py_CLEAR(nv->dead);
 }
 
 /* Fills a zeroed NetView; on failure the caller still runs net_view_free. */
@@ -865,17 +855,10 @@ net_view_init(NetView *nv, PyObject *net)
         return -1;
     }
     nv->pool = (PoolObject *)nv->pool_obj;
-    if ((nv->dead = PyObject_GetAttr(net, s__dead)) == NULL)
-        return -1;
-    if (!PyAnySet_Check(nv->dead)) {
-        PyErr_SetString(PyExc_TypeError, "_dead must be a set");
-        return -1;
-    }
     Py_ssize_t n = nv->pool->n;
     if (i64_view(net, s__next_at, n, &nv->bufs[0], &nv->next_at) < 0
         || i64_view(net, s__pending, n, &nv->bufs[1], &nv->pending) < 0
-        || i64_view(net, s__live, n, &nv->bufs[2], &nv->live) < 0
-        || i64_view(net, s__counts, N_COUNTS, &nv->bufs[3], &nv->counts) < 0)
+        || i64_view(net, s__counts, N_COUNTS, &nv->bufs[2], &nv->counts) < 0)
         return -1;
     return 0;
 }
@@ -908,14 +891,11 @@ deliver_time(PyObject *delay_obj, int64_t t, int64_t *out)
 
 /* Queue one message: the pool push plus the merge-layer update of
  * PackedNetwork.send_packed on the per-receiver state, in its order of
- * effects (pending, live, then the next-delivery cursor).  The
- * network-wide counts are the caller's: a live message to a receiver not
- * marked dead bumps *live_gain, and the caller counts what it queued;
- * net_commit writes both. */
+ * effects (pending, then the next-delivery cursor).  The sent count is
+ * the caller's: it adds what it queued once the call succeeds. */
 static int
-net_queue(NetView *nv, Py_ssize_t receiver, PyObject *recv_obj,
-          int64_t deliver_at, int64_t seq, long sender, int64_t t,
-          PyObject *payload, int64_t *live_gain)
+net_queue(NetView *nv, Py_ssize_t receiver, int64_t deliver_at, int64_t seq,
+          long sender, int64_t t, PyObject *payload)
 {
     PoolObject *pool = nv->pool;
     if (receiver < 0 || receiver >= pool->n) {
@@ -932,26 +912,9 @@ net_queue(NetView *nv, Py_ssize_t receiver, PyObject *recv_obj,
         return -1;
     }
     nv->pending[receiver] += 1;
-    if (deliver_at < NEVER_I64) {
-        nv->live[receiver] += 1;
-        int is_dead = PySet_GET_SIZE(nv->dead) == 0
-            ? 0 : PySet_Contains(nv->dead, recv_obj);
-        if (is_dead < 0)
-            return -1;
-        *live_gain += !is_dead;
-    }
     if (deliver_at < nv->next_at[receiver])
         nv->next_at[receiver] = deliver_at;
     return 0;
-}
-
-/* Write back what one send call queued: the sent count (the next send
- * sequence) and the live-pending gain. */
-static inline void
-net_commit(NetView *nv, int64_t sent, int64_t live_gain)
-{
-    nv->counts[SENT] += sent;
-    nv->counts[LIVE_PENDING] += live_gain;
 }
 
 /* model.delay(sender, receiver, t) -> deliver_at */
@@ -987,16 +950,15 @@ net_send(NetView *nv, long sender, PyObject *sender_obj, PyObject *recv_obj,
     Py_ssize_t receiver = PyLong_AsSsize_t(recv_obj);
     if (receiver == -1 && PyErr_Occurred())
         return -1;
-    int64_t seq = nv->counts[SENT], live_gain = 0;
+    int64_t seq = nv->counts[SENT];
     if (seq >= SEQ_LIMIT) {
         PyErr_SetString(PyExc_OverflowError,
                         "packed pool exhausted the 40-bit send sequence");
         return -1;
     }
-    if (net_queue(nv, receiver, recv_obj, deliver_at, seq, sender, t,
-                  payload, &live_gain) < 0)
+    if (net_queue(nv, receiver, deliver_at, seq, sender, t, payload) < 0)
         return -1;
-    net_commit(nv, 1, live_gain);
+    nv->counts[SENT] += 1;
     *seq_out = seq;
     return 0;
 }
@@ -1017,7 +979,7 @@ net_send_all(NetView *nv, long sender, PyObject *sender_obj,
     int64_t *times = stack_times;        /* deliver_at per position */
     PyObject *model = NULL, *profile = NULL, *receivers = NULL;
     PyObject *delays = NULL;
-    int64_t seq0 = 0, live_gain = 0;
+    int64_t seq0 = 0;
     int rc = -1;
 
     if ((model = PyObject_GetAttr(nv->net, s_delay_model)) == NULL)
@@ -1087,12 +1049,11 @@ net_send_all(NetView *nv, long sender, PyObject *sender_obj,
         goto done;
     }
     for (Py_ssize_t i = 0; i < count; i++) {
-        PyObject *recv_obj = PyList_GET_ITEM(receivers, i);
-        if (net_queue(nv, PyLong_AsSsize_t(recv_obj), recv_obj, times[i],
-                      seq0 + i, sender, t, payload, &live_gain) < 0)
+        if (net_queue(nv, PyLong_AsSsize_t(PyList_GET_ITEM(receivers, i)),
+                      times[i], seq0 + i, sender, t, payload) < 0)
             goto done;
     }
-    net_commit(nv, count, live_gain);
+    nv->counts[SENT] += count;
     *count_out = (long)count;
     rc = 0;
 done:
@@ -1142,28 +1103,17 @@ history_extend(PyObject *history, PyObject *pid_obj, PyObject *t_obj,
     return 0;
 }
 
-/* Fold `received` pops from `pid`'s shard, `live_drop` of them deliverable,
- * into the merge layer: the delivered / pending / live counts and the
- * receiver's next-delivery cursor (the tail of
- * PackedNetwork.pop_deliverable_batch_raw). */
-static int
-fold_pops(NetView *nv, long pid, PyObject *pid_obj, long received,
-          long live_drop)
+/* Fold `received` pops from `pid`'s shard into the merge layer: the
+ * delivered / pending counts and the receiver's next-delivery cursor (the
+ * tail of PackedNetwork.pop_deliverable_batch_raw). */
+static void
+fold_pops(NetView *nv, long pid, long received)
 {
     Shard *shard = &nv->pool->shards[pid];
     nv->counts[DELIVERED] += received;
     nv->pending[pid] -= received;
-    if (live_drop) {
-        nv->live[pid] -= live_drop;
-        int is_dead = PySet_Contains(nv->dead, pid_obj);
-        if (is_dead < 0)
-            return -1;
-        if (!is_dead)
-            nv->counts[LIVE_PENDING] -= live_drop;
-    }
     nv->next_at[pid] = shard->len == 0
         ? NO_MESSAGE_I64 : nv->pool->col_deliver[shard->items[0]];
-    return 0;
 }
 
 /* Peek the deliver-at of the head of a per-pid input heap.  Returns 1 and
@@ -2296,7 +2246,6 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             if (L->nv.next_at[pid] <= t) {
                 Shard *shard = &pool->shards[pid];
                 PyObject *on_message = L->on_message_m[pid];
-                long live_drop = 0;
                 while (received < L->message_batch && shard->len > 0) {
                     int32_t top = shard->items[0];
                     int64_t deliver_at = pool->col_deliver[top];
@@ -2314,8 +2263,6 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                         first_send_time = pool->col_send_time[top];
                     }
                     received += 1;
-                    if (deliver_at < NEVER_I64)
-                        live_drop += 1;
                     /* a sender outside 0..n-1 can only come from a direct
                      * network.send(); it still must not index pid_objs */
                     PyObject *sender_obj;
@@ -2334,8 +2281,7 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                         goto step_fail;
                     Py_DECREF(r);
                 }
-                if (fold_pops(&L->nv, pid, pid_obj, received, live_drop) < 0)
-                    goto step_fail;
+                fold_pops(&L->nv, pid, received);
             }
 
             /* timeout */
@@ -3001,8 +2947,6 @@ intern_names(void)
     INTERN(s_on_step_raw, "on_step_raw");
     INTERN(s__next_at, "_next_at");
     INTERN(s__pending, "_pending");
-    INTERN(s__live, "_live");
-    INTERN(s__dead, "_dead");
     INTERN(s_delay_model, "delay_model");
     INTERN(s_delay, "delay");
     INTERN(s_delay_profile, "delay_profile");

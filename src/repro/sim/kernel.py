@@ -91,13 +91,12 @@ from repro.sim.errors import ConfigurationError
 from repro.sim.envs import DelayModel
 from repro.sim.network import (
     _DELIVERED,
-    _LIVE_PENDING,
     _SENT,
     Network,
     deliver_time,
 )
 from repro.sim.observers import FullRecorder, MetricsRecorder
-from repro.sim.types import NEVER, NO_MESSAGE, ProcessId, Time
+from repro.sim.types import NO_MESSAGE, ProcessId, Time
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.scheduler import Simulation
@@ -144,7 +143,7 @@ class PackedNetwork(Network):
     per-receiver counters and ``_counts``, all ``array('q')`` — is
     inherited from :class:`Network` and maintained identically, so the
     event engine and every public query (:meth:`next_delivery_time`,
-    :meth:`in_transit`, quiescence counters) are oblivious to the storage
+    :meth:`in_transit`, the quiescence check) are oblivious to the storage
     change. The scheduler talks to it through :meth:`send_packed`,
     :meth:`send_all_packed` and :meth:`pop_deliverable_batch_raw`; the
     legacy ``Envelope`` methods it inherits fail fast on the poisoned
@@ -207,10 +206,6 @@ class PackedNetwork(Network):
             (deliver_at << _KEY_SHIFT) | (seq << _SLOT_BITS) | slot,
         )
         self._pending[receiver] += 1
-        if deliver_at < NEVER:
-            self._live[receiver] += 1
-            if receiver not in self._dead:
-                counts[_LIVE_PENDING] += 1
         if deliver_at < self._next_at[receiver]:
             self._next_at[receiver] = deliver_at
         return seq
@@ -251,10 +246,7 @@ class PackedNetwork(Network):
         shards = self._shards
         next_at = self._next_at
         pending = self._pending
-        live = self._live
-        dead = self._dead
         heappush = heapq.heappush
-        live_gain = 0
         for receiver, deliver_at in zip(receivers, times):
             if free:
                 slot = free.pop()
@@ -276,15 +268,9 @@ class PackedNetwork(Network):
             )
             seq += 1
             pending[receiver] += 1
-            if deliver_at < NEVER:
-                live[receiver] += 1
-                if receiver not in dead:
-                    live_gain += 1
             if deliver_at < next_at[receiver]:
                 next_at[receiver] = deliver_at
         counts[_SENT] = seq
-        if live_gain:
-            counts[_LIVE_PENDING] += live_gain
         return count
 
     # -- pops ---------------------------------------------------------------
@@ -299,7 +285,6 @@ class PackedNetwork(Network):
         if not shard or shard[0] >> _KEY_SHIFT > t:
             return []
         popped: list[tuple[Time, int, ProcessId, Time, Any]] = []
-        live_drop = 0
         heappop = heapq.heappop
         col_seq = self._col_seq
         col_sender = self._col_sender
@@ -324,16 +309,9 @@ class PackedNetwork(Network):
             )
             col_payload[slot] = None
             free_append(slot)
-            if deliver_at < NEVER:
-                live_drop += 1
         count = len(popped)
-        counts = self._counts
-        counts[_DELIVERED] += count
+        self._counts[_DELIVERED] += count
         self._pending[receiver] -= count
-        if live_drop:
-            self._live[receiver] -= live_drop
-            if receiver not in self._dead:
-                counts[_LIVE_PENDING] -= live_drop
         self._next_at[receiver] = (
             shard[0] >> _KEY_SHIFT if shard else NO_MESSAGE
         )
@@ -412,18 +390,11 @@ class CompiledPackedNetwork(PackedNetwork):
     def pop_deliverable_batch_raw(
         self, receiver: ProcessId, t: Time, limit: int
     ) -> list[tuple[Time, int, ProcessId, Time, Any]]:
-        items, new_head, live_drop = self._pool.pop_due_batch(
-            receiver, t, limit
-        )
+        items, new_head = self._pool.pop_due_batch(receiver, t, limit)
         if not items:
             return []
-        counts = self._counts
-        counts[_DELIVERED] += len(items)
+        self._counts[_DELIVERED] += len(items)
         self._pending[receiver] -= len(items)
-        if live_drop:
-            self._live[receiver] -= live_drop
-            if receiver not in self._dead:
-                counts[_LIVE_PENDING] -= live_drop
         self._next_at[receiver] = new_head if new_head >= 0 else NO_MESSAGE
         return items
 
@@ -594,9 +565,7 @@ def run_fused_rr(sim: "Simulation", t_end: Time) -> None:
     # Merge layer (inherited Network state — identical across kernels).
     next_at = net._next_at
     pending = net._pending
-    live = net._live
     counts = net._counts
-    dead = net._dead
 
     # Pool storage: the Python shard heaps and columns.
     shards = net._shards
@@ -672,7 +641,6 @@ def run_fused_rr(sim: "Simulation", t_end: Time) -> None:
             if head <= t:  # handlers so far queue nothing due at t
                 shard = shards[pid]
                 on_message = process.on_message
-                live_drop = 0
                 while received < message_batch and shard:
                     key = shard[0]
                     deliver_at = key >> _KEY_SHIFT
@@ -687,17 +655,11 @@ def run_fused_rr(sim: "Simulation", t_end: Time) -> None:
                         first_payload = payload
                         first_send_time = col_send_time[slot]
                     received += 1
-                    if deliver_at < NEVER:
-                        live_drop += 1
                     col_payload[slot] = None
                     free_append(slot)
                     on_message(ctx, sender, payload)
                 counts[_DELIVERED] += received
                 pending[pid] -= received
-                if live_drop:
-                    live[pid] -= live_drop
-                    if pid not in dead:
-                        counts[_LIVE_PENDING] -= live_drop
                 next_at[pid] = shard[0] >> _KEY_SHIFT if shard else NO_MESSAGE
 
             event_at = next_timeout[pid]  # only this step moves it

@@ -11,7 +11,7 @@ A delivery time ``>= NEVER`` (a permanent partition) makes a message
 undeliverable; such runs are not admissible in the paper's sense and are
 used only to demonstrate blocking behaviours.
 
-The merge layer — the per-receiver ``_next_at`` / ``_pending`` / ``_live``
+The merge layer — the per-receiver ``_next_at`` / ``_pending``
 columns and the network-wide ``_counts`` — is ``array('q')`` state on every
 rung, so the C tick loop (:mod:`repro.sim.kernel`) reads and writes the very
 buffers Python reads, with no copy of its own. An empty queue's cursor reads
@@ -29,13 +29,13 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from repro.sim.envs import DelayModel, FixedDelay
-from repro.sim.types import NEVER, NO_MESSAGE, ProcessId, Time
+from repro.sim.types import NO_MESSAGE, ProcessId, Time
 
 #: ``Network._counts`` slots: the counters behind :attr:`Network.sent_count`
-#: (every queued message takes the next send sequence, so it is that too),
-#: :attr:`Network.delivered_count` and :attr:`Network.live_pending`
-#: (``_ckernel.c`` indexes the same slots).
-_SENT, _DELIVERED, _LIVE_PENDING = range(3)
+#: (every queued message takes the next send sequence, so it is that too)
+#: and :attr:`Network.delivered_count` (``_ckernel.c`` indexes the same
+#: slots).
+_SENT, _DELIVERED = range(2)
 
 
 def deliver_time(t: Time, delay: Time) -> Time:
@@ -76,10 +76,12 @@ class Network:
     cursor* per receiver: ``_next_at[r]`` is the head delivery time of
     ``r``'s queue (:data:`~repro.sim.types.NO_MESSAGE` when it is empty),
     updated on send and pop, so "when does the next message arrive at
-    ``r``?" never looks into a queue. The scheduler's next-event query scans
-    these cursors (see :mod:`repro.sim.scheduler`). Per-receiver pending and
-    live-deliverable counters make :meth:`in_transit`, :meth:`pending_for`
-    and the quiescence counter O(1) per receiver as well. All of it is
+    ``r``?" never looks into a queue. The scheduler's next-event query and
+    its quiescence check scan these cursors (see :mod:`repro.sim.scheduler`):
+    a receiver whose cursor is at or past :data:`~repro.sim.types.NEVER`
+    holds no deliverable mail, since its heap is ordered by delivery time.
+    A per-receiver pending counter makes :meth:`in_transit` and
+    :meth:`pending_for` O(1) per receiver as well. All of it is
     ``array('q')`` (module docstring).
     """
 
@@ -90,23 +92,13 @@ class Network:
         self.delay_model: DelayModel = delay_model or FixedDelay(1)
         self._queues: list[list[Envelope]] = [[] for _ in range(n)]
         #: the network-wide counters, one ``array('q')`` (slots ``_SENT``,
-        #: ``_DELIVERED``, ``_LIVE_PENDING``). The live pending count is of
-        #: undelivered *deliverable* messages addressed to receivers not
-        #: marked crashed, maintained on send/deliver/mark so quiescence
-        #: checks are O(1) instead of rescanning queues every tick. Messages
-        #: that can never arrive (``deliver_at >= NEVER``, e.g. across a
-        #: permanent partition) are excluded — they must not keep
-        #: ``run_until_quiescent`` spinning forever.
-        self._counts = array("q", [0]) * 3
-        #: receivers known to have crashed (scheduler calls :meth:`mark_crashed`).
-        self._dead: set[ProcessId] = set()
+        #: ``_DELIVERED``).
+        self._counts = array("q", [0]) * 2
         #: per-receiver head delivery time (NO_MESSAGE = empty queue); equals
         #: ``self._queues[r][0].deliver_at`` at all times.
         self._next_at = array("q", [NO_MESSAGE]) * n
         #: per-receiver undelivered count (= ``len(self._queues[r])``).
         self._pending = array("q", [0]) * n
-        #: per-receiver undelivered count excluding never-deliverable mail.
-        self._live = array("q", [0]) * n
 
     @property
     def sent_count(self) -> int:
@@ -117,11 +109,6 @@ class Network:
     def delivered_count(self) -> int:
         """Messages consumed so far."""
         return self._counts[_DELIVERED]
-
-    @property
-    def live_pending(self) -> int:
-        """Undelivered deliverable messages to receivers not marked crashed."""
-        return self._counts[_LIVE_PENDING]
 
     def send(
         self, sender: ProcessId, receiver: ProcessId, payload: Any, t: Time
@@ -143,10 +130,6 @@ class Network:
         heapq.heappush(self._queues[receiver], envelope)
         counts[_SENT] = seq + 1
         self._pending[receiver] += 1
-        if deliver_at < NEVER:
-            self._live[receiver] += 1
-            if receiver not in self._dead:
-                counts[_LIVE_PENDING] += 1
         if deliver_at < self._next_at[receiver]:
             self._next_at[receiver] = deliver_at
         return envelope
@@ -175,11 +158,8 @@ class Network:
         queues = self._queues
         next_at = self._next_at
         pending = self._pending
-        live = self._live
-        dead = self._dead
         envelopes: list[Envelope] = []
         append = envelopes.append
-        live_gain = 0
         for receiver, deliver_at in zip(receivers, times):
             envelope = Envelope(
                 deliver_at=deliver_at,
@@ -192,16 +172,10 @@ class Network:
             heapq.heappush(queues[receiver], envelope)
             seq += 1
             pending[receiver] += 1
-            if deliver_at < NEVER:
-                live[receiver] += 1
-                if receiver not in dead:
-                    live_gain += 1
             if deliver_at < next_at[receiver]:
                 next_at[receiver] = deliver_at
             append(envelope)
         counts[_SENT] = seq
-        if live_gain:
-            counts[_LIVE_PENDING] += live_gain
         return envelopes
 
     def _broadcast_deliver_times(
@@ -255,14 +229,9 @@ class Network:
         """Consume and return the oldest deliverable message, if any."""
         queue = self._queues[receiver]
         if queue and queue[0].deliver_at <= t:
-            counts = self._counts
-            counts[_DELIVERED] += 1
+            self._counts[_DELIVERED] += 1
             self._pending[receiver] -= 1
             envelope = heapq.heappop(queue)
-            if envelope.deliver_at < NEVER:
-                self._live[receiver] -= 1
-                if receiver not in self._dead:
-                    counts[_LIVE_PENDING] -= 1
             self._next_at[receiver] = (
                 queue[0].deliver_at if queue else NO_MESSAGE
             )
@@ -285,16 +254,12 @@ class Network:
         if not queue or queue[0].deliver_at > t:
             return []
         popped: list[tuple[Time, int, ProcessId, Time, Any]] = []
-        live_drop = 0
         heappop = heapq.heappop
         while queue and queue[0].deliver_at <= t and len(popped) < limit:
             envelope = heappop(queue)
-            deliver_at = envelope.deliver_at
-            if deliver_at < NEVER:
-                live_drop += 1
             popped.append(
                 (
-                    deliver_at,
+                    envelope.deliver_at,
                     envelope.seq,
                     envelope.sender,
                     envelope.send_time,
@@ -302,13 +267,8 @@ class Network:
                 )
             )
         count = len(popped)
-        counts = self._counts
-        counts[_DELIVERED] += count
+        self._counts[_DELIVERED] += count
         self._pending[receiver] -= count
-        if live_drop:
-            self._live[receiver] -= live_drop
-            if receiver not in self._dead:
-                counts[_LIVE_PENDING] -= live_drop
         self._next_at[receiver] = queue[0].deliver_at if queue else NO_MESSAGE
         return popped
 
@@ -317,16 +277,6 @@ class Network:
         (None when nothing is in transit to it)."""
         head = self._next_at[receiver]
         return None if head == NO_MESSAGE else head
-
-    def mark_crashed(self, pid: ProcessId) -> None:
-        """Exclude ``pid``'s queue from the live-pending count, permanently.
-
-        The scheduler calls this as the clock crosses crash boundaries;
-        crashes are permanent in the paper's model, so the mark never lifts.
-        """
-        if pid not in self._dead:
-            self._dead.add(pid)
-            self._counts[_LIVE_PENDING] -= self._live[pid]
 
     def in_transit(self, receiver: ProcessId | None = None) -> int:
         """Number of undelivered messages (optionally for one receiver). O(1)."""

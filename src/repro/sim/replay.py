@@ -15,8 +15,8 @@ place that turns such a description into a simulation:
   engine/kernel/record selection;
 - :func:`build_simulation` / :func:`run_plan` — turn a spec into a
   :class:`~repro.sim.scheduler.Simulation` (and run it to its duration).
-  Experiments, falsify targets, witnesses and
-  :class:`~repro.scenario.Scenario` all build through it;
+  Experiments, falsify targets, witnesses and the tests all build
+  through it;
 - :func:`run_digest` — a stable 63-bit digest of a finished run's observable
   outcome (output history, traffic counters, end time), identical across
   kernels, engines, worker processes, and interpreter runs — the equality

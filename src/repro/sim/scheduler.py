@@ -80,7 +80,7 @@ additional :class:`~repro.sim.observers.SimObserver` instances.
 
 A raise ends the run: a step is atomic in the model, so one that raised is
 no step. The exception propagates unchanged and is kept as ``sim.failed``;
-every later run call (``step``, ``run_until``, ``run_steps``, ``run_while``,
+every later run call (``step``, ``run_until``, ``run_steps``,
 ``run_until_quiescent``) raises :class:`~repro.sim.errors.SimulationFailed`
 chained to it, without moving the clock. The loops agree on the exception
 and on releasing what they hold, not on the half-step they leave. An
@@ -93,7 +93,7 @@ import heapq
 import itertools
 from array import array
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Protocol, Sequence
+from typing import Any, Iterator, Protocol, Sequence
 
 from repro.sim.context import BROADCAST_ALL, Context
 from repro.sim.errors import ConfigurationError, SimulationFailed
@@ -281,13 +281,6 @@ class Simulation:
         ) + list(observers)
         for observer in self._observers:
             _check_observer(observer)
-        #: crash boundaries not yet folded into the network's live-pending
-        #: counter, in time order (consumed by :meth:`_sync_crash_marks`).
-        self._crash_boundaries = sorted(
-            (t, pid) for pid, t in self.failure_pattern.crash_times.items()
-        )
-        self._crash_cursor = 0
-
         #: the *local* next-event cursor: per process, the earliest time
         #: with scheduler-side work pending — the next due timeout or
         #: pending input, or 0 while the process has not run ``on_start``
@@ -627,7 +620,7 @@ class Simulation:
             n = self.n
             crash_times = self.failure_pattern.crash_times
             live = 0
-            last_live = -1
+            latest = -1
             for pid in range(n):
                 crash_at = crash_times.get(pid)
                 hi = end if crash_at is None else min(end, crash_at)
@@ -636,11 +629,11 @@ class Simulation:
                     continue
                 last = hi - 1 - ((hi - 1 - pid) % n)
                 live += (last - first) // n + 1
-                if last > last_live:
-                    last_live = last
+                if last > latest:
+                    latest = last
             self.metrics.idle_ticks_skipped += live
-            if last_live > self.last_live_tick:
-                self.last_live_tick = last_live
+            if latest > self.last_live_tick:
+                self.last_live_tick = latest
             return
         crash_times = self.failure_pattern.crash_times
         if not crash_times or min(crash_times.values()) >= end:
@@ -913,21 +906,6 @@ class Simulation:
         """Run for ``ticks`` additional clock ticks."""
         return self.run_until(self.time + ticks)
 
-    def run_while(
-        self, condition: Callable[["Simulation"], bool], *, max_time: Time = 1_000_000
-    ) -> RunRecord:
-        """Run while ``condition(self)`` holds, up to ``max_time`` ticks.
-
-        The condition is re-evaluated at every tick, so this loop always steps
-        naively — fast-forwarding would change when the predicate observes the
-        simulation.
-        """
-        with self._terminal():
-            while self.time < max_time and condition(self):
-                self._step()
-            self._finish(per_tick=True)
-        return self.run
-
     def run_until_quiescent(
         self, *, grace: int = 0, max_time: Time = 1_000_000
     ) -> RunRecord:
@@ -935,30 +913,22 @@ class Simulation:
 
         Useful for protocols without periodic chatter. ``grace`` extra full
         rounds are executed after the network drains, letting timers fire.
-        The per-tick check reads the network's O(1) live-pending counter
-        (crash boundaries are folded in as the clock crosses them) instead of
-        rescanning the per-receiver queues.
+        The per-tick check reads the delivery cursors of the processes alive
+        at the current time: each receiver's heap is ordered by delivery
+        time, so a cursor at or past ``NEVER`` means nothing deliverable is
+        queued for it (mail across a permanent partition never counts, and
+        neither does mail to a crashed receiver).
         """
         with self._terminal():
             while self.time < max_time:
-                self._sync_crash_marks()
-                if self.network.live_pending == 0:
+                head = self.network.earliest_pending(self.alive())
+                if head is None or head >= NEVER:
                     break
                 self._step()
             if grace:
                 self.run_steps(grace * self.n)
             self._finish(per_tick=True)
         return self.run
-
-    def _sync_crash_marks(self) -> None:
-        """Fold crash boundaries up to the current time into the network."""
-        boundaries = self._crash_boundaries
-        while (
-            self._crash_cursor < len(boundaries)
-            and boundaries[self._crash_cursor][0] <= self.time
-        ):
-            self.network.mark_crashed(boundaries[self._crash_cursor][1])
-            self._crash_cursor += 1
 
     # -- convenience ----------------------------------------------------------------
 

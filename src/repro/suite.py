@@ -8,11 +8,14 @@ Every sweep in this repository builds such a list: a
 :class:`~repro.analysis.experiments.Campaign` pools the cells of many
 experiments, and a falsifier round is a batch of trial cells::
 
+    from repro.sim import RunSpec, run_plan
     from repro.suite import ScenarioSuite
 
     def cell(*, tau, seed):                     # module level → picklable
-        sim = Scenario(4, seed=seed).omega(tau=tau).etob() \\
-            .broadcast(0, 20, "m").record("outputs").run(2000)
+        sim = run_plan(RunSpec(
+            n=4, duration=2000, protocol="etob", seed=seed, tau=tau,
+            inputs=((0, 20, ("broadcast", "m")),),
+        ))
         return check_etob(sim.run).tau
 
     result = (

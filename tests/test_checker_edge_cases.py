@@ -138,3 +138,54 @@ class TestBoundaryConditions:
         report = check_ec(run)
         assert report.last_common_instance == 2
         assert report.agreement_index == 1
+
+
+def consensus_run(answers: dict[int, list[tuple[str, int, object]]]) -> RunRecord:
+    """A run whose process ``p`` proposes and then answers each
+    ``(tag, instance, value)`` of ``answers[p]``, one per tick."""
+    run = empty_run(len(answers))
+    for pid, outputs in answers.items():
+        history = run.output_history[pid] = []
+        for t, (tag, instance, value) in enumerate(outputs):
+            history.append((2 * t, ("propose", instance, value)))
+            history.append((2 * t + 1, (tag, instance, value)))
+    return run
+
+
+class TestSkippedInstances:
+    """A correct process whose answers skip an instance at or below L gets
+    a report — a termination violation naming the instance — not a
+    ``KeyError``."""
+
+    def test_ec_agreement_stops_at_an_instance_every_process_skipped(self):
+        # Both skip instance 2 and disagree on 1: agreement holds on [3, 3]
+        # only, since nobody decided 2.
+        run = consensus_run({
+            0: [("decide", 1, "a"), ("decide", 3, "c")],
+            1: [("decide", 1, "x"), ("decide", 3, "c")],
+        })
+        report = check_ec(run)
+        assert (report.last_common_instance, report.agreement_index) == (3, 3)
+        assert report.agreement_time == 3
+        assert not report.termination_ok and not report.ok
+        assert "termination: p0 missing instances [2]" in report.violations
+        assert "termination: p1 missing instances [2]" in report.violations
+
+    def test_ec_a_decided_none_does_not_stand_in_for_a_skipped_instance(self):
+        run = consensus_run({
+            0: [("decide", 1, "a"), ("decide", 2, None), ("decide", 3, "c")],
+            1: [("decide", 1, "x"), ("decide", 3, "c")],
+        })
+        report = check_ec(run)
+        assert report.agreement_index == 3
+        assert report.violations == ["termination: p1 missing instances [2]"]
+
+    def test_eic_agreement_passes_over_a_skipped_instance(self):
+        run = consensus_run({
+            0: [("decide", 1, "a"), ("decide", 3, "c")],
+            1: [("decide", 1, "a"), ("decide", 2, "b"), ("decide", 3, "c")],
+        })
+        report = check_eic(run)
+        assert report.last_common_instance == 3
+        assert report.agreement_ok and not report.termination_ok
+        assert report.violations == ["termination: p0 missing instances [2]"]

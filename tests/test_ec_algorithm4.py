@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.drivers import binary_proposals
 from repro.properties import check_ec
-from repro.properties.run_checker import check_fairness, check_no_undelivered
+from repro.properties.run_checker import fairness_slack
 from repro.sim import RunSpec, run_plan
 from repro.sim.envs import make_env
 
@@ -134,8 +134,8 @@ class TestMechanics:
     def test_runs_are_admissible_proxies(self):
         sim = ec_sim(n=3, instances=3)
         sim.run_until(600)
-        assert check_fairness(sim.run)
-        assert check_no_undelivered(sim)
+        assert fairness_slack(sim.run) <= 2 * sim.n
+        assert sim.network.pending_for(sim.correct) == 0
 
     def test_integrity_no_double_decide_in_stream(self):
         sim = ec_sim(n=3, instances=5)

@@ -18,7 +18,6 @@ import pytest
 
 from repro.core import EtobLayer
 from repro.detectors import OmegaDetector
-from repro.scenario import Scenario
 from repro.sim import (
     HAS_COMPILED,
     FailurePattern,
@@ -141,16 +140,19 @@ class TestEngineDifferential:
 
     def test_quiescence_equivalent_across_engines(self):
         def build(engine):
-            sim = Scenario(3, seed=2).omega().etob().timeout_interval(500) \
-                .engine(engine).broadcast(0, 5, "x").build()
+            sim = build_simulation(RunSpec(
+                n=3, duration=0, protocol="etob", seed=2, tau=0,
+                links=FixedDelay(2), timeout_interval=500, engine=engine,
+                record="full", inputs=((0, 5, ("broadcast", "x")),),
+            ))
             sim.run_until(40)
             sim.run_until_quiescent(max_time=600)
             return sim
 
         naive, event = build("naive"), build("event")
         assert naive.run == event.run
-        assert naive.time == event.time
-        assert naive.network.live_pending == 0
+        assert naive.time == event.time < 600
+        assert naive.network.pending_for(naive.alive()) == 0
 
     def test_quiescence_ignores_dead_letters(self):
         # A message addressed to a crashed process must not keep the loop
@@ -166,7 +168,7 @@ class TestEngineDifferential:
         sim.run_until(20)
         sim.run_until_quiescent(max_time=50_000)
         assert sim.time < 1000
-        assert sim.network.live_pending == 0
+        assert sim.network.pending_for(sim.alive()) == 0
         assert sim.network.in_transit(1) == 1  # the letter itself lingers
 
 
@@ -366,11 +368,29 @@ class CountingObserver(SimObserver):
         self.finishes += 1
 
 
+def etob_run(n, seed, until, *, observers=(), **fields):
+    """Algorithm 5 at every process under a stable Ω and 2-tick links,
+    run to ``until``; ``fields`` override the rest of the spec."""
+    spec = RunSpec(
+        n=n, duration=until, protocol="etob", seed=seed, tau=0,
+        links=FixedDelay(2), record="full",
+    )
+    sim = build_simulation(replace(spec, **fields), observers=observers)
+    sim.run_until(until)
+    return sim
+
+
 class TestObserverHooks:
     def test_step_and_finish_hooks_fire_even_unrecorded(self):
+        # CountingObserver overrides on_step alone: on the C loop it is
+        # reached through the base on_step_raw, which builds the record.
         observer = CountingObserver()
-        sim = Scenario(3, seed=1).omega().etob().record("none") \
-            .observe(observer).broadcast(0, 10, "x").run(400)
+        sim = etob_run(
+            3, 1, 400, record="none", observers=[observer],
+            inputs=((0, 10, ("broadcast", "x")),),
+        )
+        if HAS_COMPILED:
+            assert sim.fused_path == "c-loop"
         assert sim.network.delivered_count > 0
         assert observer.steps > 0
         assert observer.finishes == 1
@@ -380,10 +400,12 @@ class TestObserverHooks:
             wants_idle_steps = True
 
         lazy, hungry = CountingObserver(), IdleHungry()
-        sim_a = Scenario(3, seed=1).omega().etob().record("none") \
-            .observe(lazy).timeout_interval(64).run(2000)
-        sim_b = Scenario(3, seed=1).omega().etob().record("none") \
-            .observe(hungry).timeout_interval(64).run(2000)
+        sim_a = etob_run(
+            3, 1, 2000, record="none", timeout_interval=64, observers=[lazy]
+        )
+        sim_b = etob_run(
+            3, 1, 2000, record="none", timeout_interval=64, observers=[hungry]
+        )
         assert hungry.steps == 2000  # crash-free: every tick yields a record
         assert lazy.steps < hungry.steps
         assert sim_a.network.sent_count == sim_b.network.sent_count
@@ -422,50 +444,15 @@ class TestObserverHooks:
         self._assert_refused(DeliverHook(), "on_deliver")
 
 
-class TestTimelineObserver:
-    def test_live_timeline_matches_post_hoc_rendering(self):
-        from repro.sim.tracing import TimelineObserver, timeline
-
-        observer = TimelineObserver()
-        sim = (
-            Scenario(3, seed=5)
-            .crash(2, at=400)
-            .omega(tau=100)
-            .etob()
-            .observe(observer)
-            .broadcast(0, 20, "hello")
-            .broadcast(1, 90, "world")
-            .run(900)
-        )
-        live = observer.render(failure_pattern=sim.failure_pattern)
-        post = timeline(sim.run)
-        assert live == post
-        assert "cast" in live
-
-    def test_live_timeline_available_at_metrics_fidelity(self):
-        from repro.sim.tracing import TimelineObserver
-
-        observer = TimelineObserver()
-        sim = (
-            Scenario(3, seed=5)
-            .omega()
-            .etob()
-            .record("metrics")
-            .observe(observer)
-            .broadcast(0, 20, "hello")
-            .run(600)
-        )
-        assert sim.run.steps == []
-        assert observer.events  # the trace survived the reduced fidelity
-
-
 class TestRunMetricsHelper:
     def test_full_and_metrics_paths_agree(self):
         from repro.analysis.metrics import run_metrics
 
         def build(record):
-            return Scenario(4, seed=9).omega(tau=50).etob() \
-                .record(record).broadcast(0, 30, "m").run(800)
+            return etob_run(
+                4, 9, 800, tau=50, record=record,
+                inputs=((0, 30, ("broadcast", "m")),),
+            )
 
         derived = run_metrics(build("full"))
         live = run_metrics(build("metrics"))
@@ -536,28 +523,3 @@ class TestFidelityConsistencyEdges:
         sim = self.crashed_tail_sim("outputs")
         with pytest.raises(ValueError, match="record='full' or record='metrics'"):
             run_metrics(sim)
-
-    def test_timeline_observer_crash_annotation_at_reduced_fidelity(self):
-        from repro.sim.tracing import TimelineObserver, timeline
-
-        def build(record, observer=None):
-            observers = [observer] if observer is not None else []
-            pattern = FailurePattern.crash(2, {1: 6})
-            sim = Simulation(
-                [ProtocolStack([EtobLayer()]) for _ in range(2)],
-                failure_pattern=pattern,
-                detector=OmegaDetector(stabilization_time=0).history(
-                    pattern, seed=0
-                ),
-                timeout_interval=100,
-                record=record,
-                observers=observers,
-            )
-            sim.run_until(10)
-            return sim
-
-        observer = TimelineObserver()
-        sim = build("none", observer)
-        live = observer.render(failure_pattern=sim.failure_pattern)
-        assert "CRASH" in live
-        assert live == timeline(build("full").run)

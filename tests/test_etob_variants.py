@@ -1,10 +1,13 @@
 """Tests for the ablation variant of Algorithm 5 (arrival-order promotion),
 registered as the protocol ``etob-arrival-order``."""
 
+from dataclasses import replace
+
 from repro.core.etob_variants import ArrivalOrderEtobLayer
 from repro.core.messages import payloads
 from repro.properties import check_causal_order, check_etob, extract_timeline
-from repro.sim import FixedDelay, RunSpec, UniformDist, build_simulation
+from repro.sim import FixedDelay, RunSpec, UniformDist, build_simulation, run_plan
+from repro.sim.envs import env_links
 
 
 def variant_sim(
@@ -75,3 +78,35 @@ class TestArrivalOrderVariant:
         sim.run_until(1800)
         causal = check_causal_order(sim.run)
         assert causal.ok, causal.violations
+
+
+#: The cheapest dense, causally chained cell that kills the arrival-order
+#: ablation: n = 3 under a stable Ω, every process broadcasting every 5
+#: ticks over [10, 45) — each broadcast depends on all its broadcaster has
+#: seen — on the ``late-links`` environment, 105 ticks. A one-off sweep of
+#: eight environments × n ∈ {3, 4} × load found it kills at seeds 0–5 here
+#: (98 violations at seed 0), and at no seed under ``baseline`` or
+#: ``uniform`` links.
+ARRIVAL_ORDER_CELL = RunSpec(
+    n=3,
+    duration=105,
+    protocol="etob-arrival-order",
+    inputs=tuple(
+        (p, t + p, ("broadcast", f"c{p}.{t}"))
+        for t in range(10, 45, 5)
+        for p in range(3)
+    ),
+    tau=0,
+    links=env_links("late-links", seed=0),
+    timeout_interval=2,
+    message_batch=4,
+)
+
+
+def test_the_cheapest_cell_kills_the_arrival_order_ablation():
+    causal = check_causal_order(run_plan(ARRIVAL_ORDER_CELL).run)
+    assert not causal.ok and len(causal.violations) == 98
+    # Algorithm 5 keeps causal order on the same cell.
+    real = run_plan(replace(ARRIVAL_ORDER_CELL, protocol="etob")).run
+    report = check_causal_order(real)
+    assert report.ok, report.violations

@@ -178,7 +178,6 @@ def _state(net: Network) -> dict:
         "earliest": net.earliest_pending(range(net.n)),
         "sent": net.sent_count,
         "delivered": net.delivered_count,
-        "live_pending": net.live_pending,
     }
 
 
@@ -201,7 +200,7 @@ class TestPackedPoolDifferential:
         ops = data.draw(
             st.lists(
                 st.sampled_from(
-                    ["send", "send_all", "pop", "pop_batch", "crash", "tick"]
+                    ["send", "send_all", "pop", "pop_batch", "tick"]
                 ),
                 min_size=1,
                 max_size=50,
@@ -240,10 +239,6 @@ class TestPackedPoolDifferential:
                     assert net.pop_deliverable_batch_raw(
                         receiver, t, limit
                     ) == expected
-            elif op == "crash":
-                victim = data.draw(st.integers(0, n - 1))
-                for net in nets:
-                    net.mark_crashed(victim)
             else:  # tick
                 t += data.draw(st.integers(1, 12))
             reference = _state(nets[0])
@@ -506,13 +501,12 @@ class TestKernelSelection:
         with pytest.raises(ConfigurationError, match="kernel"):
             make_network(2, kernel="vectorized")
 
-    def test_scenario_builder_passthrough(self):
-        from repro.scenario import Scenario
-
-        sim = Scenario(2, seed=0).etob().kernel("legacy").build()
+    def test_run_spec_passthrough(self):
+        spec = RunSpec(n=2, duration=0, protocol="etob")
+        sim = build_simulation(replace(spec, kernel="legacy"))
         assert type(sim.network) is Network
-        assert Scenario(2, seed=0).etob().build().kernel == DEFAULT_KERNEL
-        assert Scenario(2, seed=0).etob().kernel("packed").build().kernel == "packed"
+        assert build_simulation(spec).kernel == DEFAULT_KERNEL
+        assert build_simulation(replace(spec, kernel="packed")).kernel == "packed"
 
     def test_compiled_kernel_requires_the_extension(self, monkeypatch):
         import repro.sim.kernel as kernel_mod
@@ -630,12 +624,10 @@ class TestCompiledPool:
             (0, 1, "early", 0, 8),
             (0, 1, "later-seq", 0, 8),
         )
-        assert pool.pop_due_batch(1, 20, 1) == ([(8, 1, 0, 0, "early")], 8, 1)
-        assert pool.pop_due_batch(1, 20, 1) == (
-            [(8, 2, 0, 0, "later-seq")], 10, 1
-        )
-        assert pool.pop_due_batch(1, 20, 1) == ([(10, 0, 0, 0, "late")], -1, 1)
-        assert pool.pop_due_batch(1, 20, 1) == ([], -1, 0)
+        assert pool.pop_due_batch(1, 20, 1) == ([(8, 1, 0, 0, "early")], 8)
+        assert pool.pop_due_batch(1, 20, 1) == ([(8, 2, 0, 0, "later-seq")], 10)
+        assert pool.pop_due_batch(1, 20, 1) == ([(10, 0, 0, 0, "late")], -1)
+        assert pool.pop_due_batch(1, 20, 1) == ([], -1)
 
     def test_slot_recycling(self):
         net, pool = scripted_pool((0, 0, "a", 0, 1), (0, 1, "b", 0, 2))
@@ -670,21 +662,18 @@ class TestCompiledPool:
             (0, 1, "future", 0, 99),
         ]
         (__, batch), (__, single) = scripted_pool(*sends), scripted_pool(*sends)
-        items, new_head, live_drop = batch.pop_due_batch(1, 10, 3)
+        items, new_head = batch.pop_due_batch(1, 10, 3)
         expected = [single.pop_due_batch(1, 10, 1)[0][0] for _ in range(3)]
         assert items == expected
         assert new_head == 99  # the first still-undue message
-        assert live_drop == 3  # every popped message was live
         # Drained of due messages: empty batch, head unchanged.
-        assert batch.pop_due_batch(1, 10, 4) == ([], 99, 0)
+        assert batch.pop_due_batch(1, 10, 4) == ([], 99)
 
     def test_pop_due_batch_respects_time_and_limit(self):
         __, pool = scripted_pool((1, 0, "a", 2, 3), (1, 0, "b", 2, 4))
-        assert pool.pop_due_batch(0, 4, 10) == ([], 5, 0)
-        items, new_head, live_drop = pool.pop_due_batch(0, 5, 10)
-        assert items == [(5, 0, 1, 2, "a")]
-        assert (new_head, live_drop) == (6, 1)
-        assert pool.pop_due_batch(2, 10, 1) == ([], -1, 0)  # empty shard
+        assert pool.pop_due_batch(0, 4, 10) == ([], 5)
+        assert pool.pop_due_batch(0, 5, 10) == ([(5, 0, 1, 2, "a")], 6)
+        assert pool.pop_due_batch(2, 10, 1) == ([], -1)  # empty shard
 
     def test_pop_due_batch_errors(self):
         __, pool = scripted_pool()
@@ -1356,7 +1345,7 @@ class TestFusedPathAndReason:
         assert sim.metrics.fused_path == sim.fused_path
         assert sim.metrics.fused_reason == sim.fused_reason
         sim.detach_observer(spy)
-        sim.run_while(lambda s: True, max_time=sim.time + 10)
+        sim.run_until_quiescent(max_time=sim.time + 10)
         assert (sim.metrics.fused_path, sim.metrics.fused_reason) == (
             None, "per-tick predicate",
         )
@@ -1684,7 +1673,6 @@ def _failure_sim(
 RUN_CALLS = {
     "run_until": lambda sim: sim.run_until(sim.time + 10),
     "run_steps": lambda sim: sim.run_steps(10),
-    "run_while": lambda sim: sim.run_while(lambda s: True),
     "run_until_quiescent": lambda sim: sim.run_until_quiescent(),
     "step": lambda sim: sim.step(),
 }
@@ -1807,17 +1795,19 @@ class TestARaiseEndsTheRun:
                 )
             assert marks["compiled-loop"] == marks["packed"], after
 
-    @pytest.mark.parametrize("call", ["step", "run_while"])
+    @pytest.mark.parametrize("call", ["step", "run_until_quiescent"])
     def test_a_raise_out_of_a_per_tick_run_call_fails_it_too(self, call):
         fuse = Fuse()
         sim = _failure_sim("packed", fuse, site="on_message")
-        fuse.arm("on_message", 5)
         with pytest.raises(Boom) as raised:
             if call == "step":
+                fuse.arm("on_message", 5)
                 while True:
                     sim.step()
             else:
-                sim.run_while(lambda s: True)
+                sim.step()  # p0's first input broadcasts to all three
+                fuse.arm("on_message", 2)  # the last of those deliveries
+                sim.run_until_quiescent()
         assert_failed_for_good(sim, raised.value)
 
     @pytest.mark.parametrize("leg", failure_legs())
@@ -2214,8 +2204,8 @@ class TestRandomSchedulingOnTheCLoop:
             assert seen[kernel] == seen["packed"], kernel
 
     def test_per_tick_run_calls_step_generically(self):
-        # run_steps is run_until by another name; run_while and
-        # run_until_quiescent re-evaluate a predicate at every tick.
+        # run_steps is run_until by another name; run_until_quiescent
+        # re-evaluates a predicate at every tick.
         sims = {
             kernel: _random_sim(kernel, n=4, crashes={3: 150})
             for kernel in BUILT_KERNELS
@@ -2224,14 +2214,12 @@ class TestRandomSchedulingOnTheCLoop:
             top = "c-loop" if kernel == "compiled-loop" else None
             sim.run_steps(130)
             assert sim.metrics.fused_path == sim.fused_path == top
-            sim.run_while(lambda s: s.time < 210)
-            assert (sim.metrics.fused_path, sim.metrics.fused_reason) == (
-                None, "per-tick predicate",
-            )
             sim.run_until(300)
             assert sim.metrics.fused_path == top
             sim.run_until_quiescent(max_time=340)
-            assert sim.metrics.fused_reason == "per-tick predicate"
+            assert (sim.metrics.fused_path, sim.metrics.fused_reason) == (
+                None, "per-tick predicate",
+            )
             sim.step()
             sim.run_steps(77)
         reference = _run_view(sims["legacy"])

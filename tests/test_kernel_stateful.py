@@ -280,7 +280,6 @@ class KernelLadderMachine(RuleBasedStateMachine):
             "last_live_tick": sim.last_live_tick,
             "sent": net.sent_count,
             "delivered": net.delivered_count,
-            "live_pending": net.live_pending,
             "in_transit": [net.in_transit(r) for r in range(net.n)],
             "next": [net.next_delivery_time(r) for r in range(net.n)],
             "earliest": net.earliest_pending(range(net.n)),

@@ -1,11 +1,10 @@
 """Unit-level tests of protocol-layer internals (no simulation loop).
 
 Driving layers directly pins down the exact clause-by-clause behaviour of
-the paper's pseudocode: NewBatch contents, First(l) lookup, EIC revision
-emission, and the multivalued layer's lockstep sub-instance allocation.
+the paper's pseudocode: NewBatch contents, First(l) lookup and EIC
+revision emission.
 """
 
-from repro.consensus.multivalued import MultivaluedConsensusLayer
 from repro.core.messages import AppMessage, MessageId
 from repro.core.transformations.ec_to_eic import EcToEicLayer
 from repro.core.transformations.ec_to_etob import EcToEtobLayer, Push
@@ -150,55 +149,3 @@ class TestEcToEicInternals:
         layer.decision = ["x"]
         act(ctx, layer.on_call, ("propose", 2, "y"))
         assert sink.calls == [("propose", 2, ("x", "y"))]
-
-
-class TestMultivaluedInternals:
-    def test_lockstep_allocation_order(self):
-        layer, sink, ctx, base = rig(MultivaluedConsensusLayer())
-        act(ctx, layer.on_call, ("propose", 1, "mine"))
-        # First binary sub-instance: own index 0; bit 1 for our own proposal
-        # only if (1, 0) is known — we are pid 0, so bit 1.
-        assert sink.calls == [("propose", 0, 1)]
-        assert layer._bin_meaning[0] == (1, 0, 0)
-
-    def test_zero_bit_advances_index(self):
-        layer, sink, ctx, base = rig(MultivaluedConsensusLayer())
-        act(ctx, layer.on_call, ("propose", 1, "mine"))
-        act(ctx, layer.on_lower_event, ("decide", 0, 0))
-        assert sink.calls[-1] == ("propose", 1, 0)  # index 1: unknown -> bit 0
-        assert layer._bin_meaning[1] == (1, 0, 1)
-
-    def test_round_wraps_after_all_indices(self):
-        layer, sink, ctx, base = rig(MultivaluedConsensusLayer())
-        act(ctx, layer.on_call, ("propose", 1, "mine"))
-        for bin_id in range(3):
-            act(ctx, layer.on_lower_event, ("decide", bin_id, 0))
-        assert layer._bin_meaning[3] == (1, 1, 0)  # round 1, index 0
-
-    def test_one_bit_decides_with_known_value(self):
-        layer, sink, ctx, base = rig(MultivaluedConsensusLayer())
-        act(ctx, layer.on_call, ("propose", 1, "mine"))
-        act(ctx, layer.on_lower_event, ("decide", 0, 1))
-        outputs = base.drain_outputs()
-        assert ("decide", 1, "mine") in outputs
-
-    def test_one_bit_waits_for_unknown_value(self):
-        from repro.consensus.multivalued import ProposalAnnounce
-
-        layer, sink, ctx, base = rig(MultivaluedConsensusLayer())
-        act(ctx, layer.on_call, ("propose", 1, "mine"))
-        act(ctx, layer.on_lower_event, ("decide", 0, 0))  # index 0 -> no
-        act(ctx, layer.on_lower_event, ("decide", 1, 1))  # index 1 -> yes, unknown
-        assert not [o for o in base.drain_outputs() if o[0] == "decide"]
-        # The value arrives by diffusion: decision follows.
-        announced = AppMessage(MessageId(1, 0), ("mv-proposal", 1, "theirs"))
-        act(ctx, layer.on_message, 1, ProposalAnnounce(announced))
-        outputs = base.drain_outputs()
-        assert ("decide", 1, "theirs") in outputs
-
-    def test_early_decision_buffered_until_allocation(self):
-        layer, sink, ctx, base = rig(MultivaluedConsensusLayer())
-        act(ctx, layer.on_lower_event, ("decide", 0, 1))  # before any allocation
-        act(ctx, layer.on_call, ("propose", 1, "mine"))
-        outputs = base.drain_outputs()
-        assert ("decide", 1, "mine") in outputs

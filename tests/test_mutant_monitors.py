@@ -1,4 +1,5 @@
-"""Every mutant of :mod:`mutants` trips its property monitor live.
+"""Every mutant of :mod:`mutants`, and the arrival-order ETOB ablation
+shipped for EXP-6, trips its property monitor live.
 
 Each mutant's killing cell runs at ``record="metrics"``, which retains no
 output history, with the matching monitor attached through ``observers=``.
@@ -14,12 +15,20 @@ from dataclasses import replace
 
 import pytest
 
-from repro.properties import EcMonitor, EtobMonitor, check_ec, check_etob
+from repro.properties import (
+    CausalMonitor,
+    EcMonitor,
+    EtobMonitor,
+    check_causal_order,
+    check_ec,
+    check_etob,
+)
 from repro.sim import DEFAULT_KERNEL, build_simulation, run_plan
 
 from mutants import MUTANT_PROTOCOLS, register_mutants
 from test_ec_algorithm4 import EC_MUTANT_CELL
 from test_etob_algorithm5 import DUPLICATE_CELL
+from test_etob_variants import ARRIVAL_ORDER_CELL
 from test_paxos import sigma_settles_spec
 
 #: mutant protocol -> (killing cell, monitor, checker, the verdict it flips).
@@ -45,11 +54,21 @@ CASES = {
         check_ec,
         lambda report: report.ok,
     ),
+    "etob-arrival-order": (
+        ARRIVAL_ORDER_CELL,
+        CausalMonitor,
+        check_causal_order,
+        lambda report: report.ok,
+    ),
 }
+
+#: ablations registered in ``repro.protocols`` itself, beside the test-only
+#: mutants.
+SHIPPED_ABLATIONS = {"etob-arrival-order"}
 
 
 def test_every_mutant_has_a_case():
-    assert set(CASES) == set(MUTANT_PROTOCOLS)
+    assert set(CASES) == set(MUTANT_PROTOCOLS) | SHIPPED_ABLATIONS
 
 
 @pytest.mark.parametrize("protocol", sorted(CASES))

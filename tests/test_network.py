@@ -4,7 +4,7 @@ The delay-model tests check that the buffer schedules each message at
 ``send time + delay`` for the models of :mod:`repro.sim.envs`; the models'
 own draws are pinned in ``test_envs.py``.
 
-The merge layer (``_next_at`` / ``_pending`` / ``_live`` / ``_counts``),
+The merge layer (``_next_at`` / ``_pending`` / ``_counts``),
 the scheduler's ``_local_event`` / ``_next_timeout`` cursors and its clock
 ``_clock`` are ``array('q')`` buffers the C loop reads and writes in place,
 and the step context's three effect lists are emptied in place. The tests
@@ -110,7 +110,7 @@ class TestPartitionedDelay:
         assert model.delay(0, 1, 5) + 5 == NEVER
         net = Network(2, model)
         net.send(0, 1, "m", 5)
-        assert net.live_pending == 0
+        assert net.next_delivery_time(1) == NEVER
         assert net.pop_deliverable(1, 10**9) is None
 
 
@@ -171,42 +171,6 @@ class TestNetwork:
         assert net.delivered_count == 1
 
 
-class TestLivePendingCounter:
-    def test_send_and_pop_update_counter(self):
-        net = Network(2, FixedDelay(1))
-        assert net.live_pending == 0
-        net.send(0, 1, "a", 0)
-        net.send(0, 1, "b", 0)
-        assert net.live_pending == 2
-        net.pop_deliverable(1, 5)
-        assert net.live_pending == 1
-
-    def test_mark_crashed_discounts_queued_messages(self):
-        net = Network(3, FixedDelay(1))
-        net.send(0, 1, "m1", 0)
-        net.send(0, 2, "m2", 0)
-        net.mark_crashed(1)
-        assert net.live_pending == 1
-        # Messages sent to a dead receiver are never counted.
-        net.send(0, 1, "m3", 0)
-        assert net.live_pending == 1
-
-    def test_mark_crashed_is_idempotent(self):
-        net = Network(2, FixedDelay(1))
-        net.send(0, 1, "m", 0)
-        net.mark_crashed(1)
-        net.mark_crashed(1)
-        assert net.live_pending == 0
-
-    def test_counter_matches_pending_for_live_receivers(self):
-        net = Network(4, FixedDelay(2))
-        for receiver in (1, 2, 3, 2):
-            net.send(0, receiver, "m", 0)
-        net.mark_crashed(2)
-        alive = {0, 1, 3}
-        assert net.live_pending == net.pending_for(alive)
-
-
 class TestDeliveryTimeBound:
     """Every rung refuses a delivery time at or past ``NO_MESSAGE`` — what
     an empty queue's cursor reads — with one ``OverflowError``, before
@@ -221,7 +185,7 @@ class TestDeliveryTimeBound:
         with pytest.raises(OverflowError) as refused:
             send(net)
         assert [net.next_delivery_time(r) for r in range(3)] == before
-        assert (net.sent_count, net.in_transit(), net.live_pending) == (0, 0, 0)
+        assert (net.sent_count, net.in_transit()) == (0, 0)
         return str(refused.value)
 
     @pytest.mark.parametrize("kernel", BUILT_KERNELS)
@@ -231,7 +195,7 @@ class TestDeliveryTimeBound:
         assert net.send_all_packed(0, "m", self.T) == 3
         assert net.next_delivery_time(1) == NO_MESSAGE - 1
         assert net.in_transit(1) == 2
-        assert net.live_pending == 0  # past NEVER: never deliverable
+        assert net.earliest_pending(range(3)) >= NEVER  # never deliverable
 
     def test_one_past_it_is_refused_alike_on_every_rung(self):
         model = FixedDelay(NO_MESSAGE - self.T)
@@ -303,7 +267,7 @@ class MergeLayerSnapshots(SimObserver):
             t, pid,
             [net.in_transit(r) for r in range(net.n)],
             [net.next_delivery_time(r) for r in range(net.n)],
-            net.sent_count, net.delivered_count, net.live_pending,
+            net.sent_count, net.delivered_count,
             list(sim._local_event), list(sim._next_timeout),
             sim.time, sim.last_live_tick,
         ))
@@ -397,9 +361,10 @@ class TestSharedStateIsExactWheneverPythonIsCalled:
             seen[kernel] = (spy.seen, sim.time, run_digest(sim))
             # the run crossed the crash, the cut link and the drain
             net = sim.network
-            assert net._dead == {3} and net.live_pending == 0
+            head = net.earliest_pending(sim.alive())
+            assert head is None or head >= NEVER
             assert net.next_delivery_time(1) == NEVER
-            assert len({step[6] for step in spy.seen}) > 10
+            assert len({step[5] for step in spy.seen}) > 10
         first = seen[SNAPSHOT_LEGS[0][0]]
         for kernel, __ in SNAPSHOT_LEGS[1:]:
             assert seen[kernel] == first, kernel
@@ -522,7 +487,7 @@ def assert_buffers_released(sim: Simulation) -> None:
     exported: an exported array refuses to resize with ``BufferError``."""
     for arr in (
         sim._local_event, sim._next_timeout, sim._clock, sim.network._next_at,
-        sim.network._pending, sim.network._live, sim.network._counts,
+        sim.network._pending, sim.network._counts,
     ):
         arr.append(0)
         arr.pop()
@@ -561,7 +526,7 @@ class TestEveryCExitReleasesItsBuffers:
 
     @pytest.mark.parametrize(
         "owner,name",
-        [("network", name) for name in ("_next_at", "_pending", "_live", "_counts")]
+        [("network", name) for name in ("_next_at", "_pending", "_counts")]
         + [("sim", "_local_event"), ("sim", "_next_timeout"), ("sim", "_clock")],
     )
     @pytest.mark.parametrize("bad", ["list", "short", "wide-typecode"])
@@ -624,12 +589,5 @@ class TestEveryCExitReleasesItsBuffers:
         sim = _chatter_sim("compiled-loop", "event", "round_robin")
         sim._fd_settle = settle
         with pytest.raises(error):
-            sim.run_until(10)
-        assert_buffers_released(sim)
-
-    def test_a_dead_set_that_is_not_a_set_is_refused(self):
-        sim = _chatter_sim("compiled-loop", "event", "round_robin")
-        sim.network._dead = []
-        with pytest.raises(TypeError, match="_dead must be a set"):
             sim.run_until(10)
         assert_buffers_released(sim)

@@ -5,8 +5,9 @@ that :func:`build_simulation` builds, naming its protocol in
 Every registered protocol builds, runs and digests the same on every rung;
 a spec is a value (it pickles, hashes and compares equal to its copy);
 ``dataclasses.replace`` flips one knob of an otherwise identical run; the
-detector follows the protocol's entry; and the falsify targets derive from
-the experiment cells whose scenarios they search.
+detector follows the protocol's entry; the falsify targets derive from
+the experiment cells whose scenarios they search; and each stack, written
+as a spec, meets its property checker end to end.
 """
 
 from __future__ import annotations
@@ -17,13 +18,25 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core import EtobLayer
+from repro.core.messages import payloads
+from repro.properties import (
+    check_ec,
+    check_eic,
+    check_etob,
+    check_tob,
+    extract_timeline,
+)
 from repro.protocols import PROTOCOLS, protocol_processes
+from repro.replication import CommittedPrefixLayer, Counter, ReplicaLayer
 from repro.sim import (
     DEFAULT_KERNEL,
+    AgeGstDist,
     FixedDelay,
     Layer,
     ProtocolStack,
     RunSpec,
+    UniformDist,
     build_simulation,
     run_digest,
     run_plan,
@@ -158,3 +171,93 @@ def test_a_targets_axes_are_what_its_build_runs(name):
             target.axes["n"], target.axes["tau_omega"], target.axes["scheduling"]
         )
         assert target.envelope.n == spec.n
+
+
+# End to end: each stack as a spec, checked by its property checker.
+
+def broadcasts(*items: tuple[int, int, str]) -> tuple:
+    return tuple((pid, t, ("broadcast", payload)) for pid, t, payload in items)
+
+
+def test_etob_under_a_crash_and_late_stabilization():
+    sim = run_plan(RunSpec(
+        n=4, duration=900, protocol="etob", crashes=((3, 300),), seed=3,
+        tau=150, links=FixedDelay(2), timeout_interval=4,
+        inputs=broadcasts((0, 20, "a"), (1, 60, "b")),
+    ))
+    report = check_etob(sim.run)
+    assert report.ok, report.violations
+
+
+@pytest.mark.parametrize(
+    "protocol,check,duration", [("ec", check_ec, 700), ("eic", check_eic, 900)]
+)
+def test_consensus_stacks_meet_their_spec(protocol, check, duration):
+    sim = run_plan(RunSpec(
+        n=3, duration=duration, protocol=protocol,
+        protocol_args=(("instances", 5),),
+        tau=0, links=FixedDelay(2),
+    ))
+    report = check(sim.run, expected_instances=5)
+    assert report.ok, report.violations
+
+
+def test_strong_tob_with_majority_quorums():
+    sim = run_plan(RunSpec(
+        n=4, duration=2500, protocol="tob-consensus", tau=0,
+        links=FixedDelay(2), message_batch=4,
+        inputs=broadcasts((0, 10, "x"), (1, 80, "y")),
+    ))
+    report = check_tob(sim.run)
+    assert report.ok, report.violations
+
+
+def test_sigma_quorums_serve_a_minority_after_a_majority_crash():
+    sim = run_plan(RunSpec(
+        n=5, duration=5000, protocol="tob-consensus",
+        protocol_args=(("quorum_mode", "sigma"),),
+        crashes=tuple((pid, 100) for pid in range(3)), seed=1, tau=150,
+        leader=4, links=FixedDelay(2), message_batch=4,
+        inputs=broadcasts((3, 250, "minority-write")),
+    ))
+    assert "minority-write" in payloads(extract_timeline(sim.run).final_sequence(4))
+
+
+def test_a_replicated_counter_converges_and_commits():
+    def replica():
+        return ProtocolStack(
+            [EtobLayer(), CommittedPrefixLayer(), ReplicaLayer(Counter())]
+        )
+
+    spec = RunSpec(
+        n=3, duration=700, tau=0, links=FixedDelay(2), message_batch=8,
+        record="full",
+        inputs=((0, 10, ("invoke", ("add", 2))), (1, 60, ("invoke", ("add", 3)))),
+    )
+    sim = build_simulation(spec, processes=[replica() for _ in range(3)])
+    sim.run_until(spec.duration)
+    assert [sim.processes[p].layer("replica").state for p in range(3)] == [5] * 3
+    assert sim.run.tagged_outputs(0, "committed")
+
+
+def test_etob_under_gst_links_and_random_scheduling():
+    sim = run_plan(RunSpec(
+        n=3, duration=600, protocol="etob", seed=9, tau=0,
+        links=AgeGstDist(gst=100, pre_max=20, post_delay=2, seed=9),
+        scheduling="random", inputs=broadcasts((0, 30, "m")),
+    ))
+    report = check_etob(sim.run)
+    assert report.ok, report.violations
+
+
+def test_a_spec_runs_the_same_twice():
+    spec = RunSpec(
+        n=3, duration=400, protocol="etob", seed=42, tau=80,
+        links=UniformDist(2, 20, seed=42), record="full",
+        inputs=broadcasts((0, 10, "m")),
+    )
+    steps = [
+        [(s.time, s.pid, s.sent) for s in run_plan(spec).run.steps]
+        for __ in range(2)
+    ]
+    assert steps[0] == steps[1] and steps[0]

@@ -213,12 +213,6 @@ class TestConfiguration:
 
 
 class TestRunLoops:
-    def test_run_while(self):
-        procs = [Recorder() for _ in range(2)]
-        sim = Simulation(procs, timeout_interval=5)
-        sim.run_while(lambda s: s.time < 17)
-        assert sim.time == 17
-
     def test_run_until_quiescent_drains_network(self):
         procs = [Recorder(), Recorder()]
         sim = Simulation(procs, delay_model=FixedDelay(1), timeout_interval=1000)

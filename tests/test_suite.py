@@ -7,7 +7,7 @@ import os
 import pytest
 
 from repro.properties import check_etob
-from repro.scenario import Scenario
+from repro.sim import FixedDelay, RunSpec, run_plan
 from repro.sim.errors import ConfigurationError
 from repro.suite import (
     Axis,
@@ -25,14 +25,10 @@ from repro.suite import (
 
 def etob_tau_cell(*, tau, seed):
     """Module-level cell runner (parallel workers need picklable callables)."""
-    sim = (
-        Scenario(3, seed=seed)
-        .omega(tau=tau)
-        .etob()
-        .broadcast(0, 20, "m")
-        .record("outputs")
-        .run(max(900, tau * 3 + 300))
-    )
+    sim = run_plan(RunSpec(
+        n=3, duration=max(900, tau * 3 + 300), protocol="etob", seed=seed,
+        tau=tau, links=FixedDelay(2), inputs=((0, 20, ("broadcast", "m")),),
+    ))
     return check_etob(sim.run).ok
 
 

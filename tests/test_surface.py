@@ -98,7 +98,6 @@ def test_protocol_names_are_pinned():
 def test_the_replaced_run_builders_stay_gone():
     import repro.analysis.experiments.base as experiments_base
     import repro.search.targets as targets
-    from repro.scenario import Scenario
 
     assert not hasattr(repro.sim, "ReplayPlan")
     assert "ReplayPlan" not in repro.sim.__all__
@@ -107,9 +106,41 @@ def test_the_replaced_run_builders_stay_gone():
                             "_detector")),
         (targets, ("_etob_processes", "_omega_history", "_EXP4_BROADCASTS",
                    "_EXP8_BROADCASTS")),
-        (Scenario, ("_build_detector", "omega_sigma", "input")),
     ):
         assert [n for n in names if hasattr(module, n)] == [], module
+
+
+# Code that only its own tests reached left ``src/``: the fluent builder
+# (tests build ``RunSpec`` + ``build_simulation``), the timeline renderer,
+# the URB / multivalued-consensus stack, two run checkers, ``run_while``,
+# and the live-pending counter (quiescence reads the delivery cursors).
+
+@pytest.mark.parametrize(
+    "module", ["repro.scenario", "repro.sim.tracing", "repro.broadcast",
+               "repro.properties.urb_checker", "repro.consensus.multivalued"],
+)
+def test_the_test_only_modules_stay_gone(module):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(module)
+
+
+def test_the_test_only_names_stay_gone():
+    import repro.consensus
+    import repro.properties
+
+    for module, names in (
+        (repro, ("Scenario", "UrbLayer", "MultivaluedConsensusLayer",
+                 "check_urb")),
+        (repro.consensus, ("MultivaluedConsensusLayer",)),
+        (repro.properties, ("UrbReport", "check_urb", "check_fairness",
+                            "check_no_undelivered")),
+        (Simulation, ("run_while", "_sync_crash_marks")),
+        (Network, ("live_pending", "mark_crashed")),
+    ):
+        assert [n for n in names if hasattr(module, n)] == [], module
+    network = Network(2)
+    assert not hasattr(network, "_live") and not hasattr(network, "_dead")
+    assert len(network._counts) == 2  # sent, delivered
 
 
 def test_one_cell_type_and_one_executor():
