@@ -134,7 +134,7 @@ def main(argv: list[str] | None = None) -> int:
         "workers": workers,
         "seeds": args.seeds,
         "experiments": len(keys),
-        "cells": len(keys) * args.seeds,
+        "cells": len(Campaign(keys, seeds=args.seeds).cells()),
         "sequential_s": round(sequential_s, 3),
         "packed_s": round(packed_s, 3),
         "speedup": round(speedup, 3),

@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Regenerate EXPERIMENTS.md and BENCH_report.json from one campaign.
 
-All registered experiments × ``--seeds`` seeds (default 3) flatten into a
-single :class:`repro.analysis.experiments.Campaign` cell pool, ordered
-cost-descending so the expensive tails (EXP-7) overlap the cheap cells, and
-executed through exactly **one** streaming worker pool — a live progress
-line per completed cell, prefixed by its experiment key. The pooled results
-are demultiplexed per experiment and folded through each experiment's report
-spec (see :class:`repro.analysis.experiments.ReportSpec`) into one
-mean ± spread table — no number in EXPERIMENTS.md is hand-edited. Usage::
+Every registered experiment flattens into a single
+:class:`repro.analysis.experiments.Campaign` cell pool — a seeded experiment
+(its function takes a ``seed`` keyword) as ``--seeds`` cells (default 3), a
+deterministic one as one cell — ordered cost-descending so the expensive
+tails overlap the cheap cells, and executed through exactly **one**
+streaming worker pool — a live progress line per completed cell, prefixed
+by its experiment key. The pooled results are demultiplexed per experiment
+and folded through each experiment's report spec (see
+:class:`repro.analysis.experiments.ReportSpec`) into one mean ± spread
+table — no number in EXPERIMENTS.md is hand-edited. Usage::
 
     python -m benchmarks.generate_report [output.md] [--seeds N] [--workers N]
                                          [--json BENCH_report.json]
@@ -18,10 +20,11 @@ mean ± spread table — no number in EXPERIMENTS.md is hand-edited. Usage::
 Each experiment's claim (its registry ``claim=``) is evaluated on every
 completed cell after the campaign; a seed *holds* when every flag of its rows
 and every claim verdict of its cells is true, and the summary table counts
-those seeds. ``--smoke`` is the CI gate: one seed, serial-friendly. The exit
-code is non-zero on any cell failure, false flag or false verdict in every
-mode, so neither a broken experiment nor a broken claim can silently
-regenerate the report.
+those seeds and the distinct outcomes among them (a deterministic
+experiment's one run holds or fails). ``--smoke`` is the CI gate: one seed,
+serial-friendly. The exit code is non-zero on any cell failure, false flag
+or false verdict in every mode, so neither a broken experiment nor a broken
+claim can silently regenerate the report.
 
 ``--resume`` threads a content-addressed result cache
 (:mod:`repro.analysis.cache`, on disk at ``--cache-dir``) through the
@@ -59,19 +62,19 @@ from repro.analysis.experiments import (  # noqa: E402
     claim_verdicts,
     sweep_rows,
 )
-from repro.suite import SuiteProgress  # noqa: E402
+from repro.suite import SuiteProgress, SuiteResult  # noqa: E402
 
 COMMENTARY = {
     "EXP-1": (
         "Paper (Sections 1, 5, 7): an invocation completes after the optimal "
         "two communication steps under a stable leader, vs. three for strong "
-        "consistency [22]. Measured: ~2 vs ~3 steps at every system size and "
-        "seed — the gap is exactly one message delay."
+        "consistency [22]. Measured: ~2 vs ~3 steps at every system size — "
+        "the gap is exactly one message delay."
     ),
     "EXP-2": (
         "Theorem 1: Algorithms 1 and 2 turn any EC into ETOB and vice versa. "
-        "Measured: every stack passes the full target-specification checker "
-        "on every seed; the transformation costs extra traffic relative to "
+        "Measured: every stack passes the full target-specification checker; "
+        "the transformation costs extra traffic relative to "
         "the native Algorithm 5 (it funnels every batch through consensus "
         "instances)."
     ),
@@ -168,30 +171,40 @@ set of theorems and quantitative claims. Each experiment below regenerates
 one claim on the simulator substrate (see DESIGN.md for the substitutions).
 Absolute numbers are simulator ticks — only *shapes* (who wins, by what
 factor, where behaviour changes) carry over, which is exactly what the paper
-asserts. The claims are statistical over schedules, so every table is a
-multi-seed sweep quoting mean ± spread; no number below is hand-edited.
+asserts. No number below is hand-edited. Where a claim quantifies over
+link delays or client arrivals, its table is a multi-seed sweep quoting
+mean ± spread; the deterministic experiments draw nothing from a seed, so
+each runs once and its table quotes that run:
+{deterministic}.
 """
 
 METHODOLOGY = """\
 ## Methodology
 
-- **One campaign, one pool.** Every experiment function runs once per seed
-  as one `Cell` of a single cross-experiment `Campaign`
-  (`repro.analysis.experiments`): all experiments × seeds flatten into one
-  global cell list, ordered cost-descending (per-experiment cost hints, so
-  the expensive EXP-7 tail overlaps the cheap cells) and executed through
-  exactly one `ScenarioSuite` worker pool, consumed in completion order.
-  Results are demultiplexed per experiment by each cell's provenance tags and
-  reassembled in canonical grid order, so they are independent of worker
-  count, completion order, and pool ordering.
-- **Seeds.** {seeds} seeds per cell, derived from base seed 0 via
-  `repro.suite.derive_seed` (a stable FNV-1a hash of `(base_seed, index)`)
-  — never from `hash()` or global RNG state, so every rerun and every
-  machine sees the same seeds.
+- **One campaign, one pool.** Every seeded experiment function runs once
+  per seed, and every deterministic one once, as one `Cell` of a single
+  cross-experiment `Campaign` (`repro.analysis.experiments`): all cells
+  flatten into one global cell list, ordered cost-descending (per-experiment
+  cost hints, so the expensive EXP-7 cell overlaps the cheap ones) and
+  executed through one `repro.suite.run_cells` call — one worker pool,
+  consumed in completion order. Results are demultiplexed per experiment by
+  each cell's provenance tags and reassembled in canonical grid order, so
+  they are independent of worker count, completion order, and pool
+  ordering.
+- **Seeds.** An experiment whose function takes a `seed` keyword is seeded:
+  its seed draws link delays or client arrivals, and it runs {seeds} seeds,
+  derived from base seed 0 via `repro.suite.derive_seed` (a stable FNV-1a
+  hash of `(base_seed, index)`) — never from `hash()` or global RNG state,
+  so every rerun and every machine sees the same seeds. An experiment whose
+  function takes none is deterministic and runs one cell:
+  {deterministic}.
+  Each uses round-robin scheduling, `FixedDelay` links, and a detector that
+  is stable from time 0 or churns by the unseeded `"rotate"` rule, so no
+  seed could change its rows.
 - **Spread metric.** `mean ± {spread_name}` per numeric column
   ({spread_detail}). Boolean verdicts are quoted as `true/total` seed
-  counts; discrete outcomes (elected leaders, paper constants) as the set
-  of distinct values observed.
+  (or run) counts; discrete outcomes (elected leaders, paper constants) as
+  the set of distinct values observed.
 - **Aggregation.** Each experiment declares which row columns are scenario
   identity, measurements, verdicts, and discrete outcomes
   (`ReportSpec`); `aggregate_sweep` folds the per-seed rows through that
@@ -199,10 +212,12 @@ METHODOLOGY = """\
   also declares its *claim*: named verdicts over one cell's rows (the
   cross-row shape no single flag sees), evaluated after the campaign on
   every seed and environment cell. A seed holds when every flag and every
-  verdict of its cells is true; the summary column counts those seeds, each
-  section lists its verdict counts, and any false flag or verdict fails the
-  run. `BENCH_report.json` holds the same aggregates, every raw per-seed
-  row, and every cell's verdicts.
+  verdict of its cells is true; the summary column counts those seeds and
+  the distinct outcomes among them (the distinct row sets among the seeds
+  of one environment), so "3/3 seeds over 1 distinct outcome" is one run
+  checked three times. Each section lists its verdict counts, and any false
+  flag or verdict fails the run. `BENCH_report.json` holds the same
+  aggregates, every raw per-seed row, and every cell's verdicts.
 - **Environments.** EXP-3, EXP-4, EXP-8, and EXP-11 additionally sweep their
   declared `env` axis over registered adversarial network environments
   (`repro.sim.envs`: heavy-tailed delays, flapping links, asymmetric
@@ -212,11 +227,12 @@ METHODOLOGY = """\
   byte-identical across worker counts.
 - **Reproduce.** `python -m benchmarks.generate_report` rewrites this file
   and `BENCH_report.json`; `--seeds`/`--spread` change the sweep width and
-  dispersion metric; `--smoke` (1 seed) is the CI gate and fails on any
-  cell error. `--resume` memoizes every cell through the content-addressed
-  result cache (`repro.analysis.cache`): a killed run continues from its
-  crash-safe journal and a warm rerun executes zero cells, emitting these
-  files byte-identically — which is why timing lives on stderr, not here.
+  dispersion metric; `--smoke` (1 seed per seeded experiment) is the CI
+  gate and fails on any cell error. `--resume` memoizes every cell through
+  the content-addressed result cache (`repro.analysis.cache`): a killed run
+  continues from its crash-safe journal and a warm rerun executes zero
+  cells, emitting these files byte-identically — which is why timing lives
+  on stderr, not here.
   `benchmarks/bench_report_wallclock.py` measures the packed campaign
   against the old sequential per-experiment sweeps.
 """
@@ -224,40 +240,78 @@ METHODOLOGY = """\
 
 def false_checks(
     key: str, rows: list[dict], claims: list[dict]
-) -> dict[int, set[str]]:
+) -> dict[int | None, set[str]]:
     """Per observed seed, the names of its false checks: every ``flags``
-    column of its rows and every claim verdict of its cells.
+    column of its rows and every claim verdict of its cells. A
+    deterministic experiment's cells carry no seed; they share key ``None``.
 
     A seed holds when its set is empty. Failed cells contribute neither rows
     nor verdicts, so only observed seeds appear.
     """
     spec = EXPERIMENT_REGISTRY[key].report
     flags = spec.flags if spec is not None else ()
-    false: dict[int, set[str]] = {}
+    false: dict[int | None, set[str]] = {}
     for row in rows:
-        false.setdefault(row["seed"], set()).update(
+        false.setdefault(row.get("seed"), set()).update(
             flag for flag in flags if flag in row and not row[flag]
         )
     for cell in claims:
-        false.setdefault(cell["seed"], set()).update(
+        false.setdefault(cell.get("seed"), set()).update(
             name for name, ok in cell["verdicts"].items() if not ok
         )
     return false
 
 
-def reproduced_label(false: dict[int, set[str]], failed_cells: int) -> str:
-    """The summary-table verdict: on how many seeds the claim held, naming
-    every flag or verdict that did not hold somewhere.
+def distinct_outcomes(result: SuiteResult) -> dict[tuple, int]:
+    """Per point of the extra axes (an environment, say), how many distinct
+    row sets its seeds produced: the rows the claim reads."""
+    outcomes: dict[tuple, set[str]] = {}
+    for cell in result.cells:
+        if cell.ok and cell.value is not None:
+            point = tuple(item for item in cell.params.items() if item[0] != "seed")
+            outcomes.setdefault(point, set()).add(repr(cell.value.rows))
+    return {point: len(rows) for point, rows in outcomes.items()}
+
+
+def reproduced_label(
+    false: dict[int | None, set[str]],
+    failed_cells: int,
+    outcomes: dict[tuple, int],
+    *,
+    seeded: bool,
+) -> str:
+    """The summary-table verdict, naming every flag or verdict that did not
+    hold somewhere: for a seeded experiment, on how many seeds the claim
+    held over how many distinct outcomes (see :func:`distinct_outcomes`);
+    for a deterministic one, whether its runs held.
 
     Any failed cell forces a partial verdict regardless of what the
     surviving seeds report.
     """
     if failed_cells:
         return f"partial — {failed_cells} cell(s) failed"
-    held = sum(not names for names in false.values())
-    label = f"claim holds on {held}/{len(false)} seeds"
     broken = sorted(set().union(*false.values()))
+    if seeded:
+        held = sum(not names for names in false.values())
+        label = f"claim holds on {held}/{len(false)} seeds {_over(outcomes)}"
+    else:
+        runs = len(outcomes)
+        verdict = "fails" if broken else "holds"
+        label = f"claim {verdict} (deterministic: {runs} run{'s' if runs != 1 else ''})"
     return f"{label} — false: {', '.join(broken)}" if broken else label
+
+
+def _over(outcomes: dict[tuple, int]) -> str:
+    """``over d distinct outcomes``, per axis point when there are several
+    (``1–3`` when they differ)."""
+    counts = sorted(outcomes.values())
+    low, high = counts[0], counts[-1]
+    d = f"{low}" if low == high else f"{low}–{high}"
+    phrase = f"over {d} distinct outcome{'s' if high != 1 else ''}"
+    if len(outcomes) == 1:
+        return phrase
+    axes = sorted({name for point in outcomes for name, __ in point})
+    return f"{phrase} per {' × '.join(axes)}"
 
 
 def verdict_line(claims: list[dict]) -> str:
@@ -354,7 +408,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="CI gate: 1 seed per experiment; fails on any cell error, "
+        help="CI gate: 1 seed per seeded experiment; fails on any cell error, "
         "false flag or false claim verdict",
     )
     parser.add_argument(
@@ -453,10 +507,11 @@ def main(argv: list[str] | None = None) -> int:
             table_text = "\n\n".join(
                 cell.value.render() for cell in result.cells if cell.ok
             )
-        summary_rows.append(
-            f"| {key} | {statement} | "
-            f"{reproduced_label(false, len(result.failures()))} |"
+        label = reproduced_label(
+            false, len(result.failures()), distinct_outcomes(result),
+            seeded=definition.seeded,
         )
+        summary_rows.append(f"| {key} | {statement} | {label} |")
         sections.append(f"\n## {key} — {definition.title}\n")
         sections.append("```")
         sections.append(table_text)
@@ -466,8 +521,10 @@ def main(argv: list[str] | None = None) -> int:
         # Deliberately no timing here: the artifacts must be byte-identical
         # across reruns (cold, warm-cache, or journal-resumed), so wall-clock
         # numbers go to stderr only.
+        count = len(result.cells)
         sections.append(
-            f"\n*({len(result.cells)} cells in the shared campaign pool)*"
+            f"\n*({count} cell{'s' if count != 1 else ''} in the shared "
+            f"campaign pool)*"
         )
         report["experiments"][key] = {
             "title": definition.title,
@@ -486,8 +543,10 @@ def main(argv: list[str] | None = None) -> int:
             "cells": len(result.cells),
             "cells_failed": len(result.failures()),
         }
+        runs = f"{seeds} seed(s)" if definition.seeded else "deterministic"
         print(
-            f"{key}: {seeds} seed(s), {elapsed:.1f}s of cell time",
+            f"{key}: {runs}, {len(result.cells)} cell(s), "
+            f"{elapsed:.1f}s of cell time",
             file=sys.stderr,
         )
 
@@ -505,10 +564,14 @@ def main(argv: list[str] | None = None) -> int:
     if cache is not None:
         print(f"cache: {cache.stats.describe()}", file=sys.stderr)
 
-    document = [PREAMBLE]
+    deterministic = ", ".join(
+        key for key in ALL_EXPERIMENTS if not EXPERIMENT_REGISTRY[key].seeded
+    )
+    document = [PREAMBLE.format(deterministic=deterministic)]
     document.append(
         f"Regenerate with `python -m benchmarks.generate_report` "
-        f"(this run: {seeds} seed{'s' if seeds != 1 else ''} per experiment, "
+        f"(this run: {seeds} seed{'s' if seeds != 1 else ''} per seeded "
+        f"experiment, "
         f"spread = {spread_name}); every experiment's claim is checked on "
         f"every cell, and the run fails on any false flag or verdict.\n"
     )
@@ -518,6 +581,7 @@ def main(argv: list[str] | None = None) -> int:
     document.append("")
     document.append(METHODOLOGY.format(
         seeds=seeds, spread_name=spread_name, spread_detail=spread_detail,
+        deterministic=deterministic,
     ))
     document.extend(sections)
 

@@ -1,14 +1,19 @@
 """Experiment registry and sweep aggregation.
 
-An *experiment* is a deterministic, seedable function returning an
+An *experiment* is a deterministic function returning an
 :class:`ExperimentResult` (structured rows plus a rendered table). Experiment
 modules register their functions with the :func:`experiment` decorator; the
 package ``__init__`` imports every module, so importing
 ``repro.analysis.experiments`` yields the complete registry.
 
-Because each experiment takes a ``seed`` keyword, any experiment expands
-into :class:`~repro.suite.Cell` objects — see :meth:`ExperimentDef.cells` —
-each a picklable unit (runner + resolved params + provenance tags) that can
+The signature is the seed declaration. An experiment whose function takes a
+``seed`` keyword is *seeded*: its seed reaches a source of nondeterminism
+its claim quantifies over (environment delays, random scheduling, a seeded
+detector history or client population). One that takes none is
+*deterministic*: it computes the same rows on every run, so a campaign runs
+it once per point of its extra axes. Either way an experiment expands into
+:class:`~repro.suite.Cell` objects — see :meth:`ExperimentDef.cells` — each
+a picklable unit (runner + resolved params + provenance tags) that can
 execute through :func:`~repro.suite.run_cells`, the one worker pool. A
 :class:`~repro.analysis.experiments.campaign.Campaign` pools the cells of
 one or many experiments into one shared, cost-ordered pool.
@@ -18,18 +23,19 @@ identify a scenario (``group_by``), which are numeric measurements
 (``metrics``), which are verdict booleans (``flags``), and which are
 discrete outcomes quoted verbatim (``values``) — so :func:`aggregate_sweep`
 can fold any sweep into a single mean ± spread table with per-seed verdict
-counts. Next to the spec, every experiment declares its *claim*: a pure
-function over one cell's rows returning named verdicts — the cross-row
-shape the paper asserts, which no single row's flag can see — and
-:func:`claim_verdicts` evaluates it on every completed cell, after the
-campaign, never inside one. ``benchmarks/generate_report.py`` builds
-EXPERIMENTS.md from exactly these hooks; no experiment ships custom
-aggregation code.
+counts (per-run for a deterministic experiment). Next to the spec, every
+experiment declares its *claim*: a pure function over one cell's rows
+returning named verdicts — the cross-row shape the paper asserts, which no
+single row's flag can see — and :func:`claim_verdicts` evaluates it on
+every completed cell, after the campaign, never inside one.
+``benchmarks/generate_report.py`` builds EXPERIMENTS.md from exactly these
+hooks; no experiment ships custom aggregation code.
 """
 
 from __future__ import annotations
 
 import functools
+import inspect
 from dataclasses import dataclass, field
 from statistics import mean, quantiles, stdev
 from typing import Any, Callable, Sequence
@@ -80,7 +86,7 @@ class ExperimentDef:
     ``claim`` maps one cell's rows to named verdicts (see
     :func:`claim_verdicts`); the first line of its docstring is the paper
     claim the report's summary table quotes. ``cost`` is a *relative*
-    wall-time hint (roughly seconds per seed on the reference machine): a
+    wall-time hint (roughly seconds per cell on the reference machine): a
     campaign sorts its pooled cells cost-descending so the long tails
     (EXP-7) start first and overlap the cheap cells. ``axes``
     declares the extra :class:`~repro.suite.Axis` dimensions the experiment
@@ -95,6 +101,12 @@ class ExperimentDef:
     report: ReportSpec | None = None
     cost: float = 1.0
     axes: tuple[Axis, ...] = ()
+
+    @property
+    def seeded(self) -> bool:
+        """Whether ``fn`` takes a ``seed`` keyword; one that takes none is
+        deterministic and runs once per point of its extra axes."""
+        return "seed" in inspect.signature(self.fn).parameters
 
     def declared_axis(self, name: str) -> Axis:
         """The declared extra axis called ``name``."""
@@ -120,12 +132,14 @@ class ExperimentDef:
         seed (plus one value per extra axis) and returning its
         :class:`ExperimentResult`. ``seeds`` follows the suite's seed rule
         (:func:`~repro.suite.seed_values`): an integer asks for that many
-        derived seeds, a list is used verbatim, none is refused. Every cell
-        is tagged with its provenance — ``experiment`` (this key), ``seed``,
-        ``axes`` (the extra-axis values), and ``cell`` (the canonical index
-        within this experiment's expansion) — so pooled results can be
-        demultiplexed and reassembled deterministically regardless of
-        execution order.
+        derived seeds, a list is used verbatim, none is refused. A
+        deterministic experiment (see :attr:`seeded`) has no seed axis: one
+        cell per point of its extra axes, whose params carry no seed. Every
+        cell is tagged with its provenance — ``experiment`` (this key),
+        ``seed`` (``None`` when deterministic), ``axes`` (the extra-axis
+        values), and ``cell`` (the canonical index within this experiment's
+        expansion) — so pooled results can be demultiplexed and reassembled
+        deterministically regardless of execution order.
         """
         extra: list[Axis] = []
         for name, values in (axes or {}).items():
@@ -134,7 +148,9 @@ class ExperimentDef:
                     "'seed' is the implicit first axis; pass seeds=... instead"
                 )
             extra.append(Axis(name, tuple(values)))
-        grid = expand([Axis("seed", seed_values(seeds, base_seed)), *extra])
+        # Built either way, so an empty seed list is refused either way.
+        seed_axis = Axis("seed", seed_values(seeds, base_seed))
+        grid = expand([seed_axis, *extra] if self.seeded else extra)
         # Unpickling the runner in a cold worker imports this module's
         # package first, and its __init__ fills the whole registry.
         runner = functools.partial(run_experiment, self.key)
@@ -144,7 +160,7 @@ class ExperimentDef:
                 params=params,
                 tags={
                     "experiment": self.key,
-                    "seed": params["seed"],
+                    "seed": params.get("seed"),
                     "axes": {axis.name: params[axis.name] for axis in extra},
                     "cell": index,
                 },
@@ -176,7 +192,7 @@ def experiment(
     :class:`ExperimentDef`). The other keyword arguments declare the
     sweep-native report spec (see :class:`ReportSpec`); experiments without
     ``group_by`` cannot be aggregated by :func:`aggregate_sweep`. ``cost``
-    is the relative per-seed wall-time hint a campaign uses to order its
+    is the relative per-cell wall-time hint a campaign uses to order its
     shared cell pool; ``axes`` declares extra sweep dimensions (see
     :class:`ExperimentDef`).
     """
@@ -304,6 +320,8 @@ def aggregate_sweep(
     within each group, ``metrics`` aggregate to ``mean ± spread`` over the
     seeds (non-numeric / missing entries are skipped), ``flags`` to
     ``true/total`` counts, and ``values`` to the set of distinct outcomes.
+    A deterministic experiment's title counts runs instead of seeds, and
+    its flag columns count runs.
     Returns the rendered :class:`~repro.analysis.tables.Table` plus
     machine-readable aggregate rows (mean/spread/min/max per metric,
     true/total per flag) for the JSON report.
@@ -324,10 +342,15 @@ def aggregate_sweep(
     if spec is None:
         raise ValueError(f"experiment {key!r} declares no report spec")
     rows = sweep_rows(result)
-    seeds = sorted({row["seed"] for row in rows if "seed" in row})
     spread_tag = "sd" if spread == "stdev" else spread
     spread_name = "sample stdev" if spread == "stdev" else "IQR"
-    title = f"{key}: {definition.title} — {len(seeds)} seeds, spread = {spread_name}"
+    if definition.seeded:
+        seeds = {row["seed"] for row in rows if "seed" in row}
+        runs, unit = f"{len(seeds)} seeds, spread = {spread_name}", "seeds"
+    else:
+        count = len(result.cells)
+        runs, unit = f"deterministic: {count} run{'s' if count != 1 else ''}", "runs"
+    title = f"{key}: {definition.title} — {runs}"
 
     if pivot is None:
         groups: dict[tuple, list[dict]] = {}
@@ -339,7 +362,7 @@ def aggregate_sweep(
             list(spec.group_by)
             + [f"{m} (mean ± {spread_tag})" for m in spec.metrics]
             + list(spec.values)
-            + [f"{f} (seeds)" for f in spec.flags]
+            + [f"{f} ({unit})" for f in spec.flags]
         )
         table = Table(title, headers)
         aggregated: list[dict] = []
@@ -368,7 +391,7 @@ def aggregate_sweep(
     per_value_headers = (
         [f"{m} (mean ± {spread_tag})" for m in spec.metrics]
         + list(spec.values)
-        + [f"{f} (seeds)" for f in spec.flags]
+        + [f"{f} ({unit})" for f in spec.flags]
     )
     headers = list(group_cols) + [
         f"{h} [{pivot}={v}]" for v in pivot_values for h in per_value_headers

@@ -2,11 +2,12 @@
 
 The report's throughput problem is above the simulator: sweeping experiments
 one grid at a time leaves workers idle through each experiment's tail
-(EXP-7's cells run for seconds while the pool holding them has nothing else
-to hand out). A :class:`Campaign` flattens *all* requested experiments ×
-seeds × extra axes into one global list of :class:`~repro.suite.Cell`
-objects, orders it cost-descending (per-experiment cost hints, so the long
-tails start first and overlap the cheap cells), executes it through a
+(EXP-7's cell runs for a second while the pool holding it has nothing else
+to hand out). A :class:`Campaign` flattens the cells of *all* requested
+experiments (seeds × extra axes, or extra axes alone for a deterministic
+experiment) into one global list of :class:`~repro.suite.Cell` objects,
+orders it cost-descending (per-experiment cost hints, so the long tails
+start first and overlap the cheap cells), executes it through a
 **single** :func:`~repro.suite.run_cells` call — one worker pool for the
 whole report — and demultiplexes the results back into one
 :class:`~repro.suite.SuiteResult` per experiment via the provenance tags
@@ -147,7 +148,8 @@ class Campaign:
         """The flattened pool in canonical order: experiments, then grids.
 
         Canonical order is the campaign's experiment order, each experiment
-        expanded seed-major (see :meth:`ExperimentDef.cells`); execution
+        expanded seed-major, or over its extra axes alone when it is
+        deterministic (see :meth:`ExperimentDef.cells`); execution
         order is chosen separately by :meth:`run`.
         """
         pool: list[Cell] = []

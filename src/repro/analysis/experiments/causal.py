@@ -14,7 +14,8 @@ def claim_causal(rows: list[dict]) -> dict[str, bool]:
     """Causal order holds even during divergence (property 3)
 
     Algorithm 5 orders every checked pair causally, on a workload that
-    produced pairs to check.
+    produced pairs to check. Seeded: the seed draws the uniform link delays
+    that reorder messages.
     """
     # The ablation half ("arrival order *can* break causal order") is
     # existential, not a per-seed verdict: it breaks on some seeds only.
@@ -83,7 +84,7 @@ def claim_ablation_churn(rows: list[dict]) -> dict[str, bool]:
     """Ablation: divergence window grows with churn duration
 
     No churn means no divergence, and each longer churn window diverges for
-    strictly more ticks.
+    strictly more ticks. Seeded: the seed draws the uniform link delays.
     """
     ordered = sorted(rows, key=lambda row: row["tau_omega"])
     ticks = [row["total_divergence"] for row in ordered]

@@ -26,7 +26,8 @@ def claim_ec_any_environment(rows: list[dict]) -> dict[str, bool]:
 
     Under a detector stable from the start (``tau_omega == 0``) agreement
     holds from the first instance; under churn it starts at a later
-    instance, decided no earlier than the detector stabilizes.
+    instance, decided no earlier than the detector stabilizes. Seeded: the
+    seed draws the environment's link delays.
     """
     stable = [row for row in rows if row["tau_omega"] == 0]
     churn = [row for row in rows if row["tau_omega"] > 0]
@@ -143,7 +144,8 @@ def claim_partition_gap(rows: list[dict]) -> dict[str, bool]:
 
     No verdict beyond the rows: each row's ``as_expected`` flag already
     states its third of the claim (ETOB available, majority consensus
-    blocked, Omega+Sigma consensus available).
+    blocked, Omega+Sigma consensus available). Seeded: the seed draws the
+    environment's link delays.
     """
     return {}
 

@@ -14,7 +14,8 @@ def claim_ablation_heartbeat_gst(rows: list[dict]) -> dict[str, bool]:
     """Ablation: heartbeat Omega stabilizes shortly after GST
 
     The correct final leader is the flag; the verdict is that it is
-    reached within a few timeout escalations: by GST + 200 ticks.
+    reached within a few timeout escalations: by GST + 200 ticks. Seeded:
+    the seed draws the pre-GST link delays.
     """
     return {
         "stable_by_gst_plus_200": all(

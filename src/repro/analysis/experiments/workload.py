@@ -28,7 +28,8 @@ def claim_workload_latency(rows: list[dict]) -> dict[str, bool]:
     """Client-observed latency rises with each consistency level
 
     Tail latency climbs the ladder: p99 of ``direct`` < ``etob`` <
-    ``paxos``.
+    ``paxos``. Seeded: the seed draws the client population's arrivals and
+    keys, and the environment's link delays.
     """
     p99 = {row["stack"]: row["p99"] for row in rows}
     ladder = [p99["direct"], p99["etob"], p99["paxos"]]

@@ -44,6 +44,8 @@ class ExtractionResult:
     dag_vertices: int
     bivalent_node: int | None
     truncated: bool
+    #: the caps that cut the tree (see :attr:`SimulationTree.cut_by`).
+    cut_by: frozenset[str]
 
 
 def _split_leader(
@@ -87,6 +89,12 @@ def extract_leader(
     tree = SimulationTree(dag, sandbox, bounds)
     tree.compute_tags()
 
+    explored = dict(
+        tree_nodes=len(tree.nodes),
+        dag_vertices=len(dag),
+        truncated=tree.truncated,
+        cut_by=frozenset(tree.cut_by),
+    )
     fallback_leader = _fallback_leader(dag)
     instances = [k for k in tree.instances_observed() if isinstance(k, int)]
     instances = [k for k in instances if k <= max_instances]
@@ -102,10 +110,8 @@ def extract_leader(
                 confidence="gadget",
                 instance=k,
                 gadget=gadget,
-                tree_nodes=len(tree.nodes),
-                dag_vertices=len(dag),
                 bivalent_node=bivalent.node_id,
-                truncated=tree.truncated,
+                **explored,
             )
         split = _split_leader(tree, bivalent.node_id, k)
         if split is not None:
@@ -115,20 +121,16 @@ def extract_leader(
                 confidence="split",
                 instance=k,
                 gadget=None,
-                tree_nodes=len(tree.nodes),
-                dag_vertices=len(dag),
                 bivalent_node=node_id,
-                truncated=tree.truncated,
+                **explored,
             )
     return ExtractionResult(
         leader=fallback_leader,
         confidence="fallback",
         instance=None,
         gadget=None,
-        tree_nodes=len(tree.nodes),
-        dag_vertices=len(dag),
         bivalent_node=None,
-        truncated=tree.truncated,
+        **explored,
     )
 
 

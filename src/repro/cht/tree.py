@@ -107,7 +107,13 @@ class SimulationTree:
         self.sandbox = sandbox
         self.bounds = bounds or TreeBounds()
         self.nodes: list[TreeNode] = []
+        #: branches were dropped inside the depth horizon (``max_nodes`` or
+        #: the input guard cut the tree).
         self.truncated = False
+        #: every cap that cut the exploration: ``"max_depth"`` (a node at
+        #: the depth cap had DAG extensions), ``"max_nodes"``, and
+        #: ``"input_guard"`` (a step demanded more than 64 input attempts).
+        self.cut_by: set[str] = set()
         #: path end (None = the root) -> its first ``max_successors`` DAG
         #: extensions. The DAG is not mutated during a build, and sorting the
         #: successors (``repr`` of every value) once per vertex instead of
@@ -131,12 +137,18 @@ class SimulationTree:
             node_id = frontier.popleft()
             node = self.nodes[node_id]
             if node.depth >= self.bounds.max_depth:
+                if "max_depth" not in self.cut_by and self._next_vertices(node):
+                    self.cut_by.add("max_depth")
                 continue
             if len(self.nodes) >= self.bounds.max_nodes:
-                self.truncated = True
+                self._truncate("max_nodes")
                 break
             frontier.extend(self._expand(node))
         self._extensions.clear()
+
+    def _truncate(self, cap: str) -> None:
+        self.truncated = True
+        self.cut_by.add(cap)
 
     def _next_vertices(self, node: TreeNode) -> list[DagVertex]:
         end = None if node.step is None else node.step.vertex
@@ -157,7 +169,7 @@ class SimulationTree:
             for deliver in deliver_options:
                 created.extend(self._try_step(node, vertex, deliver))
                 if len(self.nodes) >= self.bounds.max_nodes:
-                    self.truncated = True
+                    self._truncate("max_nodes")
                     return created
         return created
 
@@ -170,8 +182,8 @@ class SimulationTree:
         guard = 0
         while pending:
             guard += 1
-            if guard > 64:  # a single step cannot need this many inputs
-                self.truncated = True  # ...and if it does, branches are dropped
+            if guard > 64:  # a single step cannot need this many inputs;
+                self._truncate("input_guard")  # if one does, branches drop
                 break
             inputs = pending.popleft()
             try:
@@ -204,7 +216,7 @@ class SimulationTree:
             node.children.append(child.node_id)
             created.append(child.node_id)
             if len(self.nodes) >= self.bounds.max_nodes:
-                self.truncated = True
+                self._truncate("max_nodes")
                 break
         return created
 

@@ -3,6 +3,7 @@
 hit/miss purity across worker counts, journal resume after worker
 death, code-digest invalidation, and byte-identical report regeneration."""
 
+import functools
 import json
 import os
 import time
@@ -26,7 +27,9 @@ from repro.analysis.cache import (
 from repro.analysis.experiments import Campaign, sweep_rows
 from repro.suite import ScenarioSuite, SuiteExecutionError, SuiteProgress
 
-KEYS = ["EXP-5", "EXP-10c"]  # cheap experiments, as in test_campaign
+# Cheap experiments, as in test_campaign: EXP-5 is deterministic (one cell
+# whatever the seed count), EXP-10c seeded.
+KEYS = ["EXP-5", "EXP-10c"]
 SEEDS = [0, 1]
 
 
@@ -310,7 +313,7 @@ class TestCampaignCaching:
         )
         warm_cache = ResultCache(root, code_version="c1")
         warm = Campaign(KEYS, seeds=SEEDS).run(workers=0, cache=warm_cache)
-        assert warm_cache.stats.hits == len(KEYS) * len(SEEDS)
+        assert warm_cache.stats.hits == len(Campaign(KEYS, seeds=SEEDS).cells()) == 3
         assert warm_cache.stats.misses == 0
         scrub = lambda o: json.dumps(
             {k: sweep_rows(o.experiment(k)) for k in KEYS},
@@ -330,7 +333,25 @@ class TestCampaignCaching:
             )
         pooled = ResultCache(root, code_version="c1")
         Campaign(KEYS, seeds=SEEDS).run(workers=2, cache=pooled)
-        assert pooled.stats.hits == len(KEYS) * len(SEEDS)
+        assert pooled.stats.hits == len(Campaign(KEYS, seeds=SEEDS).cells())
+
+    def test_wider_seed_count_serves_deterministic_cells(self, tmp_path):
+        """A deterministic cell's params carry no seed, so neither does its
+        key: a campaign at more seeds finds it under the key of one at
+        fewer."""
+        root = tmp_path / "store"
+        Campaign(KEYS, seeds=1).run(
+            workers=0, cache=ResultCache(root, code_version="c1")
+        )
+        wider = Campaign(KEYS, seeds=3).run(
+            workers=0, cache=ResultCache(root, code_version="c1")
+        )
+        assert wider.ok
+        assert [c.cached for c in wider.experiment("EXP-5").cells] == ["hit"]
+        # The seeded experiment shares only the first derived seed.
+        assert [c.cached for c in wider.experiment("EXP-10c").cells] == [
+            "hit", "miss", "miss",
+        ]
 
 
 class TestCacheCli:
@@ -430,14 +451,20 @@ class TestReportResume:
         # Zero-cell proof: every experiment function now raises, so any
         # executed cell would fail the report. The warm run must still
         # emit byte-identical artifacts, served purely from the store.
-        def explode(**kwargs):
-            raise AssertionError("a warm run must not execute cells")
+        def exploding(fn):
+            # wraps keeps fn's signature, and with it the cell expansion.
+            @functools.wraps(fn)
+            def explode(**kwargs):
+                raise AssertionError("a warm run must not execute cells")
+
+            return explode
 
         for key in KEYS:
+            original = EXPERIMENT_REGISTRY[key]
             monkeypatch.setitem(
                 EXPERIMENT_REGISTRY,
                 key,
-                dataclasses.replace(EXPERIMENT_REGISTRY[key], fn=explode),
+                dataclasses.replace(original, fn=exploding(original.fn)),
             )
         warm = self.generate(
             tmp_path, monkeypatch, "warm", ["--resume", "--cache-dir", str(root)]

@@ -19,7 +19,8 @@ from repro.analysis.tables import Table
 from repro.sim.errors import ConfigurationError
 from repro.suite import CellResult, SuiteProgress, SuiteResult, run_cells
 
-# Cheap experiments only (≤ ~0.1 s/seed each) so the whole module stays fast.
+# Cheap experiments only (≤ ~0.1 s/cell each) so the whole module stays
+# fast: EXP-5 and EXP-9 are deterministic (one cell each), EXP-10c seeded.
 KEYS = ["EXP-5", "EXP-9", "EXP-10c"]
 SEEDS = [0, 1]
 
@@ -43,7 +44,7 @@ class TestCampaignPooling:
     def test_one_pool_carries_every_experiment(self):
         outcome = Campaign(KEYS, seeds=SEEDS).run(workers=0)
         assert outcome.ok
-        assert len(outcome.suite.cells) == len(KEYS) * len(SEEDS)
+        assert len(outcome.suite.cells) == 1 + 1 + len(SEEDS)
         experiments = {c.tags["experiment"] for c in outcome.suite.cells}
         assert experiments == set(KEYS)
 
@@ -51,16 +52,17 @@ class TestCampaignPooling:
         campaign = Campaign(["EXP-10c", "EXP-9"], seeds=SEEDS)
         pool = campaign.cells()
         pool.sort(key=lambda cell: -cell.cost)
-        # EXP-9 (cost 0.1) must be dispatched before EXP-10c (cost 0.06).
-        assert [c.tags["experiment"] for c in pool[:2]] == ["EXP-9", "EXP-9"]
+        # EXP-9 (cost 0.22) must be dispatched before EXP-10c (cost 0.12).
+        assert [c.tags["experiment"] for c in pool] == ["EXP-9", "EXP-10c", "EXP-10c"]
 
     def test_demux_reassembles_canonical_order(self):
         outcome = Campaign(KEYS, seeds=SEEDS).run(workers=0)
         for key in KEYS:
             result = outcome.experiment(key)
             assert result.name == f"{key}-sweep"
-            assert [c.index for c in result.cells] == list(range(len(SEEDS)))
-            assert [c.params["seed"] for c in result.cells] == SEEDS
+            expected = SEEDS if EXPERIMENT_REGISTRY[key].seeded else [None]
+            assert [c.index for c in result.cells] == list(range(len(expected)))
+            assert [c.params.get("seed") for c in result.cells] == expected
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -90,7 +92,7 @@ class TestCampaignDeterminism:
         outcome = Campaign(KEYS, seeds=SEEDS).run(workers=0)
         for key in KEYS:
             for cell in outcome.experiment(key).cells:
-                direct = run_experiment(key, seed=cell.params["seed"])
+                direct = run_experiment(key, **cell.params)
                 assert cell.value.rows == direct.rows
 
     def test_workers_do_not_change_numbers(self):
@@ -223,17 +225,55 @@ class TestReportClaims:
         self.replace(monkeypatch, claim=broken)
         code, summary = self.generate(tmp_path, monkeypatch)
         assert code == 1
-        assert summary.endswith("| claim holds on 0/1 seeds — false: x |")
+        assert summary.endswith(
+            "| claim fails (deterministic: 1 run) — false: x |"
+        )
 
     def test_false_flag_fails_and_is_named(self, tmp_path, monkeypatch):
         def one_false_flag(*, seed):
             rows = [{"scenario": "crash-free n=4", "ok": False, "tau": 0}]
             return ExperimentResult("tob-mode", Table("EXP-5", ["scenario"]), rows)
 
+        # Taking a seed makes the stand-in a seeded experiment.
         self.replace(monkeypatch, fn=one_false_flag)
         code, summary = self.generate(tmp_path, monkeypatch)
         assert code == 1
-        assert summary.endswith("| claim holds on 0/1 seeds — false: ok |")
+        assert summary.endswith(
+            "| claim holds on 0/1 seeds over 1 distinct outcome — false: ok |"
+        )
+
+    def test_deterministic_summary_names_its_one_run(self, tmp_path, monkeypatch):
+        code, summary = self.generate(tmp_path, monkeypatch)
+        assert code == 0
+        assert summary.endswith("| claim holds (deterministic: 1 run) |")
+
+    def test_distinct_outcomes_are_counted_per_axis_point(self):
+        from benchmarks.generate_report import distinct_outcomes, reproduced_label
+
+        def rows(tau):
+            return [{"tau_omega": 0, "tau": tau, "bound": 9,
+                     "within_bound": True, "ok": True}]
+
+        # Three seeds per env: identical rows under baseline, two distinct
+        # row sets under age-gst.
+        result = fake_sweep_result("EXP-4", [
+            ({"seed": seed, "env": env}, rows(tau))
+            for env, taus in (("baseline", (3, 3, 3)), ("age-gst", (3, 5, 5)))
+            for seed, tau in zip((0, 1, 2), taus)
+        ])
+        outcomes = distinct_outcomes(result)
+        assert outcomes == {(("env", "baseline"),): 1, (("env", "age-gst"),): 2}
+        false = {0: set(), 1: set(), 2: set()}
+        assert reproduced_label(false, 0, outcomes, seeded=True) == (
+            "claim holds on 3/3 seeds over 1–2 distinct outcomes per env"
+        )
+        baseline = {point: d for point, d in outcomes.items() if d == 1}
+        assert reproduced_label(false, 0, baseline, seeded=True) == (
+            "claim holds on 3/3 seeds over 1 distinct outcome"
+        )
+        assert reproduced_label({0: set(), 1: {"ok"}}, 0, outcomes, seeded=True) == (
+            "claim holds on 1/2 seeds over 1–2 distinct outcomes per env — false: ok"
+        )
 
 
 class TestExtraAxes:

@@ -145,13 +145,13 @@ def differential_extract(dag, stack_factory, n, *, bounds=None, sandbox=None, tr
     return result
 
 
-#: the EXP-7 ``extractions`` column at seed 1 (EXPERIMENTS.md).
-SEED_1_EXTRACTIONS = (20, 28, 41)
+#: the EXP-7 ``extractions`` column (EXPERIMENTS.md).
+EXTRACTIONS = (20, 28, 41)
 #: ``(steps_executed, steps_shared)`` summed over each EXP-7 scenario's
-#: processes at seed 1: how often the replay memo ran a step and answered
+#: processes: how often the replay memo ran a step and answered
 #: one. Any change to what a frozen automaton's bytes hold (the memo's key)
 #: moves them.
-SEED_1_STEPS = ((351, 3694), (2328, 11474), (648, 5982))
+STEPS = ((351, 3694), (2328, 11474), (648, 5982))
 
 
 @pytest.mark.parametrize("index", range(len(SCENARIOS)))
@@ -164,9 +164,9 @@ def test_exp7_rounds_match_the_deepcopy_oracle(monkeypatch, index):
 
     monkeypatch.setattr(reduction, "extract_leader", recording)
     __, *scenario = SCENARIOS[index]
-    pattern, procs = run_cht_scenario(*scenario, seed=1)
+    pattern, procs = run_cht_scenario(*scenario)
     run = sum(procs[pid].extractions_run for pid in pattern.correct)
-    assert run == SEED_1_EXTRACTIONS[index]
+    assert run == EXTRACTIONS[index]
     # Every round is either a compared fresh extraction or a reuse of one.
     assert fresh
     assert sum(p.extractions_run - p.extractions_reused for p in procs) == len(fresh)
@@ -174,7 +174,7 @@ def test_exp7_rounds_match_the_deepcopy_oracle(monkeypatch, index):
     executed = sum(p.steps_executed for p in procs)
     shared = sum(p.steps_shared for p in procs)
     assert 0 < executed < shared
-    assert (executed, shared) == SEED_1_STEPS[index]
+    assert (executed, shared) == STEPS[index]
     # No step fixes six inputs, i.e. needs more than the 64 attempts
     # ``_try_step`` allows (a full binary branching over five is 63): the
     # guard that now reports ``truncated`` is never reached, no row moved.

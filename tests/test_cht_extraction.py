@@ -108,6 +108,7 @@ class TestSimulationTree:
         )
         assert len(tree.nodes) - 1 < 2**7
         assert tree.truncated
+        assert tree.cut_by == {"input_guard"}
         # Five inputs (63 attempts) fit under the guard: all 32 branches.
         tree = SimulationTree(
             stable_dag(n=1, rounds=1),
@@ -116,6 +117,20 @@ class TestSimulationTree:
         )
         assert len(tree.nodes) - 1 == 2**5
         assert not tree.truncated
+        assert tree.cut_by == set()
+
+    def test_each_cap_names_itself(self):
+        sandbox = ReplaySandbox(2, ec_factory)
+        # A depth cap below the DAG's longest path cuts without dropping
+        # branches inside the horizon.
+        shallow = SimulationTree(stable_dag(), sandbox, TreeBounds(max_depth=2))
+        assert shallow.cut_by == {"max_depth"} and not shallow.truncated
+        # A horizon past every DAG path is not cut by depth.
+        whole = SimulationTree(stable_dag(rounds=1), sandbox, TreeBounds(max_depth=8))
+        assert max(node.depth for node in whole.nodes) < 8
+        assert whole.cut_by == set() and not whole.truncated
+        crowded = SimulationTree(stable_dag(), sandbox, TreeBounds(max_nodes=30))
+        assert crowded.cut_by == {"max_nodes"} and crowded.truncated
 
     def test_no_disagreement_with_stable_leader(self):
         tree = SimulationTree(stable_dag(), ReplaySandbox(2, ec_factory), SMALL_BOUNDS)
@@ -296,7 +311,7 @@ class TestDistributedReduction:
         assert {len(line) for line in logged} == {5}
         assert [f.name for f in dataclasses.fields(result)] == [
             "leader", "confidence", "instance", "gadget",
-            "tree_nodes", "dag_vertices", "bivalent_node", "truncated",
+            "tree_nodes", "dag_vertices", "bivalent_node", "truncated", "cut_by",
         ]
         # A window that moves back to a shape already extracted from reuses
         # that round, though every query index in it has moved on: the
@@ -318,3 +333,46 @@ class TestDistributedReduction:
     def test_reduction_parameter_validation(self):
         with pytest.raises(ValueError):
             OmegaExtractionProcess(ec_factory, analyze_every=0)
+
+
+#: Per EXP-7 scenario (``repro.analysis.experiments.cht.SCENARIOS``, in
+#: order): the emulated leader and ``extractions`` column of EXPERIMENTS.md,
+#: the caps that cut each correct process's final extraction, and how many
+#: fresh extractions each set of caps cut. No tree reaches the depth cap
+#: (every DAG path ends by depth 4 under ``max_depth=5``); ``max_nodes=800``
+#: cuts all but the churn scenario's four windowed trees, which explore
+#: their whole window.
+EXP7_PINS = (
+    (1, 20, frozenset({"max_nodes"}), {("max_nodes",): 4}),
+    (1, 28, frozenset(), {("max_nodes",): 9, (): 4}),
+    (2, 41, frozenset({"max_nodes"}), {("max_nodes",): 6}),
+)
+
+
+@pytest.mark.parametrize("index", range(len(EXP7_PINS)))
+def test_exp7_values_and_cuts_per_scenario(monkeypatch, index):
+    from repro.analysis.experiments.cht import SCENARIOS, run_cht_scenario
+    from repro.cht import reduction
+
+    fresh = []
+
+    def recording(*args, **kwargs):
+        fresh.append(extract_leader(*args, **kwargs))
+        return fresh[-1]
+
+    monkeypatch.setattr(reduction, "extract_leader", recording)
+    __, *scenario = SCENARIOS[index]
+    pattern, procs = run_cht_scenario(*scenario)
+    leader, extractions, final_cuts, fresh_cuts = EXP7_PINS[index]
+    correct = [procs[pid] for pid in pattern.correct]
+    assert {proc.current_leader for proc in correct} == {leader}
+    assert leader in pattern.correct
+    assert sum(proc.extractions_run for proc in correct) == extractions
+    assert {proc.last_result.cut_by for proc in correct} == {final_cuts}
+    assert all(proc.last_result.confidence == "gadget" for proc in correct)
+    cuts: dict[tuple, int] = {}
+    for result in fresh:
+        key = tuple(sorted(result.cut_by))
+        cuts[key] = cuts.get(key, 0) + 1
+        assert result.truncated == bool(result.cut_by - {"max_depth"})
+    assert cuts == fresh_cuts

@@ -6,6 +6,9 @@ every experiment runner produces structurally sound results quickly, so a
 plain ``pytest tests/`` run still covers the runner code.
 """
 
+import inspect
+import math
+
 import pytest
 
 from repro.analysis.experiments import (
@@ -19,6 +22,13 @@ from repro.analysis.experiments import (
     exp_tob_mode,
     exp_workload_latency,
 )
+from repro.sim import Simulation
+from repro.sim.replay import run_digest
+
+#: the experiments whose seed reaches nothing (round-robin scheduling,
+#: FixedDelay links, a detector stable from 0 or the unseeded "rotate"
+#: churn); every other experiment's seed draws link delays or clients.
+DETERMINISTIC = {"EXP-1", "EXP-2", "EXP-5", "EXP-7", "EXP-9", "EXP-10b"}
 
 
 class TestExperimentSmoke:
@@ -95,3 +105,54 @@ class TestExperimentSmoke:
         result = exp_tob_mode()
         text = result.render()
         assert "EXP-5" in text and "scenario" in text
+
+
+class TestSeedDeclarations:
+    """The signature is the seed declaration: a seeded experiment's seed
+    must reach a simulation, and a deterministic one runs once."""
+
+    def test_deterministic_set_is_declared_by_signature(self):
+        assert {
+            key for key in ALL_EXPERIMENTS if not EXPERIMENT_REGISTRY[key].seeded
+        } == DETERMINISTIC
+
+    @pytest.mark.parametrize("key", sorted(DETERMINISTIC))
+    def test_deterministic_experiment_runs_one_cell_per_axis_point(self, key):
+        definition = EXPERIMENT_REGISTRY[key]
+        assert "seed" not in inspect.signature(definition.fn).parameters
+        assert [cell.params for cell in definition.cells(3)] == [{}]
+        axes = {axis.name: axis.values for axis in definition.axes}
+        cells = definition.cells(3, axes=axes)
+        assert len(cells) == math.prod(len(values) for values in axes.values())
+        assert all("seed" not in cell.params for cell in cells)
+        assert {cell.tags["seed"] for cell in cells} == {None}
+
+    @pytest.mark.parametrize(
+        "key", sorted(set(ALL_EXPERIMENTS) - DETERMINISTIC)
+    )
+    def test_two_seeds_give_different_runs(self, monkeypatch, key):
+        """Under at least one of its environments, seeds 0 and 1 finish
+        some simulation of the experiment with different digests."""
+        digests = []
+        run_until = Simulation.run_until
+
+        def recording(sim, *args, **kwargs):
+            outcome = run_until(sim, *args, **kwargs)
+            digests.append(run_digest(sim))
+            return outcome
+
+        monkeypatch.setattr(Simulation, "run_until", recording)
+        definition = EXPERIMENT_REGISTRY[key]
+        envs = [{}]
+        if any(axis.name == "env" for axis in definition.axes):
+            envs = [{"env": env} for env in definition.declared_axis("env").values]
+        differing = 0
+        for env in envs:
+            runs = []
+            for seed in (0, 1):
+                digests.clear()
+                definition.fn(seed=seed, **env)
+                runs.append(list(digests))
+            assert runs[0] and len(runs[0]) == len(runs[1])
+            differing += sum(a != b for a, b in zip(*runs))
+        assert differing > 0

@@ -218,7 +218,7 @@ class TestSeeding:
     def test_suites_and_experiments_share_one_seed_rule(self):
         from repro.analysis.experiments import EXPERIMENT_REGISTRY
 
-        definition = EXPERIMENT_REGISTRY["EXP-5"]
+        definition = EXPERIMENT_REGISTRY["EXP-10c"]  # a seeded experiment
         suite = ScenarioSuite(add_cell, base_seed=5).seeds(3).axis("b", [1, 2])
         by_suite = [(c.params["seed"], c.params["b"]) for c in suite.cells()]
         by_experiment = [
@@ -363,15 +363,15 @@ class TestExperimentSweep:
     def test_campaign_runs_one_experiment_across_seeds(self):
         from repro.analysis.experiments import Campaign, sweep_rows
 
-        outcome = Campaign(["EXP-5"], seeds=[0, 1]).run(workers=0)
-        result = outcome.experiment("EXP-5")
+        outcome = Campaign(["EXP-10c"], seeds=[0, 1]).run(workers=0)
+        result = outcome.experiment("EXP-10c")
         assert result.ok, result.failures()
         assert len(result.cells) == 2
         rows = sweep_rows(result)
-        # Three scenarios per seed, each annotated with its seed parameter.
+        # Three GSTs per seed, each annotated with its seed parameter.
         assert len(rows) == 6
         assert {row["seed"] for row in rows} == {0, 1}
-        assert all(row["ok"] for row in rows)
+        assert all(row["correct"] for row in rows)
 
     def test_unknown_experiment_rejected(self):
         from repro.analysis.experiments import run_experiment
