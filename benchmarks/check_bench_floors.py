@@ -9,7 +9,12 @@ readable delta table, when any measured metric sits below its floor or any
 required exact value mismatches::
 
     python benchmarks/check_bench_floors.py [--baselines benchmarks/baselines.json]
-                                            [--artifact-dir .]
+                                            [--artifact-dir .] [--step bench]
+
+An entry belongs to the CI step its ``"step"`` names (``"bench"`` when it
+names none), and the gate checks one step's entries: the benchmark steps'
+after they ran, ``--step sanitizer`` the C kernel's coverage figures after
+the sanitizer step measured them.
 
 Exit codes: 0 all floors cleared; 1 a floor violated, a required value
 mismatched, or an expected artifact is missing (a bench that silently never
@@ -33,8 +38,9 @@ except ImportError:  # pragma: no cover - exercised by `python benchmarks/...`
     from step_summary import markdown_table, publish_step_summary
 
 
-def iter_checks(baselines: dict, artifact_dir: Path):
-    """Yield one check row per (bench, metric): floors then required values.
+def iter_checks(baselines: dict, artifact_dir: Path, step: str = "bench"):
+    """Yield one check row per (bench, metric) of the entries of ``step``:
+    floors then required values.
 
     Row shape: ``(bench, metric, kind, expected, measured, ok)`` where
     ``kind`` is ``">="`` for floors, ``">=?"`` for optional floors (skipped
@@ -43,7 +49,7 @@ def iter_checks(baselines: dict, artifact_dir: Path):
     None when the artifact is missing or lacks the metric.
     """
     for bench, spec in baselines.items():
-        if bench.startswith("_"):
+        if bench.startswith("_") or spec.get("step", "bench") != step:
             continue
         artifact = artifact_dir / spec["artifact"]
         fresh: dict | None = None
@@ -119,10 +125,15 @@ def main(argv: list[str] | None = None) -> int:
         default=".",
         help="directory holding the fresh bench JSON artifacts (default: cwd)",
     )
+    parser.add_argument(
+        "--step",
+        default="bench",
+        help="check the entries of this CI step (default: bench)",
+    )
     args = parser.parse_args(argv)
 
     baselines = json.loads(Path(args.baselines).read_text())
-    rows = list(iter_checks(baselines, Path(args.artifact_dir)))
+    rows = list(iter_checks(baselines, Path(args.artifact_dir), args.step))
     print(render_table(rows))
     failures = [row for row in rows if not row[5]]
     # Mirror the delta table onto the GitHub job summary so a floor

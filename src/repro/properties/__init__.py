@@ -18,9 +18,8 @@ recording level and on any loop; ``report()`` gives the verdict. Each
   discovered agreement index k;
 - :mod:`repro.properties.eic_checker` — :class:`EicMonitor`: EIC.
 
-Post-hoc only: :mod:`~repro.properties.run_checker` (the fairness slack)
-and :mod:`~repro.properties.detector_checker` (is a sampled history really
-an Omega or Sigma history?).
+Post-hoc only: :mod:`~repro.properties.detector_checker` (is a sampled
+history really an Omega or Sigma history?).
 
 Tests and benchmarks assert through these checkers rather than ad-hoc
 conditions, so the specifications are written down exactly once.
@@ -32,7 +31,6 @@ from repro.properties.detector_checker import check_omega_history, check_sigma_h
 from repro.properties.ec_checker import EcMonitor, EcReport, check_ec
 from repro.properties.eic_checker import EicMonitor, EicReport, check_eic
 from repro.properties.etob_checker import EtobMonitor, EtobReport, check_etob
-from repro.properties.run_checker import fairness_slack
 from repro.properties.tob_checker import check_tob
 
 __all__ = [
@@ -52,5 +50,4 @@ __all__ = [
     "check_sigma_history",
     "check_tob",
     "extract_timeline",
-    "fairness_slack",
 ]

@@ -22,8 +22,7 @@ and ``("broadcast-uid", uid, payload)`` outputs: attached to a run it checks
 it live, and ``check_etob`` replays a retained run through it.
 
 Finite-run caveat: "eventually" is read as "by the end of the run"; callers
-must run simulations long enough past the last disturbance, and should also
-assert admissibility proxies from :mod:`repro.properties.run_checker`.
+must run simulations long enough past the last disturbance.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ The experiment pipeline samples schedules i.i.d. from counter-based seeds;
 this package *searches* for the schedules that hurt — guided perturbation
 (hill-climb + restart annealing) over the random scheduler's permutation
 keys, environment-model parameters, and crash patterns, maximizing
-objectives like ETOB stabilization time or ``run_checker`` fairness slack.
+objectives like the ETOB stabilization time.
 Because every run is pure in its keys, any worst case found is a replayable
 :class:`~repro.search.witness.Witness`: the corpus under
 ``tests/witnesses/`` pins each one as a permanent regression test, replayed

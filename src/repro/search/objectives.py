@@ -1,21 +1,17 @@
 """Falsification objectives: what "worse" means, per target.
 
 An objective maps a *finished* :class:`~repro.sim.scheduler.Simulation` to a
-single number the falsifier maximizes. All built-ins read cheap surfaces —
-output histories, ``step_times`` columns, or the online
-:class:`~repro.sim.observers.StepGapProbe` — never the retained step list,
-so search trials run at ``record="outputs"`` fidelity.
+single number the falsifier maximizes. The built-in one reads the output
+histories, never the retained step list, so search trials run at
+``record="outputs"`` fidelity.
 
 Registered objectives:
 
 - ``etob_tau`` — the discovered ETOB stabilization time
   (:func:`~repro.properties.check_etob`; the larger, the closer the run is
-  to falsifying the paper's Lemma 3 bound);
-- ``fairness_slack`` — the worst step gap of any correct process
-  (:func:`~repro.properties.fairness_slack`; the admissibility margin the
-  ``run_checker`` fairness proxy allows);
-- ``ec_disagreement_time`` — how long the run takes to reach the EC
-  agreement index (:func:`~repro.properties.check_ec`).
+  to falsifying the paper's Lemma 3 bound).
+
+A target may register its own (``register_objective``).
 """
 
 from __future__ import annotations
@@ -58,26 +54,3 @@ def _etob_tau(sim) -> float:
     from repro.properties import check_etob
 
     return check_etob(sim.run).tau
-
-
-@register_objective("fairness_slack")
-def _fairness_slack(sim) -> float:
-    # Prefer an attached online probe (no step retention needed); fall back
-    # to the column-based checker for full-fidelity records.
-    from repro.properties import fairness_slack
-    from repro.sim.observers import StepGapProbe
-
-    for observer in getattr(sim, "_observers", ()):
-        if isinstance(observer, StepGapProbe):
-            return observer.value(sim)
-    return fairness_slack(sim.run)
-
-
-@register_objective("ec_disagreement_time")
-def _ec_disagreement_time(sim) -> float:
-    from repro.properties import check_ec
-
-    report = check_ec(sim.run)
-    if report.agreement_time is None:
-        return float(sim.time + 1)
-    return report.agreement_time

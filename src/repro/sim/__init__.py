@@ -65,7 +65,6 @@ from repro.sim.observers import (
     OutputsRecorder,
     RunMetrics,
     SimObserver,
-    StepGapProbe,
 )
 from repro.sim.process import Process
 from repro.sim.replay import (
@@ -125,7 +124,6 @@ __all__ = [
     "Simulation",
     "SimulationError",
     "SimulationFailed",
-    "StepGapProbe",
     "StepRecord",
     "StepStore",
     "build_simulation",

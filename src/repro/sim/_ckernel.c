@@ -127,20 +127,26 @@ slot_less(PoolObject *self, int32_t a, int32_t b)
     return self->col_seq[a] < self->col_seq[b];
 }
 
+/* Room for one more slot in `shard`: what shard_push takes. */
 static int
+shard_room(Shard *shard)
+{
+    if (shard->len < shard->cap)
+        return 0;
+    Py_ssize_t new_cap = shard->cap ? shard->cap * 2 : 8;
+    int32_t *items = PyMem_Realloc(shard->items, new_cap * sizeof(int32_t));
+    if (items == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    shard->items = items;
+    shard->cap = new_cap;
+    return 0;
+}
+
+static void
 shard_push(PoolObject *self, Shard *shard, int32_t slot)
 {
-    if (shard->len == shard->cap) {
-        Py_ssize_t new_cap = shard->cap ? shard->cap * 2 : 8;
-        int32_t *items = PyMem_Realloc(shard->items,
-                                       new_cap * sizeof(int32_t));
-        if (items == NULL) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        shard->items = items;
-        shard->cap = new_cap;
-    }
     Py_ssize_t pos = shard->len++;
     int32_t *heap = shard->items;
     while (pos > 0) {
@@ -151,7 +157,6 @@ shard_push(PoolObject *self, Shard *shard, int32_t slot)
         pos = parent;
     }
     heap[pos] = slot;
-    return 0;
 }
 
 static int32_t
@@ -192,11 +197,10 @@ pool_reserve(PoolObject *self, Py_ssize_t want)
                         "packed pool exhausted the 24-bit slot space");
         return -1;
     }
+    /* a power of two from 64 up, so at most SLOT_LIMIT */
     Py_ssize_t new_cap = self->cap ? self->cap : 64;
     while (new_cap < want)
         new_cap *= 2;
-    if (new_cap > SLOT_LIMIT)
-        new_cap = SLOT_LIMIT;
     int64_t *deliver = PyMem_Realloc(self->col_deliver,
                                      new_cap * sizeof(int64_t));
     if (deliver == NULL) goto nomem;
@@ -229,13 +233,19 @@ nomem:
     return -1;
 }
 
+/* Room in the slot columns for `count` more messages. */
+static int
+pool_room(PoolObject *self, Py_ssize_t count)
+{
+    return pool_reserve(self, self->used + count - self->free_top);
+}
+
+/* A slot for a new message, out of the room pool_room reserved. */
 static int32_t
 pool_alloc_slot(PoolObject *self)
 {
     if (self->free_top > 0)
         return self->free_stack[--self->free_top];
-    if (self->used == self->cap && pool_reserve(self, self->used + 1) < 0)
-        return -1;
     return (int32_t)self->used++;
 }
 
@@ -362,36 +372,41 @@ Pool_pop_due_batch(PoolObject *self, PyObject *const *args, Py_ssize_t nargs)
         PyErr_Format(PyExc_IndexError, "receiver %zd out of range", receiver);
         return NULL;
     }
-    PyObject *items = PyList_New(0);
-    if (items == NULL)
-        return NULL;
+    /* The due slots go onto the free stack's unused top (it has room for
+     * every live slot) and are freed only once the result is built: a
+     * failure pushes them back into the shard's room, so a refused pop
+     * leaves the pool as it was. */
     Shard *shard = &self->shards[receiver];
-    while (shard->len > 0 && PyList_GET_SIZE(items) < limit) {
-        int32_t head = shard->items[0];
-        int64_t deliver_at = self->col_deliver[head];
-        if (deliver_at > t)
-            break;
-        int32_t slot = shard_pop(self, shard);
-        PyObject *payload = self->col_payload[slot];  /* steal the ref */
-        self->col_payload[slot] = NULL;
-        self->free_stack[self->free_top++] = slot;
-        PyObject *item = build_msg_tuple(
-            deliver_at, self->col_seq[slot], (long)self->col_sender[slot],
-            self->col_send_time[slot], payload);
-        if (item == NULL) {
-            Py_DECREF(items);
-            return NULL;
-        }
-        int rc = PyList_Append(items, item);
-        Py_DECREF(item);
-        if (rc < 0) {
-            Py_DECREF(items);
-            return NULL;
-        }
-    }
+    int32_t *due = self->free_stack + self->free_top;
+    Py_ssize_t count = 0;
+    while (shard->len > 0 && count < limit
+           && self->col_deliver[shard->items[0]] <= t)
+        due[count++] = shard_pop(self, shard);
     int64_t new_head =
         shard->len > 0 ? self->col_deliver[shard->items[0]] : -1;
-    return Py_BuildValue("NL", items, (long long)new_head);
+    PyObject *items = PyList_New(count), *result = NULL;
+    for (Py_ssize_t i = 0; items != NULL && i < count; i++) {
+        int32_t slot = due[i];
+        PyObject *item = build_msg_tuple(
+            self->col_deliver[slot], self->col_seq[slot],
+            (long)self->col_sender[slot], self->col_send_time[slot],
+            Py_NewRef(self->col_payload[slot]));
+        if (item == NULL)
+            Py_CLEAR(items);
+        else
+            PyList_SET_ITEM(items, i, item);
+    }
+    if (items != NULL)
+        result = Py_BuildValue("NL", items, (long long)new_head);
+    for (Py_ssize_t i = 0; i < count; i++) {
+        if (result == NULL)
+            shard_push(self, shard, due[i]);
+        else
+            Py_CLEAR(self->col_payload[due[i]]);
+    }
+    if (result != NULL)
+        self->free_top += count;
+    return result;
 }
 
 static PyObject *
@@ -685,7 +700,8 @@ mulhi64(uint64_t a, uint64_t b)
 }
 
 /* *out := mix64(mix64(TAG) ^ (seed mod 2**64)), the per-seed half of a
- * block's key.  seed must be an int, as `seed & _MASK64` requires. */
+ * block's key.  seed must be an int, as `seed & _MASK64` requires (the
+ * mask of an int cannot fail). */
 static int
 perm_seed_mix(PyObject *seed, uint64_t *out)
 {
@@ -694,10 +710,8 @@ perm_seed_mix(PyObject *seed, uint64_t *out)
                      "block permutations need an int seed, got %R", seed);
         return -1;
     }
-    uint64_t word = PyLong_AsUnsignedLongLongMask(seed);
-    if (word == (uint64_t)-1 && PyErr_Occurred())
-        return -1;
-    *out = mix64(mix64(BLOCK_PERMUTATION_TAG) ^ word);
+    *out = mix64(mix64(BLOCK_PERMUTATION_TAG)
+                 ^ PyLong_AsUnsignedLongLongMask(seed));
     return 0;
 }
 
@@ -889,32 +903,22 @@ deliver_time(PyObject *delay_obj, int64_t t, int64_t *out)
     return 0;
 }
 
-/* Queue one message: the pool push plus the merge-layer update of
- * PackedNetwork.send_packed on the per-receiver state, in its order of
- * effects (pending, then the next-delivery cursor).  The sent count is
- * the caller's: it adds what it queued once the call succeeds. */
-static int
+/* Queue one message into the room its caller reserved (pool_room,
+ * shard_room), so it cannot fail: the pool push plus the merge-layer
+ * update of PackedNetwork.send_packed on the per-receiver state, in its
+ * order of effects (pending, then the next-delivery cursor).  The sent
+ * count is the caller's: it adds what it queued. */
+static void
 net_queue(NetView *nv, Py_ssize_t receiver, int64_t deliver_at, int64_t seq,
           long sender, int64_t t, PyObject *payload)
 {
     PoolObject *pool = nv->pool;
-    if (receiver < 0 || receiver >= pool->n) {
-        PyErr_Format(PyExc_IndexError, "receiver %zd out of range", receiver);
-        return -1;
-    }
     int32_t slot = pool_alloc_slot(pool);
-    if (slot < 0)
-        return -1;
     pool_fill_slot(pool, slot, deliver_at, seq, (int32_t)sender, t, payload);
-    if (shard_push(pool, &pool->shards[receiver], slot) < 0) {
-        Py_CLEAR(pool->col_payload[slot]);
-        pool->free_stack[pool->free_top++] = slot;
-        return -1;
-    }
+    shard_push(pool, &pool->shards[receiver], slot);
     nv->pending[receiver] += 1;
     if (deliver_at < nv->next_at[receiver])
         nv->next_at[receiver] = deliver_at;
-    return 0;
 }
 
 /* model.delay(sender, receiver, t) -> deliver_at */
@@ -956,8 +960,14 @@ net_send(NetView *nv, long sender, PyObject *sender_obj, PyObject *recv_obj,
                         "packed pool exhausted the 40-bit send sequence");
         return -1;
     }
-    if (net_queue(nv, receiver, deliver_at, seq, sender, t, payload) < 0)
+    if (receiver < 0 || receiver >= nv->pool->n) {
+        PyErr_Format(PyExc_IndexError, "receiver %zd out of range", receiver);
         return -1;
+    }
+    if (shard_room(&nv->pool->shards[receiver]) < 0
+        || pool_room(nv->pool, 1) < 0)
+        return -1;
+    net_queue(nv, receiver, deliver_at, seq, sender, t, payload);
     nv->counts[SENT] += 1;
     *seq_out = seq;
     return 0;
@@ -967,7 +977,8 @@ net_send(NetView *nv, long sender, PyObject *sender_obj, PyObject *recv_obj,
  * same receiver order, as n point-to-point sends -- one `delay_profile`
  * call when the model has the vectorized hook, else one `delay` call per
  * receiver.  Every delay, the profile's length and the sequence space are
- * checked before anything queues, so a broadcast is all or nothing. */
+ * checked, and the room every message takes reserved, before anything
+ * queues, so a broadcast is all or nothing. */
 static int
 net_send_all(NetView *nv, long sender, PyObject *sender_obj,
              PyObject *payload, int64_t t, PyObject *t_obj, int include_self,
@@ -1048,11 +1059,18 @@ net_send_all(NetView *nv, long sender, PyObject *sender_obj,
                         "packed pool exhausted the 40-bit send sequence");
         goto done;
     }
+    /* receiver i, or i + 1 past an excluded sender; room for every
+     * message before the first queues */
+    int skip = count < n;
+    if (pool_room(nv->pool, count) < 0)
+        goto done;
     for (Py_ssize_t i = 0; i < count; i++) {
-        if (net_queue(nv, PyLong_AsSsize_t(PyList_GET_ITEM(receivers, i)),
-                      times[i], seq0 + i, sender, t, payload) < 0)
+        if (shard_room(&nv->pool->shards[i + (skip && i >= sender)]) < 0)
             goto done;
     }
+    for (Py_ssize_t i = 0; i < count; i++)
+        net_queue(nv, i + (skip && i >= sender), times[i], seq0 + i, sender,
+                  t, payload);
     nv->counts[SENT] += count;
     *count_out = (long)count;
     rc = 0;
@@ -1073,9 +1091,7 @@ history_extend(PyObject *history, PyObject *pid_obj, PyObject *t_obj,
 {
     PyObject *bucket = PyDict_GetItemWithError(history, pid_obj);
     PyObject *owned = NULL;
-    if (bucket == NULL) {
-        if (PyErr_Occurred())
-            return -1;
+    if (bucket == NULL) { /* an int key cannot fail the lookup */
         owned = PyList_New(0);
         if (owned == NULL)
             return -1;
@@ -1385,9 +1401,9 @@ sparse_trim(PyObject *sparse, Py_ssize_t rows)
  * and when the loop returns or fails -- so between run calls the store
  * holds exactly the completed steps.  A flush that fails part way (a
  * column exporting its buffer refuses to grow; out of memory) cuts every
- * column back to its old length and drops the staged rows, their inputs
- * and outputs too: the store stays rectangular, and the run fails for
- * good either way. */
+ * column back to its old length, the store's row count, and drops the
+ * staged rows, their inputs and outputs too: the store stays
+ * rectangular, and the run fails for good either way. */
 static int
 stage_flush(Loop *L)
 {
@@ -1396,33 +1412,23 @@ stage_flush(Loop *L)
     if (k == 0)
         return 0;
     S->len = 0;
+    Py_ssize_t rows = PyByteArray_GET_SIZE(L->st_col[7]);
     PyObject *fd = PyList_New(k);
     PyObject *payload = PyList_New(k);
-    if (fd == NULL || payload == NULL) {
-        for (Py_ssize_t i = 0; i < k; i++) {
-            Py_DECREF(S->fd[i]);
-            Py_DECREF(S->payload[i]);
-        }
-        Py_XDECREF(fd);
-        Py_XDECREF(payload);
-        return -1;
-    }
     for (Py_ssize_t i = 0; i < k; i++) {
-        PyList_SET_ITEM(fd, i, S->fd[i]);
-        PyList_SET_ITEM(payload, i, S->payload[i]);
-    }
-    Py_ssize_t old[10];
-    for (int i = 0; i < 10; i++) {
-        old[i] = PyObject_Size(L->st_col[i]);
-        if (old[i] < 0) {
-            Py_DECREF(fd);
-            Py_DECREF(payload);
-            return -1;
-        }
+        if (fd != NULL)
+            PyList_SET_ITEM(fd, i, S->fd[i]);
+        else
+            Py_DECREF(S->fd[i]);
+        if (payload != NULL)
+            PyList_SET_ITEM(payload, i, S->payload[i]);
+        else
+            Py_DECREF(S->payload[i]);
     }
     int rc = -1;
     Py_ssize_t wide = k * sizeof(long long), narrow = k * sizeof(int);
-    if (array_extend(L, 0, S->index, wide) < 0
+    if (fd == NULL || payload == NULL
+        || array_extend(L, 0, S->index, wide) < 0
         || array_extend(L, 1, S->time, wide) < 0
         || array_extend(L, 2, S->pid, narrow) < 0
         || list_extend(L->st_col[3], fd) < 0
@@ -1431,9 +1437,9 @@ stage_flush(Loop *L)
         || array_extend(L, 6, S->send_time, wide) < 0)
         goto done;
     PyObject *timeout = L->st_col[7];
-    if (PyByteArray_Resize(timeout, old[7] + k) < 0)
+    if (PyByteArray_Resize(timeout, rows + k) < 0)
         goto done;
-    memcpy(PyByteArray_AS_STRING(timeout) + old[7], S->timeout, k);
+    memcpy(PyByteArray_AS_STRING(timeout) + rows, S->timeout, k);
     if (array_extend(L, 8, S->sent, narrow) < 0
         || array_extend(L, 9, S->received, narrow) < 0)
         goto done;
@@ -1445,17 +1451,17 @@ stage_flush(Loop *L)
     }
     rc = 0;
 done:
-    Py_DECREF(fd);
-    Py_DECREF(payload);
+    Py_XDECREF(fd);
+    Py_XDECREF(payload);
     if (rc < 0) {
         PyObject *type, *value, *traceback;
         PyErr_Fetch(&type, &value, &traceback);
         for (int i = 0; i < 10; i++) {
-            if (PySequence_DelSlice(L->st_col[i], old[i], PY_SSIZE_T_MAX) < 0)
+            if (PySequence_DelSlice(L->st_col[i], rows, PY_SSIZE_T_MAX) < 0)
                 PyErr_Clear();
         }
-        sparse_trim(L->sparse_inputs, old[0]);
-        sparse_trim(L->sparse_outputs, old[0]);
+        sparse_trim(L->sparse_inputs, rows);
+        sparse_trim(L->sparse_outputs, rows);
         PyErr_Restore(type, value, traceback);
     }
     return rc;
@@ -1494,12 +1500,11 @@ stage_row(Loop *L, int64_t index, int64_t t, long pid, PyObject *fd,
 static int
 fill_idle_init(Loop *L)
 {
-    if (PyList_GET_SIZE(L->step_obs) != 1)
-        return 0;
     PyObject *idle_obs = PyObject_GetAttr(L->sim, s__idle_step_observers);
     if (idle_obs == NULL)
         return -1;
     int sole = PyList_Check(idle_obs) && PyList_GET_SIZE(idle_obs) == 1
+        && PyList_GET_SIZE(L->step_obs) == 1
         && PyList_GET_ITEM(idle_obs, 0) == PyList_GET_ITEM(L->step_obs, 0);
     Py_DECREF(idle_obs);
     L->fill_idle = sole && L->materialize_idle;
@@ -1585,11 +1590,8 @@ static int
 ctx_slot(PyObject *ctx, PyObject *name, Py_ssize_t *offset)
 {
     PyObject *descr = PyObject_GetAttr((PyObject *)Py_TYPE(ctx), name);
-    if (descr == NULL) {
-        if (!PyErr_ExceptionMatches(PyExc_AttributeError))
-            return -1;
-        PyErr_Clear();
-    }
+    if (descr == NULL)
+        PyErr_Clear(); /* no such attribute: refused below */
     int plain = descr != NULL && Py_IS_TYPE(descr, &PyMemberDescr_Type)
         && PyObject_TypeCheck(ctx, PyDescr_TYPE(descr));
     if (plain) {
@@ -1686,10 +1688,8 @@ loop_init(Loop *L, PyObject *sim, PyObject *store, PyObject *metrics)
     Py_DECREF(scheduling);
     PyObject *materialize;
     GETA(materialize, sim, s__materialize_idle);
-    L->materialize_idle = PyObject_IsTrue(materialize);
+    L->materialize_idle = materialize == Py_True; /* Simulation's bool */
     Py_DECREF(materialize);
-    if (L->materialize_idle < 0)
-        return -1;
     if (L->materialize_idle) {
         if (L->random) {
             PyErr_SetString(PyExc_ValueError,
@@ -1867,9 +1867,7 @@ loop_init(Loop *L, PyObject *sim, PyObject *store, PyObject *metrics)
         }
     }
     Py_DECREF(log_obs);
-    L->empty_tuple = PyTuple_New(0);
-    if (L->empty_tuple == NULL)
-        return -1;
+    L->empty_tuple = PyTuple_New(0); /* the singleton: never fails */
     return 0;
 }
 
@@ -2172,10 +2170,8 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             slot_store(L->ctx, L->off_pid, pid_obj);
             slot_store(L->ctx, L->off_time, t_obj);
             slot_store(L->ctx, L->off_fd, fd_value);
-            int was_started = PySet_Contains(L->started, pid_obj);
-            if (was_started < 0)
-                goto step_fail;
-            if (!was_started) {
+            /* a set of ints: the lookup cannot fail */
+            if (!PySet_Contains(L->started, pid_obj)) {
                 if (PySet_Add(L->started, pid_obj) < 0)
                     goto step_fail;
                 PyObject *on_start = PyObject_GetAttr(process, s_on_start);
@@ -2206,11 +2202,8 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                 }
                 for (;;) {
                     int64_t at;
-                    int has = peek_input_at(in_q, &at);
-                    if (has < 0)
-                        break;
-                    if (has == 0 || at > t)
-                        break;
+                    if (peek_input_at(in_q, &at) <= 0 || at > t)
+                        break; /* empty, not due, or refused */
                     PyObject *popped = call1(g_heappop, in_q);
                     if (popped == NULL)
                         break;
@@ -2387,11 +2380,9 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                     goto step_fail;
                 if (PyTuple_GET_SIZE(inputs_t) > 0
                     || PyTuple_GET_SIZE(outputs_t) > 0) {
-                    Py_ssize_t size = PyObject_Size(L->st_col[0]);
-                    if (size < 0)
-                        goto step_fail;
-                    PyObject *position =
-                        PyLong_FromSsize_t(size + L->stage->len - 1);
+                    PyObject *position = PyLong_FromSsize_t(
+                        PyByteArray_GET_SIZE(L->st_col[7]) + L->stage->len
+                        - 1);
                     if (position == NULL)
                         goto step_fail;
                     int r_pos = 0;
@@ -2631,8 +2622,6 @@ ckernel_stable_hash(PyObject *Py_UNUSED(module), PyObject *const *args,
         if (PyLong_CheckExact(part)) {
             int overflow;
             long long value = PyLong_AsLongLongAndOverflow(part, &overflow);
-            if (value == -1 && !overflow && PyErr_Occurred())
-                return NULL;
             if (!overflow) {
                 /* 19 digits and a sign; 0 - (uint64_t)value is exact for
                  * INT64_MIN too */
@@ -2701,8 +2690,6 @@ ckernel_block_permutation(PyObject *Py_UNUSED(module), PyObject *const *args,
         return NULL;
     }
     uint64_t block = PyLong_AsUnsignedLongLongMask(args[1]);
-    if (block == (uint64_t)-1 && PyErr_Occurred())
-        return NULL;
     Py_ssize_t n = PyNumber_AsSsize_t(args[2], PyExc_OverflowError);
     if (n == -1 && PyErr_Occurred())
         return NULL;
@@ -2744,8 +2731,6 @@ draw_key(PyObject *const *args, Py_ssize_t nargs, const char *name,
             return -1;
         }
         uint64_t word = PyLong_AsUnsignedLongLongMask(args[i]);
-        if (word == (uint64_t)-1 && PyErr_Occurred())
-            return -1;
         key = mix64(i == 0 ? word : key ^ word);
     }
     *out = key;
@@ -2780,10 +2765,8 @@ ckernel_draw_below(PyObject *Py_UNUSED(module), PyObject *const *args,
     }
     uint64_t bound = PyLong_AsUnsignedLongLong(args[0]);
     if (bound == (uint64_t)-1 && PyErr_Occurred()) {
-        if (!PyErr_ExceptionMatches(PyExc_OverflowError))
-            return NULL;
-        PyErr_Clear();
-        bound = 0; /* negative or >= 2**64: out of range like 0 */
+        PyErr_Clear(); /* OverflowError: negative or >= 2**64 */
+        bound = 0;     /* out of range like 0 */
     }
     if (bound == 0) {
         PyErr_Format(PyExc_ValueError,

@@ -247,87 +247,6 @@ class RunMetrics:
         }
 
 
-class StepGapProbe(SimObserver):
-    """Online fairness-slack extraction: the largest step gap of any correct
-    process, computed from the event stream with O(n) state and no step
-    retention — the falsifier's cheap objective hook.
-
-    Tracks, per correct process, the time of its last (idle or executed)
-    step and folds each new step's gap into a running maximum; idle spans
-    are folded arithmetically (one O(n) pass per span, never per tick).
-    Overrides ``on_step_raw``, which the base ``on_idle_step`` feeds too,
-    and ``on_idle_span``, so no step of either kind builds a record; and
-    ``wants_idle_steps`` keeps the step notion identical to a full-fidelity
-    record's. After the run, :meth:`value` equals
-    :func:`repro.properties.run_checker.fairness_slack` of the full record
-    (pinned by ``tests/test_falsify.py``).
-    """
-
-    wants_idle_steps = True
-
-    def __init__(self) -> None:
-        self.max_gap: Time = 0
-        self._last: dict[ProcessId, Time] = {}
-        self._correct: frozenset | None = None
-
-    def _correct_set(self, sim: "Simulation") -> frozenset:
-        correct = self._correct
-        if correct is None:
-            correct = self._correct = sim.failure_pattern.correct
-        return correct
-
-    def on_step_raw(
-        self, sim, index, t, pid, sender, payload, send_time, fd_value,
-        inputs, outputs, timeout_fired, sent, received_count,
-    ) -> None:
-        if pid not in self._correct_set(sim):
-            return
-        last = self._last.get(pid)
-        if last is not None and t - last > self.max_gap:
-            self.max_gap = t - last
-        self._last[pid] = t
-
-    def on_idle_span(
-        self, sim: "Simulation", start_index: int, start: Time, end: Time
-    ) -> None:
-        # Uniform round-robin span: pid p steps at exactly the ticks
-        # t in [start, end) with t % n == p, so the span folds per process
-        # in O(1): entry gap to its first tick, internal gaps of n, and the
-        # last tick becomes its new watermark.
-        n = sim.n
-        last_map = self._last
-        max_gap = self.max_gap
-        for pid in self._correct_set(sim):
-            first = start + ((pid - start) % n)
-            if first >= end:
-                continue
-            last = last_map.get(pid)
-            if last is not None and first - last > max_gap:
-                max_gap = first - last
-            final = first + ((end - 1 - first) // n) * n
-            if final > first and n > max_gap:
-                max_gap = n
-            last_map[pid] = final
-        self.max_gap = max_gap
-
-    def value(self, sim: "Simulation") -> Time:
-        """The run's fairness slack, folding in the end-of-run tail gap.
-
-        Equals ``fairness_slack(sim.run)`` on any fidelity (the probe does
-        not need retained steps); a correct process that never stepped
-        yields ``end + 1``, like the column-based checker.
-        """
-        end = sim.last_live_tick
-        worst = self.max_gap
-        for pid in sorted(self._correct_set(sim)):
-            last = self._last.get(pid)
-            if last is None:
-                return end + 1
-            if end - last > worst:
-                worst = end - last
-        return worst
-
-
 class FullRecorder(SimObserver):
     """``record="full"``: retain the complete run record, seed-identical.
 

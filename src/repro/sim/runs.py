@@ -241,6 +241,24 @@ class StepStore:
         self._sent.extend(zeros)
         self._received.extend(zeros)
 
+    def square(self) -> None:
+        """Cut every column back to the shortest, with the inputs and
+        outputs of the rows cut: a raise between two columns' appends
+        leaves the steps every column holds."""
+        columns = (
+            self._index, self._time, self._pid, self._fd, self._msg_sender,
+            self._msg_payload, self._msg_send_time, self._timeout, self._sent,
+            self._received,
+        )
+        rows = min(map(len, columns))
+        for column in columns:
+            if len(column) > rows:
+                del column[rows:]
+        for sparse in (self._inputs, self._outputs):
+            for position in list(sparse):
+                if position >= rows:
+                    del sparse[position]
+
     # -- lazy views ---------------------------------------------------------
 
     def _view(self, i: int) -> StepRecord:
@@ -360,15 +378,19 @@ class RunRecord:
         outputs: tuple[Any, ...],
     ) -> None:
         """Fold a step's raw fields into ``H_I`` / ``H_O`` / ``end_time``
-        without retaining it — the one history fold every recorder uses."""
+        without retaining it — the one history fold every recorder uses.
+        Plain loops, no closure over ``time``: Python 3.11 leaks a frame's
+        arguments when allocating a closure cell fails."""
         if time > self.end_time:
             self.end_time = time
         if inputs:
             bucket = self.input_history.setdefault(pid, [])
-            bucket.extend((time, value) for value in inputs)
+            for value in inputs:
+                bucket.append((time, value))
         if outputs:
             bucket = self.output_history.setdefault(pid, [])
-            bucket.extend((time, value) for value in outputs)
+            for value in outputs:
+                bucket.append((time, value))
 
     # -- per-pid step index ----------------------------------------------------
 

@@ -83,8 +83,11 @@ no step. The exception propagates unchanged and is kept as ``sim.failed``;
 every later run call (``step``, ``run_until``, ``run_steps``,
 ``run_until_quiescent``) raises :class:`~repro.sim.errors.SimulationFailed`
 chained to it, without moving the clock. The loops agree on the exception
-and on releasing what they hold, not on the half-step they leave. An
-argument refused before the loop starts (``validate_time``) fails nothing.
+and on releasing what they hold, not on the half-step they leave; at
+``record="full"`` the step store keeps only rows every column holds
+(``StepStore.square``), so a raise between two column appends -- an
+allocation failing, say -- leaves it rectangular. An argument refused
+before the loop starts (``validate_time``) fails nothing.
 """
 
 from __future__ import annotations
@@ -108,7 +111,7 @@ from repro.sim.kernel import (
 from repro.sim.envs import DelayModel, FixedDelay
 from repro.sim.observers import RunMetrics, SimObserver, make_recorder
 from repro.sim.process import Process
-from repro.sim.runs import RunRecord
+from repro.sim.runs import RunRecord, StepStore
 from repro.sim.types import (
     NEVER,
     NO_MESSAGE,
@@ -879,6 +882,8 @@ class Simulation:
             yield
         except BaseException as exc:
             self.failed = exc
+            if isinstance(self.run.steps, StepStore):
+                self.run.steps.square()
             raise
 
     def run_until(self, t_end: Time) -> RunRecord:

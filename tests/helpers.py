@@ -288,6 +288,27 @@ def strong_tob_sim(
     )
 
 
+def fairness_slack(run) -> int:
+    """The run's worst fairness gap: the largest number of clock ticks any
+    correct process went without taking a step, the tail from its last
+    step to the run's end included; ``run.end_time + 1`` when a correct
+    process never stepped. A finite run's stand-in for the paper's
+    admissibility (every correct process steps infinitely often):
+    round-robin scheduling gives exactly ``n`` ticks between steps."""
+    worst = 0
+    for pid in sorted(run.correct):
+        last_time = -1
+        for step_time in run.step_times(pid):
+            if last_time >= 0 and step_time - last_time > worst:
+                worst = step_time - last_time
+            last_time = step_time
+        if last_time < 0:
+            return run.end_time + 1
+        if run.end_time - last_time > worst:
+            worst = run.end_time - last_time
+    return worst
+
+
 #: the parallel columns of a :class:`~repro.sim.runs.StepStore`
 STEP_COLUMNS = (
     "_index", "_time", "_pid", "_fd", "_msg_sender", "_msg_payload",

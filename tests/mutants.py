@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.consensus import PaxosConsensusLayer, TobFromConsensusLayer
+from repro.consensus.paxos import Accept, AcceptedMsg
 from repro.core import EcDriverLayer, EcUsingOmegaLayer
 from repro.core.etob import EtobLayer, PromoteSequence
 from repro.protocols import PROTOCOLS, ProtocolEntry
@@ -44,6 +45,33 @@ class SigmaLearnerWithoutRetest(PaxosConsensusLayer):
 
 def _tob_without_retest(quorum_mode: str = "majority") -> list:
     return [SigmaLearnerWithoutRetest(quorum_mode=quorum_mode), TobFromConsensusLayer()]
+
+
+class PaxosAcceptWithoutPromiseCheck(PaxosConsensusLayer):
+    """Paxos whose acceptor takes every ``Accept``, without testing its
+    ballot against the highest one it promised.
+
+    The rest is the real accept branch. A leader whose ballot a newer
+    one has overtaken can then still gather a quorum of accepts for its
+    value after the newer leader chose another, so two processes decide
+    differently in one instance. Killed by ``check_tob`` (see the test
+    that runs it for the verdicts and cells).
+    """
+
+    def on_message(self, ctx: LayerContext, sender: ProcessId, payload: Any) -> None:
+        if not isinstance(payload, Accept):
+            super().on_message(ctx, sender, payload)
+            return
+        self.max_epoch_seen = max(self.max_epoch_seen, payload.ballot[0])
+        self.promised = payload.ballot
+        already = self.accepted.get(payload.instance)
+        if already == (payload.ballot, payload.value):
+            return
+        self.accepted[payload.instance] = (payload.ballot, payload.value)
+        ctx.send_all(
+            AcceptedMsg(payload.ballot, payload.instance, payload.value),
+            include_self=True,
+        )
 
 
 class EtobDuplicateDelivery(EtobLayer):
@@ -95,6 +123,10 @@ MUTANT_PROTOCOLS = {
         ]
     ),
     "etob-duplicate-delivery": ProtocolEntry(lambda: [EtobDuplicateDelivery()]),
+    "tob-consensus-accept-without-promise-check": ProtocolEntry(
+        lambda: [PaxosAcceptWithoutPromiseCheck(), TobFromConsensusLayer()],
+        PROTOCOLS["tob-consensus"].components,
+    ),
     "tob-consensus-without-retest": ProtocolEntry(
         _tob_without_retest,
         PROTOCOLS["tob-consensus"].components,

@@ -16,12 +16,13 @@ def write(tmp_path, name, payload):
     (tmp_path / name).write_text(json.dumps(payload))
 
 
-def gate(tmp_path, baselines) -> int:
+def gate(tmp_path, baselines, *step) -> int:
     write(tmp_path, "baselines.json", baselines)
     return check_bench_floors.main(
         [
             "--baselines", str(tmp_path / "baselines.json"),
             "--artifact-dir", str(tmp_path),
+            *step,
         ]
     )
 
@@ -84,6 +85,21 @@ class TestGate:
         write(tmp_path, "fresh.json", {**fresh, "compiled_ops_per_sec": 19999})
         assert gate(tmp_path, optional) == 1
 
+    def test_each_step_checks_its_own_entries(self, tmp_path):
+        # The sanitizer step's coverage entry is neither required nor
+        # checked by the benchmark steps' gate, and the other way round.
+        staged = {**BASE, "coverage": {
+            "artifact": "coverage.json", "step": "sanitizer",
+            "floors": {"lines_pct": 90.0},
+        }}
+        write(tmp_path, "fresh.json", {"speedup": 3.1, "results_identical": True})
+        assert gate(tmp_path, staged) == 0
+        assert gate(tmp_path, staged, "--step", "sanitizer") == 1  # missing
+        write(tmp_path, "coverage.json", {"lines_pct": 89.9})
+        assert gate(tmp_path, staged, "--step", "sanitizer") == 1
+        write(tmp_path, "coverage.json", {"lines_pct": 94.1})
+        assert gate(tmp_path, staged, "--step", "sanitizer") == 0
+
     def test_comment_keys_ignored(self, tmp_path):
         write(tmp_path, "fresh.json", {"speedup": 3.1, "results_identical": True})
         assert gate(tmp_path, {"_comment": ["notes"], **BASE}) == 0
@@ -101,12 +117,15 @@ class TestCommittedBaselines:
     def test_baselines_parse_and_cover_the_ci_benches(self):
         baselines = json.loads(BASELINES_PATH.read_text())
         benches = {k for k in baselines if not k.startswith("_")}
-        assert benches == {
+        assert {k for k in benches if "step" not in baselines[k]} == {
             "smoke_benchmark",
             "bench_dataplane",
             "bench_report_wallclock",
             "bench_workload",
         }
+        assert {
+            k for k in benches if baselines[k].get("step") == "sanitizer"
+        } == {"ckernel_coverage"}
         for spec in (baselines[k] for k in benches):
             assert spec["artifact"].endswith(".json")
             assert spec.get("floors") or spec.get("require")
@@ -150,3 +169,22 @@ class TestCommittedBaselines:
             "scale_served": True,
             "memory_served": True,
         }
+
+
+def test_the_coverage_figures_are_read_off_the_kernels_gcov_block():
+    from benchmarks import ckernel_coverage
+
+    summary = (
+        "File 'src/repro/sim/_ckernel.c'\n"
+        "Lines executed:94.36% of 1738\n"
+        "Branches executed:98.77% of 1300\n"
+        "Taken at least once:81.92% of 1300\n"
+        "Calls executed:94.99% of 778\n"
+        "File '/usr/include/python3.11/object.h'\n"
+        "Lines executed:100.00% of 4\n"
+        "Taken at least once:50.00% of 2\n"
+    )
+    assert ckernel_coverage.parse(summary) == {
+        "lines_pct": 94.36, "lines": 1738,
+        "branches_taken_pct": 81.92, "branches": 1300,
+    }

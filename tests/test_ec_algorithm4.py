@@ -12,12 +12,11 @@ import pytest
 
 from repro.core.drivers import binary_proposals
 from repro.properties import check_ec
-from repro.properties.run_checker import fairness_slack
 from repro.sim import RunSpec, run_plan
 from repro.sim.envs import make_env
 
 from mutants import EcDecidesFirstProposal, register_mutants
-from tests.helpers import ec_sim
+from tests.helpers import ec_sim, fairness_slack
 
 #: The cheapest cell that kills :class:`mutants.EcDecidesFirstProposal`:
 #: ``ec_sim``'s stack (distinct proposals, three instances, Omega stable

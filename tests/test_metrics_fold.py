@@ -23,7 +23,6 @@ from repro.sim import (
     SimObserver,
     Simulation,
     SimulationFailed,
-    StepGapProbe,
 )
 from repro.workload import WorkloadSpec, workload_sim
 
@@ -95,11 +94,20 @@ class TripObserver(SimObserver):
             raise Boom(f"step {self.steps}")
 
 
+class IdleSteps(SimObserver):
+    """Takes every step, idle ones too: every idle tick is materialized."""
+
+    wants_idle_steps = True
+
+    def on_step_raw(self, sim, *fields):
+        pass
+
+
 def tripwire_sim(kernel, *, trip=None, observer_trip=None, probe=False,
                  scheduling="round_robin"):
     observers = [TripObserver(observer_trip)]
     if probe:
-        observers.append(StepGapProbe())
+        observers.append(IdleSteps())
     sim = Simulation(
         [Tripwire(trip if pid == 1 else None) for pid in range(3)],
         delay_model=FixedDelay(3),

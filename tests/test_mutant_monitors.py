@@ -29,7 +29,7 @@ from mutants import MUTANT_PROTOCOLS, register_mutants
 from test_ec_algorithm4 import EC_MUTANT_CELL
 from test_etob_algorithm5 import DUPLICATE_CELL
 from test_etob_variants import ARRIVAL_ORDER_CELL
-from test_paxos import sigma_settles_spec
+from test_paxos import PROMISE_CHECK_CELL, sigma_settles_spec
 
 #: mutant protocol -> (killing cell, monitor, checker, the verdict it flips).
 CASES = {
@@ -41,6 +41,12 @@ CASES = {
         EtobMonitor,
         check_etob,
         lambda report: report.validity_ok,
+    ),
+    "tob-consensus-accept-without-promise-check": (
+        PROMISE_CHECK_CELL,
+        EtobMonitor,
+        check_etob,
+        lambda report: report.tau_total_order == 0,
     ),
     "etob-duplicate-delivery": (
         DUPLICATE_CELL,

@@ -591,3 +591,255 @@ class TestEveryCExitReleasesItsBuffers:
         with pytest.raises(error):
             sim.run_until(10)
         assert_buffers_released(sim)
+
+
+class Junk(Chatter):
+    """Its first timeout leaves what a handler may not: an outbox entry
+    that is not a ``(receiver, payload)`` pair, or a malformed head on its
+    own input queue."""
+
+    def __init__(self, what: str) -> None:
+        self.what = what
+        self.sim = None
+
+    def on_timeout(self, ctx):
+        if self.what == "outbox":
+            ctx._outbox.append("junk")
+        else:
+            self.sim._inputs[ctx.pid].insert(0, ("junk",))
+
+
+def _delete(owner: str, name: str):
+    def corrupt(sim):
+        delattr(sim if owner == "sim" else getattr(sim, owner), name)
+    return corrupt
+
+
+def _set(owner: str, name: str, value):
+    def corrupt(sim):
+        target = sim
+        for part in owner.split(".")[1:]:
+            target = getattr(target, part)
+        setattr(target, name, value)
+    return corrupt
+
+
+def _set_crash_times(*value):
+    """A failure pattern whose ``crash_times`` is ``value`` (none given:
+    a pattern without it)."""
+    def corrupt(sim):
+        sim.failure_pattern = type("Pattern", (), dict(crash_times=value[0])
+                                   if value else {})()
+    return corrupt
+
+
+def _queue_head(item):
+    def corrupt(sim):
+        sim._inputs[0][:] = [item]
+    return corrupt
+
+
+#: (corruption of a record="metrics" round-robin chatter sim, the error the
+#: C loop refuses it with): state the Python side never builds, each
+#: refused before the loop reads past it.
+CORRUPTIONS = {
+    "crash-times-missing": (_set_crash_times(), AttributeError),
+    "crash-times-not-a-dict": (_set_crash_times([]), TypeError),
+    "crash-pid-out-of-range": (_set_crash_times({9: 5}), ValueError),
+    "crash-time-not-an-int": (_set_crash_times({0: "x"}), TypeError),
+    "message-batch-missing": (_delete("sim", "message_batch"), AttributeError),
+    "message-batch-not-an-int": (_set("sim", "message_batch", "x"), TypeError),
+    "processes-not-a-list": (
+        lambda sim: setattr(sim, "processes", tuple(sim.processes)), TypeError),
+    "processes-short": (
+        lambda sim: setattr(sim, "processes", sim.processes[:2]), ValueError),
+    "interval-not-an-int": (_set("sim", "timeout_intervals", ["x"] * 4),
+                            TypeError),
+    "cursor-missing": (_delete("sim", "_local_event"), AttributeError),
+    "log-observers-missing": (_delete("sim", "_log_observers"),
+                              AttributeError),
+    "run-end-time-not-an-int": (_set("sim.run", "end_time", "x"), TypeError),
+    "pool-missing": (_delete("network", "_pool"), AttributeError),
+    "pool-not-a-pool": (_set("sim.network", "_pool", None), TypeError),
+    "delay-model-missing": (_delete("network", "delay_model"),
+                            AttributeError),
+    "input-not-a-triple": (_queue_head(("x",)), TypeError),
+    "input-time-not-an-int": (_queue_head(("x", 0, 1)), TypeError),
+    "steps-by-pid-missing": (_delete("metrics", "steps_by_pid"),
+                             AttributeError),
+    "steps-by-pid-not-a-list": (_set("sim.metrics", "steps_by_pid", None),
+                                ValueError),
+    "steps-by-pid-not-ints": (_set("sim.metrics", "steps_by_pid", ["x"] * 4),
+                              TypeError),
+    "metrics-end-time-not-an-int": (_set("sim.metrics", "end_time", "x"),
+                                    TypeError),
+    "metrics-steps-not-an-int": (_set("sim.metrics", "steps", "x"), TypeError),
+}
+
+#: the same at record="full", where the loop writes the step store
+FULL_CORRUPTIONS = {
+    "store-timeout-not-a-bytearray": (_set("sim.run.steps", "_timeout", []),
+                                      TypeError),
+    "store-column-missing": (
+        lambda sim: delattr(sim.run.steps, "_sent"), AttributeError),
+    "idle-observers-missing": (_delete("sim", "_idle_step_observers"),
+                               AttributeError),
+}
+
+
+class ScriptedModel:
+    """A delay model that answers ``delay`` with ``value``, and, when
+    ``profile`` is given, ``delay_profile`` with it."""
+
+    def __init__(self, value=2, profile=None):
+        self.value = value
+        if profile is not None:
+            self.delay_profile = lambda sender, t, receivers: profile
+
+    def delay(self, sender, receiver, t):
+        return self.value
+
+
+class Unreadable:
+    def __bool__(self):
+        raise ZeroDivisionError("no truth value")
+
+
+def _compiled(model=None, sent=0):
+    from repro.sim.kernel import CompiledPackedNetwork
+
+    net = CompiledPackedNetwork(3, model or ScriptedModel())
+    net._counts[0] = sent
+    return net
+
+
+def _without_model():
+    net = _compiled()
+    del net.delay_model
+    return net
+
+
+def _pool_state(column=0, free=(), heaps=([0],)):
+    return ([1], [column], [0], [0], ["m"], list(free), list(heaps))
+
+
+#: (call into the kernel's public surface, the error it is refused with)
+REFUSALS = {
+    "pool-n-not-an-int": (lambda: ckernel().Pool("x"), TypeError),
+    "pool-without-receivers": (lambda: ckernel().Pool(0), ValueError),
+    "pop-receiver-not-an-int": (
+        lambda: ckernel().Pool(2).pop_due_batch("x", 0, 1), TypeError),
+    "state-column-not-an-int": (
+        lambda: ckernel().Pool(1).__setstate__(_pool_state(column="x")),
+        TypeError),
+    "state-free-slot-not-an-int": (
+        lambda: ckernel().Pool(1).__setstate__(
+            _pool_state(free=["x"], heaps=([],))), TypeError),
+    "state-heap-not-a-list": (
+        lambda: ckernel().Pool(1).__setstate__(_pool_state(heaps=((0,),))),
+        ValueError),
+    "send-sender-not-an-int": (
+        lambda: _compiled().send_packed("x", 0, "m", 0), TypeError),
+    "send-receiver-not-an-int": (
+        lambda: _compiled().send_packed(0, "x", "m", 0), TypeError),
+    "send-receiver-out-of-range": (
+        lambda: _compiled().send_packed(0, 9, "m", 0), IndexError),
+    "send-past-the-sequence-space": (
+        lambda: _compiled(sent=2**40).send_packed(0, 1, "m", 0),
+        OverflowError),
+    "broadcast-past-the-sequence-space": (
+        lambda: _compiled(sent=2**40 - 2).send_all_packed(0, "m", 0),
+        OverflowError),
+    "delay-not-an-int": (
+        lambda: _compiled(ScriptedModel("x")).send_packed(0, 1, "m", 0),
+        TypeError),
+    "delay-below-one": (
+        lambda: _compiled(ScriptedModel(0)).send_packed(0, 1, "m", 0),
+        ValueError),
+    "broadcast-sender-not-an-int": (
+        lambda: _compiled().send_all_packed("x", "m", 0), TypeError),
+    "broadcast-include-self-unreadable": (
+        lambda: _compiled().send_all_packed(0, "m", 0, Unreadable()),
+        ZeroDivisionError),
+    "broadcast-without-a-delay-model": (
+        lambda: _without_model().send_all_packed(0, "m", 0), AttributeError),
+    "profile-not-a-sequence": (
+        lambda: _compiled(ScriptedModel(profile=5)).send_all_packed(
+            0, "m", 0), TypeError),
+    "profile-too-short": (
+        lambda: _compiled(ScriptedModel(profile=[1])).send_all_packed(
+            0, "m", 0), ValueError),
+    "run-loop-end-not-an-int": (
+        lambda: ckernel().run_loop(
+            _chatter_sim("compiled-loop", "event", "round_robin"), "x", None),
+        TypeError),
+    "block-permutation-arity": (
+        lambda: ckernel().block_permutation(1, 2), TypeError),
+}
+
+
+def ckernel():
+    from repro.sim import _ckernel
+
+    return _ckernel
+
+
+@needs_c_loop
+class TestTheCKernelRefusesWhatItCannotRun:
+    """Every refusal the kernel makes, each with the error it names: state
+    the Python side never builds, and arguments its own callers never
+    pass. A refused run call fails the run, like any raise."""
+
+    @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+    def test_a_corrupted_simulation(self, name):
+        corrupt, error = CORRUPTIONS[name]
+        sim = _chatter_sim("compiled-loop", "event", "round_robin")
+        corrupt(sim)
+        with pytest.raises(error) as raised:
+            sim.run_until(50)
+        assert sim.failed is raised.value
+        if name != "cursor-missing":
+            assert_buffers_released(sim)
+
+    def test_a_seed_that_is_not_an_int(self):
+        sim = _chatter_sim("compiled-loop", "event", "random")
+        sim.seed = "x"
+        with pytest.raises(TypeError, match="int seed"):
+            sim.run_until(50)
+        assert_buffers_released(sim)
+
+    @pytest.mark.parametrize("name", sorted(FULL_CORRUPTIONS))
+    def test_a_corrupted_step_store(self, name):
+        corrupt, error = FULL_CORRUPTIONS[name]
+        sim = _failure_sim("compiled-loop", Fuse(), site="", record="full")
+        corrupt(sim)
+        with pytest.raises(error):
+            sim.run_until(50)
+        assert_buffers_released(sim)
+
+    @pytest.mark.parametrize("what", ["outbox", "queue"])
+    def test_a_handler_that_leaves_junk(self, what):
+        sim = _chatter_sim("compiled-loop", "event", "round_robin")
+        junk = sim.processes[1] = Junk(what)
+        junk.attach(1, sim.n)
+        junk.sim = sim
+        with pytest.raises(TypeError, match="outbox entries" if what == "outbox"
+                           else "input queue items"):
+            sim.run_until(50)
+        assert_buffers_released(sim)
+
+    def test_a_message_from_outside_the_processes_is_delivered(self):
+        runs = []
+        for extra in (False, True):
+            sim = _chatter_sim("compiled-loop", "event", "round_robin")
+            if extra:
+                sim.network.send_packed(7, 0, ("note", 7), 0)
+            sim.run_until(50)
+            runs.append(sim.network.delivered_count)
+        assert runs[1] == runs[0] + 1
+
+    @pytest.mark.parametrize("name", sorted(REFUSALS))
+    def test_a_refused_call(self, name):
+        call, error = REFUSALS[name]
+        with pytest.raises(error):
+            call()

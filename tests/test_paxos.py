@@ -18,7 +18,11 @@ from repro.sim import (
 )
 from repro.sim.envs import make_env
 
-from mutants import SigmaLearnerWithoutRetest, register_mutants
+from mutants import (
+    PaxosAcceptWithoutPromiseCheck,
+    SigmaLearnerWithoutRetest,
+    register_mutants,
+)
 
 
 def paxos_sim(
@@ -150,6 +154,51 @@ def sigma_settles_spec(env: str, seed: int, n: int) -> RunSpec:
         timeout_interval=2,
         message_batch=4,
     )
+
+
+#: The cheapest cell that kills the acceptor without the promise check:
+#: n = 3, Omega rotating until t = 40, each process broadcasting twice,
+#: ``age-gst`` links (chaotic until GST = 150) at seed 0; about 2 ms. A
+#: scratch sweep (n of 3 to 5 x six envs x tau of 40, 100 or 200 x
+#: ``rotate`` / ``random`` x seeds 0-3 x 2 or 4 broadcasts each, 1 728
+#: cells) killed it on 86 cells: 36 under ``age-gst``, 25 ``late-links``,
+#: 24 ``heavy-tail``, 1 ``uniform``, none under ``baseline`` or ``flaky``.
+#: The real layer passed ``check_tob`` on all 86.
+PROMISE_CHECK_CELL = RunSpec(
+    n=3,
+    duration=340,
+    protocol="tob-consensus-accept-without-promise-check",
+    inputs=tuple(
+        (k % 3, 5 + 20 * k // 3, ("broadcast", f"m{k}")) for k in range(6)
+    ),
+    seed=0,
+    tau=40,
+    links=make_env("age-gst", seed=0, base_delay=2).delay,
+    timeout_interval=2,
+    message_batch=4,
+)
+
+
+def test_the_cheapest_cell_kills_the_acceptor_without_the_promise_check(
+    monkeypatch,
+):
+    # A leader overtaken by a newer ballot still gathers accepts for its
+    # value, so the processes decide one instance differently and end on
+    # sequences that order m0 and m1 apart.
+    real_spec = replace(PROMISE_CHECK_CELL, protocol="tob-consensus")
+    real = check_tob(run_plan(real_spec).run)
+    assert real.ok, real.violations
+    register_mutants(monkeypatch)
+    sim = run_plan(PROMISE_CHECK_CELL)
+    assert isinstance(
+        sim.processes[0].layer(PaxosConsensusLayer), PaxosAcceptWithoutPromiseCheck
+    )
+    report = check_tob(sim.run)
+    assert not report.ok
+    assert report.etob.tau_total_order == 85
+    assert report.violations == [
+        "total order violated until t=84 (strong TOB requires none)"
+    ]
 
 
 class TestSigmaQuorums:

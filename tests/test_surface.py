@@ -127,13 +127,16 @@ def test_the_test_only_modules_stay_gone(module):
 def test_the_test_only_names_stay_gone():
     import repro.consensus
     import repro.properties
+    import repro.sim
+    from repro.search import OBJECTIVES
 
     for module, names in (
         (repro, ("Scenario", "UrbLayer", "MultivaluedConsensusLayer",
                  "check_urb")),
         (repro.consensus, ("MultivaluedConsensusLayer",)),
         (repro.properties, ("UrbReport", "check_urb", "check_fairness",
-                            "check_no_undelivered")),
+                            "check_no_undelivered", "fairness_slack")),
+        (repro.sim, ("StepGapProbe",)),
         (Simulation, ("run_while", "_sync_crash_marks")),
         (Network, ("live_pending", "mark_crashed")),
     ):
@@ -141,6 +144,7 @@ def test_the_test_only_names_stay_gone():
     network = Network(2)
     assert not hasattr(network, "_live") and not hasattr(network, "_dead")
     assert len(network._counts) == 2  # sent, delivered
+    assert set(OBJECTIVES) == {"etob_tau"}
 
 
 def test_one_cell_type_and_one_executor():
