@@ -19,7 +19,13 @@ completes, and checks what each injected failure leaves:
 - every shared ``array('q')`` is released: it can ``append`` and ``pop``;
 - a repeat at the same k leaves ``sys.getallocatedblocks()`` where the
   first attempt left it. The first may fill a cache, so the check compares
-  the repeat.
+  the repeat. Each count follows ``gc.collect()`` and
+  ``sys._clear_type_cache()``: the interpreter's attribute cache keeps the
+  name of each slot's last lookup alive, a slot is picked by the name's
+  address, so a name built at run time (``PyObject_GetAttrString``,
+  ``getattr`` with a computed string) outlives its call until a later
+  lookup takes its slot, and whether that happens between two counts
+  turns on where earlier tests left the allocator.
 
 The sweep's last k is confirmed with ``set_nomemory(k, 0)``, which fails
 every allocation from the k-th on: the call still completes, so it made
@@ -77,6 +83,14 @@ def inject(k: int, stop: int, call, *args):
         _testcapi.remove_mem_hooks()
 
 
+def settled_blocks() -> int:
+    """``sys.getallocatedblocks()`` once the collector and the type
+    attribute cache have let go of what they hold (module docstring)."""
+    gc.collect()
+    sys._clear_type_cache()
+    return sys.getallocatedblocks()
+
+
 def sweep(attempt, *, rest: bool = False) -> int:
     """Runs ``attempt(k, stop)`` -- build fresh state, make the armed call
     through :func:`inject`, check the state a ``MemoryError`` left and
@@ -91,11 +105,9 @@ def sweep(attempt, *, rest: bool = False) -> int:
     try:
         k, blocks = 0, sys.getallocatedblocks()  # an int the loop replaces
         while not attempt(k, 0 if rest else k + 1):
-            gc.collect()
-            blocks = sys.getallocatedblocks()
+            blocks = settled_blocks()
             attempt(k, 0 if rest else k + 1)
-            gc.collect()
-            assert sys.getallocatedblocks() == blocks, f"allocation {k} leaked"
+            assert settled_blocks() == blocks, f"allocation {k} leaked"
             k += 1
         assert attempt(k, 0), f"an allocation past {k} failed unseen"
         return k
