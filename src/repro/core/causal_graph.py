@@ -29,6 +29,7 @@ from-scratch graph as the oracle these are differential-tested against.
 from __future__ import annotations
 
 from bisect import insort
+from itertools import filterfalse
 from typing import Dict, Iterable, Sequence
 
 from repro.core.messages import AppMessage, MessageId
@@ -59,7 +60,10 @@ class CausalGraph:
 
     def add(self, message: AppMessage) -> None:
         """``UpdateCG``: insert one message whose dependencies are present."""
-        missing = [d for d in message.deps if d not in self._nodes]
+        # No comprehension: one over ``self`` would give this frame a
+        # closure cell, and Python 3.11 leaks a frame's arguments when
+        # allocating one fails.
+        missing = list(filterfalse(self._nodes.__contains__, message.deps))
         if missing:
             raise LinearizationError(
                 f"cannot add {message.uid}: missing dependencies {missing}"
@@ -84,8 +88,12 @@ class CausalGraph:
         incoming = other._nodes.values() if isinstance(other, CausalGraph) else other
         nodes, known = self._nodes, self._nodes.keys()
         # Insert in dependency order so closure is maintained even while the
-        # incoming iterable is unordered.
-        pending = {m.uid: m for m in incoming if m.uid not in nodes}
+        # incoming iterable is unordered. A loop, not a comprehension over
+        # ``nodes``: see add.
+        pending: dict[MessageId, AppMessage] = {}
+        for message in incoming:
+            if message.uid not in nodes:
+                pending[message.uid] = message
         while pending:
             progressed = False
             for uid in list(pending):
@@ -120,7 +128,11 @@ class CausalGraph:
         if prefix is self._linear:
             if not self._unplaced:
                 return prefix
-            remaining = sorted(self._unplaced)
+            # A slice and a sort, not sorted(): Python 3.11's sorted() and
+            # list() keep a reference to their argument when allocating the
+            # copy's items fails.
+            remaining = self._unplaced[:]
+            remaining.sort()
         else:
             remaining = self._left_after(prefix)
         self._linear = tuple(prefix) + tuple(self._place(remaining))

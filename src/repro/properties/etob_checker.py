@@ -12,7 +12,10 @@
   which every correct process's sequence only grows by extension;
 - ETOB-Total-order: it discovers the smallest time ``tau_total_order`` from
   which the current sequences of any two correct processes never order a
-  common pair of messages differently.
+  common pair of messages differently. Two correct processes whose
+  sequences still order a common pair differently when the run ends never
+  reached that time: ``total_order_ok`` is then false, whatever
+  ``tau_total_order`` reads.
 
 ``tau`` (the paper's stabilization time) is the max of the two; strong TOB is
 the special case ``tau == 0`` (see :mod:`repro.properties.tob_checker`).
@@ -52,6 +55,9 @@ class EtobReport:
     stability_violations: int = 0
     #: number of pairwise order conflicts observed.
     order_violations: int = 0
+    #: False when two correct processes still order a common pair of
+    #: messages differently at the end of the run.
+    total_order_ok: bool = True
 
     @property
     def tau(self) -> Time:
@@ -65,6 +71,7 @@ class EtobReport:
             and self.no_creation_ok
             and self.no_duplication_ok
             and self.agreement_ok
+            and self.total_order_ok
         )
 
     def is_strong_tob(self) -> bool:
@@ -242,7 +249,12 @@ class EtobMonitor(OutputMonitor):
             for pid, final in zip(self._order, finals)
             if uid not in final
         ]
-        violations += invalid + disagreeing
+        unordered = [
+            f"total-order: p{a} and p{b} still order common messages "
+            "differently at the end of the run"
+            for a, b in sorted(self._conflicts)
+        ]
+        violations += invalid + disagreeing + unordered
         return EtobReport(
             validity_ok=not invalid,
             no_creation_ok=not self._unbroadcast,
@@ -253,6 +265,7 @@ class EtobMonitor(OutputMonitor):
             violations=violations,
             stability_violations=len(self.rewrites),
             order_violations=self.order_violations,
+            total_order_ok=not unordered,
         )
 
 

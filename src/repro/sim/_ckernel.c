@@ -1,10 +1,11 @@
 /* Packed struct-of-arrays envelope pool, the send path and the fused tick
- * loop of the sim kernel, the cold-key hash, the counter-based draws and
- * the random scheduler's block permutations.
+ * loop of the sim kernel, the cold-key hash, the counter-based draws, the
+ * random scheduler's block permutations and a protocol layer's Omega read.
  *
  * Three layers of the kernel live here (stable_hash, block_permutation,
  * draw_unit and draw_below, which repro.sim.types binds in place of their
- * Python bodies, have their own section near the end):
+ * Python bodies, and layer_omega, repro.sim.stack's Layer._omega, have
+ * their own sections near the end):
  *
  * 1. The storage layer of the data plane: the slot columns (deliver_at,
  *    seq, sender, send_time, payload), the free list, and the
@@ -30,29 +31,33 @@
  *    round-robin (the loop of kernel.run_fused_rr) or seeded random (the
  *    loop of Simulation._advance_event_random; no Python fused twin).
  *    The loop owns the due-check, the shard pops, timeout firing, the
- *    handler dispatch trampoline, outbox expansion through (2), the
- *    local-cursor refresh, the next-event scan over the per-process
- *    cursors (the loop of Simulation._next_event_query) and, under
- *    random scheduling, the block permutations and the walk of the block
- *    an event falls in, the idle-span count of a run that materializes
- *    no idle steps, under either schedule (loop_count_idle), the clock,
- *    the step context's effect lists (taken once per call, emptied in
- *    place after each step consumes them) and its pid / time / fd_value
- *    slots (stored through the member offsets ctx_slot resolves once per
- *    call), and -- at record="full" -- the StepStore rows, staged in C
- *    and appended in bulk (stage_flush), a crash-free idle span's under
- *    round-robin included (loop_fill_idle); it calls back into Python
- *    only for process handlers, detector queries before the history's
- *    settle tick (sim._fd_settle: from it on every step takes the settled
- *    value), the delay model, the other idle spans of a run that
- *    materializes them (`_skip_span_rr`), and
- *    step observers' on_step_raw other than a leading MetricsRecorder's
- *    (whose counts it folds itself, loop_fold_flush).  Every mutation of a
- *    raise-free step mirrors the Python loop's order of effects so run
- *    records, counters and schedule state stay byte-identical (pinned by
- *    tests/test_kernel.py and tests/test_kernel_stateful.py).  A raise
- *    ends the run (repro.sim.scheduler): the failure paths only release
- *    what they hold, and flush the metrics fold and the staged rows.
+ *    handler dispatch trampoline -- for a ProtocolStack that hands a
+ *    dispatch plan, the stack's own message framing, timeout fan-out and
+ *    pending check (plan_message, plan_timeout) -- outbox expansion
+ *    through (2), the local-cursor refresh, the next-event scan over the
+ *    per-process cursors (the loop of Simulation._next_event_query) and,
+ *    under random scheduling, the block permutations and the walk of the
+ *    block an event falls in, the idle-span count of a run that
+ *    materializes no idle steps, under either schedule
+ *    (loop_count_idle), the clock, the step context's effect lists (taken
+ *    once per call, emptied in place after each step consumes them) and
+ *    its pid / time / fd_value slots (stored through the member offsets
+ *    ctx_slot resolves once per call), and -- at record="full" -- the
+ *    StepStore rows, staged in C and appended in bulk (stage_flush), a
+ *    crash-free idle span's under round-robin included (loop_fill_idle);
+ *    it calls back into Python only for process handlers (a planned
+ *    stack's layer handlers and, when something is pending, its drain),
+ *    detector queries before the history's settle tick (sim._fd_settle:
+ *    from it on every step takes the settled value), the delay model, the
+ *    other idle spans of a run that materializes them (`_skip_span_rr`),
+ *    and step observers' on_step_raw other than a leading
+ *    MetricsRecorder's (whose counts it folds itself, loop_fold_flush).
+ *    Every mutation of a raise-free step mirrors the Python loop's order
+ *    of effects so run records, counters and schedule state stay
+ *    byte-identical (pinned by tests/test_kernel.py and
+ *    tests/test_kernel_stateful.py).  A raise ends the run
+ *    (repro.sim.scheduler): the failure paths only release what they
+ *    hold, and flush the metrics fold and the staged rows.
  *
  * Invariants shared with the pure-Python PackedNetwork:
  *   - seq fits in 40 bits, slot index in 24 (both enforced here on the
@@ -667,7 +672,8 @@ static PyObject *s_network, *s_processes, *s__ctx, *s_detector,
     *s_scheduling, *s_seed, *s_metrics,
     *s_idle_ticks_skipped, *s__idle_step_observers, *s__materialize_idle,
     *s_frombytes, *s_steps, *s_steps_by_pid, *s_messages_sent,
-    *s_messages_received, *s_timeouts_fired, *s_inputs, *s_outputs;
+    *s_messages_received, *s_timeouts_fired, *s_inputs, *s_outputs,
+    *s__dispatch_plan, *s__base, *s_omega;
 
 /* heapq.heappop, resolved at module init (the input queues are heaps) */
 static PyObject *g_heappop;
@@ -1209,7 +1215,10 @@ typedef struct {
     PyObject *sparse_inputs, *sparse_outputs;
     PyObject *input_history, *output_history;
     PyObject **pid_objs;                 /* n owned ints 0..n-1 */
-    PyObject **on_message_m, **on_timeout_m; /* n owned bound methods */
+    PyObject **plans;                    /* n owned dispatch plans (see
+                                          * plan_init) or NULL */
+    PyObject **on_message_m, **on_timeout_m; /* n owned bound methods, for
+                                          * a process without a plan */
     PyObject **raw_methods;              /* owned bound on_step_raw */
     Py_ssize_t raw_count;
     /* record="metrics" folded in C (see loop_fold_flush): the RunMetrics
@@ -1279,6 +1288,11 @@ loop_free(Loop *L)
         for (long p = 0; p < L->n; p++)
             Py_XDECREF(L->pid_objs[p]);
         PyMem_Free(L->pid_objs);
+    }
+    if (L->plans != NULL) {
+        for (long p = 0; p < L->n; p++)
+            Py_XDECREF(L->plans[p]);
+        PyMem_Free(L->plans);
     }
     if (L->on_message_m != NULL) {
         for (long p = 0; p < L->n; p++)
@@ -1620,6 +1634,134 @@ slot_store(PyObject *obj, Py_ssize_t offset, PyObject *value)
     Py_XDECREF(old);
 }
 
+/* -- protocol stacks dispatched from C ----------------------------------- */
+
+/* getattr(obj, name) that reports a missing attribute without raising:
+ * 1 found (*out owned), 0 missing (*out NULL), -1 error. */
+#if PY_VERSION_HEX >= 0x030D0000
+#define lookup_optional PyObject_GetOptionalAttr
+#else
+#define lookup_optional _PyObject_LookupAttr
+#endif
+
+/* A ProtocolStack's dispatch plan (ProtocolStack._dispatch_plan): its
+ * layers' bound on_message and, by layer index, their contexts bound to
+ * the loop's step context; the bound on_timeout of the layers that
+ * override it and their contexts; the pending deque and the bound _drain.
+ * The loop then runs ProtocolStack.on_message and on_timeout itself
+ * (plan_message, plan_timeout) and calls Python only for the layers'
+ * handlers and, when something is pending, the drain. */
+enum {
+    PLAN_MESSAGE, PLAN_CONTEXTS, PLAN_TIMEOUT, PLAN_TIMEOUT_CONTEXTS,
+    PLAN_PENDING, PLAN_DRAIN, PLAN_SIZE
+};
+
+#define PLAN_ITEM(plan, i) PyTuple_GET_ITEM((plan), (i))
+
+/* L->plans[p] := process._dispatch_plan(ctx), or NULL when the process
+ * has no such method or hands None (a stack whose on_message or on_timeout
+ * is not ProtocolStack's): the loop then calls the process's own bound
+ * on_message / on_timeout.  A plan of the wrong shape is refused. */
+static int
+plan_init(Loop *L, long p, PyObject *process)
+{
+    PyObject *plan_fn;
+    int found = lookup_optional(process, s__dispatch_plan, &plan_fn);
+    if (found <= 0)
+        return found;
+    PyObject *plan = call1(plan_fn, L->ctx);
+    Py_DECREF(plan_fn);
+    if (plan == NULL)
+        return -1;
+    if (plan == Py_None) {
+        Py_DECREF(plan);
+        return 0;
+    }
+    L->plans[p] = plan;
+    int ok = PyTuple_Check(plan) && PyTuple_GET_SIZE(plan) == PLAN_SIZE;
+    for (int i = 0; ok && i < PLAN_PENDING; i++)
+        ok = PyTuple_Check(PLAN_ITEM(plan, i));
+    ok = ok && PyTuple_GET_SIZE(PLAN_ITEM(plan, PLAN_MESSAGE)) > 0
+        && PyTuple_GET_SIZE(PLAN_ITEM(plan, PLAN_CONTEXTS))
+            == PyTuple_GET_SIZE(PLAN_ITEM(plan, PLAN_MESSAGE))
+        && PyTuple_GET_SIZE(PLAN_ITEM(plan, PLAN_TIMEOUT_CONTEXTS))
+            == PyTuple_GET_SIZE(PLAN_ITEM(plan, PLAN_TIMEOUT));
+    if (!ok) {
+        PyErr_SetString(PyExc_TypeError,
+                        "run_loop: a dispatch plan must be a tuple (handlers, "
+                        "contexts, timeout handlers, timeout contexts, "
+                        "pending, drain) with one context per handler and "
+                        "at least one layer");
+        return -1;
+    }
+    return 0;
+}
+
+/* 0 or -1 for a call's result, released */
+static inline int
+call_status(PyObject *r)
+{
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return 0;
+}
+
+/* `if self._pending: self._drain(ctx)` */
+static int
+plan_drain(Loop *L, PyObject *plan)
+{
+    int due = PyObject_IsTrue(PLAN_ITEM(plan, PLAN_PENDING));
+    if (due <= 0)
+        return due;
+    return call_status(call1(PLAN_ITEM(plan, PLAN_DRAIN), L->ctx));
+}
+
+/* ProtocolStack.on_message: a payload framed exactly as (index, inner) --
+ * a plain tuple of two led by a plain int naming a layer -- goes to that
+ * layer as inner; anything else (a tuple subclass such as MessageId, an
+ * unframed client message) goes whole to the top layer. */
+static int
+plan_message(Loop *L, PyObject *plan, PyObject *sender, PyObject *payload)
+{
+    PyObject *handlers = PLAN_ITEM(plan, PLAN_MESSAGE);
+    Py_ssize_t layers = PyTuple_GET_SIZE(handlers);
+    Py_ssize_t index = layers - 1;
+    PyObject *inner = payload;
+    if (PyTuple_CheckExact(payload) && PyTuple_GET_SIZE(payload) == 2
+        && PyLong_CheckExact(PyTuple_GET_ITEM(payload, 0))) {
+        /* an exact int: no error, and past a long it is out of range */
+        int overflow;
+        long framed = PyLong_AsLongAndOverflow(PyTuple_GET_ITEM(payload, 0),
+                                               &overflow);
+        if (!overflow && framed >= 0 && framed < layers) {
+            index = framed;
+            inner = PyTuple_GET_ITEM(payload, 1);
+        }
+    }
+    if (call_status(call3(PyTuple_GET_ITEM(handlers, index),
+                          PyTuple_GET_ITEM(PLAN_ITEM(plan, PLAN_CONTEXTS),
+                                           index),
+                          sender, inner)) < 0)
+        return -1;
+    return plan_drain(L, plan);
+}
+
+/* ProtocolStack.on_timeout: the layers that override on_timeout, bottom
+ * up, then the drain. */
+static int
+plan_timeout(Loop *L, PyObject *plan)
+{
+    PyObject *handlers = PLAN_ITEM(plan, PLAN_TIMEOUT);
+    PyObject *contexts = PLAN_ITEM(plan, PLAN_TIMEOUT_CONTEXTS);
+    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(handlers); i++) {
+        if (call_status(call1(PyTuple_GET_ITEM(handlers, i),
+                              PyTuple_GET_ITEM(contexts, i))) < 0)
+            return -1;
+    }
+    return plan_drain(L, plan);
+}
+
 static int
 loop_init(Loop *L, PyObject *sim, PyObject *store, PyObject *metrics)
 {
@@ -1734,10 +1876,12 @@ loop_init(Loop *L, PyObject *sim, PyObject *store, PyObject *metrics)
     L->crash_at = PyMem_Malloc(n * sizeof(int64_t));
     L->interval = PyMem_Malloc(n * sizeof(int64_t));
     L->pid_objs = PyMem_Calloc(n, sizeof(PyObject *));
+    L->plans = PyMem_Calloc(n, sizeof(PyObject *));
     L->on_message_m = PyMem_Calloc(n, sizeof(PyObject *));
     L->on_timeout_m = PyMem_Calloc(n, sizeof(PyObject *));
     if (L->crash_at == NULL || L->interval == NULL || L->pid_objs == NULL
-        || L->on_message_m == NULL || L->on_timeout_m == NULL) {
+        || L->plans == NULL || L->on_message_m == NULL
+        || L->on_timeout_m == NULL) {
         PyErr_NoMemory();
         return -1;
     }
@@ -1785,6 +1929,10 @@ loop_init(Loop *L, PyObject *sim, PyObject *store, PyObject *metrics)
         if (L->pid_objs[p] == NULL)
             return -1;
         PyObject *process = PyList_GET_ITEM(L->processes, p);
+        if (plan_init(L, p, process) < 0)
+            return -1;
+        if (L->plans[p] != NULL)
+            continue;
         L->on_message_m[p] = PyObject_GetAttr(process, s_on_message);
         if (L->on_message_m[p] == NULL)
             return -1;
@@ -2236,9 +2384,9 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             long received = 0;
             long first_sender = -1;
             int64_t first_send_time = -1;
+            PyObject *plan = L->plans[pid];
             if (L->nv.next_at[pid] <= t) {
                 Shard *shard = &pool->shards[pid];
-                PyObject *on_message = L->on_message_m[pid];
                 while (received < L->message_batch && shard->len > 0) {
                     int32_t top = shard->items[0];
                     int64_t deliver_at = pool->col_deliver[top];
@@ -2265,14 +2413,15 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                     } else {
                         sender_obj = PyLong_FromLong(sender);
                     }
-                    PyObject *r = sender_obj == NULL
-                        ? NULL
-                        : call3(on_message, L->ctx, sender_obj, payload);
+                    int r_msg = sender_obj == NULL ? -1
+                        : plan != NULL
+                        ? plan_message(L, plan, sender_obj, payload)
+                        : call_status(call3(L->on_message_m[pid], L->ctx,
+                                            sender_obj, payload));
                     Py_XDECREF(sender_obj);
                     Py_DECREF(payload);
-                    if (r == NULL)
+                    if (r_msg < 0)
                         goto step_fail;
-                    Py_DECREF(r);
                 }
                 fold_pops(&L->nv, pid, received);
             }
@@ -2282,10 +2431,9 @@ ckernel_run_loop(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             if (t >= L->next_timeout[pid]) {
                 timeout_fired = 1;
                 L->next_timeout[pid] = t + L->interval[pid];
-                PyObject *r = call1(L->on_timeout_m[pid], L->ctx);
-                if (r == NULL)
+                if ((plan != NULL ? plan_timeout(L, plan)
+                     : call_status(call1(L->on_timeout_m[pid], L->ctx))) < 0)
                     goto step_fail;
-                Py_DECREF(r);
             }
 
             /* outbox expansion through the C send path.  The delay model
@@ -2833,6 +2981,29 @@ ckernel_send_all_packed(PyObject *Py_UNUSED(module), PyObject *const *args,
     return rc < 0 ? NULL : PyLong_FromLong(count);
 }
 
+/* ======================================================================== */
+/* layer_omega: repro.sim.stack.Layer._omega                                */
+/* ======================================================================== */
+
+/* LayerContext.omega's rule without a Python frame: the step context's
+ * fd_value (ctx._base.fd_value) when it is a plain int, a bare Omega
+ * sample; anything else -- a composite sample, no detector -- is
+ * ctx._base.omega()'s to answer or to refuse. */
+static PyObject *
+ckernel_layer_omega(PyObject *Py_UNUSED(module), PyObject *ctx)
+{
+    PyObject *base = PyObject_GetAttr(ctx, s__base);
+    if (base == NULL)
+        return NULL;
+    PyObject *value = PyObject_GetAttr(base, s_fd_value);
+    if (value != NULL && !PyLong_CheckExact(value)) {
+        Py_DECREF(value);
+        value = PyObject_CallMethodNoArgs(base, s_omega);
+    }
+    Py_DECREF(base);
+    return value;
+}
+
 static PyMethodDef ckernel_functions[] = {
     {"send_packed", (PyCFunction)(void (*)(void))ckernel_send_packed,
      METH_FASTCALL,
@@ -2867,6 +3038,10 @@ static PyMethodDef ckernel_functions[] = {
      "draw_below($module, bound, tag, seed, /, *words)\n--\n\n"
      "An int in range(bound) by multiply-shift over the same key as\n"
      "draw_unit, bit-identical to the Python body in repro.sim.types."},
+    {"layer_omega", (PyCFunction)ckernel_layer_omega, METH_O,
+     "layer_omega($module, ctx, /)\n--\n\n"
+     "Layer._omega: the step's Omega output as LayerContext.omega reads\n"
+     "it -- ctx._base.fd_value when it is an int, else ctx._base.omega()."},
     {"run_loop", (PyCFunction)(void (*)(void))ckernel_run_loop,
      METH_FASTCALL,
      "run_loop(sim, t_end, store, metrics=None)\n--\n\n"
@@ -2965,6 +3140,9 @@ intern_names(void)
     INTERN(s_timeouts_fired, "timeouts_fired");
     INTERN(s_inputs, "inputs");
     INTERN(s_outputs, "outputs");
+    INTERN(s__dispatch_plan, "_dispatch_plan");
+    INTERN(s__base, "_base");
+    INTERN(s_omega, "omega");
 #undef INTERN
     return 0;
 }

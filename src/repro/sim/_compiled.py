@@ -1,10 +1,12 @@
 """The one guarded import of the optional C extension ``repro.sim._ckernel``.
 
 The extension carries storage and loops that are differential-tested
-against their Python twins (:mod:`repro.sim.kernel`) *and* the functions
-of :mod:`repro.sim.types` — ``stable_hash``, ``block_permutation``,
-``draw_unit``, ``draw_below`` — whose values define every schedule, delay,
-detector history and digest. A build left over from an older checkout must
+against their Python twins (:mod:`repro.sim.kernel`), the C loop's
+dispatch into :class:`~repro.sim.stack.ProtocolStack` layers and their Ω
+read (``layer_omega``, the twin of ``LayerContext.omega``), *and* the
+functions of :mod:`repro.sim.types` — ``stable_hash``,
+``block_permutation``, ``draw_unit``, ``draw_below`` — whose values define
+every schedule, delay, detector history and digest. A build left over from an older checkout must
 therefore never be used silently: ``setup.py`` compiles the sha256 of
 ``_ckernel.c`` into the module as ``SOURCE_DIGEST``, and this module
 accepts the extension only when that digest matches the ``_ckernel.c``

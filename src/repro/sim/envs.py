@@ -246,10 +246,13 @@ class UniformDist:
     ) -> list[Time]:
         seed, lo = self.seed, self.lo
         span = self.hi - lo + 1
-        return [
-            lo + draw_below(span, _UNIFORM, seed, sender, receiver, t)
-            for receiver in receivers
-        ]
+        # A loop, not a comprehension: one would make these locals closure
+        # cells, and Python 3.11 leaks a frame's arguments when allocating
+        # one fails.
+        profile = []
+        for receiver in receivers:
+            profile.append(lo + draw_below(span, _UNIFORM, seed, sender, receiver, t))
+        return profile
 
 
 @dataclass(frozen=True)

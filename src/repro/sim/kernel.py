@@ -498,16 +498,17 @@ def run_fused_compiled(sim: "Simulation", t_end: Time) -> None:
     ``_skip_span_rr`` call, and when it returns or fails, so the store and
     ``run.end_time`` are exact between run calls. Any other step observers
     get ``on_step_raw`` per step. The C loop calls back into Python only
-    for process handlers, the delay model, the idle spans of a run that
-    materializes idle steps and that it does not fill itself
-    (``_skip_span_rr``), and step and log observers; everything else — due
-    checks, shard pops, timeout firing, outbox expansion and sends,
-    local-cursor refresh, the next-event scan, the idle-span counts of a
-    run that materializes none (``_skip_span_rr``'s counting branch and
-    ``_skip_span_random``, ported), the store's rows, the metrics fold
-    and, under random scheduling, the block permutations and the walk of
-    the block an event falls in — happens without touching the
-    interpreter. Byte-identical to
+    for process handlers (a :class:`~repro.sim.stack.ProtocolStack`'s
+    layers directly, through the stack's dispatch plan), the delay model,
+    the idle spans of a run that materializes idle steps and that it does
+    not fill itself (``_skip_span_rr``), and step and log observers;
+    everything else — due checks, shard pops, timeout firing, outbox
+    expansion and sends, local-cursor refresh, the next-event scan, the
+    idle-span counts of a run that materializes none (``_skip_span_rr``'s
+    counting branch and ``_skip_span_random``, ported), the store's rows,
+    the metrics fold and, under random scheduling, the block permutations
+    and the walk of the block an event falls in — happens without touching
+    the interpreter. Byte-identical to
     the Python fused loop (round-robin) and to the generic
     ``_advance_event_random`` (random) by construction and pinned by
     ``tests/test_kernel.py``; ``tests/test_metrics_fold.py`` and

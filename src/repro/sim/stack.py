@@ -21,6 +21,18 @@ not recurse. A dispatch costs only the handler call: the stack keeps one
 rebuilds them only when handed a different one. The scheduler reuses one
 step context per simulation, so a stack binds once per run; a caller that
 builds a fresh context per step (the CHT replay sandbox) rebinds per step.
+
+On the C tick loop (``kernel="compiled-loop"``) a step does not enter the
+stack at all: at each run call the loop takes the stack's
+:meth:`~ProtocolStack._dispatch_plan` (the layers' bound handlers, their
+contexts, the timeout layers, the pending queue and the drain) and does
+what :meth:`ProtocolStack.on_message` and :meth:`ProtocolStack.on_timeout`
+do itself, calling Python only for a layer's handler and, when something
+is pending, :meth:`ProtocolStack._drain`. A subclass that overrides either
+method hands no plan and is called as written; the pure-Python kernels call
+the methods below. With the extension built, a layer's read of Omega,
+``Layer._omega``, is ``_ckernel.layer_omega`` on every kernel: the rule of
+:meth:`LayerContext.omega` without a Python frame.
 """
 
 from __future__ import annotations
@@ -28,6 +40,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Sequence
 
+from repro.sim._compiled import ckernel as _ckernel
 from repro.sim.context import BROADCAST_ALL, BROADCAST_OTHERS, Context
 from repro.sim.errors import ConfigurationError, ProtocolError
 from repro.sim.process import Process
@@ -116,8 +129,11 @@ class LayerContext:
                 (BROADCAST_ALL if include_self else BROADCAST_OTHERS, framed)
             )
             return
-        receivers = self._everyone if include_self else self._others
-        self._base._outbox.extend([(receiver, framed) for receiver in receivers])
+        # A loop, not a comprehension: one over ``framed`` would make it a
+        # closure cell (see _bind).
+        outbox = self._base._outbox
+        for receiver in self._everyone if include_self else self._others:
+            outbox.append((receiver, framed))
 
     def send_raw(self, receiver: ProcessId, payload: Any) -> None:
         """Send without stack framing — for non-stack peers (e.g. clients)."""
@@ -159,9 +175,12 @@ class Layer:
     n: int = 0
 
     #: The layer's read of Omega at a step, in one call: the step's
-    #: detector value. A layer built with an ``omega_source`` reads it
-    #: there instead (see :meth:`_set_omega_source`).
-    _omega = staticmethod(LayerContext.omega)
+    #: detector value, by :meth:`LayerContext.omega`'s rule — in C, without
+    #: a Python frame, when the extension is built. A layer built with an
+    #: ``omega_source`` reads it there instead (see :meth:`_set_omega_source`).
+    _omega = staticmethod(
+        LayerContext.omega if _ckernel is None else _ckernel.layer_omega
+    )
 
     def attach(self, pid: ProcessId, n: int) -> None:
         """Bind the layer to its process id (called by the stack)."""
@@ -302,11 +321,44 @@ class ProtocolStack(Process):
     def _bind(self, base_ctx: Context) -> list[LayerContext]:
         """Rebuild the layer contexts over ``base_ctx``. Callers reuse the
         cached ones while ``base_ctx is self._base``."""
-        self._contexts = [
-            LayerContext(self, base_ctx, index) for index in range(len(self.layers))
-        ]
+        # A loop, not a comprehension: one over ``self`` and ``base_ctx``
+        # would give this frame closure cells, and Python 3.11 leaks a
+        # frame's arguments when allocating one fails.
+        contexts = []
+        for index in range(len(self.layers)):
+            contexts.append(LayerContext(self, base_ctx, index))
+        self._contexts = contexts
         self._base = base_ctx
-        return self._contexts
+        return contexts
+
+    def _dispatch_plan(self, ctx: Context) -> tuple[Any, ...] | None:
+        """What the C tick loop needs to run :meth:`on_message` and
+        :meth:`on_timeout` itself, taken once per run call: ``(handlers,
+        contexts, timeout_handlers, timeout_contexts, pending, drain)`` —
+        every layer's bound ``on_message`` and its context bound to
+        ``ctx``, the bound ``on_timeout`` and context of each layer that
+        overrides ``on_timeout``, the pending queue and the bound
+        :meth:`_drain`. None when this stack's
+        ``on_message`` or ``on_timeout`` is not :class:`ProtocolStack`'s
+        own (a subclass or an instance replaced it): the loop then calls
+        those."""
+        if (
+            getattr(self.on_message, "__func__", None) is not ProtocolStack.on_message
+            or getattr(self.on_timeout, "__func__", None)
+            is not ProtocolStack.on_timeout
+        ):
+            return None
+        contexts = self._contexts if ctx is self._base else self._bind(ctx)
+        layers = self.layers
+        timeout_handlers, timeout_contexts = [], []
+        for index in self._timeout_layers:  # a loop: see _bind
+            timeout_handlers.append(layers[index].on_timeout)
+            timeout_contexts.append(contexts[index])
+        return (
+            tuple([layer.on_message for layer in layers]), tuple(contexts),
+            tuple(timeout_handlers), tuple(timeout_contexts), self._pending,
+            self._drain,
+        )
 
     def _drain(self, base_ctx: Context) -> None:
         contexts = (

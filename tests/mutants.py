@@ -23,9 +23,11 @@ from repro.consensus import PaxosConsensusLayer, TobFromConsensusLayer
 from repro.consensus.paxos import Accept, AcceptedMsg
 from repro.core import EcDriverLayer, EcUsingOmegaLayer
 from repro.core.etob import EtobLayer, PromoteSequence
+from repro.detectors.omega import OmegaHistory
 from repro.protocols import PROTOCOLS, ProtocolEntry
+from repro.sim.failures import FailurePattern
 from repro.sim.stack import LayerContext
-from repro.sim.types import ProcessId
+from repro.sim.types import ProcessId, Time
 
 
 class SigmaLearnerWithoutRetest(PaxosConsensusLayer):
@@ -113,6 +115,30 @@ class EcDecidesFirstProposal(EcUsingOmegaLayer):
                 self.decided.add(instance)
                 ctx.emit_upper(("decide", instance, value))
                 return
+
+
+class OmegaNeverStabilises(OmegaHistory):
+    """An Ω history that keeps rotating among the correct processes past
+    its stabilization time, each process a phase ahead of the one below it.
+
+    With two correct processes or more they never agree on a leader, so
+    Ω's eventual leadership never holds. ``settles()`` is None: no
+    simulation may stop querying it at a settle tick that does not exist.
+    Killed by ``check_omega_history`` ("never stabilized within horizon").
+    A detector history is not a protocol, so it has no protocol name, and
+    no live monitor checks one.
+    """
+
+    def __init__(self, pattern: FailurePattern, **kwargs: Any) -> None:
+        super().__init__(pattern, **kwargs)
+        self._rotation = sorted(pattern.correct)
+
+    def query(self, pid: ProcessId, t: Time) -> ProcessId:
+        rotation = self._rotation
+        return rotation[(t // self.churn_period + pid) % len(rotation)]
+
+    def settles(self) -> None:
+        return None
 
 
 #: test-only protocol name -> the registry entry of one mutant.

@@ -48,9 +48,14 @@ from typing import NamedTuple
 
 import pytest
 
-from repro.sim import FailurePattern, SimObserver, Simulation
+from repro.core.etob import EtobLayer
+from repro.sim import FailurePattern, Layer, ProtocolStack, SimObserver, Simulation
+from repro.sim._compiled import ckernel
+from repro.sim.context import Context
 from repro.sim.kernel import HAS_COMPILED_LOOP, CompiledPackedNetwork
 from repro.sim.process import Process
+from repro.sim.runs import StepStore
+from repro.sim.stack import LayerContext
 from repro.sim.types import (
     block_permutation,
     draw_below,
@@ -60,7 +65,7 @@ from repro.sim.types import (
 
 from helpers import assert_rectangular
 from test_kernel import STAGE_ROWS, assert_failed_for_good
-from test_network import assert_buffers_released
+from test_network import Heard, Pulse, assert_buffers_released
 
 _testcapi = pytest.importorskip("_testcapi")
 if not HAS_COMPILED_LOOP:
@@ -280,26 +285,33 @@ def chatter_sim(cell: RunCell) -> Simulation:
     return sim
 
 
-def run_attempt(cell: RunCell, k: int, stop: int) -> bool:
-    sim = chatter_sim(cell)
+def run_attempt(build, start: int, end: int, k: int, stop: int) -> bool:
+    sim = build()
     assert sim.fused_path == "c-loop"
-    sim.run_until(cell.start)
+    sim.run_until(start)
     sim._fused_run = partial(inject, k, stop, sim._fused_run)
     try:
-        sim.run_until(cell.start + cell.ticks)
+        sim.run_until(end)
     except MemoryError as exc:
         assert_failed_for_good(sim, exc)
         assert_buffers_released(sim)
         assert_no_partial_broadcast(sim.network)
-        if cell.record == "full":
+        if isinstance(sim.run.steps, StepStore):
             assert_rectangular(sim.run.steps)
         return False
     return True
 
 
+def cell_attempt(cell: RunCell):
+    return partial(
+        run_attempt, partial(chatter_sim, cell), cell.start,
+        cell.start + cell.ticks,
+    )
+
+
 @pytest.mark.parametrize("cell", RUN_CELLS, ids=map(cell_id, RUN_CELLS))
 def test_run_loop(cell):
-    assert sweep(partial(run_attempt, cell)) > 100
+    assert sweep(cell_attempt(cell)) > 100
 
 
 @pytest.mark.parametrize(
@@ -309,7 +321,55 @@ def test_run_loop_when_its_cleanup_fails_too(cell):
     """Every allocation from the k-th on fails: the flushes of the
     record="full" stage and of the record="metrics" fold on the failure
     path fail as well, and the raise that escapes is still the first."""
-    assert sweep(partial(run_attempt, cell), rest=True) > 100
+    assert sweep(cell_attempt(cell), rest=True) > 100
+
+
+# -- run_loop dispatching into ProtocolStack layers ---------------------------
+
+
+def etob_stack():
+    return ProtocolStack([EtobLayer()])
+
+
+def pulse_stack():
+    return ProtocolStack([Pulse(), Heard()])
+
+
+def stack_sim(make_stack, inputs) -> Simulation:
+    """Three stacks on the C loop, which runs their dispatch plans: Ω
+    queried until tick 12 and settled on p0 after it, so an ETOB p0
+    promotes on its timeouts and the others adopt."""
+    sim = Simulation(
+        [make_stack() for _ in range(3)],
+        detector=Settling(12),
+        delay_model=Links(),
+        timeout_interval=[4, 5, 6],
+        message_batch=2,
+        record="metrics",
+    )
+    for pid, t, value in inputs:
+        sim.add_input(pid, t, value)
+    return sim
+
+
+#: a real ETOB stack and a two-layer stack whose handlers queue a drain,
+#: each swept over ticks 30 to 60. The ETOB broadcasts go out unarmed,
+#: before tick 30: the swept ticks hold timeouts, promotes, the updates
+#: still in flight and the adoptions.
+STACK_CELLS = {
+    "etob": (etob_stack, ((1, 2, ("broadcast", "m1")),
+                          (2, 25, ("broadcast", "m2")))),
+    "two-layer-drain": (pulse_stack, ()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STACK_CELLS))
+def test_run_loop_through_a_stack(name):
+    make_stack, inputs = STACK_CELLS[name]
+    build = partial(stack_sim, make_stack, inputs)
+    sim = build()
+    assert type(sim.processes[0]._dispatch_plan(sim._ctx)) is tuple
+    assert sweep(partial(run_attempt, build, 30, 60)) > 100
 
 
 def test_the_full_stage_cell_fills_its_stage_at_an_executed_step():
@@ -437,17 +497,30 @@ def pure_attempt(call, args, k, stop) -> bool:
     return True
 
 
-@pytest.mark.parametrize(
-    "call,args",
-    [
-        (stable_hash, ("node", 7, 2**70, "café", ("t", 1))),
-        (block_permutation, (3, 2**40, 300)),
-        # a draw allocates at most its result (a float may come off the
-        # float free list, allocating nothing)
-        (draw_unit, (1, 2, 3)),
-        (draw_below, (2**40, 1, 2, 3)),
-    ],
-    ids=["stable_hash", "block_permutation", "draw_unit", "draw_below"],
-)
-def test_pure_functions(call, args):
-    assert sweep(partial(pure_attempt, call, args)) >= (call is not draw_unit)
+def omega_context(fd_value) -> LayerContext:
+    """A layer's view of a step whose detector sample is ``fd_value``."""
+    return LayerContext(
+        ProtocolStack([Layer()]), Context(0, 3, 5, fd_value), 0
+    )
+
+
+#: (call, its arguments, the fewest failure points its sweep must find)
+PURE_CALLS = {
+    "stable_hash": (stable_hash, ("node", 7, 2**70, "café", ("t", 1)), 1),
+    "block_permutation": (block_permutation, (3, 2**40, 300), 1),
+    # a draw allocates at most its result (a float may come off the float
+    # free list, allocating nothing)
+    "draw_unit": (draw_unit, (1, 2, 3), 0),
+    "draw_below": (draw_below, (2**40, 1, 2, 3), 1),
+    # an int sample is returned as it is; a composite one goes through
+    # Context.omega in Python
+    "layer_omega-int": (ckernel.layer_omega, (omega_context(2),), 0),
+    "layer_omega-composite": (
+        ckernel.layer_omega, (omega_context({"omega": 1}),), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PURE_CALLS))
+def test_pure_functions(name):
+    call, args, points = PURE_CALLS[name]
+    assert sweep(partial(pure_attempt, call, args)) >= points

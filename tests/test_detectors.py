@@ -14,7 +14,20 @@ from repro.detectors import (
     TableHistory,
 )
 from repro.properties import check_omega_history, check_sigma_history
+from repro.sim import Process, Simulation
 from repro.sim.failures import FailurePattern
+
+from mutants import OmegaNeverStabilises
+
+
+class OmegaSampler(Process):
+    """Keeps ``(time, pid, Omega output)`` at each of its timeouts."""
+
+    def __init__(self, samples):
+        self.samples = samples
+
+    def on_timeout(self, ctx):
+        self.samples.append((ctx.time, ctx.pid, ctx.omega()))
 
 
 class TestOmega:
@@ -69,6 +82,26 @@ class TestOmega:
         assert check.ok
         assert check.leader == 0
         assert check.stabilization_time <= 80
+
+    def test_the_cheapest_cell_kills_omega_that_never_stabilises(self):
+        # p2 crashes at 10; tau = 20. The real history settles on p0 there,
+        # the mutant keeps p0 and p1 a phase apart through the horizon.
+        pattern = FailurePattern.crash(3, {2: 10})
+        real = OmegaDetector(stabilization_time=20).history(pattern)
+        assert check_omega_history(real, pattern, horizon=80).ok
+        mutant = OmegaNeverStabilises(pattern, stabilization_time=20)
+        check = check_omega_history(mutant, pattern, horizon=80)
+        assert not check.ok
+        assert check.reason == "never stabilized within horizon"
+        # The run queries it at every step: past tau the leaders still move.
+        samples = []
+        sim = Simulation(
+            [OmegaSampler(samples) for __ in range(3)],
+            failure_pattern=pattern, detector=mutant, timeout_interval=1,
+        )
+        sim.run_until(80)
+        assert sim._fd_settle[1] is None
+        assert {leader for t, __, leader in samples if t >= 20} == {0, 1}
 
     def test_checker_rejects_non_omega(self):
         pattern = FailurePattern.no_failures(3)

@@ -2341,11 +2341,12 @@ def _sparse_adversary(ticks: int, n: int = 16, seed: int = 1) -> Simulation:
 
 
 @pytest.mark.skipif(not HAS_COMPILED_LOOP, reason="C loop not built")
-def test_an_executed_step_costs_at_most_five_python_calls():
-    # What a step pays in Python besides its handler: one call into the
-    # stack, one into the layer, one Omega read; no detector query once
-    # Omega settled, one delay-profile call per broadcast. The count is
-    # deterministic, so it guards the fixed cost itself.
+def test_an_executed_step_costs_at_most_two_and_a_fifth_python_calls():
+    # What a step pays in Python: the layer's handler, about one per step.
+    # The loop runs the stack's dispatch itself (no ProtocolStack frame),
+    # the Omega read is C (no LayerContext.omega frame), no detector query
+    # once Omega settled, one delay-profile call per broadcast. The count
+    # is deterministic (2.04 per step), so it guards the fixed cost itself.
     sim = _sparse_adversary(100_000)
     calls = 0
 
@@ -2362,4 +2363,4 @@ def test_an_executed_step_costs_at_most_five_python_calls():
     assert sim.fused_path == "c-loop"
     steps = sim.metrics.steps
     assert steps > 10_000
-    assert calls <= 5 * steps, calls / steps
+    assert calls <= 2.2 * steps, calls / steps

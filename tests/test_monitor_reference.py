@@ -88,6 +88,14 @@ def reference_etob(run, correct):
             t for other in correct
             if other != pid and not order_consistent(seq, current[other])
         ]
+    unordered = [
+        f"total-order: p{a} and p{b} still order common messages "
+        "differently at the end of the run"
+        for i, a in enumerate(correct)
+        for b in correct[i + 1:]
+        if not order_consistent(current[a], current[b])
+    ]
+    violations += unordered
     return EtobReport(
         validity_ok=validity_ok,
         no_creation_ok=not phantom,
@@ -98,6 +106,7 @@ def reference_etob(run, correct):
         violations=violations,
         stability_violations=len(rewrites),
         order_violations=len(conflicts),
+        total_order_ok=not unordered,
     )
 
 

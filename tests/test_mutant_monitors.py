@@ -46,7 +46,7 @@ CASES = {
         PROMISE_CHECK_CELL,
         EtobMonitor,
         check_etob,
-        lambda report: report.tau_total_order == 0,
+        lambda report: report.total_order_ok,
     ),
     "etob-duplicate-delivery": (
         DUPLICATE_CELL,

@@ -16,6 +16,7 @@ the context's lists are empty after every step on every leg.
 import copy
 import pickle
 from array import array
+from collections import deque
 
 import pytest
 
@@ -23,7 +24,9 @@ from repro.sim import (
     ConfigurationError,
     FailurePattern,
     FixedDelay,
+    Layer,
     Process,
+    ProtocolStack,
     SimObserver,
     Simulation,
     make_network,
@@ -784,6 +787,64 @@ def ckernel():
     return _ckernel
 
 
+class Pulse(Layer):
+    """Bottom: beats to its peers on each timeout and reports each beat,
+    sent or heard, upward, so the stack's pending queue is drained both
+    after a message and after a timeout."""
+
+    def on_timeout(self, ctx):
+        ctx.send_all(("beat", ctx.time), include_self=False)
+        ctx.emit_upper(("beat", ctx.time))
+
+    def on_message(self, ctx, sender, payload):
+        ctx.emit_upper(payload)
+
+
+class Heard(Layer):
+    """Top: outputs every event from below."""
+
+    def on_lower_event(self, ctx, event):
+        ctx.output(event)
+
+
+def _planned_sim(reshape) -> Simulation:
+    """Three two-layer stacks on the C loop; p1's dispatch plan goes
+    through ``reshape`` first."""
+    stacks = [ProtocolStack([Pulse(), Heard()]) for __ in range(3)]
+    sim = Simulation(stacks, delay_model=FixedDelay(2), timeout_interval=3,
+                     kernel="compiled-loop", record="metrics")
+    plan = stacks[1]._dispatch_plan
+    stacks[1]._dispatch_plan = lambda ctx: reshape(plan(ctx))
+    return sim
+
+
+def _no_plan(plan):
+    raise ZeroDivisionError("no plan")
+
+
+#: what becomes of a stack's dispatch plan -> (the error the loop raises,
+#: what it says)
+PLAN_REFUSALS = {
+    "plan-raises": (_no_plan, ZeroDivisionError, "no plan"),
+    "plan-not-a-tuple": (list, TypeError, "dispatch plan"),
+    "plan-short": (lambda plan: plan[:5], TypeError, "dispatch plan"),
+    "handlers-not-a-tuple": (
+        lambda plan: (list(plan[0]),) + plan[1:], TypeError, "dispatch plan"),
+    "no-layers": (lambda plan: ((), ()) + plan[2:], TypeError, "dispatch plan"),
+    "a-context-missing": (
+        lambda plan: (plan[0], plan[1][:1]) + plan[2:], TypeError,
+        "dispatch plan"),
+    "a-timeout-context-missing": (
+        lambda plan: plan[:3] + ((),) + plan[4:], TypeError, "dispatch plan"),
+    "pending-unreadable": (
+        lambda plan: plan[:4] + (Unreadable(),) + plan[5:], ZeroDivisionError,
+        "no truth value"),
+    "drain-not-callable": (
+        lambda plan: plan[:4] + (deque([None]), None), TypeError,
+        "not callable"),
+}
+
+
 @needs_c_loop
 class TestTheCKernelRefusesWhatItCannotRun:
     """Every refusal the kernel makes, each with the error it names: state
@@ -800,6 +861,22 @@ class TestTheCKernelRefusesWhatItCannotRun:
         assert sim.failed is raised.value
         if name != "cursor-missing":
             assert_buffers_released(sim)
+
+    @pytest.mark.parametrize("name", sorted(PLAN_REFUSALS))
+    def test_a_malformed_dispatch_plan(self, name):
+        reshape, error, message = PLAN_REFUSALS[name]
+        sim = _planned_sim(reshape)
+        with pytest.raises(error, match=message) as raised:
+            sim.run_until(50)
+        assert sim.failed is raised.value
+        assert_buffers_released(sim)
+
+    def test_a_stack_without_a_plan_runs_its_own_methods(self):
+        planned, unplanned = _planned_sim(tuple), _planned_sim(lambda plan: None)
+        for sim in (planned, unplanned):
+            sim.run_until(50)
+        assert sim.metrics.outputs > 0
+        assert run_digest(planned) == run_digest(unplanned)
 
     def test_a_seed_that_is_not_an_int(self):
         sim = _chatter_sim("compiled-loop", "event", "random")

@@ -7,7 +7,7 @@ import pytest
 from repro.consensus import PaxosConsensusLayer
 from repro.core import EcDriverLayer
 from repro.detectors import CompositeDetector, OmegaDetector, SigmaDetector
-from repro.properties import check_ec, check_tob
+from repro.properties import check_ec, check_etob, check_tob
 from repro.sim import (
     FailurePattern,
     FixedDelay,
@@ -197,8 +197,26 @@ def test_the_cheapest_cell_kills_the_acceptor_without_the_promise_check(
     assert not report.ok
     assert report.etob.tau_total_order == 85
     assert report.violations == [
-        "total order violated until t=84 (strong TOB requires none)"
+        "total-order: p0 and p1 still order common messages differently at "
+        "the end of the run",
+        "total-order: p1 and p2 still order common messages differently at "
+        "the end of the run",
+        "total order violated until t=84 (strong TOB requires none)",
     ]
+
+
+def test_the_promise_check_mutant_fails_etob_total_order(monkeypatch):
+    # The conflict is still open when the run ends: ETOB's total order never
+    # held, so check_etob fails too, not only strong TOB.
+    real_spec = replace(PROMISE_CHECK_CELL, protocol="tob-consensus")
+    real = check_etob(run_plan(real_spec).run)
+    assert real.ok and real.total_order_ok, real.violations
+    register_mutants(monkeypatch)
+    report = check_etob(run_plan(PROMISE_CHECK_CELL).run)
+    assert not report.ok
+    assert not report.total_order_ok
+    assert report.validity_ok and report.agreement_ok
+    assert report.no_creation_ok and report.no_duplication_ok
 
 
 class TestSigmaQuorums:

@@ -285,8 +285,8 @@ def test_compiled_module_functions_are_pinned():
         n for n, v in vars(_ckernel).items()
         if callable(v) and not isinstance(v, type)
     ) == [
-        "block_permutation", "draw_below", "draw_unit", "run_loop",
-        "send_all_packed", "send_packed", "stable_hash",
+        "block_permutation", "draw_below", "draw_unit", "layer_omega",
+        "run_loop", "send_all_packed", "send_packed", "stable_hash",
     ]
 
 
