@@ -1,28 +1,29 @@
 #!/usr/bin/env python3
 """CI gate: compare fresh benchmark artifacts against the committed floors.
 
-``benchmarks/baselines.json`` is the single source of truth for every
-benchmark floor (the bench scripts themselves load their exit-code floors
-from it — no duplicated constants). This gate re-reads the fresh JSON
-artifacts the bench scripts wrote during the CI run and fails, with a
-readable delta table, when any measured metric sits below its floor or any
-required exact value mismatches::
+``benchmarks/baselines.json`` holds every benchmark floor of CI. This gate
+reads the fresh JSON artifacts a CI step wrote and fails, with a readable
+delta table, when any measured figure sits below its floor or any required
+exact value mismatches::
 
     python benchmarks/check_bench_floors.py [--baselines benchmarks/baselines.json]
                                             [--artifact-dir .] [--step bench]
 
 An entry belongs to the CI step its ``"step"`` names (``"bench"`` when it
-names none), and the gate checks one step's entries: the benchmark steps'
-after they ran, ``--step sanitizer`` the C kernel's coverage figures after
-the sanitizer step measured them.
+names none), and the gate checks one step's entries: the ``bench`` step's
+after the performance ruler ran (``python -m benchmarks.perf --quick
+--trace 1 --out bench_perf_quick.json``), ``--step sanitizer`` the C
+kernel's coverage figures after the sanitizer step measured them. The
+ruler's ``--out`` document is read through :func:`ruler_figures`; any other
+artifact is a flat object of figures.
 
 Exit codes: 0 all floors cleared; 1 a floor violated, a required value
-mismatched, or an expected artifact is missing (a bench that silently never
-ran must not pass the gate).
+mismatched, or an expected artifact or figure is missing (a bench that
+silently never ran must not pass the gate).
 
 To see the gate fail deliberately, raise any floor in ``baselines.json``
-above its nominal value (e.g. ``smoke_benchmark.floors.speedup`` to 1000)
-and rerun — the delta table flags the metric and the process exits 1.
+above its measured value (e.g. ``perf_ruler.floors.compiled_speedup`` to
+1000) and rerun: the delta table flags the figure and the process exits 1.
 """
 
 from __future__ import annotations
@@ -38,42 +39,61 @@ except ImportError:  # pragma: no cover - exercised by `python benchmarks/...`
     from step_summary import markdown_table, publish_step_summary
 
 
+def ruler_figures(document: dict) -> dict:
+    """The figures the floors name, read off the ruler's ``--out`` document.
+
+    ``correct`` is whether every run the document holds passed its checks;
+    ``compiled_speedup`` is ``dense_gossip``'s traced C-loop ticks/s over
+    its legacy-kernel ticks/s; ``compiled_ops_per_sec`` is ``kv_direct``'s
+    untraced throughput; ``cloop_engaged`` is ``dense_gossip``'s traced
+    ``sim.cloop_engaged``. A figure whose workload or trace pass the
+    document lacks is None.
+    """
+    runs = document.get("runs") or []
+    metrics = {(run["workload"], run["trace"]): run["metrics"] for run in runs}
+
+    def value(workload: str, trace: int, name: str):
+        metric = metrics.get((workload, trace), {}).get(name)
+        return None if metric is None else metric["value"]
+
+    compiled = value("dense_gossip", 1, "sim.kernel.compiled-loop.ticks_per_s")
+    legacy = value("dense_gossip", 1, "sim.kernel.legacy.ticks_per_s")
+    ops = value("kv_direct", 0, "throughput_per_s")
+    return {
+        "correct": bool(runs) and all(run["correct"] for run in runs),
+        "compiled_speedup": (
+            round(compiled / legacy, 2) if compiled is not None and legacy else None
+        ),
+        "compiled_ops_per_sec": None if ops is None else round(ops),
+        "cloop_engaged": value("dense_gossip", 1, "sim.cloop_engaged"),
+    }
+
+
 def iter_checks(baselines: dict, artifact_dir: Path, step: str = "bench"):
-    """Yield one check row per (bench, metric) of the entries of ``step``:
+    """Yield one check row per (bench, figure) of the entries of ``step``:
     floors then required values.
 
-    Row shape: ``(bench, metric, kind, expected, measured, ok)`` where
-    ``kind`` is ``">="`` for floors, ``">=?"`` for optional floors (skipped
-    when the present artifact reports the metric as null — a rung the leg
-    could not run), and ``"=="`` for required exact values; ``measured`` is
-    None when the artifact is missing or lacks the metric.
+    Row shape: ``(bench, figure, kind, expected, measured, ok)`` where
+    ``kind`` is ``">="`` for floors and ``"=="`` for required exact values;
+    ``measured`` is None when the artifact is missing or lacks the figure.
     """
     for bench, spec in baselines.items():
         if bench.startswith("_") or spec.get("step", "bench") != step:
             continue
         artifact = artifact_dir / spec["artifact"]
-        fresh: dict | None = None
+        fresh: dict = {}
         if artifact.is_file():
             fresh = json.loads(artifact.read_text())
+            if "runs" in fresh:
+                fresh = ruler_figures(fresh)
         else:
             yield (bench, "(artifact)", "exists", spec["artifact"], None, False)
         for metric, floor in spec.get("floors", {}).items():
-            measured = None if fresh is None else fresh.get(metric)
+            measured = fresh.get(metric)
             ok = isinstance(measured, (int, float)) and measured >= floor
             yield (bench, metric, ">=", floor, measured, ok)
-        for metric, floor in spec.get("optional_floors", {}).items():
-            # Floors for metrics a leg may legitimately not measure (e.g.
-            # compiled_speedup without the C extension): a null/absent value
-            # in a present artifact skips the check rather than failing it;
-            # a measured value is held to the floor like any other.
-            measured = None if fresh is None else fresh.get(metric)
-            if fresh is not None and measured is None:
-                yield (bench, metric, ">=?", floor, "skipped", True)
-                continue
-            ok = isinstance(measured, (int, float)) and measured >= floor
-            yield (bench, metric, ">=?", floor, measured, ok)
         for metric, expected in spec.get("require", {}).items():
-            measured = None if fresh is None else fresh.get(metric)
+            measured = fresh.get(metric)
             yield (bench, metric, "==", expected, measured, measured == expected)
 
 
@@ -83,7 +103,7 @@ def render_table(rows: list[tuple]) -> str:
                "margin", "status")
     body = []
     for bench, metric, kind, expected, measured, ok in rows:
-        if kind in (">=", ">=?") and isinstance(measured, (int, float)):
+        if kind == ">=" and isinstance(measured, (int, float)):
             margin = f"{measured - expected:+.2f}"
         else:
             margin = "-"
@@ -123,7 +143,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--artifact-dir",
         default=".",
-        help="directory holding the fresh bench JSON artifacts (default: cwd)",
+        help="directory holding the fresh JSON artifacts (default: cwd)",
     )
     parser.add_argument(
         "--step",

@@ -155,8 +155,8 @@ COMMENTARY = {
         "ETOB and the EC->ETOB transformation to Paxos-backed strong TOB, "
         "while all stacks serve every operation. Percentiles are streamed "
         "through a bucketed histogram on the fused simulation loop — the "
-        "same observer `benchmarks/bench_workload.py` runs at a million "
-        "operations."
+        "same observer the performance ruler's `kv_direct` workload runs "
+        "at 50 000 operations per repeat."
     ),
 }
 
@@ -233,8 +233,8 @@ METHODOLOGY = """\
   continues from its crash-safe journal and a warm rerun executes zero
   cells, emitting these files byte-identically — which is why timing lives
   on stderr, not here.
-  `benchmarks/bench_report_wallclock.py` measures the packed campaign
-  against the old sequential per-experiment sweeps.
+  The performance ruler's `report_campaign` workload times this campaign
+  cold and warm.
 """
 
 

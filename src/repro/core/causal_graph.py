@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from bisect import insort
 from itertools import filterfalse
+from operator import itemgetter
 from typing import Dict, Iterable, Sequence
 
 from repro.core.messages import AppMessage, MessageId
@@ -201,7 +202,16 @@ class CausalGraph:
         The same tuple object is returned until the next insertion.
         """
         if self._snapshot is None:
-            self._snapshot = tuple(map(self._nodes.__getitem__, self._sorted))
+            # Built at its exact size: ``tuple(map(...))`` shrinks a guessed
+            # one, and Python 3.11 frees a tuple it fails to shrink without
+            # releasing its items. ``itemgetter`` of one key returns the
+            # bare item, so the graphs of fewer than two messages are
+            # built by hand.
+            keys = self._sorted
+            if len(keys) > 1:
+                self._snapshot = itemgetter(*keys)(self._nodes)
+            else:
+                self._snapshot = (self._nodes[keys[0]],) if keys else ()
         return self._snapshot
 
     def edges(self) -> set[tuple[MessageId, MessageId]]:

@@ -30,8 +30,6 @@ Built-in targets:
   majority), adversary choosing the permutation key, env seed, link jitter,
   and the crash pattern over processes 0-2. Objective: discovered ETOB tau
   of the survivors.
-- ``demo-rugged`` — a pure-arithmetic rugged landscape for fast, kernel-free
-  driver tests (no simulation behind it; its digest folds the point only).
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ from repro.sim import (
 )
 from repro.sim.errors import ConfigurationError
 from repro.sim.kernel import DEFAULT_KERNEL
-from repro.sim.types import stable_hash
 
 __all__ = [
     "TARGETS",
@@ -336,46 +333,4 @@ register_target(FalsifyTarget(
     build=_build_exp8,
     baseline_run=lambda seed: _etob_tau(_exp8_spec(seed)),
     cost=0.12,
-))
-
-
-_DEMO_ENVELOPE = Envelope(
-    n=3,
-    params=(
-        IntParam("x", 0, 64),
-        IntParam("y", 0, 64),
-        IntParam("k", 0, (1 << 20) - 1, kind="key"),
-    ),
-)
-
-
-def _demo_value(point: dict) -> tuple[float, int]:
-    """A rugged two-hill landscape: smooth ridges plus hash noise."""
-    x, y, k = point["x"], point["y"], point["k"]
-    smooth = 80 - abs(x - 23) - abs(y - 41)
-    noise = stable_hash("demo-noise", x, y) % 7
-    bonus = stable_hash("demo-key", k) % 5
-    value = float(smooth + noise + bonus)
-    return value, stable_hash("demo-digest", x, y, k)
-
-
-def _baseline_demo(seed: int) -> float:
-    return _demo_value(_DEMO_ENVELOPE.random_point(
-        stable_hash("demo-iid", seed)
-    ))[0]
-
-
-register_target(FalsifyTarget(
-    name="demo-rugged",
-    experiment="DEMO",
-    description=(
-        "pure-arithmetic rugged landscape (no simulation) for fast "
-        "deterministic driver tests and CLI smoke runs"
-    ),
-    objective="raw",
-    envelope=_DEMO_ENVELOPE,
-    axes={"landscape": "two-hill"},
-    evaluate_point=_demo_value,
-    baseline_run=_baseline_demo,
-    cost=0.001,
 ))

@@ -59,7 +59,6 @@ from repro.sim.network import Network
 from repro.sim.observers import (
     RECORD_LEVELS,
     FullRecorder,
-    LegacyFullRecorder,
     MetricsRecorder,
     OutputMonitor,
     OutputsRecorder,
@@ -108,7 +107,6 @@ __all__ = [
     "registered_envs",
     "FullRecorder",
     "Layer",
-    "LegacyFullRecorder",
     "LayerContext",
     "MetricsRecorder",
     "Network",

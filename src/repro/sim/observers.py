@@ -261,8 +261,8 @@ class FullRecorder(SimObserver):
     def __init__(self, run: RunRecord) -> None:
         if not isinstance(run.steps, StepStore):
             raise ConfigurationError(
-                "FullRecorder needs a columnar run; record a list-backed "
-                "one with LegacyFullRecorder"
+                "FullRecorder needs a columnar run; build it with "
+                "RunRecord(n, pattern)"
             )
         self.run = run
         self._store = run.steps
@@ -311,36 +311,6 @@ class FullRecorder(SimObserver):
         run = self.run
         if end - 1 > run.end_time:
             run.end_time = end - 1
-
-    def on_log(self, sim: "Simulation", t: Time, pid: ProcessId, event: Any) -> None:
-        self.run.log.append((t, pid, event))
-
-
-class LegacyFullRecorder(SimObserver):
-    """Full-fidelity recording into a plain list of ``StepRecord`` objects.
-
-    The pre-columnar data plane, kept on purpose: the differential tests pin
-    the columnar store byte-identical against it, and
-    ``benchmarks/bench_dataplane.py`` uses it as the wall-clock / peak-memory
-    baseline. Attach via ``Simulation(record="none",
-    observers=[LegacyFullRecorder(run)])`` where ``run`` was built with
-    ``steps=[]``; every step — idle ticks included — is materialized by the
-    base hooks and retained as a dataclass, exactly as the seed engine
-    recorded.
-    """
-
-    wants_idle_steps = True
-
-    def __init__(self, run: RunRecord) -> None:
-        if isinstance(run.steps, StepStore):
-            raise ConfigurationError(
-                "LegacyFullRecorder needs a list-backed run; build it with "
-                "RunRecord(n, pattern, steps=[])"
-            )
-        self.run = run
-
-    def on_step(self, sim: "Simulation", record: StepRecord) -> None:
-        self.run.record_step(record)
 
     def on_log(self, sim: "Simulation", t: Time, pid: ProcessId, event: Any) -> None:
         self.run.log.append((t, pid, event))

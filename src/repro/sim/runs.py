@@ -15,9 +15,8 @@ are materialized on access (``steps[i]``, iteration, :meth:`RunRecord.steps_of`)
 and never retained, so a million-tick run costs a few flat arrays instead of
 a million dataclass objects. A :class:`StepStore` compares equal to a plain
 list of equal :class:`StepRecord` s, and a ``RunRecord`` may be built over
-either representation — the legacy list form is kept as the differential
-oracle for the columnar store (see
-:class:`repro.sim.observers.LegacyFullRecorder`).
+either representation — the list form is kept as the differential oracle
+for the columnar store (``LegacyFullRecorder`` in ``tests/helpers.py``).
 
 Property checkers (``repro.properties``) consume these records; checkers
 that only need times or detector samples should use the column queries

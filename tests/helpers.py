@@ -34,7 +34,9 @@ from repro.detectors import CompositeDetector, OmegaDetector, SigmaDetector
 from repro.sim import FailurePattern, FixedDelay, ProtocolStack, Simulation
 from repro.sim.context import Context
 from repro.sim.kernel import HAS_COMPILED, KERNELS
-from repro.sim.errors import ProtocolError
+from repro.sim.errors import ConfigurationError, ProtocolError
+from repro.sim.observers import SimObserver
+from repro.sim.runs import RunRecord, StepRecord, StepStore
 from repro.sim.types import ProcessId
 
 
@@ -636,3 +638,30 @@ class ReferenceStack(ProtocolStack):
         for index, layer in enumerate(self.layers):
             layer.on_timeout(ReferenceLayerContext(self, ctx, index))
         self._drain(ctx)
+
+
+class LegacyFullRecorder(SimObserver):
+    """Full-fidelity recording into a plain list of ``StepRecord`` objects:
+    the pre-columnar data plane, kept as the oracle that the columnar
+    ``StepStore`` is pinned byte-identical against, and as the baseline of
+    its peak-memory test (``tests/test_dataplane.py``). Attach via
+    ``Simulation(record="none", observers=[LegacyFullRecorder(run)])`` where
+    ``run`` was built with ``steps=[]``; every step, idle ticks included,
+    is materialized by the base hooks and retained as a dataclass, exactly
+    as the seed engine recorded."""
+
+    wants_idle_steps = True
+
+    def __init__(self, run: RunRecord) -> None:
+        if isinstance(run.steps, StepStore):
+            raise ConfigurationError(
+                "LegacyFullRecorder needs a list-backed run; build it with "
+                "RunRecord(n, pattern, steps=[])"
+            )
+        self.run = run
+
+    def on_step(self, sim: Simulation, record: StepRecord) -> None:
+        self.run.record_step(record)
+
+    def on_log(self, sim: Simulation, t: int, pid: ProcessId, event: Any) -> None:
+        self.run.log.append((t, pid, event))

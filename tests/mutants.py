@@ -25,6 +25,7 @@ from repro.core import EcDriverLayer, EcUsingOmegaLayer
 from repro.core.etob import EtobLayer, PromoteSequence
 from repro.detectors.omega import OmegaHistory
 from repro.protocols import PROTOCOLS, ProtocolEntry
+from repro.replication import ReplicaLayer
 from repro.sim.failures import FailurePattern
 from repro.sim.stack import LayerContext
 from repro.sim.types import ProcessId, Time
@@ -139,6 +140,26 @@ class OmegaNeverStabilises(OmegaHistory):
 
     def settles(self) -> None:
         return None
+
+
+class ReplicaAppliesUncommittedSuffix(ReplicaLayer):
+    """A KV replica that treats every command it has applied as committed:
+    each delivery's commands past that length are applied on top, and a
+    delivered sequence that reorders or replaces the applied suffix never
+    rolls it back.
+
+    Before Ω stabilises ETOB may deliver a sequence that does not extend
+    the last one, so the replica's state drifts from the sequence it was
+    delivered and from the other replicas. Killed by
+    ``test_incremental_differential.replica_violations`` ("p0: state ...
+    is not its delivered sequence applied in order"). A replica sits
+    above a broadcast stack rather than in the protocol registry, so it
+    has no protocol name, and no live monitor checks a replica yet.
+    """
+
+    def _adopt(self, ctx: LayerContext, sequence: tuple) -> None:
+        applied = self.applied_seq
+        super()._adopt(ctx, applied + sequence[len(applied):])
 
 
 #: test-only protocol name -> the registry entry of one mutant.

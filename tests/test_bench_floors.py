@@ -1,10 +1,13 @@
-"""Unit tests for the benchmark floor gate (benchmarks/check_bench_floors.py)
-and the single-source-of-truth contract of benchmarks/baselines.json."""
+"""Unit tests for the benchmark floor gate (benchmarks/check_bench_floors.py):
+flat artifacts, the performance ruler's ``--out`` document, and the floors
+committed in benchmarks/baselines.json."""
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+
+import pytest
 
 from benchmarks import check_bench_floors
 
@@ -66,25 +69,6 @@ class TestGate:
         write(tmp_path, "fresh.json", {"results_identical": True})
         assert gate(tmp_path, BASE) == 1
 
-    def test_optional_floor_is_skipped_when_null_and_held_when_measured(
-        self, tmp_path
-    ):
-        # The shape of bench_workload's compiled_ops_per_sec: null on a leg
-        # without the C extension, a gated number on the leg with it.
-        optional = {
-            "some_bench": {
-                **BASE["some_bench"],
-                "optional_floors": {"compiled_ops_per_sec": 20000},
-            }
-        }
-        fresh = {"speedup": 3.1, "results_identical": True}
-        write(tmp_path, "fresh.json", {**fresh, "compiled_ops_per_sec": None})
-        assert gate(tmp_path, optional) == 0
-        write(tmp_path, "fresh.json", {**fresh, "compiled_ops_per_sec": 80000})
-        assert gate(tmp_path, optional) == 0
-        write(tmp_path, "fresh.json", {**fresh, "compiled_ops_per_sec": 19999})
-        assert gate(tmp_path, optional) == 1
-
     def test_each_step_checks_its_own_entries(self, tmp_path):
         # The sanitizer step's coverage entry is neither required nor
         # checked by the benchmark steps' gate, and the other way round.
@@ -113,15 +97,94 @@ class TestGate:
         )[1].splitlines()[0].split("|")[4]
 
 
+def metric(value: float) -> dict:
+    return {"value": value, "unit": "1/s"}
+
+
+def ruler_document(*, legacy=300_000.0, compiled=4_500_000.0, ops=160_000.0,
+                   engaged=1, correct=True, drop=()) -> dict:
+    """The shape of ``python -m benchmarks.perf --quick --trace 1 --out``,
+    cut down to the passes the floors read; ``drop`` leaves out passes
+    named ``(workload, trace)``."""
+    runs = [
+        {"workload": "dense_gossip", "trace": 0, "correct": True,
+         "metrics": {"throughput_per_s": metric(4.7e6)}},
+        {"workload": "dense_gossip", "trace": 1, "correct": True,
+         "metrics": {
+             "sim.kernel.legacy.ticks_per_s": metric(legacy),
+             "sim.kernel.compiled-loop.ticks_per_s": metric(compiled),
+             "sim.cloop_engaged": {"value": engaged, "unit": "count"},
+         }},
+        {"workload": "kv_direct", "trace": 0, "correct": correct,
+         "metrics": {"throughput_per_s": metric(ops)}},
+        {"workload": "kv_direct", "trace": 1, "correct": True,
+         "metrics": {"sim.cloop_engaged": {"value": 0, "unit": "count"}}},
+    ]
+    return {
+        "seed": 1, "quick": True,
+        "runs": [r for r in runs if (r["workload"], r["trace"]) not in drop],
+        "selfcheck_problems": [], "claim": None,
+    }
+
+
+def ruler_gate(tmp_path, document) -> int:
+    """The committed bench-step floors against one ruler document."""
+    write(tmp_path, "bench_perf_quick.json", document)
+    return check_bench_floors.main(["--artifact-dir", str(tmp_path)])
+
+
+class TestRulerDocument:
+    def test_every_floor_clears(self, tmp_path, capsys):
+        # 15x, 160k ops/s, the C loop engaged, every check passed
+        assert ruler_gate(tmp_path, ruler_document()) == 0
+        assert "OK: all 4 benchmark floor checks cleared" in capsys.readouterr().out
+
+    def test_the_figures_read_off_the_document(self):
+        assert check_bench_floors.ruler_figures(ruler_document()) == {
+            "correct": True, "compiled_speedup": 15.0,
+            "compiled_ops_per_sec": 160_000, "cloop_engaged": 1,
+        }
+
+    def test_fails_when_the_ratio_falls_below_its_floor(self, tmp_path, capsys):
+        # 1.32M / 300k = 4.4x, under the 4.5x floor
+        assert ruler_gate(tmp_path, ruler_document(compiled=1_320_000.0)) == 1
+        row = [line for line in capsys.readouterr().out.splitlines()
+               if "compiled_speedup" in line][0]
+        assert "4.4" in row and "FAIL" in row
+
+    def test_fails_below_the_ops_floor_or_off_the_c_loop(self, tmp_path):
+        assert ruler_gate(tmp_path, ruler_document(ops=19_999.0)) == 1
+        assert ruler_gate(tmp_path, ruler_document(engaged=0)) == 1
+
+    @pytest.mark.parametrize(
+        "missing", [("dense_gossip", 1), ("kv_direct", 0)],
+    )
+    def test_fails_when_a_pass_it_reads_is_missing(self, tmp_path, missing):
+        assert ruler_gate(tmp_path, ruler_document(drop=[missing])) == 1
+
+    def test_fails_when_a_workload_is_missing_altogether(self, tmp_path, capsys):
+        document = ruler_document(
+            drop=[("kv_direct", 0), ("kv_direct", 1)]
+        )
+        assert ruler_gate(tmp_path, document) == 1
+        assert "MISSING" in capsys.readouterr().out
+
+    def test_fails_when_a_run_is_not_correct(self, tmp_path):
+        assert ruler_gate(tmp_path, ruler_document(correct=False)) == 1
+
+    def test_fails_on_an_empty_document(self, tmp_path):
+        assert ruler_gate(tmp_path, ruler_document(drop=[
+            ("dense_gossip", 0), ("dense_gossip", 1),
+            ("kv_direct", 0), ("kv_direct", 1),
+        ])) == 1
+
+
 class TestCommittedBaselines:
     def test_baselines_parse_and_cover_the_ci_benches(self):
         baselines = json.loads(BASELINES_PATH.read_text())
         benches = {k for k in baselines if not k.startswith("_")}
         assert {k for k in benches if "step" not in baselines[k]} == {
-            "smoke_benchmark",
-            "bench_dataplane",
-            "bench_report_wallclock",
-            "bench_workload",
+            "perf_ruler"
         }
         assert {
             k for k in benches if baselines[k].get("step") == "sanitizer"
@@ -130,45 +193,17 @@ class TestCommittedBaselines:
             assert spec["artifact"].endswith(".json")
             assert spec.get("floors") or spec.get("require")
 
-    def test_bench_scripts_read_floors_from_baselines(self):
-        # Single source of truth: the scripts' module-level floors must be
-        # exactly the committed numbers, not re-declared constants.
-        from benchmarks import bench_dataplane, smoke_benchmark
-
-        baselines = json.loads(BASELINES_PATH.read_text())
-        assert (
-            smoke_benchmark.REQUIRED_SPEEDUP
-            == baselines["smoke_benchmark"]["floors"]["speedup"]
-        )
-        assert (
-            bench_dataplane.REQUIRED_SPEEDUP
-            == baselines["bench_dataplane"]["floors"]["speedup"]
-        )
-        assert (
-            bench_dataplane.REQUIRED_MEMORY_RATIO
-            == baselines["bench_dataplane"]["floors"]["memory_ratio"]
-        )
-
-    def test_workload_bench_reads_floors_from_baselines(self):
-        from benchmarks import bench_workload
-
-        baselines = json.loads(BASELINES_PATH.read_text())
-        floors = baselines["bench_workload"]["floors"]
-        assert bench_workload.REQUIRED_OPS_PER_SEC == floors["ops_per_sec"]
-        assert bench_workload.REQUIRED_OPS_PER_MIB == floors["ops_per_mib"]
-        # the pure-Python legs keep their floor; a build with the C
-        # extension answers to a higher one of its own
-        optional = baselines["bench_workload"]["optional_floors"]
-        assert (
-            bench_workload.REQUIRED_COMPILED_OPS_PER_SEC
-            == optional["compiled_ops_per_sec"]
-            > floors["ops_per_sec"]
-        )
-        assert baselines["bench_workload"]["require"] == {
-            "pinned": True,
-            "scale_served": True,
-            "memory_served": True,
+    def test_every_ruler_floor_names_a_figure_the_gate_reads(self):
+        spec = json.loads(BASELINES_PATH.read_text())["perf_ruler"]
+        assert spec["artifact"] == "bench_perf_quick.json"
+        figures = check_bench_floors.ruler_figures(ruler_document())
+        assert set(spec["floors"]) | set(spec["require"]) == set(figures)
+        assert spec["floors"] == {
+            "compiled_speedup": 4.5,
+            "compiled_ops_per_sec": 20_000,
+            "cloop_engaged": 1,
         }
+        assert spec["require"] == {"correct": True}
 
 
 def test_the_coverage_figures_are_read_off_the_kernels_gcov_block():

@@ -353,12 +353,12 @@ def stack_sim(make_stack, inputs) -> Simulation:
 
 
 #: a real ETOB stack and a two-layer stack whose handlers queue a drain,
-#: each swept over ticks 30 to 60. The ETOB broadcasts go out unarmed,
-#: before tick 30: the swept ticks hold timeouts, promotes, the updates
-#: still in flight and the adoptions.
+#: each swept over ticks 30 to 60. The ETOB cell's second broadcast falls
+#: inside the swept ticks, beside timeouts, promotes, the updates still in
+#: flight and the adoptions.
 STACK_CELLS = {
     "etob": (etob_stack, ((1, 2, ("broadcast", "m1")),
-                          (2, 25, ("broadcast", "m2")))),
+                          (2, 31, ("broadcast", "m2")))),
     "two-layer-drain": (pulse_stack, ()),
 }
 

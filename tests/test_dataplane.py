@@ -12,7 +12,8 @@ Four pillars:
   every network asks the model the same calls;
 - differential tests asserting the columnar :class:`StepStore` is
   byte-identical — by equality and by pickle — to the legacy list-of-records
-  recording it replaced, on both scheduling policies and both engines;
+  recording it replaced, on both scheduling policies and both engines, and
+  that it holds a dense run in a fraction of that recording's memory;
 - the regression for never-deliverable mail: envelopes crossing a permanent
   partition sit at or past ``NEVER`` in the cursors, and
   ``run_until_quiescent`` must not wait for them (nor for mail to a crashed
@@ -22,6 +23,7 @@ Four pillars:
 from __future__ import annotations
 
 import pickle
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,7 +34,6 @@ from repro.sim import (
     FailurePattern,
     FixedDelay,
     FullRecorder,
-    LegacyFullRecorder,
     Network,
     OneWayPartition,
     PackedNetwork,
@@ -46,6 +47,7 @@ from repro.sim.network import deliver_time
 from repro.sim.runs import ReceivedMessage
 from repro.sim.types import NEVER
 
+from helpers import LegacyFullRecorder
 from test_engine_differential import build_sim, random_config, run_sim
 
 
@@ -304,8 +306,47 @@ class TestColumnarVsLegacyRecording:
         pattern = FailurePattern.no_failures(2)
         with pytest.raises(ConfigurationError):
             LegacyFullRecorder(RunRecord(2, pattern))
-        with pytest.raises(ConfigurationError, match="LegacyFullRecorder"):
+        with pytest.raises(ConfigurationError, match="columnar run"):
             FullRecorder(RunRecord(2, pattern, steps=[]))
+
+
+class Gossip(Process):
+    """Saturating traffic source: broadcast to the peers on every timeout."""
+
+    def on_timeout(self, ctx):
+        ctx.send_all(("beat", ctx.time), include_self=False)
+
+    def on_message(self, ctx, sender, payload):
+        pass
+
+
+#: the list recorder's peak traced memory over the columnar store's, on
+#: a dense full-fidelity run, must stay at least this (about 3.9x)
+MEMORY_RATIO_FLOOR = 2.5
+
+
+def peak_traced_bytes(observers=(), **options) -> int:
+    """Peak ``tracemalloc`` bytes of 60 000 ticks of a saturated gossip
+    mesh on the legacy kernel, where a step is retained on most ticks."""
+    tracemalloc.start()
+    try:
+        sim = Simulation(
+            [Gossip() for _ in range(4)], delay_model=FixedDelay(2),
+            timeout_interval=32, seed=0, kernel="legacy",
+            observers=list(observers), **options,
+        )
+        sim.run_until(60_000)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_columnar_store_keeps_a_dense_run_in_less_memory():
+    columnar = peak_traced_bytes(record="full")
+    legacy_run = RunRecord(4, FailurePattern.no_failures(4), steps=[], seed=0)
+    legacy = peak_traced_bytes([LegacyFullRecorder(legacy_run)], record="none")
+    assert len(legacy_run.steps) == 60_000
+    assert legacy / columnar >= MEMORY_RATIO_FLOOR, (legacy, columnar)
 
 
 class TestRunRecordSerialization:

@@ -16,21 +16,27 @@ Runs under the ``ci`` Hypothesis profile (derandomized) in CI.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.search import (
     Envelope,
+    FalsifyTarget,
     IntParam,
     evaluate,
     falsify,
     get_target,
     normalize_point,
     point_key,
+    register_target,
     registered_targets,
 )
+from repro.search import targets
 from repro.sim.errors import ConfigurationError
+from repro.sim.types import stable_hash
 
 keys = st.integers(min_value=0, max_value=2**63 - 1)
 
@@ -48,7 +54,58 @@ MAJORITY_ENVELOPE = Envelope(
     max_crashes=5,
     majority=True,
 )
+DEMO_ENVELOPE = Envelope(
+    n=3,
+    params=(
+        IntParam("x", 0, 64),
+        IntParam("y", 0, 64),
+        IntParam("k", 0, (1 << 20) - 1, kind="key"),
+    ),
+)
+
+
+def demo_value(point: dict) -> tuple[float, int]:
+    """A rugged two-hill landscape: smooth ridges plus hash noise."""
+    x, y, k = point["x"], point["y"], point["k"]
+    smooth = 80 - abs(x - 23) - abs(y - 41)
+    noise = stable_hash("demo-noise", x, y) % 7
+    bonus = stable_hash("demo-key", k) % 5
+    value = float(smooth + noise + bonus)
+    return value, stable_hash("demo-digest", x, y, k)
+
+
+#: a pure-arithmetic target (no simulation behind it; its digest folds the
+#: point only), so the searcher's own determinism is tested in milliseconds
+DEMO_TARGET = FalsifyTarget(
+    name="demo-rugged",
+    experiment="DEMO",
+    description="pure-arithmetic rugged landscape (no simulation)",
+    objective="raw",
+    envelope=DEMO_ENVELOPE,
+    axes={"landscape": "two-hill"},
+    evaluate_point=demo_value,
+    cost=0.001,
+)
+
+
+@contextmanager
+def demo_registered():
+    """``demo-rugged`` in the target registry until the block ends. Search
+    workers are forked from this process, so they see it too."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(targets, "TARGETS", dict(targets.TARGETS))
+        register_target(DEMO_TARGET)
+        yield
+
+
+@pytest.fixture
+def demo_target():
+    with demo_registered():
+        yield
+
+
 ENVELOPES = {name: get_target(name).envelope for name in registered_targets()}
+ENVELOPES["demo-rugged"] = DEMO_ENVELOPE
 ENVELOPES["majority"] = MAJORITY_ENVELOPE
 envelope_names = st.sampled_from(sorted(ENVELOPES))
 
@@ -140,8 +197,9 @@ class TestPurity:
     @settings(max_examples=40)
     @given(key=keys)
     def test_demo_trials_are_pure_in_the_point(self, key):
-        point = ENVELOPES["demo-rugged"].random_point(key)
-        assert evaluate("demo-rugged", point) == evaluate("demo-rugged", point)
+        point = DEMO_ENVELOPE.random_point(key)
+        with demo_registered():
+            assert evaluate("demo-rugged", point) == evaluate("demo-rugged", point)
 
     def test_experiment_trial_is_kernel_independent(self):
         # One real EXP-4 trial: the objective and the run digest must not
@@ -159,6 +217,7 @@ class TestPurity:
         assert point_key(normalized) == point_key(normalize_point(raw))
 
 
+@pytest.mark.usefixtures("demo_target")
 class TestSearchDeterminism:
     def _search(self, **kwargs):
         return falsify("demo-rugged", budget=48, seed=5, batch=6, **kwargs)

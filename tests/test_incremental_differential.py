@@ -26,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.helpers import BUILT_KERNELS, ReferenceCausalGraph
+from tests.mutants import ReplicaAppliesUncommittedSuffix
 from repro.consensus import PaxosConsensusLayer, TobFromConsensusLayer
 from repro.core import EcUsingOmegaLayer, EtobLayer
 from repro.core.causal_graph import CausalGraph, LinearizationError
@@ -443,18 +444,18 @@ PLAIN_LAYERS = {
 
 def replicated_run(
     stack, *, seed, tau_omega, delay_hi, invocations, n=3, checks=True,
-    horizon=420, **options,
+    horizon=420, replica=None, **options,
 ):
     """``n`` KV replicas over ``stack`` under reordering delays and an Omega
     that rotates leaders until ``tau_omega``; returns the finished sim.
-    ``options`` override the :class:`Simulation` keywords (``record``,
-    ``kernel``, ``observers``)."""
+    ``replica`` replaces the replica layer's class; ``options`` override the
+    :class:`Simulation` keywords (``record``, ``kernel``, ``observers``)."""
     pattern = FailurePattern.no_failures(n)
     detector = OmegaDetector(
         stabilization_time=tau_omega, pre_behavior="rotate", churn_period=5
     ).history(pattern, seed=seed)
     layers = (BROADCAST_LAYERS if checks else PLAIN_LAYERS)[stack]
-    replica = CheckedReplica if checks else ReplicaLayer
+    replica = replica or (CheckedReplica if checks else ReplicaLayer)
     sim = Simulation(
         [ProtocolStack(layers() + [replica(KvStore())]) for __ in range(n)],
         failure_pattern=pattern,
@@ -556,6 +557,55 @@ class TestLayersInsideRuns:
                 for checks in (True, False)
             }
             assert len(digests) == 1
+
+
+# -- a replica that skips its rollback ---------------------------------------------
+
+
+def replica_violations(sim) -> list[str]:
+    """One line per replica whose state is not the sequence its broadcast
+    layer last delivered applied in order, and one if the replicas end the
+    run in different states."""
+    lines = []
+    for pid, process in enumerate(sim.processes):
+        replica = process.layer("replica")
+        state = replica.machine.initial()
+        for message in process.layers[-2].delivered:
+            state, __ = replica.machine.apply(state, message.payload[2])
+        if replica.state != state:
+            lines.append(
+                f"p{pid}: state {replica.state} is not its delivered "
+                f"sequence applied in order ({state})"
+            )
+    states = [replica.state for replica in _replicas(sim)]
+    if any(state != states[0] for state in states):
+        lines.append(f"replicas end in different states: {states}")
+    return lines
+
+
+#: the cheapest killing cell of a scratch sweep (n = 3; 2 to 6 writes;
+#: tau_Omega 10, 20, 40; delays up to 3, 5, 7; seeds 0 to 7): Omega rotates
+#: until tick 40, and p0 is delivered (m1.0, m0.0) before (m0.0, m1.0).
+UNCOMMITTED_SUFFIX_CELL = dict(
+    seed=3, tau_omega=40, delay_hi=7, invocations=[(0, 4), (1, 9)],
+    horizon=45,
+)
+
+
+def test_the_cheapest_cell_kills_the_replica_applying_an_uncommitted_suffix():
+    real = replicated_run("etob", checks=False, **UNCOMMITTED_SUFFIX_CELL)
+    assert replica_violations(real) == []
+    assert sum(replica.rollbacks for replica in _replicas(real)) > 0
+    mutant = replicated_run(
+        "etob", checks=False, replica=ReplicaAppliesUncommittedSuffix,
+        **UNCOMMITTED_SUFFIX_CELL,
+    )
+    assert replica_violations(mutant) == [
+        "p0: state {'k0': 0} is not its delivered sequence applied in order "
+        "({'k0': 0, 'k1': 1})",
+        "replicas end in different states: "
+        "[{'k0': 0}, {'k0': 0, 'k1': 1}, {'k1': 1, 'k0': 0}]",
+    ]
 
 
 # -- whole runs pinned from the parent commit ------------------------------------

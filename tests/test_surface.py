@@ -113,7 +113,10 @@ def test_the_replaced_run_builders_stay_gone():
 # Code that only its own tests reached left ``src/``: the fluent builder
 # (tests build ``RunSpec`` + ``build_simulation``), the timeline renderer,
 # the URB / multivalued-consensus stack, two run checkers, ``run_while``,
-# and the live-pending counter (quiescence reads the delivery cursors).
+# the live-pending counter (quiescence reads the delivery cursors), the
+# list-of-records recorder (the columnar store's oracle in
+# ``tests/helpers.py``) and the ``demo-rugged`` falsify target (registered
+# by ``tests/test_falsify.py`` for its own tests).
 
 @pytest.mark.parametrize(
     "module", ["repro.scenario", "repro.sim.tracing", "repro.broadcast",
@@ -128,7 +131,7 @@ def test_the_test_only_names_stay_gone():
     import repro.consensus
     import repro.properties
     import repro.sim
-    from repro.search import OBJECTIVES
+    from repro.search import OBJECTIVES, registered_targets
 
     for module, names in (
         (repro, ("Scenario", "UrbLayer", "MultivaluedConsensusLayer",
@@ -136,7 +139,8 @@ def test_the_test_only_names_stay_gone():
         (repro.consensus, ("MultivaluedConsensusLayer",)),
         (repro.properties, ("UrbReport", "check_urb", "check_fairness",
                             "check_no_undelivered", "fairness_slack")),
-        (repro.sim, ("StepGapProbe",)),
+        (repro.sim, ("StepGapProbe", "LegacyFullRecorder")),
+        (repro.sim.observers, ("LegacyFullRecorder",)),
         (Simulation, ("run_while", "_sync_crash_marks")),
         (Network, ("live_pending", "mark_crashed")),
     ):
@@ -145,6 +149,7 @@ def test_the_test_only_names_stay_gone():
     assert not hasattr(network, "_live") and not hasattr(network, "_dead")
     assert len(network._counts) == 2  # sent, delivered
     assert set(OBJECTIVES) == {"etob_tau"}
+    assert registered_targets() == ["exp4-tau", "exp8-tau"]
 
 
 def test_one_cell_type_and_one_executor():

@@ -2,6 +2,8 @@
 purity, the streaming observer vs post-hoc recomputation pin, serving
 stacks, and the EXP-11 engine-independence pins."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -262,6 +264,30 @@ class TestObserverDifferential:
         row = summary.as_row()
         assert row["served"] is True and row["p99"] >= row["p50"] >= 0
         assert summary.throughput > 0
+
+
+#: operations per MiB of peak traced memory that a 100k-operation open-loop
+#: run must serve (about 190k): the streaming observer's histogram and the
+#: bounded clients keep no object per operation
+OPS_PER_MIB_FLOOR = 50_000
+
+
+def test_an_open_loop_run_keeps_no_object_per_operation():
+    spec = WorkloadSpec(
+        clients=8, ops_per_client=12_500, mean_gap=1, keys=64, seed=1
+    )
+    tracemalloc.start()
+    try:
+        sim, observer, horizon = workload_sim(
+            spec, stack="direct", record="metrics", message_batch=64
+        )
+        sim.run_until(horizon)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    summary = observer.summary()
+    assert summary.served and summary.submitted == 100_000
+    assert summary.submitted / (peak / 2**20) >= OPS_PER_MIB_FLOOR, peak
 
 
 class TestExp11Pins:
