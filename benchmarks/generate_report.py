@@ -7,8 +7,9 @@ Every registered experiment flattens into a single
 deterministic one as one cell — ordered cost-descending so the expensive
 tails overlap the cheap cells, and executed through exactly **one**
 streaming worker pool — a live progress line per completed cell, prefixed
-by its experiment key. The pooled results are demultiplexed per experiment
-and folded through each experiment's report spec (see
+by its experiment key. Each cell's value is the rows its experiment
+returned. The pooled results are demultiplexed per experiment and folded
+through the report spec every experiment declares (see
 :class:`repro.analysis.experiments.ReportSpec`) into one mean ± spread
 table — no number in EXPERIMENTS.md is hand-edited. Usage::
 
@@ -21,8 +22,9 @@ Each experiment's claim (its registry ``claim=``) is evaluated on every
 completed cell after the campaign; a seed *holds* when every flag of its rows
 and every claim verdict of its cells is true, and the summary table counts
 those seeds and the distinct outcomes among them (a deterministic
-experiment's one run holds or fails). ``--smoke`` is the CI gate: one seed,
-serial-friendly. The exit code is non-zero on any cell failure, false flag
+experiment's one run holds or fails). A row that lacks a declared flag
+fails its cell, which the summary reports as partial. ``--smoke`` is the CI
+gate: one seed, serial-friendly. The exit code is non-zero on any cell failure, false flag
 or false verdict in every mode, so neither a broken experiment nor a broken
 claim can silently regenerate the report.
 
@@ -248,12 +250,11 @@ def false_checks(
     A seed holds when its set is empty. Failed cells contribute neither rows
     nor verdicts, so only observed seeds appear.
     """
-    spec = EXPERIMENT_REGISTRY[key].report
-    flags = spec.flags if spec is not None else ()
+    flags = EXPERIMENT_REGISTRY[key].report.flags
     false: dict[int | None, set[str]] = {}
     for row in rows:
         false.setdefault(row.get("seed"), set()).update(
-            flag for flag in flags if flag in row and not row[flag]
+            flag for flag in flags if not row[flag]
         )
     for cell in claims:
         false.setdefault(cell.get("seed"), set()).update(
@@ -267,9 +268,9 @@ def distinct_outcomes(result: SuiteResult) -> dict[tuple, int]:
     row sets its seeds produced: the rows the claim reads."""
     outcomes: dict[tuple, set[str]] = {}
     for cell in result.cells:
-        if cell.ok and cell.value is not None:
+        if cell.ok:
             point = tuple(item for item in cell.params.items() if item[0] != "seed")
-            outcomes.setdefault(point, set()).add(repr(cell.value.rows))
+            outcomes.setdefault(point, set()).add(repr(cell.value))
     return {point: len(rows) for point, rows in outcomes.items()}
 
 
@@ -493,20 +494,10 @@ def main(argv: list[str] | None = None) -> int:
             if names
         )
         statement = definition.claim.__doc__.strip().splitlines()[0]
-        if definition.report is not None:
-            pivot = "env" if key in env_swept else None
-            table, aggregated = aggregate_sweep(
-                key, result, spread=args.spread, pivot=pivot
-            )
-            table_text = table.render()
-        else:
-            # Spec-less experiments are legal (see the experiment()
-            # decorator); quote their per-seed tables verbatim rather than
-            # failing the whole report.
-            aggregated = []
-            table_text = "\n\n".join(
-                cell.value.render() for cell in result.cells if cell.ok
-            )
+        table, aggregated = aggregate_sweep(
+            key, result, spread=args.spread,
+            pivot="env" if key in env_swept else None,
+        )
         label = reproduced_label(
             false, len(result.failures()), distinct_outcomes(result),
             seeded=definition.seeded,
@@ -514,7 +505,7 @@ def main(argv: list[str] | None = None) -> int:
         summary_rows.append(f"| {key} | {statement} | {label} |")
         sections.append(f"\n## {key} — {definition.title}\n")
         sections.append("```")
-        sections.append(table_text)
+        sections.append(table.render())
         sections.append("```")
         sections.append(f"\n{verdict_line(claims)}")
         sections.append(f"\n{COMMENTARY.get(key, '')}")
@@ -529,9 +520,7 @@ def main(argv: list[str] | None = None) -> int:
         report["experiments"][key] = {
             "title": definition.title,
             "claim": statement,
-            "spec": None
-            if definition.report is None
-            else {
+            "spec": {
                 "group_by": definition.report.group_by,
                 "metrics": definition.report.metrics,
                 "flags": definition.report.flags,

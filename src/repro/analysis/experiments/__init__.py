@@ -15,18 +15,19 @@ that register themselves with the registry in
 - :mod:`~repro.analysis.experiments.workload` — EXP-11
 
 Each ``exp_*`` function runs the simulations for one experiment of
-EXPERIMENTS.md and returns an :class:`ExperimentResult` holding structured
-rows and a rendered table. Every :class:`ExperimentDef` expands into
-picklable, provenance-tagged cells (``cells(seeds)``) that a
-:class:`Campaign` pools across *all* experiments onto one shared worker
-pool. The signature decides the expansion: a function that takes a
-``seed`` keyword (EXP-3, EXP-4, EXP-6, EXP-8, EXP-10a, EXP-10c, EXP-11)
-runs once per seed, because its seed reaches link delays or a client
-population; one that takes none (EXP-1, EXP-2, EXP-5, EXP-7, EXP-9,
-EXP-10b) is deterministic and runs once. Each experiment also declares its
-claim (``claim=``, named verdicts over one cell's rows), which
-``benchmarks/generate_report.py`` checks on every cell; ``EXPERIMENTS.md``
-quotes their tables. The functions are deterministic for fixed seeds.
+EXPERIMENTS.md and returns its rows: a ``list[dict]``, one dict per
+scenario, whose columns its :class:`ReportSpec` names. Every
+:class:`ExperimentDef` expands into picklable, provenance-tagged cells
+(``cells(seeds)``) that a :class:`Campaign` pools across *all* experiments
+onto one shared worker pool. The signature decides the expansion: a
+function that takes a ``seed`` keyword (EXP-3, EXP-4, EXP-6, EXP-8,
+EXP-10a, EXP-10c, EXP-11) runs once per seed, because its seed reaches
+link delays or a client population; one that takes none (EXP-1, EXP-2,
+EXP-5, EXP-7, EXP-9, EXP-10b) is deterministic and runs once. Each
+experiment also declares its claim (``claim=``, named verdicts over one
+cell's rows), which ``benchmarks/generate_report.py`` checks on every
+cell; ``EXPERIMENTS.md`` quotes the tables :func:`aggregate_sweep` folds
+from their rows. The functions are deterministic for fixed seeds.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from __future__ import annotations
 from repro.analysis.experiments.base import (
     EXPERIMENT_REGISTRY,
     ExperimentDef,
-    ExperimentResult,
     ReportSpec,
     aggregate_sweep,
     claim_verdicts,
@@ -94,7 +94,6 @@ __all__ = [
     "Cell",
     "EXPERIMENT_REGISTRY",
     "ExperimentDef",
-    "ExperimentResult",
     "ReportSpec",
     "aggregate_sweep",
     "claim_verdicts",

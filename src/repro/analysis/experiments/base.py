@@ -1,8 +1,8 @@
 """Experiment registry and sweep aggregation.
 
-An *experiment* is a deterministic function returning an
-:class:`ExperimentResult` (structured rows plus a rendered table). Experiment
-modules register their functions with the :func:`experiment` decorator; the
+An *experiment* is a deterministic function returning its rows: one
+``dict`` per scenario it ran, keyed by column name. Experiment modules
+register their functions with the :func:`experiment` decorator; the
 package ``__init__`` imports every module, so importing
 ``repro.analysis.experiments`` yields the complete registry.
 
@@ -18,7 +18,7 @@ execute through :func:`~repro.suite.run_cells`, the one worker pool. A
 :class:`~repro.analysis.experiments.campaign.Campaign` pools the cells of
 one or many experiments into one shared, cost-ordered pool.
 
-Experiments additionally declare a *report spec* — which row columns
+Every experiment also declares a *report spec* — which row columns
 identify a scenario (``group_by``), which are numeric measurements
 (``metrics``), which are verdict booleans (``flags``), and which are
 discrete outcomes quoted verbatim (``values``) — so :func:`aggregate_sweep`
@@ -29,14 +29,16 @@ returning named verdicts — the cross-row shape the paper asserts, which no
 single row's flag can see — and :func:`claim_verdicts` evaluates it on
 every completed cell, after the campaign, never inside one.
 ``benchmarks/generate_report.py`` builds EXPERIMENTS.md from exactly these
-hooks; no experiment ships custom aggregation code.
+hooks; no experiment ships custom aggregation code. A row that lacks a
+``group_by`` or ``flags`` column of its spec fails its cell (see
+:func:`run_experiment`): a missing flag would otherwise read as a pass.
 """
 
 from __future__ import annotations
 
 import functools
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import mean, quantiles, stdev
 from typing import Any, Callable, Sequence
 
@@ -45,24 +47,11 @@ from repro.sim.errors import ConfigurationError
 from repro.suite import Axis, Cell, SuiteResult, expand, seed_values
 
 
-@dataclass
-class ExperimentResult:
-    """Rows plus a rendered table for one experiment."""
-
-    name: str
-    table: Table
-    rows: list[dict] = field(default_factory=list)
-
-    def render(self) -> str:
-        return self.table.render()
-
-
 @dataclass(frozen=True)
 class ReportSpec:
     """How :func:`aggregate_sweep` folds an experiment's rows across seeds.
 
-    Column roles over the experiment's row dicts (see
-    :attr:`ExperimentResult.rows`):
+    Column roles over the row dicts the experiment returns:
 
     - ``group_by`` — columns identifying one scenario of the experiment; rows
       sharing these values across seeds aggregate into one table row;
@@ -95,10 +84,10 @@ class ExperimentDef:
     """
 
     key: str
-    fn: Callable[..., ExperimentResult]
+    fn: Callable[..., list[dict]]
     title: str
     claim: Callable[[list[dict]], dict[str, bool]]
-    report: ReportSpec | None = None
+    report: ReportSpec
     cost: float = 1.0
     axes: tuple[Axis, ...] = ()
 
@@ -129,8 +118,8 @@ class ExperimentDef:
 
         One cell per point of ``seed × extra axes`` (seed-major, axes in
         declaration order), each invoking the experiment function with that
-        seed (plus one value per extra axis) and returning its
-        :class:`ExperimentResult`. ``seeds`` follows the suite's seed rule
+        seed (plus one value per extra axis) and returning its rows.
+        ``seeds`` follows the suite's seed rule
         (:func:`~repro.suite.seed_values`): an integer asks for that many
         derived seeds, a list is used verbatim, none is refused. A
         deterministic experiment (see :attr:`seeded`) has no seed axis: one
@@ -179,7 +168,7 @@ def experiment(
     title: str = "",
     *,
     claim: Callable[[list[dict]], dict[str, bool]],
-    group_by: Sequence[str] = (),
+    group_by: Sequence[str],
     metrics: Sequence[str] = (),
     flags: Sequence[str] = (),
     values: Sequence[str] = (),
@@ -189,26 +178,21 @@ def experiment(
     """Class the decorated function as experiment ``key`` in the registry.
 
     ``claim`` is required: every experiment states what it reproduces (see
-    :class:`ExperimentDef`). The other keyword arguments declare the
-    sweep-native report spec (see :class:`ReportSpec`); experiments without
-    ``group_by`` cannot be aggregated by :func:`aggregate_sweep`. ``cost``
-    is the relative per-cell wall-time hint a campaign uses to order its
-    shared cell pool; ``axes`` declares extra sweep dimensions (see
-    :class:`ExperimentDef`).
+    :class:`ExperimentDef`). So is ``group_by``: with ``metrics``,
+    ``flags`` and ``values`` it declares the report spec every experiment
+    has (see :class:`ReportSpec`). ``cost`` is the relative per-cell
+    wall-time hint a campaign uses to order its shared cell pool; ``axes``
+    declares extra sweep dimensions (see :class:`ExperimentDef`).
     """
 
-    def decorate(fn: Callable[..., ExperimentResult]) -> Callable[..., ExperimentResult]:
+    def decorate(fn: Callable[..., list[dict]]) -> Callable[..., list[dict]]:
         doc_lines = (fn.__doc__ or "").strip().splitlines()
         summary = title or (doc_lines[0] if doc_lines else key)
-        report = (
-            ReportSpec(
-                group_by=tuple(group_by),
-                metrics=tuple(metrics),
-                flags=tuple(flags),
-                values=tuple(values),
-            )
-            if group_by
-            else None
+        report = ReportSpec(
+            group_by=tuple(group_by),
+            metrics=tuple(metrics),
+            flags=tuple(flags),
+            values=tuple(values),
         )
         EXPERIMENT_REGISTRY[key] = ExperimentDef(
             key, fn, summary, claim, report, cost=cost, axes=tuple(axes)
@@ -218,15 +202,27 @@ def experiment(
     return decorate
 
 
-def run_experiment(key: str, **kwargs: Any) -> ExperimentResult:
-    """Run one registered experiment by key."""
+def run_experiment(key: str, **kwargs: Any) -> list[dict]:
+    """Run one registered experiment by key; returns its rows.
+
+    Raises ``ValueError`` on a row that lacks a ``group_by`` or ``flags``
+    column of the experiment's report spec, so the cell fails instead of
+    the missing flag reading as a pass. Metric and value columns may be
+    absent (EXP-2's ETOB rows carry no ``k``).
+    """
     try:
         definition = EXPERIMENT_REGISTRY[key]
     except KeyError:
         raise KeyError(
             f"unknown experiment {key!r}; known: {sorted(EXPERIMENT_REGISTRY)}"
         ) from None
-    return definition.fn(**kwargs)
+    rows = definition.fn(**kwargs)
+    required = definition.report.group_by + definition.report.flags
+    for row in rows:
+        missing = [column for column in required if column not in row]
+        if missing:
+            raise ValueError(f"{key} row {row!r} lacks declared column(s) {missing}")
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -235,16 +231,15 @@ def run_experiment(key: str, **kwargs: Any) -> ExperimentResult:
 
 
 def sweep_rows(result: SuiteResult) -> list[dict]:
-    """Flatten one experiment's per-cell ExperimentResults (a campaign's
-    :meth:`~repro.analysis.experiments.campaign.CampaignResult.experiment`)
-    into annotated rows."""
-    rows: list[dict] = []
-    for cell in result.cells:
-        if not cell.ok or cell.value is None:
-            continue
-        for row in cell.value.rows:
-            rows.append({**cell.params, **row})
-    return rows
+    """Flatten the rows of one experiment's completed cells (a campaign's
+    :meth:`~repro.analysis.experiments.campaign.CampaignResult.experiment`),
+    each annotated with its cell's params."""
+    return [
+        {**cell.params, **row}
+        for cell in result.cells
+        if cell.ok
+        for row in cell.value
+    ]
 
 
 def _spread(values: Sequence[float], metric: str) -> float:
@@ -299,7 +294,7 @@ def _fold_group(
         cells.append(", ".join(distinct))
         agg_row[column] = distinct
     for flag in spec.flags:
-        verdicts = [bool(row[flag]) for row in group if flag in row]
+        verdicts = [bool(row[flag]) for row in group]
         cells.append(f"{sum(verdicts)}/{len(verdicts)}")
         agg_row[flag] = {"true": sum(verdicts), "total": len(verdicts)}
     return cells, agg_row
@@ -339,8 +334,6 @@ def aggregate_sweep(
     """
     definition = EXPERIMENT_REGISTRY[key]
     spec = definition.report
-    if spec is None:
-        raise ValueError(f"experiment {key!r} declares no report spec")
     rows = sweep_rows(result)
     spread_tag = "sd" if spread == "stdev" else spread
     spread_name = "sample stdev" if spread == "stdev" else "IQR"
@@ -427,7 +420,7 @@ def claim_verdicts(key: str, result: SuiteResult) -> list[dict]:
     """
     claim = EXPERIMENT_REGISTRY[key].claim
     return [
-        {**cell.params, "verdicts": claim(cell.value.rows)}
+        {**cell.params, "verdicts": claim(cell.value)}
         for cell in result.cells
-        if cell.ok and cell.value is not None
+        if cell.ok
     ]

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.analysis.experiments.base import ExperimentResult, experiment
-from repro.analysis.tables import Table
+from repro.analysis.experiments.base import experiment
 from repro.properties import EtobMonitor, check_causal_order, check_etob
 from repro.sim import RunSpec, UniformDist, run_plan
 
@@ -35,13 +34,9 @@ def claim_causal(rows: list[dict]) -> dict[str, bool]:
     flags=("etob_ok",),
     cost=0.07,
 )
-def exp_causal(*, seed: int = 0) -> ExperimentResult:
+def exp_causal(*, seed: int = 0) -> list[dict]:
     """EXP-6: TOB-Causal-Order under churn; ablation without the causal graph."""
     n = 4
-    table = Table(
-        "EXP-6: causal order during divergence (and graph ablation)",
-        ["variant", "causal violations", "pairs checked", "etob ok"],
-    )
     rows: list[dict] = []
     # Reply chains under heavy network reordering: each message causally
     # depends on everything its broadcaster has seen (frontier deps), and
@@ -76,8 +71,7 @@ def exp_causal(*, seed: int = 0) -> ExperimentResult:
                 "etob_ok": etob.ok,
             }
         )
-        table.add_row(variant, len(causal.violations), causal.pairs_checked, etob.ok)
-    return ExperimentResult("causal", table, rows)
+    return rows
 
 
 def claim_ablation_churn(rows: list[dict]) -> dict[str, bool]:
@@ -107,13 +101,9 @@ def claim_ablation_churn(rows: list[dict]) -> dict[str, bool]:
 )
 def exp_ablation_churn(
     taus: Sequence[int] = (0, 150, 300, 600), *, seed: int = 0
-) -> ExperimentResult:
+) -> list[dict]:
     """EXP-10a: longer churn -> longer divergence, same final agreement."""
     n = 4
-    table = Table(
-        "EXP-10a: leader churn duration vs divergence",
-        ["tau_Omega", "divergence windows", "total divergence ticks", "final ok"],
-    )
     rows: list[dict] = []
     for tau in taus:
         # Concurrent bursts under random delays: leaders promoting during the
@@ -149,5 +139,4 @@ def exp_ablation_churn(
                 "ok": report.ok,
             }
         )
-        table.add_row(tau, len(windows), total, report.ok)
-    return ExperimentResult("ablation-churn", table, rows)
+    return rows

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from repro.analysis.experiments.base import ExperimentResult, experiment
-from repro.analysis.tables import Table
+from repro.analysis.experiments.base import experiment
 from repro.core import EcDriverLayer, EcUsingOmegaLayer
 from repro.detectors import OmegaDetector
 from repro.sim import FailurePattern, FixedDelay, ProtocolStack, Simulation
@@ -83,12 +82,8 @@ def claim_cht_extraction(rows: list[dict]) -> dict[str, bool]:
     # CPUs). Any hint above EXP-1's 1.3 dispatches it first.
     cost=2.4,
 )
-def exp_cht_extraction() -> ExperimentResult:
+def exp_cht_extraction() -> list[dict]:
     """EXP-7: the distributed reduction emulates Omega from EC runs."""
-    table = Table(
-        "EXP-7: CHT-style emulation of Omega from an EC algorithm",
-        ["scenario", "emulated leader", "is correct", "stabilized", "extractions"],
-    )
     rows: list[dict] = []
     for label, *scenario in SCENARIOS:
         pattern, procs = run_cht_scenario(*scenario)
@@ -106,11 +101,4 @@ def exp_cht_extraction() -> ExperimentResult:
                 "extractions": extractions,
             }
         )
-        table.add_row(
-            label,
-            emulated if emulated is not None else "-",
-            is_correct,
-            stabilized,
-            extractions,
-        )
-    return ExperimentResult("cht-extraction", table, rows)
+    return rows

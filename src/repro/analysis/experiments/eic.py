@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from repro.analysis.experiments.base import ExperimentResult, experiment
-from repro.analysis.tables import Table
+from repro.analysis.experiments.base import experiment
 from repro.properties import check_eic
 from repro.sim import FixedDelay, RunSpec, run_plan
 
@@ -35,12 +34,8 @@ def claim_eic(rows: list[dict]) -> dict[str, bool]:
     flags=("ok",),
     cost=0.22,
 )
-def exp_eic() -> ExperimentResult:
+def exp_eic() -> list[dict]:
     """EXP-9: EIC behaves per Appendix A; revisions stop after stabilization."""
-    table = Table(
-        "EXP-9: EIC (Appendix A): revisions are finite, final agreement holds",
-        ["scenario", "verdict", "revisions", "integrity index"],
-    )
     rows: list[dict] = []
     for label, tau in (("stable Omega", 0), ("churn until t=300", 300)):
         sim = run_plan(
@@ -63,7 +58,4 @@ def exp_eic() -> ExperimentResult:
                 "integrity_index": report.integrity_index,
             }
         )
-        table.add_row(
-            label, report.ok, report.total_revisions, report.integrity_index
-        )
-    return ExperimentResult("eic", table, rows)
+    return rows

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.analysis.experiments.base import ExperimentResult, experiment
-from repro.analysis.tables import Table
+from repro.analysis.experiments.base import experiment
 from repro.core.messages import payloads
 from repro.properties import check_ec, extract_timeline
 from repro.sim import RunSpec, env_links, run_plan
@@ -56,14 +55,9 @@ def claim_ec_any_environment(rows: list[dict]) -> dict[str, bool]:
 )
 def exp_ec_any_environment(
     *, seed: int = 0, env: str = "baseline"
-) -> ExperimentResult:
+) -> list[dict]:
     """EXP-3: Algorithm 4 across environments and stabilization times."""
     links = env_links(env, seed=seed, base_delay=2)
-    table = Table(
-        f"EXP-3: EC from Omega in any environment (Algorithm 4), env={env}",
-        ["crash scenario", "tau_Omega", "verdict", "agreement index k",
-         "k decided at"],
-    )
     rows: list[dict] = []
     scenarios = [
         ("crash-free n=4", 4, {}, 0),
@@ -96,14 +90,7 @@ def exp_ec_any_environment(
                 "k_time": report.agreement_time,
             }
         )
-        table.add_row(
-            label,
-            tau,
-            report.ok,
-            report.agreement_index,
-            report.agreement_time if report.agreement_time is not None else "-",
-        )
-    return ExperimentResult("ec-any-environment", table, rows)
+    return rows
 
 
 #: EXP-8's survivors' broadcasts, after the majority crashed at t=100.
@@ -168,14 +155,9 @@ def claim_partition_gap(rows: list[dict]) -> dict[str, bool]:
 )
 def exp_partition_gap(
     *, seed: int = 0, env: str = "baseline"
-) -> ExperimentResult:
+) -> list[dict]:
     """EXP-8: crash a majority; only Omega-only ETOB and Omega+Sigma
     consensus stay available."""
-    table = Table(
-        f"EXP-8: availability after losing the majority "
-        f"(3 of 5 crash at t=100), env={env}",
-        ["protocol", "detector", "delivered after crash", "available"],
-    )
     rows: list[dict] = []
     # The *shape* is the claim: Omega-only ETOB and Omega+Sigma consensus
     # must stay available, majority-quorum consensus must block.
@@ -205,7 +187,4 @@ def exp_partition_gap(
                 "as_expected": available == expected_available,
             }
         )
-        table.add_row(
-            protocol, detector_label, f"{delivered}/{len(_POST_CRASH)}", available
-        )
-    return ExperimentResult("partition-gap", table, rows)
+    return rows

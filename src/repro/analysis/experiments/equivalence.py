@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.analysis.experiments.base import ExperimentResult, experiment
+from repro.analysis.experiments.base import experiment
 from repro.analysis.metrics import message_counts
-from repro.analysis.tables import Table
 from repro.suite import Axis
 from repro.properties import check_ec, check_etob
 from repro.sim import FixedDelay, RunSpec, run_plan
@@ -39,12 +38,8 @@ def claim_equivalence(rows: list[dict]) -> dict[str, bool]:
     cost=0.55,
     axes=(Axis("n", (3, 4, 5)),),
 )
-def exp_equivalence(*, n: int = 4) -> ExperimentResult:
+def exp_equivalence(*, n: int = 4) -> list[dict]:
     """EXP-2: the transformation stacks satisfy the target specifications."""
-    table = Table(
-        "EXP-2: Theorem 1 equivalence (checkers on transformation stacks)",
-        ["stack", "spec", "verdict", "tau / k", "messages"],
-    )
     rows: list[dict] = []
     base = RunSpec(
         n=n,
@@ -72,7 +67,6 @@ def exp_equivalence(*, n: int = 4) -> ExperimentResult:
                 "sent": counts["sent"],
             }
         )
-        table.add_row(label, "ETOB", report.ok, f"tau={report.tau}", counts["sent"])
 
     # EC built from ETOB (Algorithm 2 over Algorithm 5).
     ec_base = replace(base, duration=6000, inputs=())
@@ -89,13 +83,6 @@ def exp_equivalence(*, n: int = 4) -> ExperimentResult:
             "sent": counts["sent"],
         }
     )
-    table.add_row(
-        "ETOB->EC (Alg 2 over Alg 5)",
-        "EC",
-        ec.ok,
-        f"k={ec.agreement_index}",
-        counts["sent"],
-    )
 
     # Native EC for reference. Algorithm 4 burns through instances much
     # faster than the ETOB-based stack, so it needs more of them for a tail
@@ -111,7 +98,4 @@ def exp_equivalence(*, n: int = 4) -> ExperimentResult:
             "sent": counts["sent"],
         }
     )
-    table.add_row(
-        "EC (Alg 4, native)", "EC", ec.ok, f"k={ec.agreement_index}", counts["sent"]
-    )
-    return ExperimentResult("equivalence", table, rows)
+    return rows

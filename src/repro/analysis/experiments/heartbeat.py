@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.analysis.experiments.base import ExperimentResult, experiment
-from repro.analysis.tables import Table
+from repro.analysis.experiments.base import experiment
 from repro.detectors.heartbeat import HeartbeatOmegaProcess
 from repro.sim import AgeGstDist, FailurePattern, Simulation
 
@@ -36,13 +35,9 @@ def claim_ablation_heartbeat_gst(rows: list[dict]) -> dict[str, bool]:
 )
 def exp_ablation_heartbeat_gst(
     gsts: Sequence[int] = (50, 150, 300), *, seed: int = 0
-) -> ExperimentResult:
+) -> list[dict]:
     """EXP-10c: the implemented (heartbeat) Omega stabilizes after GST."""
     n = 4
-    table = Table(
-        "EXP-10c: heartbeat Omega under partial synchrony",
-        ["GST", "leader stabilized at", "final leader", "is correct"],
-    )
     rows: list[dict] = []
     for gst in gsts:
         pattern = FailurePattern.crash(n, {0: gst // 2})
@@ -73,10 +68,4 @@ def exp_ablation_heartbeat_gst(
                 "correct": final in pattern.correct if final is not None else False,
             }
         )
-        table.add_row(
-            gst,
-            last_change,
-            final if final is not None else "-",
-            final in pattern.correct if final is not None else False,
-        )
-    return ExperimentResult("ablation-heartbeat", table, rows)
+    return rows

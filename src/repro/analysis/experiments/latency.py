@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.analysis.experiments.base import ExperimentResult, experiment
+from repro.analysis.experiments.base import experiment
 from repro.analysis.metrics import latency_report, message_counts
-from repro.analysis.tables import Table
 from repro.sim import FixedDelay, RunSpec, run_plan
 
 
@@ -55,7 +54,7 @@ def exp_comm_steps(
     *,
     delay: int = 60,
     messages: int = 6,
-) -> ExperimentResult:
+) -> list[dict]:
     """EXP-1: stable-delivery latency in communication steps, stable leader.
 
     Paper claim: ETOB delivers in the optimal two steps; strong TOB needs
@@ -63,10 +62,6 @@ def exp_comm_steps(
     steps estimate is crisp. Early messages are skipped for the consensus
     baseline (its first decision amortizes the Paxos prepare phase).
     """
-    table = Table(
-        "EXP-1: stable-delivery latency (communication steps), stable leader",
-        ["n", "protocol", "mean steps", "max steps", "paper"],
-    )
     rows: list[dict] = []
     for n in ns:
         warmup = [(0, 5, "warm-0"), (1, 9, "warm-1")]
@@ -124,14 +119,7 @@ def exp_comm_steps(
                     ),
                 }
             )
-            table.add_row(
-                n,
-                protocol,
-                report.mean_steps() or float("nan"),
-                report.max_steps() or float("nan"),
-                paper_steps,
-            )
-    return ExperimentResult("comm-steps", table, rows)
+    return rows
 
 
 def claim_ablation_promote_period(rows: list[dict]) -> dict[str, bool]:
@@ -162,13 +150,9 @@ def claim_ablation_promote_period(rows: list[dict]) -> dict[str, bool]:
 )
 def exp_ablation_promote_period(
     periods: Sequence[int] = (2, 4, 8, 16),
-) -> ExperimentResult:
+) -> list[dict]:
     """EXP-10b: the leader's promote period trades chatter for latency."""
     n, delay = 4, 30
-    table = Table(
-        "EXP-10b: promote period vs delivery latency (ETOB, stable leader)",
-        ["timeout interval", "mean latency (ticks)", "messages sent"],
-    )
     rows: list[dict] = []
     for period in periods:
         sim = run_plan(
@@ -196,9 +180,4 @@ def exp_ablation_promote_period(
                 "delivered_ok": report.undelivered_count == 0,
             }
         )
-        table.add_row(
-            period,
-            report.mean_ticks() or float("nan"),
-            counts["sent"],
-        )
-    return ExperimentResult("ablation-promote-period", table, rows)
+    return rows

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.analysis.experiments.base import ExperimentResult, experiment
-from repro.analysis.tables import Table
+from repro.analysis.experiments.base import experiment
 from repro.properties import check_etob, check_tob
 from repro.sim import FixedDelay, RunSpec, env_links, make_env, run_plan
 from repro.suite import Axis
@@ -68,15 +67,10 @@ def exp_etob_stabilization(
     n: int = 4,
     seed: int = 0,
     env: str = "baseline",
-) -> ExperimentResult:
+) -> list[dict]:
     """EXP-4: measured ETOB tau vs the proof's bound tau_Omega + Dt + Dc."""
     # Each run refuses an environment with churn (see etob_stabilization_spec).
     bounds = make_env(env, seed=seed, base_delay=_DELAY).bounds
-    table = Table(
-        f"EXP-4: ETOB stabilization vs paper bound (tau_Omega + Dt + Dc), "
-        f"env={env}",
-        ["tau_Omega", "measured tau", "bound", "within bound", "verdict"],
-    )
     rows: list[dict] = []
     for tau_omega in taus:
         sim = run_plan(etob_stabilization_spec(tau_omega, n=n, seed=seed, env=env))
@@ -101,8 +95,7 @@ def exp_etob_stabilization(
                 "ok": report.ok,
             }
         )
-        table.add_row(tau_omega, report.tau, bound, report.tau <= bound, report.ok)
-    return ExperimentResult("etob-stabilization", table, rows)
+    return rows
 
 
 def claim_tob_mode(rows: list[dict]) -> dict[str, bool]:
@@ -124,12 +117,8 @@ def claim_tob_mode(rows: list[dict]) -> dict[str, bool]:
     flags=("ok",),
     cost=0.09,
 )
-def exp_tob_mode() -> ExperimentResult:
+def exp_tob_mode() -> list[dict]:
     """EXP-5: Algorithm 5 satisfies *strong* TOB when Omega never changes."""
-    table = Table(
-        "EXP-5: Algorithm 5 under stable Omega = strong TOB",
-        ["scenario", "strong TOB verdict", "tau"],
-    )
     rows: list[dict] = []
     scenarios = [
         ("crash-free n=4", 4, {}),
@@ -158,5 +147,4 @@ def exp_tob_mode() -> ExperimentResult:
         )
         report = check_tob(sim.run)
         rows.append({"scenario": label, "ok": report.ok, "tau": report.etob.tau})
-        table.add_row(label, report.ok, report.etob.tau)
-    return ExperimentResult("tob-mode", table, rows)
+    return rows

@@ -17,8 +17,7 @@ cell fails unless their deliveries are strong TOB (ok, with tau = 0).
 
 from __future__ import annotations
 
-from repro.analysis.experiments.base import ExperimentResult, experiment
-from repro.analysis.tables import Table
+from repro.analysis.experiments.base import experiment
 from repro.properties import EtobMonitor
 from repro.suite import Axis
 from repro.workload import STACKS, WorkloadSpec, workload_sim
@@ -54,7 +53,7 @@ def claim_workload_latency(rows: list[dict]) -> dict[str, bool]:
 )
 def exp_workload_latency(
     *, seed: int = 0, env: str = "baseline"
-) -> ExperimentResult:
+) -> list[dict]:
     """EXP-11: one client population, four consistency price points."""
     # mean_gap and the clients' retry patience are sized so the slowest stack
     # (Paxos) still serves every operation at every seed: premature failover
@@ -62,11 +61,6 @@ def exp_workload_latency(
     # impatient client can push the tail past its own retry budget.
     spec = WorkloadSpec(
         clients=4, ops_per_client=24, mean_gap=24, keys=64, seed=seed
-    )
-    table = Table(
-        f"EXP-11: open-loop workload latency/throughput "
-        f"({spec.total_ops} ops, {spec.clients} clients), env={env}",
-        ["stack", "p50", "p95", "p99", "ops/kilotick", "retries", "served"],
     )
     rows: list[dict] = []
     for stack in STACKS:
@@ -92,13 +86,4 @@ def exp_workload_latency(
                 "served": summary.served,
             }
         )
-        table.add_row(
-            stack,
-            summary.p50,
-            summary.p95,
-            summary.p99,
-            summary.throughput,
-            summary.retries,
-            summary.served,
-        )
-    return ExperimentResult("workload-latency", table, rows)
+    return rows

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 
 class Table:
@@ -19,10 +19,6 @@ class Table:
                 f"row has {len(cells)} cells, table has {len(self.headers)} columns"
             )
         self.rows.append([_format_cell(cell) for cell in cells])
-
-    def add_rows(self, rows: Iterable[Sequence[Any]]) -> None:
-        for row in rows:
-            self.add_row(*row)
 
     def render(self) -> str:
         widths = [len(h) for h in self.headers]

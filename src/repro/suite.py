@@ -148,7 +148,7 @@ class CellResult:
         return self.error is None
 
     def describe(self, *, value_width: int | None = None) -> str:
-        """``param=value, ... -> outcome`` (shared by render and progress)."""
+        """``param=value, ... -> outcome``: a :class:`SuiteProgress` line."""
         params = ", ".join(f"{k}={v!r}" for k, v in self.params.items())
         outcome = self.error if self.error is not None else repr(self.value)
         if value_width is not None and len(outcome) > value_width:
@@ -176,32 +176,6 @@ class SuiteResult:
     def values(self) -> list[Any]:
         """The cell return values, in grid order (None for failed cells)."""
         return [cell.value for cell in self.cells]
-
-    def select(self, **params: Any) -> list[CellResult]:
-        """Cells whose parameters match all given ``axis=value`` filters."""
-        return [
-            cell
-            for cell in self.cells
-            if all(cell.params.get(k) == v for k, v in params.items())
-        ]
-
-    def rows(self) -> list[dict[str, Any]]:
-        """One flat dict per cell: parameters plus ``value`` / ``error``."""
-        return [
-            {**cell.params, "value": cell.value, "error": cell.error}
-            for cell in self.cells
-        ]
-
-    def render(self) -> str:
-        """A compact text table of the suite outcome."""
-        lines = [
-            f"suite {self.name}: {len(self.cells)} cells, "
-            f"{len(self.failures())} failed, "
-            f"{self.wall_time:.2f}s wall ({self.workers} workers)"
-        ]
-        for cell in self.cells:
-            lines.append(f"  [{cell.index}] {cell.describe()}")
-        return "\n".join(lines)
 
 
 def derive_seed(base_seed: int, index: int) -> int:
@@ -486,8 +460,8 @@ class SuiteProgress:
 
     ::
 
-        suite.run(progress=SuiteProgress(label="EXP-4"))
-        # [ 3/12] EXP-4: tau=200, seed=1400073466 -> ExperimentResult(...) (1.42s)
+        Campaign(["EXP-4"], seeds=3).run(progress=SuiteProgress())
+        # [3/3] EXP-4: seed=1141668690 -> [{'tau_omega': 0, 'tau': 0, 'bound': 11, 'wit... (0.01s)
 
     Lines go to ``stream`` (default: stderr, keeping stdout clean for piped
     report output) as cells complete, so long sweeps show where they are

@@ -77,6 +77,29 @@ class PaxosAcceptWithoutPromiseCheck(PaxosConsensusLayer):
         )
 
 
+class PaxosLearnerPoolsAcksAcrossBallots(PaxosConsensusLayer):
+    """Paxos whose learner decides an ``Accepted`` value once the acks of
+    its instance, pooled over every ballot, form a quorum.
+
+    A quorum must ack one ballot: each acceptor acks one value per ballot,
+    so only one ballot's ack set says which value a quorum accepted. Pooled,
+    acks for two values under two ballots add up to a quorum that accepted
+    neither, each learner decides the value of the ack that completed its
+    pool, and two learners decide an instance differently. Killed by
+    ``check_etob``'s total order (see the test that runs it for the
+    verdicts and cells).
+    """
+
+    def _on_accepted(self, ctx: LayerContext, sender: ProcessId, msg: AcceptedMsg) -> None:
+        if msg.instance in self.decided:
+            return
+        by_ballot = self._accept_acks.setdefault(msg.instance, {})
+        by_ballot.setdefault(msg.ballot, (msg.value, set()))[1].add(sender)
+        pooled = set().union(*(acks for __, acks in by_ballot.values()))
+        if self._is_quorum(ctx, pooled):
+            self._decide(ctx, msg.instance, msg.value)
+
+
 class EtobDuplicateDelivery(EtobLayer):
     """Algorithm 5 whose follower adopts each promote with its last message
     repeated.
@@ -172,6 +195,10 @@ MUTANT_PROTOCOLS = {
     "etob-duplicate-delivery": ProtocolEntry(lambda: [EtobDuplicateDelivery()]),
     "tob-consensus-accept-without-promise-check": ProtocolEntry(
         lambda: [PaxosAcceptWithoutPromiseCheck(), TobFromConsensusLayer()],
+        PROTOCOLS["tob-consensus"].components,
+    ),
+    "tob-consensus-pooled-acks": ProtocolEntry(
+        lambda: [PaxosLearnerPoolsAcksAcrossBallots(), TobFromConsensusLayer()],
         PROTOCOLS["tob-consensus"].components,
     ),
     "tob-consensus-without-retest": ProtocolEntry(

@@ -30,11 +30,6 @@ class TestTable:
         with pytest.raises(ValueError):
             table.add_row(1, 2)
 
-    def test_add_rows_bulk(self):
-        table = Table("T", ["x"])
-        table.add_rows([(1,), (2,)])
-        assert len(table.rows) == 2
-
 
 def m(sender, seq):
     return AppMessage(MessageId(sender, seq), f"p{sender}.{seq}")

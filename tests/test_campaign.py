@@ -10,12 +10,10 @@ import pytest
 from repro.analysis.experiments import (
     EXPERIMENT_REGISTRY,
     Campaign,
-    ExperimentResult,
     aggregate_sweep,
     run_experiment,
     sweep_rows,
 )
-from repro.analysis.tables import Table
 from repro.sim.errors import ConfigurationError
 from repro.suite import CellResult, SuiteProgress, SuiteResult, run_cells
 
@@ -93,7 +91,7 @@ class TestCampaignDeterminism:
         for key in KEYS:
             for cell in outcome.experiment(key).cells:
                 direct = run_experiment(key, **cell.params)
-                assert cell.value.rows == direct.rows
+                assert cell.value == direct
 
     def test_workers_do_not_change_numbers(self):
         serial = Campaign(KEYS, seeds=SEEDS).run(workers=0)
@@ -110,7 +108,7 @@ class TestCampaignDeterminism:
 
         def rows(result):
             return {
-                (c.tags["experiment"], c.tags["cell"]): c.value.rows
+                (c.tags["experiment"], c.tags["cell"]): c.value
                 for c in result.cells
             }
 
@@ -122,9 +120,7 @@ class TestCampaignDeterminism:
         for key in KEYS:
             alone = Campaign([key], seeds=SEEDS).run(workers=0).experiment(key)
             pooled = outcome.experiment(key)
-            assert [c.value.rows for c in pooled.cells] == [
-                c.value.rows for c in alone.cells
-            ]
+            assert [c.value for c in pooled.cells] == [c.value for c in alone.cells]
             assert aggregate_sweep(key, pooled)[1] == aggregate_sweep(key, alone)[1]
 
 
@@ -231,8 +227,7 @@ class TestReportClaims:
 
     def test_false_flag_fails_and_is_named(self, tmp_path, monkeypatch):
         def one_false_flag(*, seed):
-            rows = [{"scenario": "crash-free n=4", "ok": False, "tau": 0}]
-            return ExperimentResult("tob-mode", Table("EXP-5", ["scenario"]), rows)
+            return [{"scenario": "crash-free n=4", "ok": False, "tau": 0}]
 
         # Taking a seed makes the stand-in a seeded experiment.
         self.replace(monkeypatch, fn=one_false_flag)
@@ -241,6 +236,26 @@ class TestReportClaims:
         assert summary.endswith(
             "| claim holds on 0/1 seeds over 1 distinct outcome — false: ok |"
         )
+
+    def test_a_row_missing_a_declared_column_fails_its_cell(
+        self, tmp_path, monkeypatch
+    ):
+        """A flag a row lacks is no pass: the cell fails and the summary
+        reads partial. A missing metric column stays legal."""
+
+        def rows_without(*columns):
+            row = {"scenario": "crash-free n=4", "ok": True, "tau": 0}
+            return lambda: [{k: v for k, v in row.items() if k not in columns}]
+
+        self.replace(monkeypatch, fn=rows_without("tau"))
+        assert run_experiment("EXP-5") == [{"scenario": "crash-free n=4", "ok": True}]
+        self.replace(monkeypatch, fn=rows_without("scenario"))
+        with pytest.raises(ValueError, match=r"lacks declared column\(s\) \['scenario'\]"):
+            run_experiment("EXP-5")
+        self.replace(monkeypatch, fn=rows_without("ok"))
+        code, summary = self.generate(tmp_path, monkeypatch)
+        assert code == 1
+        assert summary.endswith("| partial — 1 cell(s) failed |")
 
     def test_deterministic_summary_names_its_one_run(self, tmp_path, monkeypatch):
         code, summary = self.generate(tmp_path, monkeypatch)
@@ -320,7 +335,7 @@ def fake_sweep_result(key, rows_by_cell):
             CellResult(
                 index=index,
                 params=params,
-                value=ExperimentResult(key, Table("t", ["x"]), rows),
+                value=rows,
             )
         )
     return SuiteResult(name=f"{key}-sweep", cells=cells)

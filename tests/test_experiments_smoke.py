@@ -55,56 +55,45 @@ class TestExperimentSmoke:
         assert lines and lines[0].strip()
 
     def test_comm_steps_small(self):
-        result = exp_comm_steps(ns=(3,), delay=40, messages=3)
-        assert len(result.rows) == 3
-        etob, tob, ct = result.rows
+        etob, tob, ct = exp_comm_steps(ns=(3,), delay=40, messages=3)
         assert etob["protocol"] == "etob"
         assert etob["mean_steps"] < tob["mean_steps"] < ct["mean_steps"]
-        assert "EXP-1" in result.render()
 
     def test_stabilization_small(self):
-        result = exp_etob_stabilization(taus=(0, 120))
-        assert all(r["ok"] for r in result.rows)
-        assert all(r["tau"] <= r["bound"] for r in result.rows)
+        rows = exp_etob_stabilization(taus=(0, 120))
+        assert all(r["ok"] for r in rows)
+        assert all(r["tau"] <= r["bound"] for r in rows)
 
     def test_tob_mode_rows(self):
-        result = exp_tob_mode()
-        assert all(r["ok"] and r["tau"] == 0 for r in result.rows)
+        assert all(r["ok"] and r["tau"] == 0 for r in exp_tob_mode())
 
     def test_partition_gap_shape(self):
-        result = exp_partition_gap()
         availability = {
-            (r["protocol"], r["detector"]): r["available"] for r in result.rows
+            (r["protocol"], r["detector"]): r["available"]
+            for r in exp_partition_gap()
         }
         assert availability[("etob", "Omega")]
         assert not availability[("tob-consensus", "Omega (majority quorums)")]
 
     def test_eic_rows(self):
-        result = exp_eic()
-        assert all(r["ok"] for r in result.rows)
+        assert all(r["ok"] for r in exp_eic())
 
     def test_promote_period_rows(self):
-        result = exp_ablation_promote_period(periods=(2, 8))
-        by_period = {r["period"]: r for r in result.rows}
+        rows = exp_ablation_promote_period(periods=(2, 8))
+        by_period = {r["period"]: r for r in rows}
         assert by_period[8]["sent"] < by_period[2]["sent"]
 
     def test_workload_latency_shape(self):
-        result = exp_workload_latency()
-        by_stack = {r["stack"]: r for r in result.rows}
+        rows = exp_workload_latency()
+        by_stack = {r["stack"]: r for r in rows}
         assert set(by_stack) == {"direct", "etob", "ec", "paxos"}
-        assert all(r["served"] for r in result.rows)
+        assert all(r["served"] for r in rows)
         # The claim's shape: each consistency level costs tail latency.
         assert (
             by_stack["direct"]["p99"]
             < by_stack["etob"]["p99"]
             < by_stack["paxos"]["p99"]
         )
-        assert "EXP-11" in result.render()
-
-    def test_result_tables_render(self):
-        result = exp_tob_mode()
-        text = result.render()
-        assert "EXP-5" in text and "scenario" in text
 
 
 class TestSeedDeclarations:

@@ -29,7 +29,7 @@ from mutants import MUTANT_PROTOCOLS, register_mutants
 from test_ec_algorithm4 import EC_MUTANT_CELL
 from test_etob_algorithm5 import DUPLICATE_CELL
 from test_etob_variants import ARRIVAL_ORDER_CELL
-from test_paxos import PROMISE_CHECK_CELL, sigma_settles_spec
+from test_paxos import POOLED_ACKS_CELL, PROMISE_CHECK_CELL, sigma_settles_spec
 
 #: mutant protocol -> (killing cell, monitor, checker, the verdict it flips).
 CASES = {
@@ -44,6 +44,12 @@ CASES = {
     ),
     "tob-consensus-accept-without-promise-check": (
         PROMISE_CHECK_CELL,
+        EtobMonitor,
+        check_etob,
+        lambda report: report.total_order_ok,
+    ),
+    "tob-consensus-pooled-acks": (
+        POOLED_ACKS_CELL,
         EtobMonitor,
         check_etob,
         lambda report: report.total_order_ok,

@@ -20,6 +20,7 @@ from repro.sim.envs import make_env
 
 from mutants import (
     PaxosAcceptWithoutPromiseCheck,
+    PaxosLearnerPoolsAcksAcrossBallots,
     SigmaLearnerWithoutRetest,
     register_mutants,
 )
@@ -217,6 +218,53 @@ def test_the_promise_check_mutant_fails_etob_total_order(monkeypatch):
     assert not report.total_order_ok
     assert report.validity_ok and report.agreement_ok
     assert report.no_creation_ok and report.no_duplication_ok
+
+
+#: The cheapest cell that kills the learner pooling acks across ballots:
+#: ``PROMISE_CHECK_CELL``'s shape with Omega random until t = 100 and
+#: ``late-links`` links at seed 3, 400 ticks; about 1 ms. A scratch sweep of
+#: that shape with duration tau + 300 (n of 3 to 5 x six envs x tau of 40,
+#: 100 or 200 x ``rotate`` / ``random`` x seeds 0-3 x 2 or 4 broadcasts each,
+#: 864 cells) killed it on 5: four ``late-links`` at n = 3, seed 3 under
+#: ``random``, and one ``heavy-tail``. The real layer passed ``check_tob`` on
+#: all 5.
+POOLED_ACKS_CELL = replace(
+    PROMISE_CHECK_CELL,
+    duration=400,
+    protocol="tob-consensus-pooled-acks",
+    seed=3,
+    tau=100,
+    pre="random",
+    links=make_env("late-links", seed=3, base_delay=2).delay,
+)
+
+
+def test_the_cheapest_cell_kills_the_learner_pooling_acks_across_ballots(
+    monkeypatch,
+):
+    # Acks for different values under different ballots add up to a quorum
+    # that accepted neither value, so two learners decide one instance
+    # differently and the processes end on sequences in different orders.
+    real_spec = replace(POOLED_ACKS_CELL, protocol="tob-consensus")
+    real = check_tob(run_plan(real_spec).run)
+    assert real.ok, real.violations
+    register_mutants(monkeypatch)
+    sim = run_plan(POOLED_ACKS_CELL)
+    assert isinstance(
+        sim.processes[0].layer(PaxosConsensusLayer),
+        PaxosLearnerPoolsAcksAcrossBallots,
+    )
+    report = check_tob(sim.run)
+    assert not report.ok
+    assert not report.etob.total_order_ok
+    assert report.etob.validity_ok and report.etob.agreement_ok
+    assert report.violations == [
+        "total-order: p0 and p1 still order common messages differently at "
+        "the end of the run",
+        "total-order: p1 and p2 still order common messages differently at "
+        "the end of the run",
+        "total order violated until t=83 (strong TOB requires none)",
+    ]
 
 
 class TestSigmaQuorums:

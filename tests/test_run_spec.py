@@ -148,7 +148,7 @@ def test_the_falsify_targets_derive_from_their_experiment_cells():
                    links=cell.links) == cell
     row = exp_etob_stabilization(
         taus=(100,), n=4, seed=derive_seed(0, 0), env="late-links"
-    ).rows[0]
+    )[0]
     assert iid_baseline("exp4-tau", seeds=1)["values"] == [row["tau"]]
 
     exp8 = get_target("exp8-tau")

@@ -250,20 +250,6 @@ class TestExecution:
         assert "boom" in result.failures()[0].error
         assert result.values() == [None, None]
 
-    def test_select_and_rows(self):
-        result = (
-            ScenarioSuite(add_cell).axis("a", [1, 2]).axis("b", [5, 6]).run(workers=0)
-        )
-        picked = result.select(a=2)
-        assert [c.value for c in picked] == [7, 8]
-        rows = result.rows()
-        assert rows[0] == {"a": 1, "b": 5, "value": 6, "error": None}
-
-    def test_render_mentions_failures(self):
-        result = ScenarioSuite(failing_cell).seeds([3]).run(workers=0)
-        text = result.render()
-        assert "1 failed" in text and "ValueError" in text
-
     def test_parallel_matches_serial(self):
         suite = ScenarioSuite(add_cell).axis("a", [1, 2, 3]).axis("b", [10, 20])
         serial = suite.run(workers=0)

@@ -115,8 +115,10 @@ def test_the_replaced_run_builders_stay_gone():
 # the URB / multivalued-consensus stack, two run checkers, ``run_while``,
 # the live-pending counter (quiescence reads the delivery cursors), the
 # list-of-records recorder (the columnar store's oracle in
-# ``tests/helpers.py``) and the ``demo-rugged`` falsify target (registered
-# by ``tests/test_falsify.py`` for its own tests).
+# ``tests/helpers.py``), the ``demo-rugged`` falsify target (registered
+# by ``tests/test_falsify.py`` for its own tests), the per-cell experiment
+# result with its table (an experiment returns its rows), and the suite and
+# table views only their own tests read.
 
 @pytest.mark.parametrize(
     "module", ["repro.scenario", "repro.sim.tracing", "repro.broadcast",
@@ -128,10 +130,14 @@ def test_the_test_only_modules_stay_gone(module):
 
 
 def test_the_test_only_names_stay_gone():
+    import repro.analysis.experiments
+    import repro.analysis.experiments.base
     import repro.consensus
     import repro.properties
     import repro.sim
+    from repro.analysis.tables import Table
     from repro.search import OBJECTIVES, registered_targets
+    from repro.suite import SuiteResult
 
     for module, names in (
         (repro, ("Scenario", "UrbLayer", "MultivaluedConsensusLayer",
@@ -143,6 +149,10 @@ def test_the_test_only_names_stay_gone():
         (repro.sim.observers, ("LegacyFullRecorder",)),
         (Simulation, ("run_while", "_sync_crash_marks")),
         (Network, ("live_pending", "mark_crashed")),
+        (repro.analysis.experiments, ("ExperimentResult",)),
+        (repro.analysis.experiments.base, ("ExperimentResult",)),
+        (SuiteResult, ("select", "rows", "render")),
+        (Table, ("add_rows",)),
     ):
         assert [n for n in names if hasattr(module, n)] == [], module
     network = Network(2)

@@ -315,7 +315,7 @@ class TestExp11Pins:
     def test_all_stacks_serve_every_operation(self):
         outcome = Campaign(["EXP-11"], seeds=[0]).run(workers=0)
         for cell in outcome.experiment("EXP-11").cells:
-            assert all(row["served"] for row in cell.value.rows)
+            assert all(row["served"] for row in cell.value)
 
 
 class TestPopulationDrivesService:
